@@ -10,7 +10,7 @@ the horizon or a detected norm escape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,10 +200,7 @@ def evolve(problem: ACProblem, segment_time: Optional[float] = None,
     while t_accum < problem.t_max - 1e-12 and segments < max_segments:
         segments += 1
         seg_here = min(seg, problem.t_max - t_accum)
-        sub = ACProblem(u0=current, F=problem.F, idx=problem.idx, t_max=problem.t_max,
-                        dt=problem.dt, delta=problem.delta,
-                        blow_up_threshold=problem.blow_up_threshold,
-                        n_smooth=problem.n_smooth, f_route=problem.f_route)
+        sub = replace(problem, u0=current)
         try:
             traj, _rep = picard_solve(sub, horizon=seg_here)
         except NoContraction:
@@ -214,10 +211,6 @@ def evolve(problem: ACProblem, segment_time: Optional[float] = None,
         except BlowUpDetected:
             blow_up = True
             blow_time = t_accum + seg_here
-            norms = np.concatenate(all_norms)
-            if len(norms) >= 3:
-                logs = np.log(np.maximum(norms[-3:], 1e-300))
-                _trend = logs[2] - 2 * logs[1] + logs[0]
             break
         all_times.append(t_accum + traj.times[1:])
         all_states.append(traj.states[1:])
@@ -295,16 +288,8 @@ def commutative_cross_check(problem: ACProblem, horizon: Optional[float] = None)
     """
     if not problem.u0.algebra.is_flat:
         raise HypothesisViolation("cross check requires theta = 0")
-    pm = ACProblem(u0=problem.u0, F=problem.F, idx=problem.idx, t_max=problem.t_max,
-                   dt=problem.dt, delta=problem.delta,
-                   blow_up_threshold=problem.blow_up_threshold,
-                   n_smooth=problem.n_smooth, f_route="matrix")
-    pg = ACProblem(u0=problem.u0, F=problem.F, idx=problem.idx, t_max=problem.t_max,
-                   dt=problem.dt, delta=problem.delta,
-                   blow_up_threshold=problem.blow_up_threshold,
-                   n_smooth=problem.n_smooth, f_route="grid")
-    tm, _ = picard_solve(pm, horizon=horizon)
-    tg, _ = picard_solve(pg, horizon=horizon)
+    tm, _ = picard_solve(replace(problem, f_route="matrix"), horizon=horizon)
+    tg, _ = picard_solve(replace(problem, f_route="grid"), horizon=horizon)
     dev = 0.0
     for a, b in zip(tm.states, tg.states):
         dev = max(dev, lp_norm(a - b, 2.0))

@@ -160,8 +160,7 @@ def export_expansion(terms: Sequence[ExpansionTerm]) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec,
-                      multiply_mode: str = "checked"):
+def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
     """d^alpha u for either derivation kind (fixed axis order 0..d-1)."""
     if derivation.kind == "torus":
         return tor.derive_multi(u, alpha)
@@ -177,8 +176,7 @@ def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec,
 
 
 def evaluate_expansion(F: SmoothSymbol, u, terms: Sequence[ExpansionTerm],
-                       derivation: DerivationSpec,
-                       multiply_mode: str = "checked") -> np.ndarray:
+                       derivation: DerivationSpec) -> np.ndarray:
     """sum coeff * T_{F^[l]}(d^{a_1}u, ..., d^{a_l}u) with all anchors u."""
     max_l = max(t.order for t in terms)
     if F.poly_coeffs is None and max_l > F.max_order:

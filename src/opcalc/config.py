@@ -47,7 +47,7 @@ KINDS = ("verify-core", "moi", "chain-rule", "besov-equivalence",
          "nonlinear-estimate", "meyer", "allen-cahn")
 
 _SCHEMA = {
-    "experiment": {"kind", "seed", "ensemble", "band", "outdir"},
+    "experiment": {"kind", "seed", "ensemble", "band"},
     "algebra": {"d", "n", "theta_num", "backend"},
     "symbol": {"expr"},
     "besov": {"s", "p", "q", "m", "n_der"},
@@ -61,7 +61,6 @@ class ExperimentConfig:
     seed: int = 7
     ensemble: int = 50
     band: int = 3
-    outdir: str = ""
     d: int = 2
     n_modes: int = 16
     theta_num: int = 1
@@ -156,8 +155,6 @@ def parse_config(path) -> ExperimentConfig:
             kw["ensemble"] = _parse_int("experiment", "ensemble", sec["ensemble"])
         if "band" in sec:
             kw["band"] = _parse_int("experiment", "band", sec["band"])
-        if "outdir" in sec:
-            kw["outdir"] = sec["outdir"].strip()
     if cp.has_section("algebra"):
         sec = cp["algebra"]
         if "d" in sec:

@@ -100,38 +100,39 @@ def eig_hermitian(H: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def _checked_schatten_args(a: np.ndarray, p, trace_mode: str) -> float:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if trace_mode not in _TRACE_MODES:
+        raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
+    return _p_value(p)
+
+
+def _norm_from_sigma(sigma: np.ndarray, pv: float, trace_mode: str) -> np.ndarray:
+    """Schatten norm from descending singular values along the last axis."""
+    if math.isinf(pv):
+        return sigma[..., 0].copy()
+    w = 1.0 / sigma.shape[-1] if trace_mode == "normalized" else 1.0
+    # scale out the largest singular value to avoid overflow at large p
+    top = np.maximum(sigma[..., :1], 1e-300)
+    out = top[..., 0] * (np.sum((sigma / top) ** pv, axis=-1) * w) ** (1.0 / pv)
+    return np.where(sigma[..., 0] == 0.0, 0.0, out)
+
+
 def schatten_norm(A, p, trace_mode: str = "normalized") -> float:
     """(sum_i sigma_i^p * w)^(1/p), w = 1/n for the normalized trace.
 
     p = inf returns the largest singular value (no weight).
     """
     a = _as_square(A)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if trace_mode not in _TRACE_MODES:
-        raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
-    pv = _p_value(p)
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if math.isinf(pv):
-        return float(sigma[0]) if sigma.size else 0.0
-    w = 1.0 / a.shape[0] if trace_mode == "normalized" else 1.0
-    # scale out the largest singular value to avoid overflow at large p
-    top = float(sigma[0]) if sigma.size else 0.0
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((sigma / top) ** pv) * w) ** (1.0 / pv)
+    pv = _checked_schatten_args(a, p, trace_mode)
+    return float(_norm_from_sigma(np.linalg.svd(a, compute_uv=False), pv, trace_mode))
 
 
 def schatten_norm_batch(stack: np.ndarray, p, trace_mode: str = "normalized") -> np.ndarray:
     """schatten_norm over the leading axis of a (m, n, n) stack."""
-    pv = _p_value(p)
-    sigma = np.linalg.svd(stack, compute_uv=False)
-    if math.isinf(pv):
-        return sigma[..., 0].copy()
-    w = 1.0 / stack.shape[-1] if trace_mode == "normalized" else 1.0
-    top = np.maximum(sigma[..., :1], 1e-300)
-    out = top[..., 0] * (np.sum((sigma / top) ** pv, axis=-1) * w) ** (1.0 / pv)
-    return np.where(sigma[..., 0] == 0.0, 0.0, out)
+    pv = _checked_schatten_args(stack, p, trace_mode)
+    return _norm_from_sigma(np.linalg.svd(stack, compute_uv=False), pv, trace_mode)
 
 
 def matrix_function(H: HermitianOperator, fn) -> np.ndarray:

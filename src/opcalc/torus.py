@@ -12,16 +12,20 @@ pure coefficient condition (conjugate symmetry under wrap-aware negation).
 Products obey U^k U^l = e^{-i pi <k, theta l>} U^{k+l}; when k+l leaves the
 band, M(n + N m) = (-1)^{p(m1 n2 + m2 n1)} M(n) supplies the wrap sign (N
 even).  At theta = 0 the faithful realization is the diagonal grid
-representation on N^d points.
+representation on N^d points.  Both realizations are faithful, so the product
+is computed in them: the matrix product of the clock/shift realizations at
+theta != 0, the pointwise product of grid values at theta = 0.
 
 Continuous translations act on coefficients but are automorphisms only when
-no product wraps; hence the band discipline and the checked multiply mode.
-Hermitian-flagged elements must avoid the asymmetric boundary modes
-(component -N/2) whenever theta != 0.
+no product wraps; hence the band discipline and the checked multiply mode,
+which tests the supports of the factors for a wrapping mode pair before
+multiplying.  Hermitian-flagged elements must avoid the asymmetric boundary
+modes (component -N/2) whenever theta != 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -111,7 +115,7 @@ class TorusAlgebra:
         return _abs_k(self.N, self.d)
 
     def basis(self) -> np.ndarray:
-        """Mode matrices M(k) stacked as (N,)*d + (dim, dim); cached."""
+        """Mode matrices M(k) stacked as (N,)*d + (dim, dim), built entry by entry."""
         return _basis(self.N, self.d, self.theta_num)
 
     @property
@@ -119,48 +123,29 @@ class TorusAlgebra:
         return self.N if not self.is_flat else self.N ** self.d
 
 
-_K_AXIS: dict = {}
-_K_GRIDS: dict = {}
-_ABS_K: dict = {}
-_BASIS: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _k_axis(N: int) -> np.ndarray:
-    arr = _K_AXIS.get(N)
-    if arr is None:
-        arr = np.rint(np.fft.fftfreq(N) * N).astype(int)
-        _K_AXIS[N] = arr
-    return arr
+    return np.rint(np.fft.fftfreq(N) * N).astype(int)
 
 
+@functools.lru_cache(maxsize=None)
 def _k_grids(N: int, d: int) -> tuple:
-    key = (N, d)
-    g = _K_GRIDS.get(key)
-    if g is None:
-        g = tuple(np.meshgrid(*([_k_axis(N)] * d), indexing="ij"))
-        _K_GRIDS[key] = g
-    return g
+    return tuple(np.meshgrid(*([_k_axis(N)] * d), indexing="ij"))
 
 
+@functools.lru_cache(maxsize=None)
 def _abs_k(N: int, d: int) -> np.ndarray:
-    key = (N, d)
-    a = _ABS_K.get(key)
-    if a is None:
-        a = np.sqrt(sum(g.astype(float) ** 2 for g in _k_grids(N, d)))
-        _ABS_K[key] = a
-    return a
+    return np.sqrt(sum(g.astype(float) ** 2 for g in _k_grids(N, d)))
 
 
 def _basis(N: int, d: int, p: int) -> np.ndarray:
-    key = (N, d, p)
-    b = _BASIS.get(key)
-    if b is not None:
-        return b
+    """Dense mode matrices: the reference realization.  Not cached, so a run
+    that checks against it does not keep the basis resident afterwards."""
     if p != 0:
         if d != 2:
             raise BackendMismatch("clock/shift basis requires d = 2")
         if N > 48:
-            raise MemoryError("mode-matrix basis cached only up to N = 48")
+            raise MemoryError("mode-matrix basis built only up to N = 48")
         ks = _k_axis(N)
         omega = np.exp(2j * np.pi * p / N)
         a = np.arange(N)
@@ -174,21 +159,17 @@ def _basis(N: int, d: int, p: int) -> np.ndarray:
             for i2 in range(N):
                 ph = np.exp(1j * np.pi * theta * ks[i1] * ks[i2])
                 b[i1, i2] = ph * clock_cols[:, i1][:, None] * shift_masks[i2]
-    else:
-        # diagonal grid representation: M(k) = diag over grid of e^{2 pi i <k, l>/N}
-        dim = N ** d
-        grids = np.meshgrid(*([np.arange(N)] * d), indexing="ij")
-        b = np.zeros((N,) * d + (dim, dim), dtype=np.complex128)
-        it = np.ndindex(*(N,) * d)
-        ks = _k_axis(N)
-        for idx in it:
-            phase = np.ones((N,) * d, dtype=np.complex128)
-            for ax, i in enumerate(idx):
-                phase = phase * np.exp(2j * np.pi * ks[i] * grids[ax] / N)
-            np.fill_diagonal(b[idx], phase.ravel())
-        _BASIS[key] = b
         return b
-    _BASIS[key] = b
+    # diagonal grid representation: M(k) = diag over grid of e^{2 pi i <k, l>/N}
+    dim = N ** d
+    grids = np.meshgrid(*([np.arange(N)] * d), indexing="ij")
+    b = np.zeros((N,) * d + (dim, dim), dtype=np.complex128)
+    ks = _k_axis(N)
+    for idx in np.ndindex(*(N,) * d):
+        phase = np.ones((N,) * d, dtype=np.complex128)
+        for ax, i in enumerate(idx):
+            phase = phase * np.exp(2j * np.pi * ks[i] * grids[ax] / N)
+        np.fill_diagonal(b[idx], phase.ravel())
     return b
 
 
@@ -288,9 +269,7 @@ def is_hermitian(x: TorusElement, tol: float = 1e-12) -> bool:
     """Hermitian flag: coeffs(-k) = conj(coeffs(k)) under wrap-aware negation
     (the wrap across a boundary hyperplane carries the representation sign),
     equivalent to Hermiticity of the matrix realization."""
-    c = x.coeffs
-    scale = max(float(np.max(np.abs(c))), 1e-300)
-    return bool(np.max(np.abs(_adjoint_coeffs(x.algebra, c) - c)) <= tol * scale)
+    return hermitian_deviation(x) <= tol
 
 
 def hermitian_deviation(x: TorusElement) -> float:
@@ -397,59 +376,60 @@ def from_grid_values(algebra: TorusAlgebra, values: np.ndarray) -> TorusElement:
 # ---------------------------------------------------------------------------
 
 def multiply(x: TorusElement, y: TorusElement, mode: str = "wrap") -> TorusElement:
-    """Twisted convolution with phase e^{-i pi <k, theta l>} and wrap signs.
+    """Product in the algebra, computed in its faithful realization.
 
-    ``checked`` raises BandOverflow when any product mode leaves the band.
-    At theta = 0 the wrap path is the plain circular convolution (pointwise
-    grid product).
+    theta != 0: ``from_matrix`` of the clock/shift matrix product, which
+    carries the phase e^{-i pi <k, theta l>} and the wrap signs.  theta = 0:
+    the pointwise product of grid values (circular convolution).
+    ``checked`` first raises BandOverflow when any product mode leaves the band.
     """
     _same_algebra(x, y)
     alg = x.algebra
     if mode not in ("wrap", "checked"):
         raise ValueError("mode must be 'wrap' or 'checked'")
-    if alg.is_flat and mode == "wrap":
-        vals = grid_values(x) * grid_values(y)
-        return from_grid_values(alg, vals)
-    N, d, p = alg.N, alg.d, alg.theta_num
-    theta = alg.theta
-    kg = alg.k_grids
-    out = np.zeros(alg.shape, dtype=np.complex128)
-    yc = y.coeffs
-    nz = np.argwhere(np.abs(x.coeffs) > 0)
-    scale = float(np.max(np.abs(x.coeffs)) * np.max(np.abs(yc))) if nz.size else 0.0
-    half = N // 2
-    for idx in nz:
-        k = tuple(int(_k_axis(N)[i]) for i in idx)
-        xk = x.coeffs[tuple(idx)]
-        # phase over the l grid
-        if p != 0:
-            pairing = theta[0, 1] * (k[0] * kg[1] - k[1] * kg[0])
-            phase = np.exp(-1j * np.pi * pairing)
-        else:
-            phase = 1.0
-        if mode == "checked" or p != 0:
-            m = [None] * d
-            wrapped = np.zeros(alg.shape, dtype=bool)
-            for ax in range(d):
-                s_ax = k[ax] + kg[ax]
-                m_ax = (s_ax >= half).astype(int) - (s_ax < -half).astype(int)
-                m[ax] = m_ax
-                wrapped |= m_ax != 0
-            if mode == "checked" and np.any(wrapped & (np.abs(xk) * np.abs(yc) > 1e-14 * max(scale, 1e-300))):
-                raise BandOverflow(
-                    f"product mode leaves the band [-{half}, {half}) (from mode {k})"
-                )
-            if p != 0:
-                n1 = k[0] + kg[0] - N * m[0]
-                n2 = k[1] + kg[1] - N * m[1]
-                sign = np.where((p * (m[0] * n2 + m[1] * n1)) % 2 == 0, 1.0, -1.0)
-            else:
-                sign = 1.0
-        else:
-            sign = 1.0
-        contrib = xk * yc * phase * sign
-        out += np.roll(contrib, shift=k, axis=tuple(range(d)))
-    return TorusElement(alg, out)
+    if mode == "checked":
+        _check_band(x, y)
+    if alg.is_flat:
+        return from_grid_values(alg, grid_values(x) * grid_values(y))
+    return from_matrix(alg, to_matrix(x) @ to_matrix(y))
+
+
+def _check_band(x: TorusElement, y: TorusElement) -> None:
+    """BandOverflow if a pair (k, l) with |x_k||y_l| > 1e-14 max|x| max|y| has
+    k + l outside [-N/2, N/2)^d.
+
+    k + l wraps when some component k_j + l_j does, and the largest product over
+    pairs with given (k_j, l_j) is the product of the per-component maxima
+    (rounding is monotone), so one N x N test per axis decides every pair.
+    """
+    alg = x.algebra
+    half = alg.N // 2
+    absx, absy = np.abs(x.coeffs), np.abs(y.coeffs)
+    threshold = 1e-14 * max(float(np.max(absx) * np.max(absy)), 1e-300)
+    sums = np.add.outer(alg.k_axis, alg.k_axis)
+    wraps = (sums < -half) | (sums >= half)
+    for j in range(alg.d):
+        others = tuple(i for i in range(alg.d) if i != j)
+        peak = np.multiply.outer(np.max(absx, axis=others), np.max(absy, axis=others))
+        if np.any(wraps & (peak > threshold)):
+            raise BandOverflow(f"product mode leaves the band [-{half}, {half}) along axis {j}")
+
+
+def basis_product(x: TorusElement, y: TorusElement) -> TorusElement:
+    """Reference product from the dense mode matrices of ``TorusAlgebra.basis``.
+
+    Realizes x = sum_k x_k M(k) and y entry by entry, multiplies, and reads
+    the coefficients tau(A M(k)*) back; it shares no code with ``multiply``.
+    The basis has N^d (dim x dim) matrices, so it is for small N only.
+    """
+    _same_algebra(x, y)
+    alg = x.algebra
+    b = alg.basis()
+    modes = tuple(range(alg.d))
+    xm, ym = (np.tensordot(c, b, axes=(modes, modes)) for c in (x.coeffs, y.coeffs))
+    # sum_ij A_ij conj(M(k)_ij), conjugating A rather than copying the basis
+    coeffs = np.conj(np.tensordot(b, np.conj(xm @ ym), axes=((alg.d, alg.d + 1), (0, 1))))
+    return TorusElement(alg, coeffs / alg.matrix_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +440,22 @@ def apply_multiplier(x: TorusElement, symbol_values: np.ndarray) -> TorusElement
     return TorusElement(x.algebra, x.coeffs * symbol_values)
 
 
+def _pairing(algebra: TorusAlgebra, v: np.ndarray) -> np.ndarray:
+    """<v, k> over the mode grid for each row of a (..., d) array, summed over
+    the axes in order."""
+    lead = v.shape[:-1]
+    out = np.zeros(lead + algebra.shape)
+    for ax, g in enumerate(algebra.k_grids):
+        out = out + v[..., ax].reshape(lead + (1,) * algebra.d) * g
+    return out
+
+
 def translate(x: TorusElement, s) -> TorusElement:
     """T_s: u(k) -> e^{i<s,k>} u(k); an L_p isometry."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (x.algebra.d,):
         raise DimensionMismatch(f"shift must have {x.algebra.d} components")
-    phase = np.zeros(x.algebra.shape)
-    for ax, g in enumerate(x.algebra.k_grids):
-        phase = phase + s[ax] * g
-    return apply_multiplier(x, np.exp(1j * phase))
+    return apply_multiplier(x, np.exp(1j * _pairing(x.algebra, s)))
 
 
 def derive(x: TorusElement, j: int) -> TorusElement:
@@ -493,10 +480,7 @@ def difference_multiplier(algebra: TorusAlgebra, h, m: int) -> np.ndarray:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (algebra.d,):
         raise DimensionMismatch(f"step must have {algebra.d} components")
-    phase = np.zeros(algebra.shape)
-    for ax, g in enumerate(algebra.k_grids):
-        phase = phase + h[ax] * g
-    return (np.exp(1j * phase) - 1.0) ** int(m)
+    return (np.exp(1j * _pairing(algebra, h)) - 1.0) ** int(m)
 
 
 def difference(x: TorusElement, h, m: int = 1) -> TorusElement:
@@ -595,13 +579,7 @@ class AmplitudeSampling:
 
 def amplitude(x: TorusElement, t: float, m: int, p, sampling: AmplitudeSampling = AmplitudeSampling()) -> float:
     """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below."""
-    if t <= 0:
-        return 0.0
-    dirs = sphere_directions(x.algebra.d, sampling.n_dir)
-    radii = t * (np.arange(1, sampling.n_rad + 1) / sampling.n_rad)
-    stack = _difference_stack(x, dirs, radii, m)
-    norms = lp_norm_batch(x.algebra, stack, p)
-    return float(np.max(norms))
+    return float(amplitude_profile(x, [t], m, p, sampling)[0])
 
 
 def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
@@ -612,11 +590,11 @@ def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
     monotone nondecreasing in t by construction.
     """
     ts = np.asarray(sorted(ts), dtype=float)
+    if not np.any(ts > 0):
+        return np.zeros(len(ts))
     dirs = sphere_directions(x.algebra.d, sampling.n_dir)
     radii = np.unique(np.concatenate([t * (np.arange(1, sampling.n_rad + 1) / sampling.n_rad)
                                       for t in ts if t > 0]))
-    if radii.size == 0:
-        return np.zeros(len(ts))
     stack = _difference_stack(x, dirs, radii, m)
     norms = lp_norm_batch(x.algebra, stack, p).reshape(len(dirs), len(radii))
     best_by_radius = np.max(norms, axis=0)
@@ -630,9 +608,7 @@ def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
 
 def _difference_stack(x: TorusElement, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     alg = x.algebra
-    phases = np.zeros((len(dirs),) + alg.shape)
-    for ax, g in enumerate(alg.k_grids):
-        phases += dirs[:, ax].reshape((-1,) + (1,) * alg.d) * g
+    phases = _pairing(alg, dirs)
     # multipliers for every (dir, radius) pair
     full = phases[:, None, ...] * radii.reshape((1, -1) + (1,) * alg.d)
     mult = (np.exp(1j * full) - 1.0) ** m

@@ -128,6 +128,14 @@ def test_cli_malformed_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_cli_rejects_outdir_key(tmp_path, capsys):
+    # the output directory comes from --out / $OPCALC_OUT only
+    path = tmp_path / "outdir.ini"
+    path.write_text("[experiment]\nkind = verify-core\noutdir = elsewhere\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "outdir" in capsys.readouterr().err
+
+
 def test_cli_missing_baseline(tmp_path, capsys):
     path = tmp_path / "b.ini"
     path.write_text("[experiment]\nkind = besov-equivalence\nensemble = 2\n"

@@ -6,8 +6,8 @@ import pytest
 from opcalc.baselines import BaselineStore
 from opcalc.config import ExperimentConfig
 from opcalc.errors import MissingBaseline
-from opcalc.experiments import (besov_equivalence_configs, capture_besov_equivalence,
-                                parallel_map, run_besov_equivalence, run_experiment,
+from opcalc.experiments import (ExperimentResult, besov_equivalence_configs,
+                                capture_besov_equivalence, parallel_map, run_besov_equivalence, run_experiment,
                                 run_meyer, run_moi, run_verify_core)
 
 
@@ -75,6 +75,17 @@ def test_run_experiment_dispatch():
     res = run_experiment(cfg, BaselineStore())
     assert res.kind == "verify-core"
     assert res.config_hash == cfg.config_hash
+
+
+def test_check_fails_non_finite_values():
+    res = ExperimentResult("verify-core", "h")
+    assert not res.check("x", math.inf, 3.0, mode="ge")
+    assert not res.check("y", -math.inf, 3.0)
+    assert not res.check("z", math.nan, 3.0, note="ratio")
+    assert res.check("w", 1.0, 3.0)
+    assert [a.note for a in res.assertions] == ["non-finite value", "non-finite value",
+                                                "ratio; non-finite value", ""]
+    assert not res.passed
 
 
 def test_parallel_map_order_preserved():

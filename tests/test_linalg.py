@@ -6,7 +6,8 @@ import pytest
 from opcalc.errors import NonHermitianInput, SymbolDomainError
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, SchattenIndex, eig_hermitian, func_calc,
-                           haar_unitary, random_hermitian, schatten_norm)
+                           haar_unitary, random_hermitian, schatten_norm,
+                           schatten_norm_batch)
 from opcalc.seeding import rng_for
 
 
@@ -72,6 +73,30 @@ def test_schatten_two_norm_is_weighted_trace():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     target = np.vdot(a, a).real / 5
     assert schatten_norm(a, 2, "normalized") ** 2 == pytest.approx(target, rel=1e-12)
+
+
+def test_schatten_batch_matches_single():
+    rng = rng_for(4, "batch")
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    stack[1] = 0.0
+    for p in (1, 2, 3.5, math.inf):
+        for mode in ("normalized", "counting"):
+            got = schatten_norm_batch(stack, p, mode)
+            assert got == pytest.approx([schatten_norm(a, p, mode) for a in stack], rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schatten_batch_rejects_non_finite(bad):
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 0, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        schatten_norm_batch(stack, 1)
+
+
+def test_schatten_batch_rejects_unknown_trace_mode():
+    with pytest.raises(ValueError, match="trace_mode"):
+        schatten_norm_batch(np.eye(3)[None], 1, "Normalised")
+    assert schatten_norm_batch(np.eye(3)[None], 1, "normalized")[0] == pytest.approx(1.0)
 
 
 def test_schatten_index_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opcalc.torus as tor
 from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch
@@ -31,7 +32,7 @@ def test_fast_transform_matches_dense_basis(theta_num):
     assert np.max(np.abs(back.coeffs - x.coeffs)) <= 1e-12
     y = tor.random_element(alg, rng, band=3, hermitian=False)
     z1 = tor.multiply(x, y)
-    z2 = tor.from_matrix(alg, tor.to_matrix(x) @ tor.to_matrix(y))
+    z2 = tor.basis_product(x, y)
     assert np.max(np.abs(z1.coeffs - z2.coeffs)) <= 1e-11
 
 
@@ -129,7 +130,7 @@ def test_multiply_matches_matrix_route(alg):
     x = tor.random_element(alg, rng, band=3, hermitian=False)
     y = tor.random_element(alg, rng, band=3, hermitian=False)
     z1 = tor.multiply(x, y)
-    z2 = tor.from_matrix(alg, tor.to_matrix(x) @ tor.to_matrix(y))
+    z2 = tor.basis_product(x, y)
     assert np.max(np.abs(z1.coeffs - z2.coeffs)) <= 1e-12
 
 
@@ -152,16 +153,89 @@ def test_commutative_backend_fft_oracle():
     rng = rng_for(7, "fft")
     x = tor.random_element(alg0, rng, band=1)
     y = tor.random_element(alg0, rng, band=1)
-    # wrap route (pointwise grid product) vs direct checked convolution
-    z_fft = tor.multiply(x, y)
-    z_direct = tor.multiply(x, y, mode="checked")
-    assert np.max(np.abs(z_fft.coeffs - z_direct.coeffs)) <= 1e-12
+    # pointwise grid product, wrap and checked, vs the dense diagonal basis
+    ref = tor.basis_product(x, y)
+    for mode in ("wrap", "checked"):
+        z = tor.multiply(x, y, mode=mode)
+        assert np.max(np.abs(z.coeffs - ref.coeffs)) <= 1e-12
 
 
 def test_checked_multiply_band_overflow(alg):
     x = tor.mode_element(alg, (3, 0))
     with pytest.raises(BandOverflow):
         tor.multiply(x, x, mode="checked")
+
+
+@st.composite
+def _algebras(draw):
+    """Even N in [4, 16] with a coprime theta numerator, or theta = 0 on either
+    backend with N**d <= 64 so the dense grid-diagonal basis stays small."""
+    N = draw(st.sampled_from(range(4, 17, 2)))
+    p = draw(st.sampled_from([0] + [q for q in range(1, N) if math.gcd(q, N) == 1]))
+    if p:
+        return tor.TorusAlgebra.make(d=2, N=N, theta_num=p)
+    d = draw(st.sampled_from([d for d in (1, 2, 3) if N ** d <= 64]))
+    return tor.TorusAlgebra.make(d=d, N=N, backend=draw(st.sampled_from(["matrix", "commutative"])))
+
+
+@st.composite
+def _elements(draw, alg, count):
+    """Random elements with a band per axis (N/2 keeps the -N/2 modes), a
+    tail beyond |k|_inf > cut scaled by 1, 1e-13 or 1e-17 (around the checked
+    threshold), and some modes removed."""
+    out = []
+    for _ in range(count):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        c = (rng.standard_normal(alg.shape) + 1j * rng.standard_normal(alg.shape)) / (1.0 + alg.abs_k)
+        kinf = np.max(np.abs(np.stack(alg.k_grids)), axis=0)
+        for g in alg.k_grids:
+            c = np.where(np.abs(g) > draw(st.integers(0, alg.N // 2)), 0.0, c)
+        tail = draw(st.sampled_from([1.0, 1e-13, 1e-17]))
+        c = np.where(kinf > draw(st.integers(0, alg.N // 2)), tail * c, c)
+        c = np.where(rng.random(alg.shape) < draw(st.sampled_from([0.0, 0.5])), 0.0, c)
+        out.append(tor.TorusElement(alg, c))
+    return out
+
+
+def _l1(*xs):
+    return math.prod(float(np.sum(np.abs(x.coeffs))) for x in xs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_product_properties(data):
+    # every product coefficient is bounded by the l1 norms of the factors
+    alg = data.draw(_algebras())
+    x, y, z = data.draw(_elements(alg, 3))
+    tol = 1e-13 * _l1(x, y)
+    assert np.max(np.abs(tor.multiply(x, y).coeffs - tor.basis_product(x, y).coeffs)) <= tol
+    lhs = tor.multiply(tor.multiply(x, y), z)
+    rhs = tor.multiply(x, tor.multiply(y, z))
+    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13 * _l1(x, y, z)
+    one = tor.unit_element(alg)
+    for prod in (tor.multiply(x, one), tor.multiply(one, x)):
+        assert np.max(np.abs(prod.coeffs - x.coeffs)) <= 1e-13 * _l1(x)
+    assert abs(tor.multiply(x, y).trace - tor.multiply(y, x).trace) <= tol
+    star = tor.multiply(x, y).adjoint()
+    assert np.max(np.abs(star.coeffs - tor.multiply(y.adjoint(), x.adjoint()).coeffs)) <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_checked_product_matches_pair_enumeration(data):
+    alg = data.draw(_algebras())
+    x, y = data.draw(_elements(alg, 2))
+    ax, ay = np.abs(x.coeffs).ravel(), np.abs(y.coeffs).ravel()
+    ks = np.stack([g.ravel() for g in alg.k_grids], axis=1)          # (modes, d)
+    sums = ks[:, None, :] + ks[None, :, :]
+    outside = np.any((sums < -alg.N // 2) | (sums >= alg.N // 2), axis=2)
+    significant = np.multiply.outer(ax, ay) > 1e-14 * max(float(ax.max() * ay.max()), 1e-300)
+    if np.any(outside & significant):
+        with pytest.raises(BandOverflow):
+            tor.multiply(x, y, mode="checked")
+    else:
+        z = tor.multiply(x, y, mode="checked")
+        assert np.max(np.abs(z.coeffs - tor.basis_product(x, y).coeffs)) <= 1e-13 * _l1(x, y)
 
 
 def test_traciality(alg):
@@ -272,6 +346,8 @@ def test_difference_adjoint_identity(alg):
 def test_amplitude_zero_time(alg):
     x = tor.random_element(alg, rng_for(22, "a0"), band=3)
     assert tor.amplitude(x, 0.0, 1, 2) == 0.0
+    assert list(tor.amplitude_profile(x, [0.0], 1, 2)) == [0.0]
+    assert list(tor.amplitude_profile(x, [], 1, 2)) == []
 
 
 def test_amplitude_refinement_stability(alg16):
