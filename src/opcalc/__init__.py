@@ -23,7 +23,7 @@ from .chain import DerivationSpec, ExpansionTerm, chain_rule_residual, expand
 from .expr import parse_symbol
 from .linalg import HermitianOperator, SchattenIndex, SpectralDecomposition, eig_hermitian, func_calc, schatten_norm
 from .moi import HoelderTuple, MOIOperands, moi_binned, moi_schur
-from .symbols import SmoothSymbol, build_littlewood_paley, divided_diff, divided_diff_tensor
+from .symbols import SmoothSymbol, divided_diff, divided_diff_tensor
 from .torus import TorusAlgebra, TorusElement
 
 __version__ = "0.1.0"
@@ -35,6 +35,6 @@ __all__ = [
     "HermitianOperator", "SchattenIndex", "SpectralDecomposition",
     "eig_hermitian", "func_calc", "schatten_norm",
     "HoelderTuple", "MOIOperands", "moi_binned", "moi_schur",
-    "SmoothSymbol", "build_littlewood_paley", "divided_diff", "divided_diff_tensor",
+    "SmoothSymbol", "divided_diff", "divided_diff_tensor",
     "TorusAlgebra", "TorusElement",
 ]

@@ -243,7 +243,7 @@ def strong_residual(traj: Trajectory, problem: ACProblem, skip_initial: int = 2)
 
 
 def smoothing_report(traj: Trajectory, problem: ACProblem,
-                     alphas: Sequence[float], lp=None) -> dict:
+                     alphas: Sequence[float]) -> dict:
     """Besov norms over the alpha grid per time plus top-block decay ratios."""
     rows = []
     nb0 = block_norms(traj.states[0], 2.0)
@@ -257,7 +257,7 @@ def smoothing_report(traj: Trajectory, problem: ACProblem,
         top_ratios.append(float(nb[top] / top_energy0))
         for a in alphas:
             rows.append({"t": float(t), "alpha": float(a),
-                         "norm": besov_multiplier_norm(state, BesovIndex(a, problem.idx.p, problem.idx.q), lp)})
+                         "norm": besov_multiplier_norm(state, BesovIndex(a, problem.idx.p, problem.idx.q))})
     return {"rows": rows, "top_block": top, "top_ratios": np.asarray(top_ratios),
             "times": traj.times}
 

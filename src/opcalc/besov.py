@@ -5,6 +5,10 @@ radial integral form, plus the inequality harnesses: doubling, block
 difference bounds, heat smoothing, the Meyer decomposition and paraproducts,
 and the nonlinear boundedness/Lipschitz ratio harnesses.
 
+The dyadic decomposition is fixed: blocks, block norms and partial sums all
+read the non-homogeneous filter bank that the lattice owns
+(``TorusAlgebra.lp_filters``), so no function takes a filter family.
+
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
 assert non-regression, never fixed constants.
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
                      SymbolHypothesisError)
 from .linalg import HermitianOperator, eig_hermitian, func_calc, matrix_function
-from .symbols import LPFilterFamily, SmoothSymbol, build_littlewood_paley
+from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, amplitude_profile, block_count,
                     difference, derive_multi, from_matrix, heat, is_hermitian,
@@ -54,23 +58,14 @@ def _lq_sum(terms: np.ndarray, q: float) -> float:
     return top * float(np.sum((terms / top) ** q)) ** (1.0 / q)
 
 
-def _default_lp(x: TorusElement) -> LPFilterFamily:
-    return build_littlewood_paley(x.algebra.d)
-
-
-def block_norms(x: TorusElement, p, lp: Optional[LPFilterFamily] = None) -> np.ndarray:
+def block_norms(x: TorusElement, p) -> np.ndarray:
     """||Delta_j x||_p for the finitely many nonzero blocks."""
-    lp = lp or _default_lp(x)
-    jmax = block_count(x.algebra)
-    stack = np.stack([lp.radial_profile(x.algebra.abs_k, j, homogeneous=False) * x.coeffs
-                      for j in range(jmax)])
-    return lp_norm_batch(x.algebra, stack, p)
+    return lp_norm_batch(x.algebra, x.algebra.lp_filters * x.coeffs, p)
 
 
-def besov_multiplier_norm(x: TorusElement, idx: BesovIndex,
-                          lp: Optional[LPFilterFamily] = None) -> float:
+def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
     """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf."""
-    norms = block_norms(x, idx.p, lp)
+    norms = block_norms(x, idx.p)
     weights = 2.0 ** (idx.s * np.arange(len(norms)))
     return _lq_sum(weights * norms, idx.q)
 
@@ -192,12 +187,10 @@ def doubling_check(x: TorusElement, h, m: int, p, slack: float = 1e-10) -> dict:
             "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)}
 
 
-def block_difference_check(x: TorusElement, h, m: int, k: int, p,
-                           lp: Optional[LPFilterFamily] = None) -> dict:
+def block_difference_check(x: TorusElement, h, m: int, k: int, p) -> dict:
     """Ratio of ||Delta_h^m Block_k x||_p to min(1, |h|^m 2^{km}) ||Block_k x||_p."""
-    lp = lp or _default_lp(x)
     h = np.asarray(h, dtype=float)
-    bx = lp_block(x, k, lp)
+    bx = lp_block(x, k)
     denom_norm = lp_norm(bx, p)
     if denom_norm == 0.0:
         return {"skipped": True, "ratio": 0.0, "lhs": 0.0, "bound": 0.0}
@@ -206,14 +199,13 @@ def block_difference_check(x: TorusElement, h, m: int, k: int, p,
     return {"skipped": False, "lhs": lhs, "bound": bound, "ratio": lhs / bound}
 
 
-def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q, ts: Sequence[float],
-                         lp: Optional[LPFilterFamily] = None) -> dict:
+def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
+                         ts: Sequence[float]) -> dict:
     """sup_t ||e^{tDelta} x||_{B^r} / ((1 + t^{(s-r)/2}) ||x||_{B^s})."""
-    lp = lp or _default_lp(x)
-    denom_base = besov_multiplier_norm(x, BesovIndex(s, p, q), lp)
+    denom_base = besov_multiplier_norm(x, BesovIndex(s, p, q))
     ratios = []
     for t in ts:
-        num = besov_multiplier_norm(heat(x, t), BesovIndex(r, p, q), lp)
+        num = besov_multiplier_norm(heat(x, t), BesovIndex(r, p, q))
         factor = 1.0 + (t ** ((s - r) / 2.0) if t > 0 else (1.0 if s == r else math.inf))
         ratios.append(num / (factor * denom_base) if denom_base > 0 else 0.0)
     return {"sup_ratio": float(np.max(ratios)), "ratios": ratios, "ts": list(ts)}
@@ -223,17 +215,15 @@ def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q, ts: Sequence
 # Meyer decomposition
 # ---------------------------------------------------------------------------
 
-def partial_sum(x: TorusElement, j: int, lp: Optional[LPFilterFamily] = None) -> TorusElement:
-    """S_j x = sum_{k<=j} Block_k x."""
-    lp = lp or _default_lp(x)
-    mult = np.zeros(x.algebra.shape)
-    for k in range(0, j + 1):
-        mult = mult + lp.radial_profile(x.algebra.abs_k, k, homogeneous=False)
-    return tor.apply_multiplier(x, mult)
+def partial_sum(x: TorusElement, j: int) -> TorusElement:
+    """S_j x = sum_{0<=k<=j} Block_k x, which is 0 for j < 0."""
+    if j < 0:
+        return tor.apply_multiplier(x, np.zeros(x.algebra.shape))
+    sums = np.cumsum(x.algebra.lp_filters, axis=0)
+    return tor.apply_multiplier(x, sums[min(j, len(sums) - 1)])
 
 
-def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32,
-                   lp: Optional[LPFilterFamily] = None) -> float:
+def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
     """Operator-norm residual of the dyadic decomposition of e^{i xi u} - 1.
 
     e^{i xi u} - 1 = G(S_0 u) S_0 u
@@ -244,7 +234,6 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32,
     """
     if not is_hermitian(u):
         raise SymbolHypothesisError("Meyer decomposition requires Hermitian u")
-    lp = lp or _default_lp(u)
     alg = u.algebra
     U = to_matrix(u)
     H = HermitianOperator(U)
@@ -261,7 +250,7 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32,
         out[small] = 1j * xi * (1.0 + 0.5j * xi * lam[small])
         return out
 
-    s0 = partial_sum(u, 0, lp)
+    s0 = partial_sum(u, 0)
     s0_mat = to_matrix(s0)
     rhs = matrix_function(HermitianOperator(s0_mat), g_fn) @ s0_mat
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
@@ -271,10 +260,10 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32,
     prev = s0
     prev_dec = eig_hermitian(HermitianOperator(to_matrix(prev)))
     for j in range(1, jmax):
-        bj = lp_block(u, j, lp)
+        bj = lp_block(u, j)
         if float(np.max(np.abs(bj.coeffs))) < 1e-300:
             continue
-        cur = partial_sum(u, j, lp)
+        cur = partial_sum(u, j)
         cur_dec = eig_hermitian(HermitianOperator(to_matrix(cur)))
         bmat = to_matrix(bj)
         acc = np.zeros((dim, dim), dtype=np.complex128)
@@ -356,22 +345,20 @@ class PsdoSymbolSequence:
         return cert[min(k, len(cert) - 1)]
 
 
-def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex,
-                      lp: Optional[LPFilterFamily] = None):
+def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex):
     """T_{a,b}(u) = sum_j a_j (Block_j u) b_j and its normalized Besov ratio."""
-    lp = lp or _default_lp(u)
     alg = u.algebra
     total = np.zeros((alg.matrix_dim, alg.matrix_dim), dtype=np.complex128)
     for j in range(min(len(seq.a), block_count(alg))):
-        bj = lp_block(u, j, lp)
+        bj = lp_block(u, j)
         if float(np.max(np.abs(bj.coeffs))) < 1e-300:
             continue
         total += to_matrix(seq.a[j]) @ to_matrix(bj) @ to_matrix(seq.b[j])
     out = from_matrix(alg, total)
     k = int(math.ceil(idx.s))
     m_a, m_b = seq.cert("a", k), seq.cert("b", k)
-    nu = besov_multiplier_norm(u, idx, lp)
-    nout = besov_multiplier_norm(out, idx, lp)
+    nu = besov_multiplier_norm(u, idx)
+    nout = besov_multiplier_norm(out, idx)
     ratio = nout / (m_a * m_b * nu) if m_a * m_b * nu > 0 else 0.0
     return out, {"ratio": ratio, "m_a": m_a, "m_b": m_b, "norm_in": nu, "norm_out": nout}
 
@@ -385,8 +372,7 @@ def apply_symbol(F, u: TorusElement) -> TorusElement:
     return from_matrix(u.algebra, func_calc(HermitianOperator(to_matrix(u)), F).data)
 
 
-def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex,
-                      lp: Optional[LPFilterFamily] = None) -> float:
+def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
     """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0."""
     if not is_hermitian(u):
         raise SymbolHypothesisError("boundedness harness requires Hermitian u")
@@ -395,19 +381,19 @@ def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex,
         raise SymbolHypothesisError(f"need F(0) = 0, got {f0}")
     if F.max_order < math.ceil(idx.s):
         raise HypothesisViolation(f"need F in C^{math.ceil(idx.s)}")
-    nu = besov_multiplier_norm(u, idx, lp)
+    nu = besov_multiplier_norm(u, idx)
     if nu == 0.0:
         raise DegenerateInput("u = 0")
-    return besov_multiplier_norm(apply_symbol(F, u), idx, lp) / nu
+    return besov_multiplier_norm(apply_symbol(F, u), idx) / nu
 
 
 def lipschitz_besov_ratio(F: SmoothSymbol, u: TorusElement, v: TorusElement,
-                          idx: BesovIndex, lp: Optional[LPFilterFamily] = None) -> float:
+                          idx: BesovIndex) -> float:
     """||F(u) - F(v)||_B / ||u - v||_B for Hermitian u != v."""
     if not (is_hermitian(u) and is_hermitian(v)):
         raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
-    diff_norm = besov_multiplier_norm(u - v, idx, lp)
+    diff_norm = besov_multiplier_norm(u - v, idx)
     if diff_norm == 0.0:
         raise DegenerateInput("u == v")
-    num = besov_multiplier_norm(apply_symbol(F, u) - apply_symbol(F, v), idx, lp)
+    num = besov_multiplier_norm(apply_symbol(F, u) - apply_symbol(F, v), idx)
     return num / diff_norm

@@ -5,8 +5,8 @@ Sections and keys::
     [experiment]
     kind = verify-core | moi | chain-rule | besov-equivalence |
            nonlinear-estimate | meyer | allen-cahn
-    seed = 7                 ; base seed; members derive by counted splitting
-    ensemble = 50            ; seeded ensemble size
+    seed = 7                 ; base seed >= 0; members derive by counted splitting
+    ensemble = 50            ; seeded ensemble size >= 1
     band = 3                 ; working band |k|_inf of random elements
 
     [algebra]
@@ -46,14 +46,6 @@ from .errors import ConfigError
 KINDS = ("verify-core", "moi", "chain-rule", "besov-equivalence",
          "nonlinear-estimate", "meyer", "allen-cahn")
 
-_SCHEMA = {
-    "experiment": {"kind", "seed", "ensemble", "band"},
-    "algebra": {"d", "n", "theta_num", "backend"},
-    "symbol": {"expr"},
-    "besov": {"s", "p", "q", "m", "n_der"},
-    "allen-cahn": {"t_max", "dt", "delta"},
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -78,27 +70,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        if self.seed < 0:
+            raise ConfigError(f"[experiment] seed must be >= 0, got {self.seed}")
+        if self.ensemble < 1:
+            raise ConfigError(f"[experiment] ensemble must be >= 1, got {self.ensemble}")
 
     def canonical(self) -> str:
-        rows = {
-            "experiment.kind": self.kind,
-            "experiment.seed": str(self.seed),
-            "experiment.ensemble": str(self.ensemble),
-            "experiment.band": str(self.band),
-            "algebra.d": str(self.d),
-            "algebra.n": str(self.n_modes),
-            "algebra.theta_num": str(self.theta_num),
-            "algebra.backend": self.backend,
-            "symbol.expr": self.expr,
-            "besov.s": _fmt(self.s),
-            "besov.p": _fmt(self.p),
-            "besov.q": _fmt(self.q),
-            "besov.m": str(self.m),
-            "besov.n_der": str(self.n_der),
-            "allen-cahn.t_max": _fmt(self.t_max),
-            "allen-cahn.dt": _fmt(self.dt),
-            "allen-cahn.delta": _fmt(self.delta),
-        }
+        rows = {f"{section}.{key}": _FORMAT[typ](getattr(self, attr))
+                for (section, key), (attr, typ) in _FIELDS.items()}
         return "\n".join(f"{k}={v}" for k, v in sorted(rows.items()))
 
     @property
@@ -129,6 +108,37 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
 
 
+def _parse_str(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# Every config key: (section, key) -> (ExperimentConfig field, value type).
+# The parser, the unknown-key check and the canonical form behind the config
+# hash all read this one table.
+_FIELDS = {
+    ("experiment", "kind"): ("kind", str),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "ensemble"): ("ensemble", int),
+    ("experiment", "band"): ("band", int),
+    ("algebra", "d"): ("d", int),
+    ("algebra", "n"): ("n_modes", int),
+    ("algebra", "theta_num"): ("theta_num", int),
+    ("algebra", "backend"): ("backend", str),
+    ("symbol", "expr"): ("expr", str),
+    ("besov", "s"): ("s", float),
+    ("besov", "p"): ("p", float),
+    ("besov", "q"): ("q", float),
+    ("besov", "m"): ("m", int),
+    ("besov", "n_der"): ("n_der", int),
+    ("allen-cahn", "t_max"): ("t_max", float),
+    ("allen-cahn", "dt"): ("dt", float),
+    ("allen-cahn", "delta"): ("delta", float),
+}
+_SECTIONS = {section for section, _ in _FIELDS}
+_PARSE = {str: _parse_str, int: _parse_int, float: _parse_float}
+_FORMAT = {str: str, int: str, float: _fmt}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     cp = configparser.ConfigParser()
@@ -139,44 +149,13 @@ def parse_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
     kw = {}
-    if cp.has_section("experiment"):
-        sec = cp["experiment"]
-        if "kind" in sec:
-            kw["kind"] = sec["kind"].strip()
-        if "seed" in sec:
-            kw["seed"] = _parse_int("experiment", "seed", sec["seed"])
-        if "ensemble" in sec:
-            kw["ensemble"] = _parse_int("experiment", "ensemble", sec["ensemble"])
-        if "band" in sec:
-            kw["band"] = _parse_int("experiment", "band", sec["band"])
-    if cp.has_section("algebra"):
-        sec = cp["algebra"]
-        if "d" in sec:
-            kw["d"] = _parse_int("algebra", "d", sec["d"])
-        if "n" in sec:
-            kw["n_modes"] = _parse_int("algebra", "n", sec["n"])
-        if "theta_num" in sec:
-            kw["theta_num"] = _parse_int("algebra", "theta_num", sec["theta_num"])
-        if "backend" in sec:
-            kw["backend"] = sec["backend"].strip()
-    if cp.has_section("symbol") and "expr" in cp["symbol"]:
-        kw["expr"] = cp["symbol"]["expr"].strip()
-    if cp.has_section("besov"):
-        sec = cp["besov"]
-        for key, name, parser in (("s", "s", _parse_float), ("p", "p", _parse_float),
-                                  ("q", "q", _parse_float), ("m", "m", _parse_int),
-                                  ("n_der", "n_der", _parse_int)):
-            if key in sec:
-                kw[name] = parser("besov", key, sec[key])
-    if cp.has_section("allen-cahn"):
-        sec = cp["allen-cahn"]
-        for key, parser in (("t_max", _parse_float), ("dt", _parse_float), ("delta", _parse_float)):
-            if key in sec:
-                kw[key] = parser("allen-cahn", key, sec[key])
+    for (section, key), (attr, typ) in _FIELDS.items():
+        if cp.has_section(section) and key in cp[section]:
+            kw[attr] = _PARSE[typ](section, key, cp[section][key])
     return ExperimentConfig(**kw)

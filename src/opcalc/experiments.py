@@ -22,12 +22,12 @@ from .allen_cahn import (ACProblem, commutative_cross_check, contraction_time, e
 from .baselines import BaselineStore
 from .besov import BesovIndex
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
                      random_hermitian, schatten_norm)
 from .seeding import rng_for
-from .symbols import (build_littlewood_paley, cb_norm, divided_diff, homogeneous_sym,
-                      lipschitz_norm)
+from .symbols import LPFilterFamily, cb_norm, divided_diff, homogeneous_sym, lipschitz_norm
 
 
 @dataclass
@@ -59,8 +59,11 @@ class ExperimentResult:
 
 
 def algebra_for(cfg: ExperimentConfig) -> tor.TorusAlgebra:
-    return tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=cfg.theta_num,
-                                 backend=cfg.backend)
+    try:
+        return tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=cfg.theta_num,
+                                     backend=cfg.backend)
+    except ValueError as exc:
+        raise ConfigError(f"[algebra] {exc}") from None
 
 
 def besov_index(cfg: ExperimentConfig) -> BesovIndex:
@@ -133,7 +136,7 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
               abs(divided_diff(parse_symbol("x**5"), nodes) - homogeneous_sym(2, nodes)), 1e-10)
 
     # Littlewood-Paley partition
-    lp = build_littlewood_paley(1)
+    lp = LPFilterFamily()
     xs = np.geomspace(0.07, 40.0, 64)
     hom = sum(lp.phi_k(xs, k) for k in range(-8, 12))
     res.check("lp.homogeneous_partition", float(np.max(np.abs(hom - 1))), 1e-10)
@@ -331,16 +334,15 @@ _EQ_METRICS = ("ratio_md_min", "ratio_md_max", "ratio_mi_min", "ratio_mi_max",
                "block_diff_ratio_max", "paraproduct_ratio_max")
 
 
-def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7, lp=None):
+def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7):
     """Unitary multiplier family e^{i theta xi S_{j-1} u} from the dyadic
     decomposition of e^{i xi u}; the canonical elementary pseudodifferential
     sequence for the paraproduct harness."""
     from .linalg import matrix_function
-    lp = lp or build_littlewood_paley(u.algebra.d)
     jb = tor.block_count(u.algebra)
     a_seq, b_seq = [], []
     for j in range(jb):
-        s = bz.partial_sum(u, max(j - 1, 0), lp)
+        s = bz.partial_sum(u, max(j - 1, 0))
         smat = HermitianOperator(tor.to_matrix(s))
         a_seq.append(tor.from_matrix(u.algebra, matrix_function(smat, lambda lam: np.exp(1j * theta * xi * lam))))
         b_seq.append(tor.from_matrix(u.algebra, matrix_function(smat, lambda lam: np.exp(1j * (1 - theta) * xi * lam))))
@@ -366,21 +368,20 @@ def besov_equivalence_stats(cfg: ExperimentConfig, jobs: int = 1):
         r_mi.append(nm / ni)
         r_di.append(nd / ni)
         rows.append({"element-seed": i, "multiplier": nm, "difference": nd, "integral": ni})
-    lp = build_littlewood_paley(cfg.d)
     smooth_max, block_max, para_max = 0.0, 0.0, 0.0
     ts = (0.25, 0.5, 1.0, 2.0)
     for i, x in enumerate(elements[:10]):
-        rep = bz.heat_smoothing_check(x, cfg.s, cfg.s + 1.0, cfg.p, cfg.q, ts, lp)
+        rep = bz.heat_smoothing_check(x, cfg.s, cfg.s + 1.0, cfg.p, cfg.q, ts)
         smooth_max = max(smooth_max, rep["sup_ratio"])
         rng = rng_for(cfg.seed, "bdc", i)
         for k in range(1, 4):
             h = rng.uniform(-1, 1, size=cfg.d)
-            rep2 = bz.block_difference_check(x, h, cfg.m, k, cfg.p, lp)
+            rep2 = bz.block_difference_check(x, h, cfg.m, k, cfg.p)
             if not rep2["skipped"]:
                 block_max = max(block_max, rep2["ratio"])
         u_mod = tor.random_element(x.algebra, rng_for(cfg.seed, "psdo", i), band=cfg.band)
-        seq = exp_psdo_sequence(u_mod, xi=1.0, theta=0.7, lp=lp)
-        _, prep = bz.apply_paraproduct(seq, x, idx, lp)
+        seq = exp_psdo_sequence(u_mod, xi=1.0, theta=0.7)
+        _, prep = bz.apply_paraproduct(seq, x, idx)
         para_max = max(para_max, prep["ratio"])
     stats = {
         "ratio_md_min": float(np.min(r_md)), "ratio_md_max": float(np.max(r_md)),

@@ -163,8 +163,7 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     if np.max(np.abs(vals.imag)) > 1e-12 * scale:
         raise SymbolDomainError("symbol is not real-valued on the spectrum")
     v = dec.eigenvectors
-    m = (v * vals.real) @ v.conj().T
-    return HermitianOperator(0.5 * (m + m.conj().T), trace_mode=H.trace_mode)
+    return HermitianOperator((v * vals.real) @ v.conj().T, trace_mode=H.trace_mode)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0,

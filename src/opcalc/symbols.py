@@ -312,7 +312,7 @@ def wiener_norm(F: SmoothSymbol, n: int = 0, grid: GridConfig = GridConfig()) ->
     return sup + l1
 
 
-def modified_besov_norm(F: SmoothSymbol, n: int, lp: "LPFilterFamily", truncation: int = 12,
+def modified_besov_norm(F: SmoothSymbol, n: int, truncation: int = 12,
                         grid: GridConfig = GridConfig(), return_tail: bool = False):
     """||F^(n)||_inf + sum_k ||invFourier(Fhat phi_k)||_inf, |k| <= truncation.
 
@@ -326,6 +326,7 @@ def modified_besov_norm(F: SmoothSymbol, n: int, lp: "LPFilterFamily", truncatio
     dx = xs[1] - xs[0]
     f = np.asarray(F(xs), dtype=np.complex128)
     xi, fhat = _ft_grid(f, dx)
+    lp = LPFilterFamily()
     pieces = []
     for k in range(-truncation, truncation + 1):
         w = lp.phi_k(xi, k, homogeneous=True)
@@ -414,17 +415,13 @@ def localize(F: SmoothSymbol, loc: BumpLocalizer) -> SmoothSymbol:
                         kinks=F.kinks, name=f"{F.name}*phi_{loc.M:g}", check=False)
 
 
-@dataclass(frozen=True)
 class LPFilterFamily:
     """Dyadic Littlewood-Paley family built from one radial profile.
 
     phi is supported in {1/2 <= |xi| <= 2} with phi(xi) + phi(xi/2) = 1 on the
     transition annulus; the non-homogeneous zeroth filter is the inner bump.
+    The same family serves every dimension: filters depend on |xi| only.
     """
-
-    k_min: int = -40
-    k_max: int = 60
-    dimension: int = 1
 
     def base(self, r):
         return bump_chi(r) - bump_chi(2.0 * np.asarray(r, dtype=float))
@@ -440,8 +437,3 @@ class LPFilterFamily:
         if k == 0:
             return bump_chi(r)
         return np.zeros_like(r)
-
-
-def build_littlewood_paley(d: int = 1) -> LPFilterFamily:
-    """Standard smooth dyadic family in dimension d."""
-    return LPFilterFamily(dimension=d)

@@ -89,11 +89,11 @@ class TorusAlgebra:
         th[1, 0] = -theta_num / N
         return cls(d=d, N=N, theta=th, backend=backend)
 
-    @property
+    @functools.cached_property
     def is_flat(self) -> bool:
         return not np.any(self.theta != 0.0)
 
-    @property
+    @functools.cached_property
     def theta_num(self) -> int:
         return 0 if self.is_flat else int(round(self.theta[0, 1] * self.N))
 
@@ -113,6 +113,12 @@ class TorusAlgebra:
     @property
     def abs_k(self) -> np.ndarray:
         return _abs_k(self.N, self.d)
+
+    @property
+    def lp_filters(self) -> np.ndarray:
+        """Non-homogeneous Littlewood-Paley bank: phi_j(|k|) stacked over the
+        blocks j that can be nonzero on this lattice (read-only)."""
+        return _lp_filters(self.N, self.d)
 
     def basis(self) -> np.ndarray:
         """Mode matrices M(k) stacked as (N,)*d + (dim, dim), built entry by entry."""
@@ -136,6 +142,18 @@ def _k_grids(N: int, d: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _abs_k(N: int, d: int) -> np.ndarray:
     return np.sqrt(sum(g.astype(float) ** 2 for g in _k_grids(N, d)))
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_filters(N: int, d: int) -> np.ndarray:
+    # phi_j = 0 where |k| <= 2^(j-1) for j >= 1, so every filter past the
+    # last one kept here vanishes on the lattice
+    abs_k = _abs_k(N, d)
+    count = int(math.ceil(math.log2(max(float(np.max(abs_k)), 1.0)))) + 2
+    lp = LPFilterFamily()
+    bank = np.stack([lp.radial_profile(abs_k, j, homogeneous=False) for j in range(count)])
+    bank.flags.writeable = False
+    return bank
 
 
 def _basis(N: int, d: int, p: int) -> np.ndarray:
@@ -495,15 +513,16 @@ def heat(x: TorusElement, t: float) -> TorusElement:
     return apply_multiplier(x, np.exp(-t * x.algebra.abs_k ** 2))
 
 
-def lp_block(x: TorusElement, j: int, lp: LPFilterFamily) -> TorusElement:
+def lp_block(x: TorusElement, j: int) -> TorusElement:
     """Littlewood-Paley block via the non-homogeneous filter phi_j(|k|)."""
-    return apply_multiplier(x, lp.radial_profile(x.algebra.abs_k, j, homogeneous=False))
+    if not 0 <= j < block_count(x.algebra):
+        return apply_multiplier(x, np.zeros(x.algebra.shape))  # phi_j is 0 on the lattice
+    return apply_multiplier(x, x.algebra.lp_filters[j])
 
 
 def block_count(algebra: TorusAlgebra) -> int:
     """Number of possibly-nonzero non-homogeneous blocks on this lattice."""
-    kmax = float(np.max(algebra.abs_k))
-    return int(math.ceil(math.log2(max(kmax, 1.0)))) + 2
+    return len(algebra.lp_filters)
 
 
 def multiplier_lp_bound(algebra: TorusAlgebra, symbol_values: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from opcalc.besov import BesovIndex
 from opcalc.errors import (DegenerateInput, HypothesisViolation, SymbolHypothesisError)
 from opcalc.expr import parse_symbol
 from opcalc.seeding import rng_for
-from opcalc.symbols import build_littlewood_paley
+from opcalc.symbols import LPFilterFamily
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,35 @@ def test_multiplier_norm_single_mode(alg):
     # one mode at |k| = 2^j: the norm is the weighted lq of the filter values
     idx = BesovIndex(1.2, 2, 2)
     um = tor.mode_element(alg, (4, 0))
-    lp = build_littlewood_paley(2)
+    lp = LPFilterFamily()
     expect = sum((2.0 ** (1.2 * j) * lp.radial_profile(np.array([4.0]), j, homogeneous=False)[0]) ** 2
                  for j in range(tor.block_count(alg))) ** 0.5
-    assert bz.besov_multiplier_norm(um, idx, lp) == pytest.approx(expect, rel=1e-12)
+    assert bz.besov_multiplier_norm(um, idx) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_filter_bank_matches_radial_profile(N, d):
+    # the lattice's cached filter bank against direct filter evaluation, bit for bit
+    alg_nd = tor.TorusAlgebra.make(d=d, N=N, theta_num=1 if d == 2 else 0)
+    x = tor.random_element(alg_nd, rng_for(N, "bank", d))
+    lp = LPFilterFamily()
+    count = int(math.ceil(math.log2(max(float(np.max(alg_nd.abs_k)), 1.0)))) + 2
+    assert tor.block_count(alg_nd) == count
+    filters = {j: lp.radial_profile(alg_nd.abs_k, j, homogeneous=False)
+               for j in range(-1, count + 2)}
+    assert not np.any(filters[count]) and not np.any(filters[count + 1])
+    for p in (1, 2, math.inf):
+        stack = np.stack([filters[j] * x.coeffs for j in range(count)])
+        assert np.array_equal(bz.block_norms(x, p), tor.lp_norm_batch(alg_nd, stack, p))
+    for j in filters:
+        assert np.array_equal(tor.lp_block(x, j).coeffs, x.coeffs * filters[j])
+        mult = np.zeros(alg_nd.shape)
+        for k in range(0, j + 1):
+            mult = mult + filters[k]
+        assert np.array_equal(bz.partial_sum(x, j).coeffs, x.coeffs * mult)
+    with pytest.raises(ValueError):
+        alg_nd.lp_filters[0] = 0.0  # the bank is shared by every caller
 
 
 def test_lq_monotonicity(alg, x16):
@@ -123,14 +148,13 @@ def test_doubling_zero_element(alg):
 
 
 def test_block_difference_check(alg, x16):
-    lp = build_littlewood_paley(2)
     # small h: ratio bounded by a modest constant; the bound shape is |h|^m 2^{km}
-    rep_small = bz.block_difference_check(x16, (1e-3, 2e-3), 1, 2, 2, lp)
+    rep_small = bz.block_difference_check(x16, (1e-3, 2e-3), 1, 2, 2)
     assert not rep_small["skipped"]
     assert rep_small["ratio"] <= 3.0
-    rep_large = bz.block_difference_check(x16, (2.0, 1.0), 1, 2, 2, lp)
+    rep_large = bz.block_difference_check(x16, (2.0, 1.0), 1, 2, 2)
     assert rep_large["ratio"] <= 3.0
-    empty = bz.block_difference_check(tor.mode_element(alg, (1, 0)), (0.1, 0.1), 1, 5, 2, lp)
+    empty = bz.block_difference_check(tor.mode_element(alg, (1, 0)), (0.1, 0.1), 1, 5, 2)
     assert empty["skipped"]
 
 
@@ -148,9 +172,8 @@ def test_heat_smoothing_single_mode(alg):
     # one mode: everything is a closed-form multiplier
     um = tor.mode_element(alg, (4, 0))
     s, r, t = 1.0, 2.0, 0.5
-    lp = build_littlewood_paley(2)
-    num = bz.besov_multiplier_norm(tor.heat(um, t), BesovIndex(r, 2, 2), lp)
-    expect = math.exp(-t * 16.0) * bz.besov_multiplier_norm(um, BesovIndex(r, 2, 2), lp)
+    num = bz.besov_multiplier_norm(tor.heat(um, t), BesovIndex(r, 2, 2))
+    expect = math.exp(-t * 16.0) * bz.besov_multiplier_norm(um, BesovIndex(r, 2, 2))
     assert num == pytest.approx(expect, rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,35 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     path.write_text("[experiment]\nkind = verify-core\noutdir = elsewhere\n")
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "outdir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,section", [
+    ("[algebra]\nn = 15\n", "[algebra]"),
+    ("[algebra]\nbackend = foo\n", "[algebra]"),
+    ("[algebra]\nn = 16\ntheta_num = 2\n", "[algebra]"),
+    ("ensemble = 0\n", "[experiment]"),
+    ("seed = -1\n", "[experiment]"),
+], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed"])
+def test_cli_bad_values_exit_2(tmp_path, capsys, text, section):
+    path = tmp_path / "bad.ini"
+    path.write_text("[experiment]\nkind = meyer\n" + text)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and section in err
+
+
+# The packaged baseline constants are keyed by these hashes.
+SHIPPED_HASHES = {
+    "allen-cahn": "3b91e3ae3ba3", "besov-equivalence": "f5d63b9ac907",
+    "chain-rule": "79a9b505ca5e", "meyer": "62370f983e95", "moi": "3419f165ffe1",
+    "nonlinear-estimate": "d76547905008", "verify-core": "eafa612c38d6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_hashes(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini"
+    assert parse_config(path).config_hash == SHIPPED_HASHES[name]
 
 
 def test_cli_missing_baseline(tmp_path, capsys):

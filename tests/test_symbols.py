@@ -8,9 +8,8 @@ from opcalc.errors import ConfigError, OrderExceeded, TailMassError
 from opcalc.expr import parse_symbol
 from opcalc.seeding import rng_for
 from opcalc.symbols import (BumpLocalizer, GridConfig, LPFilterFamily, SmoothSymbol,
-                            build_littlewood_paley, cb_norm, divided_diff,
-                            divided_diff_tensor, homogeneous_sym, lipschitz_norm,
-                            localize, modified_besov_norm, wiener_norm)
+                            cb_norm, divided_diff, divided_diff_tensor, homogeneous_sym,
+                            lipschitz_norm, localize, modified_besov_norm, wiener_norm)
 
 
 def brute_homogeneous(k, nodes):
@@ -178,8 +177,7 @@ def test_wiener_norm_tail_error():
 
 
 def test_modified_besov_zero():
-    lp = build_littlewood_paley(1)
-    assert modified_besov_norm(parse_symbol("0*x"), 0, lp) == 0.0
+    assert modified_besov_norm(parse_symbol("0*x"), 0) == 0.0
 
 
 def test_modified_besov_single_shell():
@@ -187,9 +185,9 @@ def test_modified_besov_single_shell():
     # adjacent filters can see it
     grid = GridConfig(half_width=16.0, samples=4096)
     omega = round(5.0 / (math.pi / 16.0)) * (math.pi / 16.0)  # snap to the DFT bin grid pi/L
-    lp = build_littlewood_paley(1)
+    lp = LPFilterFamily()
     F = parse_symbol(f"cos({omega}*x)", max_order=1)
-    val, tail = modified_besov_norm(F, 0, lp, truncation=8, grid=grid, return_tail=True)
+    val, tail = modified_besov_norm(F, 0, truncation=8, grid=grid, return_tail=True)
     assert np.isfinite(val)
     # count contributing shells directly
     xs = np.linspace(-grid.half_width, grid.half_width, grid.samples, endpoint=False)
@@ -204,22 +202,20 @@ def test_modified_besov_single_shell():
 
 
 def test_modified_besov_increases_with_truncation():
-    lp = build_littlewood_paley(1)
     F = parse_symbol("gauss(x)*cos(3*x)")
-    v1 = modified_besov_norm(F, 0, lp, truncation=4)
-    v2 = modified_besov_norm(F, 0, lp, truncation=8)
+    v1 = modified_besov_norm(F, 0, truncation=4)
+    v2 = modified_besov_norm(F, 0, truncation=8)
     assert v2 >= v1 - 1e-12
 
 
 def test_modified_besov_below_wiener_embedding():
     # Wiener-class symbols embed into the modified Besov class; the corpus
     # constant stays below the recorded bound
-    lp = build_littlewood_paley(1)
     corpus = ["gauss(x)", "gauss(x)*cos(3*x)", "gauss(0.5*x)*sin(x)"]
     ratios = []
     for text in corpus:
         F = parse_symbol(text)
-        mb = modified_besov_norm(F, 0, lp, truncation=10)
+        mb = modified_besov_norm(F, 0, truncation=10)
         wn = wiener_norm(F, 0)
         ratios.append(mb / wn)
     assert all(np.isfinite(r) and r > 0 for r in ratios)
@@ -227,12 +223,11 @@ def test_modified_besov_below_wiener_embedding():
 
 
 def test_transform_norm_homogeneity():
-    lp = build_littlewood_paley(1)
     F = parse_symbol("gauss(x)")
     G = parse_symbol("4*gauss(x)")
     assert wiener_norm(G, 0) == pytest.approx(4 * wiener_norm(F, 0), rel=1e-10)
-    assert modified_besov_norm(G, 0, lp) == pytest.approx(
-        4 * modified_besov_norm(F, 0, lp), rel=1e-10)
+    assert modified_besov_norm(G, 0) == pytest.approx(
+        4 * modified_besov_norm(F, 0), rel=1e-10)
 
 
 def test_localize_infinite_is_identity():
@@ -258,27 +253,27 @@ def test_bump_localizer_range():
 
 
 def test_lp_partition_homogeneous():
-    lp = build_littlewood_paley(1)
+    lp = LPFilterFamily()
     xi = np.geomspace(0.05, 50, 200)
     total = sum(lp.phi_k(xi, k) for k in range(-10, 12))
     assert np.max(np.abs(total - 1.0)) <= 1e-10
 
 
 def test_lp_partition_at_one():
-    lp = build_littlewood_paley(1)
+    lp = LPFilterFamily()
     v = lp.phi_k(np.array([1.0]), 0) + lp.phi_k(np.array([1.0]), 1)
     assert v[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lp_nonhomogeneous_covers_zero():
-    lp = build_littlewood_paley(2)
+    lp = LPFilterFamily()
     xi = np.linspace(0.0, 30.0, 200)
     total = sum(lp.phi_k(xi, k, homogeneous=False) for k in range(0, 10))
     assert np.max(np.abs(total - 1.0)) <= 1e-10
 
 
 def test_lp_support_annulus():
-    lp = build_littlewood_paley(1)
+    lp = LPFilterFamily()
     assert np.all(np.abs(lp.phi_k(np.array([3.0, 0.3]), 0)) <= 1e-14)
 
 

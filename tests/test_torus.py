@@ -8,7 +8,7 @@ import opcalc.torus as tor
 from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch
 from opcalc.linalg import schatten_norm
 from opcalc.seeding import rng_for
-from opcalc.symbols import build_littlewood_paley
+from opcalc.symbols import LPFilterFamily
 
 
 @pytest.fixture(scope="module")
@@ -385,32 +385,30 @@ def test_amplitude_monotone_and_doubling(alg16):
 
 
 def test_lp_block_partition(alg16):
-    lp = build_littlewood_paley(2)
     x = tor.random_element(alg16, rng_for(24, "lpb"), band=7)
-    rec = sum((tor.lp_block(x, j, lp).coeffs for j in range(tor.block_count(alg16))),
+    rec = sum((tor.lp_block(x, j).coeffs for j in range(tor.block_count(alg16))),
               np.zeros(alg16.shape, complex))
     assert np.max(np.abs(rec - x.coeffs)) <= 1e-11
 
 
 def test_lp_block_mode_localization(alg16):
-    lp = build_littlewood_paley(2)
     um = tor.mode_element(alg16, (4, 0))  # |k| = 4 = 2^2
     active = [j for j in range(tor.block_count(alg16))
-              if tor.lp_norm(tor.lp_block(um, j, lp), 2) > 1e-14]
+              if tor.lp_norm(tor.lp_block(um, j), 2) > 1e-14]
     assert set(active) <= {1, 2, 3}
     const = tor.unit_element(alg16)
     for j in range(1, tor.block_count(alg16)):
-        assert tor.lp_norm(tor.lp_block(const, j, lp), 2) == 0.0
+        assert tor.lp_norm(tor.lp_block(const, j), 2) == 0.0
 
 
 def test_lp_block_uniform_bound(alg16):
-    lp = build_littlewood_paley(2)
+    lp = LPFilterFamily()
     x = tor.random_element(alg16, rng_for(25, "lpu"), band=7)
     for j in range(tor.block_count(alg16)):
         prof = lp.radial_profile(alg16.abs_k, j, homogeneous=False)
         c_phi = tor.multiplier_lp_bound(alg16, prof)
         for p in (1, math.inf):
-            assert tor.lp_norm(tor.lp_block(x, j, lp), p) <= c_phi * tor.lp_norm(x, p) * (1 + 1e-12)
+            assert tor.lp_norm(tor.lp_block(x, j), p) <= c_phi * tor.lp_norm(x, p) * (1 + 1e-12)
 
 
 def test_heat_semigroup_properties(alg16):
@@ -438,7 +436,6 @@ def test_heat_contraction_and_parseval_cross_check(alg16):
 
 def test_multiplier_operations_commute(alg16):
     x = tor.random_element(alg16, rng_for(28, "comm"), band=4)
-    lp = build_littlewood_paley(2)
     a = tor.heat(tor.derive(tor.difference(x, (0.3, 0.1), 1), 0), 0.2)
     b = tor.difference(tor.heat(tor.derive(x, 0), 0.2), (0.3, 0.1), 1)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
@@ -446,9 +443,8 @@ def test_multiplier_operations_commute(alg16):
 
 def test_hermitian_preserved_by_real_even_multipliers(alg16):
     x = tor.random_element(alg16, rng_for(29, "hp"), band=4, hermitian=True)
-    lp = build_littlewood_paley(2)
     assert tor.is_hermitian(tor.heat(x, 0.4))
-    assert tor.is_hermitian(tor.lp_block(x, 2, lp))
+    assert tor.is_hermitian(tor.lp_block(x, 2))
 
 
 def test_norms_unit_and_mode(alg):
