@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovIndex, besov_multiplier_norm, block_norms
+from .besov import BesovIndex, apply_symbol, besov_multiplier_norm, block_norms
 from .errors import (BlowUpDetected, HypothesisViolation, NoContraction,
                      SymbolHypothesisError)
-from .linalg import HermitianOperator, func_calc
 from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, localize
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm
@@ -63,8 +62,7 @@ class ACProblem:
         if self.f_route == "grid":
             vals = tor.grid_values(x)
             return tor.from_grid_values(x.algebra, np.asarray(self.F(vals.real)))
-        mat = func_calc(HermitianOperator(tor.to_matrix(x)), self.F)
-        return tor.from_matrix(x.algebra, mat.data)
+        return apply_symbol(self.F, x)
 
 
 @dataclass
@@ -179,8 +177,7 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
 
 
 def evolve(problem: ACProblem, segment_time: Optional[float] = None,
-           c_bound: float = 1.0, c_lip: float = 1.0,
-           max_segments: int = 10000) -> Trajectory:
+           c_bound: float = 1.0, c_lip: float = 1.0) -> Trajectory:
     """Continuation: restart Picard from u(T) until t_max or blow-up.
 
     On NoContraction the segment is halved; on BlowUpDetected the trajectory
@@ -197,7 +194,7 @@ def evolve(problem: ACProblem, segment_time: Optional[float] = None,
     blow_time = None
     seg = segment_time if segment_time is not None else contraction_time(problem, c_bound, c_lip)
     segments = 0
-    while t_accum < problem.t_max - 1e-12 and segments < max_segments:
+    while t_accum < problem.t_max - 1e-12 and segments < 10000:
         segments += 1
         seg_here = min(seg, problem.t_max - t_accum)
         sub = replace(problem, u0=current)

@@ -70,6 +70,11 @@ def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
     return _lq_sum(weights * norms, idx.q)
 
 
+def default_n_der(s: float) -> int:
+    """Default derivative order N of the difference forms: the largest integer N < s."""
+    return min(int(math.floor(s)), max(0, int(math.ceil(s)) - 1))
+
+
 def _check_difference_hypotheses(idx: BesovIndex, m: int, n_der: int):
     if idx.s <= 0:
         raise HypothesisViolation("difference characterization needs s > 0")
@@ -92,7 +97,7 @@ def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     excluded from the sum and flagged in the report.
     """
     if n_der is None:
-        n_der = min(int(math.floor(idx.s)), max(0, int(math.ceil(idx.s)) - 1))
+        n_der = default_n_der(idx.s)
     _check_difference_hypotheses(idx, m, n_der)
     if j_range is None:
         # truncate past the occupied band, not the lattice edge, so the value
@@ -149,7 +154,7 @@ def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     over |rho| <= rho_max, by log-radial trapezoid times uniform directions.
     """
     if n_der is None:
-        n_der = min(int(math.floor(idx.s)), max(0, int(math.ceil(idx.s)) - 1))
+        n_der = default_n_der(idx.s)
     _check_difference_hypotheses(idx, m, n_der)
     qd = quadrature
     radii = np.geomspace(qd.rho_min, qd.rho_max, qd.n_rad)
@@ -321,13 +326,12 @@ class PsdoSymbolSequence:
     b: tuple
     cert_a: tuple = ()
     cert_b: tuple = ()
-    check_order: int = 1
 
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
             raise DegenerateInput("need equal-length nonempty sequences")
-        direct_a = derivative_growth(self.a, self.check_order)
-        direct_b = derivative_growth(self.b, self.check_order)
+        direct_a = derivative_growth(self.a, 1)
+        direct_b = derivative_growth(self.b, 1)
         if not self.cert_a:
             object.__setattr__(self, "cert_a", tuple(direct_a))
         if not self.cert_b:

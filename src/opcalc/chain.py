@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .besov import apply_symbol
 from .errors import BandOverflow, DimensionMismatch, OrderExceeded
 from .linalg import HermitianOperator, eig_hermitian, func_calc, schatten_norm
 from .moi import MOIOperands, moi_schur
@@ -197,24 +198,23 @@ def evaluate_expansion(F: SmoothSymbol, u, terms: Sequence[ExpansionTerm],
 
 
 def chain_rule_residual(F: SmoothSymbol, u, beta: Sequence[int],
-                        derivation: DerivationSpec,
-                        mass_guard: float = 1e-12) -> float:
+                        derivation: DerivationSpec) -> float:
     """Normalized L2 distance between d^beta F(u) and its expansion.
 
     Inner derivations iterate the commutator on func_calc(u, F); torus
     derivations apply the spectral multiplier to F(u) and require the outer
-    quarter band of F(u) to carry <= mass_guard of its energy (wrap risk).
+    quarter band of F(u) to carry <= 1e-12 of its energy (wrap risk).
     """
     beta = tuple(int(b) for b in beta)
     terms = expand(beta)
     if derivation.kind == "torus":
         alg = u.algebra
-        fu = tor.from_matrix(alg, func_calc(HermitianOperator(tor.to_matrix(u)), F).data)
+        fu = apply_symbol(F, u)
         guard_band = (3 * alg.N) // 8
         kinf = np.max(np.stack([np.abs(g) for g in alg.k_grids]), axis=0)
         mass_out = float(np.linalg.norm(fu.coeffs[kinf > guard_band]))
         mass_all = float(np.linalg.norm(fu.coeffs))
-        if mass_all > 0 and mass_out > mass_guard * mass_all:
+        if mass_all > 0 and mass_out > 1e-12 * mass_all:
             raise BandOverflow(
                 f"F(u) has {mass_out / mass_all:.2e} of its L2 mass beyond |k|_inf = {guard_band}; "
                 "shrink the band or the polynomial degree"

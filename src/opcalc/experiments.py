@@ -22,7 +22,7 @@ from .allen_cahn import (ACProblem, commutative_cross_check, contraction_time, e
 from .baselines import BaselineStore
 from .besov import BesovIndex
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import BackendMismatch, ConfigError
 from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
                      random_hermitian, schatten_norm)
@@ -62,7 +62,7 @@ def algebra_for(cfg: ExperimentConfig) -> tor.TorusAlgebra:
     try:
         return tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=cfg.theta_num,
                                      backend=cfg.backend)
-    except ValueError as exc:
+    except (ValueError, BackendMismatch) as exc:
         raise ConfigError(f"[algebra] {exc}") from None
 
 
@@ -156,7 +156,7 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
                   mo.perturbation_residual(parse_symbol("x**3"), slot, pa, pb, anc, arg), 1e-11)
     w = haar_unitary(rng, 6)
     ops = mo.MOIOperands((X, Y, X), (a, b))
-    res.check("moi.homomorphism", mo.homomorphism_commutation_residual(F3, 2, w, ops), 1e-10)
+    res.check("moi.homomorphism", mo.homomorphism_commutation_residual(F3, w, ops), 1e-10)
 
     # torus identities
     alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
@@ -614,10 +614,6 @@ def capture_allen_cahn(cfg: ExperimentConfig, store: BaselineStore, force: bool 
 ACCEPTANCE_SEED = 2026
 
 
-def _n_der_for(s: float) -> int:
-    return min(int(math.floor(s)), max(0, int(math.ceil(s)) - 1))
-
-
 def besov_equivalence_configs():
     """The (s, p, q) x N grid of the three-norm equivalence criterion."""
     out = []
@@ -628,7 +624,7 @@ def besov_equivalence_configs():
                     out.append(ExperimentConfig(
                         kind="besov-equivalence", seed=ACCEPTANCE_SEED, ensemble=50,
                         band=3, d=2, n_modes=n_modes, theta_num=1, backend="matrix",
-                        s=s, p=p, q=q, m=1, n_der=_n_der_for(s)))
+                        s=s, p=p, q=q, m=1, n_der=bz.default_n_der(s)))
     return out
 
 

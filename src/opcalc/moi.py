@@ -1,8 +1,9 @@
 """Multiple operator integrals on finite Hermitian matrices.
 
 The exact eigenprojection (Schur) form, the binned discretization over
-intervals [l/m, (l+1)/m), the Loewner identity, the anchor-perturbation
-formula and Hoelder-tuple selection for the chain-rule estimates.
+intervals [l/m, (l+1)/m) (the Schur form with a bin-constant tensor), the
+Loewner identity, the anchor-perturbation formula and Hoelder-tuple
+selection for the chain-rule estimates.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
     raise ComplexityExceeded("MOI orders above 3 are not supported")
 
 
-def moi_schur(F, ops: MOIOperands, order: Optional[int] = None,
+def moi_schur(F, ops: MOIOperands,
               decompositions: Optional[Sequence[SpectralDecomposition]] = None,
               phi: Optional[np.ndarray] = None, cost_cap: Optional[int] = None) -> np.ndarray:
     """Exact finite-dimensional MOI in the eigenprojection (Schur) form.
@@ -107,9 +108,7 @@ def moi_schur(F, ops: MOIOperands, order: Optional[int] = None,
     binned form and the constant-symbol tests).  ``decompositions`` supplies
     precomputed spectra, e.g. to test basis independence under degeneracy.
     """
-    n = ops.order if order is None else order
-    if n != ops.order:
-        raise DimensionMismatch(f"order {n} != argument count {ops.order}")
+    n = ops.order
     _check_cost(n, ops.dim, cost_cap)
     decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
     if len(decs) != n + 1:
@@ -128,22 +127,18 @@ def moi_schur(F, ops: MOIOperands, order: Optional[int] = None,
     return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().T
 
 
-def moi_binned(F, ops: MOIOperands, order: Optional[int] = None, m: int = 32,
-               phi_fn=None, cost_cap: Optional[int] = None) -> np.ndarray:
+def moi_binned(F, ops: MOIOperands, m: int = 32, cost_cap: Optional[int] = None) -> np.ndarray:
     """Binned MOI S_{phi,m}: spectral projections onto [l/m, (l+1)/m).
 
-    phi = F^[n] evaluated at the bin left endpoints l/m; eigenvalues on a bin
-    boundary belong to the left-closed bin.  ``phi_fn`` overrides the symbol:
-    it receives the list of occupied-bin endpoint vectors and returns the
-    tensor (expert path, e.g. the constant symbol phi = 1).
+    A bin projection is the sum of its eigenprojections, so S_{phi,m} is the
+    Schur form with a bin-constant tensor: every eigenvalue in bin l takes the
+    phi = F^[n] entry of the left endpoint l/m.  Eigenvalues on a bin boundary
+    belong to the left-closed bin.
     """
-    n = ops.order if order is None else order
-    if n != ops.order:
-        raise DimensionMismatch(f"order {n} != argument count {ops.order}")
     if m < 1:
         raise ValueError("bin resolution m must be >= 1")
-    _check_cost(n, ops.dim, cost_cap)
-    binned = []
+    _check_cost(ops.order, ops.dim, cost_cap)
+    decs, endpoints, members = [], [], []
     for a in ops.anchors:
         dec = eig_hermitian(a)
         t = dec.eigenvalues * m
@@ -151,51 +146,13 @@ def moi_binned(F, ops: MOIOperands, order: Optional[int] = None, m: int = 32,
         # left-closed bins [l/m, (l+1)/m); values within fp noise of a
         # boundary are snapped onto it so they land in their own bin
         labels = np.where(np.abs(t - r) < 1e-9, r, np.floor(t)).astype(int)
-        uniq = np.unique(labels)
-        binned.append((dec, labels, uniq))
-    spectra = [u / m for (_, _, u) in binned]
-    phi = phi_fn(spectra) if phi_fn is not None else divided_diff_tensor(F, spectra)
-    # eigenvector columns grouped per occupied bin give the bin projectors
-    projL = []
-    for (dec, lab, uniq) in binned:
-        blocks = [dec.eigenvectors[:, lab == b] for b in uniq]
-        projL.append(blocks)
-    if n == 0:
-        total = np.zeros((ops.dim, ops.dim), dtype=np.complex128)
-        for bi, block in enumerate(projL[0]):
-            total += phi[bi] * (block @ block.conj().T)
-        return total
-    # rotated argument between bin-blocks: R_j[b, b'] = B_{j,b}^* X_j B_{j+1,b'}
-    rot = []
-    for j in range(n):
-        left, right = projL[j], projL[j + 1]
-        mat = np.empty((len(left), len(right)), dtype=object)
-        for a_i, bl in enumerate(left):
-            xb = bl.conj().T @ ops.arguments[j]
-            for b_i, br in enumerate(right):
-                mat[a_i, b_i] = xb @ br
-        rot.append(mat)
-    dims_first = [b.shape[1] for b in projL[0]]
-    dims_last = [b.shape[1] for b in projL[-1]]
-    if n == 1:
-        core_blocks = [[phi[i, k] * rot[0][i, k] for k in range(len(dims_last))]
-                       for i in range(len(dims_first))]
-    elif n == 2:
-        nb1 = len(projL[1])
-        core_blocks = [[sum(phi[i, j, k] * (rot[0][i, j] @ rot[1][j, k]) for j in range(nb1))
-                        for k in range(len(dims_last))] for i in range(len(dims_first))]
-    elif n == 3:
-        nb1, nb2 = len(projL[1]), len(projL[2])
-        core_blocks = [[sum(phi[i, j, l, k] * (rot[0][i, j] @ rot[1][j, l] @ rot[2][l, k])
-                            for j in range(nb1) for l in range(nb2))
-                        for k in range(len(dims_last))] for i in range(len(dims_first))]
-    else:
-        raise ComplexityExceeded("binned MOI orders above 3 are not supported")
-    v0 = np.concatenate([b for b in projL[0]], axis=1)
-    vn = np.concatenate([b for b in projL[-1]], axis=1)
-    core = np.block([[np.asarray(core_blocks[i][k]) for k in range(len(dims_last))]
-                     for i in range(len(dims_first))])
-    return v0 @ core @ vn.conj().T
+        uniq, inverse = np.unique(labels, return_inverse=True)
+        decs.append(dec)
+        endpoints.append(uniq / m)
+        members.append(inverse)
+    # F^[n] once per occupied-bin tuple, repeated for every eigenvalue of the bin
+    phi = divided_diff_tensor(F, endpoints)[np.ix_(*members)]
+    return moi_schur(F, ops, decompositions=decs, phi=phi, cost_cap=cost_cap)
 
 
 def loewner_residual(F: SmoothSymbol, X: HermitianOperator, Y: HermitianOperator, p=2) -> float:
@@ -248,18 +205,17 @@ def lipschitz_ratio(F, X: HermitianOperator, Y: HermitianOperator, p=2) -> float
     return num / denom
 
 
-def homomorphism_commutation_residual(F, order: int, W: np.ndarray, ops: MOIOperands,
-                                      p=2) -> float:
+def homomorphism_commutation_residual(F, W: np.ndarray, ops: MOIOperands, p=2) -> float:
     """|| W T(ops) W* - T(conjugated ops) ||_p for the *-endomorphism W . W*."""
     W = np.asarray(W, dtype=np.complex128)
     if np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0])) > 1e-10:
         raise NonUnitary("W is not unitary to 1e-10")
-    t = moi_schur(F, ops, order)
+    t = moi_schur(F, ops)
     conj_ops = MOIOperands(
         anchors=tuple(HermitianOperator(W @ a.data @ W.conj().T, a.trace_mode) for a in ops.anchors),
         arguments=tuple(W @ x @ W.conj().T for x in ops.arguments),
     )
-    t2 = moi_schur(F, conj_ops, order)
+    t2 = moi_schur(F, conj_ops)
     mode = ops.anchors[0].trace_mode
     return schatten_norm(W @ t @ W.conj().T - t2, p, mode)
 

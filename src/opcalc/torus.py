@@ -565,12 +565,6 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     return schatten_norm_batch(mats, pv, "normalized")
 
 
-def trace_inner(x: TorusElement, y: TorusElement) -> complex:
-    """tau(x* y) = sum conj(u(k)) v(k)."""
-    _same_algebra(x, y)
-    return complex(np.vdot(x.coeffs, y.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # amplitudes
 # ---------------------------------------------------------------------------

@@ -143,7 +143,9 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("[algebra]\nn = 16\ntheta_num = 2\n", "[algebra]"),
     ("ensemble = 0\n", "[experiment]"),
     ("seed = -1\n", "[experiment]"),
-], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed"])
+    ("[algebra]\nd = 3\n", "[algebra]"),
+    ("[algebra]\nbackend = commutative\n", "[algebra]"),
+], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, text, section):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nkind = meyer\n" + text)
@@ -195,6 +197,21 @@ def test_cli_baseline_capture_and_refusal(tmp_path, capsys):
     # run succeeds against the captured baseline
     rc = main(["run", str(path), "--out", str(tmp_path / "o"), "--baseline", str(store_path)])
     assert rc == 0
+
+
+def test_cli_jobs_leave_summary_unchanged(tmp_path):
+    path = tmp_path / "b.ini"
+    path.write_text("[experiment]\nkind = besov-equivalence\nseed = 3\nensemble = 4\n"
+                    "[algebra]\nn = 8\n[besov]\np = 1\n")
+    store_path = tmp_path / "constants.json"
+    assert main(["baseline", str(path), "--baseline", str(store_path)]) == 0
+    summaries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(path), "--out", str(out), "--baseline", str(store_path),
+                     "--jobs", jobs]) == 0
+        summaries.append(next(out.glob("*/summary.txt")).read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_cli_run_writes_rfc4180_csv(core_config, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -146,14 +147,47 @@ def test_binned_exact_at_left_endpoints():
 
 
 def test_binned_constant_symbol_any_resolution():
-    # constant symbol = divided-difference tensor identically one
+    # F(x) = x has F^[1] identically one (exactly, on the polynomial path)
     rng = rng_for(11, "binc")
     anchors = tuple(random_hermitian(rng, 5) for _ in range(2))
     x = random_args(rng, 5, 1)[0]
-    ones = lambda spectra: np.ones(tuple(len(s) for s in spectra))
     for m in (3, 7, 50):
-        out = moi_binned(None, MOIOperands(anchors, (x,)), m=m, phi_fn=ones)
+        out = moi_binned(parse_symbol("x"), MOIOperands(anchors, (x,)), m=m)
         assert np.linalg.norm(out - x) <= 1e-11 * np.linalg.norm(x)
+
+
+def _binned_reference(F, lams, unitaries, args, m):
+    """sum over bin tuples of F^[n](bin endpoints) P_{b0} X_1 P_{b1} ... X_n P_{bn},
+    with each bin projector P_b built from the anchor's known eigenvectors."""
+    projectors = []
+    for lam, u in zip(lams, unitaries):
+        labels = np.floor(lam * m + 1e-9).astype(int)
+        projectors.append({b: u[:, labels == b] @ u[:, labels == b].conj().T
+                           for b in np.unique(labels)})
+    total = 0
+    for bins in itertools.product(*(sorted(p) for p in projectors)):
+        term = projectors[0][bins[0]]
+        for x, proj, b in zip(args, projectors[1:], bins[1:]):
+            term = term @ x @ proj[b]
+        total = total + divided_diff(F, np.array(bins) / m) * term
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 4, 25])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_binned_matches_bin_projector_sum(order, m):
+    F = parse_symbol("exp(x)")
+    rng = rng_for(13, "binp", order, m)
+    lams = [rng.uniform(-1.0, 1.0, 4) for _ in range(order + 1)]
+    # a repeated eigenvalue sitting on the bin edge round(0.4 m)/m
+    lams[0][1:3] = round(0.4 * m) / m
+    unitaries = [haar_unitary(rng, 4) for _ in range(order + 1)]
+    anchors = tuple(HermitianOperator(u @ np.diag(lam) @ u.conj().T)
+                    for lam, u in zip(lams, unitaries))
+    args = random_args(rng, 4, order)
+    ref = _binned_reference(F, lams, unitaries, args, m)
+    out = moi_binned(F, MOIOperands(anchors, args), m=m)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_binned_convergence_rate():
@@ -273,7 +307,7 @@ def test_homomorphism_identity():
     rng = rng_for(23, "h0")
     ops = MOIOperands((random_hermitian(rng, 4), random_hermitian(rng, 4)),
                       random_args(rng, 4, 1))
-    assert homomorphism_commutation_residual(parse_symbol("x**2"), 1, np.eye(4), ops) <= 1e-13
+    assert homomorphism_commutation_residual(parse_symbol("x**2"), np.eye(4), ops) <= 1e-13
 
 
 def test_homomorphism_permutation_diagonal():
@@ -281,7 +315,7 @@ def test_homomorphism_permutation_diagonal():
     h = HermitianOperator(np.diag([0.1, 0.5, 1.0, 2.0]))
     rng = rng_for(24, "hp")
     ops = MOIOperands((h, h), random_args(rng, 4, 1))
-    assert homomorphism_commutation_residual(parse_symbol("exp(x)"), 1, perm, ops) <= 1e-12
+    assert homomorphism_commutation_residual(parse_symbol("exp(x)"), perm, ops) <= 1e-12
 
 
 def test_homomorphism_haar_second_order():
@@ -289,7 +323,7 @@ def test_homomorphism_haar_second_order():
     ops = MOIOperands(tuple(random_hermitian(rng, 5) for _ in range(3)),
                       random_args(rng, 5, 2))
     w = haar_unitary(rng, 5)
-    assert homomorphism_commutation_residual(parse_symbol("x**3"), 2, w, ops) <= 1e-10
+    assert homomorphism_commutation_residual(parse_symbol("x**3"), w, ops) <= 1e-10
 
 
 def test_homomorphism_rejects_non_unitary():
@@ -297,7 +331,7 @@ def test_homomorphism_rejects_non_unitary():
     ops = MOIOperands((random_hermitian(rng, 3), random_hermitian(rng, 3)),
                       random_args(rng, 3, 1))
     with pytest.raises(NonUnitary):
-        homomorphism_commutation_residual(parse_symbol("x"), 1, np.diag([1.0, 2.0, 1.0]), ops)
+        homomorphism_commutation_residual(parse_symbol("x"), np.diag([1.0, 2.0, 1.0]), ops)
 
 
 # --- Hoelder exponents -------------------------------------------------------
