@@ -373,7 +373,20 @@ def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex)
 
 def apply_symbol(F, u: TorusElement) -> TorusElement:
     """F(u) through the matrix realization's functional calculus."""
-    return from_matrix(u.algebra, func_calc(HermitianOperator(to_matrix(u)), F).data)
+    return TorusElement(u.algebra, apply_symbol_batch(F, u.algebra, u.coeffs[None, ...])[0])
+
+
+def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """F(u) for every state of a (batch,) + algebra.shape coefficient stack.
+
+    One stacked route: ``to_matrix_batch``, ``func_calc`` on the stack,
+    ``from_matrix_batch``, taken in ``realization_chunks`` of the stack.
+    """
+    out = np.empty(coeff_stack.shape, dtype=np.complex128)
+    for chunk in tor.realization_chunks(algebra, len(coeff_stack)):
+        mats = tor.to_matrix_batch(algebra, coeff_stack[chunk])
+        out[chunk] = tor.from_matrix_batch(algebra, func_calc(HermitianOperator(mats), F).data)
+    return out
 
 
 def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:

@@ -41,7 +41,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import BackendMismatch, ConfigError
+from .torus import TorusAlgebra
 
 KINDS = ("verify-core", "moi", "chain-rule", "besov-equivalence",
          "nonlinear-estimate", "meyer", "allen-cahn")
@@ -74,6 +75,22 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] seed must be >= 0, got {self.seed}")
         if self.ensemble < 1:
             raise ConfigError(f"[experiment] ensemble must be >= 1, got {self.ensemble}")
+        self.algebra()
+        for key in ("t_max", "dt"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"[allen-cahn] {key} must be finite and > 0, got {value}")
+
+    def algebra(self) -> TorusAlgebra:
+        """The [algebra] lattice; a value it rejects raises ConfigError.
+
+        Every kind validates it, including those that build their own lattices.
+        """
+        try:
+            return TorusAlgebra.make(d=self.d, N=self.n_modes, theta_num=self.theta_num,
+                                     backend=self.backend)
+        except (ValueError, BackendMismatch) as exc:
+            raise ConfigError(f"[algebra] {exc}") from None
 
     def canonical(self) -> str:
         rows = {f"{section}.{key}": _FORMAT[typ](getattr(self, attr))

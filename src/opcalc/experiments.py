@@ -22,7 +22,6 @@ from .allen_cahn import (ACProblem, commutative_cross_check, contraction_time, e
 from .baselines import BaselineStore
 from .besov import BesovIndex
 from .config import ExperimentConfig
-from .errors import BackendMismatch, ConfigError
 from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
                      random_hermitian, schatten_norm)
@@ -58,20 +57,12 @@ class ExperimentResult:
         return all(a.passed for a in self.assertions)
 
 
-def algebra_for(cfg: ExperimentConfig) -> tor.TorusAlgebra:
-    try:
-        return tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=cfg.theta_num,
-                                     backend=cfg.backend)
-    except (ValueError, BackendMismatch) as exc:
-        raise ConfigError(f"[algebra] {exc}") from None
-
-
 def besov_index(cfg: ExperimentConfig) -> BesovIndex:
     return BesovIndex(cfg.s, cfg.p, cfg.q)
 
 
 def ensemble_elements(cfg: ExperimentConfig, count=None, tag="element", decay=1.5):
-    alg = algebra_for(cfg)
+    alg = cfg.algebra()
     count = cfg.ensemble if count is None else count
     return [tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay)
             for i in range(count)]
@@ -515,7 +506,7 @@ def run_meyer(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     refine_fail = 0
     n_seeds = min(cfg.ensemble, 20)
     for i in range(n_seeds):
-        x = tor.random_element(algebra_for(cfg), rng_for(cfg.seed, "meyer", i), band=cfg.band)
+        x = tor.random_element(cfg.algebra(), rng_for(cfg.seed, "meyer", i), band=cfg.band)
         for xi in (0.5, 1.0, 2.0):
             r4 = bz.meyer_residual(x, xi, 4)
             r32 = bz.meyer_residual(x, xi, 32)
@@ -534,7 +525,7 @@ def run_meyer(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
 
 def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     res = ExperimentResult("allen-cahn", cfg.config_hash)
-    alg = algebra_for(cfg)
+    alg = cfg.algebra()
     idx = besov_index(cfg)
     u0 = tor.random_element(alg, rng_for(cfg.seed, "ac-u0"), band=cfg.band, decay=2.0)
     F = parse_symbol(cfg.expr)

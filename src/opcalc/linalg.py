@@ -2,6 +2,10 @@
 
 Eigendecomposition, functional calculus and Schatten norms under either the
 normalized trace (tr/n, the fuzzy-torus convention) or the counting trace.
+The spectral kernel takes stacks: ``HermitianOperator``, ``eig_hermitian``
+and ``func_calc`` accept one (n, n) matrix or a (..., n, n) stack, so a whole
+Picard sweep is one batched functional calculus.  ``schatten_norm`` takes one
+matrix; ``schatten_norm_batch`` takes a stack.
 """
 
 from __future__ import annotations
@@ -18,35 +22,62 @@ HERMITIAN_RTOL = 1e-12
 _TRACE_MODES = ("normalized", "counting")
 
 
-def _as_square(data) -> np.ndarray:
+def _as_square(data, stack: bool = False) -> np.ndarray:
+    """One square complex matrix, or a (..., n, n) stack of them if ``stack``."""
     a = np.asarray(data, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of one matrix, or of each matrix of a stack."""
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    r = np.ascontiguousarray(a).view(np.float64)  # (re, im) pairs along the last axis
+    return np.sqrt(np.einsum("...ij,...ij->...", r, r))
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix plus the trace convention used for its norms."""
+    """Hermitian matrix, or (..., n, n) stack of them, plus the trace
+    convention used for its norms.
+
+    Each matrix is tested on its own relative Frobenius deviation from its
+    adjoint and stored symmetrized.
+    """
 
     data: np.ndarray
     trace_mode: str = "normalized"
 
     def __post_init__(self):
-        a = _as_square(self.data)
+        a = _as_square(self.data, stack=True)
         if self.trace_mode not in _TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
-        dev = np.linalg.norm(a - a.conj().T)
-        scale = max(np.linalg.norm(a), 1e-300)
-        if dev > HERMITIAN_RTOL * scale and dev > 1e-300:
+        adj = a.swapaxes(-1, -2).conj()
+        dev = _frobenius(a - adj)
+        scale = _frobenius(a)
+        bad = (dev > HERMITIAN_RTOL * scale) & (dev > 1e-300)
+        if bad.any():
+            rel = dev / np.maximum(scale, 1e-300)
             raise NonHermitianInput(
-                f"relative Hermitian deviation {dev / scale:.3e} exceeds {HERMITIAN_RTOL:.0e}"
+                f"relative Hermitian deviation {np.max(rel, where=bad, initial=0.0):.3e} "
+                f"exceeds {HERMITIAN_RTOL:.0e}"
             )
-        object.__setattr__(self, "data", 0.5 * (a + a.conj().T))
+        object.__setattr__(self, "data", 0.5 * (a + adj))
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
+
+    @classmethod
+    def _symmetrized(cls, data: np.ndarray, trace_mode: str) -> "HermitianOperator":
+        """Operator for a result that is Hermitian by construction: stored
+        symmetrized as the constructor stores it, without the deviation test."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "data", 0.5 * (data + data.swapaxes(-1, -2).conj()))
+        object.__setattr__(op, "trace_mode", trace_mode)
+        return op
 
     def norm(self, p) -> float:
         return schatten_norm(self.data, p, self.trace_mode)
@@ -93,7 +124,10 @@ def _p_value(p) -> float:
 
 
 def eig_hermitian(H: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
+
+    A stack gives (..., n) eigenvalues and (..., n, n) eigenvectors.
+    """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     w, v = np.linalg.eigh(H.data)
@@ -150,20 +184,26 @@ def matrix_function(H: HermitianOperator, fn) -> np.ndarray:
 def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     """Borel functional calculus F(H) for a real-valued symbol F.
 
-    F may be a SmoothSymbol or any vectorized callable.
+    F may be a SmoothSymbol or any vectorized callable.  On a stack, F is
+    evaluated once on all eigenvalues and each matrix is tested on its own
+    spectrum.
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     fn = F if callable(F) else F.__call__
     dec = eig_hermitian(H)
-    vals = np.asarray(fn(dec.eigenvalues), dtype=np.complex128)
+    vals = np.asarray(fn(dec.eigenvalues))
     if not np.all(np.isfinite(vals)):
         raise SymbolDomainError("symbol undefined (non-finite) at an eigenvalue")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals.imag)) > 1e-12 * scale:
-        raise SymbolDomainError("symbol is not real-valued on the spectrum")
+    if np.iscomplexobj(vals):
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+        if (np.max(np.abs(vals.imag), axis=-1) > 1e-12 * scale).any():
+            raise SymbolDomainError("symbol is not real-valued on the spectrum")
+        vals = vals.real
     v = dec.eigenvectors
-    return HermitianOperator((v * vals.real) @ v.conj().T, trace_mode=H.trace_mode)
+    # V diag(F(lambda)) V* with unitary V is Hermitian up to rounding
+    return HermitianOperator._symmetrized((v * vals[..., None, :]) @ v.swapaxes(-1, -2).conj(),
+                                          H.trace_mode)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0,

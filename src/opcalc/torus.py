@@ -84,6 +84,8 @@ class TorusAlgebra:
         """Convenience constructor with theta_12 = theta_num / N (d = 2)."""
         if theta_num == 0:
             return cls(d=d, N=N, theta=None, backend=backend)
+        if d < 2:
+            raise BackendMismatch("theta_num != 0 requires d >= 2")
         th = np.zeros((d, d))
         th[0, 1] = theta_num / N
         th[1, 0] = -theta_num / N
@@ -322,9 +324,16 @@ def random_element(algebra: TorusAlgebra, rng: np.random.Generator, band: Option
 # ---------------------------------------------------------------------------
 
 def _weyl_phase(algebra: TorusAlgebra) -> np.ndarray:
-    """Symmetric ordering phase e^{i pi theta k1 k2} over the mode grid."""
-    k1, k2 = algebra.k_grids
-    return np.exp(1j * np.pi * algebra.theta[0, 1] * k1 * k2)
+    """Symmetric ordering phase e^{i pi theta k1 k2} over the mode grid (read-only)."""
+    return _weyl_table(algebra.N, algebra.theta[0, 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_table(N: int, theta12) -> np.ndarray:
+    k1, k2 = _k_grids(N, 2)
+    phase = np.exp(1j * np.pi * theta12 * k1 * k2)
+    phase.flags.writeable = False
+    return phase
 
 
 def to_matrix(x: TorusElement) -> np.ndarray:
@@ -363,17 +372,39 @@ def from_matrix(algebra: TorusAlgebra, A: np.ndarray) -> TorusElement:
     dim = algebra.matrix_dim
     if A.shape != (dim, dim):
         raise DimensionMismatch(f"matrix shape {A.shape} != ({dim}, {dim})")
+    return TorusElement(algebra, from_matrix_batch(algebra, A[None, ...])[0])
+
+
+def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:
+    """(batch,) + algebra.shape coefficient stack of a (batch, dim, dim)
+    matrix stack; the inverse of ``to_matrix_batch``.
+
+    Clock/shift route: each diagonal offset k2 is read off as a length-N
+    inverse DFT over k1, so recovery is N FFTs per matrix.
+    """
     if algebra.is_flat:
-        vals = np.diagonal(A).reshape(algebra.shape)
-        coeffs = np.fft.fftn(vals) / (algebra.N ** algebra.d)
-        return TorusElement(algebra, coeffs)
+        vals = np.diagonal(stack, axis1=-2, axis2=-1).reshape((len(stack),) + algebra.shape)
+        return np.fft.fftn(vals, axes=tuple(range(1, algebra.d + 1))) / (algebra.N ** algebra.d)
     N, p = algebra.N, algebra.theta_num
     a = np.arange(N)
     cols = (a[:, None] - a[None, :]) % N
-    diag = A[a[:, None], cols]                      # [a, k2]
-    g = np.fft.ifft(diag, axis=0)                   # g[m] = pre[p^{-1} m mod N]
-    coeffs = g[(p * a) % N, :] * np.conj(_weyl_phase(algebra))
-    return TorusElement(algebra, coeffs)
+    diag = stack[:, a[:, None], cols]               # [b, a, k2]
+    g = np.fft.ifft(diag, axis=1)                   # g[m] = pre[p^{-1} m mod N]
+    return g[:, (p * a) % N, :] * np.conj(_weyl_phase(algebra))
+
+
+# Largest realization, in matrix entries, that a stacked route builds at once:
+# chunks of this size keep the peak memory of a stacked functional calculus
+# at that of one state at a time.
+REALIZATION_CHUNK_ENTRIES = 2 ** 14
+
+
+def realization_chunks(algebra: TorusAlgebra, count: int) -> list:
+    """Slices that cut a count-long coefficient stack into chunks whose
+    realizations hold at most REALIZATION_CHUNK_ENTRIES entries (one matrix
+    per chunk at least)."""
+    step = max(1, REALIZATION_CHUNK_ENTRIES // algebra.matrix_dim ** 2)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def grid_values(x: TorusElement) -> np.ndarray:

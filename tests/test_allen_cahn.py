@@ -12,6 +12,7 @@ from opcalc.besov import BesovIndex, besov_multiplier_norm
 from opcalc.errors import (BlowUpDetected, HypothesisViolation, NoContraction,
                            SymbolHypothesisError)
 from opcalc.expr import parse_symbol
+from opcalc.linalg import HermitianOperator, func_calc
 from opcalc.seeding import rng_for
 
 
@@ -134,6 +135,12 @@ def test_evolve_halving_recovers_from_large_segment(alg):
     traj = evolve(prob, segment_time=0.1)
     assert not traj.blow_up
     assert traj.times[-1] == pytest.approx(0.1, abs=1e-9)
+    rep = traj.reports
+    assert rep["halvings"] >= 1
+    assert sum(seg["horizon"] for seg in rep["segments"]) == pytest.approx(0.1, abs=1e-9)
+    for seg in rep["segments"]:
+        assert seg["sweeps"] == len(seg["distances"]) >= 1
+        assert seg["contraction_factor"] < 1.0
 
 
 def test_evolve_blow_up_riccati():
@@ -244,3 +251,58 @@ def test_checkpoint_snapshots(tmp_path, u0):
     assert len(paths) >= 2
     loaded = tor.load_element(paths[0])
     assert np.max(np.abs(loaded.coeffs - traj.states[0].coeffs)) <= 1e-16
+
+
+def _per_state_picard(problem, horizon, initial, max_iter=40, tol=1e-10):
+    """Picard iteration one state at a time: F applied matrix by matrix (or
+    grid by grid), the distance taken state by state."""
+    alg = problem.u0.algebra
+    steps = max(1, int(round(horizon / problem.dt)))
+    dt = horizon / steps
+    decay = np.exp(-dt * alg.abs_k ** 2)
+    u0c = problem.u0.coeffs
+    coeffs = [u0c.copy()]
+    for _ in range(steps):
+        coeffs.append(decay * coeffs[-1] if initial == "heat" else u0c.copy())
+
+    def apply_F(c):
+        x = tor.TorusElement(alg, c)
+        if problem.f_route == "grid":
+            return tor.from_grid_values(alg, np.asarray(problem.F(tor.grid_values(x).real))).coeffs
+        h = HermitianOperator(tor.to_matrix(x))
+        return tor.from_matrix(alg, func_calc(h, problem.F).data).coeffs
+
+    scale = max(tor.lp_norm(problem.u0, problem.idx.p), 1e-12)
+    distances = []
+    for _ in range(max_iter):
+        g = [apply_F(c) for c in coeffs]
+        new, integral, heat_state = [u0c.copy()], np.zeros_like(u0c), u0c.copy()
+        for i in range(1, len(g)):
+            integral = decay * (integral + 0.5 * dt * g[i - 1]) + 0.5 * dt * g[i]
+            heat_state = decay * heat_state
+            new.append(heat_state + integral)
+        distances.append(max(tor.lp_norm(tor.TorusElement(alg, a - b), problem.idx.p)
+                             for a, b in zip(new, coeffs)))
+        coeffs = new
+        if distances[-1] <= tol * scale:
+            break
+    return coeffs, distances
+
+
+@pytest.mark.parametrize("theta_num,route,initial,horizon", [
+    (1, "matrix", "heat", 0.15), (1, "matrix", "constant", 0.15),
+    (0, "matrix", "heat", 0.03), (0, "grid", "heat", 0.03), (0, "grid", "constant", 0.03)])
+def test_picard_matches_per_state_reference(theta_num, route, initial, horizon):
+    # the batched sweep (stacked functional calculus over chunks of the time
+    # grid, one stacked FFT on the grid route) gives the per-state bits
+    alg = tor.TorusAlgebra.make(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    u = tor.random_element(alg, rng_for(theta_num, "sweep"), band=3, decay=2.0)
+    prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3,
+                     f_route=route)
+    traj, rep = picard_solve(prob, horizon=horizon, initial=initial)
+    ref, distances = _per_state_picard(prob, horizon, initial)
+    assert len(tor.realization_chunks(alg, len(ref))) > 1 or route == "grid"
+    assert rep["distances"] == distances
+    assert len(traj.states) == len(ref)
+    for state, c in zip(traj.states, ref):
+        assert np.array_equal(state.coeffs, c)

@@ -137,18 +137,28 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     assert "outdir" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text,section", [
-    ("[algebra]\nn = 15\n", "[algebra]"),
-    ("[algebra]\nbackend = foo\n", "[algebra]"),
-    ("[algebra]\nn = 16\ntheta_num = 2\n", "[algebra]"),
-    ("ensemble = 0\n", "[experiment]"),
-    ("seed = -1\n", "[experiment]"),
-    ("[algebra]\nd = 3\n", "[algebra]"),
-    ("[algebra]\nbackend = commutative\n", "[algebra]"),
-], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta"])
-def test_cli_bad_values_exit_2(tmp_path, capsys, text, section):
+@pytest.mark.parametrize("kind,text,section", [
+    ("meyer", "[algebra]\nn = 15\n", "[algebra]"),
+    ("meyer", "[algebra]\nbackend = foo\n", "[algebra]"),
+    ("meyer", "[algebra]\nn = 16\ntheta_num = 2\n", "[algebra]"),
+    ("meyer", "ensemble = 0\n", "[experiment]"),
+    ("meyer", "seed = -1\n", "[experiment]"),
+    ("meyer", "[algebra]\nd = 3\n", "[algebra]"),
+    ("meyer", "[algebra]\nbackend = commutative\n", "[algebra]"),
+    ("meyer", "[algebra]\nd = 1\n", "[algebra]"),
+    # verify-core builds its own lattices, but its [algebra] is still checked
+    ("verify-core", "[algebra]\nn = 15\n", "[algebra]"),
+    ("allen-cahn", "[allen-cahn]\ndt = 0\n", "[allen-cahn]"),
+    ("allen-cahn", "[allen-cahn]\ndt = -0.001\n", "[allen-cahn]"),
+    ("allen-cahn", "[allen-cahn]\ndt = nan\n", "[allen-cahn]"),
+    ("allen-cahn", "[allen-cahn]\nt_max = 0\n", "[allen-cahn]"),
+    ("allen-cahn", "[allen-cahn]\nt_max = inf\n", "[allen-cahn]"),
+], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
+        "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
+        "t-max-inf"])
+def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
-    path.write_text("[experiment]\nkind = meyer\n" + text)
+    path.write_text(f"[experiment]\nkind = {kind}\n" + text)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and section in err

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from opcalc.errors import NonHermitianInput, SymbolDomainError
+from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainError
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, SchattenIndex, eig_hermitian, func_calc,
                            haar_unitary, random_hermitian, schatten_norm,
@@ -134,3 +135,48 @@ def test_func_calc_rejects_domain_violation():
 
     with pytest.raises(SymbolDomainError):
         func_calc(h, bad)
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_stacked_kernel_matches_matrix_loop(n):
+    # a stack gives, matrix by matrix, exactly the bits of one-matrix calls
+    rng = rng_for(n, "stack")
+    m = 5
+    g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    # Hermitian up to a rounding-sized asymmetry, so symmetrization acts
+    stack = 0.5 * (g + g.swapaxes(-1, -2).conj()) + 1e-15 * rng.standard_normal((m, n, n))
+    F = parse_symbol("tanh(x)")
+    H = HermitianOperator(stack)
+    dec = eig_hermitian(H)
+    fh = func_calc(H, F)
+    assert H.n == n and fh.data.shape == (m, n, n)
+    for i in range(m):
+        Hi = HermitianOperator(stack[i])
+        deci = eig_hermitian(Hi)
+        assert np.array_equal(H.data[i], Hi.data)
+        assert np.array_equal(dec.eigenvalues[i], deci.eigenvalues)
+        assert np.array_equal(dec.eigenvectors[i], deci.eigenvectors)
+        assert np.array_equal(fh.data[i], func_calc(Hi, F).data)
+
+
+def test_stack_with_non_hermitian_member_raises():
+    stack = np.stack([np.eye(3)] * 4).astype(complex)
+    stack[1, 0, 2] = 0.5
+    stack[3, 1, 0] = 2.0
+    worst = max(np.linalg.norm(a - a.conj().T) / np.linalg.norm(a) for a in stack)
+    with pytest.raises(NonHermitianInput, match=re.escape(f"{worst:.3e}")):
+        HermitianOperator(stack)
+    with pytest.raises(NonHermitianInput):
+        func_calc(stack, parse_symbol("tanh(x)"))
+    HermitianOperator(stack[[0, 2]])  # the Hermitian members alone pass
+
+
+def test_func_calc_stack_domain_checked_per_matrix():
+    stack = np.stack([np.eye(2), -np.eye(2)]).astype(complex)
+    with pytest.raises(SymbolDomainError):
+        func_calc(stack, lambda x: np.sqrt(x.astype(complex)))  # imaginary on the second
+
+
+def test_schatten_norm_rejects_stack():
+    with pytest.raises(DimensionMismatch):
+        schatten_norm(np.stack([np.eye(3)] * 2), 2)

@@ -494,3 +494,28 @@ def test_dimension_mismatch_ops(alg, alg16):
         tor.multiply(x, y)
     with pytest.raises(DimensionMismatch):
         tor.translate(x, (0.1,))
+
+
+@pytest.mark.parametrize("d,N,theta_num", [(1, 8, 0), (2, 8, 0), (2, 8, 1), (2, 16, 3)])
+def test_from_matrix_batch_matches_from_matrix(d, N, theta_num):
+    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    rng = rng_for(N + theta_num, "from-batch")
+    dim = alg.matrix_dim
+    stack = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+    coeffs = tor.from_matrix_batch(alg, stack)
+    assert coeffs.shape == (4,) + alg.shape
+    for i in range(4):
+        assert np.array_equal(coeffs[i], tor.from_matrix(alg, stack[i]).coeffs)
+    xs = np.stack([tor.random_element(alg, rng, hermitian=False).coeffs for _ in range(3)])
+    assert np.max(np.abs(tor.from_matrix_batch(alg, tor.to_matrix_batch(alg, xs)) - xs)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta_num,count", [(1, 130), (0, 3), (1, 0)])
+def test_realization_chunks_cover_the_stack(theta_num, count):
+    # N = 16: 64 clock/shift matrices (16 x 16) per chunk, one flat 256 x 256
+    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=theta_num)
+    idx = np.arange(count)
+    chunks = tor.realization_chunks(alg, count)
+    assert np.array_equal(np.concatenate([idx[c] for c in chunks] + [idx[:0]]), idx)
+    assert all(len(idx[c]) * alg.matrix_dim ** 2
+               <= max(tor.REALIZATION_CHUNK_ENTRIES, alg.matrix_dim ** 2) for c in chunks)
