@@ -136,7 +136,8 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     Returns (Trajectory, report).  The report holds the per-sweep sup-L_p
     distances and the measured contraction factor; NoContraction is raised
     when the distances fail to decrease geometrically (the caller halves the
-    horizon), BlowUpDetected when the Besov ball escapes the threshold.
+    horizon), BlowUpDetected when a sweep leaves a non-finite iterate (its
+    distance would be non-finite) or the Besov ball escapes the threshold.
     """
     alg = problem.u0.algebra
     horizon = problem.t_max if horizon is None else horizon
@@ -159,7 +160,9 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
     for it in range(max_iter):
         _duhamel_sweep(problem, u0c, problem.apply_F(coeffs), dt, out=new)
-        dist = max(_state_norms(alg, new - coeffs, problem.idx.p).tolist())
+        if not np.isfinite(new).all():
+            raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
+        dist = float(np.max(_state_norms(alg, new - coeffs, problem.idx.p)))
         coeffs, new = new, coeffs
         distances.append(dist)
         if dist <= tol * scale:
@@ -183,7 +186,7 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
         "sweeps": len(distances),
     }
     traj = Trajectory(times=times, states=states, besov_norms=bnorms)
-    if float(np.max(bnorms)) > problem.blow_up_threshold:
+    if not float(np.max(bnorms)) <= problem.blow_up_threshold:  # NaN escapes too
         raise BlowUpDetected(f"Besov norm {np.max(bnorms):.3e} above threshold")
     return traj, report
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
                      SymbolHypothesisError)
-from .linalg import HermitianOperator, eig_hermitian, func_calc, matrix_function
+from .linalg import HermitianOperator, eig_hermitian, func_calc
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, amplitude_profile, block_count,
@@ -243,7 +243,7 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
     U = to_matrix(u)
     H = HermitianOperator(U)
     dim = H.n
-    lhs = matrix_function(H, lambda lam: np.exp(1j * xi * lam) - 1.0)
+    lhs = eig_hermitian(H).apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
     if xi == 0.0:
         return float(np.linalg.norm(lhs, 2))
 
@@ -257,7 +257,7 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
 
     s0 = partial_sum(u, 0)
     s0_mat = to_matrix(s0)
-    rhs = matrix_function(HermitianOperator(s0_mat), g_fn) @ s0_mat
+    rhs = eig_hermitian(HermitianOperator(s0_mat)).apply(g_fn) @ s0_mat
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     tq = 0.5 * (nodes + 1.0)
     wq = 0.5 * weights

@@ -329,14 +329,13 @@ def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7):
     """Unitary multiplier family e^{i theta xi S_{j-1} u} from the dyadic
     decomposition of e^{i xi u}; the canonical elementary pseudodifferential
     sequence for the paraproduct harness."""
-    from .linalg import matrix_function
     jb = tor.block_count(u.algebra)
     a_seq, b_seq = [], []
     for j in range(jb):
         s = bz.partial_sum(u, max(j - 1, 0))
-        smat = HermitianOperator(tor.to_matrix(s))
-        a_seq.append(tor.from_matrix(u.algebra, matrix_function(smat, lambda lam: np.exp(1j * theta * xi * lam))))
-        b_seq.append(tor.from_matrix(u.algebra, matrix_function(smat, lambda lam: np.exp(1j * (1 - theta) * xi * lam))))
+        dec = eig_hermitian(HermitianOperator(tor.to_matrix(s)))
+        a_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * theta * xi * lam))))
+        b_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * (1 - theta) * xi * lam))))
     return bz.PsdoSymbolSequence(tuple(a_seq), tuple(b_seq))
 
 

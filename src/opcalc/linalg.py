@@ -5,7 +5,10 @@ normalized trace (tr/n, the fuzzy-torus convention) or the counting trace.
 The spectral kernel takes stacks: ``HermitianOperator``, ``eig_hermitian``
 and ``func_calc`` accept one (n, n) matrix or a (..., n, n) stack, so a whole
 Picard sweep is one batched functional calculus.  ``schatten_norm`` takes one
-matrix; ``schatten_norm_batch`` takes a stack.
+matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
+from an SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
+pass the Hermitian deviation test (``hermitian_members``) and reads the
+singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
 """
 
 from __future__ import annotations
@@ -38,6 +41,21 @@ def _frobenius(a: np.ndarray):
     return np.sqrt(np.einsum("...ij,...ij->...", r, r))
 
 
+def _hermitian_defects(a: np.ndarray, adj: np.ndarray):
+    """(bad, dev, scale) per matrix: dev is the Frobenius deviation of a from
+    its adjoint adj, and bad marks dev above HERMITIAN_RTOL relative to scale."""
+    dev = _frobenius(a - adj)
+    scale = _frobenius(a)
+    return (dev > HERMITIAN_RTOL * scale) & (dev > 1e-300), dev, scale
+
+
+def hermitian_members(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a (..., n, n) stack pass the deviation test of
+    ``HermitianOperator``."""
+    a = _as_square(stack, stack=True)
+    return ~_hermitian_defects(a, a.swapaxes(-1, -2).conj())[0]
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian matrix, or (..., n, n) stack of them, plus the trace
@@ -55,9 +73,7 @@ class HermitianOperator:
         if self.trace_mode not in _TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
         adj = a.swapaxes(-1, -2).conj()
-        dev = _frobenius(a - adj)
-        scale = _frobenius(a)
-        bad = (dev > HERMITIAN_RTOL * scale) & (dev > 1e-300)
+        bad, dev, scale = _hermitian_defects(a, adj)
         if bad.any():
             rel = dev / np.maximum(scale, 1e-300)
             raise NonHermitianInput(
@@ -93,6 +109,14 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def apply(self, fn) -> np.ndarray:
+        """V diag(fn(lambda)) V* for a scalar callable fn; no Hermitian claim."""
+        vals = np.asarray(fn(self.eigenvalues), dtype=np.complex128)
+        if not np.all(np.isfinite(vals)):
+            raise SymbolDomainError("symbol undefined (non-finite) at an eigenvalue")
+        v = self.eigenvectors
+        return (v * vals) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -143,14 +167,19 @@ def _checked_schatten_args(a: np.ndarray, p, trace_mode: str) -> float:
 
 
 def _norm_from_sigma(sigma: np.ndarray, pv: float, trace_mode: str) -> np.ndarray:
-    """Schatten norm from descending singular values along the last axis."""
+    """Schatten norm from the singular values along the last axis, in any order.
+
+    They come from an SVD, or, for a Hermitian stack, as the absolute
+    eigenvalues.
+    """
+    largest = np.max(sigma, axis=-1)
     if math.isinf(pv):
-        return sigma[..., 0].copy()
+        return largest
     w = 1.0 / sigma.shape[-1] if trace_mode == "normalized" else 1.0
     # scale out the largest singular value to avoid overflow at large p
-    top = np.maximum(sigma[..., :1], 1e-300)
+    top = np.maximum(largest, 1e-300)[..., None]
     out = top[..., 0] * (np.sum((sigma / top) ** pv, axis=-1) * w) ** (1.0 / pv)
-    return np.where(sigma[..., 0] == 0.0, 0.0, out)
+    return np.where(largest == 0.0, 0.0, out)
 
 
 def schatten_norm(A, p, trace_mode: str = "normalized") -> float:
@@ -169,16 +198,15 @@ def schatten_norm_batch(stack: np.ndarray, p, trace_mode: str = "normalized") ->
     return _norm_from_sigma(np.linalg.svd(stack, compute_uv=False), pv, trace_mode)
 
 
-def matrix_function(H: HermitianOperator, fn) -> np.ndarray:
-    """V diag(fn(lambda)) V* for a scalar callable fn; no Hermitian claim."""
-    if not isinstance(H, HermitianOperator):
-        H = HermitianOperator(H)
-    dec = eig_hermitian(H)
-    vals = np.asarray(fn(dec.eigenvalues), dtype=np.complex128)
-    if not np.all(np.isfinite(vals)):
-        raise SymbolDomainError("symbol undefined (non-finite) at an eigenvalue")
-    v = dec.eigenvectors
-    return (v * vals) @ v.conj().T
+def hermitian_schatten_norm_batch(stack: np.ndarray, p, trace_mode: str = "normalized") -> np.ndarray:
+    """schatten_norm_batch for a stack of Hermitian matrices: the singular
+    values are the absolute eigenvalues, so ``eigvalsh`` replaces the SVD.
+
+    The caller vouches for Hermiticity (``hermitian_members``); only the lower
+    triangle of each matrix is read.
+    """
+    pv = _checked_schatten_args(stack, p, trace_mode)
+    return _norm_from_sigma(np.abs(np.linalg.eigvalsh(stack)), pv, trace_mode)
 
 
 def func_calc(H: HermitianOperator, F) -> HermitianOperator:

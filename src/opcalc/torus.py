@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BackendMismatch, BandOverflow, DimensionMismatch
-from .linalg import schatten_norm_batch
+from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_norm_batch
 from .symbols import LPFilterFamily
 
 _BACKENDS = ("commutative", "matrix")
@@ -346,7 +346,8 @@ def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarra
 
     Clock/shift route: for each diagonal offset k2 the entries are a length-N
     DFT over k1 evaluated at frequency p*a mod N, so the whole realization is
-    N FFTs (O(N^2 log N)) instead of the dense mode-matrix contraction.
+    N FFTs (O(N^2 log N)) instead of the dense mode-matrix contraction,
+    followed by one gather that places every entry.
     """
     if algebra.is_flat:
         vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, algebra.d + 1))) * (algebra.N ** algebra.d)
@@ -358,12 +359,18 @@ def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarra
     N, p = algebra.N, algebra.theta_num
     pre = coeff_stack * _weyl_phase(algebra)
     f = np.fft.fft(pre, axis=1)                     # over the k1 index
+    return np.take(f.reshape(len(f), N * N), _entry_index(N, p), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_index(N: int, p: int) -> np.ndarray:
+    """Flat (k1, k2) index of matrix entry [a, c] in the FFT over k1 of a
+    clock/shift realization: entry [a, c] lies on diagonal offset
+    k2 = (a - c) % N at frequency p*a mod N (read-only)."""
     a = np.arange(N)
-    diag = f[:, (p * a) % N, :]                     # D[b, a, k2] = A[a, (a-k2)%N]
-    cols = (a[:, None] - a[None, :]) % N            # [a, k2] -> column index
-    out = np.zeros((coeff_stack.shape[0], N, N), dtype=np.complex128)
-    out[:, a[:, None], cols] = diag
-    return out
+    index = ((p * a) % N)[:, None] * N + (a[:, None] - a[None, :]) % N
+    index.flags.writeable = False
+    return index
 
 
 def from_matrix(algebra: TorusAlgebra, A: np.ndarray) -> TorusElement:
@@ -379,18 +386,17 @@ def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:
     """(batch,) + algebra.shape coefficient stack of a (batch, dim, dim)
     matrix stack; the inverse of ``to_matrix_batch``.
 
-    Clock/shift route: each diagonal offset k2 is read off as a length-N
-    inverse DFT over k1, so recovery is N FFTs per matrix.
+    Clock/shift route: one gather reads each diagonal offset k2, and each is a
+    length-N inverse DFT over k1, so recovery is N FFTs per matrix.
     """
     if algebra.is_flat:
         vals = np.diagonal(stack, axis1=-2, axis2=-1).reshape((len(stack),) + algebra.shape)
         return np.fft.fftn(vals, axes=tuple(range(1, algebra.d + 1))) / (algebra.N ** algebra.d)
     N, p = algebra.N, algebra.theta_num
-    a = np.arange(N)
-    cols = (a[:, None] - a[None, :]) % N
-    diag = stack[:, a[:, None], cols]               # [b, a, k2]
+    # at p = 1 the entry index reads matrix entry [a, (a - k2) % N] into [a, k2]
+    diag = np.take(stack.reshape(len(stack), N * N), _entry_index(N, 1), axis=1)
     g = np.fft.ifft(diag, axis=1)                   # g[m] = pre[p^{-1} m mod N]
-    return g[:, (p * a) % N, :] * np.conj(_weyl_phase(algebra))
+    return g[:, (p * np.arange(N)) % N, :] * np.conj(_weyl_phase(algebra))
 
 
 # Largest realization, in matrix entries, that a stacked route builds at once:
@@ -556,16 +562,6 @@ def block_count(algebra: TorusAlgebra) -> int:
     return len(algebra.lp_filters)
 
 
-def multiplier_lp_bound(algebra: TorusAlgebra, symbol_values: np.ndarray) -> float:
-    """l1 norm of the lattice kernel: a uniform L_p -> L_p operator bound.
-
-    m(D) = sum_s kernel(s) T_{2 pi s / N} with unitary translations, so the
-    kernel l1 norm dominates every Schatten operator norm of the multiplier.
-    """
-    kernel = np.fft.ifftn(symbol_values)
-    return float(np.sum(np.abs(kernel)))
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -580,6 +576,14 @@ def lp_norm(x: TorusElement, p) -> float:
 
 
 def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarray:
+    """lp_norm of every element of a (batch,) + algebra.shape coefficient stack.
+
+    p = 2 reads the coefficients (Parseval) and theta = 0 the grid values.
+    Otherwise the stack is realized, and the norms come from
+    ``hermitian_schatten_norm_batch`` (absolute eigenvalues) when every
+    realized matrix passes the Hermitian deviation test, from
+    ``schatten_norm_batch`` (SVD) when any one fails it.
+    """
     pv = p.p if hasattr(p, "p") else float(p)
     if pv == 2.0:
         # Parseval: the modes are orthonormal in L2 of the normalized trace
@@ -593,6 +597,8 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
             return np.max(a, axis=1)
         return (np.mean(a ** pv, axis=1)) ** (1.0 / pv)
     mats = to_matrix_batch(algebra, coeff_stack)
+    if hermitian_members(mats).all():
+        return hermitian_schatten_norm_batch(mats, pv, "normalized")
     return schatten_norm_batch(mats, pv, "normalized")
 
 
@@ -651,13 +657,23 @@ def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
 
 
 def _difference_stack(x: TorusElement, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of Delta_{r d}^m x for every (direction d, radius r) pair,
+    stacked direction-major.
+
+    The shift multiplier e^{i r <d, k>} is the product over axes of
+    e^{i r d_ax k_ax}, so only (dir, radius, N) phases are exponentiated.
+    """
     alg = x.algebra
-    phases = _pairing(alg, dirs)
-    # multipliers for every (dir, radius) pair
-    full = phases[:, None, ...] * radii.reshape((1, -1) + (1,) * alg.d)
-    mult = (np.exp(1j * full) - 1.0) ** m
-    stack = mult * x.coeffs
-    return stack.reshape((-1,) + alg.shape)
+    lead = (len(dirs), len(radii))
+    shift = None
+    for ax in range(alg.d):
+        phase = np.exp(1j * (dirs[:, ax, None] * radii)[..., None] * alg.k_axis)
+        phase = phase.reshape(lead + (1,) * ax + (alg.N,) + (1,) * (alg.d - ax - 1))
+        shift = phase if shift is None else shift * phase
+    mult = shift - 1.0
+    if m != 1:
+        mult = mult ** m
+    return (mult * x.coeffs).reshape((-1,) + alg.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,21 @@ def test_evolve_halving_recovers_from_large_segment(alg):
         assert seg["contraction_factor"] < 1.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_non_finite_iterate_is_a_blow_up():
+    # F(u) = u^4 overflows at u = 1e100: the first sweep leaves inf/NaN states,
+    # which must not pass for a converged fixed point
+    algc = tor.TorusAlgebra.make(d=2, N=4, theta_num=0, backend="commutative")
+    prob = ACProblem(u0=1e100 * tor.unit_element(algc), F=parse_symbol("x**4"), idx=IDX,
+                     t_max=0.01, dt=1e-3)
+    with pytest.raises(BlowUpDetected, match="non-finite Picard iterate in sweep 1"):
+        picard_solve(prob)
+    traj = evolve(prob, segment_time=0.01)
+    assert traj.blow_up
+    assert traj.blow_up_time == pytest.approx(0.01)
+    assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
+
+
 def test_evolve_blow_up_riccati():
     # zero-mode Riccati: du/dt = u^2 from u(0) = 2 escapes at t = 1/2
     algc = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="commutative")

@@ -7,7 +7,8 @@ import pytest
 from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainError
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, SchattenIndex, eig_hermitian, func_calc,
-                           haar_unitary, random_hermitian, schatten_norm,
+                           haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
+                           random_hermitian, schatten_norm,
                            schatten_norm_batch)
 from opcalc.seeding import rng_for
 
@@ -180,3 +181,45 @@ def test_func_calc_stack_domain_checked_per_matrix():
 def test_schatten_norm_rejects_stack():
     with pytest.raises(DimensionMismatch):
         schatten_norm(np.stack([np.eye(3)] * 2), 2)
+
+
+@pytest.mark.parametrize("mode", ["normalized", "counting"])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+def test_hermitian_norms_match_svd(p, mode):
+    rng = rng_for(7, "herm-norm")
+    stack = np.stack([random_hermitian(rng, 16, scale=s).data for s in (1.0, 1e-3, 40.0)]
+                     + [np.zeros((16, 16), complex)])
+    assert hermitian_members(stack).all()
+    got = hermitian_schatten_norm_batch(stack, p, mode)
+    ref = schatten_norm_batch(stack, p, mode)
+    assert got[-1] == ref[-1] == 0.0
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_hermitian_members_is_the_constructor_test():
+    stack = np.stack([np.eye(3)] * 3).astype(complex)
+    stack[1, 0, 2] = 1e-13  # rounding-sized: passes, as the constructor lets it
+    stack[2, 0, 2] = 1e-6
+    assert hermitian_members(stack).tolist() == [True, True, False]
+    HermitianOperator(stack[:2])
+    with pytest.raises(NonHermitianInput):
+        HermitianOperator(stack[2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hermitian_norms_reject_non_finite(bad):
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 2, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_schatten_norm_batch(stack, 1)
+
+
+def test_decomposition_apply():
+    h = random_hermitian(rng_for(8, "apply"), 6)
+    dec = eig_hermitian(h)
+    v = dec.eigenvectors
+    assert np.array_equal(dec.apply(lambda lam: np.exp(0.3j * lam)),
+                          (v * np.exp(0.3j * dec.eigenvalues)) @ v.conj().T)
+    assert np.max(np.abs(dec.apply(lambda lam: lam) - h.data)) <= 1e-14
+    with pytest.raises(SymbolDomainError), np.errstate(divide="ignore"):
+        dec.apply(lambda lam: 1.0 / (lam - lam[0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import opcalc.torus as tor
 from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch
-from opcalc.linalg import schatten_norm
+from opcalc.linalg import hermitian_schatten_norm_batch, schatten_norm, schatten_norm_batch
 from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
@@ -401,12 +401,21 @@ def test_lp_block_mode_localization(alg16):
         assert tor.lp_norm(tor.lp_block(const, j), 2) == 0.0
 
 
+def multiplier_lp_bound(symbol_values: np.ndarray) -> float:
+    """l1 norm of the lattice kernel: a uniform L_p -> L_p operator bound.
+
+    m(D) = sum_s kernel(s) T_{2 pi s / N} with unitary translations, so the
+    kernel l1 norm dominates every Schatten operator norm of the multiplier.
+    """
+    return float(np.sum(np.abs(np.fft.ifftn(symbol_values))))
+
+
 def test_lp_block_uniform_bound(alg16):
     lp = LPFilterFamily()
     x = tor.random_element(alg16, rng_for(25, "lpu"), band=7)
     for j in range(tor.block_count(alg16)):
         prof = lp.radial_profile(alg16.abs_k, j, homogeneous=False)
-        c_phi = tor.multiplier_lp_bound(alg16, prof)
+        c_phi = multiplier_lp_bound(prof)
         for p in (1, math.inf):
             assert tor.lp_norm(tor.lp_block(x, j), p) <= c_phi * tor.lp_norm(x, p) * (1 + 1e-12)
 
@@ -519,3 +528,97 @@ def test_realization_chunks_cover_the_stack(theta_num, count):
     assert np.array_equal(np.concatenate([idx[c] for c in chunks] + [idx[:0]]), idx)
     assert all(len(idx[c]) * alg.matrix_dim ** 2
                <= max(tor.REALIZATION_CHUNK_ENTRIES, alg.matrix_dim ** 2) for c in chunks)
+
+
+def _scatter_to_matrix_batch(alg, coeff_stack):
+    """Reference realization: zeros, then a fancy-index scatter of the entries."""
+    if alg.is_flat:
+        vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, alg.d + 1))) * (alg.N ** alg.d)
+        flat = vals.reshape(coeff_stack.shape[0], -1)
+        out = np.zeros((coeff_stack.shape[0], flat.shape[1], flat.shape[1]), dtype=np.complex128)
+        ii = np.arange(flat.shape[1])
+        out[:, ii, ii] = flat
+        return out
+    N, p = alg.N, alg.theta_num
+    f = np.fft.fft(coeff_stack * tor._weyl_phase(alg), axis=1)
+    a = np.arange(N)
+    cols = (a[:, None] - a[None, :]) % N
+    out = np.zeros((coeff_stack.shape[0], N, N), dtype=np.complex128)
+    out[:, a[:, None], cols] = f[:, (p * a) % N, :]
+    return out
+
+
+def _gather_from_matrix_batch(alg, stack):
+    """Reference recovery: a fancy-index gather of the diagonal offsets."""
+    if alg.is_flat:
+        vals = np.diagonal(stack, axis1=-2, axis2=-1).reshape((len(stack),) + alg.shape)
+        return np.fft.fftn(vals, axes=tuple(range(1, alg.d + 1))) / (alg.N ** alg.d)
+    N, p = alg.N, alg.theta_num
+    a = np.arange(N)
+    diag = stack[:, a[:, None], (a[:, None] - a[None, :]) % N]
+    g = np.fft.ifft(diag, axis=1)
+    return g[:, (p * a) % N, :] * np.conj(tor._weyl_phase(alg))
+
+
+@pytest.mark.parametrize("d,N,theta_num", [(2, 4, 1), (2, 4, 3), (2, 8, 1), (2, 8, 3),
+                                           (2, 16, 1), (2, 16, 3), (2, 32, 1), (2, 32, 3),
+                                           (2, 4, 0), (2, 8, 0), (2, 16, 0), (1, 32, 0)])
+def test_realization_matches_scatter_reference(d, N, theta_num):
+    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    rng = rng_for(N * 10 + theta_num, "gather")
+    coeffs = np.stack([tor.random_element(alg, rng, hermitian=False).coeffs for _ in range(3)])
+    mats = tor.to_matrix_batch(alg, coeffs)
+    assert mats.flags.writeable and mats.flags.c_contiguous
+    assert np.array_equal(mats, _scatter_to_matrix_batch(alg, coeffs))
+    dim = alg.matrix_dim
+    stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+    assert np.array_equal(tor.from_matrix_batch(alg, stack), _gather_from_matrix_batch(alg, stack))
+    assert np.array_equal(tor.from_matrix_batch(alg, mats), _gather_from_matrix_batch(alg, mats))
+
+
+def _exp_difference_stack(x, dirs, radii, m):
+    """Reference difference stack: one exp over (dir, radius) + mode grid."""
+    alg = x.algebra
+    phases = tor._pairing(alg, dirs)
+    full = phases[:, None, ...] * radii.reshape((1, -1) + (1,) * alg.d)
+    return (((np.exp(1j * full) - 1.0) ** m) * x.coeffs).reshape((-1,) + alg.shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d,N,theta_num", [(1, 16, 0), (2, 16, 1), (2, 32, 3), (3, 8, 0)])
+def test_difference_stack_matches_exp_reference(d, N, theta_num, m):
+    # both multipliers round the phase r <d, k>, whose size grows with r |k|,
+    # so the entries agree to a phase-rounding bound scaled by |x_k|
+    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    x = tor.random_element(alg, rng_for(N + d, "dstack"), decay=0.0)
+    dirs = tor.sphere_directions(d, 8)
+    radii = np.geomspace(1e-3, 8.0, 13)
+    got = tor._difference_stack(x, dirs, radii, m)
+    ref = _exp_difference_stack(x, dirs, radii, m)
+    assert got.shape == ref.shape == (len(dirs) * len(radii),) + alg.shape
+    k1 = sum(np.abs(g) for g in alg.k_grids)
+    r = np.tile(radii, len(dirs)).reshape((-1,) + (1,) * d)
+    bound = 1e-15 * m * 2.0 ** (m - 1) * (1.0 + r * k1) * np.abs(x.coeffs)
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+@pytest.mark.parametrize("p", [1, 3, math.inf])
+def test_lp_norm_batch_routes_hermitian_stacks_to_eigenvalues(alg16, p, monkeypatch):
+    rng = rng_for(40, "route")
+    xs = np.stack([tor.random_element(alg16, rng, band=5).coeffs for _ in range(4)])
+    mats = tor.to_matrix_batch(alg16, xs)
+    svd = schatten_norm_batch(mats, p)
+    # one non-Hermitian member sends the whole stack to the SVD
+    mixed = xs.copy()
+    mixed[2] = tor.random_element(alg16, rng, band=5, hermitian=False).coeffs
+    assert np.array_equal(tor.lp_norm_batch(alg16, mixed, p),
+                          schatten_norm_batch(tor.to_matrix_batch(alg16, mixed), p))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a Hermitian stack reached the SVD")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    got = tor.lp_norm_batch(alg16, xs, p)
+    assert np.array_equal(got, hermitian_schatten_norm_batch(mats, p))
+    assert got == pytest.approx(svd, rel=1e-13)
+    with pytest.raises(ValueError, match="finite"):
+        tor.lp_norm_batch(alg16, np.where(np.arange(4)[:, None, None] == 1, np.nan, xs), p)
