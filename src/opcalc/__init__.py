@@ -6,14 +6,14 @@ Core layers:
 - ``symbols`` / ``expr``: scalar symbols, divided differences, symbol norms,
   Littlewood-Paley filters, expression grammar
 - ``moi``: multiple operator integrals (Schur and binned forms), the Loewner
-  and perturbation identities, Hoelder-tuple selection
+  and perturbation identities
 - ``torus``: band-limited elements over a clock/shift matrix algebra,
   translations, derivations, differences, dyadic blocks, heat flow
 - ``besov``: quantum Besov norms in three equivalent forms plus the
   inequality, Meyer-decomposition and paraproduct harnesses
 - ``chain``: the operator chain-rule expansion and its verification
-- ``allen_cahn``: mild-solution solver with contraction, continuation,
-  smoothing and global-existence checks
+- ``allen_cahn``: mild-solution solver with contraction, continuation and
+  global-existence checks
 - ``cli`` / ``experiments``: seeded experiment runner with committed
   empirical-constant baselines
 """
@@ -21,8 +21,8 @@ Core layers:
 from .besov import BesovIndex, besov_difference_norm, besov_integral_norm, besov_multiplier_norm
 from .chain import DerivationSpec, ExpansionTerm, chain_rule_residual, expand
 from .expr import parse_symbol
-from .linalg import HermitianOperator, SchattenIndex, SpectralDecomposition, eig_hermitian, func_calc, schatten_norm
-from .moi import HoelderTuple, MOIOperands, moi_binned, moi_schur
+from .linalg import HermitianOperator, SpectralDecomposition, eig_hermitian, func_calc, schatten_norm
+from .moi import MOIOperands, moi_binned, moi_schur
 from .symbols import SmoothSymbol, divided_diff, divided_diff_tensor
 from .torus import TorusAlgebra, TorusElement
 
@@ -32,9 +32,9 @@ __all__ = [
     "BesovIndex", "besov_difference_norm", "besov_integral_norm", "besov_multiplier_norm",
     "DerivationSpec", "ExpansionTerm", "chain_rule_residual", "expand",
     "parse_symbol",
-    "HermitianOperator", "SchattenIndex", "SpectralDecomposition",
+    "HermitianOperator", "SpectralDecomposition",
     "eig_hermitian", "func_calc", "schatten_norm",
-    "HoelderTuple", "MOIOperands", "moi_binned", "moi_schur",
+    "MOIOperands", "moi_binned", "moi_schur",
     "SmoothSymbol", "divided_diff", "divided_diff_tensor",
     "TorusAlgebra", "TorusElement",
 ]

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm, block_norms
+from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm
 from .errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
-                     SymbolHypothesisError)
+                     SymbolHypothesisError, SymbolNotFinite)
 from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, localize
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm, lp_norm_batch
@@ -136,8 +136,9 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     Returns (Trajectory, report).  The report holds the per-sweep sup-L_p
     distances and the measured contraction factor; NoContraction is raised
     when the distances fail to decrease geometrically (the caller halves the
-    horizon), BlowUpDetected when a sweep leaves a non-finite iterate (its
-    distance would be non-finite) or the Besov ball escapes the threshold.
+    horizon), BlowUpDetected when F is non-finite on the spectrum of a finite
+    iterate, when a sweep leaves a non-finite iterate (its distance would be
+    non-finite) or when the Besov ball escapes the threshold.
     """
     alg = problem.u0.algebra
     horizon = problem.t_max if horizon is None else horizon
@@ -159,7 +160,10 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     distances = []
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
     for it in range(max_iter):
-        _duhamel_sweep(problem, u0c, problem.apply_F(coeffs), dt, out=new)
+        try:  # F(u) stays a temporary, freed before the next sweep builds its own
+            _duhamel_sweep(problem, u0c, problem.apply_F(coeffs), dt, out=new)
+        except SymbolNotFinite as err:
+            raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {it + 1}") from err
         if not np.isfinite(new).all():
             raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
         dist = float(np.max(_state_norms(alg, new - coeffs, problem.idx.p)))
@@ -243,16 +247,16 @@ def evolve(problem: ACProblem, segment_time: Optional[float] = None,
                       blow_up=blow_up, blow_up_time=blow_time, reports=reports)
 
 
-def strong_residual(traj: Trajectory, problem: ACProblem, skip_initial: int = 2):
+def strong_residual(traj: Trajectory, problem: ACProblem):
     """|| (u(t+h) - u(t-h))/2h - Laplacian u(t) - F(u(t)) ||_p per interior time.
 
-    Times closer than ``skip_initial`` steps to t = 0 are excluded (the
-    solution is strong only on the open interval).
+    Times closer than two steps to t = 0 are excluded (the solution is strong
+    only on the open interval).
     """
     alg = problem.u0.algebra
     dt = traj.times[1] - traj.times[0]
     lap = -alg.abs_k ** 2
-    first = max(1, skip_initial)
+    first = 2
     if first >= len(traj.times) - 1:
         return np.zeros(0), np.zeros(0)
     states = np.stack([s.coeffs for s in traj.states])
@@ -260,26 +264,6 @@ def strong_residual(traj: Trajectory, problem: ACProblem, skip_initial: int = 2)
     mid = states[first:-1]
     rhs = lap * mid + problem.apply_F(mid)
     return traj.times[first:-1], _state_norms(alg, du - rhs, problem.idx.p)
-
-
-def smoothing_report(traj: Trajectory, problem: ACProblem,
-                     alphas: Sequence[float]) -> dict:
-    """Besov norms over the alpha grid per time plus top-block decay ratios."""
-    rows = []
-    nb0 = block_norms(traj.states[0], 2.0)
-    # highest block with substantial initial energy (filter tails excluded)
-    occupied = np.nonzero(nb0 >= 0.01 * np.max(nb0))[0] if np.any(nb0 > 0) else np.array([0])
-    top = int(np.max(occupied))
-    top_energy0 = max(nb0[top], 1e-300)
-    top_ratios = []
-    for t, state in zip(traj.times, traj.states):
-        nb = block_norms(state, 2.0)
-        top_ratios.append(float(nb[top] / top_energy0))
-        for a in alphas:
-            rows.append({"t": float(t), "alpha": float(a),
-                         "norm": besov_multiplier_norm(state, BesovIndex(a, problem.idx.p, problem.idx.q))})
-    return {"rows": rows, "top_block": top, "top_ratios": np.asarray(top_ratios),
-            "times": traj.times}
 
 
 def global_existence_check(problem: ACProblem, c_lip_baseline: float,
@@ -312,33 +296,3 @@ def commutative_cross_check(problem: ACProblem, horizon: Optional[float] = None)
     tg, _ = picard_solve(replace(problem, f_route="grid"), horizon=horizon)
     diff = np.stack([a.coeffs - b.coeffs for a, b in zip(tm.states, tg.states)])
     return max(_state_norms(problem.u0.algebra, diff, 2.0).tolist())
-
-
-def export_checkpoints(traj: Trajectory, directory, every: int = 10, prefix: str = "state"):
-    """Element snapshots (torus text format) at every ``every``-th time step."""
-    import os
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i in range(0, len(traj.times), max(1, every)):
-        path = os.path.join(directory, f"{prefix}_t{traj.times[i]:.6f}.txt")
-        tor.save_element(traj.states[i], path)
-        paths.append(path)
-    return paths
-
-
-def export_trajectory_csv(traj: Trajectory, problem: ACProblem, path,
-                          alphas: Sequence[float] = ()):
-    """CSV rows (time, besov norm at s, extra alpha columns, blow-up flag)."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["time", f"besov_s{problem.idx.s:g}"]
-        header += [f"besov_s{a:g}" for a in alphas]
-        header += ["blow_up"]
-        w.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [f"{t:.12g}", f"{traj.besov_norms[i]:.12g}"]
-            for a in alphas:
-                row.append(f"{besov_multiplier_norm(traj.states[i], BesovIndex(a, problem.idx.p, problem.idx.q)):.12g}")
-            row.append("1" if traj.blow_up else "0")
-            w.writerow(row)

@@ -148,15 +148,6 @@ def commutative_collapse(terms: Sequence[ExpansionTerm]) -> dict:
     return out
 
 
-def export_expansion(terms: Sequence[ExpansionTerm]) -> str:
-    """Plain-text table (order, argument tuple, coefficient)."""
-    lines = ["order\targs\tcoeff"]
-    for t in terms:
-        args = ";".join("".join(str(v) for v in a) if len(a) > 1 else str(a[0]) for a in t.args)
-        lines.append(f"{t.order}\t{args}\t{t.coeff}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ class SymbolDomainError(OpcalcError):
     """Symbol undefined or not real where the calculus requires it."""
 
 
+class SymbolNotFinite(SymbolDomainError):
+    """Symbol value non-finite (undefined or overflowing) at an eigenvalue."""
+
+
 class SymbolHypothesisError(OpcalcError):
     """Symbol violates a structural hypothesis (e.g. F(0) != 0)."""
 
@@ -35,10 +39,6 @@ class DegenerateInput(OpcalcError):
 
 class NonUnitary(OpcalcError):
     """Conjugating matrix is not unitary to tolerance."""
-
-
-class InfeasibleExponents(OpcalcError):
-    """No admissible Hoelder tuple for the given smoothness parameters."""
 
 
 class ComplexityExceeded(OpcalcError):

@@ -436,9 +436,6 @@ def capture_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore, force
 # nonlinear estimate
 # ---------------------------------------------------------------------------
 
-_NL_METRICS = ("bound_ratio_max", "lip_ratio_max", "c_bound", "c_lip")
-
-
 def nonlinear_stats(cfg: ExperimentConfig):
     idx = besov_index(cfg)
     F = parse_symbol(cfg.expr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, SymbolDomainError
+from .errors import DimensionMismatch, NonHermitianInput, SymbolDomainError, SymbolNotFinite
 
 HERMITIAN_RTOL = 1e-12
 
@@ -114,33 +114,12 @@ class SpectralDecomposition:
         """V diag(fn(lambda)) V* for a scalar callable fn; no Hermitian claim."""
         vals = np.asarray(fn(self.eigenvalues), dtype=np.complex128)
         if not np.all(np.isfinite(vals)):
-            raise SymbolDomainError("symbol undefined (non-finite) at an eigenvalue")
+            raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
         v = self.eigenvectors
         return (v * vals) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class SchattenIndex:
-    """Exponent p in [1, inf]; math.inf is a valid value."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 1):
-            raise ValueError(f"Schatten exponent must satisfy p >= 1, got {self.p}")
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.p)
-
-    @property
-    def reciprocal(self) -> float:
-        return 0.0 if self.is_inf else 1.0 / self.p
-
-
 def _p_value(p) -> float:
-    if isinstance(p, SchattenIndex):
-        return p.p
     p = float(p)
     if not p >= 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
@@ -222,7 +201,7 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     dec = eig_hermitian(H)
     vals = np.asarray(fn(dec.eigenvalues))
     if not np.all(np.isfinite(vals)):
-        raise SymbolDomainError("symbol undefined (non-finite) at an eigenvalue")
+        raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
     if np.iscomplexobj(vals):
         scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
         if (np.max(np.abs(vals.imag), axis=-1) > 1e-12 * scale).any():
@@ -234,12 +213,11 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
                                           H.trace_mode)
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0,
-                     trace_mode: str = "normalized") -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianOperator:
     """Seeded GUE-style Hermitian matrix with operator norm about `scale`."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / (2.0 * math.sqrt(n))
-    return HermitianOperator(scale * h, trace_mode=trace_mode)
+    return HermitianOperator(scale * h)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

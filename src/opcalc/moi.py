@@ -2,44 +2,22 @@
 
 The exact eigenprojection (Schur) form, the binned discretization over
 intervals [l/m, (l+1)/m) (the Schur form with a bin-constant tensor), the
-Loewner identity, the anchor-perturbation formula and Hoelder-tuple
-selection for the chain-rule estimates.
+Loewner identity and the anchor-perturbation formula.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (ComplexityExceeded, DegenerateInput, DimensionMismatch,
-                     InfeasibleExponents, NonUnitary)
+from .errors import ComplexityExceeded, DegenerateInput, DimensionMismatch, NonUnitary
 from .linalg import (HermitianOperator, SpectralDecomposition, eig_hermitian,
                      func_calc, schatten_norm)
 from .symbols import SmoothSymbol, divided_diff_tensor
 
-DEFAULT_COST_CAP = 32 ** 5  # N^(n+2) flop proxy; default admits n<=3 at N<=32
-
-
-@dataclass(frozen=True)
-class HoelderTuple:
-    """Exponents (p_1..p_n; p) with sum 1/p_j = 1/p (1/inf = 0)."""
-
-    p_list: tuple
-    p: float
-
-    def __post_init__(self):
-        recs = [0.0 if math.isinf(q) else 1.0 / q for q in self.p_list]
-        target = 0.0 if math.isinf(self.p) else 1.0 / self.p
-        for q in tuple(self.p_list) + (self.p,):
-            if not q >= 1:
-                raise ValueError(f"Hoelder exponents must be >= 1, got {q}")
-        if abs(sum(recs) - target) > 1e-12:
-            raise ValueError(
-                f"not a Hoelder tuple: sum 1/p_j = {sum(recs)} vs 1/p = {target}"
-            )
+DEFAULT_COST_CAP = 32 ** 5  # N^(n+2) flop proxy; admits n<=3 at N<=32
 
 
 @dataclass(frozen=True)
@@ -76,12 +54,11 @@ class MOIOperands:
         return self.anchors[0].n
 
 
-def _check_cost(order: int, dim: int, cost_cap: Optional[int]):
-    cap = DEFAULT_COST_CAP if cost_cap is None else cost_cap
-    if dim ** (order + 2) > cap:
+def _check_cost(order: int, dim: int):
+    if dim ** (order + 2) > DEFAULT_COST_CAP:
         raise ComplexityExceeded(
             f"MOI order {order} at dimension {dim} costs ~{dim ** (order + 2):.2e} "
-            f"> cap {cap:.2e}; raise cost_cap to override"
+            f"> cap {DEFAULT_COST_CAP:.2e}"
         )
 
 
@@ -99,7 +76,7 @@ def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
 
 def moi_schur(F, ops: MOIOperands,
               decompositions: Optional[Sequence[SpectralDecomposition]] = None,
-              phi: Optional[np.ndarray] = None, cost_cap: Optional[int] = None) -> np.ndarray:
+              phi: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact finite-dimensional MOI in the eigenprojection (Schur) form.
 
     T(X_1..X_n) = sum F^[n](lam0_{i0},..,lamn_{in}) P0_{i0} X_1 P1_{i1} ... X_n Pn_{in}.
@@ -109,7 +86,7 @@ def moi_schur(F, ops: MOIOperands,
     precomputed spectra, e.g. to test basis independence under degeneracy.
     """
     n = ops.order
-    _check_cost(n, ops.dim, cost_cap)
+    _check_cost(n, ops.dim)
     decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
     if len(decs) != n + 1:
         raise DimensionMismatch("need one spectral decomposition per anchor")
@@ -127,7 +104,7 @@ def moi_schur(F, ops: MOIOperands,
     return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().T
 
 
-def moi_binned(F, ops: MOIOperands, m: int = 32, cost_cap: Optional[int] = None) -> np.ndarray:
+def moi_binned(F, ops: MOIOperands, m: int = 32) -> np.ndarray:
     """Binned MOI S_{phi,m}: spectral projections onto [l/m, (l+1)/m).
 
     A bin projection is the sum of its eigenprojections, so S_{phi,m} is the
@@ -137,7 +114,7 @@ def moi_binned(F, ops: MOIOperands, m: int = 32, cost_cap: Optional[int] = None)
     """
     if m < 1:
         raise ValueError("bin resolution m must be >= 1")
-    _check_cost(ops.order, ops.dim, cost_cap)
+    _check_cost(ops.order, ops.dim)
     decs, endpoints, members = [], [], []
     for a in ops.anchors:
         dec = eig_hermitian(a)
@@ -152,7 +129,7 @@ def moi_binned(F, ops: MOIOperands, m: int = 32, cost_cap: Optional[int] = None)
         members.append(inverse)
     # F^[n] once per occupied-bin tuple, repeated for every eigenvalue of the bin
     phi = divided_diff_tensor(F, endpoints)[np.ix_(*members)]
-    return moi_schur(F, ops, decompositions=decs, phi=phi, cost_cap=cost_cap)
+    return moi_schur(F, ops, decompositions=decs, phi=phi)
 
 
 def loewner_residual(F: SmoothSymbol, X: HermitianOperator, Y: HermitianOperator, p=2) -> float:
@@ -219,46 +196,3 @@ def homomorphism_commutation_residual(F, W: np.ndarray, ops: MOIOperands, p=2) -
     mode = ops.anchors[0].trace_mode
     return schatten_norm(W @ t @ W.conj().T - t2, p, mode)
 
-
-def select_hoelder_exponents(s: float, p: float, d: int, multiindices: Sequence[Sequence[int]]):
-    """Hoelder tuple (p_0..p_l; p) splitting derivative orders across slots.
-
-    p_0 = Kp/delta and p_k = Kp/(|a_k| - delta_k) with delta_k chosen so each
-    auxiliary smoothness s_k = |a_k| + eps_k + d/p - d/p_k stays below s.
-    Returns (HoelderTuple, report dict with delta_k, eps_k, s_k).
-    """
-    alphas = [np.asarray(a, dtype=int) for a in multiindices]
-    if any((a < 0).any() or a.sum() == 0 for a in alphas):
-        raise InfeasibleExponents("multi-indices must be nonzero and nonnegative")
-    K = int(sum(int(a.sum()) for a in alphas))
-    if math.isinf(p):
-        tup = HoelderTuple(tuple([math.inf] * (len(alphas) + 1)), math.inf)
-        return tup, {"delta": [0.0] * len(alphas), "eps": [0.0] * len(alphas),
-                     "s_aux": [s - 1] * len(alphas)}
-    if not s > d / p:
-        raise InfeasibleExponents(f"need s > d/p, got s={s}, d/p={d / p}")
-    if K > math.floor(s):
-        raise InfeasibleExponents(f"total order K={K} exceeds floor(s)={math.floor(s)}")
-    deltas, epss, s_aux = [], [], []
-    for a in alphas:
-        ak = float(a.sum())
-        cap = ak + (s - ak) * K * p / d - K
-        if cap <= 0:
-            raise InfeasibleExponents(f"no admissible delta for |alpha|={ak}")
-        delta_k = 0.5 * min(ak, cap)
-        # headroom for eps_k from the exact requirement s_k < s
-        head = s - ak - (K - ak + delta_k) * d / (K * p)
-        if head <= 0:
-            raise InfeasibleExponents(f"no admissible eps for |alpha|={ak}")
-        eps_k = 0.5 * head
-        deltas.append(delta_k)
-        epss.append(eps_k)
-    delta = sum(deltas)
-    p0 = K * p / delta
-    p_list = [p0] + [K * p / (float(a.sum()) - dk) for a, dk in zip(alphas, deltas)]
-    for a, dk, ek in zip(alphas, deltas, epss):
-        ak = float(a.sum())
-        pk = K * p / (ak - dk)
-        s_aux.append(ak + ek + d / p - d / pk)
-    tup = HoelderTuple(tuple(p_list), float(p))
-    return tup, {"delta": deltas, "eps": epss, "s_aux": s_aux}

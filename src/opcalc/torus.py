@@ -229,9 +229,6 @@ class TorusElement:
     def adjoint(self) -> "TorusElement":
         return TorusElement(self.algebra, _adjoint_coeffs(self.algebra, self.coeffs))
 
-    def norm(self, p) -> float:
-        return lp_norm(self, p)
-
 
 def _same_algebra(x: TorusElement, y: TorusElement):
     if x.algebra != y.algebra:
@@ -495,13 +492,18 @@ def apply_multiplier(x: TorusElement, symbol_values: np.ndarray) -> TorusElement
     return TorusElement(x.algebra, x.coeffs * symbol_values)
 
 
-def _pairing(algebra: TorusAlgebra, v: np.ndarray) -> np.ndarray:
-    """<v, k> over the mode grid for each row of a (..., d) array, summed over
-    the axes in order."""
-    lead = v.shape[:-1]
-    out = np.zeros(lead + algebra.shape)
-    for ax, g in enumerate(algebra.k_grids):
-        out = out + v[..., ax].reshape(lead + (1,) * algebra.d) * g
+def _shift_phase(algebra: TorusAlgebra, steps: np.ndarray) -> np.ndarray:
+    """e^{i<h,k>} over the mode grid for each step h of a (..., d) array.
+
+    The phase is the product over axes of e^{i h_ax k_ax}, so only (..., N)
+    phases are exponentiated.
+    """
+    lead = steps.shape[:-1]
+    out = None
+    for ax in range(algebra.d):
+        phase = np.exp(1j * steps[..., ax, None] * algebra.k_axis)
+        phase = phase.reshape(lead + (1,) * ax + (algebra.N,) + (1,) * (algebra.d - ax - 1))
+        out = phase if out is None else out * phase
     return out
 
 
@@ -510,7 +512,7 @@ def translate(x: TorusElement, s) -> TorusElement:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (x.algebra.d,):
         raise DimensionMismatch(f"shift must have {x.algebra.d} components")
-    return apply_multiplier(x, np.exp(1j * _pairing(x.algebra, s)))
+    return apply_multiplier(x, _shift_phase(x.algebra, s))
 
 
 def derive(x: TorusElement, j: int) -> TorusElement:
@@ -535,7 +537,7 @@ def difference_multiplier(algebra: TorusAlgebra, h, m: int) -> np.ndarray:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (algebra.d,):
         raise DimensionMismatch(f"step must have {algebra.d} components")
-    return (np.exp(1j * _pairing(algebra, h)) - 1.0) ** int(m)
+    return (_shift_phase(algebra, h) - 1.0) ** int(m)
 
 
 def difference(x: TorusElement, h, m: int = 1) -> TorusElement:
@@ -584,7 +586,7 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     realized matrix passes the Hermitian deviation test, from
     ``schatten_norm_batch`` (SVD) when any one fails it.
     """
-    pv = p.p if hasattr(p, "p") else float(p)
+    pv = float(p)
     if pv == 2.0:
         # Parseval: the modes are orthonormal in L2 of the normalized trace
         return np.linalg.norm(coeff_stack.reshape(coeff_stack.shape[0], -1), axis=1)
@@ -627,14 +629,10 @@ class AmplitudeSampling:
     n_rad: int = 32
 
 
-def amplitude(x: TorusElement, t: float, m: int, p, sampling: AmplitudeSampling = AmplitudeSampling()) -> float:
-    """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below."""
-    return float(amplitude_profile(x, [t], m, p, sampling)[0])
-
-
 def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
                       sampling: AmplitudeSampling = AmplitudeSampling()) -> np.ndarray:
-    """amplitude at each t of ``ts`` from one shared sample set.
+    """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below,
+    at each t of ``ts`` from one shared sample set.
 
     The sample set is the union over ts of the per-t radii, so the profile is
     monotone nondecreasing in t by construction.
@@ -658,52 +656,8 @@ def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
 
 def _difference_stack(x: TorusElement, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     """Coefficients of Delta_{r d}^m x for every (direction d, radius r) pair,
-    stacked direction-major.
-
-    The shift multiplier e^{i r <d, k>} is the product over axes of
-    e^{i r d_ax k_ax}, so only (dir, radius, N) phases are exponentiated.
-    """
-    alg = x.algebra
-    lead = (len(dirs), len(radii))
-    shift = None
-    for ax in range(alg.d):
-        phase = np.exp(1j * (dirs[:, ax, None] * radii)[..., None] * alg.k_axis)
-        phase = phase.reshape(lead + (1,) * ax + (alg.N,) + (1,) * (alg.d - ax - 1))
-        shift = phase if shift is None else shift * phase
-    mult = shift - 1.0
+    stacked direction-major."""
+    mult = _shift_phase(x.algebra, dirs[:, None, :] * radii[:, None]) - 1.0
     if m != 1:
         mult = mult ** m
-    return (mult * x.coeffs).reshape((-1,) + alg.shape)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_element(x: TorusElement, path):
-    """Text snapshot: header (d, N, theta, backend) + (k-vector, re, im) rows."""
-    alg = x.algebra
-    lines = [f"# opcalc torus element",
-             f"d={alg.d} N={alg.N} theta12={alg.theta[0, 1] if alg.d >= 2 else 0.0:.17g} backend={alg.backend}"]
-    grids = alg.k_grids
-    for idx in np.argwhere(np.abs(x.coeffs) > 0):
-        k = [int(grids[ax][tuple(idx)]) for ax in range(alg.d)]
-        v = x.coeffs[tuple(idx)]
-        lines.append(" ".join(str(c) for c in k) + f" {v.real:.17g} {v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_element(path) -> TorusElement:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = dict(part.split("=") for part in lines[0].split())
-    d, N = int(header["d"]), int(header["N"])
-    theta12 = float(header["theta12"])
-    alg = TorusAlgebra.make(d=d, N=N, theta_num=int(round(theta12 * N)), backend=header["backend"])
-    c = np.zeros(alg.shape, dtype=np.complex128)
-    for ln in lines[1:]:
-        parts = ln.split()
-        k = [int(v) for v in parts[:d]]
-        c[tuple(ki % N for ki in k)] = float(parts[d]) + 1j * float(parts[d + 1])
-    return TorusElement(alg, c)
+    return (mult * x.coeffs).reshape((-1,) + x.algebra.shape)

@@ -1,16 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import opcalc.torus as tor
-from opcalc.allen_cahn import (ACProblem, Trajectory, commutative_cross_check,
-                               contraction_time, evolve, export_trajectory_csv,
-                               global_existence_check, picard_solve, smoothing_report,
-                               strong_residual)
-from opcalc.besov import BesovIndex, besov_multiplier_norm
+from opcalc.allen_cahn import (ACProblem, commutative_cross_check, contraction_time, evolve,
+                               global_existence_check, picard_solve, strong_residual)
+from opcalc.besov import BesovIndex, block_norms
 from opcalc.errors import (BlowUpDetected, HypothesisViolation, NoContraction,
-                           SymbolHypothesisError)
+                           SymbolHypothesisError, SymbolNotFinite)
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, func_calc
 from opcalc.seeding import rng_for
@@ -145,17 +144,22 @@ def test_evolve_halving_recovers_from_large_segment(alg):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_non_finite_iterate_is_a_blow_up():
-    # F(u) = u^4 overflows at u = 1e100: the first sweep leaves inf/NaN states,
-    # which must not pass for a converged fixed point
+    # F(u) = u^4 overflows at u = 1e100: the grid route's first sweep leaves
+    # inf/NaN states, the matrix route's functional calculus meets F = inf at
+    # a finite eigenvalue; neither may pass for a converged fixed point
     algc = tor.TorusAlgebra.make(d=2, N=4, theta_num=0, backend="commutative")
     prob = ACProblem(u0=1e100 * tor.unit_element(algc), F=parse_symbol("x**4"), idx=IDX,
                      t_max=0.01, dt=1e-3)
     with pytest.raises(BlowUpDetected, match="non-finite Picard iterate in sweep 1"):
-        picard_solve(prob)
-    traj = evolve(prob, segment_time=0.01)
-    assert traj.blow_up
-    assert traj.blow_up_time == pytest.approx(0.01)
-    assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
+        picard_solve(replace(prob, f_route="grid"))
+    with pytest.raises(BlowUpDetected, match="in sweep 1") as err:
+        picard_solve(replace(prob, f_route="matrix"))
+    assert isinstance(err.value.__cause__, SymbolNotFinite)
+    for route in ("grid", "matrix"):
+        traj = evolve(replace(prob, f_route=route), segment_time=0.01)
+        assert traj.blow_up
+        assert traj.blow_up_time == pytest.approx(0.01)
+        assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
 
 
 def test_evolve_blow_up_riccati():
@@ -190,21 +194,18 @@ def test_strong_residual_heat_flow(alg):
 
 
 def test_smoothing_report(u0):
+    # the highest dyadic block with substantial initial energy decays below
+    # its t = 0 value after a few steps
     prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.1, dt=2e-3)
     traj = evolve(prob, segment_time=0.1)
-    rep = smoothing_report(traj, prob, alphas=(2.0, 2.5))
-    norms0 = [row["norm"] for row in rep["rows"] if row["t"] == 0.0]
-    assert all(np.isfinite(v) for v in (row["norm"] for row in rep["rows"]))
-    assert norms0[0] == pytest.approx(
-        besov_multiplier_norm(u0, BesovIndex(2.0, 2, 2)), rel=1e-12)
-    # top dyadic block decays relative to t = 0 after a few steps
-    late = rep["top_ratios"][rep["times"] >= 10 * prob.dt]
-    assert np.all(late < 1.0)
+    nb0 = block_norms(traj.states[0], 2.0)
+    top = int(np.max(np.nonzero(nb0 >= 0.01 * np.max(nb0))[0]))
+    late = [block_norms(s, 2.0)[top] for t, s in zip(traj.times, traj.states) if t >= 10 * prob.dt]
+    assert late and max(late) < nb0[top]
 
 
 def test_heat_block_decay_bound(u0, alg):
     # heat flow damps block j at least by exp(-t 4^{j-1}) (annulus lower edge)
-    from opcalc.besov import block_norms
     t = 0.2
     nb0 = block_norms(u0, 2.0)
     nbt = block_norms(tor.heat(u0, t), 2.0)
@@ -246,26 +247,6 @@ def test_commutative_cross_check_small(alg):
     with pytest.raises(HypothesisViolation):
         commutative_cross_check(ACProblem(u0=tor.random_element(alg, rng_for(3, "cc"), band=3),
                                           F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3))
-
-
-def test_trajectory_csv_export(tmp_path, u0):
-    prob = ACProblem(u0=u0, F=parse_symbol("0*x"), idx=IDX, t_max=0.05, dt=5e-3)
-    traj, _ = picard_solve(prob)
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, prob, path, alphas=(2.0,))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,besov_s1.5,besov_s2,blow_up"
-    assert len(lines) == len(traj.times) + 1
-
-
-def test_checkpoint_snapshots(tmp_path, u0):
-    from opcalc.allen_cahn import export_checkpoints
-    prob = ACProblem(u0=u0, F=parse_symbol("0*x"), idx=IDX, t_max=0.05, dt=5e-3)
-    traj, _ = picard_solve(prob)
-    paths = export_checkpoints(traj, tmp_path / "snaps", every=5)
-    assert len(paths) >= 2
-    loaded = tor.load_element(paths[0])
-    assert np.max(np.abs(loaded.coeffs - traj.states[0].coeffs)) <= 1e-16
 
 
 def _per_state_picard(problem, horizon, initial, max_iter=40, tol=1e-10):

@@ -7,7 +7,7 @@ import pytest
 import opcalc.torus as tor
 from opcalc.chain import (DerivationSpec, ExpansionTerm, chain_rule_residual,
                           commutative_collapse, evaluate_expansion, expand,
-                          export_expansion, faa_di_bruno_weights)
+                          faa_di_bruno_weights)
 from opcalc.errors import BandOverflow
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, random_hermitian
@@ -89,12 +89,6 @@ def test_commutative_weights_match_set_partitions(K):
 def test_faa_di_bruno_against_enumeration():
     for K in (1, 2, 3, 4, 5):
         assert faa_di_bruno_weights(K) == brute_set_partition_counts(K)
-
-
-def test_export_expansion_table():
-    text = export_expansion(expand((2,)))
-    assert "order" in text.splitlines()[0]
-    assert len(text.splitlines()) == 3
 
 
 def test_evaluate_square_first_order():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,3 +238,16 @@ def test_baseline_store_missing_key():
     store = BaselineStore(data={})
     with pytest.raises(MissingBaseline):
         store.get("abc", "metric")
+
+
+def test_readme_library_example_runs():
+    # the documented public API: README's "Library example" block must run
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainError
+from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainError, SymbolNotFinite
 from opcalc.expr import parse_symbol
-from opcalc.linalg import (HermitianOperator, SchattenIndex, eig_hermitian, func_calc,
+from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
                            haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
                            random_hermitian, schatten_norm,
                            schatten_norm_batch)
@@ -103,8 +103,8 @@ def test_schatten_batch_rejects_unknown_trace_mode():
 
 def test_schatten_index_validation():
     with pytest.raises(ValueError):
-        SchattenIndex(0.5)
-    assert SchattenIndex(math.inf).is_inf
+        schatten_norm(np.eye(3), 0.5)
+    assert schatten_norm(np.eye(3), math.inf) == 1.0
 
 
 def test_func_calc_identity_and_square():
@@ -134,7 +134,7 @@ def test_func_calc_rejects_domain_violation():
     def bad(x):
         return np.where(x < 0, np.nan, x)
 
-    with pytest.raises(SymbolDomainError):
+    with pytest.raises(SymbolNotFinite):
         func_calc(h, bad)
 
 
@@ -174,8 +174,9 @@ def test_stack_with_non_hermitian_member_raises():
 
 def test_func_calc_stack_domain_checked_per_matrix():
     stack = np.stack([np.eye(2), -np.eye(2)]).astype(complex)
-    with pytest.raises(SymbolDomainError):
+    with pytest.raises(SymbolDomainError) as err:
         func_calc(stack, lambda x: np.sqrt(x.astype(complex)))  # imaginary on the second
+    assert not isinstance(err.value, SymbolNotFinite)
 
 
 def test_schatten_norm_rejects_stack():
