@@ -20,7 +20,8 @@ import numpy as np
 from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm
 from .errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
                      SymbolHypothesisError, SymbolNotFinite)
-from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, localize
+from .linalg import real_symbol_values
+from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm, lp_norm_batch
 
@@ -36,7 +37,6 @@ class ACProblem:
     dt: float = 1e-3
     delta: float = 1.0
     blow_up_threshold: Optional[float] = None
-    n_smooth: Optional[int] = None
     f_route: str = "auto"  # matrix | grid | auto
 
     def __post_init__(self):
@@ -47,10 +47,7 @@ class ACProblem:
             raise SymbolHypothesisError(f"need F(0) = 0, got {f0}")
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        # smallest smoothness order compatible with d/p < s <= n
-        n = min(max(1, math.ceil(self.idx.s)), self.F.max_order) if self.n_smooth is None else self.n_smooth
-        object.__setattr__(self, "n_smooth", n)
-        d, p, s = self.u0.algebra.d, self.idx.p, self.idx.s
+        d, p, s, n = self.u0.algebra.d, self.idx.p, self.idx.s, self.n_smooth
         if not (d / p < s <= n):
             raise HypothesisViolation(f"need d/p < s <= n: d/p={d / p}, s={s}, n={n}")
         if self.f_route == "auto":
@@ -60,15 +57,26 @@ class ACProblem:
             object.__setattr__(self, "blow_up_threshold",
                                1e3 * max(besov_multiplier_norm(self.u0, self.idx), 1e-12))
 
+    @property
+    def n_smooth(self) -> int:
+        """Smallest smoothness order compatible with d/p < s <= n."""
+        return min(max(1, math.ceil(self.idx.s)), self.F.max_order)
+
     def apply_F(self, coeff_stack: np.ndarray) -> np.ndarray:
-        """F(u) for every state of a (T,) + shape coefficient stack."""
+        """F(u) for every state of a (T,) + shape coefficient stack.
+
+        Both routes test F's values with ``real_symbol_values``: on the
+        spectrum of each realized state (matrix), or on each state's grid
+        values, its spectrum at theta = 0 (grid).
+        """
         alg = self.u0.algebra
         if self.f_route == "grid":
             if not alg.is_flat:
                 raise BackendMismatch("grid values require theta = 0")
             axes, size = tuple(range(1, alg.d + 1)), alg.N ** alg.d
-            vals = np.fft.ifftn(coeff_stack, axes=axes) * size
-            return np.fft.fftn(np.asarray(self.F(vals.real), dtype=np.complex128), axes=axes) / size
+            vals = (np.fft.ifftn(coeff_stack, axes=axes) * size).real
+            fvals = real_symbol_values(self.F(vals.reshape(len(vals), -1))).reshape(vals.shape)
+            return np.fft.fftn(np.asarray(fvals, dtype=np.complex128), axes=axes) / size
         return apply_symbol_batch(self.F, alg, coeff_stack)
 
 
@@ -96,8 +104,7 @@ def contraction_time(problem: ACProblem, c_bound: float, c_lip: float) -> float:
     """
     m_window = lp_norm(problem.u0, math.inf) + problem.delta
     floc = localize(problem.F, BumpLocalizer(m_window))
-    n = min(problem.n_smooth, problem.F.max_order)
-    norm_loc = cb_norm(floc, n, window=(-2 * m_window, 2 * m_window))
+    norm_loc = cb_norm(floc, problem.n_smooth, window=(-2 * m_window, 2 * m_window))
     if norm_loc == 0.0:
         return problem.t_max
     return 1.0 / (max(c_bound, 2.0 * c_lip) * norm_loc)
@@ -195,17 +202,16 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     return traj, report
 
 
-def evolve(problem: ACProblem, segment_time: Optional[float] = None,
-           c_bound: float = 1.0, c_lip: float = 1.0) -> Trajectory:
+def evolve(problem: ACProblem, segment_time: float) -> Trajectory:
     """Continuation: restart Picard from u(T) until t_max or blow-up.
 
-    On NoContraction the segment is halved; on BlowUpDetected the trajectory
-    is flagged with the norm-escape time (limsup-style detector: threshold
-    crossing with increasing log-norm trend).  ``reports`` holds each accepted
-    segment's horizon, Picard sweeps, contraction factor and distances, and
-    the number of segment halvings.
+    Segments start at ``segment_time`` (the caller's contraction horizon,
+    e.g. ``contraction_time``).  On NoContraction the segment is halved; on
+    BlowUpDetected the trajectory is flagged with the norm-escape time
+    (limsup-style detector: threshold crossing with increasing log-norm
+    trend).  ``reports`` holds each accepted segment's horizon, Picard sweeps,
+    contraction factor and distances, and the number of segment halvings.
     """
-    alg = problem.u0.algebra
     t_accum = 0.0
     all_times = [np.array([0.0])]
     all_states = [[problem.u0]]
@@ -213,7 +219,7 @@ def evolve(problem: ACProblem, segment_time: Optional[float] = None,
     current = problem.u0
     blow_up = False
     blow_time = None
-    seg = segment_time if segment_time is not None else contraction_time(problem, c_bound, c_lip)
+    seg = segment_time
     reports = {"segments": [], "halvings": 0}
     segments = 0
     while t_accum < problem.t_max - 1e-12 and segments < 10000:
@@ -267,13 +273,10 @@ def strong_residual(traj: Trajectory, problem: ACProblem):
 
 
 def global_existence_check(problem: ACProblem, c_lip_baseline: float,
-                           lip_norm: Optional[float] = None,
-                           segment_time: Optional[float] = None) -> dict:
+                           segment_time: float) -> dict:
     """Run to t_max under the Gronwall envelope ||u0|| exp(C t)."""
-    from .symbols import lipschitz_norm as lip_fn
-    lip = lip_fn(problem.F) if lip_norm is None else lip_norm
     traj = evolve(problem, segment_time=segment_time)
-    c_hat = c_lip_baseline * lip
+    c_hat = c_lip_baseline * lipschitz_norm(problem.F)
     base = besov_multiplier_norm(problem.u0, problem.idx)
     envelope = base * np.exp(c_hat * traj.times)
     margin = traj.besov_norms / np.maximum(envelope, 1e-300)

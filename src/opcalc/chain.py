@@ -211,11 +211,9 @@ def chain_rule_residual(F: SmoothSymbol, u, beta: Sequence[int],
                 "shrink the band or the polynomial degree"
             )
         lhs = tor.to_matrix(tor.derive_multi(fu, beta))
-        trace_mode = "normalized"
     else:
         x = func_calc(u if isinstance(u, HermitianOperator) else HermitianOperator(u), F)
         lhs = _apply_derivation(x, beta, derivation)
-        trace_mode = "normalized"
     rhs = evaluate_expansion(F, u, terms, derivation)
-    scale = 1.0 + schatten_norm(lhs, 2, trace_mode) + schatten_norm(rhs, 2, trace_mode)
-    return schatten_norm(lhs - rhs, 2, trace_mode) / scale
+    scale = 1.0 + schatten_norm(lhs, 2) + schatten_norm(rhs, 2)
+    return schatten_norm(lhs - rhs, 2) / scale

@@ -322,8 +322,9 @@ def _kinks(node: Node):
     return pts
 
 
-def parse_symbol(text: str, window=(-4.0, 4.0), max_order: int = 6) -> SmoothSymbol:
-    """Build a SmoothSymbol with symbolic derivatives from an expression."""
+def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
+    """Build a SmoothSymbol with symbolic derivatives from an expression,
+    sanity-checked on the window [-4, 4]."""
     tree = _Parser(text).parse()
     coeffs = _poly_coeffs(tree)
     kinks = _kinks(tree)
@@ -338,7 +339,7 @@ def parse_symbol(text: str, window=(-4.0, 4.0), max_order: int = 6) -> SmoothSym
         func=make(tree),
         derivs=tuple(make(nd) for nd in nodes[1:]),
         max_order=max_order,
-        window=tuple(window),
+        window=(-4.0, 4.0),
         poly_coeffs=tuple(coeffs) if coeffs is not None else None,
         kinks=tuple(kinks) if kinks else (),
         name=text,

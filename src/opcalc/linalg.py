@@ -1,14 +1,16 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition, functional calculus and Schatten norms under either the
-normalized trace (tr/n, the fuzzy-torus convention) or the counting trace.
-The spectral kernel takes stacks: ``HermitianOperator``, ``eig_hermitian``
-and ``func_calc`` accept one (n, n) matrix or a (..., n, n) stack, so a whole
-Picard sweep is one batched functional calculus.  ``schatten_norm`` takes one
+Eigendecomposition, functional calculus and Schatten norms under the
+normalized trace tr/n, the trace of the noncommutative torus (its unit has
+norm 1 at every lattice size).  The spectral kernel takes stacks:
+``HermitianOperator``, ``eig_hermitian`` and ``func_calc`` accept one (n, n)
+matrix or a (..., n, n) stack, so a whole Picard sweep is one batched
+functional calculus.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
 from an SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
 singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
+Every V diag(f(lambda)) V* is built by ``spectral_product``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonHermitianInput, SymbolDomainError, SymbolNotFinite
 
 HERMITIAN_RTOL = 1e-12
-
-_TRACE_MODES = ("normalized", "counting")
 
 
 def _as_square(data, stack: bool = False) -> np.ndarray:
@@ -58,20 +58,16 @@ def hermitian_members(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix, or (..., n, n) stack of them, plus the trace
-    convention used for its norms.
+    """Hermitian matrix, or (..., n, n) stack of them.
 
     Each matrix is tested on its own relative Frobenius deviation from its
     adjoint and stored symmetrized.
     """
 
     data: np.ndarray
-    trace_mode: str = "normalized"
 
     def __post_init__(self):
         a = _as_square(self.data, stack=True)
-        if self.trace_mode not in _TRACE_MODES:
-            raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
         adj = a.swapaxes(-1, -2).conj()
         bad, dev, scale = _hermitian_defects(a, adj)
         if bad.any():
@@ -87,16 +83,15 @@ class HermitianOperator:
         return self.data.shape[-1]
 
     @classmethod
-    def _symmetrized(cls, data: np.ndarray, trace_mode: str) -> "HermitianOperator":
+    def _symmetrized(cls, data: np.ndarray) -> "HermitianOperator":
         """Operator for a result that is Hermitian by construction: stored
         symmetrized as the constructor stores it, without the deviation test."""
         op = object.__new__(cls)
         object.__setattr__(op, "data", 0.5 * (data + data.swapaxes(-1, -2).conj()))
-        object.__setattr__(op, "trace_mode", trace_mode)
         return op
 
     def norm(self, p) -> float:
-        return schatten_norm(self.data, p, self.trace_mode)
+        return schatten_norm(self.data, p)
 
 
 @dataclass(frozen=True)
@@ -107,16 +102,40 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return spectral_product(self.eigenvectors, self.eigenvalues)
 
     def apply(self, fn) -> np.ndarray:
         """V diag(fn(lambda)) V* for a scalar callable fn; no Hermitian claim."""
         vals = np.asarray(fn(self.eigenvalues), dtype=np.complex128)
-        if not np.all(np.isfinite(vals)):
-            raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
-        v = self.eigenvectors
-        return (v * vals) @ v.conj().T
+        _check_finite(vals)
+        return spectral_product(self.eigenvectors, vals)
+
+
+def spectral_product(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V* for eigenvector columns V (n, n) and values (n,), or
+    for (..., n, n) and (..., n) stacks of them."""
+    return (v * vals[..., None, :]) @ v.swapaxes(-1, -2).conj()
+
+
+def _check_finite(vals: np.ndarray) -> None:
+    if not np.all(np.isfinite(vals)):
+        raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
+
+
+def real_symbol_values(vals) -> np.ndarray:
+    """Real part of a symbol's values on spectra (one spectrum along the last
+    axis), after testing that they are real-valued.
+
+    A spectrum whose values have an imaginary part above 1e-12 max(1, max |F|)
+    raises ``SymbolDomainError``.
+    """
+    vals = np.asarray(vals)
+    if np.iscomplexobj(vals):
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+        if (np.max(np.abs(vals.imag), axis=-1) > 1e-12 * scale).any():
+            raise SymbolDomainError("symbol is not real-valued on the spectrum")
+        vals = vals.real
+    return vals
 
 
 def _p_value(p) -> float:
@@ -137,16 +156,15 @@ def eig_hermitian(H: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _checked_schatten_args(a: np.ndarray, p, trace_mode: str) -> float:
+def _checked_schatten_args(a: np.ndarray, p) -> float:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if trace_mode not in _TRACE_MODES:
-        raise ValueError(f"trace_mode must be one of {_TRACE_MODES}")
     return _p_value(p)
 
 
-def _norm_from_sigma(sigma: np.ndarray, pv: float, trace_mode: str) -> np.ndarray:
-    """Schatten norm from the singular values along the last axis, in any order.
+def _norm_from_sigma(sigma: np.ndarray, pv: float) -> np.ndarray:
+    """Normalized-trace Schatten norm from the singular values along the last
+    axis, in any order.
 
     They come from an SVD, or, for a Hermitian stack, as the absolute
     eigenvalues.
@@ -154,38 +172,40 @@ def _norm_from_sigma(sigma: np.ndarray, pv: float, trace_mode: str) -> np.ndarra
     largest = np.max(sigma, axis=-1)
     if math.isinf(pv):
         return largest
-    w = 1.0 / sigma.shape[-1] if trace_mode == "normalized" else 1.0
+    w = 1.0 / sigma.shape[-1]
     # scale out the largest singular value to avoid overflow at large p
     top = np.maximum(largest, 1e-300)[..., None]
     out = top[..., 0] * (np.sum((sigma / top) ** pv, axis=-1) * w) ** (1.0 / pv)
     return np.where(largest == 0.0, 0.0, out)
 
 
-def schatten_norm(A, p, trace_mode: str = "normalized") -> float:
-    """(sum_i sigma_i^p * w)^(1/p), w = 1/n for the normalized trace.
+def schatten_norm(A, p) -> float:
+    """(sum_i sigma_i^p / n)^(1/p), the Schatten norm of the normalized trace.
 
     p = inf returns the largest singular value (no weight).
     """
     a = _as_square(A)
-    pv = _checked_schatten_args(a, p, trace_mode)
-    return float(_norm_from_sigma(np.linalg.svd(a, compute_uv=False), pv, trace_mode))
+    pv = _checked_schatten_args(a, p)
+    return float(_norm_from_sigma(np.linalg.svd(a, compute_uv=False), pv))
 
 
-def schatten_norm_batch(stack: np.ndarray, p, trace_mode: str = "normalized") -> np.ndarray:
+def schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:
     """schatten_norm over the leading axis of a (m, n, n) stack."""
-    pv = _checked_schatten_args(stack, p, trace_mode)
-    return _norm_from_sigma(np.linalg.svd(stack, compute_uv=False), pv, trace_mode)
+    stack = _as_square(stack, stack=True)
+    pv = _checked_schatten_args(stack, p)
+    return _norm_from_sigma(np.linalg.svd(stack, compute_uv=False), pv)
 
 
-def hermitian_schatten_norm_batch(stack: np.ndarray, p, trace_mode: str = "normalized") -> np.ndarray:
+def hermitian_schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:
     """schatten_norm_batch for a stack of Hermitian matrices: the singular
     values are the absolute eigenvalues, so ``eigvalsh`` replaces the SVD.
 
     The caller vouches for Hermiticity (``hermitian_members``); only the lower
     triangle of each matrix is read.
     """
-    pv = _checked_schatten_args(stack, p, trace_mode)
-    return _norm_from_sigma(np.abs(np.linalg.eigvalsh(stack)), pv, trace_mode)
+    stack = _as_square(stack, stack=True)
+    pv = _checked_schatten_args(stack, p)
+    return _norm_from_sigma(np.abs(np.linalg.eigvalsh(stack)), pv)
 
 
 def func_calc(H: HermitianOperator, F) -> HermitianOperator:
@@ -197,27 +217,18 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
-    fn = F if callable(F) else F.__call__
     dec = eig_hermitian(H)
-    vals = np.asarray(fn(dec.eigenvalues))
-    if not np.all(np.isfinite(vals)):
-        raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
-    if np.iscomplexobj(vals):
-        scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
-        if (np.max(np.abs(vals.imag), axis=-1) > 1e-12 * scale).any():
-            raise SymbolDomainError("symbol is not real-valued on the spectrum")
-        vals = vals.real
-    v = dec.eigenvectors
+    vals = np.asarray(F(dec.eigenvalues))
+    _check_finite(vals)
+    vals = real_symbol_values(vals)
     # V diag(F(lambda)) V* with unitary V is Hermitian up to rounding
-    return HermitianOperator._symmetrized((v * vals[..., None, :]) @ v.swapaxes(-1, -2).conj(),
-                                          H.trace_mode)
+    return HermitianOperator._symmetrized(spectral_product(dec.eigenvectors, vals))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianOperator:
-    """Seeded GUE-style Hermitian matrix with operator norm about `scale`."""
+def random_hermitian(rng: np.random.Generator, n: int) -> HermitianOperator:
+    """Seeded GUE-style Hermitian matrix with operator norm about 1."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / (2.0 * math.sqrt(n))
-    return HermitianOperator(scale * h)
+    return HermitianOperator((g + g.conj().T) / (2.0 * math.sqrt(n)))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

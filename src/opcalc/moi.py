@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ComplexityExceeded, DegenerateInput, DimensionMismatch, NonUnitary
 from .linalg import (HermitianOperator, SpectralDecomposition, eig_hermitian,
-                     func_calc, schatten_norm)
+                     func_calc, schatten_norm, spectral_product)
 from .symbols import SmoothSymbol, divided_diff_tensor
 
 DEFAULT_COST_CAP = 32 ** 5  # N^(n+2) flop proxy; admits n<=3 at N<=32
@@ -96,8 +96,7 @@ def moi_schur(F, ops: MOIOperands,
     if phi.shape != tuple(len(d.eigenvalues) for d in decs):
         raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
     if n == 0:
-        v = decs[0].eigenvectors
-        return (v * phi) @ v.conj().T
+        return spectral_product(decs[0].eigenvectors, phi)
     rotated = [decs[j].eigenvectors.conj().T @ ops.arguments[j] @ decs[j + 1].eigenvectors
                for j in range(n)]
     core = _contract(phi, rotated)
@@ -132,24 +131,24 @@ def moi_binned(F, ops: MOIOperands, m: int = 32) -> np.ndarray:
     return moi_schur(F, ops, decompositions=decs, phi=phi)
 
 
-def loewner_residual(F: SmoothSymbol, X: HermitianOperator, Y: HermitianOperator, p=2) -> float:
-    """|| F(X) - F(Y) - T^{X,Y}_{F^[1]}(X - Y) ||_p."""
+def loewner_residual(F: SmoothSymbol, X: HermitianOperator, Y: HermitianOperator) -> float:
+    """|| F(X) - F(Y) - T^{X,Y}_{F^[1]}(X - Y) ||_2."""
     X = X if isinstance(X, HermitianOperator) else HermitianOperator(X)
-    Y = Y if isinstance(Y, HermitianOperator) else HermitianOperator(Y, trace_mode=X.trace_mode)
+    Y = Y if isinstance(Y, HermitianOperator) else HermitianOperator(Y)
     if X.n != Y.n:
         raise DimensionMismatch("X and Y must share dimension")
     fx = func_calc(X, F).data
     fy = func_calc(Y, F).data
     ops = MOIOperands(anchors=(X, Y), arguments=(X.data - Y.data,))
     t = moi_schur(F, ops)
-    return schatten_norm(fx - fy - t, p, X.trace_mode)
+    return schatten_norm(fx - fy - t, 2)
 
 
 def perturbation_residual(F: SmoothSymbol, slot: int, A: HermitianOperator, B: HermitianOperator,
-                          anchors: Sequence, arguments: Sequence, p=2) -> float:
+                          anchors: Sequence, arguments: Sequence) -> float:
     """Residual of the anchor-perturbation formula at the given slot.
 
-    || T^{..A..}(X) - T^{..B..}(X) - T^{..A,B..}(X_1..X_slot, A-B, X_{slot+1}..X_n) ||_p
+    || T^{..A..}(X) - T^{..B..}(X) - T^{..A,B..}(X_1..X_slot, A-B, X_{slot+1}..X_n) ||_2
     with A placed at anchor position ``slot`` (0-based among n+1 anchors).
     """
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
@@ -167,32 +166,30 @@ def perturbation_residual(F: SmoothSymbol, slot: int, A: HermitianOperator, B: H
     anchors_ab = anchors[:slot] + [A, B] + anchors[slot:]
     args_ab = list(arguments[:slot]) + [A.data - B.data] + list(arguments[slot:])
     rhs = moi_schur(F, MOIOperands(tuple(anchors_ab), tuple(args_ab)))
-    trace_mode = anchors_a[0].trace_mode
-    return schatten_norm(lhs - rhs, p, trace_mode)
+    return schatten_norm(lhs - rhs, 2)
 
 
 def lipschitz_ratio(F, X: HermitianOperator, Y: HermitianOperator, p=2) -> float:
     """|| F(X) - F(Y) ||_p / || X - Y ||_p."""
     X = X if isinstance(X, HermitianOperator) else HermitianOperator(X)
-    Y = Y if isinstance(Y, HermitianOperator) else HermitianOperator(Y, trace_mode=X.trace_mode)
-    denom = schatten_norm(X.data - Y.data, p, X.trace_mode)
+    Y = Y if isinstance(Y, HermitianOperator) else HermitianOperator(Y)
+    denom = schatten_norm(X.data - Y.data, p)
     if denom == 0.0:
         raise DegenerateInput("X == Y")
-    num = schatten_norm(func_calc(X, F).data - func_calc(Y, F).data, p, X.trace_mode)
+    num = schatten_norm(func_calc(X, F).data - func_calc(Y, F).data, p)
     return num / denom
 
 
-def homomorphism_commutation_residual(F, W: np.ndarray, ops: MOIOperands, p=2) -> float:
-    """|| W T(ops) W* - T(conjugated ops) ||_p for the *-endomorphism W . W*."""
+def homomorphism_commutation_residual(F, W: np.ndarray, ops: MOIOperands) -> float:
+    """|| W T(ops) W* - T(conjugated ops) ||_2 for the *-endomorphism W . W*."""
     W = np.asarray(W, dtype=np.complex128)
     if np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0])) > 1e-10:
         raise NonUnitary("W is not unitary to 1e-10")
     t = moi_schur(F, ops)
     conj_ops = MOIOperands(
-        anchors=tuple(HermitianOperator(W @ a.data @ W.conj().T, a.trace_mode) for a in ops.anchors),
+        anchors=tuple(HermitianOperator(W @ a.data @ W.conj().T) for a in ops.anchors),
         arguments=tuple(W @ x @ W.conj().T for x in ops.arguments),
     )
     t2 = moi_schur(F, conj_ops)
-    mode = ops.anchors[0].trace_mode
-    return schatten_norm(W @ t @ W.conj().T - t2, p, mode)
+    return schatten_norm(W @ t @ W.conj().T - t2, 2)
 

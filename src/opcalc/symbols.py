@@ -100,27 +100,6 @@ class SmoothSymbol:
             raise OrderExceeded(f"derivative order {k} > max_order {self.max_order}")
         return self.derivs[k - 1]
 
-    @classmethod
-    def from_poly(cls, coeffs: Sequence[complex], window=(-4.0, 4.0), name="poly"):
-        c = np.asarray(coeffs, dtype=np.complex128)
-        if np.max(np.abs(c.imag)) == 0.0:
-            c = c.real.astype(float)
-
-        def make_eval(cc):
-            return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), cc)
-
-        ders = []
-        cc = c
-        deg = len(c) - 1
-        for _ in range(max(deg, 1) + 2):
-            cc = np.polynomial.polynomial.polyder(cc)
-            if len(cc) == 0:
-                cc = np.zeros(1, dtype=c.dtype)
-            ders.append(make_eval(cc))
-        return cls(func=make_eval(c), derivs=tuple(ders), max_order=len(ders),
-                   window=tuple(window), poly_coeffs=tuple(np.asarray(c).tolist()),
-                   name=name, check=False)
-
 
 # ---------------------------------------------------------------------------
 # divided differences
@@ -254,23 +233,22 @@ def _poly_tensor(coeffs, spectra, shape) -> np.ndarray:
 DEFAULT_GRID = 4096
 
 
-def lipschitz_norm(F, window=None, samples: int = DEFAULT_GRID) -> float:
+def lipschitz_norm(F, window=None) -> float:
     """sup |F(x)-F(y)|/|x-y| over adjacent samples of a dense grid."""
     a, b = window if window is not None else F.window
-    xs = np.linspace(a, b, samples)
+    xs = np.linspace(a, b, DEFAULT_GRID)
     vals = np.asarray(F(xs))
     quot = np.abs(np.diff(vals)) / np.diff(xs)
     return float(np.max(quot))
 
 
-def cb_norm(F: SmoothSymbol, n: int, window=None, samples: int = DEFAULT_GRID) -> float:
+def cb_norm(F: SmoothSymbol, n: int, window) -> float:
     """sup_{1<=k<=n} sup_window |F^(k)|."""
     if n > F.max_order:
         raise OrderExceeded(f"C_b^{n} norm needs {n} derivatives, have {F.max_order}")
     if n < 1:
         raise ValueError("C_b^n norm requires n >= 1")
-    a, b = window if window is not None else F.window
-    xs = np.linspace(a, b, samples)
+    xs = np.linspace(window[0], window[1], DEFAULT_GRID)
     return max(float(np.max(np.abs(np.asarray(F.deriv(k)(xs))))) for k in range(1, n + 1))
 
 

@@ -282,11 +282,11 @@ def mode_element(algebra: TorusAlgebra, k: Sequence[int], amplitude: complex = 1
     return TorusElement(algebra, c)
 
 
-def is_hermitian(x: TorusElement, tol: float = 1e-12) -> bool:
+def is_hermitian(x: TorusElement) -> bool:
     """Hermitian flag: coeffs(-k) = conj(coeffs(k)) under wrap-aware negation
     (the wrap across a boundary hyperplane carries the representation sign),
-    equivalent to Hermiticity of the matrix realization."""
-    return hermitian_deviation(x) <= tol
+    equivalent to Hermiticity of the matrix realization; 1e-12 relative."""
+    return hermitian_deviation(x) <= 1e-12
 
 
 def hermitian_deviation(x: TorusElement) -> float:
@@ -300,7 +300,7 @@ def hermitianize(x: TorusElement) -> TorusElement:
 
 
 def random_element(algebra: TorusAlgebra, rng: np.random.Generator, band: Optional[int] = None,
-                   hermitian: bool = True, decay: float = 1.0, scale: float = 1.0) -> TorusElement:
+                   hermitian: bool = True, decay: float = 1.0) -> TorusElement:
     """Seeded random band-limited element with power-law mode decay."""
     band_cap = algebra.N // 2 - 1
     band = band_cap if band is None else min(band, band_cap)
@@ -312,7 +312,7 @@ def random_element(algebra: TorusAlgebra, rng: np.random.Generator, band: Option
     g = g / (1.0 + absk) ** decay
     idx = np.ix_(*([ks % algebra.N] * algebra.d))
     c[idx] = g
-    x = TorusElement(algebra, scale * c)
+    x = TorusElement(algebra, c)
     return hermitianize(x) if hermitian else x
 
 
@@ -571,8 +571,8 @@ def block_count(algebra: TorusAlgebra) -> int:
 def lp_norm(x: TorusElement, p) -> float:
     """Schatten-p norm under the normalized trace.
 
-    Matrix backend: singular values of the realization; commutative backend:
-    discrete-grid p-mean of |u|.
+    At theta = 0 (either backend): the discrete-grid p-mean of |u|; at
+    theta != 0: the singular values of the realization.
     """
     return float(lp_norm_batch(x.algebra, x.coeffs[None, ...], p)[0])
 
@@ -590,9 +590,7 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     if pv == 2.0:
         # Parseval: the modes are orthonormal in L2 of the normalized trace
         return np.linalg.norm(coeff_stack.reshape(coeff_stack.shape[0], -1), axis=1)
-    if algebra.backend == "commutative" or algebra.is_flat:
-        if not algebra.is_flat:
-            raise BackendMismatch("grid norms require theta = 0")
+    if algebra.is_flat:
         vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, algebra.d + 1))) * (algebra.N ** algebra.d)
         a = np.abs(vals.reshape(coeff_stack.shape[0], -1))
         if math.isinf(pv):
@@ -600,8 +598,8 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
         return (np.mean(a ** pv, axis=1)) ** (1.0 / pv)
     mats = to_matrix_batch(algebra, coeff_stack)
     if hermitian_members(mats).all():
-        return hermitian_schatten_norm_batch(mats, pv, "normalized")
-    return schatten_norm_batch(mats, pv, "normalized")
+        return hermitian_schatten_norm_batch(mats, pv)
+    return schatten_norm_batch(mats, pv)
 
 
 # ---------------------------------------------------------------------------

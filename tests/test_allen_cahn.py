@@ -9,10 +9,11 @@ from opcalc.allen_cahn import (ACProblem, commutative_cross_check, contraction_t
                                global_existence_check, picard_solve, strong_residual)
 from opcalc.besov import BesovIndex, block_norms
 from opcalc.errors import (BlowUpDetected, HypothesisViolation, NoContraction,
-                           SymbolHypothesisError, SymbolNotFinite)
+                           SymbolDomainError, SymbolHypothesisError, SymbolNotFinite)
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, func_calc
 from opcalc.seeding import rng_for
+from opcalc.symbols import SmoothSymbol
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,20 @@ def test_non_finite_iterate_is_a_blow_up():
         assert traj.blow_up
         assert traj.blow_up_time == pytest.approx(0.01)
         assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
+
+
+def test_non_real_symbol_rejected_on_both_routes():
+    # F = 0.1 i x is not real-valued on any nonzero spectrum: both routes
+    # reject it through the one real-valuedness test instead of running on
+    # with non-Hermitian states
+    alg0 = tor.TorusAlgebra.make(d=2, N=4, theta_num=0)
+    F = SmoothSymbol(func=lambda x: 0.1j * x,
+                     derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x),
+                     max_order=2, check=False)
+    prob = ACProblem(u0=0.5 * tor.unit_element(alg0), F=F, idx=IDX, t_max=0.01, dt=1e-3)
+    for route in ("grid", "matrix"):
+        with pytest.raises(SymbolDomainError, match="not real-valued"):
+            picard_solve(replace(prob, f_route=route))
 
 
 def test_evolve_blow_up_riccati():

@@ -45,13 +45,7 @@ def test_eig_reconstruction_residual():
 
 def test_schatten_identity_normalized():
     for p in (1, 2, 3.5, math.inf):
-        assert schatten_norm(np.eye(5), p, "normalized") == pytest.approx(1.0)
-
-
-def test_schatten_rank_one_projection_counting():
-    proj = np.array([[1.0, 0.0], [0.0, 0.0]])
-    for p in (1, 2, math.inf):
-        assert schatten_norm(proj, p, "counting") == pytest.approx(1.0)
+        assert schatten_norm(np.eye(5), p) == pytest.approx(1.0)
 
 
 def test_schatten_hoelder_inequality():
@@ -74,7 +68,7 @@ def test_schatten_two_norm_is_weighted_trace():
     rng = rng_for(3, "fro")
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     target = np.vdot(a, a).real / 5
-    assert schatten_norm(a, 2, "normalized") ** 2 == pytest.approx(target, rel=1e-12)
+    assert schatten_norm(a, 2) ** 2 == pytest.approx(target, rel=1e-12)
 
 
 def test_schatten_batch_matches_single():
@@ -82,9 +76,8 @@ def test_schatten_batch_matches_single():
     stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
     stack[1] = 0.0
     for p in (1, 2, 3.5, math.inf):
-        for mode in ("normalized", "counting"):
-            got = schatten_norm_batch(stack, p, mode)
-            assert got == pytest.approx([schatten_norm(a, p, mode) for a in stack], rel=1e-13)
+        got = schatten_norm_batch(stack, p)
+        assert got == pytest.approx([schatten_norm(a, p) for a in stack], rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -95,10 +88,14 @@ def test_schatten_batch_rejects_non_finite(bad):
         schatten_norm_batch(stack, 1)
 
 
-def test_schatten_batch_rejects_unknown_trace_mode():
-    with pytest.raises(ValueError, match="trace_mode"):
-        schatten_norm_batch(np.eye(3)[None], 1, "Normalised")
-    assert schatten_norm_batch(np.eye(3)[None], 1, "normalized")[0] == pytest.approx(1.0)
+def test_schatten_batch_of_identity_is_one():
+    assert schatten_norm_batch(np.eye(3)[None], 1)[0] == pytest.approx(1.0)
+
+
+def test_schatten_batches_reject_non_square():
+    for norm in (schatten_norm_batch, hermitian_schatten_norm_batch):
+        with pytest.raises(DimensionMismatch):
+            norm(np.ones((2, 3, 4), complex), 2)
 
 
 def test_schatten_index_validation():
@@ -184,15 +181,14 @@ def test_schatten_norm_rejects_stack():
         schatten_norm(np.stack([np.eye(3)] * 2), 2)
 
 
-@pytest.mark.parametrize("mode", ["normalized", "counting"])
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
-def test_hermitian_norms_match_svd(p, mode):
+def test_hermitian_norms_match_svd(p):
     rng = rng_for(7, "herm-norm")
-    stack = np.stack([random_hermitian(rng, 16, scale=s).data for s in (1.0, 1e-3, 40.0)]
+    stack = np.stack([s * random_hermitian(rng, 16).data for s in (1.0, 1e-3, 40.0)]
                      + [np.zeros((16, 16), complex)])
     assert hermitian_members(stack).all()
-    got = hermitian_schatten_norm_batch(stack, p, mode)
-    ref = schatten_norm_batch(stack, p, mode)
+    got = hermitian_schatten_norm_batch(stack, p)
+    ref = schatten_norm_batch(stack, p)
     assert got[-1] == ref[-1] == 0.0
     assert got == pytest.approx(ref, rel=1e-13)
 

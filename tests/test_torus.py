@@ -438,7 +438,7 @@ def test_heat_contraction_and_parseval_cross_check(alg16):
             assert tor.lp_norm(tor.heat(x, t), p) <= tor.lp_norm(x, p) * (1 + 1e-11)
     h = tor.heat(x, 0.7)
     via_parseval = tor.lp_norm(h, 2)
-    via_svd = schatten_norm(tor.to_matrix(h), 2, "normalized")
+    via_svd = schatten_norm(tor.to_matrix(h), 2)
     assert via_parseval == pytest.approx(via_svd, abs=1e-11)
 
 
