@@ -273,12 +273,13 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
                   note="integer identity")
     rows = []
     polys = ["x**2", "x**3", "x**4 + x**2", "x**5"]
+    symbol = {expr: parse_symbol(expr) for expr in polys}
     worst_inner = 0.0
     for i in range(min(cfg.ensemble, 50)):
         rng = rng_for(cfg.seed, "inner", i)
         u = random_hermitian(rng, 16)
         dgen = random_hermitian(rng, 16)
-        F = parse_symbol(polys[i % len(polys)])
+        F = symbol[polys[i % len(polys)]]
         for K in (1, 2, 3):
             r = ch.chain_rule_residual(F, u, (K,), ch.DerivationSpec("inner", (dgen,)))
             worst_inner = max(worst_inner, r)
@@ -293,7 +294,7 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
         expr, band = cases[i % len(cases)]
         u = tor.random_element(alg, rng_for(cfg.seed, "torus", i), band=band, decay=2.0)
         for beta in ((1, 0), (2, 0), (1, 1), (2, 1)):
-            r = ch.chain_rule_residual(parse_symbol(expr), u, beta, ch.DerivationSpec("torus"))
+            r = ch.chain_rule_residual(symbol[expr], u, beta, ch.DerivationSpec("torus"))
             worst_torus = max(worst_torus, r)
             rows.append({"seed": i, "kind": "torus", "beta": str(beta), "poly": expr,
                          "residual": r})

@@ -9,7 +9,8 @@ Grammar (used in experiment configs)::
 
 Names: exp, sin, cos, sinh, cosh, tanh, abs, relu, gauss (gauss(u) = exp(-u^2)).
 Division only by constants.  Derivatives are produced symbolically from the
-parse tree, so polynomial symbols keep exact coefficients.
+parse tree, so polynomial symbols keep exact coefficients.  An expression
+nested too deeply to parse and differentiate is a ConfigError.
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ class _Parser:
         node = self.atom()
         if self.text.startswith("**", self.pos):
             self.pos += 2
-            sign = 1
             if self.peek() == "-":
                 self.error("negative powers are not supported")
             start = self.pos
@@ -218,7 +218,7 @@ class _Parser:
                 self.pos += 1
             if start == self.pos:
                 self.error("expected integer power")
-            node = Pow(node, sign * int(self.text[start:self.pos]))
+            node = Pow(node, int(self.text[start:self.pos]))
         return node
 
     def atom(self) -> Node:
@@ -325,12 +325,16 @@ def _kinks(node: Node):
 def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
     """Build a SmoothSymbol with symbolic derivatives from an expression,
     sanity-checked on the window [-4, 4]."""
-    tree = _Parser(text).parse()
-    coeffs = _poly_coeffs(tree)
-    kinks = _kinks(tree)
-    nodes = [tree]
-    for _ in range(max_order):
-        nodes.append(nodes[-1].d())
+    try:
+        # parsing, differentiation and these walks recurse once per level of nesting
+        tree = _Parser(text).parse()
+        coeffs = _poly_coeffs(tree)
+        kinks = _kinks(tree)
+        nodes = [tree]
+        for _ in range(max_order):
+            nodes.append(nodes[-1].d())
+    except RecursionError:
+        raise ConfigError(f"symbol expression is nested too deeply: {text[:60]!r}...") from None
 
     def make(nd):
         return lambda x: nd.ev(x)

@@ -155,9 +155,10 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("allen-cahn", "[allen-cahn]\ndt = nan\n", "[allen-cahn]"),
     ("allen-cahn", "[allen-cahn]\nt_max = 0\n", "[allen-cahn]"),
     ("allen-cahn", "[allen-cahn]\nt_max = inf\n", "[allen-cahn]"),
+    ("moi", "[symbol]\nexpr = x" + " + x" * 1199 + "\n", "symbol expression"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
-        "t-max-inf"])
+        "t-max-inf", "deep-expr"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)

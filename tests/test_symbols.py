@@ -296,3 +296,11 @@ def test_expression_polynomial_detection():
     assert F.poly_coeffs is not None
     assert np.allclose(F.poly_coeffs, [0.0, 2.0, 1.0])
     assert parse_symbol("sin(x)").poly_coeffs is None
+
+
+def test_deep_expressions_are_config_errors():
+    assert parse_symbol("x" + " + x" * 299)(2.0) == 600.0
+    assert parse_symbol("(" * 150 + "x" + ")" * 150)(2.0) == 2.0
+    for deep in ["x" + " + x" * 1199, "tanh(" * 300 + "x" + ")" * 300]:
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_symbol(deep)
