@@ -4,9 +4,9 @@ Picard iteration of the Duhamel map on a uniform time grid: the heat factor
 is applied analytically per mode and the nonlinear samples are integrated by
 the subinterval trapezoid rule, so the stiff linear part never enters the
 quadrature error.  The iterate is one (T,) + shape coefficient stack, so a
-sweep applies F to every time step in one batched functional calculus (or
-one batched grid transform at theta = 0).  Short-horizon contraction segments
-are concatenated up to the horizon or a detected norm escape.
+sweep applies F to every time step in one ``besov.apply_symbol_batch`` call.
+Short-horizon contraction segments are concatenated up to the horizon or a
+detected norm escape.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm
-from .errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
-                     SymbolHypothesisError, SymbolNotFinite)
-from .linalg import real_symbol_values
+from .errors import (BlowUpDetected, HypothesisViolation, NoContraction, SymbolHypothesisError,
+                     SymbolNotFinite)
 from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm, lp_norm_batch
@@ -37,7 +36,6 @@ class ACProblem:
     dt: float = 1e-3
     delta: float = 1.0
     blow_up_threshold: Optional[float] = None
-    f_route: str = "auto"  # matrix | grid | auto
 
     def __post_init__(self):
         if not is_hermitian(self.u0):
@@ -50,9 +48,6 @@ class ACProblem:
         d, p, s, n = self.u0.algebra.d, self.idx.p, self.idx.s, self.n_smooth
         if not (d / p < s <= n):
             raise HypothesisViolation(f"need d/p < s <= n: d/p={d / p}, s={s}, n={n}")
-        if self.f_route == "auto":
-            route = "grid" if self.u0.algebra.backend == "commutative" else "matrix"
-            object.__setattr__(self, "f_route", route)
         if self.blow_up_threshold is None:
             object.__setattr__(self, "blow_up_threshold",
                                1e3 * max(besov_multiplier_norm(self.u0, self.idx), 1e-12))
@@ -63,21 +58,8 @@ class ACProblem:
         return min(max(1, math.ceil(self.idx.s)), self.F.max_order)
 
     def apply_F(self, coeff_stack: np.ndarray) -> np.ndarray:
-        """F(u) for every state of a (T,) + shape coefficient stack.
-
-        Both routes test F's values with ``real_symbol_values``: on the
-        spectrum of each realized state (matrix), or on each state's grid
-        values, its spectrum at theta = 0 (grid).
-        """
-        alg = self.u0.algebra
-        if self.f_route == "grid":
-            if not alg.is_flat:
-                raise BackendMismatch("grid values require theta = 0")
-            axes, size = tuple(range(1, alg.d + 1)), alg.N ** alg.d
-            vals = (np.fft.ifftn(coeff_stack, axes=axes) * size).real
-            fvals = real_symbol_values(self.F(vals.reshape(len(vals), -1))).reshape(vals.shape)
-            return np.fft.fftn(np.asarray(fvals, dtype=np.complex128), axes=axes) / size
-        return apply_symbol_batch(self.F, alg, coeff_stack)
+        """F(u) for every state of a (T,) + shape coefficient stack."""
+        return apply_symbol_batch(self.F, self.u0.algebra, coeff_stack)
 
 
 @dataclass
@@ -286,16 +268,3 @@ def global_existence_check(problem: ACProblem, c_lip_baseline: float,
         "envelope_rate": c_hat,
         "trajectory": traj,
     }
-
-
-def commutative_cross_check(problem: ACProblem, horizon: Optional[float] = None) -> float:
-    """Matrix-backend trajectory vs pointwise-grid trajectory at theta = 0.
-
-    Returns the sup-over-time normalized L2 deviation.
-    """
-    if not problem.u0.algebra.is_flat:
-        raise HypothesisViolation("cross check requires theta = 0")
-    tm, _ = picard_solve(replace(problem, f_route="matrix"), horizon=horizon)
-    tg, _ = picard_solve(replace(problem, f_route="grid"), horizon=horizon)
-    diff = np.stack([a.coeffs - b.coeffs for a, b in zip(tm.states, tg.states)])
-    return max(_state_norms(problem.u0.algebra, diff, 2.0).tolist())

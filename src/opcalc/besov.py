@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
                      SymbolHypothesisError)
-from .linalg import HermitianOperator, eig_hermitian, func_calc
+from .linalg import HermitianOperator, diagonal_func_calc, eig_hermitian, func_calc
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, amplitude_profile, block_count,
@@ -379,16 +379,19 @@ def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex)
 # ---------------------------------------------------------------------------
 
 def apply_symbol(F, u: TorusElement) -> TorusElement:
-    """F(u) through the matrix realization's functional calculus."""
+    """F(u) through the functional calculus of u's realization."""
     return TorusElement(u.algebra, apply_symbol_batch(F, u.algebra, u.coeffs[None, ...])[0])
 
 
 def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
     """F(u) for every state of a (batch,) + algebra.shape coefficient stack.
 
-    One stacked route: ``to_matrix_batch``, ``func_calc`` on the stack,
-    ``from_matrix_batch``, taken in ``realization_chunks`` of the stack.
+    theta = 0: ``diagonal_func_calc`` on the grid values, the spectrum of the
+    diagonal realization.  theta != 0: ``to_matrix_batch``, ``func_calc`` on
+    the stack, ``from_matrix_batch``, taken in ``realization_chunks``.
     """
+    if algebra.is_flat:
+        return tor.from_grid_values(algebra, diagonal_func_calc(tor.grid_values(algebra, coeff_stack), F))
     out = np.empty(coeff_stack.shape, dtype=np.complex128)
     for chunk in tor.realization_chunks(algebra, len(coeff_stack)):
         mats = tor.to_matrix_batch(algebra, coeff_stack[chunk])

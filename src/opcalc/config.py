@@ -13,7 +13,7 @@ Sections and keys::
     d = 2
     n = 16                   ; modes per axis (even)
     theta_num = 1            ; theta_12 = theta_num / n (0 = commutative)
-    backend = matrix | commutative
+    backend = matrix         ; the only value; optional, kept for old configs
 
     [symbol]
     expr = tanh(x)           ; expression grammar, see opcalc.expr
@@ -57,7 +57,6 @@ class ExperimentConfig:
     d: int = 2
     n_modes: int = 16
     theta_num: int = 1
-    backend: str = "matrix"
     expr: str = "tanh(x)"
     s: float = 1.5
     p: float = 2.0
@@ -87,14 +86,14 @@ class ExperimentConfig:
         Every kind validates it, including those that build their own lattices.
         """
         try:
-            return TorusAlgebra.make(d=self.d, N=self.n_modes, theta_num=self.theta_num,
-                                     backend=self.backend)
+            return TorusAlgebra.make(d=self.d, N=self.n_modes, theta_num=self.theta_num)
         except (ValueError, BackendMismatch) as exc:
             raise ConfigError(f"[algebra] {exc}") from None
 
     def canonical(self) -> str:
         rows = {f"{section}.{key}": _FORMAT[typ](getattr(self, attr))
                 for (section, key), (attr, typ) in _FIELDS.items()}
+        rows.update((f"{section}.{key}", value) for (section, key), value in _FIXED.items())
         return "\n".join(f"{k}={v}" for k, v in sorted(rows.items()))
 
     @property
@@ -129,7 +128,7 @@ def _parse_str(section: str, key: str, raw: str) -> str:
     return raw.strip()
 
 
-# Every config key: (section, key) -> (ExperimentConfig field, value type).
+# Every settable config key: (section, key) -> (ExperimentConfig field, value type).
 # The parser, the unknown-key check and the canonical form behind the config
 # hash all read this one table.
 _FIELDS = {
@@ -140,7 +139,6 @@ _FIELDS = {
     ("algebra", "d"): ("d", int),
     ("algebra", "n"): ("n_modes", int),
     ("algebra", "theta_num"): ("theta_num", int),
-    ("algebra", "backend"): ("backend", str),
     ("symbol", "expr"): ("expr", str),
     ("besov", "s"): ("s", float),
     ("besov", "p"): ("p", float),
@@ -151,6 +149,8 @@ _FIELDS = {
     ("allen-cahn", "dt"): ("dt", float),
     ("allen-cahn", "delta"): ("delta", float),
 }
+# Keys that admit one value, canonical whether set or not (hashes keep them).
+_FIXED = {("algebra", "backend"): "matrix"}
 _SECTIONS = {section for section, _ in _FIELDS}
 _PARSE = {str: _parse_str, int: _parse_int, float: _parse_float}
 _FORMAT = {str: str, int: str, float: _fmt}
@@ -169,7 +169,10 @@ def parse_config(path) -> ExperimentConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in cp[section]:
-            if (section, key) not in _FIELDS:
+            fixed = _FIXED.get((section, key))
+            if fixed is not None and cp[section][key].strip() != fixed:
+                raise ConfigError(f"[{section}] {key} must be {fixed!r}, got {cp[section][key]!r}")
+            if fixed is None and (section, key) not in _FIELDS:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
     kw = {}
     for (section, key), (attr, typ) in _FIELDS.items():

@@ -50,7 +50,7 @@ class BandOverflow(OpcalcError):
 
 
 class BackendMismatch(OpcalcError):
-    """Operation not available on this algebra backend."""
+    """Operation not available on this algebra (e.g. grid values at theta != 0)."""
 
 
 class HypothesisViolation(OpcalcError):

@@ -17,14 +17,14 @@ from . import besov as bz
 from . import chain as ch
 from . import moi as mo
 from . import torus as tor
-from .allen_cahn import (ACProblem, commutative_cross_check, contraction_time, evolve,
-                         global_existence_check, picard_solve, strong_residual)
+from .allen_cahn import (ACProblem, contraction_time, evolve, global_existence_check,
+                         picard_solve, strong_residual)
 from .baselines import BaselineStore
 from .besov import BesovIndex
 from .config import ExperimentConfig
 from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
-                     random_hermitian, schatten_norm)
+                     random_hermitian, schatten_norm, schatten_norm_batch)
 from .seeding import rng_for
 from .symbols import LPFilterFamily, cb_norm, divided_diff, homogeneous_sym, lipschitz_norm
 
@@ -175,19 +175,18 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     res.check("torus.heat_contraction", tor.lp_norm(tor.heat(x1, 0.5), 2), tor.lp_norm(x1, 2) * (1 + 1e-11))
     res.check("torus.parseval",
               abs(tor.lp_norm(x1, 2) - float(np.linalg.norm(x1.coeffs))), 1e-11)
-    # backend consistency at theta = 0
-    alg0m = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="matrix")
-    alg0c = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="commutative")
-    c0 = tor.random_element(alg0m, rng_for(cfg.seed, "flat", 0), band=2).coeffs
-    c1 = tor.random_element(alg0m, rng_for(cfg.seed, "flat", 1), band=1).coeffs
-    xm, xc = tor.TorusElement(alg0m, c0), tor.TorusElement(alg0c, c0)
+    # theta = 0: grid norms against the Schatten norms of the left-regular
+    # (convolution) realization, products against the dense mode matrices
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    x0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 0), band=2)
+    y0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 1), band=1)
+    regular = tor.regular_realization(alg0, x0.coeffs[None, ...])
     for p in (1, 2, math.inf):
-        res.check(f"torus.backend_norm_p{p}", abs(tor.lp_norm(xm, p) - tor.lp_norm(xc, p)),
-                  1e-10 * max(tor.lp_norm(xc, p), 1e-300))
-    pm = tor.multiply(tor.TorusElement(alg0m, c1), tor.TorusElement(alg0m, c1), mode="checked")
-    pc = tor.multiply(tor.TorusElement(alg0c, c1), tor.TorusElement(alg0c, c1))
-    pr = tor.basis_product(tor.TorusElement(alg0c, c1), tor.TorusElement(alg0c, c1)).coeffs
-    res.check("torus.backend_product", float(np.max(np.abs(np.stack([pm.coeffs, pc.coeffs]) - pr))), 1e-10)
+        ref = float(schatten_norm_batch(regular, p)[0])
+        res.check(f"torus.regular_norm_p{p}", abs(tor.lp_norm(x0, p) - ref), 1e-10 * max(ref, 1e-300))
+    pr = tor.basis_product(y0, y0).coeffs
+    prods = np.stack([tor.multiply(y0, y0, mode=mode).coeffs for mode in ("wrap", "checked")])
+    res.check("torus.flat_product", float(np.max(np.abs(prods - pr))), 1e-10)
 
     # doubling and difference bounds
     xd = tor.random_element(alg, rng_for(cfg.seed, "dbl", 0), band=3)
@@ -570,11 +569,18 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
     res.check("ac.gronwall_envelope", rep_g["max_envelope_ratio"], 1.0 + 1e-6,
               note=f"rate {rep_g['envelope_rate']:.4g}")
 
-    # (f) commutative cross-check at theta = 0
-    alg0 = tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=0, backend="matrix")
+    # (f) F(u) along a theta = 0 trajectory against column 0 of F on the
+    # left-regular realization, one realization chunk at a time
+    alg0 = tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=0)
     u00 = tor.random_element(alg0, rng_for(cfg.seed, "ac-cc"), band=cfg.band, decay=2.0)
     pc = ACProblem(u0=u00, F=F, idx=idx, t_max=0.05, dt=cfg.dt)
-    res.check("ac.cross_check", commutative_cross_check(pc, horizon=0.05), 1e-8)
+    states = np.stack([s.coeffs for s in picard_solve(pc)[0].states])
+    got = pc.apply_F(states).reshape(len(states), -1)
+    cross = 0.0
+    for chunk in tor.realization_chunks(alg0, len(states)):
+        ref = func_calc(tor.regular_realization(alg0, states[chunk]), F).data[..., 0]
+        cross = max(cross, float(np.max(np.linalg.norm(got[chunk] - ref, axis=1))))
+    res.check("ac.cross_check", cross, 1e-8)
 
     res.tables["contraction"] = [{"T": t_c, "factor": rep_c["contraction_factor"],
                                   "sweeps": rep_c["sweeps"]}]
@@ -611,7 +617,7 @@ def besov_equivalence_configs():
                 for n_modes in (8, 16, 32):
                     out.append(ExperimentConfig(
                         kind="besov-equivalence", seed=ACCEPTANCE_SEED, ensemble=50,
-                        band=3, d=2, n_modes=n_modes, theta_num=1, backend="matrix",
+                        band=3, d=2, n_modes=n_modes, theta_num=1,
                         s=s, p=p, q=q, m=1, n_der=bz.default_n_der(s)))
     return out
 
@@ -619,14 +625,14 @@ def besov_equivalence_configs():
 def nonlinear_configs():
     """tanh boundedness harness across lattice doublings (0 < s < 1)."""
     return [ExperimentConfig(kind="nonlinear-estimate", seed=ACCEPTANCE_SEED, ensemble=50,
-                             band=3, d=2, n_modes=n_modes, theta_num=1, backend="matrix",
+                             band=3, d=2, n_modes=n_modes, theta_num=1,
                              expr="tanh(x)", s=0.5, p=2.0, q=2.0, m=1, n_der=0)
             for n_modes in (8, 16, 32)]
 
 
 def allen_cahn_config():
     return ExperimentConfig(kind="allen-cahn", seed=ACCEPTANCE_SEED, ensemble=20,
-                            band=3, d=2, n_modes=16, theta_num=1, backend="matrix",
+                            band=3, d=2, n_modes=16, theta_num=1,
                             expr="tanh(x)", s=1.5, p=2.0, q=2.0,
                             t_max=1.0, dt=1e-3, delta=1.0)
 

@@ -324,28 +324,30 @@ def _kinks(node: Node):
 
 def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
     """Build a SmoothSymbol with symbolic derivatives from an expression,
-    sanity-checked on the window [-4, 4]."""
+    sanity-checked on the window [-4, 4]; an expression that fails the check
+    is a ConfigError."""
+    def make(nd):
+        return lambda x: nd.ev(x)
+
     try:
-        # parsing, differentiation and these walks recurse once per level of nesting
+        # every step here, the sanity check's evaluations too, recurses per nesting level
         tree = _Parser(text).parse()
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
         nodes = [tree]
         for _ in range(max_order):
             nodes.append(nodes[-1].d())
+        return SmoothSymbol(
+            func=make(tree),
+            derivs=tuple(make(nd) for nd in nodes[1:]),
+            max_order=max_order,
+            window=(-4.0, 4.0),
+            poly_coeffs=tuple(coeffs) if coeffs is not None else None,
+            kinks=tuple(kinks) if kinks else (),
+            name=text,
+            check=kinks is not None,
+        )
     except RecursionError:
         raise ConfigError(f"symbol expression is nested too deeply: {text[:60]!r}...") from None
-
-    def make(nd):
-        return lambda x: nd.ev(x)
-
-    return SmoothSymbol(
-        func=make(tree),
-        derivs=tuple(make(nd) for nd in nodes[1:]),
-        max_order=max_order,
-        window=(-4.0, 4.0),
-        poly_coeffs=tuple(coeffs) if coeffs is not None else None,
-        kinks=tuple(kinks) if kinks else (),
-        name=text,
-        check=kinks is not None,
-    )
+    except ValueError as exc:  # the derivative sanity check
+        raise ConfigError(f"symbol expression {text[:60]!r}: {exc}") from None

@@ -49,6 +49,17 @@ def _hermitian_defects(a: np.ndarray, adj: np.ndarray):
     return (dev > HERMITIAN_RTOL * scale) & (dev > 1e-300), dev, scale
 
 
+def _require_hermitian(a: np.ndarray, adj: np.ndarray) -> None:
+    """NonHermitianInput unless every matrix of a passes the deviation test."""
+    bad, dev, scale = _hermitian_defects(a, adj)
+    if bad.any():
+        rel = dev / np.maximum(scale, 1e-300)
+        raise NonHermitianInput(
+            f"relative Hermitian deviation {np.max(rel, where=bad, initial=0.0):.3e} "
+            f"exceeds {HERMITIAN_RTOL:.0e}"
+        )
+
+
 def hermitian_members(stack: np.ndarray) -> np.ndarray:
     """Which matrices of a (..., n, n) stack pass the deviation test of
     ``HermitianOperator``."""
@@ -69,13 +80,7 @@ class HermitianOperator:
     def __post_init__(self):
         a = _as_square(self.data, stack=True)
         adj = a.swapaxes(-1, -2).conj()
-        bad, dev, scale = _hermitian_defects(a, adj)
-        if bad.any():
-            rel = dev / np.maximum(scale, 1e-300)
-            raise NonHermitianInput(
-                f"relative Hermitian deviation {np.max(rel, where=bad, initial=0.0):.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e}"
-            )
+        _require_hermitian(a, adj)
         object.__setattr__(self, "data", 0.5 * (a + adj))
 
     @property
@@ -122,14 +127,12 @@ def _check_finite(vals: np.ndarray) -> None:
         raise SymbolNotFinite("symbol undefined (non-finite) at an eigenvalue")
 
 
-def real_symbol_values(vals) -> np.ndarray:
-    """Real part of a symbol's values on spectra (one spectrum along the last
-    axis), after testing that they are real-valued.
-
-    A spectrum whose values have an imaginary part above 1e-12 max(1, max |F|)
-    raises ``SymbolDomainError``.
-    """
-    vals = np.asarray(vals)
+def _symbol_values(F, spectra) -> np.ndarray:
+    """F on spectra (one along the last axis): SymbolNotFinite if a value is
+    not finite, SymbolDomainError if a spectrum's values have an imaginary
+    part above 1e-12 max(1, max |F|); else their real parts."""
+    vals = np.asarray(F(spectra))
+    _check_finite(vals)
     if np.iscomplexobj(vals):
         scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
         if (np.max(np.abs(vals.imag), axis=-1) > 1e-12 * scale).any():
@@ -218,11 +221,18 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
     dec = eig_hermitian(H)
-    vals = np.asarray(F(dec.eigenvalues))
-    _check_finite(vals)
-    vals = real_symbol_values(vals)
+    vals = _symbol_values(F, dec.eigenvalues)
     # V diag(F(lambda)) V* with unitary V is Hermitian up to rounding
     return HermitianOperator._symmetrized(spectral_product(dec.eigenvectors, vals))
+
+
+def diagonal_func_calc(spectra: np.ndarray, F) -> np.ndarray:
+    """``func_calc`` of the diagonal matrices diag(v) of a (..., n) stack of
+    diagonals v without eigendecompositions: the same tests (the deviation of
+    diag(v) is 2 ||Im v||) and errors.  Returns the real values F(Re v)."""
+    v = np.asarray(spectra, dtype=np.complex128)[..., None]
+    _require_hermitian(v, v.conj())
+    return _symbol_values(F, v[..., 0].real)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> HermitianOperator:

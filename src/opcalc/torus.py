@@ -1,8 +1,8 @@
 """Finite-dimensional noncommutative torus testbed.
 
 Band-limited Fourier elements over Z^d with a deformation phase.  Modes live
-at representatives k in [-N/2, N/2)^d (numpy fft layout).  The matrix backend
-(d = 2, theta_12 = p/N, gcd(p, N) = 1) realizes U^k as
+at representatives k in [-N/2, N/2)^d (numpy fft layout).  At theta != 0
+(d = 2, theta_12 = p/N, gcd(p, N) = 1) the clock/shift realization is
 
     M(k) = e^{i pi theta k1 k2} C^{k1} S^{k2},   S C = e^{2 pi i theta} C S,
 
@@ -14,7 +14,8 @@ band, M(n + N m) = (-1)^{p(m1 n2 + m2 n1)} M(n) supplies the wrap sign (N
 even).  At theta = 0 the faithful realization is the diagonal grid
 representation on N^d points.  Both realizations are faithful, so the product
 is computed in them: the matrix product of the clock/shift realizations at
-theta != 0, the pointwise product of grid values at theta = 0.
+theta != 0, the pointwise product of grid values at theta = 0, whose check
+is a third realization (``regular_realization``, the left-regular one).
 
 Continuous translations act on coefficients but are automorphisms only when
 no product wraps; hence the band discipline and the checked multiply mode,
@@ -36,8 +37,6 @@ from .errors import BackendMismatch, BandOverflow, DimensionMismatch
 from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_norm_batch
 from .symbols import LPFilterFamily
 
-_BACKENDS = ("commutative", "matrix")
-
 
 @dataclass(frozen=True, eq=False)
 class TorusAlgebra:
@@ -46,50 +45,45 @@ class TorusAlgebra:
     d: int = 2
     N: int = 16
     theta: object = None  # d x d antisymmetric array, or None for flat
-    backend: str = "matrix"
+    backend = "matrix"  # not a field; read by the bench tracer (ROADMAP item 7)
 
     def __eq__(self, other):
         if not isinstance(other, TorusAlgebra):
             return NotImplemented
-        return (self.d == other.d and self.N == other.N and self.backend == other.backend
-                and np.array_equal(self.theta, other.theta))
+        return self.d == other.d and self.N == other.N and np.array_equal(self.theta, other.theta)
 
     def __hash__(self):
-        return hash((self.d, self.N, self.backend, self.theta.tobytes()))
+        return hash((self.d, self.N, self.theta.tobytes()))
 
     def __post_init__(self):
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError("N must be even and >= 2")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
         th = np.zeros((self.d, self.d)) if self.theta is None else np.asarray(self.theta, dtype=float)
         if th.shape != (self.d, self.d):
             raise DimensionMismatch(f"theta must be {self.d}x{self.d}")
         if np.max(np.abs(th + th.T)) > 1e-14:
             raise ValueError("theta must be antisymmetric to 1e-14")
         object.__setattr__(self, "theta", th)
-        if self.backend == "commutative" and np.any(th != 0.0):
-            raise BackendMismatch("commutative backend requires theta = 0")
         if np.any(th != 0.0):
             if self.d != 2:
-                raise BackendMismatch("matrix backend with theta != 0 requires d = 2")
+                raise BackendMismatch("theta != 0 requires d = 2")
             p = th[0, 1] * self.N
             if abs(p - round(p)) > 1e-9:
-                raise ValueError("matrix backend needs theta_12 = p/N for integer p")
+                raise ValueError("clock/shift representation needs theta_12 = p/N for integer p")
             if math.gcd(int(round(p)) % self.N, self.N) != 1:
                 raise ValueError("clock/shift representation needs gcd(p, N) = 1")
 
     @classmethod
-    def make(cls, d: int = 2, N: int = 16, theta_num: int = 0, backend: str = "matrix"):
+    def make(cls, d: int = 2, N: int = 16, theta_num: int = 0):
         """Convenience constructor with theta_12 = theta_num / N (d = 2)."""
         if theta_num == 0:
-            return cls(d=d, N=N, theta=None, backend=backend)
+            return cls(d=d, N=N, theta=None)
         if d < 2:
             raise BackendMismatch("theta_num != 0 requires d >= 2")
         th = np.zeros((d, d))
         th[0, 1] = theta_num / N
         th[1, 0] = -theta_num / N
-        return cls(d=d, N=N, theta=th, backend=backend)
+        return cls(d=d, N=N, theta=th)
 
     @functools.cached_property
     def is_flat(self) -> bool:
@@ -270,9 +264,7 @@ def _adjoint_coeffs(algebra: TorusAlgebra, c: np.ndarray) -> np.ndarray:
 
 
 def unit_element(algebra: TorusAlgebra) -> TorusElement:
-    c = np.zeros(algebra.shape, dtype=np.complex128)
-    c[(0,) * algebra.d] = 1.0
-    return TorusElement(algebra, c)
+    return mode_element(algebra, (0,) * algebra.d)
 
 
 def mode_element(algebra: TorusAlgebra, k: Sequence[int], amplitude: complex = 1.0) -> TorusElement:
@@ -347,8 +339,7 @@ def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarra
     followed by one gather that places every entry.
     """
     if algebra.is_flat:
-        vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, algebra.d + 1))) * (algebra.N ** algebra.d)
-        flat = vals.reshape(coeff_stack.shape[0], -1)
+        flat = grid_values(algebra, coeff_stack)
         out = np.zeros((coeff_stack.shape[0], flat.shape[1], flat.shape[1]), dtype=np.complex128)
         ii = np.arange(flat.shape[1])
         out[:, ii, ii] = flat
@@ -387,8 +378,7 @@ def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:
     length-N inverse DFT over k1, so recovery is N FFTs per matrix.
     """
     if algebra.is_flat:
-        vals = np.diagonal(stack, axis1=-2, axis2=-1).reshape((len(stack),) + algebra.shape)
-        return np.fft.fftn(vals, axes=tuple(range(1, algebra.d + 1))) / (algebra.N ** algebra.d)
+        return from_grid_values(algebra, np.diagonal(stack, axis1=-2, axis2=-1))
     N, p = algebra.N, algebra.theta_num
     # at p = 1 the entry index reads matrix entry [a, (a - k2) % N] into [a, k2]
     diag = np.take(stack.reshape(len(stack), N * N), _entry_index(N, 1), axis=1)
@@ -410,17 +400,33 @@ def realization_chunks(algebra: TorusAlgebra, count: int) -> list:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def grid_values(x: TorusElement) -> np.ndarray:
-    """Grid samples u(2 pi l / N) = sum_k u(k) e^{2 pi i <k,l>/N} (flat only)."""
-    if not x.algebra.is_flat:
-        raise BackendMismatch("grid values require theta = 0")
-    return np.fft.ifftn(x.coeffs) * (x.algebra.N ** x.algebra.d)
-
-
-def from_grid_values(algebra: TorusAlgebra, values: np.ndarray) -> TorusElement:
+def grid_values(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """(batch, N^d) grid samples u(2 pi l / N) = sum_k u(k) e^{2 pi i <k,l>/N}
+    of a (batch,) + algebra.shape coefficient stack (theta = 0 only)."""
     if not algebra.is_flat:
         raise BackendMismatch("grid values require theta = 0")
-    return TorusElement(algebra, np.fft.fftn(np.asarray(values, dtype=np.complex128)) / (algebra.N ** algebra.d))
+    vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, algebra.d + 1))) * (algebra.N ** algebra.d)
+    return vals.reshape(len(coeff_stack), -1)
+
+
+def from_grid_values(algebra: TorusAlgebra, values: np.ndarray) -> np.ndarray:
+    """Coefficient stack of (batch, N^d) grid values; inverts ``grid_values``."""
+    if not algebra.is_flat:
+        raise BackendMismatch("grid values require theta = 0")
+    vals = np.asarray(values, dtype=np.complex128).reshape((len(values),) + algebra.shape)
+    return np.fft.fftn(vals, axes=tuple(range(1, algebra.d + 1))) / (algebra.N ** algebra.d)
+
+
+def regular_realization(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """Convolution matrices L_u[k, l] = u((k - l) mod N) on l^2(Z_N^d) of a
+    (batch,) + algebra.shape coefficient stack at theta = 0: left
+    multiplication on coefficients, so column 0 of F(L_u) holds F(u).  One
+    index gather and no FFT, so it shares no code with the grid values."""
+    if not algebra.is_flat:
+        raise BackendMismatch("the convolution realization requires theta = 0")
+    sites = np.indices(algebra.shape).reshape(algebra.d, -1)
+    index = np.ravel_multi_index((sites[:, :, None] - sites[:, None, :]) % algebra.N, algebra.shape)
+    return coeff_stack.reshape(len(coeff_stack), -1)[:, index]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +448,8 @@ def multiply(x: TorusElement, y: TorusElement, mode: str = "wrap") -> TorusEleme
     if mode == "checked":
         _check_band(x, y)
     if alg.is_flat:
-        return from_grid_values(alg, grid_values(x) * grid_values(y))
+        gx, gy = grid_values(alg, np.stack([x.coeffs, y.coeffs]))
+        return TorusElement(alg, from_grid_values(alg, (gx * gy)[None])[0])
     return from_matrix(alg, to_matrix(x) @ to_matrix(y))
 
 
@@ -571,8 +578,8 @@ def block_count(algebra: TorusAlgebra) -> int:
 def lp_norm(x: TorusElement, p) -> float:
     """Schatten-p norm under the normalized trace.
 
-    At theta = 0 (either backend): the discrete-grid p-mean of |u|; at
-    theta != 0: the singular values of the realization.
+    At theta = 0: the discrete-grid p-mean of |u|; at theta != 0: the
+    singular values of the realization.
     """
     return float(lp_norm_batch(x.algebra, x.coeffs[None, ...], p)[0])
 
@@ -591,8 +598,7 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
         # Parseval: the modes are orthonormal in L2 of the normalized trace
         return np.linalg.norm(coeff_stack.reshape(coeff_stack.shape[0], -1), axis=1)
     if algebra.is_flat:
-        vals = np.fft.ifftn(coeff_stack, axes=tuple(range(1, algebra.d + 1))) * (algebra.N ** algebra.d)
-        a = np.abs(vals.reshape(coeff_stack.shape[0], -1))
+        a = np.abs(grid_values(algebra, coeff_stack))
         if math.isinf(pv):
             return np.max(a, axis=1)
         return (np.mean(a ** pv, axis=1)) ** (1.0 / pv)

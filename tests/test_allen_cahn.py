@@ -1,14 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import opcalc.torus as tor
-from opcalc.allen_cahn import (ACProblem, commutative_cross_check, contraction_time, evolve,
-                               global_existence_check, picard_solve, strong_residual)
+from opcalc.allen_cahn import (ACProblem, contraction_time, evolve, global_existence_check,
+                               picard_solve, strong_residual)
 from opcalc.besov import BesovIndex, block_norms
-from opcalc.errors import (BlowUpDetected, HypothesisViolation, NoContraction,
+from opcalc.errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
                            SymbolDomainError, SymbolHypothesisError, SymbolNotFinite)
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, func_calc
@@ -145,42 +144,40 @@ def test_evolve_halving_recovers_from_large_segment(alg):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_non_finite_iterate_is_a_blow_up():
-    # F(u) = u^4 overflows at u = 1e100: the grid route's first sweep leaves
-    # inf/NaN states, the matrix route's functional calculus meets F = inf at
-    # a finite eigenvalue; neither may pass for a converged fixed point
-    algc = tor.TorusAlgebra.make(d=2, N=4, theta_num=0, backend="commutative")
-    prob = ACProblem(u0=1e100 * tor.unit_element(algc), F=parse_symbol("x**4"), idx=IDX,
+    # F(u) = u^4 overflows at u = 1e100: F = inf at a finite point of the
+    # spectrum (the grid values at theta = 0) may not pass for a converged
+    # fixed point
+    alg0 = tor.TorusAlgebra.make(d=2, N=4, theta_num=0)
+    prob = ACProblem(u0=1e100 * tor.unit_element(alg0), F=parse_symbol("x**4"), idx=IDX,
                      t_max=0.01, dt=1e-3)
-    with pytest.raises(BlowUpDetected, match="non-finite Picard iterate in sweep 1"):
-        picard_solve(replace(prob, f_route="grid"))
     with pytest.raises(BlowUpDetected, match="in sweep 1") as err:
-        picard_solve(replace(prob, f_route="matrix"))
+        picard_solve(prob)
     assert isinstance(err.value.__cause__, SymbolNotFinite)
-    for route in ("grid", "matrix"):
-        traj = evolve(replace(prob, f_route=route), segment_time=0.01)
-        assert traj.blow_up
-        assert traj.blow_up_time == pytest.approx(0.01)
-        assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
+    traj = evolve(prob, segment_time=0.01)
+    assert traj.blow_up
+    assert traj.blow_up_time == pytest.approx(0.01)
+    assert traj.times.tolist() == [0.0] and traj.reports["segments"] == []
 
 
 def test_non_real_symbol_rejected_on_both_routes():
-    # F = 0.1 i x is not real-valued on any nonzero spectrum: both routes
-    # reject it through the one real-valuedness test instead of running on
-    # with non-Hermitian states
-    alg0 = tor.TorusAlgebra.make(d=2, N=4, theta_num=0)
+    # F = 0.1 i x is not real-valued on any nonzero spectrum: the grid
+    # evaluation (theta = 0) and the functional calculus (theta != 0) reject
+    # it through the one real-valuedness test instead of running on with
+    # non-Hermitian states
     F = SmoothSymbol(func=lambda x: 0.1j * x,
                      derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x),
                      max_order=2, check=False)
-    prob = ACProblem(u0=0.5 * tor.unit_element(alg0), F=F, idx=IDX, t_max=0.01, dt=1e-3)
-    for route in ("grid", "matrix"):
+    for theta_num in (0, 1):
+        alg = tor.TorusAlgebra.make(d=2, N=4, theta_num=theta_num)
+        prob = ACProblem(u0=0.5 * tor.unit_element(alg), F=F, idx=IDX, t_max=0.01, dt=1e-3)
         with pytest.raises(SymbolDomainError, match="not real-valued"):
-            picard_solve(replace(prob, f_route=route))
+            picard_solve(prob)
 
 
 def test_evolve_blow_up_riccati():
     # zero-mode Riccati: du/dt = u^2 from u(0) = 2 escapes at t = 1/2
-    algc = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="commutative")
-    u = 2.0 * tor.unit_element(algc)
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    u = 2.0 * tor.unit_element(alg0)
     prob = ACProblem(u0=u, F=parse_symbol("x**2"), idx=IDX, t_max=2.0, dt=1e-3,
                      blow_up_threshold=50.0)
     traj = evolve(prob, segment_time=0.05)
@@ -255,18 +252,23 @@ def test_negative_time_rejected(u0):
 
 
 def test_commutative_cross_check_small(alg):
-    alg0 = tor.TorusAlgebra.make(d=2, N=16, theta_num=0, backend="matrix")
+    # check (f) at N = 8: F(u) along a theta = 0 Picard trajectory against
+    # column 0 of F on the left-regular (convolution) realization
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
     u = tor.random_element(alg0, rng_for(2, "cc"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3)
-    assert commutative_cross_check(prob, horizon=0.05) <= 1e-8
-    with pytest.raises(HypothesisViolation):
-        commutative_cross_check(ACProblem(u0=tor.random_element(alg, rng_for(3, "cc"), band=3),
-                                          F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3))
+    states = np.stack([s.coeffs for s in picard_solve(prob)[0].states])
+    ref = func_calc(tor.regular_realization(alg0, states), prob.F).data[..., 0]
+    got = prob.apply_F(states).reshape(len(states), -1)
+    assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-8
+    with pytest.raises(BackendMismatch):  # the convolution realization is flat only
+        tor.regular_realization(alg, states[:1])
 
 
-def _per_state_picard(problem, horizon, initial, max_iter=40, tol=1e-10):
-    """Picard iteration one state at a time: F applied matrix by matrix (or
-    grid by grid), the distance taken state by state."""
+def _per_state_picard(problem, horizon, initial, reference, max_iter=40, tol=1e-10):
+    """Picard iteration one state at a time: F applied matrix by matrix
+    (``reference = "matrix"``: the clock/shift or grid-diagonal realization)
+    or grid by grid (``"grid"``, theta = 0), the distance taken state by state."""
     alg = problem.u0.algebra
     steps = max(1, int(round(horizon / problem.dt)))
     dt = horizon / steps
@@ -278,8 +280,8 @@ def _per_state_picard(problem, horizon, initial, max_iter=40, tol=1e-10):
 
     def apply_F(c):
         x = tor.TorusElement(alg, c)
-        if problem.f_route == "grid":
-            return tor.from_grid_values(alg, np.asarray(problem.F(tor.grid_values(x).real))).coeffs
+        if reference == "grid":
+            return tor.from_grid_values(alg, problem.F(tor.grid_values(alg, c[None]).real))[0]
         h = HermitianOperator(tor.to_matrix(x))
         return tor.from_matrix(alg, func_calc(h, problem.F).data).coeffs
 
@@ -300,20 +302,23 @@ def _per_state_picard(problem, horizon, initial, max_iter=40, tol=1e-10):
     return coeffs, distances
 
 
-@pytest.mark.parametrize("theta_num,route,initial,horizon", [
+@pytest.mark.parametrize("theta_num,reference,initial,horizon", [
     (1, "matrix", "heat", 0.15), (1, "matrix", "constant", 0.15),
     (0, "matrix", "heat", 0.03), (0, "grid", "heat", 0.03), (0, "grid", "constant", 0.03)])
-def test_picard_matches_per_state_reference(theta_num, route, initial, horizon):
+def test_picard_matches_per_state_reference(theta_num, reference, initial, horizon):
     # the batched sweep (stacked functional calculus over chunks of the time
-    # grid, one stacked FFT on the grid route) gives the per-state bits
+    # grid; one stacked grid evaluation at theta = 0) gives the per-state
+    # bits.  At theta = 0 every case is also held to the per-state matrix
+    # functional calculus, so the one route keeps the bits of both routes
+    # it replaced.
     alg = tor.TorusAlgebra.make(d=2, N=16 if theta_num else 8, theta_num=theta_num)
     u = tor.random_element(alg, rng_for(theta_num, "sweep"), band=3, decay=2.0)
-    prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3,
-                     f_route=route)
+    prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3)
     traj, rep = picard_solve(prob, horizon=horizon, initial=initial)
-    ref, distances = _per_state_picard(prob, horizon, initial)
-    assert len(tor.realization_chunks(alg, len(ref))) > 1 or route == "grid"
-    assert rep["distances"] == distances
-    assert len(traj.states) == len(ref)
-    for state, c in zip(traj.states, ref):
-        assert np.array_equal(state.coeffs, c)
+    assert len(tor.realization_chunks(alg, len(traj.states))) > 1 or theta_num == 0
+    for ref_route in sorted({reference, "matrix"}):
+        ref, distances = _per_state_picard(prob, horizon, initial, ref_route)
+        assert rep["distances"] == distances
+        assert len(traj.states) == len(ref)
+        for state, c in zip(traj.states, ref):
+            assert np.array_equal(state.coeffs, c)

@@ -6,8 +6,10 @@ import pytest
 import opcalc.besov as bz
 import opcalc.torus as tor
 from opcalc.besov import BesovIndex
-from opcalc.errors import (DegenerateInput, HypothesisViolation, SymbolHypothesisError)
+from opcalc.errors import (DegenerateInput, HypothesisViolation, NonHermitianInput,
+                           SymbolHypothesisError)
 from opcalc.expr import parse_symbol
+from opcalc.linalg import HermitianOperator, func_calc
 from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
@@ -289,3 +291,64 @@ def test_lipschitz_besov_small_perturbation_trend(alg):
     assert all(np.isfinite(v) for v in vals)
     spread = max(vals) - min(vals)
     assert spread < 0.5  # ratio stabilizes as eps -> 0
+
+
+# --- F(u) against independent realizations ----------------------------------
+
+def _twisted_regular(alg, c):
+    """Left-regular realization at theta != 0 from the dense mode matrices:
+    L[k, l] = tau(M(k)* U M(l)), the k-th coefficient of u M(l)."""
+    b = alg.basis().reshape((-1,) + (alg.matrix_dim,) * 2)
+    u = np.tensordot(c, alg.basis(), axes=((0, 1), (0, 1)))
+    return np.conj(b).reshape(len(b), -1) @ (u @ b).reshape(len(b), -1).T / alg.matrix_dim
+
+
+@pytest.mark.parametrize("theta_num", [1, 3])
+@pytest.mark.parametrize("expr", ["tanh(x)", "x**3", "abs(x)"])
+def test_apply_symbol_matches_twisted_regular_realization(theta_num, expr):
+    # L_{F(u)} = F(L_u), so column 0 of F(L_u) holds the coefficients of F(u);
+    # L_u comes from the dense basis, not from the clock/shift FFT route
+    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    F = parse_symbol(expr)
+    xs = np.stack([tor.random_element(alg, rng_for(i, "twreg", theta_num), band=3).coeffs
+                   for i in range(3)])
+    got = bz.apply_symbol_batch(F, alg, xs)
+    for c, g in zip(xs, got):
+        ref = func_calc(HermitianOperator(_twisted_regular(alg, c)), F).data[:, 0]
+        assert np.max(np.abs(g.ravel() - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("expr", ["tanh(x)", "x**3", "abs(x)"])
+def test_flat_apply_symbol_matches_regular_realization(expr):
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    F = parse_symbol(expr)
+    xs = np.stack([tor.random_element(alg0, rng_for(i, "flreg"), band=3).coeffs for i in range(3)])
+    ref = func_calc(tor.regular_realization(alg0, xs), F).data[..., 0]
+    got = bz.apply_symbol_batch(F, alg0, xs).reshape(len(xs), -1)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_flat_apply_symbol_keeps_diagonal_calculus_bits(N):
+    # F on the grid values gives the bits of the functional calculus of the
+    # diagonal realization, zero and constant states included
+    alg0 = tor.TorusAlgebra.make(d=2, N=N, theta_num=0)
+    xs = np.stack([tor.random_element(alg0, rng_for(i, "flbits", N), band=N // 2 - 1).coeffs
+                   for i in range(3)] + [np.zeros(alg0.shape), 0.7 * tor.unit_element(alg0).coeffs])
+    for expr in ("tanh(x)", "x**3", "exp(x)", "abs(x)", "x*abs(x)"):
+        F = parse_symbol(expr)
+        ref = tor.from_matrix_batch(alg0, func_calc(HermitianOperator(tor.to_matrix_batch(alg0, xs)), F).data)
+        assert np.array_equal(bz.apply_symbol_batch(F, alg0, xs), ref)
+
+
+def test_flat_apply_symbol_rejects_non_hermitian():
+    # the grid values meet the deviation test of the diagonal realization
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    xs = np.stack([tor.random_element(alg0, rng_for(0, "flnh"), band=2).coeffs,
+                   tor.random_element(alg0, rng_for(1, "flnh"), band=2, hermitian=False).coeffs])
+    with pytest.raises(NonHermitianInput) as err:
+        bz.apply_symbol_batch(parse_symbol("tanh(x)"), alg0, xs)
+    with pytest.raises(NonHermitianInput) as ref:
+        HermitianOperator(tor.to_matrix_batch(alg0, xs))
+    assert str(err.value) == str(ref.value)
+    bz.apply_symbol_batch(parse_symbol("tanh(x)"), alg0, xs[:1])  # the Hermitian one passes

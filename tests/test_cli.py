@@ -156,9 +156,13 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("allen-cahn", "[allen-cahn]\nt_max = 0\n", "[allen-cahn]"),
     ("allen-cahn", "[allen-cahn]\nt_max = inf\n", "[allen-cahn]"),
     ("moi", "[symbol]\nexpr = x" + " + x" * 1199 + "\n", "symbol expression"),
+    # backend admits one value; 'commutative' is no longer a choice
+    ("meyer", "[algebra]\ntheta_num = 0\nbackend = commutative\n", "[algebra]"),
+    # closed-form derivatives that fail the central-difference sanity check
+    ("moi", "[symbol]\nexpr = x**400\n", "'x**400'"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
-        "t-max-inf", "deep-expr"])
+        "t-max-inf", "deep-expr", "commutative-flat", "symbol-check"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)
@@ -179,6 +183,17 @@ SHIPPED_HASHES = {
 def test_shipped_config_hashes(name):
     path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini"
     assert parse_config(path).config_hash == SHIPPED_HASHES[name]
+
+
+def test_backend_key_is_fixed(tmp_path):
+    # [algebra] backend = matrix parses and, set or not, hashes alike
+    text = (Path(__file__).resolve().parent.parent / "configs" / "meyer.ini").read_text()
+    assert "backend" not in text
+    path = tmp_path / "m.ini"
+    path.write_text(text.replace("[algebra]\n", "[algebra]\nbackend = matrix\n"))
+    cfg = parse_config(path)
+    assert cfg.config_hash == SHIPPED_HASHES["meyer"]
+    assert "algebra.backend=matrix" in cfg.canonical().splitlines()
 
 
 def test_cli_missing_baseline(tmp_path, capsys):

@@ -63,7 +63,7 @@ def test_algebra_validation():
     with pytest.raises(ValueError):
         tor.TorusAlgebra.make(d=2, N=8, theta_num=2)  # gcd(2, 8) != 1
     with pytest.raises(BackendMismatch):
-        tor.TorusAlgebra.make(d=2, N=8, theta_num=1, backend="commutative")
+        tor.TorusAlgebra.make(d=3, N=8, theta_num=1)  # clock/shift needs d = 2
     with pytest.raises(ValueError):
         tor.TorusAlgebra(d=2, N=8, theta=np.array([[0.0, 0.5], [0.5, 0.0]]))  # not antisym
 
@@ -149,7 +149,7 @@ def test_multiply_unit(alg):
 
 
 def test_commutative_backend_fft_oracle():
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="commutative")
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
     rng = rng_for(7, "fft")
     x = tor.random_element(alg0, rng, band=1)
     y = tor.random_element(alg0, rng, band=1)
@@ -168,14 +168,14 @@ def test_checked_multiply_band_overflow(alg):
 
 @st.composite
 def _algebras(draw):
-    """Even N in [4, 16] with a coprime theta numerator, or theta = 0 on either
-    backend with N**d <= 64 so the dense grid-diagonal basis stays small."""
+    """Even N in [4, 16] with a coprime theta numerator, or theta = 0 with
+    N**d <= 64 so the dense grid-diagonal basis stays small."""
     N = draw(st.sampled_from(range(4, 17, 2)))
     p = draw(st.sampled_from([0] + [q for q in range(1, N) if math.gcd(q, N) == 1]))
     if p:
         return tor.TorusAlgebra.make(d=2, N=N, theta_num=p)
     d = draw(st.sampled_from([d for d in (1, 2, 3) if N ** d <= 64]))
-    return tor.TorusAlgebra.make(d=d, N=N, backend=draw(st.sampled_from(["matrix", "commutative"])))
+    return tor.TorusAlgebra.make(d=d, N=N)
 
 
 @st.composite
@@ -359,7 +359,7 @@ def test_amplitude_refinement_stability(alg16):
 
 
 def test_amplitude_single_mode_closed_form():
-    alg1 = tor.TorusAlgebra.make(d=1, N=16, theta_num=0, backend="commutative")
+    alg1 = tor.TorusAlgebra.make(d=1, N=16, theta_num=0)
     x = tor.mode_element(alg1, (3,))
     for t in (0.1, 0.5, 1.0, 2.0):
         expect = 2 * abs(math.sin(min(t * 3, math.pi) / 2))
@@ -475,15 +475,23 @@ def test_norm_monotone_in_p(alg):
 
 
 def test_backend_consistency_flat():
-    algm = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="matrix")
-    algc = tor.TorusAlgebra.make(d=2, N=8, theta_num=0, backend="commutative")
-    c = tor.random_element(algm, rng_for(32, "bc"), band=2).coeffs
-    xm, xc = tor.TorusElement(algm, c), tor.TorusElement(algc, c)
-    for p in (1, 2, math.inf):
-        assert tor.lp_norm(xm, p) == pytest.approx(tor.lp_norm(xc, p), rel=1e-10)
-    with pytest.raises(BackendMismatch):
-        tor.grid_values(tor.random_element(tor.TorusAlgebra.make(d=2, N=8, theta_num=1),
-                                           rng_for(33, "bm"), band=2))
+    # theta = 0 norms read grid values; the left-regular (convolution)
+    # realization has the same spectrum and shares no code with them
+    for d, N in ((2, 8), (1, 16), (3, 4)):
+        alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
+        xs = [tor.random_element(alg0, rng_for(32, "bc", d), band=2),
+              tor.random_element(alg0, rng_for(32, "bc-nh", d), band=2, hermitian=False)]
+        regular = tor.regular_realization(alg0, np.stack([x.coeffs for x in xs]))
+        assert regular.shape == (2, N ** d, N ** d)
+        for p in (1, 2, math.inf):
+            expect = schatten_norm_batch(regular, p)
+            for x, ref in zip(xs, expect):
+                assert tor.lp_norm(x, p) == pytest.approx(ref, rel=1e-12)
+    alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    c1 = tor.random_element(alg1, rng_for(33, "bm"), band=2).coeffs[None]
+    for realize in (tor.grid_values, tor.regular_realization):
+        with pytest.raises(BackendMismatch):
+            realize(alg1, c1)
 
 
 def test_dimension_mismatch_ops(alg, alg16):
