@@ -16,6 +16,7 @@ assert non-regression, never fixed constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -235,6 +236,16 @@ def partial_sum(x: TorusElement, j: int) -> TorusElement:
     return tor.apply_multiplier(x, sums[min(j, len(sums) - 1)])
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_gauss_legendre(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights of the given order on [0, 1] (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    tq, wq = 0.5 * (nodes + 1.0), 0.5 * weights
+    tq.flags.writeable = False
+    wq.flags.writeable = False
+    return tq, wq
+
+
 def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
     """Operator-norm residual of the dyadic decomposition of e^{i xi u} - 1.
 
@@ -243,13 +254,17 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
     with G(eta) = (e^{i xi eta} - 1)/eta (entire; value i xi at 0), evaluated
     by Gauss-Legendre quadrature in t.  Exact telescoping requires the left
     exponent anchor S_j and the i xi factor.
+
+    In the eigenbases of S_j u (eigenvalues lam) and S_{j-1} u (mu) the block
+    integral is the Schur product of the rotated block with L^T R, where
+    L[t, a] = w_t e^{i t xi lam_a} and R[t, b] = e^{i (1-t) xi mu_b}: one
+    matrix product per block covers every quadrature node.
     """
     if not is_hermitian(u):
         raise SymbolHypothesisError("Meyer decomposition requires Hermitian u")
     alg = u.algebra
     U = to_matrix(u)
     H = HermitianOperator(U)
-    dim = H.n
     lhs = eig_hermitian(H).apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
     if xi == 0.0:
         return float(np.linalg.norm(lhs, 2))
@@ -265,9 +280,7 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
     s0 = partial_sum(u, 0)
     s0_mat = to_matrix(s0)
     rhs = eig_hermitian(HermitianOperator(s0_mat)).apply(g_fn) @ s0_mat
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    tq = 0.5 * (nodes + 1.0)
-    wq = 0.5 * weights
+    tq, wq = _unit_gauss_legendre(quad_order)
     jmax = block_count(alg)
     prev = s0
     prev_dec = eig_hermitian(HermitianOperator(to_matrix(prev)))
@@ -278,14 +291,12 @@ def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
         cur = partial_sum(u, j)
         cur_dec = eig_hermitian(HermitianOperator(to_matrix(cur)))
         bmat = to_matrix(bj)
-        acc = np.zeros((dim, dim), dtype=np.complex128)
         vl, ll = cur_dec.eigenvectors, cur_dec.eigenvalues
         vr, lr = prev_dec.eigenvectors, prev_dec.eigenvalues
         bm = vl.conj().T @ bmat @ vr
-        for t, w in zip(tq, wq):
-            left = np.exp(1j * t * xi * ll)
-            right = np.exp(1j * (1.0 - t) * xi * lr)
-            acc += w * (left[:, None] * bm * right[None, :])
+        left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[None, :])
+        right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
+        acc = bm * (left.T @ right)
         rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
         prev, prev_dec = cur, cur_dec
     return float(np.linalg.norm(lhs - rhs, 2))

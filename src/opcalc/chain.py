@@ -22,7 +22,7 @@ from .besov import apply_symbol
 from .errors import BandOverflow, DimensionMismatch, OrderExceeded
 from .linalg import HermitianOperator, eig_hermitian, func_calc, schatten_norm
 from .moi import MOIOperands, moi_schur
-from .symbols import SmoothSymbol
+from .symbols import SmoothSymbol, divided_diff_tensor
 from . import torus as tor
 
 
@@ -169,22 +169,32 @@ def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
 
 def evaluate_expansion(F: SmoothSymbol, u, terms: Sequence[ExpansionTerm],
                        derivation: DerivationSpec) -> np.ndarray:
-    """sum coeff * T_{F^[l]}(d^{a_1}u, ..., d^{a_l}u) with all anchors u."""
+    """sum coeff * T_{F^[l]}(d^{a_1}u, ..., d^{a_l}u) with all anchors u.
+
+    Every anchor is u, so the symbol F^[l] over the spectrum of u depends on
+    the order l alone, not on the arguments: each order's divided-difference
+    tensor is built once and shared by all terms of that order.  Each distinct
+    derivative d^a u is likewise realized once, however many terms use it.
+    """
     max_l = max(t.order for t in terms)
     if F.poly_coeffs is None and max_l > F.max_order:
         raise OrderExceeded(f"expansion order {max_l} > symbol order {F.max_order}")
+    distinct = dict.fromkeys(a for t in terms for a in t.args)
     if derivation.kind == "torus":
         u_mat = HermitianOperator(tor.to_matrix(u))
-        args_of = {a: tor.to_matrix(tor.derive_multi(u, a)) for t in terms for a in t.args}
+        args_of = {a: tor.to_matrix(tor.derive_multi(u, a)) for a in distinct}
     else:
         u_mat = u if isinstance(u, HermitianOperator) else HermitianOperator(u)
-        args_of = {a: _apply_derivation(u_mat, a, derivation) for t in terms for a in t.args}
+        args_of = {a: _apply_derivation(u_mat, a, derivation) for a in distinct}
     dec = eig_hermitian(u_mat)
+    phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1))
+              for l in {t.order for t in terms}}
     total = np.zeros_like(u_mat.data)
     for t in terms:
         ops = MOIOperands(anchors=(u_mat,) * (t.order + 1),
                           arguments=tuple(args_of[a] for a in t.args))
-        total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1))
+        total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
+                                            phi=phi_of[t.order])
     return total
 
 

@@ -63,14 +63,21 @@ def _check_cost(order: int, dim: int):
 
 
 def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices."""
+    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices.
+
+    Order 3 runs in two stages: W[j,k,l] = X~_2[j,k] X~_3[k,l] and the
+    k-sum T[i,j,l] = sum_k phi[i,j,k,l] W[j,k,l], then the j-sum against
+    X~_1.  Only the k-sum touches all n^4 entries of phi; the other two
+    stages cost n^3 each.
+    """
     n = len(rotated)
     if n == 1:
         return phi * rotated[0]
     if n == 2:
         return np.einsum("ijk,ij,jk->ik", phi, rotated[0], rotated[1])
     if n == 3:
-        return np.einsum("ijkl,ij,jk,kl->il", phi, rotated[0], rotated[1], rotated[2])
+        w = rotated[1][:, :, None] * rotated[2][None, :, :]
+        return np.einsum("ij,ijl->il", rotated[0], np.einsum("ijkl,jkl->ijl", phi, w))
     raise ComplexityExceeded("MOI orders above 3 are not supported")
 
 
@@ -82,7 +89,8 @@ def moi_schur(F, ops: MOIOperands,
     T(X_1..X_n) = sum F^[n](lam0_{i0},..,lamn_{in}) P0_{i0} X_1 P1_{i1} ... X_n Pn_{in}.
 
     ``phi`` overrides the divided-difference tensor (expert path, used by the
-    binned form and the constant-symbol tests).  ``decompositions`` supplies
+    binned form, by the chain-rule expansion to share one F^[n] among terms
+    with the same anchors, and by the constant-symbol tests).  ``decompositions`` supplies
     precomputed spectra, e.g. to test basis independence under degeneracy.
     """
     n = ops.order

@@ -9,7 +9,7 @@ from opcalc.besov import BesovIndex
 from opcalc.errors import (DegenerateInput, HypothesisViolation, NonHermitianInput,
                            SymbolHypothesisError)
 from opcalc.expr import parse_symbol
-from opcalc.linalg import HermitianOperator, func_calc
+from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc
 from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
@@ -199,6 +199,47 @@ def test_meyer_monotone_in_quadrature(alg):
     x = tor.random_element(alg, rng_for(4, "mey"), band=3)
     res = [bz.meyer_residual(x, 1.0, K) for K in (2, 4, 8, 16)]
     assert all(res[i + 1] <= res[i] * (1 + 1e-9) + 1e-13 for i in range(len(res) - 1))
+
+
+def per_node_meyer_residual(u, xi, quad_order):
+    """meyer_residual with the block integral summed node by node."""
+    lhs = eig_hermitian(HermitianOperator(tor.to_matrix(u))).apply(
+        lambda lam: np.exp(1j * xi * lam) - 1.0)
+    s0_mat = tor.to_matrix(bz.partial_sum(u, 0))
+
+    def g(lam):  # (e^{i xi lam} - 1) / lam, Taylor-expanded near 0
+        return np.where(np.abs(lam) < 1e-8, 1j * xi * (1.0 + 0.5j * xi * lam),
+                        (np.exp(1j * xi * lam) - 1.0) / np.where(lam == 0, 1.0, lam))
+
+    prev_dec = eig_hermitian(HermitianOperator(s0_mat))
+    rhs = prev_dec.apply(g) @ s0_mat
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    for j in range(1, tor.block_count(u.algebra)):
+        cur_dec = eig_hermitian(HermitianOperator(tor.to_matrix(bz.partial_sum(u, j))))
+        vl, ll = cur_dec.eigenvectors, cur_dec.eigenvalues
+        vr, lr = prev_dec.eigenvectors, prev_dec.eigenvalues
+        bm = vl.conj().T @ tor.to_matrix(tor.lp_block(u, j)) @ vr
+        acc = np.zeros_like(bm)
+        for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+            left = np.exp(1j * t * xi * ll)
+            right = np.exp(1j * (1.0 - t) * xi * lr)
+            acc += w * (left[:, None] * bm * right[None, :])
+        rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
+        prev_dec = cur_dec
+    return float(np.linalg.norm(lhs - rhs, 2))
+
+
+@pytest.mark.parametrize("xi", [0.5, 2.0])
+@pytest.mark.parametrize("K", [4, 32])
+def test_meyer_quadrature_matches_per_node_sum(K, xi):
+    alg8 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    x = tor.random_element(alg8, rng_for(6, "mey"), band=3)
+    got, ref = bz.meyer_residual(x, xi, K), per_node_meyer_residual(x, xi, K)
+    # the residual is a difference of O(1) matrices, so reordering the node sum
+    # moves it by their rounding (~1e-16 absolute) however small it is
+    assert abs(got - ref) <= max(1e-12 * ref, 1e-13)
+    tq, wq = bz._unit_gauss_legendre(K)
+    assert not tq.flags.writeable and not wq.flags.writeable
 
 
 def test_meyer_requires_hermitian(alg):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import opcalc.torus as tor
-from opcalc.chain import (DerivationSpec, ExpansionTerm, chain_rule_residual,
-                          commutative_collapse, evaluate_expansion, expand,
-                          faa_di_bruno_weights)
+from opcalc.chain import (DerivationSpec, ExpansionTerm, _apply_derivation,
+                          chain_rule_residual, commutative_collapse, evaluate_expansion,
+                          expand, faa_di_bruno_weights)
 from opcalc.errors import BandOverflow
 from opcalc.expr import parse_symbol
-from opcalc.linalg import HermitianOperator, random_hermitian
+from opcalc.linalg import HermitianOperator, eig_hermitian, random_hermitian
+from opcalc.moi import MOIOperands, moi_schur
 from opcalc.seeding import rng_for
 
 
@@ -173,6 +174,43 @@ def test_chain_rule_torus():
     spec = DerivationSpec("torus")
     for beta in ((1, 0), (2, 0), (1, 1)):
         assert chain_rule_residual(parse_symbol("x**3"), u, beta, spec) <= 1e-9
+
+
+def per_term_expansion(F, u, terms, derivation):
+    """evaluate_expansion with each term's own F^[l] and arguments, built by moi_schur."""
+    if derivation.kind == "torus":
+        u_mat = HermitianOperator(tor.to_matrix(u))
+        def arg(a):
+            return tor.to_matrix(tor.derive_multi(u, a))
+    else:
+        u_mat = u
+        def arg(a):
+            return _apply_derivation(u_mat, a, derivation)
+    dec = eig_hermitian(u_mat)
+    total = np.zeros_like(u_mat.data)
+    for t in terms:
+        ops = MOIOperands((u_mat,) * (t.order + 1), tuple(arg(a) for a in t.args))
+        total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1))
+    return total
+
+
+@pytest.mark.parametrize("case", ["inner-x**5", "inner-tanh(x)", "torus-x**3"])
+def test_shared_phi_keeps_bits(case):
+    kind, expr = case.split("-", 1)
+    F = parse_symbol(expr)
+    if kind == "inner":
+        rng = rng_for(9, "share", expr)
+        u = random_hermitian(rng, 8)
+        spec = DerivationSpec("inner", (random_hermitian(rng, 8),))
+        beta = (3,)
+    else:
+        alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+        u = tor.random_element(alg, rng_for(9, "share-torus"), band=3, decay=2.0)
+        spec = DerivationSpec("torus")
+        beta = (2, 1)
+    terms = expand(beta)
+    assert np.array_equal(evaluate_expansion(F, u, terms, spec),
+                          per_term_expansion(F, u, terms, spec))
 
 
 def test_chain_rule_torus_band_guard():

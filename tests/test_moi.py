@@ -44,6 +44,26 @@ def test_square_symbol_telescopes():
     assert np.linalg.norm(out - (X.data @ X.data - Y.data @ Y.data)) <= 1e-12 * 10
 
 
+def test_order_three_matches_eigenprojection_sum():
+    # exact non-constant phi; the last anchor has a doubly repeated eigenvalue
+    rng = rng_for(5, "o3")
+    spectra = [rng.uniform(-1.5, 1.5, size=5) for _ in range(3)]
+    spectra.append(np.array([0.3, 0.3, 1.0, -0.5, 1.7]))
+    bases = [haar_unitary(rng, 5) for _ in spectra]
+    anchors = tuple(HermitianOperator((v * lam) @ v.conj().T) for v, lam in zip(bases, spectra))
+    args = random_args(rng, 5, 3)
+    F = parse_symbol("tanh(x)")
+    projections = []
+    for v, lam in zip(bases, spectra):
+        projections.append([(x, v[:, lam == x] @ v[:, lam == x].conj().T) for x in np.unique(lam)])
+    expect = np.zeros((5, 5), dtype=complex)
+    for (l0, p0), (l1, p1), (l2, p2), (l3, p3) in itertools.product(*projections):
+        expect += (divided_diff(F, [l0, l1, l2, l3])
+                   * p0 @ args[0] @ p1 @ args[1] @ p2 @ args[2] @ p3)
+    out = moi_schur(F, MOIOperands(anchors, args))
+    assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
 def test_order_zero_is_functional_calculus():
     h = random_hermitian(rng_for(3, "n0"), 6)
     F = parse_symbol("tanh(x)")
