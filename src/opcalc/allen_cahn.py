@@ -175,7 +175,8 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
         "contraction_factor": float(np.median(factors)) if factors else 0.0,
         "ball_radius": float(np.max(bnorms)),
         "ball_bound": besov_multiplier_norm(problem.u0, problem.idx) + problem.delta,
-        "hermitian_dev": max(tor.hermitian_deviation(s) for s in states),
+        "hermitian_dev": max(float(np.max(tor.hermitian_deviation_batch(alg, coeffs[chunk])))
+                             for chunk in tor.realization_chunks(alg, len(coeffs))),
         "sweeps": len(distances),
     }
     traj = Trajectory(times=times, states=states, besov_norms=bnorms)

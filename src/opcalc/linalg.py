@@ -1,11 +1,12 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense Hermitian linear algebra, complex or real symmetric.
 
 Eigendecomposition, functional calculus and Schatten norms under the
 normalized trace tr/n, the trace of the noncommutative torus (its unit has
 norm 1 at every lattice size).  The spectral kernel takes stacks:
 ``HermitianOperator``, ``eig_hermitian`` and ``func_calc`` accept one (n, n)
 matrix or a (..., n, n) stack, so a whole Picard sweep is one batched
-functional calculus.  ``schatten_norm`` takes one
+functional calculus.  Real input stays real (float64), so a real symmetric
+matrix is diagonalized by LAPACK's real solver.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
 from an SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
@@ -26,8 +27,11 @@ HERMITIAN_RTOL = 1e-12
 
 
 def _as_square(data, stack: bool = False) -> np.ndarray:
-    """One square complex matrix, or a (..., n, n) stack of them if ``stack``."""
-    a = np.asarray(data, dtype=np.complex128)
+    """One square matrix, or a (..., n, n) stack of them if ``stack``: complex
+    input as complex128, real input as float64, so that a real symmetric
+    stack reaches LAPACK's real solvers."""
+    a = np.asarray(data)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -37,7 +41,7 @@ def _frobenius(a: np.ndarray):
     """Frobenius norm of one matrix, or of each matrix of a stack."""
     if a.ndim == 2:
         return np.linalg.norm(a)
-    r = np.ascontiguousarray(a).view(np.float64)  # (re, im) pairs along the last axis
+    r = np.ascontiguousarray(a).view(np.float64)  # a complex entry reads as its (re, im) pair
     return np.sqrt(np.einsum("...ij,...ij->...", r, r))
 
 

@@ -14,8 +14,11 @@ band, M(n + N m) = (-1)^{p(m1 n2 + m2 n1)} M(n) supplies the wrap sign (N
 even).  At theta = 0 the faithful realization is the diagonal grid
 representation on N^d points.  Both realizations are faithful, so the product
 is computed in them: the matrix product of the clock/shift realizations at
-theta != 0, the pointwise product of grid values at theta = 0, whose check
-is a third realization (``regular_realization``, the left-regular one).
+theta != 0, the pointwise product of grid values at theta = 0.  The check of
+the theta = 0 route is a third realization, the left-regular one
+(``regular_realization``): for Hermitian u it is real symmetric in the
+parity basis built from e_k +- e_-k (``parity_basis``), so it needs no FFT
+and its functional calculus runs on LAPACK's real solver.
 
 Continuous translations act on coefficients but are automorphisms only when
 no product wraps; hence the band discipline and the checked multiply mode,
@@ -33,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BackendMismatch, BandOverflow, DimensionMismatch
+from .errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
 from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_norm_batch
 from .symbols import LPFilterFamily
 
@@ -229,10 +232,11 @@ def _same_algebra(x: TorusElement, y: TorusElement):
         raise DimensionMismatch("elements live on different algebras")
 
 
-def _negate_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficient array of k -> c(-k) with wrap-aware index negation."""
+def _negate_coeffs(c: np.ndarray, d: int) -> np.ndarray:
+    """Coefficient array of k -> c(-k) with wrap-aware index negation over the
+    trailing d axes (one element, or a stack of them)."""
     out = c
-    for ax in range(c.ndim):
+    for ax in range(-d, 0):
         out = np.flip(np.roll(out, -1, axis=ax), axis=ax)
     return out
 
@@ -259,8 +263,9 @@ def _boundary_sign(algebra: TorusAlgebra) -> np.ndarray:
 
 
 def _adjoint_coeffs(algebra: TorusAlgebra, c: np.ndarray) -> np.ndarray:
-    """Coefficients of x*: conj(c(k)) transported to rep(-k) with wrap sign."""
-    return _negate_coeffs(np.conj(c) * _boundary_sign(algebra))
+    """Coefficients of x*: conj(c(k)) transported to rep(-k) with wrap sign
+    (of one element, or of each element of a stack)."""
+    return _negate_coeffs(np.conj(c) * _boundary_sign(algebra), algebra.d)
 
 
 def unit_element(algebra: TorusAlgebra) -> TorusElement:
@@ -274,17 +279,27 @@ def mode_element(algebra: TorusAlgebra, k: Sequence[int], amplitude: complex = 1
     return TorusElement(algebra, c)
 
 
+# Relative tolerance of the Hermitian flag (``is_hermitian``).
+HERMITIAN_TOL = 1e-12
+
+
 def is_hermitian(x: TorusElement) -> bool:
     """Hermitian flag: coeffs(-k) = conj(coeffs(k)) under wrap-aware negation
     (the wrap across a boundary hyperplane carries the representation sign),
-    equivalent to Hermiticity of the matrix realization; 1e-12 relative."""
-    return hermitian_deviation(x) <= 1e-12
+    equivalent to Hermiticity of the matrix realization; HERMITIAN_TOL relative."""
+    return hermitian_deviation(x) <= HERMITIAN_TOL
 
 
 def hermitian_deviation(x: TorusElement) -> float:
-    c = x.coeffs
-    scale = max(float(np.max(np.abs(c))), 1e-300)
-    return float(np.max(np.abs(_adjoint_coeffs(x.algebra, c) - c))) / scale
+    return float(hermitian_deviation_batch(x.algebra, x.coeffs))
+
+
+def hermitian_deviation_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """max |x*(k) - x(k)| / max |x(k)| of each element of a (batch,) +
+    algebra.shape coefficient stack (of one element: a 0-d array)."""
+    axes = tuple(range(-algebra.d, 0))
+    scale = np.maximum(np.max(np.abs(coeff_stack), axis=axes), 1e-300)
+    return np.max(np.abs(_adjoint_coeffs(algebra, coeff_stack) - coeff_stack), axis=axes) / scale
 
 
 def hermitianize(x: TorusElement) -> TorusElement:
@@ -418,15 +433,79 @@ def from_grid_values(algebra: TorusAlgebra, values: np.ndarray) -> np.ndarray:
 
 
 def regular_realization(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
-    """Convolution matrices L_u[k, l] = u((k - l) mod N) on l^2(Z_N^d) of a
-    (batch,) + algebra.shape coefficient stack at theta = 0: left
-    multiplication on coefficients, so column 0 of F(L_u) holds F(u).  One
-    index gather and no FFT, so it shares no code with the grid values."""
+    """Left-regular (convolution) realization of a (batch,) + algebra.shape
+    stack of Hermitian coefficients at theta = 0, in the real parity basis Q
+    of ``parity_basis``: the real symmetric (batch, N^d, N^d) stack
+    R = Q* L_u Q, where L_u[k, l] = u((k - l) mod N) is left multiplication
+    on coefficients.  Since L_{F(u)} = F(L_u) and Q e_0 = e_0, Q times
+    column 0 of F(R) holds the coefficients of F(u).
+
+    Each entry of R reads u at a - c and a + c, so R is two gathers from the
+    real and imaginary parts of u, and no FFT: it shares no code with the grid
+    values.  A state within the Hermitian tolerance is realized through its
+    Hermitian part, as ``HermitianOperator`` stores its matrix symmetrized;
+    one beyond it raises NonHermitianInput.
+    """
     if not algebra.is_flat:
         raise BackendMismatch("the convolution realization requires theta = 0")
-    sites = np.indices(algebra.shape).reshape(algebra.d, -1)
-    index = np.ravel_multi_index((sites[:, :, None] - sites[:, None, :]) % algebra.N, algebra.shape)
-    return coeff_stack.reshape(len(coeff_stack), -1)[:, index]
+    c = np.asarray(coeff_stack, dtype=np.complex128)
+    dev = hermitian_deviation_batch(algebra, c)
+    if not np.all(dev <= HERMITIAN_TOL):
+        raise NonHermitianInput(f"relative Hermitian deviation {np.max(dev):.3e} "
+                                f"exceeds {HERMITIAN_TOL:.0e}")
+    u = (0.5 * (c + _adjoint_coeffs(algebra, c))).reshape(len(c), -1)
+    gather, scale, _q = _parity_tables(algebra.N, algebra.d)
+    parts = np.concatenate([u.real, u.imag, -u.real, -u.imag], axis=1)
+    r = np.take(parts, gather[0], axis=1) + np.take(parts, gather[1], axis=1)
+    return r * scale[:, None] * scale
+
+
+def parity_basis(algebra: TorusAlgebra) -> np.ndarray:
+    """The unitary Q of ``regular_realization`` (read-only): columns e_k at the
+    fixed points 2k = 0 in flat order (e_0 first), then (e_k + e_-k)/sqrt 2
+    for each pair {k, -k}, k its smaller flat index, then i(e_k - e_-k)/sqrt 2
+    for the same pairs.  The parity P e_k = e_-k has P L_u P = conj(L_u) for
+    Hermitian u, so Q* L_u Q is real."""
+    return _parity_tables(algebra.N, algebra.d)[2]
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_tables(N: int, d: int) -> tuple:
+    """(gather, scale, q) of the parity basis of l^2(Z_N^d), read-only.
+
+    For basis vectors x, y with representatives a, c, entry [x, y] of
+    Q* L_u Q is scale[x] scale[y] (g1(u(a - c)) + g2(u(a + c))), with scale
+    1/sqrt 2 at fixed points and 1 on pairs, and (g1, g2) by the kinds of x, y
+    (a fixed point counts as a plus vector):
+
+        plus, plus: (Re, Re)     plus, minus: (-Im, Im)
+        minus, plus: (Im, Im)    minus, minus: (Re, -Re)
+
+    gather[0] and gather[1] index those terms in [Re u, Im u, -Re u, -Im u].
+    """
+    shape, M = (N,) * d, N ** d
+    sites = np.indices(shape).reshape(d, M)
+    col = np.arange(M)
+    neg = np.ravel_multi_index((-sites) % N, shape)
+    fixed, reps = col[neg == col], col[neg > col]
+    rep = np.concatenate([fixed, reps, reps])  # the representative of each basis vector
+    pair = col >= len(fixed)
+    minus = col >= len(fixed) + len(reps)
+    scale = np.where(pair, 1.0, math.sqrt(0.5))
+    a = sites[:, rep]
+    diff = np.ravel_multi_index((a[:, :, None] - a[:, None, :]) % N, shape)
+    summ = np.ravel_multi_index((a[:, :, None] + a[:, None, :]) % N, shape)
+    mx, my = minus[:, None], minus[None, :]
+    part_diff = np.where(mx == my, 0, np.where(mx, 1, 3))
+    part_sum = np.where(mx == my, np.where(mx, 2, 0), 1)
+    gather = np.stack([part_diff * M + diff, part_sum * M + summ])
+    q = np.zeros((M, M), dtype=np.complex128)
+    q[rep, col] = np.where(minus, 1j, 1.0)
+    q[neg[rep[pair]], col[pair]] = np.where(minus[pair], -1j, 1.0)
+    q[:, pair] *= math.sqrt(0.5)
+    for table in (gather, scale, q):
+        table.flags.writeable = False
+    return gather, scale, q
 
 
 # ---------------------------------------------------------------------------

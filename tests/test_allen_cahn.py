@@ -251,18 +251,44 @@ def test_negative_time_rejected(u0):
         ACProblem(u0=u0, F=parse_symbol("x"), idx=IDX, t_max=1.0, dt=-1e-3)
 
 
-def test_commutative_cross_check_small(alg):
-    # check (f) at N = 8: F(u) along a theta = 0 Picard trajectory against
-    # column 0 of F on the left-regular (convolution) realization
+def _cross_check_problem():
     alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
     u = tor.random_element(alg0, rng_for(2, "cc"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3)
-    states = np.stack([s.coeffs for s in picard_solve(prob)[0].states])
-    ref = func_calc(tor.regular_realization(alg0, states), prob.F).data[..., 0]
+    return alg0, prob, np.stack([s.coeffs for s in picard_solve(prob)[0].states])
+
+
+def _cross_check_reference(alg0, prob, states):
+    """Check (f)'s reference: Q times column 0 of F on the left-regular
+    realization in its real parity basis."""
+    return func_calc(tor.regular_realization(alg0, states), prob.F).data[..., 0] @ tor.parity_basis(alg0).T
+
+
+def test_commutative_cross_check_small(alg):
+    # check (f) at N = 8: F(u) along a theta = 0 Picard trajectory against
+    # F on the left-regular (convolution) realization
+    alg0, prob, states = _cross_check_problem()
+    ref = _cross_check_reference(alg0, prob, states)
     got = prob.apply_F(states).reshape(len(states), -1)
     assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-8
     with pytest.raises(BackendMismatch):  # the convolution realization is flat only
         tor.regular_realization(alg, states[:1])
+
+
+def test_cross_check_reference_uses_no_fft(monkeypatch):
+    # the reference of check (f) must not share the grid route's FFT
+    alg0, prob, states = _cross_check_problem()
+    expect = _cross_check_reference(alg0, prob, states)
+
+    class NoFFT:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.fft.{name} called")
+
+    tor._parity_tables.cache_clear()
+    monkeypatch.setattr(np, "fft", NoFFT())
+    with pytest.raises(AssertionError, match="numpy.fft"):  # the guard is live
+        tor.grid_values(alg0, states)
+    assert np.array_equal(_cross_check_reference(alg0, prob, states), expect)
 
 
 def _per_state_picard(problem, horizon, initial, reference, max_iter=40, tol=1e-10):

@@ -157,6 +157,25 @@ def test_stacked_kernel_matches_matrix_loop(n):
         assert np.array_equal(fh.data[i], func_calc(Hi, F).data)
 
 
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_real_symmetric_stack_stays_real(n):
+    # a float64 symmetric stack is decomposed by the real solver and gives
+    # the complex route's F(H) to rounding; complex input stays complex even
+    # when its imaginary part is zero
+    rng = rng_for(n, "real")
+    g = rng.standard_normal((4, n, n))
+    stack = (g + g.swapaxes(-1, -2)) / (2.0 * math.sqrt(n))
+    F = parse_symbol("tanh(x)")
+    H = HermitianOperator(stack)
+    dec = eig_hermitian(H)
+    fh = func_calc(H, F)
+    assert H.data.dtype == dec.eigenvectors.dtype == fh.data.dtype == np.float64
+    fc = func_calc(stack.astype(complex), F).data
+    assert fc.dtype == np.complex128
+    assert np.max(np.abs(fh.data - fc)) <= 1e-13
+    assert HermitianOperator(np.eye(n, dtype=int)).data.dtype == np.float64
+
+
 def test_stack_with_non_hermitian_member_raises():
     stack = np.stack([np.eye(3)] * 4).astype(complex)
     stack[1, 0, 2] = 0.5

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opcalc.torus as tor
-from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch
-from opcalc.linalg import hermitian_schatten_norm_batch, schatten_norm, schatten_norm_batch
+from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
+from opcalc.expr import parse_symbol
+from opcalc.linalg import func_calc, hermitian_schatten_norm_batch, schatten_norm, schatten_norm_batch
 from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
@@ -474,24 +475,88 @@ def test_norm_monotone_in_p(alg):
     assert tor.lp_norm(x, 2) <= tor.lp_norm(x, math.inf) * (1 + 1e-12)
 
 
+def _complex_regular(alg, coeff_stack):
+    """L_u[k, l] = u((k - l) mod N) in the standard basis, complex, of a
+    (batch,) + alg.shape coefficient stack (any coefficients)."""
+    sites = np.indices(alg.shape).reshape(alg.d, -1)
+    index = np.ravel_multi_index((sites[:, :, None] - sites[:, None, :]) % alg.N, alg.shape)
+    return coeff_stack.reshape(len(coeff_stack), -1)[:, index]
+
+
+def _flat_lattice(d, N):
+    """A theta = 0 lattice at any N: the parity basis is defined for odd N too,
+    which TorusAlgebra does not admit."""
+    if N % 2 == 0:
+        return tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
+    alg = object.__new__(tor.TorusAlgebra)
+    for name, value in (("d", d), ("N", N), ("theta", np.zeros((d, d)))):
+        object.__setattr__(alg, name, value)
+    return alg
+
+
 def test_backend_consistency_flat():
     # theta = 0 norms read grid values; the left-regular (convolution)
-    # realization has the same spectrum and shares no code with them
+    # realization has the same spectrum and shares no code with them: in its
+    # real parity basis for a Hermitian element, in the standard basis for a
+    # non-Hermitian one
     for d, N in ((2, 8), (1, 16), (3, 4)):
         alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
         xs = [tor.random_element(alg0, rng_for(32, "bc", d), band=2),
               tor.random_element(alg0, rng_for(32, "bc-nh", d), band=2, hermitian=False)]
-        regular = tor.regular_realization(alg0, np.stack([x.coeffs for x in xs]))
-        assert regular.shape == (2, N ** d, N ** d)
-        for p in (1, 2, math.inf):
-            expect = schatten_norm_batch(regular, p)
-            for x, ref in zip(xs, expect):
-                assert tor.lp_norm(x, p) == pytest.approx(ref, rel=1e-12)
+        for x, realize in zip(xs, (tor.regular_realization, _complex_regular)):
+            regular = realize(alg0, x.coeffs[None])
+            assert regular.shape == (1, N ** d, N ** d)
+            for p in (1, 2, math.inf):
+                assert tor.lp_norm(x, p) == pytest.approx(schatten_norm_batch(regular, p)[0], rel=1e-12)
     alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
     c1 = tor.random_element(alg1, rng_for(33, "bm"), band=2).coeffs[None]
     for realize in (tor.grid_values, tor.regular_realization):
         with pytest.raises(BackendMismatch):
             realize(alg1, c1)
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 7), (2, 8), (2, 5), (3, 4), (3, 3)])
+def test_parity_realization_is_real_symmetric(d, N):
+    # R = Q* L_u Q is real symmetric with the spectrum of L_u; Q is unitary,
+    # fixes e_0, and Q times column 0 of F(R) is column 0 of F(L_u)
+    alg0 = _flat_lattice(d, N)
+    rng = rng_for(35, "parity", d, N)
+    xs = np.stack([tor.hermitianize(tor.TorusElement(alg0, rng.standard_normal(alg0.shape)
+                                                     + 1j * rng.standard_normal(alg0.shape))).coeffs
+                   for _ in range(3)])
+    r = tor.regular_realization(alg0, xs)
+    assert r.dtype == np.float64 and r.shape == (3, N ** d, N ** d)
+    assert np.array_equal(r, r.swapaxes(1, 2))
+    q = tor.parity_basis(alg0)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(N ** d))) <= 1e-15
+    assert np.array_equal(q[:, 0], np.eye(N ** d)[0])
+    lu = _complex_regular(alg0, xs)
+    assert np.max(np.abs(q.conj().T @ lu @ q - r)) <= 1e-14
+    spectrum = np.linalg.eigvalsh(lu)
+    assert np.max(np.abs(np.linalg.eigvalsh(r) - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
+    F = parse_symbol("tanh(x)")
+    col = func_calc(r, F).data[..., 0] @ q.T
+    assert np.max(np.abs(col - func_calc(lu, F).data[..., 0])) <= 1e-13
+
+
+def test_parity_realization_rejects_non_hermitian():
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    x = tor.random_element(alg0, rng_for(34, "prh"), band=3).coeffs
+    bad = x.copy()
+    bad[1, 2] += 1e-9
+    tor.regular_realization(alg0, np.stack([x, x + 1e-14 * bad]))  # within tolerance
+    with pytest.raises(NonHermitianInput):
+        tor.regular_realization(alg0, np.stack([x, bad]))
+    with pytest.raises(NonHermitianInput):
+        tor.regular_realization(alg0, np.full((1,) + alg0.shape, np.nan))
+
+
+def test_hermitian_deviation_batch_matches_elements():
+    for alg0 in (tor.TorusAlgebra.make(d=2, N=8, theta_num=1), tor.TorusAlgebra.make(d=3, N=4)):
+        xs = [tor.random_element(alg0, rng_for(i, "hdb", alg0.d), band=1, hermitian=i % 2 == 0)
+              for i in range(4)]
+        got = tor.hermitian_deviation_batch(alg0, np.stack([x.coeffs for x in xs]))
+        assert got.tolist() == [tor.hermitian_deviation(x) for x in xs]
 
 
 def test_dimension_mismatch_ops(alg, alg16):
