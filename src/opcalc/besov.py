@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
                      SymbolHypothesisError)
-from .linalg import HermitianOperator, diagonal_func_calc, eig_hermitian, func_calc
+from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
+                     eig_hermitian, func_calc)
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, amplitude_profile, block_count,
@@ -246,60 +247,68 @@ def _unit_gauss_legendre(order: int) -> tuple:
     return tq, wq
 
 
-def meyer_residual(u: TorusElement, xi: float, quad_order: int = 32) -> float:
-    """Operator-norm residual of the dyadic decomposition of e^{i xi u} - 1.
+def meyer_residual(u: TorusElement, xis: Sequence[float],
+                   quad_orders: Sequence[int]) -> np.ndarray:
+    """Operator-norm residuals of the dyadic decomposition of e^{i xi u} - 1,
+    as an array over the grid of ``xis`` (rows) and ``quad_orders`` (columns).
 
     e^{i xi u} - 1 = G(S_0 u) S_0 u
                    + i xi sum_{j>=1} int_0^1 e^{i t xi S_j u} (Block_j u) e^{i (1-t) xi S_{j-1} u} dt
     with G(eta) = (e^{i xi eta} - 1)/eta (entire; value i xi at 0), evaluated
-    by Gauss-Legendre quadrature in t.  Exact telescoping requires the left
-    exponent anchor S_j and the i xi factor.
+    by Gauss-Legendre quadrature of each order in t.  Exact telescoping
+    requires the left exponent anchor S_j and the i xi factor.
 
-    In the eigenbases of S_j u (eigenvalues lam) and S_{j-1} u (mu) the block
-    integral is the Schur product of the rotated block with L^T R, where
+    No decomposition depends on xi or the quadrature order: u, S_0 u and the
+    partial sums S_j u are realized and diagonalized once, in one stacked
+    call, and each nonzero block is rotated into the eigenbases of S_j u
+    (eigenvalues lam) and S_{j-1} u (mu) once.  The block integral is then
+    the Schur product of the rotated block with L^T R, where
     L[t, a] = w_t e^{i t xi lam_a} and R[t, b] = e^{i (1-t) xi mu_b}: one
-    matrix product per block covers every quadrature node.
+    matrix product per block and grid point covers every quadrature node.
     """
     if not is_hermitian(u):
         raise SymbolHypothesisError("Meyer decomposition requires Hermitian u")
     alg = u.algebra
-    U = to_matrix(u)
-    H = HermitianOperator(U)
-    lhs = eig_hermitian(H).apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
-    if xi == 0.0:
-        return float(np.linalg.norm(lhs, 2))
-
-    def g_fn(lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty(lam.shape, dtype=np.complex128)
-        small = np.abs(lam) < 1e-8
-        out[~small] = (np.exp(1j * xi * lam[~small]) - 1.0) / lam[~small]
-        out[small] = 1j * xi * (1.0 + 0.5j * xi * lam[small])
-        return out
-
-    s0 = partial_sum(u, 0)
-    s0_mat = to_matrix(s0)
-    rhs = eig_hermitian(HermitianOperator(s0_mat)).apply(g_fn) @ s0_mat
-    tq, wq = _unit_gauss_legendre(quad_order)
-    jmax = block_count(alg)
-    prev = s0
-    prev_dec = eig_hermitian(HermitianOperator(to_matrix(prev)))
-    for j in range(1, jmax):
-        bj = lp_block(u, j)
-        if float(np.max(np.abs(bj.coeffs))) < 1e-300:
+    blocks = [j for j in range(1, block_count(alg))
+              if float(np.max(np.abs(lp_block(u, j).coeffs))) >= 1e-300]
+    sums = [u, partial_sum(u, 0)] + [partial_sum(u, j) for j in blocks]
+    mats = tor.to_matrix_batch(alg, np.stack([x.coeffs for x in sums]
+                                             + [lp_block(u, j).coeffs for j in blocks]))
+    stacked = eig_hermitian(HermitianOperator(mats[:len(sums)]))
+    decs = [SpectralDecomposition(w, v) for w, v in zip(stacked.eigenvalues, stacked.eigenvectors)]
+    s0_mat = mats[1]
+    # per nonzero block: the decompositions of S_j u and of the partial sum
+    # before it, and the block rotated into their eigenbases
+    rotated = [(cur, prev, cur.eigenvectors.conj().T @ bmat @ prev.eigenvectors)
+               for cur, prev, bmat in zip(decs[2:], decs[1:], mats[len(sums):])]
+    out = np.empty((len(xis), len(quad_orders)))
+    for a, xi in enumerate(xis):
+        lhs = decs[0].apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
+        if xi == 0.0:
+            out[a] = np.linalg.norm(lhs, 2)
             continue
-        cur = partial_sum(u, j)
-        cur_dec = eig_hermitian(HermitianOperator(to_matrix(cur)))
-        bmat = to_matrix(bj)
-        vl, ll = cur_dec.eigenvectors, cur_dec.eigenvalues
-        vr, lr = prev_dec.eigenvectors, prev_dec.eigenvalues
-        bm = vl.conj().T @ bmat @ vr
-        left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[None, :])
-        right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
-        acc = bm * (left.T @ right)
-        rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
-        prev, prev_dec = cur, cur_dec
-    return float(np.linalg.norm(lhs - rhs, 2))
+
+        def g_fn(lam):
+            lam = np.asarray(lam, dtype=float)
+            g = np.empty(lam.shape, dtype=np.complex128)
+            small = np.abs(lam) < 1e-8
+            g[~small] = (np.exp(1j * xi * lam[~small]) - 1.0) / lam[~small]
+            g[small] = 1j * xi * (1.0 + 0.5j * xi * lam[small])
+            return g
+
+        rhs0 = decs[1].apply(g_fn) @ s0_mat
+        for b, quad_order in enumerate(quad_orders):
+            tq, wq = _unit_gauss_legendre(quad_order)
+            rhs = rhs0
+            for cur, prev, bm in rotated:
+                vl, ll = cur.eigenvectors, cur.eigenvalues
+                vr, lr = prev.eigenvectors, prev.eigenvalues
+                left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[None, :])
+                right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
+                acc = bm * (left.T @ right)
+                rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
+            out[a, b] = np.linalg.norm(lhs - rhs, 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

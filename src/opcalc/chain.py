@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import apply_symbol
 from .errors import BandOverflow, DimensionMismatch, OrderExceeded
-from .linalg import HermitianOperator, eig_hermitian, func_calc, schatten_norm
+from .linalg import (HermitianOperator, SpectralDecomposition, decomposed_func_calc,
+                     eig_hermitian, hilbert_schmidt_norm)
 from .moi import MOIOperands, moi_schur
 from .symbols import SmoothSymbol, divided_diff_tensor
 from . import torus as tor
@@ -153,9 +153,7 @@ def commutative_collapse(terms: Sequence[ExpansionTerm]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
-    """d^alpha u for either derivation kind (fixed axis order 0..d-1)."""
-    if derivation.kind == "torus":
-        return tor.derive_multi(u, alpha)
+    """d^alpha u for inner derivations: iterated commutators, axes in order 0..d-1."""
     gens = derivation.generators
     if len(alpha) != len(gens):
         raise DimensionMismatch("alpha length must match the generator count")
@@ -167,50 +165,65 @@ def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
     return x
 
 
-def evaluate_expansion(F: SmoothSymbol, u, terms: Sequence[ExpansionTerm],
-                       derivation: DerivationSpec) -> np.ndarray:
-    """sum coeff * T_{F^[l]}(d^{a_1}u, ..., d^{a_l}u) with all anchors u.
-
-    Every anchor is u, so the symbol F^[l] over the spectrum of u depends on
-    the order l alone, not on the arguments: each order's divided-difference
-    tensor is built once and shared by all terms of that order.  Each distinct
-    derivative d^a u is likewise realized once, however many terms use it.
-    """
-    max_l = max(t.order for t in terms)
-    if F.poly_coeffs is None and max_l > F.max_order:
-        raise OrderExceeded(f"expansion order {max_l} > symbol order {F.max_order}")
-    distinct = dict.fromkeys(a for t in terms for a in t.args)
+def _derivative_matrices(x, alphas: Sequence[tuple], derivation: DerivationSpec) -> dict:
+    """{alpha: d^alpha x as a matrix}; torus derivatives are realized in one batch."""
     if derivation.kind == "torus":
-        u_mat = HermitianOperator(tor.to_matrix(u))
-        args_of = {a: tor.to_matrix(tor.derive_multi(u, a)) for a in distinct}
-    else:
-        u_mat = u if isinstance(u, HermitianOperator) else HermitianOperator(u)
-        args_of = {a: _apply_derivation(u_mat, a, derivation) for a in distinct}
-    dec = eig_hermitian(u_mat)
-    phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1))
-              for l in {t.order for t in terms}}
-    total = np.zeros_like(u_mat.data)
-    for t in terms:
-        ops = MOIOperands(anchors=(u_mat,) * (t.order + 1),
-                          arguments=tuple(args_of[a] for a in t.args))
-        total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
-                                            phi=phi_of[t.order])
-    return total
+        stack = np.stack([tor.derive_multi(x, a).coeffs for a in alphas])
+        return dict(zip(alphas, tor.to_matrix_batch(x.algebra, stack)))
+    return {a: _apply_derivation(x, a, derivation) for a in alphas}
 
 
-def chain_rule_residual(F: SmoothSymbol, u, beta: Sequence[int],
-                        derivation: DerivationSpec) -> float:
-    """Normalized L2 distance between d^beta F(u) and its expansion.
+def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecomposition,
+                       derivatives: dict, expansions: Sequence[Sequence[ExpansionTerm]]) -> list:
+    """sum coeff * T_{F^[l]}(d^{a_1}u, ..., d^{a_l}u) with all anchors u, once per
+    term list of ``expansions``.
 
-    Inner derivations iterate the commutator on func_calc(u, F); torus
-    derivations apply the spectral multiplier to F(u) and require the outer
-    quarter band of F(u) to carry <= 1e-12 of its energy (wrap risk).
+    u is the realized anchor, dec its eigendecomposition and ``derivatives``
+    maps each argument multi-index a to the matrix d^a u.  Every anchor is u,
+    so the symbol F^[l] over the spectrum of u depends on the order l alone:
+    each order's divided-difference tensor is built once and shared by every
+    term of that order in every expansion.
     """
-    beta = tuple(int(b) for b in beta)
-    terms = expand(beta)
+    orders = {t.order for terms in expansions for t in terms}
+    if F.poly_coeffs is None and max(orders) > F.max_order:
+        raise OrderExceeded(f"expansion order {max(orders)} > symbol order {F.max_order}")
+    phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1)) for l in orders}
+    out = []
+    for terms in expansions:
+        total = np.zeros_like(u.data)
+        for t in terms:
+            ops = MOIOperands(anchors=(u,) * (t.order + 1),
+                              arguments=tuple(derivatives[a] for a in t.args))
+            total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
+                                                phi=phi_of[t.order])
+        out.append(total)
+    return out
+
+
+def chain_rule_residual(F: SmoothSymbol, u, betas: Sequence[Sequence[int]],
+                        derivation: DerivationSpec) -> list:
+    """Normalized L2 distance between d^beta F(u) and its expansion, one per
+    multi-index beta of ``betas``.
+
+    u is realized and diagonalized once: the same decomposition gives F(u)
+    and every expansion, whose divided-difference tensors and derivatives
+    d^a u are built once for all betas.  Inner derivations iterate the
+    commutator on F(u); torus derivations apply the spectral multiplier to
+    F(u) and require the outer quarter band of F(u) to carry <= 1e-12 of its
+    energy (wrap risk).  The distance is the Hilbert-Schmidt norm of the
+    normalized trace, relative to 1 + ||lhs|| + ||rhs||.
+    """
+    betas = [tuple(int(b) for b in beta) for beta in betas]
+    expansions = [expand(beta) for beta in betas]
     if derivation.kind == "torus":
         alg = u.algebra
-        fu = apply_symbol(F, u)
+        u_op = HermitianOperator(tor.to_matrix(u))
+    else:
+        u = u_op = u if isinstance(u, HermitianOperator) else HermitianOperator(u)
+    dec = eig_hermitian(u_op)
+    fu = decomposed_func_calc(dec, F)
+    if derivation.kind == "torus":
+        fu = tor.TorusElement(alg, tor.from_matrix_batch(alg, fu.data[None])[0])
         guard_band = (3 * alg.N) // 8
         kinf = np.max(np.stack([np.abs(g) for g in alg.k_grids]), axis=0)
         mass_out = float(np.linalg.norm(fu.coeffs[kinf > guard_band]))
@@ -220,10 +233,13 @@ def chain_rule_residual(F: SmoothSymbol, u, beta: Sequence[int],
                 f"F(u) has {mass_out / mass_all:.2e} of its L2 mass beyond |k|_inf = {guard_band}; "
                 "shrink the band or the polynomial degree"
             )
-        lhs = tor.to_matrix(tor.derive_multi(fu, beta))
-    else:
-        x = func_calc(u if isinstance(u, HermitianOperator) else HermitianOperator(u), F)
-        lhs = _apply_derivation(x, beta, derivation)
-    rhs = evaluate_expansion(F, u, terms, derivation)
-    scale = 1.0 + schatten_norm(lhs, 2) + schatten_norm(rhs, 2)
-    return schatten_norm(lhs - rhs, 2) / scale
+    lhs = _derivative_matrices(fu, list(dict.fromkeys(betas)), derivation)
+    args = dict.fromkeys(a for terms in expansions for t in terms for a in t.args)
+    rhs = evaluate_expansion(F, u_op, dec, _derivative_matrices(u, list(args), derivation),
+                             expansions)
+    out = []
+    for beta, r in zip(betas, rhs):
+        l = lhs[beta]
+        scale = 1.0 + hilbert_schmidt_norm(l) + hilbert_schmidt_norm(r)
+        out.append(hilbert_schmidt_norm(l - r) / scale)
+    return out

@@ -25,10 +25,15 @@ Sections and keys::
     m = 1                    ; difference order
     n_der = 1                ; derivative order in the difference form
 
-    [allen-cahn]             ; only read by kind = allen-cahn
+    [allen-cahn]
     t_max = 1.0
     dt = 0.001
     delta = 1.0
+
+[experiment] and [algebra] are read by every kind; [symbol] only by moi,
+nonlinear-estimate and allen-cahn, [besov] only by besov-equivalence,
+nonlinear-estimate and allen-cahn, and [allen-cahn] only by allen-cahn.  A
+key in a section that its kind never reads is a config error.
 
 The config hash is the SHA-256 (12 hex digits) of the canonicalized
 "section.key=value" lines, so key order never matters.
@@ -152,6 +157,18 @@ _FIELDS = {
 # Keys that admit one value, canonical whether set or not (hashes keep them).
 _FIXED = {("algebra", "backend"): "matrix"}
 _SECTIONS = {section for section, _ in _FIELDS}
+# The sections each kind's runner reads besides [experiment] and [algebra]
+# (every kind validates [algebra], even those that build their own lattices).
+# A key in any other section would be ignored, so it is a config error.
+_READS = {
+    "verify-core": (),
+    "moi": ("symbol",),
+    "chain-rule": (),
+    "besov-equivalence": ("besov",),
+    "nonlinear-estimate": ("symbol", "besov"),
+    "meyer": (),
+    "allen-cahn": ("symbol", "besov", "allen-cahn"),
+}
 _PARSE = {str: _parse_str, int: _parse_int, float: _parse_float}
 _FORMAT = {str: str, int: str, float: _fmt}
 
@@ -174,6 +191,11 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key} must be {fixed!r}, got {cp[section][key]!r}")
             if fixed is None and (section, key) not in _FIELDS:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+    kind = cp.get("experiment", "kind", fallback=ExperimentConfig.kind).strip()
+    for section in cp.sections():
+        if (kind in _READS and section not in ("experiment", "algebra") + _READS[kind]
+                and len(cp[section])):
+            raise ConfigError(f"{path}: kind = {kind} never reads section [{section}]")
     kw = {}
     for (section, key), (attr, typ) in _FIELDS.items():
         if cp.has_section(section) and key in cp[section]:

@@ -8,7 +8,8 @@ matrix or a (..., n, n) stack, so a whole Picard sweep is one batched
 functional calculus.  Real input stays real (float64), so a real symmetric
 matrix is diagonalized by LAPACK's real solver.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
-from an SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
+from an SVD.  ``hilbert_schmidt_norm`` is the p = 2 norm of one matrix read
+from its entries (the Frobenius norm over sqrt(n)), with no SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
 singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
 Every V diag(f(lambda)) V* is built by ``spectral_product``.
@@ -196,6 +197,14 @@ def schatten_norm(A, p) -> float:
     return float(_norm_from_sigma(np.linalg.svd(a, compute_uv=False), pv))
 
 
+def hilbert_schmidt_norm(A) -> float:
+    """||A||_F / sqrt(n): the Schatten-2 norm of the normalized trace,
+    (tr(A* A) / n)^(1/2), read from the entries without an SVD."""
+    a = _as_square(A)
+    _checked_schatten_args(a, 2)
+    return float(_frobenius(a)) / math.sqrt(a.shape[-1])
+
+
 def schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:
     """schatten_norm over the leading axis of a (m, n, n) stack."""
     stack = _as_square(stack, stack=True)
@@ -224,7 +233,12 @@ def func_calc(H: HermitianOperator, F) -> HermitianOperator:
     """
     if not isinstance(H, HermitianOperator):
         H = HermitianOperator(H)
-    dec = eig_hermitian(H)
+    return decomposed_func_calc(eig_hermitian(H), F)
+
+
+def decomposed_func_calc(dec: SpectralDecomposition, F) -> HermitianOperator:
+    """``func_calc`` of the operator whose eigendecomposition is dec, for a
+    caller that needs the decomposition for more than F(H)."""
     vals = _symbol_values(F, dec.eigenvalues)
     # V diag(F(lambda)) V* with unitary V is Hermitian up to rounding
     return HermitianOperator._symmetrized(spectral_product(dec.eigenvectors, vals))

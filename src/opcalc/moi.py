@@ -77,7 +77,15 @@ def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
         return np.einsum("ijk,ij,jk->ik", phi, rotated[0], rotated[1])
     if n == 3:
         w = rotated[1][:, :, None] * rotated[2][None, :, :]
-        return np.einsum("ij,ijl->il", rotated[0], np.einsum("ijkl,jkl->ijl", phi, w))
+        if np.iscomplexobj(phi):
+            t = np.einsum("ijkl,jkl->ijl", phi, w)
+        else:
+            # a real phi meets the real and imaginary parts of W on its own:
+            # two real k-sums instead of one complex k-sum with phi upcast
+            t = np.empty(phi.shape[:2] + phi.shape[3:], dtype=np.complex128)
+            t.real = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.real))
+            t.imag = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.imag))
+        return np.einsum("ij,ijl->il", rotated[0], t)
     raise ComplexityExceeded("MOI orders above 3 are not supported")
 
 
@@ -90,8 +98,11 @@ def moi_schur(F, ops: MOIOperands,
 
     ``phi`` overrides the divided-difference tensor (expert path, used by the
     binned form, by the chain-rule expansion to share one F^[n] among terms
-    with the same anchors, and by the constant-symbol tests).  ``decompositions`` supplies
-    precomputed spectra, e.g. to test basis independence under degeneracy.
+    with the same anchors, and by the constant-symbol tests).  A real phi
+    (float64, as ``divided_diff_tensor`` gives for a real polynomial) stays
+    real in the contraction; any other phi is taken as complex128.
+    ``decompositions`` supplies precomputed spectra, e.g. to test basis
+    independence under degeneracy.
     """
     n = ops.order
     _check_cost(n, ops.dim)
@@ -100,7 +111,8 @@ def moi_schur(F, ops: MOIOperands,
         raise DimensionMismatch("need one spectral decomposition per anchor")
     if phi is None:
         phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = np.asarray(phi)
+    phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
     if phi.shape != tuple(len(d.eigenvalues) for d in decs):
         raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
     if n == 0:

@@ -182,7 +182,13 @@ def divided_diff(F: SmoothSymbol, nodes) -> complex:
 def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor of F^[n] over the grid of the n+1 spectra.
 
-    Entry (i_0..i_n) = divided_diff(F, (spectra[0][i_0], ..., spectra[n][i_n])).
+    Entry (i_0..i_n) = divided_diff(F, (spectra[0][i_0], ..., spectra[n][i_n])),
+    bit for bit.  Polynomial symbols with real coefficients give a float64
+    tensor (the exact h_k path); every other symbol gives complex128.
+
+    F^[n] is symmetric, so the generic path evaluates it once per distinct
+    sorted node tuple, all tuples at once: one Hermite table whose rows are
+    the tuples.
     """
     spectra = [np.atleast_1d(np.asarray(s, dtype=float)) for s in spectra]
     n = len(spectra) - 1
@@ -191,35 +197,83 @@ def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.nd
         return _poly_tensor(F.poly_coeffs, spectra, shape)
     if n > F.max_order:
         raise OrderExceeded(f"divided difference order {n} > max_order {F.max_order}")
-    grids = np.meshgrid(*spectra, indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=-1)
-    tuples_sorted = np.sort(tuples, axis=1)
-    out = np.empty(tuples.shape[0], dtype=np.complex128)
-    cache: dict = {}
-    for idx in range(tuples.shape[0]):
-        key = tuples_sorted[idx].tobytes()
-        val = cache.get(key)
-        if val is None:
-            val = divided_diff(F, tuples_sorted[idx])
-            cache[key] = val
-        out[idx] = val
-    return out.reshape(shape)
+    # nodes as ranks among the distinct node values: sorting and deduplicating
+    # the tuples is then integer work on one key per tuple
+    values, ranks = np.unique(np.concatenate(spectra), return_inverse=True)
+    ranks = np.split(ranks.ravel(), np.cumsum(shape)[:-1])
+    tuples = np.stack(np.meshgrid(*ranks, indexing="ij"), axis=-1).reshape(-1, n + 1)
+    tuples.sort(axis=1)
+    if len(values) ** (n + 1) < 2 ** 62:
+        keys = tuples[:, 0].astype(np.int64)
+        for j in range(1, n + 1):
+            keys = keys * len(values) + tuples[:, j]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(tuples, axis=0, return_index=True, return_inverse=True)
+    return _hermite_rows(F, values[tuples[first]])[inverse.ravel()].reshape(shape)
+
+
+def _hermite_rows(F: SmoothSymbol, nodes: np.ndarray) -> np.ndarray:
+    """``divided_diff`` of every row of an (m, n+1) array of sorted nodes."""
+    m, n = nodes.shape[0], nodes.shape[1] - 1
+    z = _snap_cluster_rows(nodes)
+    col = np.asarray(F(z), dtype=np.complex128)
+    fact = 1.0
+    for j in range(1, n + 1):
+        fact *= j
+        lo, hi = z[:, :n + 1 - j], z[:, j:]
+        confluent = hi == lo
+        new = np.empty((m, n + 1 - j), dtype=np.complex128)
+        gap = ~confluent
+        new[gap] = (col[:, 1:][gap] - col[:, :-1][gap]) / (hi[gap] - lo[gap])
+        if confluent.any():
+            # F^(j) / j! once per distinct confluent node, on a scalar and with
+            # Python's complex quotient, as divided_diff computes it: numpy's
+            # vectorized evaluation and complex quotient can differ in the last bit
+            dj = F.deriv(j)
+            at, which = np.unique(lo[confluent], return_inverse=True)
+            new[confluent] = np.array([complex(np.asarray(dj(x))) / fact for x in at],
+                                      dtype=np.complex128)[which.ravel()]
+        col = new
+    return col[:, 0]
+
+
+def _snap_cluster_rows(nodes: np.ndarray) -> np.ndarray:
+    """``_snap_clusters`` applied to every row of an array of sorted nodes."""
+    m, width = nodes.shape
+    tol = CLUSTER_RTOL * (1.0 + np.max(np.abs(nodes), axis=1, initial=0.0))
+    rows = np.arange(m)
+    # lead[r, k]: the first node of the cluster that node k of row r joins
+    lead = np.zeros((m, width), dtype=np.intp)
+    for k in range(1, width):
+        start = lead[:, k - 1]
+        lead[:, k] = np.where(nodes[:, k] - nodes[rows, start] < tol, start, k)
+    size = np.stack([np.count_nonzero(lead == s, axis=1) for s in range(width)], axis=1)
+    out = nodes.copy()
+    for s in range(width - 1):
+        for length in range(2, width - s + 1):
+            hit = np.flatnonzero(size[:, s] == length)
+            if hit.size:
+                out[hit, s:s + length] = np.mean(nodes[hit, s:s + length], axis=1)[:, None]
+    return out
 
 
 def _poly_tensor(coeffs, spectra, shape) -> np.ndarray:
-    """Broadcast h_k recurrence: exact polynomial divided-difference tensor."""
+    """Broadcast h_k recurrence: exact polynomial divided-difference tensor,
+    float64 for real coefficients."""
     n = len(spectra) - 1
     deg = len(coeffs) - 1
     kmax = deg - n
+    dtype = np.complex128 if np.iscomplexobj(np.asarray(coeffs)) else np.float64
     if kmax < 0:
-        return np.zeros(shape, dtype=np.complex128)
+        return np.zeros(shape, dtype=dtype)
     # h[k] over growing node sets; spectrum j broadcast along axis j
     axes = [s.reshape((-1,) + (1,) * (n - j)) for j, s in enumerate(spectra)]
     hk: list = [np.ones((1,) * (n + 1))] + [np.zeros((1,) * (n + 1))] * kmax
     for xj in axes:
         for k in range(1, kmax + 1):
             hk[k] = hk[k] + xj * hk[k - 1]
-    out = np.zeros(shape, dtype=np.complex128)
+    out = np.zeros(shape, dtype=dtype)
     for m, c in enumerate(coeffs):
         if c != 0 and m >= n:
             out += c * np.broadcast_to(hk[m - n], shape)

@@ -182,22 +182,21 @@ def test_heat_smoothing_single_mode(alg):
 # --- Meyer decomposition ---------------------------------------------------
 
 def test_meyer_zero_cases(alg):
-    assert bz.meyer_residual(zero_element(alg), 1.0, 8) == 0.0
+    assert bz.meyer_residual(zero_element(alg), [1.0], [8])[0, 0] == 0.0
     x = tor.random_element(alg, rng_for(2, "mey"), band=3)
-    assert bz.meyer_residual(x, 0.0, 8) == 0.0
+    assert bz.meyer_residual(x, [0.0], [8])[0, 0] == 0.0
 
 
 def test_meyer_quadrature_refinement(alg):
     x = tor.random_element(alg, rng_for(3, "mey"), band=4)
-    r4 = bz.meyer_residual(x, 1.0, 4)
-    r32 = bz.meyer_residual(x, 1.0, 32)
+    r4, r32 = bz.meyer_residual(x, [1.0], [4, 32])[0]
     assert r32 < r4
     assert r32 <= 1e-8
 
 
 def test_meyer_monotone_in_quadrature(alg):
     x = tor.random_element(alg, rng_for(4, "mey"), band=3)
-    res = [bz.meyer_residual(x, 1.0, K) for K in (2, 4, 8, 16)]
+    res = bz.meyer_residual(x, [1.0], [2, 4, 8, 16])[0]
     assert all(res[i + 1] <= res[i] * (1 + 1e-9) + 1e-13 for i in range(len(res) - 1))
 
 
@@ -234,18 +233,69 @@ def per_node_meyer_residual(u, xi, quad_order):
 def test_meyer_quadrature_matches_per_node_sum(K, xi):
     alg8 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
     x = tor.random_element(alg8, rng_for(6, "mey"), band=3)
-    got, ref = bz.meyer_residual(x, xi, K), per_node_meyer_residual(x, xi, K)
+    grid = bz.meyer_residual(x, [1.0, xi], [8, K])
     # the residual is a difference of O(1) matrices, so reordering the node sum
     # moves it by their rounding (~1e-16 absolute) however small it is
-    assert abs(got - ref) <= max(1e-12 * ref, 1e-13)
+    for a, xa in enumerate((1.0, xi)):
+        for b, kb in enumerate((8, K)):
+            ref = per_node_meyer_residual(x, xa, kb)
+            assert abs(grid[a, b] - ref) <= max(1e-12 * ref, 1e-13)
     tq, wq = bz._unit_gauss_legendre(K)
     assert not tq.flags.writeable and not wq.flags.writeable
+
+
+def per_call_meyer_residual(u, xi, quad_order):
+    """The residual at one (xi, K), with u, S_0 u and every S_j u diagonalized
+    afresh and each block rotated afresh."""
+    lhs = eig_hermitian(HermitianOperator(tor.to_matrix(u))).apply(
+        lambda lam: np.exp(1j * xi * lam) - 1.0)
+    if xi == 0.0:
+        return float(np.linalg.norm(lhs, 2))
+
+    def g_fn(lam):
+        lam = np.asarray(lam, dtype=float)
+        out = np.empty(lam.shape, dtype=np.complex128)
+        small = np.abs(lam) < 1e-8
+        out[~small] = (np.exp(1j * xi * lam[~small]) - 1.0) / lam[~small]
+        out[small] = 1j * xi * (1.0 + 0.5j * xi * lam[small])
+        return out
+
+    s0_mat = tor.to_matrix(bz.partial_sum(u, 0))
+    rhs = eig_hermitian(HermitianOperator(s0_mat)).apply(g_fn) @ s0_mat
+    tq, wq = bz._unit_gauss_legendre(quad_order)
+    prev_dec = eig_hermitian(HermitianOperator(s0_mat))
+    for j in range(1, tor.block_count(u.algebra)):
+        bj = tor.lp_block(u, j)
+        if float(np.max(np.abs(bj.coeffs))) < 1e-300:
+            continue
+        cur_dec = eig_hermitian(HermitianOperator(tor.to_matrix(bz.partial_sum(u, j))))
+        vl, ll = cur_dec.eigenvectors, cur_dec.eigenvalues
+        vr, lr = prev_dec.eigenvectors, prev_dec.eigenvalues
+        bm = vl.conj().T @ tor.to_matrix(bj) @ vr
+        left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[None, :])
+        right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
+        rhs = rhs + 1j * xi * (vl @ (bm * (left.T @ right)) @ vr.conj().T)
+        prev_dec = cur_dec
+    return float(np.linalg.norm(lhs - rhs, 2))
+
+
+@pytest.mark.parametrize("n,band", [(16, 4), (16, 1), (8, 3)])
+def test_meyer_grid_keeps_bits(n, band):
+    # band 1 leaves the outer blocks zero, so the skipped-block chain is covered
+    alg_n = tor.TorusAlgebra.make(d=2, N=n, theta_num=1)
+    x = tor.random_element(alg_n, rng_for(7, "mey-grid", n, band), band=band)
+    xis, orders = (0.0, 0.5, 1.0, 2.0), (4, 32)
+    grid = bz.meyer_residual(x, xis, orders)
+    assert grid.shape == (len(xis), len(orders))
+    for a, xi in enumerate(xis):
+        for b, K in enumerate(orders):
+            assert grid[a, b] == per_call_meyer_residual(x, xi, K), (xi, K)
 
 
 def test_meyer_requires_hermitian(alg):
     bad = tor.TorusElement(alg, 1j * tor.random_element(alg, rng_for(5, "mh"), band=2).coeffs)
     with pytest.raises(SymbolHypothesisError):
-        bz.meyer_residual(bad, 1.0, 4)
+        bz.meyer_residual(bad, [1.0], [4])
 
 
 # --- paraproduct -------------------------------------------------------------

@@ -4,19 +4,31 @@ import math
 import numpy as np
 import pytest
 
+import opcalc.chain as chain
 import opcalc.torus as tor
+from opcalc.besov import apply_symbol
 from opcalc.chain import (DerivationSpec, ExpansionTerm, _apply_derivation,
                           chain_rule_residual, commutative_collapse, evaluate_expansion,
                           expand, faa_di_bruno_weights)
-from opcalc.errors import BandOverflow
+from opcalc.errors import BandOverflow, SymbolDomainError
 from opcalc.expr import parse_symbol
-from opcalc.linalg import HermitianOperator, eig_hermitian, random_hermitian
+from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc, hilbert_schmidt_norm,
+                           random_hermitian)
 from opcalc.moi import MOIOperands, moi_schur
 from opcalc.seeding import rng_for
+from opcalc.symbols import SmoothSymbol
 
 
 def as_dict(terms):
     return {(t.order, t.args): t.coeff for t in terms}
+
+
+def expansion_of(F, u, terms, derivation):
+    """evaluate_expansion of one term list, with u realized and diagonalized here."""
+    u_op = HermitianOperator(tor.to_matrix(u)) if derivation.kind == "torus" else u
+    args = list(dict.fromkeys(a for t in terms for a in t.args))
+    derivatives = chain._derivative_matrices(u, args, derivation)
+    return evaluate_expansion(F, u_op, eig_hermitian(u_op), derivatives, [terms])[0]
 
 
 def test_expand_first_order():
@@ -98,7 +110,7 @@ def test_evaluate_square_first_order():
     d = random_hermitian(rng, 6)
     spec = DerivationSpec("inner", (d,))
     terms = expand((1,))
-    out = evaluate_expansion(parse_symbol("x**2"), u, terms, spec)
+    out = expansion_of(parse_symbol("x**2"), u, terms, spec)
     du = d.data @ u.data - u.data @ d.data
     expect = du @ u.data + u.data @ du
     assert np.linalg.norm(out - expect) <= 1e-12 * max(1, np.linalg.norm(expect))
@@ -108,8 +120,8 @@ def test_evaluate_constant_symbol_zero():
     rng = rng_for(1, "ev0")
     u = random_hermitian(rng, 5)
     d = random_hermitian(rng, 5)
-    out = evaluate_expansion(parse_symbol("2 + 0*x"), u, expand((2,)),
-                             DerivationSpec("inner", (d,)))
+    out = expansion_of(parse_symbol("2 + 0*x"), u, expand((2,)),
+                       DerivationSpec("inner", (d,)))
     assert np.linalg.norm(out) <= 1e-12
 
 
@@ -121,7 +133,7 @@ def test_evaluate_diagonal_reduces_to_scalar():
     d = HermitianOperator(np.diag(rng.uniform(-1, 1, size=5)))
     F = parse_symbol("x**3")
     spec = DerivationSpec("inner", (d,))
-    r = chain_rule_residual(F, u, (2,), spec)
+    r, = chain_rule_residual(F, u, [(2,)], spec)
     assert r <= 1e-13
 
 
@@ -130,8 +142,8 @@ def test_chain_rule_inner_polynomials_exact():
         rng = rng_for(seed, "cr")
         u = random_hermitian(rng, 16)
         d = random_hermitian(rng, 16)
-        r = chain_rule_residual(parse_symbol(f"x**{deg}"), u, (K,),
-                                DerivationSpec("inner", (d,)))
+        r, = chain_rule_residual(parse_symbol(f"x**{deg}"), u, [(K,)],
+                                 DerivationSpec("inner", (d,)))
         assert r <= 1e-12, (deg, K, r)
 
 
@@ -139,15 +151,15 @@ def test_chain_rule_square_commutator_identity():
     rng = rng_for(3, "sq")
     u = random_hermitian(rng, 8)
     d = random_hermitian(rng, 8)
-    assert chain_rule_residual(parse_symbol("x**2"), u, (1,),
-                               DerivationSpec("inner", (d,))) <= 1e-13
+    assert chain_rule_residual(parse_symbol("x**2"), u, [(1,)],
+                               DerivationSpec("inner", (d,)))[0] <= 1e-13
 
 
 def test_chain_rule_zero_element():
     d = random_hermitian(rng_for(4, "z"), 6)
     u = HermitianOperator(np.zeros((6, 6)))
-    assert chain_rule_residual(parse_symbol("x**3"), u, (1,),
-                               DerivationSpec("inner", (d,))) == 0.0
+    assert chain_rule_residual(parse_symbol("x**3"), u, [(1,)],
+                               DerivationSpec("inner", (d,))) == [0.0]
 
 
 def test_chain_rule_multiaxis_commuting():
@@ -156,15 +168,15 @@ def test_chain_rule_multiaxis_commuting():
     d1 = HermitianOperator(np.diag(rng.standard_normal(8)))
     d2 = HermitianOperator(np.diag(rng.standard_normal(8)))
     spec = DerivationSpec("inner", (d1, d2))
-    for beta in ((1, 1), (2, 1)):
-        assert chain_rule_residual(parse_symbol("x**3 + 0.5*x**2"), u, beta, spec) <= 1e-12
+    F = parse_symbol("x**3 + 0.5*x**2")
+    assert max(chain_rule_residual(F, u, [(1, 1), (2, 1)], spec)) <= 1e-12
 
 
 def test_chain_rule_smooth_symbol():
     rng = rng_for(6, "sm")
     u = random_hermitian(rng, 8)
     d = random_hermitian(rng, 8)
-    r = chain_rule_residual(parse_symbol("sin(x)"), u, (2,), DerivationSpec("inner", (d,)))
+    r, = chain_rule_residual(parse_symbol("sin(x)"), u, [(2,)], DerivationSpec("inner", (d,)))
     assert r <= 1e-6  # eigensolver-limited for non-polynomial symbols
 
 
@@ -172,8 +184,8 @@ def test_chain_rule_torus():
     alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
     u = tor.random_element(alg, rng_for(7, "tor"), band=4, decay=2.0)
     spec = DerivationSpec("torus")
-    for beta in ((1, 0), (2, 0), (1, 1)):
-        assert chain_rule_residual(parse_symbol("x**3"), u, beta, spec) <= 1e-9
+    betas = [(1, 0), (2, 0), (1, 1)]
+    assert max(chain_rule_residual(parse_symbol("x**3"), u, betas, spec)) <= 1e-9
 
 
 def per_term_expansion(F, u, terms, derivation):
@@ -209,15 +221,92 @@ def test_shared_phi_keeps_bits(case):
         spec = DerivationSpec("torus")
         beta = (2, 1)
     terms = expand(beta)
-    assert np.array_equal(evaluate_expansion(F, u, terms, spec),
+    assert np.array_equal(expansion_of(F, u, terms, spec),
                           per_term_expansion(F, u, terms, spec))
+
+
+def per_beta_residual(F, u, beta, derivation):
+    """The residual as computed one multi-index at a time: F(u) by func_calc or
+    apply_symbol, and the expansion with its own eigendecomposition of u, its
+    own F^[l] per order and its own realization of each d^a u."""
+    terms = expand(beta)
+    if derivation.kind == "torus":
+        lhs = tor.to_matrix(tor.derive_multi(apply_symbol(F, u), beta))
+        u_mat = HermitianOperator(tor.to_matrix(u))
+        args_of = {a: tor.to_matrix(tor.derive_multi(u, a)) for t in terms for a in t.args}
+    else:
+        lhs = _apply_derivation(func_calc(u, F), beta, derivation)
+        u_mat = u
+        args_of = {a: _apply_derivation(u, a, derivation) for t in terms for a in t.args}
+    dec = eig_hermitian(u_mat)
+    phi_of = {l: chain.divided_diff_tensor(F, [dec.eigenvalues] * (l + 1))
+              for l in {t.order for t in terms}}
+    rhs = np.zeros_like(u_mat.data)
+    for t in terms:
+        ops = MOIOperands((u_mat,) * (t.order + 1), tuple(args_of[a] for a in t.args))
+        rhs = rhs + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
+                                        phi=phi_of[t.order])
+    scale = 1.0 + hilbert_schmidt_norm(lhs) + hilbert_schmidt_norm(rhs)
+    return hilbert_schmidt_norm(lhs - rhs) / scale
+
+
+@pytest.mark.parametrize("expr", ["x**3", "x**5", "x**4 + x**2", "tanh(x)"])
+def test_multi_beta_residual_keeps_bits_inner(expr):
+    rng = rng_for(10, "multi", expr)
+    u = random_hermitian(rng, 12)
+    spec = DerivationSpec("inner", (random_hermitian(rng, 12),))
+    betas = [(1,), (2,), (3,)]
+    got = chain_rule_residual(parse_symbol(expr), u, betas, spec)
+    assert got == [per_beta_residual(parse_symbol(expr), u, b, spec) for b in betas]
+
+
+@pytest.mark.parametrize("expr,band", [("x**3", 4), ("x**2", 4), ("x**5", 2)])
+def test_multi_beta_residual_keeps_bits_torus(expr, band):
+    alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
+    u = tor.random_element(alg, rng_for(11, "multi-torus", expr), band=band, decay=2.0)
+    spec = DerivationSpec("torus")
+    betas = [(1, 0), (2, 0), (1, 1), (2, 1)]
+    got = chain_rule_residual(parse_symbol(expr), u, betas, spec)
+    assert got == [per_beta_residual(parse_symbol(expr), u, b, spec) for b in betas]
+
+
+def test_one_decomposition_and_one_tensor_per_order(monkeypatch):
+    calls = {"eig": 0, "phi": []}
+    eig, tensor = chain.eig_hermitian, chain.divided_diff_tensor
+
+    def counted_eig(h):
+        calls["eig"] += 1
+        return eig(h)
+
+    def counted_tensor(F, spectra):
+        calls["phi"].append(len(spectra) - 1)
+        return tensor(F, spectra)
+
+    monkeypatch.setattr(chain, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(chain, "divided_diff_tensor", counted_tensor)
+    rng = rng_for(12, "count")
+    u = random_hermitian(rng, 8)
+    chain_rule_residual(parse_symbol("x**4"), u, [(1,), (2,), (3,)],
+                        DerivationSpec("inner", (random_hermitian(rng, 8),)))
+    assert calls["eig"] == 1
+    assert sorted(calls["phi"]) == [1, 2, 3]
+
+
+def test_chain_rule_non_real_symbol_raises():
+    # F(u) comes from the shared decomposition, which keeps func_calc's real-value test
+    rng = rng_for(13, "complex")
+    u = random_hermitian(rng, 6)
+    F = SmoothSymbol(func=lambda x: np.exp(1j * x), derivs=(lambda x: 1j * np.exp(1j * x),),
+                     max_order=1, check=False)
+    with pytest.raises(SymbolDomainError):
+        chain_rule_residual(F, u, [(1,)], DerivationSpec("inner", (random_hermitian(rng, 6),)))
 
 
 def test_chain_rule_torus_band_guard():
     alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
     u = tor.random_element(alg, rng_for(8, "guard"), band=6, decay=0.0)
     with pytest.raises(BandOverflow):
-        chain_rule_residual(parse_symbol("x**5"), u, (1, 0), DerivationSpec("torus"))
+        chain_rule_residual(parse_symbol("x**5"), u, [(1, 0)], DerivationSpec("torus"))
 
 
 def test_expansion_term_validation():

@@ -160,9 +160,23 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("meyer", "[algebra]\ntheta_num = 0\nbackend = commutative\n", "[algebra]"),
     # closed-form derivatives that fail the central-difference sanity check
     ("moi", "[symbol]\nexpr = x**400\n", "'x**400'"),
+    # keys in a section that the kind never reads
+    ("meyer", "ensemble = 1\n[algebra]\nn = 8\n[besov]\np = 0.5\n", "[besov]"),
+    ("verify-core", "[besov]\ns = 2.5\n", "[besov]"),
+    ("moi", "ensemble = 1\n[besov]\nq = 1\n", "[besov]"),
+    ("chain-rule", "ensemble = 1\n[besov]\nm = 2\n", "[besov]"),
+    ("chain-rule", "ensemble = 1\n[symbol]\nexpr = tanh(x)\n", "[symbol]"),
+    ("meyer", "ensemble = 1\n[algebra]\nn = 8\n[symbol]\nexpr = sin(x)\n", "[symbol]"),
+    ("moi", "ensemble = 1\n[allen-cahn]\ndt = 0.01\n", "[allen-cahn]"),
+    ("besov-equivalence", "ensemble = 1\n[algebra]\nn = 8\n[allen-cahn]\nt_max = 2\n",
+     "[allen-cahn]"),
+    ("nonlinear-estimate", "ensemble = 1\n[algebra]\nn = 8\n[allen-cahn]\ndelta = 2\n",
+     "[allen-cahn]"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
-        "t-max-inf", "deep-expr", "commutative-flat", "symbol-check"])
+        "t-max-inf", "deep-expr", "commutative-flat", "symbol-check", "meyer-besov",
+        "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
+        "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)

@@ -8,6 +8,7 @@ from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainErro
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
                            haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
+                           hilbert_schmidt_norm,
                            random_hermitian, schatten_norm,
                            schatten_norm_batch)
 from opcalc.seeding import rng_for
@@ -96,6 +97,19 @@ def test_schatten_batches_reject_non_square():
     for norm in (schatten_norm_batch, hermitian_schatten_norm_batch):
         with pytest.raises(DimensionMismatch):
             norm(np.ones((2, 3, 4), complex), 2)
+
+
+def test_hilbert_schmidt_norm_is_schatten_2():
+    rng = rng_for(9, "hs")
+    for n in (1, 5, 16):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert hilbert_schmidt_norm(a) == pytest.approx(schatten_norm(a, 2), rel=1e-14)
+    assert hilbert_schmidt_norm(np.eye(4)) == 1.0
+    assert hilbert_schmidt_norm(np.zeros((3, 3))) == 0.0
+    with pytest.raises(ValueError):
+        hilbert_schmidt_norm(np.full((2, 2), np.nan))
+    with pytest.raises(DimensionMismatch):
+        hilbert_schmidt_norm(np.ones((2, 2, 2)))
 
 
 def test_schatten_index_validation():

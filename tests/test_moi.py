@@ -7,8 +7,9 @@ import pytest
 from opcalc.errors import ComplexityExceeded, DegenerateInput, DimensionMismatch, NonUnitary
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc, haar_unitary, random_hermitian, schatten_norm
-from opcalc.moi import (MOIOperands, homomorphism_commutation_residual, lipschitz_ratio,
-                        loewner_residual, moi_binned, moi_schur, perturbation_residual)
+from opcalc.moi import (MOIOperands, _contract, homomorphism_commutation_residual,
+                        lipschitz_ratio, loewner_residual, moi_binned, moi_schur,
+                        perturbation_residual)
 from opcalc.seeding import rng_for
 from opcalc.symbols import divided_diff
 
@@ -62,6 +63,19 @@ def test_order_three_matches_eigenprojection_sum():
                    * p0 @ args[0] @ p1 @ args[1] @ p2 @ args[2] @ p3)
     out = moi_schur(F, MOIOperands(anchors, args))
     assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_real_phi_order_three_keeps_bits(n):
+    # a real phi is contracted against the real and imaginary parts of W apart
+    rng = rng_for(n, "real-phi")
+    phi = rng.standard_normal((n,) * 4)
+    rotated = random_args(rng, n, 3)
+    assert np.array_equal(_contract(phi, rotated), _contract(phi.astype(np.complex128), rotated))
+    anchors = tuple(random_hermitian(rng, n) for _ in range(4))
+    ops = MOIOperands(anchors, random_args(rng, n, 3))
+    assert np.array_equal(moi_schur(None, ops, phi=phi),
+                          moi_schur(None, ops, phi=phi.astype(np.complex128)))
 
 
 def test_order_zero_is_functional_calculus():

@@ -118,6 +118,54 @@ def test_tensor_generic_matches_scalar():
             assert t[i, j, 0] == pytest.approx(v, rel=1e-12)
 
 
+def per_entry_tensor(F, spectra):
+    """divided_diff_tensor entry by entry: one divided_diff per grid point."""
+    out = np.empty(tuple(len(s) for s in spectra), dtype=np.complex128)
+    for idx in np.ndindex(out.shape):
+        out[idx] = divided_diff(F, [s[i] for s, i in zip(spectra, idx)])
+    return out
+
+
+def tensor_cases(order):
+    rng = rng_for(order, "tensor-cases")
+    lam = np.sort(rng.standard_normal(7))
+    return {
+        "distinct": [np.sort(rng.standard_normal(4 + k)) for k in range(order + 1)],
+        "repeated": [lam] * (order + 1),
+        # exactly coincident nodes within one spectrum and across spectra
+        "coincident": [np.concatenate([lam[:3], lam[:2]]), lam[:4]] + [lam[1:5]] * (order - 1),
+        # gaps of 1e-9 and 3e-8 are snapped to their cluster mean; 5e-6 is not
+        "near": [np.concatenate([lam[:3], lam[:3] + 1e-9, lam[:1] - 3e-8, lam[:1] + 5e-6])]
+                * (order + 1),
+        # a repeated eigenvalue, as a degenerate spectrum gives it
+        "degenerate": [np.array([-0.4, 0.3, 0.3, 0.3, 0.3 + 2e-9, 1.1])] * (order + 1),
+    }
+
+
+@pytest.mark.parametrize("expr", ["exp(x)", "tanh(x)", "sin(x)"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_tensor_generic_bit_equal_to_per_entry(expr, order):
+    F = parse_symbol(expr)
+    for name, spectra in tensor_cases(order).items():
+        got = divided_diff_tensor(F, spectra)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, per_entry_tensor(F, spectra)), name
+
+
+def test_tensor_poly_real_and_equal_to_complex_path():
+    rng = rng_for(5, "poly-tensor")
+    spectra = [np.sort(rng.standard_normal(6)) for _ in range(4)]
+    F = parse_symbol("x**5 - 2*x**3 + 0.5*x")
+    t = divided_diff_tensor(F, spectra)
+    assert t.dtype == np.float64
+    complex_coeffs = SmoothSymbol(func=F.func, derivs=F.derivs, max_order=F.max_order,
+                                  poly_coeffs=tuple(complex(c) for c in F.poly_coeffs), check=False)
+    tc = divided_diff_tensor(complex_coeffs, spectra)
+    assert tc.dtype == np.complex128
+    assert np.array_equal(t, tc.real) and not np.any(tc.imag)
+    assert divided_diff_tensor(parse_symbol("x**2"), [spectra[0]] * 4).dtype == np.float64
+
+
 def test_lipschitz_norms():
     assert lipschitz_norm(parse_symbol("2*x"), (-1, 1)) == pytest.approx(2.0)
     assert lipschitz_norm(parse_symbol("abs(x)"), (-1, 1)) == pytest.approx(1.0)
