@@ -9,6 +9,13 @@ The dyadic decomposition is fixed: blocks, block norms and partial sums all
 read the non-homogeneous filter bank that the lattice owns
 (``TorusAlgebra.lp_filters``), so no function takes a filter family.
 
+Each form has a measure stage that does not depend on (s, q) beyond the
+derivative order N, and a reduce stage that applies the weights and the l_q
+sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from a
+``DifferenceGeometry`` and ``difference_form`` / ``integral_form``.  The heat
+smoothing and paraproduct harnesses split the same way, so one measurement
+serves every q.
+
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
 assert non-regression, never fixed constants.
@@ -26,12 +33,11 @@ import numpy as np
 from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
                      SymbolHypothesisError)
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
-                     eig_hermitian, func_calc)
+                     eig_hermitian, func_calc, func_calc_first_column, schatten_norm)
 from .symbols import SmoothSymbol
 from . import torus as tor
-from .torus import (AmplitudeSampling, TorusElement, amplitude_profile, block_count,
-                    difference, derive_multi, from_matrix, heat, is_hermitian,
-                    lp_block, lp_norm, lp_norm_batch, to_matrix)
+from .torus import (AmplitudeSampling, TorusElement, block_count, difference, from_matrix,
+                    heat, is_hermitian, lp_block, lp_norm, lp_norm_batch)
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,27 @@ def _lq_sum(terms: np.ndarray, q: float) -> float:
 
 def block_norms(x: TorusElement, p) -> np.ndarray:
     """||Delta_j x||_p for the finitely many nonzero blocks."""
-    return lp_norm_batch(x.algebra, x.algebra.lp_filters * x.coeffs, p)
+    return block_norm_stack(x.algebra, x.coeffs[None], p)[0]
+
+
+def block_norm_stack(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
+    """``block_norms`` of each element of a (batch,) + algebra.shape
+    coefficient stack, as a (batch, blocks) array from one ``lp_norm_batch``
+    call."""
+    bank = algebra.lp_filters
+    blocks = (bank * coeff_stack[:, None]).reshape((-1,) + algebra.shape)
+    return lp_norm_batch(algebra, blocks, p).reshape(len(coeff_stack), len(bank))
 
 
 def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
     """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf."""
-    norms = block_norms(x, idx.p)
-    weights = 2.0 ** (idx.s * np.arange(len(norms)))
-    return _lq_sum(weights * norms, idx.q)
+    return multiplier_form(block_norms(x, idx.p), idx.s, idx.q)
+
+
+def multiplier_form(norms: np.ndarray, s: float, q: float) -> float:
+    """The multiplier norm from the block norms ||Delta_j x||_p."""
+    weights = 2.0 ** (s * np.arange(len(norms)))
+    return _lq_sum(weights * norms, q)
 
 
 def default_n_der(s: float) -> int:
@@ -77,13 +96,169 @@ def default_n_der(s: float) -> int:
     return min(int(math.floor(s)), max(0, int(math.ceil(s)) - 1))
 
 
-def _check_difference_hypotheses(idx: BesovIndex, m: int, n_der: int):
+def check_difference_hypotheses(idx: BesovIndex, m: int, n_der: int):
+    """HypothesisViolation unless s > 0, m + N > s and 0 <= N < s."""
     if idx.s <= 0:
         raise HypothesisViolation("difference characterization needs s > 0")
     if m + n_der <= idx.s:
         raise HypothesisViolation(f"need m + N > s: {m} + {n_der} <= {idx.s}")
     if not 0 <= n_der < idx.s:
         raise HypothesisViolation(f"need 0 <= N < s, got N={n_der}, s={idx.s}")
+
+
+@dataclass(frozen=True)
+class RadialQuadrature:
+    """Log-radial x spherical product rule for the integral Besov form, on
+    radii 1e-3 <= |rho| <= 2 pi."""
+
+    n_rad: int = 24
+    n_dir: int = 8
+
+    def rule(self) -> tuple:
+        """(radii, log-radial trapezoid weights)."""
+        radii = np.geomspace(1e-3, 2 * math.pi, self.n_rad)
+        logr = np.log(radii)
+        w = np.zeros_like(radii)
+        w[1:-1] = 0.5 * (logr[2:] - logr[:-2])
+        w[0] = 0.5 * (logr[1] - logr[0])
+        w[-1] = 0.5 * (logr[-1] - logr[-2])
+        return radii, w
+
+
+# ---------------------------------------------------------------------------
+# the difference forms: a q-free measure stage and a reduce stage per (s, q)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DifferenceMeasure:
+    """What both difference forms read of one element x, for every s and q.
+
+    base is ||x||_p.  Per axis i (rows) of d_i^N x: ``profiles`` holds the
+    sampled amplitudes omega_p^m(2^-j, d_i^N x) over the dyadic range ``js``,
+    ``keep`` marks the j that are not saturated (j < 0 with an amplitude
+    within 1e-6 of the cap 2^m ||d_i^N x||_p, excluded since translations are
+    2 pi periodic), and ``radial`` holds ||Delta_rho^m d_i^N x||_p over the
+    quadrature's (direction, radius) grid.  A form that was not measured is
+    None.
+    """
+
+    m: int
+    n_der: int
+    base: float
+    js: Optional[np.ndarray] = None
+    profiles: Optional[np.ndarray] = None
+    keep: Optional[np.ndarray] = None
+    radial: Optional[np.ndarray] = None
+    quadrature: Optional[RadialQuadrature] = None
+
+
+class DifferenceGeometry:
+    """The tables that every element of one measurement shares: the
+    derivative multipliers of d_i^N, the difference table of the quadrature
+    and one difference table per dyadic range of the amplitude profile.
+
+    A measure call builds one and drops it on return; nothing here is cached
+    beyond the instance, so no table outlives the call that built it.
+    """
+
+    def __init__(self, algebra, m: int, n_der: int,
+                 sampling: Optional[AmplitudeSampling] = None,
+                 quadrature: Optional[RadialQuadrature] = None):
+        d = algebra.d
+        self.algebra, self.m, self.n_der = algebra, m, n_der
+        self.derivatives = [tor.derivative_multiplier(algebra, tuple(n_der if ax == i else 0
+                                                                     for ax in range(d)))
+                            for i in range(d)]
+        self.sampling, self.quadrature = sampling, quadrature
+        if quadrature is not None:
+            radii, _w = quadrature.rule()
+            self._radial = tor.difference_table(algebra, tor.sphere_directions(d, quadrature.n_dir),
+                                                radii, m)
+        self._profiles: dict = {}
+
+    def _profile(self, j_range: tuple) -> tuple:
+        """(js, ascending ts, radii, j order of the ascending ts, table) of a dyadic range."""
+        if j_range not in self._profiles:
+            js = np.arange(j_range[0], j_range[1] + 1)
+            ts = 2.0 ** (-js.astype(float))
+            ascending = np.asarray(sorted(ts), dtype=float)
+            radii = tor.amplitude_radii(ascending, self.sampling.n_rad)
+            table = tor.difference_table(self.algebra, tor.sphere_directions(self.algebra.d,
+                                                                             self.sampling.n_dir),
+                                         radii, self.m)
+            self._profiles[j_range] = (js, ascending, radii, np.argsort(ts), table)
+        return self._profiles[j_range]
+
+    def measure(self, x: TorusElement, p, j_range: Optional[tuple] = None) -> DifferenceMeasure:
+        """The measurement of x: the profile if the geometry has a sampling,
+        the radial norms if it has a quadrature."""
+        alg = x.algebra
+        dxs = [x.coeffs * mult for mult in self.derivatives]
+        head = lp_norm_batch(alg, np.stack([x.coeffs] + dxs), p)
+        out = {"base": float(head[0])}
+        if self.sampling is not None:
+            if j_range is None:
+                # truncate past the occupied band, not the lattice edge, so the
+                # value is stable under lattice refinement of the same element
+                nz = np.abs(x.coeffs) > 0
+                kmax = float(np.max(alg.abs_k[nz])) if np.any(nz) else 1.0
+                j_range = (-3, int(math.ceil(math.log2(max(kmax, 1.0)))) + 4)
+            js, ts, radii, order, table = self._profile(tuple(j_range))
+            profiles = np.empty((len(dxs), len(js)))
+            for i, dx in enumerate(dxs):
+                norms = _difference_norms(alg, dx, table, p)
+                profiles[i, order] = tor.amplitude_from_norms(
+                    norms.reshape(-1, len(radii)), radii, ts)
+            caps = (2.0 ** self.m) * head[1:]
+            keep = ~((js < 0) & (caps[:, None] > 0) & (profiles > (1 - 1e-6) * caps[:, None]))
+            out.update(js=js, profiles=profiles, keep=keep)
+        if self.quadrature is not None:
+            qd = self.quadrature
+            out.update(quadrature=qd, radial=np.stack([
+                _difference_norms(alg, dx, self._radial, p).reshape(-1, qd.n_rad) for dx in dxs]))
+        return DifferenceMeasure(self.m, self.n_der, **out)
+
+
+def _difference_norms(algebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
+    """||Delta x||_p for every multiplier of a difference table, built and
+    normed in chunks of at most REALIZATION_CHUNK_ENTRIES coefficients: each
+    chunk's difference stack and realization are still in cache when the
+    next step reads them."""
+    step = max(1, tor.REALIZATION_CHUNK_ENTRIES // coeffs.size)
+    return np.concatenate([lp_norm_batch(algebra, tor._difference_stack(coeffs, table[i:i + step]), p)
+                           for i in range(0, len(table), step)])
+
+
+def difference_form(meas: DifferenceMeasure, s: float, q: float, return_report: bool = False):
+    """The sampled difference form from a measurement:
+    ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the kept j."""
+    total = meas.base
+    per_axis = []
+    for keep, prof in zip(meas.keep, meas.profiles):
+        terms = (2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep]
+        val = _lq_sum(terms, q)
+        per_axis.append(val)
+        total += val
+    if return_report:
+        saturated = [(i, int(j)) for i, keep in enumerate(meas.keep) for j in meas.js[~keep]]
+        return total, {"j_range": (int(meas.js[0]), int(meas.js[-1])), "saturated_excluded": saturated,
+                       "n_der": meas.n_der, "m": meas.m, "per_axis": per_axis, "lp_term": meas.base}
+    return total
+
+
+def integral_form(meas: DifferenceMeasure, s: float, q: float) -> float:
+    """The radial-integral form from a measurement: ||x||_p plus, per axis,
+    the quadrature of (|rho|^{-s+N} ||Delta_rho^m d_i^N x||_p)^q drho/|rho|^d."""
+    radii, w = meas.quadrature.rule()
+    total = meas.base
+    for norms in meas.radial:
+        vals = radii ** (meas.n_der - s) * norms
+        if math.isinf(q):
+            total += float(np.max(vals))
+        else:
+            integrand = np.mean(vals ** q, axis=0)  # normalized sphere measure
+            total += float(np.sum(integrand * w)) ** (1.0 / q)
+    return total
 
 
 def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
@@ -100,50 +275,9 @@ def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     """
     if n_der is None:
         n_der = default_n_der(idx.s)
-    _check_difference_hypotheses(idx, m, n_der)
-    if j_range is None:
-        # truncate past the occupied band, not the lattice edge, so the value
-        # is stable under lattice refinement of the same element
-        nz = np.abs(x.coeffs) > 0
-        kmax = float(np.max(x.algebra.abs_k[nz])) if np.any(nz) else 1.0
-        j_range = (-3, int(math.ceil(math.log2(max(kmax, 1.0)))) + 4)
-    j_lo, j_hi = j_range
-    js = np.arange(j_lo, j_hi + 1)
-    ts = 2.0 ** (-js.astype(float))
-    base = lp_norm(x, idx.p)
-    total = base
-    saturated: list = []
-    per_axis = []
-    for i in range(x.algebra.d):
-        dx = derive_multi(x, tuple(n_der if ax == i else 0 for ax in range(x.algebra.d)))
-        cap = (2.0 ** m) * lp_norm(dx, idx.p)
-        prof_sorted = amplitude_profile(dx, list(ts), m, idx.p, sampling)
-        # amplitude_profile sorts ts ascending; map back to the j order
-        order = np.argsort(ts)
-        prof = np.empty_like(prof_sorted)
-        prof[order] = prof_sorted
-        keep = np.ones(len(js), dtype=bool)
-        for pos, j in enumerate(js):
-            if j < 0 and cap > 0 and prof[pos] > (1 - 1e-6) * cap:
-                keep[pos] = False
-                saturated.append((i, int(j)))
-        terms = (2.0 ** (js[keep] * (idx.s - n_der))) * prof[keep]
-        val = _lq_sum(terms, idx.q)
-        per_axis.append(val)
-        total += val
-    if return_report:
-        return total, {"j_range": (int(j_lo), int(j_hi)), "saturated_excluded": saturated,
-                       "n_der": n_der, "m": m, "per_axis": per_axis, "lp_term": base}
-    return total
-
-
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Log-radial x spherical product rule for the integral Besov form, on
-    radii 1e-3 <= |rho| <= 2 pi."""
-
-    n_rad: int = 24
-    n_dir: int = 8
+    check_difference_hypotheses(idx, m, n_der)
+    meas = DifferenceGeometry(x.algebra, m, n_der, sampling=sampling).measure(x, idx.p, j_range)
+    return difference_form(meas, idx.s, idx.q, return_report)
 
 
 def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
@@ -156,27 +290,9 @@ def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     """
     if n_der is None:
         n_der = default_n_der(idx.s)
-    _check_difference_hypotheses(idx, m, n_der)
-    qd = quadrature
-    radii = np.geomspace(1e-3, 2 * math.pi, qd.n_rad)
-    logr = np.log(radii)
-    w = np.zeros_like(radii)
-    w[1:-1] = 0.5 * (logr[2:] - logr[:-2])
-    w[0] = 0.5 * (logr[1] - logr[0])
-    w[-1] = 0.5 * (logr[-1] - logr[-2])
-    dirs = tor.sphere_directions(x.algebra.d, qd.n_dir)
-    total = lp_norm(x, idx.p)
-    for i in range(x.algebra.d):
-        dx = derive_multi(x, tuple(n_der if ax == i else 0 for ax in range(x.algebra.d)))
-        stack = tor._difference_stack(dx, dirs, radii, m)
-        norms = lp_norm_batch(x.algebra, stack, idx.p).reshape(len(dirs), len(radii))
-        vals = radii ** (n_der - idx.s) * norms
-        if math.isinf(idx.q):
-            total += float(np.max(vals))
-        else:
-            integrand = np.mean(vals ** idx.q, axis=0)  # normalized sphere measure
-            total += float(np.sum(integrand * w)) ** (1.0 / idx.q)
-    return total
+    check_difference_hypotheses(idx, m, n_der)
+    meas = DifferenceGeometry(x.algebra, m, n_der, quadrature=quadrature).measure(x, idx.p)
+    return integral_form(meas, idx.s, idx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +319,47 @@ def doubling_check(x: TorusElement, h, m: int, p) -> dict:
 
 def block_difference_check(x: TorusElement, h, m: int, k: int, p) -> dict:
     """Ratio of ||Delta_h^m Block_k x||_p to min(1, |h|^m 2^{km}) ||Block_k x||_p."""
-    h = np.asarray(h, dtype=float)
-    bx = lp_block(x, k)
-    denom_norm = lp_norm(bx, p)
-    if denom_norm == 0.0:
-        return {"skipped": True, "ratio": 0.0, "lhs": 0.0, "bound": 0.0}
-    lhs = lp_norm(difference(bx, h, m), p)
-    bound = min(1.0, float(np.linalg.norm(h)) ** m * 2.0 ** (k * m)) * denom_norm
-    return {"skipped": False, "lhs": lhs, "bound": bound, "ratio": lhs / bound}
+    return block_difference_checks(x, [(h, k)], m, p)[0]
+
+
+def block_difference_checks(x: TorusElement, steps: Sequence[tuple], m: int, p) -> list:
+    """``block_difference_check`` for each (h, k) of steps; every norm comes
+    from one ``lp_norm_batch`` call."""
+    hs = [np.asarray(h, dtype=float) for h, _k in steps]
+    ks = [k for _h, k in steps]
+    blocks = [lp_block(x, k) for k in ks]
+    norms = lp_norm_batch(x.algebra, np.stack([b.coeffs for b in blocks]
+                                              + [difference(b, h, m).coeffs
+                                                 for b, h in zip(blocks, hs)]), p)
+    out = []
+    for h, k, denom_norm, lhs in zip(hs, ks, norms[:len(ks)], norms[len(ks):]):
+        if denom_norm == 0.0:
+            out.append({"skipped": True, "ratio": 0.0, "lhs": 0.0, "bound": 0.0})
+            continue
+        lhs = float(lhs)
+        bound = min(1.0, float(np.linalg.norm(h)) ** m * 2.0 ** (k * m)) * float(denom_norm)
+        out.append({"skipped": False, "lhs": lhs, "bound": bound, "ratio": lhs / bound})
+    return out
 
 
 def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
                          ts: Sequence[float]) -> dict:
     """sup_t ||e^{tDelta} x||_{B^r} / ((1 + t^{(s-r)/2}) ||x||_{B^s})."""
-    denom_base = besov_multiplier_norm(x, BesovIndex(s, p, q))
+    return heat_smoothing_ratios(heat_block_norms(x, p, ts), s, r, q, ts)
+
+
+def heat_block_norms(x: TorusElement, p, ts: Sequence[float]) -> np.ndarray:
+    """Block norms of x (row 0) and of e^{t Delta} x for each t of ts, from one
+    ``lp_norm_batch`` call: the q-free part of ``heat_smoothing_check``."""
+    return block_norm_stack(x.algebra, np.stack([x.coeffs] + [heat(x, t).coeffs for t in ts]), p)
+
+
+def heat_smoothing_ratios(norms: np.ndarray, s: float, r: float, q, ts: Sequence[float]) -> dict:
+    """``heat_smoothing_check`` from the ``heat_block_norms`` of x."""
+    denom_base = multiplier_form(norms[0], s, q)
     ratios = []
-    for t in ts:
-        num = besov_multiplier_norm(heat(x, t), BesovIndex(r, p, q))
+    for t, heat_norms in zip(ts, norms[1:]):
+        num = multiplier_form(heat_norms, r, q)
         factor = 1.0 + (t ** ((s - r) / 2.0) if t > 0 else (1.0 if s == r else math.inf))
         ratios.append(num / (factor * denom_base) if denom_base > 0 else 0.0)
     return {"sup_ratio": float(np.max(ratios)), "ratios": ratios, "ts": list(ts)}
@@ -285,7 +425,7 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
     for a, xi in enumerate(xis):
         lhs = decs[0].apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
         if xi == 0.0:
-            out[a] = np.linalg.norm(lhs, 2)
+            out[a] = schatten_norm(lhs, math.inf)
             continue
 
         def g_fn(lam):
@@ -307,7 +447,7 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
                 right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
                 acc = bm * (left.T @ right)
                 rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
-            out[a, b] = np.linalg.norm(lhs - rhs, 2)
+            out[a, b] = schatten_norm(lhs - rhs, math.inf)
     return out
 
 
@@ -315,20 +455,21 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
 # paraproducts
 # ---------------------------------------------------------------------------
 
-def sup_norm(x: TorusElement) -> float:
-    return lp_norm(x, math.inf)
-
-
 def derivative_growth(seq: Sequence[TorusElement], k_max: int) -> list:
-    """M_k = sup_{|alpha|<=k, j} 2^{-j|alpha|} ||d^alpha a_j||_inf for k <= k_max."""
+    """M_k = sup_{|alpha|<=k, j} 2^{-j|alpha|} ||d^alpha a_j||_inf for k <= k_max.
+
+    Every sup norm comes from one ``lp_norm_batch`` call over the sequence.
+    """
+    alg = seq[0].algebra
+    alphas = [(total, alpha) for total in range(k_max + 1) for alpha in _multiindices(alg.d, total)]
+    mults = [tor.derivative_multiplier(alg, alpha) for _total, alpha in alphas]
+    norms = lp_norm_batch(alg, np.stack([a.coeffs * mult for a in seq for mult in mults]),
+                          math.inf).reshape(len(seq), len(alphas))
     sups: dict = {}
-    for j, a in enumerate(seq):
-        d = a.algebra.d
-        for total in range(k_max + 1):
-            for alpha in _multiindices(d, total):
-                val = sup_norm(derive_multi(a, alpha)) * 2.0 ** (-j * total)
-                key = total
-                sups[key] = max(sups.get(key, 0.0), val)
+    for j, row in enumerate(norms):
+        for (total, _alpha), norm in zip(alphas, row):
+            val = float(norm) * 2.0 ** (-j * total)
+            sups[total] = max(sups.get(total, 0.0), val)
     return [max(sups.get(t, 0.0) for t in range(k + 1)) for k in range(k_max + 1)]
 
 
@@ -378,20 +519,35 @@ class PsdoSymbolSequence:
 
 def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex):
     """T_{a,b}(u) = sum_j a_j (Block_j u) b_j and its normalized Besov ratio."""
+    out = paraproduct(seq, u)
+    norms = block_norm_stack(u.algebra, np.stack([u.coeffs, out.coeffs]), idx.p)
+    return out, paraproduct_report(seq, norms[0], norms[1], idx.s, idx.q)
+
+
+def paraproduct(seq: PsdoSymbolSequence, u: TorusElement) -> TorusElement:
+    """T_{a,b}(u) = sum_j a_j (Block_j u) b_j over the nonzero blocks; every
+    factor is realized in one ``to_matrix_batch`` call."""
     alg = u.algebra
+    blocks = [(j, lp_block(u, j)) for j in range(min(len(seq.a), block_count(alg)))]
+    factors = [c for j, bj in blocks if not float(np.max(np.abs(bj.coeffs))) < 1e-300
+               for c in (seq.a[j].coeffs, bj.coeffs, seq.b[j].coeffs)]
     total = np.zeros((alg.matrix_dim, alg.matrix_dim), dtype=np.complex128)
-    for j in range(min(len(seq.a), block_count(alg))):
-        bj = lp_block(u, j)
-        if float(np.max(np.abs(bj.coeffs))) < 1e-300:
-            continue
-        total += to_matrix(seq.a[j]) @ to_matrix(bj) @ to_matrix(seq.b[j])
-    out = from_matrix(alg, total)
-    k = int(math.ceil(idx.s))
+    if factors:
+        mats = tor.to_matrix_batch(alg, np.stack(factors))
+        for i in range(0, len(mats), 3):
+            total += mats[i] @ mats[i + 1] @ mats[i + 2]
+    return from_matrix(alg, total)
+
+
+def paraproduct_report(seq: PsdoSymbolSequence, norms_in: np.ndarray, norms_out: np.ndarray,
+                       s: float, q: float) -> dict:
+    """The report of ``apply_paraproduct`` from the block norms of u and T_{a,b}(u)."""
+    k = int(math.ceil(s))
     m_a, m_b = seq.cert("a", k), seq.cert("b", k)
-    nu = besov_multiplier_norm(u, idx)
-    nout = besov_multiplier_norm(out, idx)
+    nu = multiplier_form(norms_in, s, q)
+    nout = multiplier_form(norms_out, s, q)
     ratio = nout / (m_a * m_b * nu) if m_a * m_b * nu > 0 else 0.0
-    return out, {"ratio": ratio, "m_a": m_a, "m_b": m_b, "norm_in": nu, "norm_out": nout}
+    return {"ratio": ratio, "m_a": m_a, "m_b": m_b, "norm_in": nu, "norm_out": nout}
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +575,19 @@ def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
-    """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0."""
+def regular_apply_symbol(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """(batch, N^d) coefficients of F(u) for each Hermitian state of a theta = 0
+    stack, from the left-regular realization and with no FFT: since
+    L_{F(u)} = F(L_u) and Q e_0 = e_0, they are Q times column 0 of F(R) for
+    R = Q* L_u Q (``regular_realization``).  Only that column is built, one
+    realization chunk at a time."""
+    q = tor.parity_basis(algebra)
+    return np.concatenate([
+        func_calc_first_column(HermitianOperator(tor.regular_realization(algebra, coeff_stack[chunk])), F) @ q.T
+        for chunk in tor.realization_chunks(algebra, len(coeff_stack))])
+
+
+def _check_boundedness_hypotheses(F: SmoothSymbol, u: TorusElement, idx: BesovIndex):
     if not is_hermitian(u):
         raise SymbolHypothesisError("boundedness harness requires Hermitian u")
     f0 = complex(np.asarray(F(np.array([0.0])))[0])
@@ -428,10 +595,21 @@ def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> floa
         raise SymbolHypothesisError(f"need F(0) = 0, got {f0}")
     if F.max_order < math.ceil(idx.s):
         raise HypothesisViolation(f"need F in C^{math.ceil(idx.s)}")
+
+
+def _image_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> tuple:
+    """(||F(u)||_B / ||u||_B, F(u))."""
     nu = besov_multiplier_norm(u, idx)
     if nu == 0.0:
         raise DegenerateInput("u = 0")
-    return besov_multiplier_norm(apply_symbol(F, u), idx) / nu
+    fu = apply_symbol(F, u)
+    return besov_multiplier_norm(fu, idx) / nu, fu
+
+
+def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
+    """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0."""
+    _check_boundedness_hypotheses(F, u, idx)
+    return _image_ratio(F, u, idx)[0]
 
 
 def lipschitz_besov_ratio(F: SmoothSymbol, u: TorusElement, v: TorusElement,
@@ -439,8 +617,24 @@ def lipschitz_besov_ratio(F: SmoothSymbol, u: TorusElement, v: TorusElement,
     """||F(u) - F(v)||_B / ||u - v||_B for Hermitian u != v."""
     if not (is_hermitian(u) and is_hermitian(v)):
         raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
+    return _lipschitz_ratio(F, u, v, idx)
+
+
+def _lipschitz_ratio(F, u: TorusElement, v: TorusElement, idx: BesovIndex,
+                     fu: Optional[TorusElement] = None) -> float:
+    """||F(u) - F(v)||_B / ||u - v||_B; F(u) is computed unless given."""
     diff_norm = besov_multiplier_norm(u - v, idx)
     if diff_norm == 0.0:
         raise DegenerateInput("u == v")
-    num = besov_multiplier_norm(apply_symbol(F, u) - apply_symbol(F, v), idx)
+    num = besov_multiplier_norm((apply_symbol(F, u) if fu is None else fu) - apply_symbol(F, v), idx)
     return num / diff_norm
+
+
+def symbol_ratios(F: SmoothSymbol, u: TorusElement, v: TorusElement, idx: BesovIndex) -> tuple:
+    """(boundedness_ratio(F, u, idx), lipschitz_besov_ratio(F, u, v, idx), F(u))
+    with the same checks and errors, computing F(u) once."""
+    _check_boundedness_hypotheses(F, u, idx)
+    ratio, fu = _image_ratio(F, u, idx)
+    if not is_hermitian(v):
+        raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
+    return ratio, _lipschitz_ratio(F, u, v, idx, fu), fu

@@ -9,7 +9,7 @@ member is reproducible in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -313,14 +313,10 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
 
 _EQ_SAMPLING = tor.AmplitudeSampling(n_dir=8, n_rad=4)
 _EQ_QUADRATURE = bz.RadialQuadrature(n_rad=12, n_dir=6)
-
-
-def besov_norm_triple(x, idx: BesovIndex, m: int, n_der: int):
-    nm = bz.besov_multiplier_norm(x, idx)
-    nd = bz.besov_difference_norm(x, idx, m=m, n_der=n_der, sampling=_EQ_SAMPLING)
-    ni = bz.besov_integral_norm(x, idx, m=m, n_der=n_der, quadrature=_EQ_QUADRATURE)
-    return nm, nd, ni
-
+# heat times of the smoothing harness, and the ensemble members the heat,
+# block-difference and paraproduct harnesses run on
+_EQ_HEAT_TS = (0.25, 0.5, 1.0, 2.0)
+_EQ_HARNESS_MEMBERS = 10
 
 _EQ_METRICS = ("ratio_md_min", "ratio_md_max", "ratio_mi_min", "ratio_mi_max",
                "ratio_di_min", "ratio_di_max", "heat_smoothing_max",
@@ -330,60 +326,127 @@ _EQ_METRICS = ("ratio_md_min", "ratio_md_max", "ratio_mi_min", "ratio_mi_max",
 def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7):
     """Unitary multiplier family e^{i theta xi S_{j-1} u} from the dyadic
     decomposition of e^{i xi u}; the canonical elementary pseudodifferential
-    sequence for the paraproduct harness."""
-    jb = tor.block_count(u.algebra)
-    a_seq, b_seq = [], []
-    for j in range(jb):
-        s = bz.partial_sum(u, max(j - 1, 0))
-        dec = eig_hermitian(HermitianOperator(tor.to_matrix(s)))
-        a_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * theta * xi * lam))))
-        b_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * (1 - theta) * xi * lam))))
-    return bz.PsdoSymbolSequence(tuple(a_seq), tuple(b_seq))
+    sequence for the paraproduct harness.
+
+    The partial sums S_0 u, ..., S_{J-2} u are realized in one call and
+    diagonalized in one stacked call; S_0 u serves j = 0 and j = 1.
+    """
+    alg = u.algebra
+    jb = tor.block_count(alg)
+    sums = np.stack([bz.partial_sum(u, j).coeffs for j in range(max(jb - 1, 1))])
+    dec = eig_hermitian(HermitianOperator(tor.to_matrix_batch(alg, sums)))
+    a = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * theta * xi * lam)))
+    b = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * (1 - theta) * xi * lam)))
+    members = [max(j - 1, 0) for j in range(jb)]
+    return bz.PsdoSymbolSequence(tuple(tor.TorusElement(alg, a[i]) for i in members),
+                                 tuple(tor.TorusElement(alg, b[i]) for i in members))
 
 
-def _norm_triple_member(args):
-    x, idx, m, n_der = args
-    return besov_norm_triple(x, idx, m, n_der)
+def _measure_norms(args):
+    """Block norms and difference measurements of a contiguous chunk of the
+    ensemble, from one difference geometry."""
+    elements, p, m, n_der = args
+    geometry = bz.DifferenceGeometry(elements[0].algebra, m, n_der, _EQ_SAMPLING, _EQ_QUADRATURE)
+    return [(bz.block_norms(x, p), geometry.measure(x, p)) for x in elements]
 
 
-def besov_equivalence_stats(cfg: ExperimentConfig, jobs: int = 1):
-    idx = besov_index(cfg)
+@dataclass(frozen=True)
+class EquivalenceMeasurement:
+    """The q-free part of ``besov_equivalence_stats``: per ensemble member its
+    block norms and ``DifferenceMeasure``; per harness member the heat block
+    norms and the paraproduct's sequence and output block norms; and the
+    block-difference maximum, which has no q."""
+
+    norms: list
+    heat: list
+    paraproducts: list
+    block_max: float
+
+
+def _measure_key(cfg: ExperimentConfig) -> tuple:
+    """The config without q: configs with equal keys share a measurement."""
+    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "q")
+
+
+def measure_equivalence(cfg: ExperimentConfig, jobs: int = 1) -> EquivalenceMeasurement:
+    """Measure stage of ``besov_equivalence_stats``: every value that does not
+    depend on q.  With jobs > 1 the ensemble is cut into that many contiguous
+    chunks, each measured from one geometry."""
+    bz.check_difference_hypotheses(besov_index(cfg), cfg.m, cfg.n_der)
     # decay 2.0: smooth enough that the ratio extremes are stable order
     # statistics across lattice doublings
     elements = ensemble_elements(cfg, tag="besov", decay=2.0)
-    triples = parallel_map(_norm_triple_member,
-                           [(x, idx, cfg.m, cfg.n_der) for x in elements], jobs)
+    chunks = [c for c in np.array_split(np.arange(len(elements)), max(jobs, 1)) if len(c)]
+    measured = parallel_map(_measure_norms, [([elements[i] for i in c], cfg.p, cfg.m, cfg.n_der)
+                                             for c in chunks], jobs)
+    norms = [member for chunk in measured for member in chunk]
+    heat, paraproducts = [], []
+    block_max = 0.0
+    for i, x in enumerate(elements[:_EQ_HARNESS_MEMBERS]):
+        heat.append(bz.heat_block_norms(x, cfg.p, _EQ_HEAT_TS))
+        rng = rng_for(cfg.seed, "bdc", i)
+        steps = [(rng.uniform(-1, 1, size=cfg.d), k) for k in range(1, 4)]
+        for rep in bz.block_difference_checks(x, steps, cfg.m, cfg.p):
+            if not rep["skipped"]:
+                block_max = max(block_max, rep["ratio"])
+        u_mod = tor.random_element(x.algebra, rng_for(cfg.seed, "psdo", i), band=cfg.band)
+        seq = exp_psdo_sequence(u_mod, xi=1.0, theta=0.7)
+        paraproducts.append((seq, bz.block_norms(bz.paraproduct(seq, x), cfg.p)))
+    return EquivalenceMeasurement(norms, heat, paraproducts, block_max)
+
+
+def reduce_equivalence(cfg: ExperimentConfig, meas: EquivalenceMeasurement):
+    """Reduce stage of ``besov_equivalence_stats``: the weights and l_q sums
+    of cfg's s and q over a measurement of cfg."""
+    s, q = cfg.s, cfg.q
     rows = []
     r_md, r_mi, r_di = [], [], []
-    for i, (nm, nd, ni) in enumerate(triples):
+    for i, (blocks, dm) in enumerate(meas.norms):
+        nm = bz.multiplier_form(blocks, s, q)
+        nd = bz.difference_form(dm, s, q)
+        ni = bz.integral_form(dm, s, q)
         r_md.append(nm / nd)
         r_mi.append(nm / ni)
         r_di.append(nd / ni)
         rows.append({"element-seed": i, "multiplier": nm, "difference": nd, "integral": ni})
-    smooth_max, block_max, para_max = 0.0, 0.0, 0.0
-    ts = (0.25, 0.5, 1.0, 2.0)
-    for i, x in enumerate(elements[:10]):
-        rep = bz.heat_smoothing_check(x, cfg.s, cfg.s + 1.0, cfg.p, cfg.q, ts)
+    smooth_max, para_max = 0.0, 0.0
+    for heat, (seq, out_blocks), (blocks, _dm) in zip(meas.heat, meas.paraproducts, meas.norms):
+        rep = bz.heat_smoothing_ratios(heat, s, s + 1.0, q, _EQ_HEAT_TS)
         smooth_max = max(smooth_max, rep["sup_ratio"])
-        rng = rng_for(cfg.seed, "bdc", i)
-        for k in range(1, 4):
-            h = rng.uniform(-1, 1, size=cfg.d)
-            rep2 = bz.block_difference_check(x, h, cfg.m, k, cfg.p)
-            if not rep2["skipped"]:
-                block_max = max(block_max, rep2["ratio"])
-        u_mod = tor.random_element(x.algebra, rng_for(cfg.seed, "psdo", i), band=cfg.band)
-        seq = exp_psdo_sequence(u_mod, xi=1.0, theta=0.7)
-        _, prep = bz.apply_paraproduct(seq, x, idx)
+        prep = bz.paraproduct_report(seq, blocks, out_blocks, s, q)
         para_max = max(para_max, prep["ratio"])
     stats = {
         "ratio_md_min": float(np.min(r_md)), "ratio_md_max": float(np.max(r_md)),
         "ratio_mi_min": float(np.min(r_mi)), "ratio_mi_max": float(np.max(r_mi)),
         "ratio_di_min": float(np.min(r_di)), "ratio_di_max": float(np.max(r_di)),
         "heat_smoothing_max": smooth_max,
-        "block_diff_ratio_max": block_max,
+        "block_diff_ratio_max": meas.block_max,
         "paraproduct_ratio_max": para_max,
     }
     return stats, rows
+
+
+def besov_equivalence_stats(cfg: ExperimentConfig, jobs: int = 1):
+    """(stats, per-member rows) of the three-norm equivalence harness."""
+    return reduce_equivalence(cfg, measure_equivalence(cfg, jobs))
+
+
+def besov_equivalence_grid(configs, jobs: int = 1) -> list:
+    """``besov_equivalence_stats`` of every config, in order.  Configs that
+    differ only in q share one measurement, so each group is measured once
+    and reduced once per q; the stats are bit-identical to one call per
+    config."""
+    for cfg in configs:
+        besov_index(cfg)
+    groups: dict = {}
+    for cfg in configs:
+        groups.setdefault(_measure_key(cfg), []).append(cfg)
+    results = {}
+    for group in groups.values():
+        meas = measure_equivalence(group[0], jobs)
+        for cfg in group:
+            results[cfg] = reduce_equivalence(cfg, meas)
+    return [results[cfg] for cfg in configs]
 
 
 def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
@@ -427,11 +490,15 @@ def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
     return res
 
 
-def capture_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore, force: bool = False):
-    stats, _rows = besov_equivalence_stats(cfg)
+def store_stats(cfg: ExperimentConfig, store: BaselineStore, stats: dict, force: bool = False):
+    """Record every value of stats as a baseline constant of cfg."""
     for metric, value in stats.items():
         store.set(cfg.config_hash, metric, value, force=force, label=cfg.canonical())
     return stats
+
+
+def capture_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore, force: bool = False):
+    return store_stats(cfg, store, besov_equivalence_stats(cfg)[0], force)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +515,19 @@ def nonlinear_stats(cfg: ExperimentConfig):
     floc = localize(F, BumpLocalizer(m_sup))
     cb_loc = cb_norm(floc, min(max(1, math.ceil(cfg.s)), F.max_order), (-2 * m_sup, 2 * m_sup))
     lip_loc = lipschitz_norm(F, (-m_sup, m_sup))
-    for i, x in enumerate(elements):
-        ratios.append(bz.boundedness_ratio(F, x, idx))
-        y = tor.random_element(x.algebra, rng_for(cfg.seed, "nl2", i), band=cfg.band)
-        lips.append(bz.lipschitz_besov_ratio(F, x, y, idx))
-    # L_p Lipschitz constant on matrix realizations (contraction-time input)
     clip = 0.0
-    for i, x in enumerate(elements[:20]):
-        y = tor.random_element(x.algebra, rng_for(cfg.seed, "nl3", i), band=cfg.band)
-        nf = tor.lp_norm(bz.apply_symbol(F, x) - bz.apply_symbol(F, y), cfg.p)
-        nd = tor.lp_norm(x - y, cfg.p)
-        if nd > 0 and lip_loc > 0:
-            clip = max(clip, nf / (nd * lip_loc))
+    for i, x in enumerate(elements):
+        y = tor.random_element(x.algebra, rng_for(cfg.seed, "nl2", i), band=cfg.band)
+        ratio, lip, fx = bz.symbol_ratios(F, x, y, idx)
+        ratios.append(ratio)
+        lips.append(lip)
+        # L_p Lipschitz constant on matrix realizations (contraction-time input)
+        if i < 20:
+            y = tor.random_element(x.algebra, rng_for(cfg.seed, "nl3", i), band=cfg.band)
+            nf = tor.lp_norm(fx - bz.apply_symbol(F, y), cfg.p)
+            nd = tor.lp_norm(x - y, cfg.p)
+            if nd > 0 and lip_loc > 0:
+                clip = max(clip, nf / (nd * lip_loc))
     stats = {
         "bound_ratio_max": float(np.max(ratios)),
         "lip_ratio_max": float(np.max(lips)),
@@ -487,10 +555,7 @@ def run_nonlinear_estimate(cfg: ExperimentConfig, store: BaselineStore) -> Exper
 
 
 def capture_nonlinear(cfg: ExperimentConfig, store: BaselineStore, force: bool = False):
-    stats, _r, _l = nonlinear_stats(cfg)
-    for metric, value in stats.items():
-        store.set(cfg.config_hash, metric, value, force=force, label=cfg.canonical())
-    return stats
+    return store_stats(cfg, store, nonlinear_stats(cfg)[0], force)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +636,13 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
               note=f"rate {rep_g['envelope_rate']:.4g}")
 
     # (f) F(u) along a theta = 0 trajectory against F on the left-regular
-    # realization in its real parity basis: Q times column 0 of F(Q* L_u Q),
-    # one realization chunk at a time
+    # realization in its real parity basis
     alg0 = tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=0)
     u00 = tor.random_element(alg0, rng_for(cfg.seed, "ac-cc"), band=cfg.band, decay=2.0)
     pc = ACProblem(u0=u00, F=F, idx=idx, t_max=0.05, dt=cfg.dt)
     states = np.stack([s.coeffs for s in picard_solve(pc)[0].states])
     got = pc.apply_F(states).reshape(len(states), -1)
-    q = tor.parity_basis(alg0)
-    cross = 0.0
-    for chunk in tor.realization_chunks(alg0, len(states)):
-        ref = func_calc(tor.regular_realization(alg0, states[chunk]), F).data[..., 0] @ q.T
-        cross = max(cross, float(np.max(np.linalg.norm(got[chunk] - ref, axis=1))))
+    cross = float(np.max(np.linalg.norm(got - bz.regular_apply_symbol(F, alg0, states), axis=1)))
     res.check("ac.cross_check", cross, 1e-8)
 
     res.tables["contraction"] = [{"T": t_c, "factor": rep_c["contraction_factor"],
@@ -598,10 +658,8 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
 
 
 def capture_allen_cahn(cfg: ExperimentConfig, store: BaselineStore, force: bool = False):
-    stats, _r, _l = nonlinear_stats(cfg)
-    for metric in ("c_bound", "c_lip"):
-        store.set(cfg.config_hash, metric, stats[metric], force=force, label=cfg.canonical())
-    return {k: stats[k] for k in ("c_bound", "c_lip")}
+    stats = nonlinear_stats(cfg)[0]
+    return store_stats(cfg, store, {k: stats[k] for k in ("c_bound", "c_lip")}, force)
 
 
 # ---------------------------------------------------------------------------

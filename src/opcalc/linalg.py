@@ -9,10 +9,12 @@ functional calculus.  Real input stays real (float64), so a real symmetric
 matrix is diagonalized by LAPACK's real solver.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
 from an SVD.  ``hilbert_schmidt_norm`` is the p = 2 norm of one matrix read
-from its entries (the Frobenius norm over sqrt(n)), with no SVD.  ``hermitian_schatten_norm_batch`` takes a stack whose members
+from its entries (the Frobenius norm over sqrt(n)), with no SVD.
+``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
 singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
-Every V diag(f(lambda)) V* is built by ``spectral_product``.
+Every V diag(f(lambda)) V* is built by ``spectral_product``;
+``func_calc_first_column`` builds only column 0 of F(H).
 """
 
 from __future__ import annotations
@@ -242,6 +244,18 @@ def decomposed_func_calc(dec: SpectralDecomposition, F) -> HermitianOperator:
     vals = _symbol_values(F, dec.eigenvalues)
     # V diag(F(lambda)) V* with unitary V is Hermitian up to rounding
     return HermitianOperator._symmetrized(spectral_product(dec.eigenvectors, vals))
+
+
+def func_calc_first_column(H: HermitianOperator, F) -> np.ndarray:
+    """Column 0 of ``func_calc(H, F)`` (of each matrix of a stack) without
+    building F(H): V (F(lambda) * conj(V[0, :])), with the same Hermitian
+    test and symbol errors."""
+    if not isinstance(H, HermitianOperator):
+        H = HermitianOperator(H)
+    dec = eig_hermitian(H)
+    v = dec.eigenvectors
+    vals = _symbol_values(F, dec.eigenvalues)
+    return (v @ (vals * v[..., 0, :].conj())[..., None])[..., 0]
 
 
 def diagonal_func_calc(spectra: np.ndarray, F) -> np.ndarray:

@@ -351,7 +351,10 @@ def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarra
     Clock/shift route: for each diagonal offset k2 the entries are a length-N
     DFT over k1 evaluated at frequency p*a mod N, so the whole realization is
     N FFTs (O(N^2 log N)) instead of the dense mode-matrix contraction,
-    followed by one gather that places every entry.
+    followed by one gather that places every entry.  The Weyl-phased
+    coefficients are laid out (k2, k1), so the FFTs run on the contiguous
+    axis; they give the same bits as FFTs over the k1 axis of the (k1, k2)
+    layout.
     """
     if algebra.is_flat:
         flat = grid_values(algebra, coeff_stack)
@@ -360,20 +363,36 @@ def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarra
         out[:, ii, ii] = flat
         return out
     N, p = algebra.N, algebra.theta_num
-    pre = coeff_stack * _weyl_phase(algebra)
-    f = np.fft.fft(pre, axis=1)                     # over the k1 index
+    pre = np.empty((len(coeff_stack), N, N), dtype=np.complex128)
+    np.multiply(np.swapaxes(coeff_stack, 1, 2), _weyl_phase(algebra).T, out=pre)
+    f = np.fft.fft(pre, axis=2)                     # over the k1 index
+    del pre
     return np.take(f.reshape(len(f), N * N), _entry_index(N, p), axis=1)
 
 
 @functools.lru_cache(maxsize=None)
 def _entry_index(N: int, p: int) -> np.ndarray:
-    """Flat (k1, k2) index of matrix entry [a, c] in the FFT over k1 of a
-    clock/shift realization: entry [a, c] lies on diagonal offset
+    """Flat (k2, frequency) index of matrix entry [a, c] in the FFT over k1 of
+    a clock/shift realization: entry [a, c] lies on diagonal offset
     k2 = (a - c) % N at frequency p*a mod N (read-only)."""
     a = np.arange(N)
-    index = ((p * a) % N)[:, None] * N + (a[:, None] - a[None, :]) % N
+    index = ((a[:, None] - a[None, :]) % N) * N + ((p * a) % N)[:, None]
     index.flags.writeable = False
     return index
+
+
+@functools.lru_cache(maxsize=None)
+def _recovery_index(N: int, p: int) -> tuple:
+    """The two gathers of ``from_matrix_batch`` (read-only): the flat index of
+    matrix entry [a, (a - k2) % N] at [k2, a], which reads diagonal offset k2
+    into row k2, and the flat index of the inverse DFT's (k2, frequency)
+    layout at [k1, k2], frequency p*k1 mod N."""
+    a = np.arange(N)
+    offsets = a[None, :] * N + (a[None, :] - a[:, None]) % N
+    coeffs = a[None, :] * N + ((p * a) % N)[:, None]
+    for index in (offsets, coeffs):
+        index.flags.writeable = False
+    return offsets, coeffs
 
 
 def from_matrix(algebra: TorusAlgebra, A: np.ndarray) -> TorusElement:
@@ -389,16 +408,21 @@ def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:
     """(batch,) + algebra.shape coefficient stack of a (batch, dim, dim)
     matrix stack; the inverse of ``to_matrix_batch``.
 
-    Clock/shift route: one gather reads each diagonal offset k2, and each is a
-    length-N inverse DFT over k1, so recovery is N FFTs per matrix.
+    Clock/shift route: one gather reads each diagonal offset k2 into a
+    contiguous row, and each row is a length-N inverse DFT over k1, so
+    recovery is N FFTs per matrix, run on the contiguous axis; a second
+    gather puts frequency p*k1 mod N of row k2 at [k1, k2].  The bits are
+    those of inverse DFTs over the first axis of the (a, k2) layout.
     """
     if algebra.is_flat:
         return from_grid_values(algebra, np.diagonal(stack, axis1=-2, axis2=-1))
     N, p = algebra.N, algebra.theta_num
-    # at p = 1 the entry index reads matrix entry [a, (a - k2) % N] into [a, k2]
-    diag = np.take(stack.reshape(len(stack), N * N), _entry_index(N, 1), axis=1)
-    g = np.fft.ifft(diag, axis=1)                   # g[m] = pre[p^{-1} m mod N]
-    return g[:, (p * np.arange(N)) % N, :] * np.conj(_weyl_phase(algebra))
+    offsets, coeffs = _recovery_index(N, p)
+    diag = np.take(stack.reshape(len(stack), N * N), offsets, axis=1)
+    g = np.fft.ifft(diag, axis=2)                   # g[k2, m] = pre[p^{-1} m mod N, k2]
+    out = np.take(g.reshape(len(stack), N * N), coeffs, axis=1)
+    out *= np.conj(_weyl_phase(algebra))
+    return out
 
 
 # Largest realization, in matrix entries, that a stacked route builds at once:
@@ -609,14 +633,19 @@ def derive(x: TorusElement, j: int) -> TorusElement:
 
 
 def derive_multi(x: TorusElement, alpha: Sequence[int]) -> TorusElement:
+    return apply_multiplier(x, derivative_multiplier(x.algebra, alpha))
+
+
+def derivative_multiplier(algebra: TorusAlgebra, alpha: Sequence[int]) -> np.ndarray:
+    """Symbol prod_ax (i k_ax)^alpha_ax of the derivation d^alpha over the mode grid."""
     alpha = np.asarray(alpha, dtype=int)
-    if alpha.shape != (x.algebra.d,) or np.any(alpha < 0):
+    if alpha.shape != (algebra.d,) or np.any(alpha < 0):
         raise DimensionMismatch("alpha must be a nonnegative multi-index of length d")
-    mult = np.ones(x.algebra.shape, dtype=np.complex128)
+    mult = np.ones(algebra.shape, dtype=np.complex128)
     for ax, a in enumerate(alpha):
         if a:
-            mult = mult * (1j * x.algebra.k_grids[ax].astype(float)) ** int(a)
-    return apply_multiplier(x, mult)
+            mult = mult * (1j * algebra.k_grids[ax].astype(float)) ** int(a)
+    return mult
 
 
 def difference_multiplier(algebra: TorusAlgebra, h, m: int) -> np.ndarray:
@@ -667,10 +696,12 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     """lp_norm of every element of a (batch,) + algebra.shape coefficient stack.
 
     p = 2 reads the coefficients (Parseval) and theta = 0 the grid values.
-    Otherwise the stack is realized, and the norms come from
-    ``hermitian_schatten_norm_batch`` (absolute eigenvalues) when every
-    realized matrix passes the Hermitian deviation test, from
-    ``schatten_norm_batch`` (SVD) when any one fails it.
+    Otherwise the stack is realized and routed member by member: a realized
+    matrix that passes the Hermitian deviation test gets its norm from
+    ``hermitian_schatten_norm_batch`` (absolute eigenvalues), any other from
+    ``schatten_norm_batch`` (SVD).  Each spectral call runs LAPACK on one
+    matrix at a time, so a member's norm has the same bits in any stack,
+    alone included.
     """
     pv = float(p)
     if pv == 2.0:
@@ -682,9 +713,15 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
             return np.max(a, axis=1)
         return (np.mean(a ** pv, axis=1)) ** (1.0 / pv)
     mats = to_matrix_batch(algebra, coeff_stack)
-    if hermitian_members(mats).all():
+    hermitian = hermitian_members(mats)
+    if hermitian.all():
         return hermitian_schatten_norm_batch(mats, pv)
-    return schatten_norm_batch(mats, pv)
+    if not hermitian.any():
+        return schatten_norm_batch(mats, pv)
+    out = np.empty(len(mats))
+    out[hermitian] = hermitian_schatten_norm_batch(mats[hermitian], pv)
+    out[~hermitian] = schatten_norm_batch(mats[~hermitian], pv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +760,37 @@ def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
     ts = np.asarray(sorted(ts), dtype=float)
     if not np.any(ts > 0):
         return np.zeros(len(ts))
-    dirs = sphere_directions(x.algebra.d, sampling.n_dir)
-    radii = np.unique(np.concatenate([t * (np.arange(1, sampling.n_rad + 1) / sampling.n_rad)
-                                      for t in ts if t > 0]))
-    stack = _difference_stack(x, dirs, radii, m)
-    norms = lp_norm_batch(x.algebra, stack, p).reshape(len(dirs), len(radii))
-    best_by_radius = np.max(norms, axis=0)
-    run_max = np.maximum.accumulate(best_by_radius)
-    out = np.zeros(len(ts))
-    for i, t in enumerate(ts):
-        j = np.searchsorted(radii, t + 1e-15, side="right") - 1
-        out[i] = run_max[j] if j >= 0 else 0.0
-    return out
+    radii = amplitude_radii(ts, sampling.n_rad)
+    table = difference_table(x.algebra, sphere_directions(x.algebra.d, sampling.n_dir), radii, m)
+    norms = lp_norm_batch(x.algebra, _difference_stack(x.coeffs, table), p)
+    return amplitude_from_norms(norms.reshape(-1, len(radii)), radii, ts)
 
 
-def _difference_stack(x: TorusElement, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients of Delta_{r d}^m x for every (direction d, radius r) pair,
-    stacked direction-major."""
-    mult = _shift_phase(x.algebra, dirs[:, None, :] * radii[:, None]) - 1.0
+def amplitude_radii(ts: np.ndarray, n_rad: int) -> np.ndarray:
+    """Sorted radius samples of ``amplitude_profile``: the union over the
+    t > 0 of ts of t * (1, ..., n_rad) / n_rad."""
+    return np.unique(np.concatenate([t * (np.arange(1, n_rad + 1) / n_rad) for t in ts if t > 0]))
+
+
+def amplitude_from_norms(norms: np.ndarray, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``amplitude_profile`` at ascending ts from the (direction, radius) norms
+    of the sampled differences: the running maximum over radii <= t of the
+    maximum over directions."""
+    run_max = np.maximum.accumulate(np.max(norms, axis=0))
+    j = np.searchsorted(radii, ts + 1e-15, side="right") - 1
+    return np.where(j >= 0, run_max[np.maximum(j, 0)], 0.0)
+
+
+def difference_table(algebra: TorusAlgebra, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
+    """Multipliers (e^{i r <d, k>} - 1)^m of Delta_{r d}^m for every
+    (direction d, radius r) pair, stacked direction-major."""
+    mult = _shift_phase(algebra, dirs[:, None, :] * radii[:, None]) - 1.0
     if m != 1:
         mult = mult ** m
-    return (mult * x.coeffs).reshape((-1,) + x.algebra.shape)
+    return mult.reshape((-1,) + algebra.shape)
+
+
+def _difference_stack(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Coefficients of Delta_{r d}^m x for every multiplier of a
+    ``difference_table``, from the coefficients of x."""
+    return table * coeffs

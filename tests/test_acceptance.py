@@ -19,8 +19,8 @@ import opcalc.torus as tor
 from opcalc.baselines import BaselineStore
 from opcalc.besov import BesovIndex
 from opcalc.experiments import (allen_cahn_config, besov_equivalence_configs,
-                                besov_equivalence_stats, besov_norm_triple,
-                                nonlinear_configs, run_allen_cahn, run_meyer)
+                                besov_equivalence_grid, nonlinear_configs, run_allen_cahn,
+                                run_meyer)
 from opcalc.config import ExperimentConfig
 from opcalc.expr import parse_symbol
 from opcalc.linalg import random_hermitian
@@ -183,8 +183,7 @@ def test_criterion_6_besov_three_norm_equivalence(store):
     all_ok = True
     pair_metrics = (("ratio_md_min", "ratio_md_max"), ("ratio_mi_min", "ratio_mi_max"),
                     ("ratio_di_min", "ratio_di_max"))
-    for cfg in configs:
-        stats, _rows = besov_equivalence_stats(cfg)
+    for cfg, (stats, _rows) in zip(configs, besov_equivalence_grid(configs)):
         for lo_key, hi_key in pair_metrics:
             lo_base = store.get(cfg.config_hash, lo_key)
             hi_base = store.get(cfg.config_hash, hi_key)

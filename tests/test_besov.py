@@ -443,3 +443,190 @@ def test_flat_apply_symbol_rejects_non_hermitian():
         HermitianOperator(tor.to_matrix_batch(alg0, xs))
     assert str(err.value) == str(ref.value)
     bz.apply_symbol_batch(parse_symbol("tanh(x)"), alg0, xs[:1])  # the Hermitian one passes
+
+
+# --- measure/reduce: bits of the old per-call routes --------------------------
+# The references below are the per-call code the stacked routes replaced: one
+# lp_norm per element, one shift-phase table per (element, axis), one
+# eigendecomposition per block.  The stacked routes must keep their bits.
+
+def per_call_norms(alg, stack, p):
+    return np.array([tor.lp_norm(tor.TorusElement(alg, c), p) for c in stack])
+
+
+def per_call_differences(x, dirs, radii, m):
+    mult = tor._shift_phase(x.algebra, dirs[:, None, :] * radii[:, None]) - 1.0
+    if m != 1:
+        mult = mult ** m
+    return (mult * x.coeffs).reshape((-1,) + x.algebra.shape)
+
+
+def per_call_profile(x, ts, m, p, sampling):
+    ts = np.asarray(sorted(ts), dtype=float)
+    dirs = tor.sphere_directions(x.algebra.d, sampling.n_dir)
+    radii = np.unique(np.concatenate([t * (np.arange(1, sampling.n_rad + 1) / sampling.n_rad)
+                                      for t in ts if t > 0]))
+    norms = per_call_norms(x.algebra, per_call_differences(x, dirs, radii, m), p)
+    run_max = np.maximum.accumulate(np.max(norms.reshape(len(dirs), len(radii)), axis=0))
+    out = np.zeros(len(ts))
+    for i, t in enumerate(ts):
+        j = np.searchsorted(radii, t + 1e-15, side="right") - 1
+        out[i] = run_max[j] if j >= 0 else 0.0
+    return out
+
+
+def per_call_difference_norm(x, idx, m, n_der, sampling):
+    nz = np.abs(x.coeffs) > 0
+    kmax = float(np.max(x.algebra.abs_k[nz])) if np.any(nz) else 1.0
+    js = np.arange(-3, int(math.ceil(math.log2(max(kmax, 1.0)))) + 5)
+    ts = 2.0 ** (-js.astype(float))
+    total = tor.lp_norm(x, idx.p)
+    for i in range(x.algebra.d):
+        dx = tor.derive_multi(x, tuple(n_der if ax == i else 0 for ax in range(x.algebra.d)))
+        cap = (2.0 ** m) * tor.lp_norm(dx, idx.p)
+        prof = np.empty(len(js))
+        prof[np.argsort(ts)] = per_call_profile(dx, list(ts), m, idx.p, sampling)
+        keep = np.ones(len(js), dtype=bool)
+        for pos, j in enumerate(js):
+            if j < 0 and cap > 0 and prof[pos] > (1 - 1e-6) * cap:
+                keep[pos] = False
+        total += bz._lq_sum((2.0 ** (js[keep] * (idx.s - n_der))) * prof[keep], idx.q)
+    return total
+
+
+def per_call_integral_norm(x, idx, m, n_der, qd):
+    radii = np.geomspace(1e-3, 2 * math.pi, qd.n_rad)
+    logr = np.log(radii)
+    w = np.zeros_like(radii)
+    w[1:-1] = 0.5 * (logr[2:] - logr[:-2])
+    w[0] = 0.5 * (logr[1] - logr[0])
+    w[-1] = 0.5 * (logr[-1] - logr[-2])
+    dirs = tor.sphere_directions(x.algebra.d, qd.n_dir)
+    total = tor.lp_norm(x, idx.p)
+    for i in range(x.algebra.d):
+        dx = tor.derive_multi(x, tuple(n_der if ax == i else 0 for ax in range(x.algebra.d)))
+        norms = per_call_norms(x.algebra, per_call_differences(dx, dirs, radii, m), idx.p)
+        vals = radii ** (n_der - idx.s) * norms.reshape(len(dirs), len(radii))
+        if math.isinf(idx.q):
+            total += float(np.max(vals))
+        else:
+            total += float(np.sum(np.mean(vals ** idx.q, axis=0) * w)) ** (1.0 / idx.q)
+    return total
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_difference_forms_keep_per_call_bits(theta_num, p):
+    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    sampling, qd = tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6)
+    xs = [tor.random_element(alg, rng_for(i, "dforms"), band=3, decay=2.0) for i in range(2)]
+    xs.append(tor.random_element(alg, rng_for(9, "dforms"), band=1))  # another dyadic range
+    for s, n_der in ((0.5, 0), (1.5, 1)):
+        geometry = bz.DifferenceGeometry(alg, 1, n_der, sampling, qd)
+        for x in xs:
+            meas = geometry.measure(x, p)
+            for q in (1.0, 2.0, math.inf):
+                idx = BesovIndex(s, p, q)
+                nd = per_call_difference_norm(x, idx, 1, n_der, sampling)
+                ni = per_call_integral_norm(x, idx, 1, n_der, qd)
+                assert bz.difference_form(meas, s, q) == nd
+                assert bz.integral_form(meas, s, q) == ni
+                assert bz.besov_difference_norm(x, idx, m=1, n_der=n_der, sampling=sampling) == nd
+                assert bz.besov_integral_norm(x, idx, m=1, n_der=n_der, quadrature=qd) == ni
+
+
+def per_call_derivative_growth(seq, k_max):
+    sups = {}
+    for j, a in enumerate(seq):
+        for total in range(k_max + 1):
+            for alpha in bz._multiindices(a.algebra.d, total):
+                val = tor.lp_norm(tor.derive_multi(a, alpha), math.inf) * 2.0 ** (-j * total)
+                sups[total] = max(sups.get(total, 0.0), val)
+    return [max(sups.get(t, 0.0) for t in range(k + 1)) for k in range(k_max + 1)]
+
+
+def per_block_psdo_sequence(u, xi, theta):
+    a_seq, b_seq = [], []
+    for j in range(tor.block_count(u.algebra)):
+        dec = eig_hermitian(HermitianOperator(tor.to_matrix(bz.partial_sum(u, max(j - 1, 0)))))
+        a_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * theta * xi * lam))))
+        b_seq.append(tor.from_matrix(u.algebra, dec.apply(lambda lam: np.exp(1j * (1 - theta) * xi * lam))))
+    return a_seq, b_seq
+
+
+def per_block_paraproduct(seq, u):
+    total = np.zeros((u.algebra.matrix_dim,) * 2, dtype=np.complex128)
+    for j in range(min(len(seq.a), tor.block_count(u.algebra))):
+        bj = tor.lp_block(u, j)
+        if float(np.max(np.abs(bj.coeffs))) < 1e-300:
+            continue
+        total += tor.to_matrix(seq.a[j]) @ tor.to_matrix(bj) @ tor.to_matrix(seq.b[j])
+    return tor.from_matrix(u.algebra, total)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_psdo_sequence_growth_and_paraproduct_keep_per_call_bits(N):
+    from opcalc.experiments import exp_psdo_sequence
+    alg = tor.TorusAlgebra.make(d=2, N=N, theta_num=1)
+    u = tor.random_element(alg, rng_for(N, "psdo-bits"), band=3)
+    x = tor.random_element(alg, rng_for(N, "psdo-x"), band=3, decay=2.0)
+    seq = exp_psdo_sequence(u, xi=1.0, theta=0.7)
+    a_ref, b_ref = per_block_psdo_sequence(u, 1.0, 0.7)
+    assert all(np.array_equal(a.coeffs, r.coeffs) for a, r in zip(seq.a, a_ref))
+    assert all(np.array_equal(b.coeffs, r.coeffs) for b, r in zip(seq.b, b_ref))
+    # unitary (SVD) members, and a mixed sequence with Hermitian members
+    mixed = (x,) + seq.a[1:] + (u,)
+    for k_max in (1, 2):
+        for s in (seq.a, seq.b, mixed):
+            assert bz.derivative_growth(s, k_max) == per_call_derivative_growth(s, k_max)
+    assert np.array_equal(bz.paraproduct(seq, x).coeffs, per_block_paraproduct(seq, x).coeffs)
+
+
+def test_harnesses_keep_per_call_bits(alg):
+    x = tor.random_element(alg, rng_for(3, "harness-bits"), band=3, decay=2.0)
+    for p in (1.0, 2.0, math.inf):
+        for q in (1.0, 2.0, math.inf):
+            ts = (0.25, 0.5, 1.0, 2.0)
+            denom = bz.besov_multiplier_norm(x, BesovIndex(1.5, p, q))
+            ratios = [bz.besov_multiplier_norm(tor.heat(x, t), BesovIndex(2.5, p, q))
+                      / ((1.0 + t ** -0.5) * denom) for t in ts]
+            assert bz.heat_smoothing_check(x, 1.5, 2.5, p, q, ts)["ratios"] == ratios
+        rng = rng_for(4, "harness-bits")
+        steps = [(rng.uniform(-1, 1, size=2), k) for k in (1, 2, 3, 9)]
+        got = bz.block_difference_checks(x, steps, 2, p)
+        for (h, k), rep in zip(steps, got):
+            bx = tor.lp_block(x, k)
+            denom_norm = tor.lp_norm(bx, p)
+            if denom_norm == 0.0:
+                assert rep["skipped"]
+                continue
+            lhs = tor.lp_norm(tor.difference(bx, h, 2), p)
+            assert rep["lhs"] == lhs
+            assert rep["ratio"] == lhs / (min(1.0, float(np.linalg.norm(h)) ** 2 * 2.0 ** (2 * k)) * denom_norm)
+        assert got[-1]["skipped"]
+
+
+def test_symbol_ratios_compute_each_image_once(alg, monkeypatch):
+    F, idx = parse_symbol("tanh(x)"), BesovIndex(0.5, 2, 2)
+    u = tor.random_element(alg, rng_for(1, "sr"), band=3)
+    v = tor.random_element(alg, rng_for(2, "sr"), band=3)
+    expect = (bz.boundedness_ratio(F, u, idx), bz.lipschitz_besov_ratio(F, u, v, idx))
+    calls = []
+    apply_symbol = bz.apply_symbol
+    monkeypatch.setattr(bz, "apply_symbol", lambda G, w: calls.append(w) or apply_symbol(G, w))
+    ratio, lip, fu = bz.symbol_ratios(F, u, v, idx)
+    assert (ratio, lip) == expect
+    assert len(calls) == 2 and np.array_equal(fu.coeffs, apply_symbol(F, u).coeffs)
+    with pytest.raises(SymbolHypothesisError):
+        bz.symbol_ratios(F, u, tor.random_element(alg, rng_for(3, "sr"), hermitian=False), idx)
+
+
+def test_meyer_operator_norms_go_through_schatten_norm(monkeypatch):
+    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    x = tor.random_element(alg, rng_for(0, "mey-svd"), band=2)
+    expect = bz.meyer_residual(x, [0.0, 1.0], [4, 8])
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(np.shape(a)) or svd(a, *args, **kw))
+    assert np.array_equal(bz.meyer_residual(x, [0.0, 1.0], [4, 8]), expect)
+    assert len(seen) == 3  # one norm at xi = 0, two at xi = 1

@@ -241,19 +241,32 @@ def test_cli_baseline_capture_and_refusal(tmp_path, capsys):
     assert rc == 0
 
 
-def test_cli_jobs_leave_summary_unchanged(tmp_path):
+@pytest.mark.parametrize("q", ["2", "inf"])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_cli_jobs_leave_summary_unchanged(tmp_path, p, q):
     path = tmp_path / "b.ini"
     path.write_text("[experiment]\nkind = besov-equivalence\nseed = 3\nensemble = 4\n"
-                    "[algebra]\nn = 8\n[besov]\np = 1\n")
+                    f"[algebra]\nn = 8\n[besov]\np = {p}\nq = {q}\n")
+    _assert_jobs_leave_outputs_unchanged(tmp_path, path)
+
+
+def test_cli_jobs_leave_nonlinear_summary_unchanged(tmp_path):
+    path = tmp_path / "nl.ini"
+    path.write_text("[experiment]\nkind = nonlinear-estimate\nseed = 3\nensemble = 4\n"
+                    "[algebra]\nn = 8\n[besov]\ns = 0.5\nn_der = 0\n")
+    _assert_jobs_leave_outputs_unchanged(tmp_path, path)
+
+
+def _assert_jobs_leave_outputs_unchanged(tmp_path, path):
     store_path = tmp_path / "constants.json"
     assert main(["baseline", str(path), "--baseline", str(store_path)]) == 0
-    summaries = []
-    for jobs in ("1", "2"):
+    outputs = []
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["run", str(path), "--out", str(out), "--baseline", str(store_path),
                      "--jobs", jobs]) == 0
-        summaries.append(next(out.glob("*/summary.txt")).read_bytes())
-    assert summaries[0] == summaries[1]
+        outputs.append({f.name: f.read_bytes() for f in next(out.glob("*/summary.txt")).parent.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_run_writes_rfc4180_csv(core_config, tmp_path):

@@ -91,3 +91,21 @@ def test_check_fails_non_finite_values():
 def test_parallel_map_order_preserved():
     items = list(range(20))
     assert parallel_map(lambda v: v * v, items, jobs=1) == [v * v for v in items]
+
+
+def test_besov_grid_matches_per_config_stats(monkeypatch):
+    import opcalc.experiments as ex
+    configs = [ExperimentConfig(kind="besov-equivalence", seed=11, ensemble=4, band=3, d=2,
+                                n_modes=8, theta_num=1, s=s, p=p, q=q, m=1, n_der=n_der)
+               for s, n_der in ((0.5, 0), (1.5, 1)) for p in (1.0, 2.0, math.inf)
+               for q in (1.0, 2.0, math.inf)]
+    measured = []
+    measure = ex.measure_equivalence
+    monkeypatch.setattr(ex, "measure_equivalence",
+                        lambda cfg, jobs=1: measured.append(cfg) or measure(cfg, jobs))
+    grid = ex.besov_equivalence_grid(configs)
+    assert len(measured) == 6  # one measurement per (s, p), shared by its three q
+    monkeypatch.setattr(ex, "measure_equivalence", measure)
+    for cfg, (stats, rows) in zip(configs, grid):
+        ref_stats, ref_rows = ex.besov_equivalence_stats(cfg)
+        assert stats == ref_stats and rows == ref_rows

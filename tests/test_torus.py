@@ -623,6 +623,39 @@ def _gather_from_matrix_batch(alg, stack):
     return g[:, (p * a) % N, :] * np.conj(tor._weyl_phase(alg))
 
 
+def _axis1_to_matrix_batch(alg, coeff_stack):
+    """The previous realization: FFTs over axis 1 of the (k1, k2) layout, then
+    one gather from the (frequency, k2) layout."""
+    N, p = alg.N, alg.theta_num
+    a = np.arange(N)
+    f = np.fft.fft(coeff_stack * tor._weyl_phase(alg), axis=1).reshape(len(coeff_stack), N * N)
+    return np.take(f, ((p * a) % N)[:, None] * N + (a[:, None] - a[None, :]) % N, axis=1)
+
+
+def _axis1_from_matrix_batch(alg, stack):
+    """The previous recovery: a gather into the (a, k2) layout, inverse FFTs
+    over axis 1, then a fancy index over the frequencies."""
+    N, p = alg.N, alg.theta_num
+    a = np.arange(N)
+    diag = np.take(stack.reshape(len(stack), N * N), a[:, None] * N + (a[:, None] - a[None, :]) % N, axis=1)
+    return np.fft.ifft(diag, axis=1)[:, (p * a) % N, :] * np.conj(tor._weyl_phase(alg))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("theta_num", [1, 3])
+def test_contiguous_axis_realization_keeps_axis1_bits(N, theta_num):
+    alg = tor.TorusAlgebra.make(d=2, N=N, theta_num=theta_num)
+    rng = rng_for(N * 10 + theta_num, "axis1")
+    coeffs = np.stack([tor.random_element(alg, rng, hermitian=h).coeffs for h in (True, False) * 20])
+    mats = tor.to_matrix_batch(alg, coeffs)
+    assert mats.flags.c_contiguous and np.array_equal(mats, _axis1_to_matrix_batch(alg, coeffs))
+    assert all(np.array_equal(tor.to_matrix(tor.TorusElement(alg, c)), m) for c, m in zip(coeffs[:3], mats))
+    stack = rng.standard_normal((40, N, N)) + 1j * rng.standard_normal((40, N, N))
+    for s in (stack, mats):
+        back = tor.from_matrix_batch(alg, s)
+        assert back.flags.c_contiguous and np.array_equal(back, _axis1_from_matrix_batch(alg, s))
+
+
 @pytest.mark.parametrize("d,N,theta_num", [(2, 4, 1), (2, 4, 3), (2, 8, 1), (2, 8, 3),
                                            (2, 16, 1), (2, 16, 3), (2, 32, 1), (2, 32, 3),
                                            (2, 4, 0), (2, 8, 0), (2, 16, 0), (1, 32, 0)])
@@ -656,7 +689,7 @@ def test_difference_stack_matches_exp_reference(d, N, theta_num, m):
     x = tor.random_element(alg, rng_for(N + d, "dstack"), decay=0.0)
     dirs = tor.sphere_directions(d, 8)
     radii = np.geomspace(1e-3, 8.0, 13)
-    got = tor._difference_stack(x, dirs, radii, m)
+    got = tor._difference_stack(x.coeffs, tor.difference_table(alg, dirs, radii, m))
     ref = _exp_difference_stack(x, dirs, radii, m)
     assert got.shape == ref.shape == (len(dirs) * len(radii),) + alg.shape
     k1 = sum(np.abs(g) for g in alg.k_grids)
@@ -671,11 +704,14 @@ def test_lp_norm_batch_routes_hermitian_stacks_to_eigenvalues(alg16, p, monkeypa
     xs = np.stack([tor.random_element(alg16, rng, band=5).coeffs for _ in range(4)])
     mats = tor.to_matrix_batch(alg16, xs)
     svd = schatten_norm_batch(mats, p)
-    # one non-Hermitian member sends the whole stack to the SVD
+    # a mixed stack is routed member by member: each norm has the bits of the
+    # member's own lp_norm, the non-Hermitian one from the SVD
     mixed = xs.copy()
     mixed[2] = tor.random_element(alg16, rng, band=5, hermitian=False).coeffs
-    assert np.array_equal(tor.lp_norm_batch(alg16, mixed, p),
-                          schatten_norm_batch(tor.to_matrix_batch(alg16, mixed), p))
+    got = tor.lp_norm_batch(alg16, mixed, p)
+    assert np.array_equal(got, [tor.lp_norm(tor.TorusElement(alg16, c), p) for c in mixed])
+    assert got[2] == schatten_norm_batch(tor.to_matrix_batch(alg16, mixed[2:3]), p)[0]
+    assert np.array_equal(got[[0, 1, 3]], hermitian_schatten_norm_batch(mats[[0, 1, 3]], p))
 
     def no_svd(*args, **kwargs):
         raise AssertionError("a Hermitian stack reached the SVD")

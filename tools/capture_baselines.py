@@ -2,9 +2,10 @@
 """Regenerate the committed baseline constants (src/opcalc/data/constants.json).
 
 Runs every canonical acceptance configuration once and records the empirical
-ratio bands and contraction constants.  Rerun only when the harness sampling
-or the canonical configurations change; the acceptance suite asserts
-non-regression against the committed values.
+ratio bands and contraction constants; the Besov configurations that differ
+only in q share one measurement (``besov_equivalence_grid``).  Rerun only
+when the harness sampling or the canonical configurations change; the
+acceptance suite asserts non-regression against the committed values.
 """
 
 import pathlib
@@ -15,8 +16,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from opcalc.baselines import BaselineStore
 from opcalc.experiments import (allen_cahn_config, besov_equivalence_configs,
-                                capture_allen_cahn, capture_besov_equivalence,
-                                capture_nonlinear, nonlinear_configs)
+                                besov_equivalence_grid, capture_allen_cahn, capture_nonlinear,
+                                nonlinear_configs, store_stats)
 
 TARGET = pathlib.Path(__file__).resolve().parents[1] / "src/opcalc/data/constants.json"
 
@@ -24,11 +25,10 @@ TARGET = pathlib.Path(__file__).resolve().parents[1] / "src/opcalc/data/constant
 def main():
     store = BaselineStore.load(TARGET)
     t0 = time.time()
-    configs = besov_equivalence_configs()
-    for i, cfg in enumerate(configs):
-        if store.has(cfg.config_hash, "ratio_md_min"):
-            continue
-        capture_besov_equivalence(cfg, store, force=True)
+    configs = [cfg for cfg in besov_equivalence_configs()
+               if not store.has(cfg.config_hash, "ratio_md_min")]
+    for i, (cfg, (stats, _rows)) in enumerate(zip(configs, besov_equivalence_grid(configs))):
+        store_stats(cfg, store, stats, force=True)
         store.save(TARGET)
         print(f"[{i + 1}/{len(configs)}] besov {cfg.config_hash} "
               f"(s={cfg.s}, p={cfg.p}, q={cfg.q}, N={cfg.n_modes}) "
