@@ -2,8 +2,10 @@
 
 Multiplier (Littlewood-Paley) form, sampled difference/amplitude form and the
 radial integral form, plus the inequality harnesses: doubling, block
-difference bounds, heat smoothing, the Meyer decomposition and paraproducts,
-and the nonlinear boundedness/Lipschitz ratio harnesses.
+difference bounds, heat smoothing, the Meyer decomposition, paraproducts
+normalized by the derivative growth of their symbol sequences, and the
+nonlinear ratios ``boundedness_ratio`` and ``symbol_ratios`` (boundedness and
+Lipschitz from one F(u)).
 
 The dyadic decomposition is fixed: blocks, block norms and partial sums all
 read the non-homogeneous filter bank that the lattice owns
@@ -25,13 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (CertificateViolation, DegenerateInput, HypothesisViolation,
-                     SymbolHypothesisError)
+from .errors import DegenerateInput, HypothesisViolation, SymbolHypothesisError
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
                      eig_hermitian, func_calc, func_calc_first_column, schatten_norm)
 from .symbols import SmoothSymbol
@@ -484,37 +485,28 @@ def _multiindices(d: int, total: int):
 
 @dataclass(frozen=True)
 class PsdoSymbolSequence:
-    """Block-indexed multiplier sequences a_j, b_j with growth certificates.
+    """Block-indexed multiplier sequences a_j, b_j and their derivative growth.
 
-    certificates[k] bounds 2^{-j|alpha|} ||d^alpha a_j||_inf over j and
-    |alpha| <= k; they are recomputed and cross-checked on construction.
+    growth_a[k] = sup_{j, |alpha|<=k} 2^{-j|alpha|} ||d^alpha a_j||_inf for
+    k <= 1 (``derivative_growth``), computed on construction; likewise
+    growth_b.
     """
 
     a: tuple
     b: tuple
-    cert_a: tuple = ()
-    cert_b: tuple = ()
+    growth_a: tuple = field(init=False)
+    growth_b: tuple = field(init=False)
 
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
             raise DegenerateInput("need equal-length nonempty sequences")
-        direct_a = derivative_growth(self.a, 1)
-        direct_b = derivative_growth(self.b, 1)
-        if not self.cert_a:
-            object.__setattr__(self, "cert_a", tuple(direct_a))
-        if not self.cert_b:
-            object.__setattr__(self, "cert_b", tuple(direct_b))
-        for direct, cert, name in ((direct_a, self.cert_a, "a"), (direct_b, self.cert_b, "b")):
-            for k, dv in enumerate(direct):
-                if k < len(cert) and dv > cert[k] * (1 + 1e-10):
-                    raise CertificateViolation(
-                        f"sequence {name}: direct growth {dv:.6g} at order {k} exceeds "
-                        f"certificate {cert[k]:.6g}"
-                    )
+        object.__setattr__(self, "growth_a", tuple(derivative_growth(self.a, 1)))
+        object.__setattr__(self, "growth_b", tuple(derivative_growth(self.b, 1)))
 
     def cert(self, which: str, k: int) -> float:
-        cert = self.cert_a if which == "a" else self.cert_b
-        return cert[min(k, len(cert) - 1)]
+        """The growth of sequence ``which`` at order k, clamped to the orders computed."""
+        growth = self.growth_a if which == "a" else self.growth_b
+        return growth[min(k, len(growth) - 1)]
 
 
 def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex):
@@ -587,7 +579,9 @@ def regular_apply_symbol(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
         for chunk in tor.realization_chunks(algebra, len(coeff_stack))])
 
 
-def _check_boundedness_hypotheses(F: SmoothSymbol, u: TorusElement, idx: BesovIndex):
+def _checked_besov_norm(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
+    """||u||_B once the boundedness hypotheses hold: Hermitian u != 0,
+    F(0) = 0 and F in C^ceil(s)."""
     if not is_hermitian(u):
         raise SymbolHypothesisError("boundedness harness requires Hermitian u")
     f0 = complex(np.asarray(F(np.array([0.0])))[0])
@@ -595,46 +589,27 @@ def _check_boundedness_hypotheses(F: SmoothSymbol, u: TorusElement, idx: BesovIn
         raise SymbolHypothesisError(f"need F(0) = 0, got {f0}")
     if F.max_order < math.ceil(idx.s):
         raise HypothesisViolation(f"need F in C^{math.ceil(idx.s)}")
-
-
-def _image_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> tuple:
-    """(||F(u)||_B / ||u||_B, F(u))."""
     nu = besov_multiplier_norm(u, idx)
     if nu == 0.0:
         raise DegenerateInput("u = 0")
-    fu = apply_symbol(F, u)
-    return besov_multiplier_norm(fu, idx) / nu, fu
+    return nu
 
 
 def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
     """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0."""
-    _check_boundedness_hypotheses(F, u, idx)
-    return _image_ratio(F, u, idx)[0]
-
-
-def lipschitz_besov_ratio(F: SmoothSymbol, u: TorusElement, v: TorusElement,
-                          idx: BesovIndex) -> float:
-    """||F(u) - F(v)||_B / ||u - v||_B for Hermitian u != v."""
-    if not (is_hermitian(u) and is_hermitian(v)):
-        raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
-    return _lipschitz_ratio(F, u, v, idx)
-
-
-def _lipschitz_ratio(F, u: TorusElement, v: TorusElement, idx: BesovIndex,
-                     fu: Optional[TorusElement] = None) -> float:
-    """||F(u) - F(v)||_B / ||u - v||_B; F(u) is computed unless given."""
-    diff_norm = besov_multiplier_norm(u - v, idx)
-    if diff_norm == 0.0:
-        raise DegenerateInput("u == v")
-    num = besov_multiplier_norm((apply_symbol(F, u) if fu is None else fu) - apply_symbol(F, v), idx)
-    return num / diff_norm
+    nu = _checked_besov_norm(F, u, idx)
+    return besov_multiplier_norm(apply_symbol(F, u), idx) / nu
 
 
 def symbol_ratios(F: SmoothSymbol, u: TorusElement, v: TorusElement, idx: BesovIndex) -> tuple:
-    """(boundedness_ratio(F, u, idx), lipschitz_besov_ratio(F, u, v, idx), F(u))
-    with the same checks and errors, computing F(u) once."""
-    _check_boundedness_hypotheses(F, u, idx)
-    ratio, fu = _image_ratio(F, u, idx)
+    """(boundedness_ratio(F, u, idx), ||F(u) - F(v)||_B / ||u - v||_B, F(u))
+    for Hermitian u != v, computing F(u) once."""
+    nu = _checked_besov_norm(F, u, idx)
+    fu = apply_symbol(F, u)
+    ratio = besov_multiplier_norm(fu, idx) / nu
     if not is_hermitian(v):
         raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
-    return ratio, _lipschitz_ratio(F, u, v, idx, fu), fu
+    diff_norm = besov_multiplier_norm(u - v, idx)
+    if diff_norm == 0.0:
+        raise DegenerateInput("u == v")
+    return ratio, besov_multiplier_norm(fu - apply_symbol(F, v), idx) / diff_norm, fu

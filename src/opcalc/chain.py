@@ -40,10 +40,6 @@ class ExpansionTerm:
         if any(sum(a) == 0 for a in self.args):
             raise ValueError("argument multi-indices must be nonzero")
 
-    @property
-    def total_order(self) -> int:
-        return sum(sum(a) for a in self.args)
-
 
 @dataclass(frozen=True)
 class DerivationSpec:
@@ -65,10 +61,6 @@ class DerivationSpec:
             gens = tuple(g if isinstance(g, HermitianOperator) else HermitianOperator(g)
                          for g in self.generators)
             object.__setattr__(self, "generators", gens)
-
-    @property
-    def axes(self) -> int:
-        return len(self.generators) if self.kind == "inner" else 0
 
 
 def expand(beta: Sequence[int]) -> list:

@@ -112,6 +112,14 @@ def cmd_list(_args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="opcalc",
                                      description="operator-calculus workbench experiment runner")
@@ -121,7 +129,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output root (default $OPCALC_OUT)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes for ensembles")
+    p_run.add_argument("--jobs", type=positive_int, default=1, help="worker processes for ensembles")
     p_run.add_argument("--baseline", default=None, help="baseline store path (default packaged)")
     p_run.set_defaults(fn=cmd_run)
 

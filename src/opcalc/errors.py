@@ -25,10 +25,6 @@ class OrderExceeded(OpcalcError):
     """Requested derivative or divided-difference order above symbol order."""
 
 
-class TailMassError(OpcalcError):
-    """Sampling window too small for the requested transform norm."""
-
-
 class DimensionMismatch(OpcalcError):
     """Operands of incompatible shapes."""
 
@@ -55,10 +51,6 @@ class BackendMismatch(OpcalcError):
 
 class HypothesisViolation(OpcalcError):
     """Parameters outside the stated hypotheses of the characterization."""
-
-
-class CertificateViolation(OpcalcError):
-    """Supplied derivative-growth certificates fail the direct check."""
 
 
 class MissingBaseline(OpcalcError):

@@ -102,9 +102,6 @@ class HermitianOperator:
         object.__setattr__(op, "data", 0.5 * (data + data.swapaxes(-1, -2).conj()))
         return op
 
-    def norm(self, p) -> float:
-        return schatten_norm(self.data, p)
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

@@ -1,8 +1,8 @@
 """Scalar symbols F: R -> C and their calculus.
 
-Divided differences F^[n] (with the confluent derivative clause), symbol-space
-norms (Lipschitz, C_b^n, Wiener W_n, modified Besov), bump localization and
-dyadic Littlewood-Paley filter families.
+Divided differences F^[n] (with the confluent derivative clause), the
+Lipschitz and C_b^n symbol norms, bump localization and dyadic
+Littlewood-Paley filter families.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OrderExceeded, TailMassError
+from .errors import OrderExceeded
 
 _EPS = np.finfo(float).eps
 FD_STEP = _EPS ** 0.2  # 4th-order central differences: h = eps^(1/5) * scale
@@ -304,80 +304,6 @@ def cb_norm(F: SmoothSymbol, n: int, window) -> float:
         raise ValueError("C_b^n norm requires n >= 1")
     xs = np.linspace(window[0], window[1], DEFAULT_GRID)
     return max(float(np.max(np.abs(np.asarray(F.deriv(k)(xs))))) for k in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Sampling window and resolution for Fourier-quadrature norms."""
-
-    half_width: float = 16.0
-    samples: int = 4096
-    tail_tol: float = 1e-3
-
-
-def _ft_grid(g: np.ndarray, dx: float):
-    """Continuous-convention DFT: Fg(xi_j) ~ dx * sum g(x_m) e^{-i xi_j x_m}."""
-    n = len(g)
-    ghat = np.fft.fft(np.fft.ifftshift(g)) * dx
-    xi = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    return xi, ghat
-
-
-def wiener_norm(F: SmoothSymbol, n: int = 0, grid: GridConfig = GridConfig()) -> float:
-    """||F||_inf + ||Fourier(F^(n))||_1 by discrete-Fourier quadrature."""
-    if n > F.max_order:
-        raise OrderExceeded(f"W_{n} norm needs {n} derivatives, have {F.max_order}")
-    L, m = grid.half_width, grid.samples
-    xs = np.linspace(-L, L, m, endpoint=False)
-    dx = xs[1] - xs[0]
-    g = np.asarray(F.deriv(n)(xs), dtype=np.complex128)
-    total = float(np.sum(np.abs(g))) * dx
-    edge = float(np.sum(np.abs(g[np.abs(xs) > 0.9 * L]))) * dx
-    if total > 0 and edge > grid.tail_tol * total:
-        raise TailMassError(
-            f"{edge/total:.2%} of |F^({n})| mass in the outer window decade; enlarge the window"
-        )
-    _, ghat = _ft_grid(g, dx)
-    dxi = 2 * np.pi / (m * dx)
-    l1 = float(np.sum(np.abs(ghat))) * dxi
-    sup = float(np.max(np.abs(np.asarray(F(xs)))))
-    return sup + l1
-
-
-def modified_besov_norm(F: SmoothSymbol, n: int, truncation: int = 12,
-                        grid: GridConfig = GridConfig(), return_tail: bool = False):
-    """||F^(n)||_inf + sum_k ||invFourier(Fhat phi_k)||_inf, |k| <= truncation.
-
-    Restricted to symbols with integrable localized pieces; the dyadic tail
-    beyond the truncation is estimated from the outermost shells.
-    """
-    if n > F.max_order:
-        raise OrderExceeded(f"modified Besov norm order {n} > max_order {F.max_order}")
-    L, m = grid.half_width, grid.samples
-    xs = np.linspace(-L, L, m, endpoint=False)
-    dx = xs[1] - xs[0]
-    f = np.asarray(F(xs), dtype=np.complex128)
-    xi, fhat = _ft_grid(f, dx)
-    lp = LPFilterFamily()
-    pieces = []
-    for k in range(-truncation, truncation + 1):
-        w = lp.phi_k(xi, k, homogeneous=True)
-        if not np.any(w):
-            pieces.append(0.0)
-            continue
-        loc = np.fft.fftshift(np.fft.ifft(fhat * w)) / dx
-        pieces.append(float(np.max(np.abs(loc))))
-    dyadic = float(np.sum(pieces))
-    tail = max(pieces[0], pieces[-1])
-    if dyadic > 0 and tail > 0.05 * dyadic:
-        raise TailMassError(
-            "outermost dyadic shells carry >5% of the sum; raise the truncation"
-        )
-    sup_der = float(np.max(np.abs(np.asarray(F.deriv(n)(xs)))))
-    value = sup_der + dyadic
-    if return_tail:
-        return value, tail
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -745,37 +745,22 @@ def sphere_directions(d: int, n_dir: int) -> np.ndarray:
 class AmplitudeSampling:
     """Direction/radius sampling for the L_p amplitude lower bound."""
 
-    n_dir: int = 64
-    n_rad: int = 32
-
-
-def amplitude_profile(x: TorusElement, ts: Sequence[float], m: int, p,
-                      sampling: AmplitudeSampling = AmplitudeSampling()) -> np.ndarray:
-    """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below,
-    at each t of ``ts`` from one shared sample set.
-
-    The sample set is the union over ts of the per-t radii, so the profile is
-    monotone nondecreasing in t by construction.
-    """
-    ts = np.asarray(sorted(ts), dtype=float)
-    if not np.any(ts > 0):
-        return np.zeros(len(ts))
-    radii = amplitude_radii(ts, sampling.n_rad)
-    table = difference_table(x.algebra, sphere_directions(x.algebra.d, sampling.n_dir), radii, m)
-    norms = lp_norm_batch(x.algebra, _difference_stack(x.coeffs, table), p)
-    return amplitude_from_norms(norms.reshape(-1, len(radii)), radii, ts)
+    n_dir: int
+    n_rad: int
 
 
 def amplitude_radii(ts: np.ndarray, n_rad: int) -> np.ndarray:
-    """Sorted radius samples of ``amplitude_profile``: the union over the
-    t > 0 of ts of t * (1, ..., n_rad) / n_rad."""
+    """Sorted radius samples of the amplitude profile: the union over the
+    t > 0 of ts of t * (1, ..., n_rad) / n_rad.  Every t shares the one sample
+    set, so the profile is monotone nondecreasing in t by construction."""
     return np.unique(np.concatenate([t * (np.arange(1, n_rad + 1) / n_rad) for t in ts if t > 0]))
 
 
 def amplitude_from_norms(norms: np.ndarray, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``amplitude_profile`` at ascending ts from the (direction, radius) norms
-    of the sampled differences: the running maximum over radii <= t of the
-    maximum over directions."""
+    """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below,
+    at ascending ts from the (direction, radius) norms of the sampled
+    differences: the running maximum over radii <= t of the maximum over
+    directions."""
     run_max = np.maximum.accumulate(np.max(norms, axis=0))
     j = np.searchsorted(radii, ts + 1e-15, side="right") - 1
     return np.where(j >= 0, run_max[np.maximum(j, 0)], 0.0)

@@ -23,7 +23,7 @@ from opcalc.experiments import (allen_cahn_config, besov_equivalence_configs,
                                 run_meyer)
 from opcalc.config import ExperimentConfig
 from opcalc.expr import parse_symbol
-from opcalc.linalg import random_hermitian
+from opcalc.linalg import random_hermitian, schatten_norm
 from opcalc.seeding import rng_for
 
 
@@ -50,7 +50,7 @@ def test_criterion_1_loewner_identity():
         rng = rng_for(SEED, "loewner", i)
         n = 4 + (i % 13)  # dimensions 4..16
         X, Y = random_hermitian(rng, n), random_hermitian(rng, n)
-        scale = (1.0 + X.norm(math.inf) + Y.norm(math.inf)) ** 2
+        scale = (1.0 + schatten_norm(X.data, math.inf) + schatten_norm(Y.data, math.inf)) ** 2
         r = mo.loewner_residual(polys[i % len(polys)], X, Y) / scale
         worst_poly = max(worst_poly, r)
         r = mo.loewner_residual(smooth[i % len(smooth)], X, Y) / scale
@@ -74,8 +74,8 @@ def test_criterion_2_perturbation_formula():
             anchors = [random_hermitian(rng, n) for _ in range(order)]
             args = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                     for _ in range(order)]
-            scale = (1.0 + A.norm(math.inf) + B.norm(math.inf)
-                     + sum(a.norm(math.inf) for a in anchors)) ** 3
+            scale = (1.0 + schatten_norm(A.data, math.inf) + schatten_norm(B.data, math.inf)
+                     + sum(schatten_norm(a.data, math.inf) for a in anchors)) ** 3
             for slot in range(order + 1):
                 r = mo.perturbation_residual(F, slot, A, B, anchors, args) / scale
                 worst = max(worst, r)

@@ -257,6 +257,16 @@ def test_cli_jobs_leave_nonlinear_summary_unchanged(tmp_path):
     _assert_jobs_leave_outputs_unchanged(tmp_path, path)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+def test_cli_jobs_below_one_is_a_usage_error(core_config, tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(core_config), "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _assert_jobs_leave_outputs_unchanged(tmp_path, path):
     store_path = tmp_path / "constants.json"
     assert main(["baseline", str(path), "--baseline", str(store_path)]) == 0

@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +255,41 @@ def test_decomposition_apply():
     assert np.max(np.abs(dec.apply(lambda lam: lam) - h.data)) <= 1e-14
     with pytest.raises(SymbolDomainError), np.errstate(divide="ignore"):
         dec.apply(lambda lam: 1.0 / (lam - lam[0]))
+
+
+SPECTRAL_KERNELS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def _spectral_uses(tree):
+    """Sorted (line, what) for each reference to a numpy spectral kernel and
+    each spectral matrix norm (ord 2, -2 or 'nuc') in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SPECTRAL_KERNELS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [(node.lineno, a.name) for a in node.names if a.name in SPECTRAL_KERNELS]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", "")) == "norm":
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            found += [(node.lineno, f"norm(., {_literal(o)!r})") for o in ords if _literal(o) in (2, -2, "nuc")]
+    return sorted(found)
+
+
+def test_spectral_kernels_are_called_only_from_linalg():
+    # the per-layer eigh/SVD counts see only what goes through linalg's kernels
+    modules = [path for path in (Path(__file__).resolve().parent.parent / "src" / "opcalc").glob("*.py")
+               if path.name != "linalg.py"]
+    assert any(path.name == "experiments.py" for path in modules)
+    found = [f"{path.name}:{line} {what}" for path in sorted(modules)
+             for line, what in _spectral_uses(ast.parse(path.read_text()))]
+    assert found == []
+    probe = "np.linalg.eigvalsh(a)\nfrom numpy.linalg import svd\nnp.linalg.norm(a, 2)\nnorm(a, ord=-2)\nnorm(a)\n"
+    assert [what for _line, what in _spectral_uses(ast.parse(probe))] == [
+        "eigvalsh", "svd", "norm(., 2)", "norm(., -2)"]

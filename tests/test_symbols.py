@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from opcalc.errors import ConfigError, OrderExceeded, TailMassError
+from opcalc.errors import ConfigError, OrderExceeded
 from opcalc.expr import parse_symbol
 from opcalc.seeding import rng_for
-from opcalc.symbols import (BumpLocalizer, GridConfig, LPFilterFamily, SmoothSymbol,
-                            cb_norm, divided_diff, divided_diff_tensor, homogeneous_sym,
-                            lipschitz_norm, localize, modified_besov_norm, wiener_norm)
+from opcalc.symbols import (BumpLocalizer, LPFilterFamily, SmoothSymbol, cb_norm, divided_diff,
+                            divided_diff_tensor, homogeneous_sym, lipschitz_norm, localize)
 
 
 def brute_homogeneous(k, nodes):
@@ -183,99 +182,6 @@ def test_norm_homogeneity():
     G = parse_symbol("3.5*sin(x)")
     assert lipschitz_norm(G, (-2, 2)) == pytest.approx(3.5 * lipschitz_norm(F, (-2, 2)), rel=1e-10)
     assert cb_norm(G, 2, (-2, 2)) == pytest.approx(3.5 * cb_norm(F, 2, (-2, 2)), rel=1e-10)
-
-
-def test_wiener_norm_zero():
-    assert wiener_norm(parse_symbol("0*x"), 0) == 0.0
-
-
-def test_wiener_norm_gaussian_closed_form():
-    # Fourier transform of exp(-x^2) is sqrt(pi) exp(-xi^2/4); L1 mass 2*pi
-    val = wiener_norm(parse_symbol("gauss(x)"), 0)
-    assert val == pytest.approx(1.0 + 2 * math.pi, rel=1e-4)
-
-
-def test_wiener_norm_grid_refinement_stable():
-    F = parse_symbol("gauss(x)")
-    v1 = wiener_norm(F, 0, GridConfig(half_width=16.0, samples=2048))
-    v2 = wiener_norm(F, 0, GridConfig(half_width=16.0, samples=4096))
-    assert abs(v2 - v1) <= 0.01 * v1
-
-
-def test_wiener_norm_compact_spline_finite():
-    # C^2 cubic B-spline bump: in W_1 by the embedding of compactly
-    # supported C^{n+1} functions
-    def bspline(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        m1 = x < 1
-        out[m1] = (4 - 6 * x[m1] ** 2 + 3 * x[m1] ** 3) / 6
-        m2 = (x >= 1) & (x < 2)
-        out[m2] = (2 - x[m2]) ** 3 / 6
-        return out
-
-    F = SmoothSymbol(func=bspline, max_order=1, window=(-3, 3), check=False)
-    val = wiener_norm(F, 1, GridConfig(half_width=8.0))
-    assert np.isfinite(val) and val > 0
-
-
-def test_wiener_norm_tail_error():
-    with pytest.raises(TailMassError):
-        wiener_norm(parse_symbol("gauss(0.05*x)"), 0, GridConfig(half_width=8.0))
-
-
-def test_modified_besov_zero():
-    assert modified_besov_norm(parse_symbol("0*x"), 0) == 0.0
-
-
-def test_modified_besov_single_shell():
-    # exact-bin cosine at |xi| = 5 lies in the dyadic shell j = 2; only the
-    # adjacent filters can see it
-    grid = GridConfig(half_width=16.0, samples=4096)
-    omega = round(5.0 / (math.pi / 16.0)) * (math.pi / 16.0)  # snap to the DFT bin grid pi/L
-    lp = LPFilterFamily()
-    F = parse_symbol(f"cos({omega}*x)", max_order=1)
-    val, tail = modified_besov_norm(F, 0, truncation=8, grid=grid, return_tail=True)
-    assert np.isfinite(val)
-    # count contributing shells directly
-    xs = np.linspace(-grid.half_width, grid.half_width, grid.samples, endpoint=False)
-    dx = xs[1] - xs[0]
-    f = np.asarray(F(xs), dtype=np.complex128)
-    fhat = np.fft.fft(np.fft.ifftshift(f)) * dx
-    xi = 2 * np.pi * np.fft.fftfreq(grid.samples, d=dx)
-    active = [k for k in range(-8, 9)
-              if np.max(np.abs(np.fft.ifft(fhat * lp.phi_k(xi, k)))) > 1e-8 * np.max(np.abs(f))]
-    assert len(active) <= 3
-    assert active == sorted(active) and active[-1] - active[0] <= 2
-
-
-def test_modified_besov_increases_with_truncation():
-    F = parse_symbol("gauss(x)*cos(3*x)")
-    v1 = modified_besov_norm(F, 0, truncation=4)
-    v2 = modified_besov_norm(F, 0, truncation=8)
-    assert v2 >= v1 - 1e-12
-
-
-def test_modified_besov_below_wiener_embedding():
-    # Wiener-class symbols embed into the modified Besov class; the corpus
-    # constant stays below the recorded bound
-    corpus = ["gauss(x)", "gauss(x)*cos(3*x)", "gauss(0.5*x)*sin(x)"]
-    ratios = []
-    for text in corpus:
-        F = parse_symbol(text)
-        mb = modified_besov_norm(F, 0, truncation=10)
-        wn = wiener_norm(F, 0)
-        ratios.append(mb / wn)
-    assert all(np.isfinite(r) and r > 0 for r in ratios)
-    assert max(ratios) <= 1.5  # recorded corpus constant (observed ~0.6)
-
-
-def test_transform_norm_homogeneity():
-    F = parse_symbol("gauss(x)")
-    G = parse_symbol("4*gauss(x)")
-    assert wiener_norm(G, 0) == pytest.approx(4 * wiener_norm(F, 0), rel=1e-10)
-    assert modified_besov_norm(G, 0) == pytest.approx(
-        4 * modified_besov_norm(F, 0), rel=1e-10)
 
 
 def test_localize_infinite_is_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opcalc.besov as bz
 import opcalc.torus as tor
 from opcalc.errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
 from opcalc.expr import parse_symbol
@@ -344,44 +345,53 @@ def test_difference_adjoint_identity(alg):
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
 
 
+def _amplitudes(x, j_range, m=1, sampling=tor.AmplitudeSampling(16, 8)):
+    """omega_2^m(2^-j, x) for j = j_range[0], ..., j_range[1], as the Besov
+    difference measurement samples it (N = 0, so every axis row is x itself)."""
+    return bz.DifferenceGeometry(x.algebra, m, 0, sampling=sampling).measure(x, 2, j_range).profiles[0]
+
+
 def test_amplitude_zero_time(alg):
     x = tor.random_element(alg, rng_for(22, "a0"), band=3)
-    assert list(tor.amplitude_profile(x, [0.0], 1, 2)) == [0.0]
-    assert list(tor.amplitude_profile(x, [], 1, 2)) == []
+    ts = np.array([0.5, 1.0])
+    radii = tor.amplitude_radii(ts, 8)
+    dirs = tor.sphere_directions(alg.d, 16)
+    norms = tor.lp_norm_batch(alg, tor._difference_stack(x.coeffs, tor.difference_table(alg, dirs, radii, 1)), 2)
+    norms = norms.reshape(-1, len(radii))
+    assert list(tor.amplitude_from_norms(norms, radii, np.array([0.0]))) == [0.0]
+    assert list(tor.amplitude_from_norms(norms, radii, np.array([]))) == []
+    assert np.array_equal(tor.amplitude_from_norms(norms, radii, ts), _amplitudes(x, (0, 1))[::-1])
 
 
 def test_amplitude_refinement_stability(alg16):
     # the sampled sup is a lower bound; doubling the sampling moves it < 2%
     x = tor.random_element(alg16, rng_for(37, "ref"), band=4)
-    a1 = tor.amplitude_profile(x, [0.7], 1, 2, tor.AmplitudeSampling(64, 32))[0]
-    a2 = tor.amplitude_profile(x, [0.7], 1, 2, tor.AmplitudeSampling(128, 64))[0]
-    assert a2 >= a1 - 1e-13  # richer sampling only improves the bound
-    assert (a2 - a1) <= 0.02 * a1
+    a1 = _amplitudes(x, (0, 1), sampling=tor.AmplitudeSampling(64, 32))
+    a2 = _amplitudes(x, (0, 1), sampling=tor.AmplitudeSampling(128, 64))
+    assert np.all(a2 >= a1 - 1e-13)  # richer sampling only improves the bound
+    assert np.all(a2 - a1 <= 0.02 * a1)
 
 
 def test_amplitude_single_mode_closed_form():
     alg1 = tor.TorusAlgebra.make(d=1, N=16, theta_num=0)
     x = tor.mode_element(alg1, (3,))
-    for t in (0.1, 0.5, 1.0, 2.0):
+    js = np.arange(-1, 4)
+    got = _amplitudes(x, (-1, 3), sampling=tor.AmplitudeSampling(64, 32))
+    for t, a in zip(2.0 ** -js, got):
         expect = 2 * abs(math.sin(min(t * 3, math.pi) / 2))
-        got = tor.amplitude_profile(x, [t], 1, 2)[0]
-        assert got <= expect + 1e-12
-        assert got >= expect * (1 - 5e-3)
+        assert a <= expect + 1e-12
+        assert a >= expect * (1 - 5e-3)
 
 
 def test_amplitude_monotone_and_doubling(alg16):
     x = tor.random_element(alg16, rng_for(23, "am"), band=4)
-    ts = [2.0 ** (-j) for j in range(-2, 6)]
-    prof = tor.amplitude_profile(x, ts, 1, 2, tor.AmplitudeSampling(16, 8))
-    assert np.all(np.diff(prof) >= -1e-14)
+    prof = _amplitudes(x, (-2, 5))  # t = 4, 2, ..., 1/32
+    assert np.all(np.diff(prof[::-1]) >= -1e-14)
     # doubling on the shared sample set (dyadic radii nest, so the halved
     # maximizer is itself a sample): amplitude(2t) <= 2^m amplitude(t) at p=2
-    srt = np.sort(ts)
     for m in (1, 2):
-        pr = tor.amplitude_profile(x, ts, m, 2, tor.AmplitudeSampling(16, 8))
-        for i, t in enumerate(srt[:-1]):
-            j = int(np.where(srt == 2 * t)[0][0])
-            assert pr[j] <= (2.0 ** m) * pr[i] * (1 + 1e-10)
+        pr = _amplitudes(x, (-2, 5), m=m)
+        assert np.all(pr[:-1] <= (2.0 ** m) * pr[1:] * (1 + 1e-10))
 
 
 def test_lp_block_partition(alg16):
