@@ -4,9 +4,14 @@ Picard iteration of the Duhamel map on a uniform time grid: the heat factor
 is applied analytically per mode and the nonlinear samples are integrated by
 the subinterval trapezoid rule, so the stiff linear part never enters the
 quadrature error.  The iterate is one (T,) + shape coefficient stack, so a
-sweep applies F to every time step in one ``besov.apply_symbol_batch`` call.
-Short-horizon contraction segments are concatenated up to the horizon or a
-detected norm escape.
+sweep applies F to every time step in one ``besov.apply_symbol_batch`` call;
+the Duhamel recurrences then run in place on that F(u) stack, which becomes
+the next iterate, and the old iterate's stack takes the difference, so a
+sweep holds two stacks.  The Besov ball norms of a solve are one
+``besov.multiplier_norm_stack`` call.  Short-horizon contraction segments are
+concatenated up to the horizon or a detected norm escape; continuations from
+the same datum can hand ``evolve`` their common first segment
+(``first_segment``), so it is solved once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm
+from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm, multiplier_norm_stack
 from .errors import (BlowUpDetected, HypothesisViolation, NoContraction, SymbolHypothesisError,
                      SymbolNotFinite)
 from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize
@@ -97,18 +102,31 @@ def _heat_factors(algebra, dt: float) -> np.ndarray:
 
 
 def _duhamel_sweep(problem: ACProblem, u0_coeffs: np.ndarray, g_coeffs: np.ndarray,
-                   dt: float, out: np.ndarray) -> np.ndarray:
-    """Psi(u)(t_i) coefficients written into ``out``: analytic heat factors,
-    trapezoid on the F samples ``g_coeffs`` (both (T,) + shape stacks)."""
+                   dt: float) -> np.ndarray:
+    """Psi(u)(t_i) coefficients from the F samples ``g_coeffs`` (a (T,) + shape
+    stack), written over them: analytic heat factors, trapezoid on the samples.
+
+    The samples are scaled by dt/2 in place, and the integral and heat
+    recurrences run in state-sized buffers; step i copies sample i aside
+    before overwriting it with Psi(u)(t_i), for step i + 1 to read, so the
+    sweep allocates no stack.  Each step evaluates
+    integral = decay (integral + dt/2 g_{i-1}) + dt/2 g_i and
+    heat = decay heat operation by operation as written, so the states have
+    the bits of a step-by-step evaluation of those formulas."""
     decay = _heat_factors(problem.u0.algebra, dt)
-    out[0] = u0_coeffs
+    g_coeffs *= 0.5 * dt
     integral = np.zeros_like(u0_coeffs)
     heat_state = u0_coeffs.copy()
-    for i in range(1, len(g_coeffs)):
-        integral = decay * (integral + 0.5 * dt * g_coeffs[i - 1]) + 0.5 * dt * g_coeffs[i]
-        heat_state = decay * heat_state
-        out[i] = heat_state + integral
-    return out
+    g_prev = g_coeffs[0].copy()
+    g_coeffs[0] = u0_coeffs
+    for state in g_coeffs[1:]:
+        integral += g_prev
+        integral *= decay
+        integral += state
+        g_prev[...] = state
+        heat_state *= decay
+        np.add(heat_state, integral, out=state)
+    return g_coeffs
 
 
 def _state_norms(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
@@ -145,18 +163,19 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
         coeffs[:] = u0c
     else:
         raise ValueError("initial must be 'heat' or 'constant'")
-    new = np.empty_like(coeffs)
     distances = []
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
     for it in range(max_iter):
-        try:  # F(u) stays a temporary, freed before the next sweep builds its own
-            _duhamel_sweep(problem, u0c, problem.apply_F(coeffs), dt, out=new)
+        try:
+            new = problem.apply_F(coeffs)
         except SymbolNotFinite as err:
             raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {it + 1}") from err
+        _duhamel_sweep(problem, u0c, new, dt)
         if not np.isfinite(new).all():
             raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
-        dist = float(np.max(_state_norms(alg, new - coeffs, problem.idx.p)))
-        coeffs, new = new, coeffs
+        # the old iterate's buffer takes the difference: a sweep holds two stacks
+        dist = float(np.max(_state_norms(alg, np.subtract(new, coeffs, out=coeffs), problem.idx.p)))
+        coeffs = new
         distances.append(dist)
         if dist <= tol * scale:
             break
@@ -167,7 +186,7 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     else:
         raise NoContraction(f"no convergence in {max_iter} sweeps (last dist {distances[-1]:.3e})")
     states = [TorusElement(alg, c) for c in coeffs]
-    bnorms = np.array([besov_multiplier_norm(s, problem.idx) for s in states])
+    bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
     factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1)
                if distances[i] > 0]
     report = {
@@ -185,7 +204,17 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     return traj, report
 
 
-def evolve(problem: ACProblem, segment_time: float) -> Trajectory:
+def first_segment(problem: ACProblem, segment_time: float) -> Optional[tuple]:
+    """The first Picard solve of ``evolve(problem, segment_time)``: the
+    (Trajectory, report) of [0, min(segment_time, t_max)], or None when it
+    does not contract or blows up (``evolve`` then meets that itself)."""
+    try:
+        return picard_solve(problem, horizon=min(segment_time, problem.t_max))
+    except (NoContraction, BlowUpDetected):
+        return None
+
+
+def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = None) -> Trajectory:
     """Continuation: restart Picard from u(T) until t_max or blow-up.
 
     Segments start at ``segment_time`` (the caller's contraction horizon,
@@ -194,6 +223,11 @@ def evolve(problem: ACProblem, segment_time: float) -> Trajectory:
     (limsup-style detector: threshold crossing with increasing log-norm
     trend).  ``reports`` holds each accepted segment's horizon, Picard sweeps,
     contraction factor and distances, and the number of segment halvings.
+
+    ``first``, when given, is ``first_segment`` of a problem with the same
+    u0, F, index, dt, delta and blow-up threshold whose first horizon is this
+    one's, so that continuations from one datum solve their shared first
+    segment once.
     """
     t_accum = 0.0
     all_times = [np.array([0.0])]
@@ -210,7 +244,10 @@ def evolve(problem: ACProblem, segment_time: float) -> Trajectory:
         seg_here = min(seg, problem.t_max - t_accum)
         sub = replace(problem, u0=current)
         try:
-            traj, rep = picard_solve(sub, horizon=seg_here)
+            if segments == 1 and first is not None:
+                traj, rep = first
+            else:
+                traj, rep = picard_solve(sub, horizon=seg_here)
         except NoContraction:
             seg = seg_here / 2.0
             reports["halvings"] += 1
@@ -256,9 +293,10 @@ def strong_residual(traj: Trajectory, problem: ACProblem):
 
 
 def global_existence_check(problem: ACProblem, c_lip_baseline: float,
-                           segment_time: float) -> dict:
-    """Run to t_max under the Gronwall envelope ||u0|| exp(C t)."""
-    traj = evolve(problem, segment_time=segment_time)
+                           segment_time: float, first: Optional[tuple] = None) -> dict:
+    """Run to t_max under the Gronwall envelope ||u0|| exp(C t); ``first`` as
+    in ``evolve``."""
+    traj = evolve(problem, segment_time=segment_time, first=first)
     c_hat = c_lip_baseline * lipschitz_norm(problem.F)
     base = besov_multiplier_norm(problem.u0, problem.idx)
     envelope = base * np.exp(c_hat * traj.times)

@@ -56,15 +56,22 @@ class BesovIndex:
 
 
 def _lq_sum(terms: np.ndarray, q: float) -> float:
-    terms = np.asarray(terms, dtype=float)
-    if terms.size == 0:
-        return 0.0
+    return float(_lq_rows(np.asarray(terms, dtype=float)[None], q)[0])
+
+
+def _lq_rows(terms: np.ndarray, q: float) -> np.ndarray:
+    """The l_q norm of each row of a (batch, n) array, scaled by its largest
+    term; every row has the bits it has alone."""
+    if terms.shape[1] == 0:
+        return np.zeros(len(terms))
+    top = np.max(terms, axis=1)
     if math.isinf(q):
-        return float(np.max(terms))
-    top = float(np.max(terms))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((terms / top) ** q)) ** (1.0 / q)
+        return top
+    out = np.zeros(len(terms))
+    live = top != 0.0
+    sums = np.sum((terms[live] / top[live, None]) ** q, axis=1)
+    out[live] = top[live] * np.array([float(v) ** (1.0 / q) for v in sums])
+    return out
 
 
 def block_norms(x: TorusElement, p) -> np.ndarray:
@@ -84,6 +91,19 @@ def block_norm_stack(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
 def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
     """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf."""
     return multiplier_form(block_norms(x, idx.p), idx.s, idx.q)
+
+
+def multiplier_norm_stack(algebra, coeff_stack, idx: BesovIndex) -> np.ndarray:
+    """``besov_multiplier_norm`` of each element of a (batch,) + algebra.shape
+    coefficient stack, or of a sequence of coefficient arrays, with the same
+    bits: ``block_norm_stack`` in chunks whose block stacks realize at most
+    REALIZATION_CHUNK_ENTRIES entries (a sequence is stacked chunk by chunk),
+    then the weighted l_q sum of every row at once."""
+    count = len(algebra.lp_filters)
+    chunks = tor.realization_chunks(algebra, len(coeff_stack), entries=count * algebra.matrix_dim ** 2)
+    norms = np.concatenate([block_norm_stack(algebra, np.asarray(coeff_stack[chunk]), idx.p)
+                            for chunk in chunks])
+    return _lq_rows(2.0 ** (idx.s * np.arange(count)) * norms, idx.q)
 
 
 def multiplier_form(norms: np.ndarray, s: float, q: float) -> float:
@@ -194,7 +214,9 @@ class DifferenceGeometry:
         """The measurement of x: the profile if the geometry has a sampling,
         the radial norms if it has a quadrature."""
         alg = x.algebra
-        dxs = [x.coeffs * mult for mult in self.derivatives]
+        # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
+        rows = self.derivatives[:1] if self.n_der == 0 else self.derivatives
+        dxs = [x.coeffs * mult for mult in rows]
         head = lp_norm_batch(alg, np.stack([x.coeffs] + dxs), p)
         out = {"base": float(head[0])}
         if self.sampling is not None:
@@ -217,6 +239,10 @@ class DifferenceGeometry:
             qd = self.quadrature
             out.update(quadrature=qd, radial=np.stack([
                 _difference_norms(alg, dx, self._radial, p).reshape(-1, qd.n_rad) for dx in dxs]))
+        if len(dxs) < alg.d:  # the one row measured stands for every axis
+            for key in ("profiles", "keep", "radial"):
+                if key in out:
+                    out[key] = np.repeat(out[key], alg.d, axis=0)
         return DifferenceMeasure(self.m, self.n_der, **out)
 
 
@@ -569,14 +595,18 @@ def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
 
 def regular_apply_symbol(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
     """(batch, N^d) coefficients of F(u) for each Hermitian state of a theta = 0
-    stack, from the left-regular realization and with no FFT: since
-    L_{F(u)} = F(L_u) and Q e_0 = e_0, they are Q times column 0 of F(R) for
-    R = Q* L_u Q (``regular_realization``).  Only that column is built, one
-    realization chunk at a time."""
-    q = tor.parity_basis(algebra)
+    stack, from the left-regular realization and with no FFT.  L_u splits into
+    the 2^d real symmetric blocks R_eps of ``regular_blocks``; since
+    L_{F(u)} = F(L_u) and e_0 = 2^{-d/2} sum_eps f_0 of block eps, F(u) is
+    2^{-d/2} U times the column 0 of each F(R_eps) (U = ``coset_basis``).  Only
+    that column is built, one realization chunk at a time."""
+    u = tor.coset_basis(algebra)
+    weight = 2.0 ** (-0.5 * algebra.d)
+    chunks = tor.realization_chunks(algebra, len(coeff_stack), entries=u.size >> algebra.d)
     return np.concatenate([
-        func_calc_first_column(HermitianOperator(tor.regular_realization(algebra, coeff_stack[chunk])), F) @ q.T
-        for chunk in tor.realization_chunks(algebra, len(coeff_stack))])
+        func_calc_first_column(HermitianOperator(tor.regular_blocks(algebra, coeff_stack[chunk])), F)
+        .reshape(-1, u.shape[1]) @ u.T * weight
+        for chunk in chunks])
 
 
 def _checked_besov_norm(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:

@@ -123,27 +123,31 @@ def moi_schur(F, ops: MOIOperands,
     return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().T
 
 
-def moi_binned(F, ops: MOIOperands, m: int = 32) -> np.ndarray:
+def moi_binned(F, ops: MOIOperands, m: int = 32,
+               decompositions: Optional[Sequence[SpectralDecomposition]] = None) -> np.ndarray:
     """Binned MOI S_{phi,m}: spectral projections onto [l/m, (l+1)/m).
 
     A bin projection is the sum of its eigenprojections, so S_{phi,m} is the
     Schur form with a bin-constant tensor: every eigenvalue in bin l takes the
     phi = F^[n] entry of the left endpoint l/m.  Eigenvalues on a bin boundary
-    belong to the left-closed bin.
+    belong to the left-closed bin.  ``decompositions`` supplies the anchors'
+    spectra, as in ``moi_schur``, so that the exact form and every resolution
+    m share one decomposition per anchor.
     """
     if m < 1:
         raise ValueError("bin resolution m must be >= 1")
     _check_cost(ops.order, ops.dim)
-    decs, endpoints, members = [], [], []
-    for a in ops.anchors:
-        dec = eig_hermitian(a)
+    decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
+    if len(decs) != ops.order + 1:
+        raise DimensionMismatch("need one spectral decomposition per anchor")
+    endpoints, members = [], []
+    for dec in decs:
         t = dec.eigenvalues * m
         r = np.round(t)
         # left-closed bins [l/m, (l+1)/m); values within fp noise of a
         # boundary are snapped onto it so they land in their own bin
         labels = np.where(np.abs(t - r) < 1e-9, r, np.floor(t)).astype(int)
         uniq, inverse = np.unique(labels, return_inverse=True)
-        decs.append(dec)
         endpoints.append(uniq / m)
         members.append(inverse)
     # F^[n] once per occupied-bin tuple, repeated for every eigenvalue of the bin

@@ -18,7 +18,9 @@ theta != 0, the pointwise product of grid values at theta = 0.  The check of
 the theta = 0 route is a third realization, the left-regular one
 (``regular_realization``): for Hermitian u it is real symmetric in the
 parity basis built from e_k +- e_-k (``parity_basis``), so it needs no FFT
-and its functional calculus runs on LAPACK's real solver.
+and its functional calculus runs on LAPACK's real solver.  It commutes with
+the translations by {0, N/2}^d, so ``regular_blocks`` splits it into 2^d
+real symmetric blocks of side (N/2)^d, one per character of that group.
 
 Continuous translations act on coefficients but are automorphisms only when
 no product wraps; hence the band discipline and the checked multiply mode,
@@ -431,11 +433,13 @@ def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:
 REALIZATION_CHUNK_ENTRIES = 2 ** 14
 
 
-def realization_chunks(algebra: TorusAlgebra, count: int) -> list:
+def realization_chunks(algebra: TorusAlgebra, count: int, entries: Optional[int] = None) -> list:
     """Slices that cut a count-long coefficient stack into chunks whose
-    realizations hold at most REALIZATION_CHUNK_ENTRIES entries (one matrix
-    per chunk at least)."""
-    step = max(1, REALIZATION_CHUNK_ENTRIES // algebra.matrix_dim ** 2)
+    realizations hold at most REALIZATION_CHUNK_ENTRIES entries (one member
+    per chunk at least).  A member's realization has ``entries`` entries, one
+    matrix_dim x matrix_dim matrix by default."""
+    entries = algebra.matrix_dim ** 2 if entries is None else entries
+    step = max(1, REALIZATION_CHUNK_ENTRIES // entries)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
@@ -470,6 +474,32 @@ def regular_realization(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.nd
     Hermitian part, as ``HermitianOperator`` stores its matrix symmetrized;
     one beyond it raises NonHermitianInput.
     """
+    return _regular(algebra, coeff_stack, split=False)[:, 0]
+
+
+def regular_blocks(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
+    """``regular_realization`` split into 2^d diagonal blocks: the real
+    symmetric (batch, 2^d, (N/2)^d, (N/2)^d) stack of R_eps = Q_eps* L_u Q_eps.
+
+    L_u commutes with the translations by H = {0, N/2}^d, so it keeps each
+    eigenspace V_eps of their characters chi_eps(h) = (-1)^{<eps, 2h/N>},
+    eps in {0, 1}^d.  V_eps has the orthonormal basis
+    f_r = 2^{-d/2} sum_h chi_eps(h) e_{r+h} over the coset representatives
+    r in [0, N/2)^d, and <f_r, L_u f_c> = w_eps(r - c) for the coset
+    (Hadamard) transform w_eps(a) = sum_h chi_eps(h) u(a + h).  The parity
+    sends f_r to +-f_{r*}, r* the representative of -r, so each block has a
+    real parity basis Q_eps, and R_eps is the two gathers of
+    ``regular_realization`` read from w_eps instead of u: no FFT either.
+    ``coset_basis`` holds the columns of every Q_eps in the basis e_k, so
+    F(u) is 2^{-d/2} times it applied to the column 0 of each F(R_eps).  The
+    Hermitian test is that of ``regular_realization``.
+    """
+    return _regular(algebra, coeff_stack, split=True)
+
+
+def _regular(algebra: TorusAlgebra, coeff_stack: np.ndarray, split: bool) -> np.ndarray:
+    """The (batch, blocks, side, side) blocks of ``regular_realization``
+    (one block) or ``regular_blocks``."""
     if not algebra.is_flat:
         raise BackendMismatch("the convolution realization requires theta = 0")
     c = np.asarray(coeff_stack, dtype=np.complex128)
@@ -478,8 +508,9 @@ def regular_realization(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.nd
         raise NonHermitianInput(f"relative Hermitian deviation {np.max(dev):.3e} "
                                 f"exceeds {HERMITIAN_TOL:.0e}")
     u = (0.5 * (c + _adjoint_coeffs(algebra, c))).reshape(len(c), -1)
-    gather, scale, _q = _parity_tables(algebra.N, algebra.d)
-    parts = np.concatenate([u.real, u.imag, -u.real, -u.imag], axis=1)
+    gather, scale, _q, shifts, chi = _parity_tables(algebra.N, algebra.d, split)
+    w = chi @ u[:, shifts] if split else u[:, None]
+    parts = np.concatenate([w.real, w.imag, -w.real, -w.imag], axis=2).reshape(len(c), -1)
     r = np.take(parts, gather[0], axis=1) + np.take(parts, gather[1], axis=1)
     return r * scale[:, None] * scale
 
@@ -490,46 +521,82 @@ def parity_basis(algebra: TorusAlgebra) -> np.ndarray:
     for each pair {k, -k}, k its smaller flat index, then i(e_k - e_-k)/sqrt 2
     for the same pairs.  The parity P e_k = e_-k has P L_u P = conj(L_u) for
     Hermitian u, so Q* L_u Q is real."""
-    return _parity_tables(algebra.N, algebra.d)[2]
+    return _parity_tables(algebra.N, algebra.d, False)[2]
+
+
+def coset_basis(algebra: TorusAlgebra) -> np.ndarray:
+    """The unitary U of ``regular_blocks`` (read-only): block eps after block
+    eps, the columns of Q_eps written in the basis e_k, so that U* L_u U is
+    block diagonal with the blocks R_eps.  Q_eps is built as ``parity_basis``
+    is, from the f_r: f_r at a fixed point r* = r that the parity fixes,
+    i f_r at one that it negates, then (f_r +- f_{r*})/sqrt 2 and
+    i(f_r -+ f_{r*})/sqrt 2 for each pair {r, r*}, signed so that the parity
+    fixes the first and conjugates the second.  Column 0 of each block is
+    f_0."""
+    return _parity_tables(algebra.N, algebra.d, True)[2]
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_tables(N: int, d: int) -> tuple:
-    """(gather, scale, q) of the parity basis of l^2(Z_N^d), read-only.
+def _parity_tables(N: int, d: int, split: bool) -> tuple:
+    """(gather, scale, q, shifts, chi) of the parity bases of the blocks of
+    L_u on l^2(Z_N^d), read-only: one block, l^2(Z_N^d) itself, or with
+    ``split`` the 2^d eigenspaces V_eps of ``regular_blocks``.
 
-    For basis vectors x, y with representatives a, c, entry [x, y] of
-    Q* L_u Q is scale[x] scale[y] (g1(u(a - c)) + g2(u(a + c))), with scale
-    1/sqrt 2 at fixed points and 1 on pairs, and (g1, g2) by the kinds of x, y
-    (a fixed point counts as a plus vector):
+    For basis vectors x, y of one block with representatives a, c, entry
+    [x, y] of the block is scale[x] scale[y] (g1(w(a - c)) + g2(w(a + c))),
+    with w = u (one block) or w_eps, scale 1/sqrt 2 at fixed points and 1 on
+    pairs, and (g1, g2) by the kinds of x, y (a fixed point that the parity
+    negates is a minus vector, any other a plus vector):
 
         plus, plus: (Re, Re)     plus, minus: (-Im, Im)
         minus, plus: (Im, Im)    minus, minus: (Re, -Re)
 
-    gather[0] and gather[1] index those terms in [Re u, Im u, -Re u, -Im u].
+    gather[0] and gather[1] index those terms in the blocks' concatenated
+    [Re w, Im w, -Re w, -Im w].  q holds the basis vectors in the basis e_k,
+    block after block.  The coset transform is w_eps = chi[eps] @ u[shifts],
+    where shifts[h] lists the sites a + h.
     """
     shape, M = (N,) * d, N ** d
-    sites = np.indices(shape).reshape(d, M)
-    col = np.arange(M)
-    neg = np.ravel_multi_index((-sites) % N, shape)
+    side = N // 2 if split else N
+    m = side ** d
+    sites = np.indices((side,) * d).reshape(d, m)  # the representatives, in flat order
+    col = np.arange(m)
+    star = (-sites) % side
+    neg = np.ravel_multi_index(star, (side,) * d)
+    # H as 0/1 vectors, the characters eps, and the sign of the parity on f_r
+    hs = np.indices((2,) * d).reshape(d, -1) if split else np.zeros((d, 1), dtype=int)
+    eps = hs.T
+    sign = (-1) ** (eps @ ((-sites) % N != star))
     fixed, reps = col[neg == col], col[neg > col]
     rep = np.concatenate([fixed, reps, reps])  # the representative of each basis vector
     pair = col >= len(fixed)
-    minus = col >= len(fixed) + len(reps)
+    minus = np.zeros((len(eps), m), dtype=bool)
+    minus[:, :len(fixed)] = sign[:, fixed] < 0
+    minus[:, len(fixed) + len(reps):] = True
     scale = np.where(pair, 1.0, math.sqrt(0.5))
     a = sites[:, rep]
     diff = np.ravel_multi_index((a[:, :, None] - a[:, None, :]) % N, shape)
     summ = np.ravel_multi_index((a[:, :, None] + a[:, None, :]) % N, shape)
-    mx, my = minus[:, None], minus[None, :]
+    mx, my = minus[:, :, None], minus[:, None, :]
     part_diff = np.where(mx == my, 0, np.where(mx, 1, 3))
     part_sum = np.where(mx == my, np.where(mx, 2, 0), 1)
-    gather = np.stack([part_diff * M + diff, part_sum * M + summ])
-    q = np.zeros((M, M), dtype=np.complex128)
-    q[rep, col] = np.where(minus, 1j, 1.0)
-    q[neg[rep[pair]], col[pair]] = np.where(minus[pair], -1j, 1.0)
-    q[:, pair] *= math.sqrt(0.5)
-    for table in (gather, scale, q):
+    offset = 4 * M * np.arange(len(eps))[:, None, None]
+    gather = np.stack([offset + part_diff * M + diff, offset + part_sum * M + summ])
+    qb = np.zeros((len(eps), m, m), dtype=np.complex128)
+    qb[:, rep, col] = np.where(minus, 1j, 1.0)
+    qb[:, neg[rep[pair]], col[pair]] = np.where(minus[:, pair], -1j, 1.0) * sign[:, rep[pair]]
+    qb[:, :, pair] *= math.sqrt(0.5)
+    every = np.indices(shape).reshape(d, M)
+    shifts = np.ravel_multi_index((every[:, None, :] + (N // 2) * hs[:, :, None]) % N, shape)
+    chi = (-1.0) ** (eps @ hs)
+    q = np.zeros((M, len(eps), m), dtype=np.complex128)
+    at_reps = np.ravel_multi_index(sites, shape)
+    for j in range(hs.shape[1]):
+        q[shifts[j, at_reps]] = (chi[:, j, None, None] * qb).transpose(1, 0, 2) / math.sqrt(hs.shape[1])
+    q = q.reshape(M, M)
+    for table in (gather, scale, q, shifts, chi):
         table.flags.writeable = False
-    return gather, scale, q
+    return gather, scale, q, shifts, chi
 
 
 # ---------------------------------------------------------------------------

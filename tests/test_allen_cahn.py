@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 import opcalc.torus as tor
-from opcalc.allen_cahn import (ACProblem, contraction_time, evolve, global_existence_check,
-                               picard_solve, strong_residual)
-from opcalc.besov import BesovIndex, block_norms, regular_apply_symbol
+import opcalc.allen_cahn as ac
+import opcalc.linalg as la
+from opcalc.allen_cahn import (ACProblem, contraction_time, evolve, first_segment,
+                               global_existence_check, picard_solve, strong_residual)
+from opcalc.baselines import BaselineStore
+from opcalc.besov import BesovIndex, besov_multiplier_norm, block_norms, regular_apply_symbol
+from opcalc.config import ExperimentConfig
 from opcalc.errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
                            SymbolDomainError, SymbolHypothesisError, SymbolNotFinite)
+from opcalc.experiments import run_allen_cahn
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, func_calc
 from opcalc.seeding import rng_for
@@ -348,3 +353,51 @@ def test_picard_matches_per_state_reference(theta_num, reference, initial, horiz
         assert len(traj.states) == len(ref)
         for state, c in zip(traj.states, ref):
             assert np.array_equal(state.coeffs, c)
+
+
+def test_picard_ball_norms_match_per_state(u0):
+    prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.05, dt=1e-3)
+    traj, _ = picard_solve(prob)
+    assert traj.besov_norms.tolist() == [besov_multiplier_norm(s, IDX) for s in traj.states]
+
+
+def test_evolve_reads_the_shared_first_segment(u0, monkeypatch):
+    prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.25, dt=2e-3)
+    plain = evolve(prob, segment_time=0.1)
+    first = first_segment(prob, 0.1)
+    calls = []
+    solve = ac.picard_solve
+    monkeypatch.setattr(ac, "picard_solve", lambda *a, **k: calls.append(k) or solve(*a, **k))
+    shared = evolve(prob, segment_time=0.1, first=first)
+    assert len(calls) == len(plain.reports["segments"]) - 1 == 2
+    assert shared.times.tolist() == plain.times.tolist()
+    assert shared.besov_norms.tolist() == plain.besov_norms.tolist()
+    assert shared.reports == plain.reports
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(shared.states, plain.states))
+
+
+def test_first_segment_is_none_when_the_solve_fails(u0):
+    prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.1, dt=1e-3,
+                     blow_up_threshold=1e-3)
+    assert first_segment(prob, 0.1) is None
+
+
+def test_run_allen_cahn_eigensolves(monkeypatch):
+    # the fine run of check (d) and check (e) solve their shared first segment
+    # once, and check (f) diagonalizes 2^d blocks of side (N/2)^d per state
+    # instead of one matrix of side N^d
+    cfg = ExperimentConfig(kind="allen-cahn", seed=3, ensemble=1, band=2, d=2, n_modes=8,
+                           theta_num=1, expr="tanh(x)", s=1.5, p=2.0, q=2.0, t_max=0.3, dt=0.005)
+    store = BaselineStore(data={f"{cfg.config_hash}/c_bound": 1.0, f"{cfg.config_hash}/c_lip": 1.0})
+    seen = {}
+    original = la.eig_hermitian
+
+    def counted(h):
+        shape = np.shape(h.data if isinstance(h, HermitianOperator) else h)
+        seen[shape[-1]] = seen.get(shape[-1], 0) + int(np.prod(shape[:-2]))
+        return original(h)
+    monkeypatch.setattr(la, "eig_hermitian", counted)
+    res = run_allen_cahn(cfg, store)
+    assert res.passed
+    # 2404 clock/shift states of side 8; check (f): 11 states x 4 blocks of side 16
+    assert seen == {8: 2404, 16: 44}

@@ -527,6 +527,43 @@ def test_difference_forms_keep_per_call_bits(theta_num, p):
                 assert bz.besov_integral_norm(x, idx, m=1, n_der=n_der, quadrature=qd) == ni
 
 
+@pytest.mark.parametrize("d,n_der", [(1, 0), (2, 0), (3, 0), (2, 1)])
+def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_der):
+    # d_i^0 x = x on every axis: at N = 0 one row is measured and read for
+    # all d axes; at N >= 1 each axis has its own row
+    alg = tor.TorusAlgebra.make(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
+    x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
+    geometry = bz.DifferenceGeometry(alg, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
+    built = []
+    stack = tor._difference_stack
+    monkeypatch.setattr(tor, "_difference_stack", lambda c, t: built.append(len(t)) or stack(c, t))
+    meas = geometry.measure(x, 1.0)
+    per_row = len(geometry._radial) + sum(len(entry[-1]) for entry in geometry._profiles.values())
+    assert sum(built) == per_row * (1 if n_der == 0 else d)
+    assert meas.profiles.shape[0] == meas.keep.shape[0] == meas.radial.shape[0] == d
+    if n_der == 0:
+        for rows in (meas.profiles, meas.keep, meas.radial):
+            assert all(np.array_equal(row, rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+def test_multiplier_norm_stack_matches_per_state(theta_num):
+    # the stacked ball norms of the Picard solver and the trajectory table
+    # keep the bits of besov_multiplier_norm state by state, across chunks
+    alg = tor.TorusAlgebra.make(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    xs = np.stack([tor.random_element(alg, rng_for(i, "mstack", theta_num), band=1 + i % 4).coeffs
+                   * 10.0 ** (i % 5 - 2) for i in range(40)] + [np.zeros(alg.shape, complex)])
+    count = len(alg.lp_filters)
+    assert len(tor.realization_chunks(alg, len(xs), entries=count * alg.matrix_dim ** 2)) > 1
+    for p in (1.0, 2.0, math.inf):
+        for q in (1.0, 1.5, 2.0, math.inf):
+            for s in (0.5, 2.5):
+                idx = BesovIndex(s, p, q)
+                got = bz.multiplier_norm_stack(alg, xs, idx)
+                assert got.tolist() == [bz.besov_multiplier_norm(tor.TorusElement(alg, c), idx)
+                                        for c in xs]
+
+
 def per_call_derivative_growth(seq, k_max):
     sups = {}
     for j, a in enumerate(seq):

@@ -249,6 +249,38 @@ def test_binned_monotone_dyadic():
     assert errs[0] >= errs[1] * (1 - 1e-9) and errs[1] >= errs[2] * (1 - 1e-9)
 
 
+def test_binned_reads_supplied_decompositions():
+    # the exact form and every resolution m share one decomposition per anchor
+    F = parse_symbol("exp(x)")
+    rng = rng_for(14, "bind")
+    ops = MOIOperands((random_hermitian(rng, 6), random_hermitian(rng, 6)), random_args(rng, 6, 1))
+    decs = [eig_hermitian(a) for a in ops.anchors]
+    for m in (10, 160):
+        assert np.array_equal(moi_binned(F, ops, m=m, decompositions=decs), moi_binned(F, ops, m=m))
+    with pytest.raises(DimensionMismatch):
+        moi_binned(F, ops, m=4, decompositions=decs[:1])
+
+
+def test_run_moi_decomposes_each_anchor_once(monkeypatch):
+    import opcalc.experiments as ex
+    import opcalc.linalg as la
+    import opcalc.moi as mo
+    from opcalc.baselines import BaselineStore
+    from opcalc.config import ExperimentConfig
+    calls = []
+    original = la.eig_hermitian
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+    for module in (la, mo, ex):
+        monkeypatch.setattr(module, "eig_hermitian", counted)
+    ex.run_moi(ExperimentConfig(kind="moi", seed=3, ensemble=3), BaselineStore())
+    # per element: its two anchors once for the exact form and the five m;
+    # then the Lipschitz part's two spectra and two functional calculi
+    assert len(calls) == 3 * 2 + 3 * 4
+
+
 # --- Loewner / perturbation ----------------------------------------------
 
 def test_loewner_zero_for_equal():

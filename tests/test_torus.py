@@ -561,6 +561,55 @@ def test_parity_realization_rejects_non_hermitian():
         tor.regular_realization(alg0, np.full((1,) + alg0.shape, np.nan))
 
 
+@pytest.mark.parametrize("d,N", [(1, 4), (1, 8), (1, 16), (2, 4), (2, 8), (2, 16)])
+def test_coset_blocks_match_full_parity_realization(d, N):
+    # check (f)'s reference: U* L_u U is block diagonal with the 2^d real
+    # symmetric blocks R_eps, whose spectra together are that of the full
+    # parity realization, and F(u) read from the blocks is F(u) read from it
+    alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
+    xs = np.stack([tor.random_element(alg0, rng_for(i, "coset", d, N), band=3, decay=1.5).coeffs
+                   for i in range(3)])
+    M, side = N ** d, (N // 2) ** d
+    blocks = tor.regular_blocks(alg0, xs)
+    assert blocks.dtype == np.float64 and blocks.shape == (3, 2 ** d, side, side)
+    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    u = tor.coset_basis(alg0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(M))) <= 1e-13
+    f0 = np.zeros(M)
+    f0[[np.ravel_multi_index(tuple(N // 2 * np.array(h)), alg0.shape) for h in np.ndindex((2,) * d)]] = 2.0 ** (-d / 2)
+    for eps in range(2 ** d):  # column 0 of block eps is f_0 = 2^{-d/2} sum_h chi_eps(h) e_h
+        assert np.max(np.abs(np.abs(u[:, eps * side]) - f0)) <= 1e-15
+    full = tor.regular_realization(alg0, xs)
+    diag = np.zeros((3, M, M))
+    for eps in range(2 ** d):
+        diag[:, eps * side:(eps + 1) * side, eps * side:(eps + 1) * side] = blocks[:, eps]
+    scale = np.max(np.abs(full))
+    lu = _complex_regular(alg0, xs)
+    assert np.max(np.abs(u.conj().T @ lu @ u - diag)) <= 1e-13 * scale
+    spectra = np.sort(np.linalg.eigvalsh(blocks).reshape(3, -1), axis=1)
+    assert np.max(np.abs(spectra - np.linalg.eigvalsh(full))) <= 1e-13 * scale
+    F = parse_symbol("tanh(x)")
+    ref = func_calc(full, F).data[..., 0] @ tor.parity_basis(alg0).T
+    assert np.max(np.abs(bz.regular_apply_symbol(F, alg0, xs) - ref)) <= 1e-13
+
+
+def test_coset_blocks_reject_non_hermitian_and_twisted():
+    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    F = parse_symbol("tanh(x)")
+    x = tor.random_element(alg0, rng_for(36, "cbh"), band=3).coeffs
+    bad = x.copy()
+    bad[1, 2] += 1e-9
+    tor.regular_blocks(alg0, np.stack([x, x + 1e-14 * bad]))  # within tolerance
+    for realize in (tor.regular_blocks, lambda a, c: bz.regular_apply_symbol(F, a, c)):
+        with pytest.raises(NonHermitianInput):
+            realize(alg0, np.stack([x, bad]))
+        with pytest.raises(NonHermitianInput):
+            realize(alg0, np.full((1,) + alg0.shape, np.nan))
+        alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+        with pytest.raises(BackendMismatch):
+            realize(alg1, tor.random_element(alg1, rng_for(37, "cbt"), band=2).coeffs[None])
+
+
 def test_hermitian_deviation_batch_matches_elements():
     for alg0 in (tor.TorusAlgebra.make(d=2, N=8, theta_num=1), tor.TorusAlgebra.make(d=3, N=4)):
         xs = [tor.random_element(alg0, rng_for(i, "hdb", alg0.d), band=1, hermitian=i % 2 == 0)
