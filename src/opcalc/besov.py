@@ -251,9 +251,9 @@ def _difference_norms(algebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.n
     normed in chunks of at most REALIZATION_CHUNK_ENTRIES coefficients: each
     chunk's difference stack and realization are still in cache when the
     next step reads them."""
-    step = max(1, tor.REALIZATION_CHUNK_ENTRIES // coeffs.size)
-    return np.concatenate([lp_norm_batch(algebra, tor._difference_stack(coeffs, table[i:i + step]), p)
-                           for i in range(0, len(table), step)])
+    chunks = tor.realization_chunks(algebra, len(table), entries=coeffs.size)
+    return np.concatenate([lp_norm_batch(algebra, tor._difference_stack(coeffs, table[chunk]), p)
+                           for chunk in chunks])
 
 
 def difference_form(meas: DifferenceMeasure, s: float, q: float, return_report: bool = False):
@@ -529,11 +529,6 @@ class PsdoSymbolSequence:
         object.__setattr__(self, "growth_a", tuple(derivative_growth(self.a, 1)))
         object.__setattr__(self, "growth_b", tuple(derivative_growth(self.b, 1)))
 
-    def cert(self, which: str, k: int) -> float:
-        """The growth of sequence ``which`` at order k, clamped to the orders computed."""
-        growth = self.growth_a if which == "a" else self.growth_b
-        return growth[min(k, len(growth) - 1)]
-
 
 def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex):
     """T_{a,b}(u) = sum_j a_j (Block_j u) b_j and its normalized Besov ratio."""
@@ -559,9 +554,10 @@ def paraproduct(seq: PsdoSymbolSequence, u: TorusElement) -> TorusElement:
 
 def paraproduct_report(seq: PsdoSymbolSequence, norms_in: np.ndarray, norms_out: np.ndarray,
                        s: float, q: float) -> dict:
-    """The report of ``apply_paraproduct`` from the block norms of u and T_{a,b}(u)."""
-    k = int(math.ceil(s))
-    m_a, m_b = seq.cert("a", k), seq.cert("b", k)
+    """The report of ``apply_paraproduct`` from the block norms of u and T_{a,b}(u).
+    The ratio is normalised by the order-1 growth M_1 of each sequence,
+    growth_a[1] and growth_b[1], whatever s."""
+    m_a, m_b = seq.growth_a[1], seq.growth_b[1]
     nu = multiplier_form(norms_in, s, q)
     nout = multiplier_form(norms_out, s, q)
     ratio = nout / (m_a * m_b * nu) if m_a * m_b * nu > 0 else 0.0

@@ -177,11 +177,14 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     res.check("torus.parseval",
               abs(tor.lp_norm(x1, 2) - float(np.linalg.norm(x1.coeffs))), 1e-11)
     # theta = 0: grid norms against the Schatten norms of the left-regular
-    # (convolution) realization, products against the dense mode matrices
+    # (convolution) realization, the block-diagonal matrix of its coset blocks;
+    # products against the dense mode matrices
     alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
     x0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 0), band=2)
     y0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 1), band=1)
-    regular = tor.regular_realization(alg0, x0.coeffs[None, ...])
+    blocks = tor.regular_blocks(alg0, x0.coeffs[None, ...])[0]
+    n_blocks, side = blocks.shape[:2]
+    regular = np.einsum("ij,iab->iajb", np.eye(n_blocks), blocks).reshape(1, n_blocks * side, -1)
     for p in (1, 2, math.inf):
         ref = float(schatten_norm_batch(regular, p)[0])
         res.check(f"torus.regular_norm_p{p}", abs(tor.lp_norm(x0, p) - ref), 1e-10 * max(ref, 1e-300))

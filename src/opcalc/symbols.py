@@ -35,8 +35,9 @@ def numeric_derivative(fn: Callable, scale: float = 1.0) -> Callable:
 class SmoothSymbol:
     """Scalar symbol with derivative evaluators up to ``max_order``.
 
-    ``derivs[k-1]`` evaluates F^(k).  ``poly_coeffs`` (ascending) is set when
-    F is known to be a polynomial; divided differences then use the exact
+    ``derivs[k-1]`` evaluates F^(k), one for each k <= max_order.
+    ``poly_coeffs`` (ascending) is set when F is known to be a polynomial;
+    divided differences then use the exact
     complete-homogeneous-symmetric-polynomial path.  ``kinks`` lists points
     where F fails to be smooth (excluded from the construction check).
     """
@@ -54,13 +55,8 @@ class SmoothSymbol:
         if self.window[1] <= self.window[0]:
             raise ValueError("window must be a nondegenerate interval")
         if len(self.derivs) < self.max_order:
-            ders = list(self.derivs)
-            prev = ders[-1] if ders else self.func
-            scale = max(abs(self.window[0]), abs(self.window[1]), 1.0)
-            for _ in range(len(ders), self.max_order):
-                prev = numeric_derivative(prev, scale)
-                ders.append(prev)
-            object.__setattr__(self, "derivs", tuple(ders))
+            raise ValueError(f"max_order {self.max_order} needs that many derivative "
+                             f"evaluators, got {len(self.derivs)}")
         if self.check:
             self._sanity_check()
 

@@ -16,11 +16,10 @@ representation on N^d points.  Both realizations are faithful, so the product
 is computed in them: the matrix product of the clock/shift realizations at
 theta != 0, the pointwise product of grid values at theta = 0.  The check of
 the theta = 0 route is a third realization, the left-regular one
-(``regular_realization``): for Hermitian u it is real symmetric in the
-parity basis built from e_k +- e_-k (``parity_basis``), so it needs no FFT
-and its functional calculus runs on LAPACK's real solver.  It commutes with
-the translations by {0, N/2}^d, so ``regular_blocks`` splits it into 2^d
-real symmetric blocks of side (N/2)^d, one per character of that group.
+(``regular_blocks``).  It commutes with the translations by {0, N/2}^d, so
+it splits into 2^d blocks of side (N/2)^d, one per character of that group;
+for Hermitian u each block is real symmetric in a parity basis, so it needs
+no FFT and its functional calculus runs on LAPACK's real solver.
 
 Continuous translations act on coefficients but are automorphisms only when
 no product wraps; hence the band discipline and the checked multiply mode,
@@ -460,26 +459,12 @@ def from_grid_values(algebra: TorusAlgebra, values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(vals, axes=tuple(range(1, algebra.d + 1))) / (algebra.N ** algebra.d)
 
 
-def regular_realization(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
-    """Left-regular (convolution) realization of a (batch,) + algebra.shape
-    stack of Hermitian coefficients at theta = 0, in the real parity basis Q
-    of ``parity_basis``: the real symmetric (batch, N^d, N^d) stack
-    R = Q* L_u Q, where L_u[k, l] = u((k - l) mod N) is left multiplication
-    on coefficients.  Since L_{F(u)} = F(L_u) and Q e_0 = e_0, Q times
-    column 0 of F(R) holds the coefficients of F(u).
-
-    Each entry of R reads u at a - c and a + c, so R is two gathers from the
-    real and imaginary parts of u, and no FFT: it shares no code with the grid
-    values.  A state within the Hermitian tolerance is realized through its
-    Hermitian part, as ``HermitianOperator`` stores its matrix symmetrized;
-    one beyond it raises NonHermitianInput.
-    """
-    return _regular(algebra, coeff_stack, split=False)[:, 0]
-
-
 def regular_blocks(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
-    """``regular_realization`` split into 2^d diagonal blocks: the real
-    symmetric (batch, 2^d, (N/2)^d, (N/2)^d) stack of R_eps = Q_eps* L_u Q_eps.
+    """Left-regular (convolution) realization of a (batch,) + algebra.shape
+    stack of Hermitian coefficients at theta = 0, split into 2^d diagonal
+    blocks: the real symmetric (batch, 2^d, (N/2)^d, (N/2)^d) stack of
+    R_eps = Q_eps* L_u Q_eps, where L_u[k, l] = u((k - l) mod N) is left
+    multiplication on coefficients.
 
     L_u commutes with the translations by H = {0, N/2}^d, so it keeps each
     eigenspace V_eps of their characters chi_eps(h) = (-1)^{<eps, 2h/N>},
@@ -487,19 +472,18 @@ def regular_blocks(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray
     f_r = 2^{-d/2} sum_h chi_eps(h) e_{r+h} over the coset representatives
     r in [0, N/2)^d, and <f_r, L_u f_c> = w_eps(r - c) for the coset
     (Hadamard) transform w_eps(a) = sum_h chi_eps(h) u(a + h).  The parity
-    sends f_r to +-f_{r*}, r* the representative of -r, so each block has a
-    real parity basis Q_eps, and R_eps is the two gathers of
-    ``regular_realization`` read from w_eps instead of u: no FFT either.
-    ``coset_basis`` holds the columns of every Q_eps in the basis e_k, so
-    F(u) is 2^{-d/2} times it applied to the column 0 of each F(R_eps).  The
-    Hermitian test is that of ``regular_realization``.
+    sends f_r to +-f_{r*}, r* the representative of -r, and conjugates
+    L_u for Hermitian u, so each block has a real parity basis Q_eps.  Each
+    entry of R_eps reads w_eps at a - c and a + c, so R_eps is two gathers
+    from the real and imaginary parts of w_eps, and no FFT: it shares no code
+    with the grid values.  ``coset_basis`` holds the columns of every Q_eps
+    in the basis e_k; since L_{F(u)} = F(L_u), F(u) is 2^{-d/2} times it
+    applied to the column 0 of each F(R_eps).
+
+    A state within the Hermitian tolerance is realized through its Hermitian
+    part, as ``HermitianOperator`` stores its matrix symmetrized; one beyond
+    it raises NonHermitianInput.
     """
-    return _regular(algebra, coeff_stack, split=True)
-
-
-def _regular(algebra: TorusAlgebra, coeff_stack: np.ndarray, split: bool) -> np.ndarray:
-    """The (batch, blocks, side, side) blocks of ``regular_realization``
-    (one block) or ``regular_blocks``."""
     if not algebra.is_flat:
         raise BackendMismatch("the convolution realization requires theta = 0")
     c = np.asarray(coeff_stack, dtype=np.complex128)
@@ -508,45 +492,34 @@ def _regular(algebra: TorusAlgebra, coeff_stack: np.ndarray, split: bool) -> np.
         raise NonHermitianInput(f"relative Hermitian deviation {np.max(dev):.3e} "
                                 f"exceeds {HERMITIAN_TOL:.0e}")
     u = (0.5 * (c + _adjoint_coeffs(algebra, c))).reshape(len(c), -1)
-    gather, scale, _q, shifts, chi = _parity_tables(algebra.N, algebra.d, split)
-    w = chi @ u[:, shifts] if split else u[:, None]
+    gather, scale, _q, shifts, chi = _parity_tables(algebra.N, algebra.d)
+    w = chi @ u[:, shifts]
     parts = np.concatenate([w.real, w.imag, -w.real, -w.imag], axis=2).reshape(len(c), -1)
     r = np.take(parts, gather[0], axis=1) + np.take(parts, gather[1], axis=1)
     return r * scale[:, None] * scale
 
 
-def parity_basis(algebra: TorusAlgebra) -> np.ndarray:
-    """The unitary Q of ``regular_realization`` (read-only): columns e_k at the
-    fixed points 2k = 0 in flat order (e_0 first), then (e_k + e_-k)/sqrt 2
-    for each pair {k, -k}, k its smaller flat index, then i(e_k - e_-k)/sqrt 2
-    for the same pairs.  The parity P e_k = e_-k has P L_u P = conj(L_u) for
-    Hermitian u, so Q* L_u Q is real."""
-    return _parity_tables(algebra.N, algebra.d, False)[2]
-
-
 def coset_basis(algebra: TorusAlgebra) -> np.ndarray:
     """The unitary U of ``regular_blocks`` (read-only): block eps after block
     eps, the columns of Q_eps written in the basis e_k, so that U* L_u U is
-    block diagonal with the blocks R_eps.  Q_eps is built as ``parity_basis``
-    is, from the f_r: f_r at a fixed point r* = r that the parity fixes,
-    i f_r at one that it negates, then (f_r +- f_{r*})/sqrt 2 and
-    i(f_r -+ f_{r*})/sqrt 2 for each pair {r, r*}, signed so that the parity
-    fixes the first and conjugates the second.  Column 0 of each block is
-    f_0."""
-    return _parity_tables(algebra.N, algebra.d, True)[2]
+    block diagonal with the blocks R_eps.  Q_eps is built from the f_r:
+    f_r at a fixed point r* = r that the parity fixes, i f_r at one that it
+    negates, then (f_r +- f_{r*})/sqrt 2 and i(f_r -+ f_{r*})/sqrt 2 for each
+    pair {r, r*}, signed so that the parity fixes the first and conjugates
+    the second.  Column 0 of each block is f_0."""
+    return _parity_tables(algebra.N, algebra.d)[2]
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_tables(N: int, d: int, split: bool) -> tuple:
-    """(gather, scale, q, shifts, chi) of the parity bases of the blocks of
-    L_u on l^2(Z_N^d), read-only: one block, l^2(Z_N^d) itself, or with
-    ``split`` the 2^d eigenspaces V_eps of ``regular_blocks``.
+def _parity_tables(N: int, d: int) -> tuple:
+    """(gather, scale, q, shifts, chi) of the parity bases of the 2^d blocks
+    of ``regular_blocks``, read-only.
 
-    For basis vectors x, y of one block with representatives a, c, entry
-    [x, y] of the block is scale[x] scale[y] (g1(w(a - c)) + g2(w(a + c))),
-    with w = u (one block) or w_eps, scale 1/sqrt 2 at fixed points and 1 on
-    pairs, and (g1, g2) by the kinds of x, y (a fixed point that the parity
-    negates is a minus vector, any other a plus vector):
+    For basis vectors x, y of block eps with representatives a, c, entry
+    [x, y] of the block is scale[x] scale[y] (g1(w_eps(a - c)) + g2(w_eps(a + c))),
+    with scale 1/sqrt 2 at fixed points and 1 on pairs, and (g1, g2) by the
+    kinds of x, y (the vectors of ``coset_basis`` with a factor i are minus
+    vectors, the others plus vectors):
 
         plus, plus: (Re, Re)     plus, minus: (-Im, Im)
         minus, plus: (Im, Im)    minus, minus: (Re, -Re)
@@ -557,14 +530,14 @@ def _parity_tables(N: int, d: int, split: bool) -> tuple:
     where shifts[h] lists the sites a + h.
     """
     shape, M = (N,) * d, N ** d
-    side = N // 2 if split else N
+    side = N // 2
     m = side ** d
     sites = np.indices((side,) * d).reshape(d, m)  # the representatives, in flat order
     col = np.arange(m)
     star = (-sites) % side
     neg = np.ravel_multi_index(star, (side,) * d)
     # H as 0/1 vectors, the characters eps, and the sign of the parity on f_r
-    hs = np.indices((2,) * d).reshape(d, -1) if split else np.zeros((d, 1), dtype=int)
+    hs = np.indices((2,) * d).reshape(d, -1)
     eps = hs.T
     sign = (-1) ** (eps @ ((-sites) % N != star))
     fixed, reps = col[neg == col], col[neg > col]

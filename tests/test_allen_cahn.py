@@ -264,8 +264,8 @@ def _cross_check_problem():
 
 
 def _cross_check_reference(alg0, prob, states):
-    """Check (f)'s reference: Q times column 0 of F on the left-regular
-    realization in its real parity basis."""
+    """Check (f)'s reference: F on the real coset blocks of the left-regular
+    realization, read from column 0 of each block."""
     return regular_apply_symbol(prob.F, alg0, states)
 
 
@@ -277,7 +277,7 @@ def test_commutative_cross_check_small(alg):
     got = prob.apply_F(states).reshape(len(states), -1)
     assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-8
     with pytest.raises(BackendMismatch):  # the convolution realization is flat only
-        tor.regular_realization(alg, states[:1])
+        tor.regular_blocks(alg, states[:1])
 
 
 def test_cross_check_reference_uses_no_fft(monkeypatch):

@@ -236,6 +236,13 @@ def test_symbol_construction_check_catches_wrong_derivative():
         SmoothSymbol(func=np.sin, derivs=(np.sin,), max_order=1, window=(-1, 1))
 
 
+def test_symbol_requires_every_derivative_up_to_max_order():
+    # missing derivatives are an error, not filled in by finite differences
+    with pytest.raises(ValueError, match="max_order 2 needs that many derivative evaluators, got 1"):
+        SmoothSymbol(func=np.sin, derivs=(np.cos,), max_order=2, check=False)
+    assert SmoothSymbol(func=np.sin, derivs=(np.cos, lambda x: -np.sin(x)), max_order=2).max_order == 2
+
+
 def test_expression_grammar_errors():
     with pytest.raises(ConfigError):
         parse_symbol("sin(x")

@@ -493,79 +493,41 @@ def _complex_regular(alg, coeff_stack):
     return coeff_stack.reshape(len(coeff_stack), -1)[:, index]
 
 
-def _flat_lattice(d, N):
-    """A theta = 0 lattice at any N: the parity basis is defined for odd N too,
-    which TorusAlgebra does not admit."""
-    if N % 2 == 0:
-        return tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
-    alg = object.__new__(tor.TorusAlgebra)
-    for name, value in (("d", d), ("N", N), ("theta", np.zeros((d, d)))):
-        object.__setattr__(alg, name, value)
-    return alg
+def _block_diagonal(blocks):
+    """The (batch, n, n) block-diagonal matrices of a (batch, count, side, side)
+    stack of ``regular_blocks``."""
+    batch, count, side = blocks.shape[:3]
+    return np.einsum("ij,zixy->zixjy", np.eye(count), blocks).reshape(batch, count * side, -1)
 
 
 def test_backend_consistency_flat():
     # theta = 0 norms read grid values; the left-regular (convolution)
-    # realization has the same spectrum and shares no code with them: in its
-    # real parity basis for a Hermitian element, in the standard basis for a
-    # non-Hermitian one
+    # realization has the same spectrum and shares no code with them: as its
+    # real coset blocks and as the dense L_u for a Hermitian element, as the
+    # dense L_u for a non-Hermitian one
     for d, N in ((2, 8), (1, 16), (3, 4)):
         alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
-        xs = [tor.random_element(alg0, rng_for(32, "bc", d), band=2),
-              tor.random_element(alg0, rng_for(32, "bc-nh", d), band=2, hermitian=False)]
-        for x, realize in zip(xs, (tor.regular_realization, _complex_regular)):
-            regular = realize(alg0, x.coeffs[None])
+        x = tor.random_element(alg0, rng_for(32, "bc", d), band=2)
+        y = tor.random_element(alg0, rng_for(32, "bc-nh", d), band=2, hermitian=False)
+        for z, regular in ((x, _block_diagonal(tor.regular_blocks(alg0, x.coeffs[None]))),
+                           (x, _complex_regular(alg0, x.coeffs[None])),
+                           (y, _complex_regular(alg0, y.coeffs[None]))):
             assert regular.shape == (1, N ** d, N ** d)
             for p in (1, 2, math.inf):
-                assert tor.lp_norm(x, p) == pytest.approx(schatten_norm_batch(regular, p)[0], rel=1e-12)
+                assert tor.lp_norm(z, p) == pytest.approx(schatten_norm_batch(regular, p)[0], rel=1e-12)
     alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
     c1 = tor.random_element(alg1, rng_for(33, "bm"), band=2).coeffs[None]
-    for realize in (tor.grid_values, tor.regular_realization):
+    for realize in (tor.grid_values, tor.regular_blocks):
         with pytest.raises(BackendMismatch):
             realize(alg1, c1)
 
 
-@pytest.mark.parametrize("d,N", [(1, 16), (1, 7), (2, 8), (2, 5), (3, 4), (3, 3)])
-def test_parity_realization_is_real_symmetric(d, N):
-    # R = Q* L_u Q is real symmetric with the spectrum of L_u; Q is unitary,
-    # fixes e_0, and Q times column 0 of F(R) is column 0 of F(L_u)
-    alg0 = _flat_lattice(d, N)
-    rng = rng_for(35, "parity", d, N)
-    xs = np.stack([tor.hermitianize(tor.TorusElement(alg0, rng.standard_normal(alg0.shape)
-                                                     + 1j * rng.standard_normal(alg0.shape))).coeffs
-                   for _ in range(3)])
-    r = tor.regular_realization(alg0, xs)
-    assert r.dtype == np.float64 and r.shape == (3, N ** d, N ** d)
-    assert np.array_equal(r, r.swapaxes(1, 2))
-    q = tor.parity_basis(alg0)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(N ** d))) <= 1e-15
-    assert np.array_equal(q[:, 0], np.eye(N ** d)[0])
-    lu = _complex_regular(alg0, xs)
-    assert np.max(np.abs(q.conj().T @ lu @ q - r)) <= 1e-14
-    spectrum = np.linalg.eigvalsh(lu)
-    assert np.max(np.abs(np.linalg.eigvalsh(r) - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
-    F = parse_symbol("tanh(x)")
-    col = func_calc(r, F).data[..., 0] @ q.T
-    assert np.max(np.abs(col - func_calc(lu, F).data[..., 0])) <= 1e-13
-
-
-def test_parity_realization_rejects_non_hermitian():
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
-    x = tor.random_element(alg0, rng_for(34, "prh"), band=3).coeffs
-    bad = x.copy()
-    bad[1, 2] += 1e-9
-    tor.regular_realization(alg0, np.stack([x, x + 1e-14 * bad]))  # within tolerance
-    with pytest.raises(NonHermitianInput):
-        tor.regular_realization(alg0, np.stack([x, bad]))
-    with pytest.raises(NonHermitianInput):
-        tor.regular_realization(alg0, np.full((1,) + alg0.shape, np.nan))
-
-
 @pytest.mark.parametrize("d,N", [(1, 4), (1, 8), (1, 16), (2, 4), (2, 8), (2, 16)])
 def test_coset_blocks_match_full_parity_realization(d, N):
-    # check (f)'s reference: U* L_u U is block diagonal with the 2^d real
-    # symmetric blocks R_eps, whose spectra together are that of the full
-    # parity realization, and F(u) read from the blocks is F(u) read from it
+    # check (f)'s reference: U* L_u U, the dense L_u in the coset parity
+    # basis, is block diagonal with the 2^d real symmetric blocks R_eps, whose
+    # spectra together are that of L_u, and F(u) read from the blocks is
+    # column 0 of F(L_u)
     alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "coset", d, N), band=3, decay=1.5).coeffs
                    for i in range(3)])
@@ -579,17 +541,13 @@ def test_coset_blocks_match_full_parity_realization(d, N):
     f0[[np.ravel_multi_index(tuple(N // 2 * np.array(h)), alg0.shape) for h in np.ndindex((2,) * d)]] = 2.0 ** (-d / 2)
     for eps in range(2 ** d):  # column 0 of block eps is f_0 = 2^{-d/2} sum_h chi_eps(h) e_h
         assert np.max(np.abs(np.abs(u[:, eps * side]) - f0)) <= 1e-15
-    full = tor.regular_realization(alg0, xs)
-    diag = np.zeros((3, M, M))
-    for eps in range(2 ** d):
-        diag[:, eps * side:(eps + 1) * side, eps * side:(eps + 1) * side] = blocks[:, eps]
-    scale = np.max(np.abs(full))
     lu = _complex_regular(alg0, xs)
-    assert np.max(np.abs(u.conj().T @ lu @ u - diag)) <= 1e-13 * scale
+    scale = np.max(np.abs(lu))
+    assert np.max(np.abs(u.conj().T @ lu @ u - _block_diagonal(blocks))) <= 1e-13 * scale
     spectra = np.sort(np.linalg.eigvalsh(blocks).reshape(3, -1), axis=1)
-    assert np.max(np.abs(spectra - np.linalg.eigvalsh(full))) <= 1e-13 * scale
+    assert np.max(np.abs(spectra - np.linalg.eigvalsh(lu))) <= 1e-13 * scale
     F = parse_symbol("tanh(x)")
-    ref = func_calc(full, F).data[..., 0] @ tor.parity_basis(alg0).T
+    ref = func_calc(lu, F).data[..., 0]
     assert np.max(np.abs(bz.regular_apply_symbol(F, alg0, xs) - ref)) <= 1e-13
 
 
