@@ -7,7 +7,7 @@ Sections and keys::
            nonlinear-estimate | meyer | allen-cahn
     seed = 7                 ; base seed >= 0; members derive by counted splitting
     ensemble = 50            ; seeded ensemble size >= 1
-    band = 3                 ; working band |k|_inf of random elements
+    band = 3                 ; working band |k|_inf of random elements (>= 0)
 
     [algebra]
     d = 2
@@ -28,7 +28,7 @@ Sections and keys::
     [allen-cahn]
     t_max = 1.0
     dt = 0.001
-    delta = 1.0
+    delta = 1.0              ; finite, >= 0
 
 [experiment] and [algebra] are read by every kind; [symbol] only by moi,
 nonlinear-estimate and allen-cahn, [besov] only by besov-equivalence,
@@ -79,11 +79,13 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] seed must be >= 0, got {self.seed}")
         if self.ensemble < 1:
             raise ConfigError(f"[experiment] ensemble must be >= 1, got {self.ensemble}")
+        if self.band < 0:
+            raise ConfigError(f"[experiment] band must be >= 0, got {self.band}")
         self.algebra()
-        for key in ("t_max", "dt"):
+        for key, least in (("t_max", "> 0"), ("dt", "> 0"), ("delta", ">= 0")):
             value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"[allen-cahn] {key} must be finite and > 0, got {value}")
+            if not (math.isfinite(value) and (value >= 0 if least == ">= 0" else value > 0)):
+                raise ConfigError(f"[allen-cahn] {key} must be finite and {least}, got {value}")
 
     def algebra(self) -> TorusAlgebra:
         """The [algebra] lattice; a value it rejects raises ConfigError.
@@ -91,7 +93,7 @@ class ExperimentConfig:
         Every kind validates it, including those that build their own lattices.
         """
         try:
-            return TorusAlgebra.make(d=self.d, N=self.n_modes, theta_num=self.theta_num)
+            return TorusAlgebra(d=self.d, N=self.n_modes, theta_num=self.theta_num)
         except (ValueError, BackendMismatch) as exc:
             raise ConfigError(f"[algebra] {exc}") from None
 

@@ -151,7 +151,7 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     res.check("moi.homomorphism", mo.homomorphism_commutation_residual(F3, w, ops), 1e-10)
 
     # torus identities
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     x1 = tor.random_element(alg, rng_for(cfg.seed, "tor", 1), band=2)
     y1 = tor.random_element(alg, rng_for(cfg.seed, "tor", 2), band=2)
     z1 = tor.multiply(x1, y1)
@@ -163,7 +163,7 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
               float(np.max(np.abs(tor.from_matrix(alg, tor.to_matrix(x1)).coeffs - x1.coeffs))), 1e-12)
     lhs = tor.multiply(tor.mode_element(alg, (0, 1)), tor.mode_element(alg, (1, 0)))
     rhs = tor.multiply(tor.mode_element(alg, (1, 0)), tor.mode_element(alg, (0, 1)))
-    ph = np.exp(2j * np.pi * alg.theta[0, 1])
+    ph = np.exp(2j * np.pi * (alg.theta_num / alg.N))
     res.check("torus.commutation_phase", float(np.max(np.abs(lhs.coeffs - ph * rhs.coeffs))), 1e-12)
     res.check("torus.translate_isometry",
               abs(tor.lp_norm(tor.translate(x1, (0.3, -0.7)), 2) - tor.lp_norm(x1, 2)), 1e-11)
@@ -179,7 +179,7 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     # theta = 0: grid norms against the Schatten norms of the left-regular
     # (convolution) realization, the block-diagonal matrix of its coset blocks;
     # products against the dense mode matrices
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     x0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 0), band=2)
     y0 = tor.random_element(alg0, rng_for(cfg.seed, "flat", 1), band=1)
     blocks = tor.regular_blocks(alg0, x0.coeffs[None, ...])[0]
@@ -293,7 +293,7 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
                          "residual": r})
     res.check("chain.inner_residual", worst_inner, 1e-12)
     # torus derivations: degree a band chosen to keep F(u) inside the guard band
-    alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
     worst_torus = 0.0
     cases = [("x**3", 4), ("x**2", 4), ("x**5", 2)]
     for i in range(min(cfg.ensemble, 10)):
@@ -437,7 +437,7 @@ def besov_equivalence_stats(cfg: ExperimentConfig, jobs: int = 1):
     return reduce_equivalence(cfg, measure_equivalence(cfg, jobs))
 
 
-def besov_equivalence_grid(configs, jobs: int = 1) -> list:
+def besov_equivalence_grid(configs) -> list:
     """``besov_equivalence_stats`` of every config, in order.  Configs that
     differ only in q share one measurement, so each group is measured once
     and reduced once per q; the stats are bit-identical to one call per
@@ -449,7 +449,7 @@ def besov_equivalence_grid(configs, jobs: int = 1) -> list:
         groups.setdefault(_measure_key(cfg), []).append(cfg)
     results = {}
     for group in groups.values():
-        meas = measure_equivalence(group[0], jobs)
+        meas = measure_equivalence(group[0])
         for cfg in group:
             results[cfg] = reduce_equivalence(cfg, meas)
     return [results[cfg] for cfg in configs]
@@ -646,7 +646,7 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
 
     # (f) F(u) along a theta = 0 trajectory against F on the left-regular
     # realization, split into 2^d real symmetric coset blocks
-    alg0 = tor.TorusAlgebra.make(d=cfg.d, N=cfg.n_modes, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=cfg.d, N=cfg.n_modes, theta_num=0)
     u00 = tor.random_element(alg0, rng_for(cfg.seed, "ac-cc"), band=cfg.band, decay=2.0)
     pc = ACProblem(u0=u00, F=F, idx=idx, t_max=0.05, dt=cfg.dt)
     states = np.stack([s.coeffs for s in picard_solve(pc)[0].states])

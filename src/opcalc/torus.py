@@ -42,60 +42,32 @@ from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_n
 from .symbols import LPFilterFamily
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TorusAlgebra:
-    """Mode lattice parameters: dimension d, N modes per axis, deformation."""
+    """Mode lattice: dimension d, N modes per axis (even), deformation
+    theta_12 = theta_num / N.  theta_num = 0 is the commutative torus of any
+    dimension d >= 1; theta_num != 0 needs d = 2 and gcd(theta_num, N) = 1,
+    the conditions of the clock/shift realization."""
 
     d: int = 2
     N: int = 16
-    theta: object = None  # d x d antisymmetric array, or None for flat
-    backend = "matrix"  # not a field; read by the bench tracer (ROADMAP item 7)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusAlgebra):
-            return NotImplemented
-        return self.d == other.d and self.N == other.N and np.array_equal(self.theta, other.theta)
-
-    def __hash__(self):
-        return hash((self.d, self.N, self.theta.tobytes()))
+    theta_num: int = 0
+    backend = "matrix"  # not a field; read by the bench tracer (ROADMAP item 4)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError("N must be even and >= 2")
-        th = np.zeros((self.d, self.d)) if self.theta is None else np.asarray(self.theta, dtype=float)
-        if th.shape != (self.d, self.d):
-            raise DimensionMismatch(f"theta must be {self.d}x{self.d}")
-        if np.max(np.abs(th + th.T)) > 1e-14:
-            raise ValueError("theta must be antisymmetric to 1e-14")
-        object.__setattr__(self, "theta", th)
-        if np.any(th != 0.0):
+        if self.theta_num != 0:
             if self.d != 2:
                 raise BackendMismatch("theta != 0 requires d = 2")
-            p = th[0, 1] * self.N
-            if abs(p - round(p)) > 1e-9:
-                raise ValueError("clock/shift representation needs theta_12 = p/N for integer p")
-            if math.gcd(int(round(p)) % self.N, self.N) != 1:
+            if math.gcd(self.theta_num % self.N, self.N) != 1:
                 raise ValueError("clock/shift representation needs gcd(p, N) = 1")
 
-    @classmethod
-    def make(cls, d: int = 2, N: int = 16, theta_num: int = 0):
-        """Convenience constructor with theta_12 = theta_num / N (d = 2)."""
-        if theta_num == 0:
-            return cls(d=d, N=N, theta=None)
-        if d < 2:
-            raise BackendMismatch("theta_num != 0 requires d >= 2")
-        th = np.zeros((d, d))
-        th[0, 1] = theta_num / N
-        th[1, 0] = -theta_num / N
-        return cls(d=d, N=N, theta=th)
-
-    @functools.cached_property
+    @property
     def is_flat(self) -> bool:
-        return not np.any(self.theta != 0.0)
-
-    @functools.cached_property
-    def theta_num(self) -> int:
-        return 0 if self.is_flat else int(round(self.theta[0, 1] * self.N))
+        return self.theta_num == 0
 
     @property
     def shape(self) -> tuple:
@@ -160,8 +132,6 @@ def _basis(N: int, d: int, p: int) -> np.ndarray:
     """Dense mode matrices: the reference realization.  Not cached, so a run
     that checks against it does not keep the basis resident afterwards."""
     if p != 0:
-        if d != 2:
-            raise BackendMismatch("clock/shift basis requires d = 2")
         if N > 48:
             raise MemoryError("mode-matrix basis built only up to N = 48")
         ks = _k_axis(N)
@@ -250,7 +220,7 @@ def _boundary_sign(algebra: TorusAlgebra) -> np.ndarray:
     """
     N, p = algebra.N, algebra.theta_num
     sign = np.ones(algebra.shape)
-    if p == 0 or algebra.d != 2:
+    if p == 0:
         return sign
     k1, k2 = algebra.k_grids
     b1 = k1 == -N // 2
@@ -330,13 +300,13 @@ def random_element(algebra: TorusAlgebra, rng: np.random.Generator, band: Option
 
 def _weyl_phase(algebra: TorusAlgebra) -> np.ndarray:
     """Symmetric ordering phase e^{i pi theta k1 k2} over the mode grid (read-only)."""
-    return _weyl_table(algebra.N, algebra.theta[0, 1])
+    return _weyl_table(algebra.N, algebra.theta_num)
 
 
 @functools.lru_cache(maxsize=None)
-def _weyl_table(N: int, theta12) -> np.ndarray:
+def _weyl_table(N: int, p: int) -> np.ndarray:
     k1, k2 = _k_grids(N, 2)
-    phase = np.exp(1j * np.pi * theta12 * k1 * k2)
+    phase = np.exp(1j * np.pi * (p / N) * k1 * k2)
     phase.flags.writeable = False
     return phase
 

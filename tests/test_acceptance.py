@@ -109,7 +109,7 @@ def test_criterion_3_quantum_chain_rule():
         for r in ch.chain_rule_residual(F, u, [(1, 1), (2, 1)], spec2):
             worst_inner = max(worst_inner, r)
     # torus derivations at N = 32, band <= 4 (degree chosen inside the guard)
-    alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
     worst_torus = 0.0
     cases = [("x**2", 4), ("x**3", 4), ("x**5", 2)]
     for i in range(6):
@@ -142,7 +142,7 @@ def test_criterion_4_binned_moi_convergence():
 
 
 def test_criterion_5_doubling_property():
-    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
     lat = 2 * math.pi / alg.N
     tuples = 0
     violations = 0
@@ -210,7 +210,7 @@ def test_criterion_6_besov_three_norm_equivalence(store):
 
 
 def test_criterion_7_heat_semigroup(store):
-    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
     worst_contraction = 0.0
     for i in range(20):
         x = tor.random_element(alg, rng_for(SEED, "heat", i), band=5)
@@ -223,7 +223,7 @@ def test_criterion_7_heat_semigroup(store):
                if c.s == 1.5 and c.p == 2.0 and c.q == 2.0 and c.n_modes == 16)
     smooth_max = 0.0
     for i in range(10):
-        x = tor.random_element(tor.TorusAlgebra.make(d=2, N=16, theta_num=1),
+        x = tor.random_element(tor.TorusAlgebra(d=2, N=16, theta_num=1),
                                rng_for(cfg.seed, "besov", i), band=cfg.band, decay=2.0)
         rep = bz.heat_smoothing_check(x, cfg.s, cfg.s + 1.0, cfg.p, cfg.q, (0.25, 0.5, 1.0, 2.0))
         smooth_max = max(smooth_max, rep["sup_ratio"])
@@ -257,7 +257,7 @@ def test_criterion_9_nonlinear_boundedness(store):
         maxima[cfg.n_modes] = stats["bound_ratio_max"]
     growth = max(maxima[16] / maxima[8], maxima[32] / maxima[16])
     # identity symbol comes back exactly with ratio 1
-    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
     u = tor.random_element(alg, rng_for(SEED, "id"), band=3)
     rid = bz.boundedness_ratio(parse_symbol("x"), u, BesovIndex(0.5, 2, 2))
     ok = all_ok and growth <= 1.10 and abs(rid - 1.0) <= 1e-12

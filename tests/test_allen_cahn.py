@@ -22,7 +22,7 @@ from opcalc.symbols import SmoothSymbol
 
 @pytest.fixture(scope="module")
 def alg():
-    return tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    return tor.TorusAlgebra(d=2, N=16, theta_num=1)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +152,7 @@ def test_non_finite_iterate_is_a_blow_up():
     # F(u) = u^4 overflows at u = 1e100: F = inf at a finite point of the
     # spectrum (the grid values at theta = 0) may not pass for a converged
     # fixed point
-    alg0 = tor.TorusAlgebra.make(d=2, N=4, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=4, theta_num=0)
     prob = ACProblem(u0=1e100 * tor.unit_element(alg0), F=parse_symbol("x**4"), idx=IDX,
                      t_max=0.01, dt=1e-3)
     with pytest.raises(BlowUpDetected, match="in sweep 1") as err:
@@ -173,7 +173,7 @@ def test_non_real_symbol_rejected_on_both_routes():
                      derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x),
                      max_order=2, check=False)
     for theta_num in (0, 1):
-        alg = tor.TorusAlgebra.make(d=2, N=4, theta_num=theta_num)
+        alg = tor.TorusAlgebra(d=2, N=4, theta_num=theta_num)
         prob = ACProblem(u0=0.5 * tor.unit_element(alg), F=F, idx=IDX, t_max=0.01, dt=1e-3)
         with pytest.raises(SymbolDomainError, match="not real-valued"):
             picard_solve(prob)
@@ -181,7 +181,7 @@ def test_non_real_symbol_rejected_on_both_routes():
 
 def test_evolve_blow_up_riccati():
     # zero-mode Riccati: du/dt = u^2 from u(0) = 2 escapes at t = 1/2
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     u = 2.0 * tor.unit_element(alg0)
     prob = ACProblem(u0=u, F=parse_symbol("x**2"), idx=IDX, t_max=2.0, dt=1e-3,
                      blow_up_threshold=50.0)
@@ -257,7 +257,7 @@ def test_negative_time_rejected(u0):
 
 
 def _cross_check_problem():
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     u = tor.random_element(alg0, rng_for(2, "cc"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3)
     return alg0, prob, np.stack([s.coeffs for s in picard_solve(prob)[0].states])
@@ -342,7 +342,7 @@ def test_picard_matches_per_state_reference(theta_num, reference, initial, horiz
     # bits.  At theta = 0 every case is also held to the per-state matrix
     # functional calculus, so the one route keeps the bits of both routes
     # it replaced.
-    alg = tor.TorusAlgebra.make(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=16 if theta_num else 8, theta_num=theta_num)
     u = tor.random_element(alg, rng_for(theta_num, "sweep"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3)
     traj, rep = picard_solve(prob, horizon=horizon, initial=initial)

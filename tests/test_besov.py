@@ -16,7 +16,7 @@ from opcalc.symbols import LPFilterFamily
 
 @pytest.fixture(scope="module")
 def alg():
-    return tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    return tor.TorusAlgebra(d=2, N=16, theta_num=1)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_multiplier_norm_single_mode(alg):
 @pytest.mark.parametrize("N", [4, 8, 16])
 def test_filter_bank_matches_radial_profile(N, d):
     # the lattice's cached filter bank against direct filter evaluation, bit for bit
-    alg_nd = tor.TorusAlgebra.make(d=d, N=N, theta_num=1 if d == 2 else 0)
+    alg_nd = tor.TorusAlgebra(d=d, N=N, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg_nd, rng_for(N, "bank", d))
     lp = LPFilterFamily()
     count = int(math.ceil(math.log2(max(float(np.max(alg_nd.abs_k)), 1.0)))) + 2
@@ -231,7 +231,7 @@ def per_node_meyer_residual(u, xi, quad_order):
 @pytest.mark.parametrize("xi", [0.5, 2.0])
 @pytest.mark.parametrize("K", [4, 32])
 def test_meyer_quadrature_matches_per_node_sum(K, xi):
-    alg8 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    alg8 = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     x = tor.random_element(alg8, rng_for(6, "mey"), band=3)
     grid = bz.meyer_residual(x, [1.0, xi], [8, K])
     # the residual is a difference of O(1) matrices, so reordering the node sum
@@ -282,7 +282,7 @@ def per_call_meyer_residual(u, xi, quad_order):
 @pytest.mark.parametrize("n,band", [(16, 4), (16, 1), (8, 3)])
 def test_meyer_grid_keeps_bits(n, band):
     # band 1 leaves the outer blocks zero, so the skipped-block chain is covered
-    alg_n = tor.TorusAlgebra.make(d=2, N=n, theta_num=1)
+    alg_n = tor.TorusAlgebra(d=2, N=n, theta_num=1)
     x = tor.random_element(alg_n, rng_for(7, "mey-grid", n, band), band=band)
     xis, orders = (0.0, 0.5, 1.0, 2.0), (4, 32)
     grid = bz.meyer_residual(x, xis, orders)
@@ -393,7 +393,7 @@ def _twisted_regular(alg, c):
 def test_apply_symbol_matches_twisted_regular_realization(theta_num, expr):
     # L_{F(u)} = F(L_u), so column 0 of F(L_u) holds the coefficients of F(u);
     # L_u comes from the dense basis, not from the clock/shift FFT route
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
     F = parse_symbol(expr)
     xs = np.stack([tor.random_element(alg, rng_for(i, "twreg", theta_num), band=3).coeffs
                    for i in range(3)])
@@ -407,7 +407,7 @@ def test_apply_symbol_matches_twisted_regular_realization(theta_num, expr):
 def test_flat_apply_symbol_matches_regular_realization(expr):
     # the grid route against F on the coset blocks of the left-regular
     # realization, which share no FFT with it
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     F = parse_symbol(expr)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "flreg"), band=3).coeffs for i in range(3)])
     ref = bz.regular_apply_symbol(F, alg0, xs)
@@ -419,7 +419,7 @@ def test_flat_apply_symbol_matches_regular_realization(expr):
 def test_flat_apply_symbol_keeps_diagonal_calculus_bits(N):
     # F on the grid values gives the bits of the functional calculus of the
     # diagonal realization, zero and constant states included
-    alg0 = tor.TorusAlgebra.make(d=2, N=N, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=N, theta_num=0)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "flbits", N), band=N // 2 - 1).coeffs
                    for i in range(3)] + [np.zeros(alg0.shape), 0.7 * tor.unit_element(alg0).coeffs])
     for expr in ("tanh(x)", "x**3", "exp(x)", "abs(x)", "x*abs(x)"):
@@ -430,7 +430,7 @@ def test_flat_apply_symbol_keeps_diagonal_calculus_bits(N):
 
 def test_flat_apply_symbol_rejects_non_hermitian():
     # the grid values meet the deviation test of the diagonal realization
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     xs = np.stack([tor.random_element(alg0, rng_for(0, "flnh"), band=2).coeffs,
                    tor.random_element(alg0, rng_for(1, "flnh"), band=2, hermitian=False).coeffs])
     with pytest.raises(NonHermitianInput) as err:
@@ -513,7 +513,7 @@ def per_call_integral_norm(x, idx, m, n_der, qd):
 @pytest.mark.parametrize("theta_num", [0, 1])
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_difference_forms_keep_per_call_bits(theta_num, p):
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
     sampling, qd = tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6)
     xs = [tor.random_element(alg, rng_for(i, "dforms"), band=3, decay=2.0) for i in range(2)]
     xs.append(tor.random_element(alg, rng_for(9, "dforms"), band=1))  # another dyadic range
@@ -535,7 +535,7 @@ def test_difference_forms_keep_per_call_bits(theta_num, p):
 def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_der):
     # d_i^0 x = x on every axis: at N = 0 one row is measured and read for
     # all d axes; at N >= 1 each axis has its own row
-    alg = tor.TorusAlgebra.make(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
+    alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
     geometry = bz.DifferenceGeometry(alg, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
     built = []
@@ -554,7 +554,7 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
 def test_multiplier_norm_stack_matches_per_state(theta_num):
     # the stacked ball norms of the Picard solver and the trajectory table
     # keep the bits of besov_multiplier_norm state by state, across chunks
-    alg = tor.TorusAlgebra.make(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=16 if theta_num else 8, theta_num=theta_num)
     xs = np.stack([tor.random_element(alg, rng_for(i, "mstack", theta_num), band=1 + i % 4).coeffs
                    * 10.0 ** (i % 5 - 2) for i in range(40)] + [np.zeros(alg.shape, complex)])
     count = len(alg.lp_filters)
@@ -600,7 +600,7 @@ def per_block_paraproduct(seq, u):
 @pytest.mark.parametrize("N", [8, 16])
 def test_psdo_sequence_growth_and_paraproduct_keep_per_call_bits(N):
     from opcalc.experiments import exp_psdo_sequence
-    alg = tor.TorusAlgebra.make(d=2, N=N, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=N, theta_num=1)
     u = tor.random_element(alg, rng_for(N, "psdo-bits"), band=3)
     x = tor.random_element(alg, rng_for(N, "psdo-x"), band=3, decay=2.0)
     seq = exp_psdo_sequence(u, xi=1.0, theta=0.7)
@@ -658,7 +658,7 @@ def test_symbol_ratios_compute_each_image_once(alg, monkeypatch):
 
 
 def test_meyer_operator_norms_go_through_schatten_norm(monkeypatch):
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     x = tor.random_element(alg, rng_for(0, "mey-svd"), band=2)
     expect = bz.meyer_residual(x, [0.0, 1.0], [4, 8])
     seen = []

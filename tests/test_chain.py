@@ -181,7 +181,7 @@ def test_chain_rule_smooth_symbol():
 
 
 def test_chain_rule_torus():
-    alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
     u = tor.random_element(alg, rng_for(7, "tor"), band=4, decay=2.0)
     spec = DerivationSpec("torus")
     betas = [(1, 0), (2, 0), (1, 1)]
@@ -216,7 +216,7 @@ def test_shared_phi_keeps_bits(case):
         spec = DerivationSpec("inner", (random_hermitian(rng, 8),))
         beta = (3,)
     else:
-        alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+        alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
         u = tor.random_element(alg, rng_for(9, "share-torus"), band=3, decay=2.0)
         spec = DerivationSpec("torus")
         beta = (2, 1)
@@ -262,7 +262,7 @@ def test_multi_beta_residual_keeps_bits_inner(expr):
 
 @pytest.mark.parametrize("expr,band", [("x**3", 4), ("x**2", 4), ("x**5", 2)])
 def test_multi_beta_residual_keeps_bits_torus(expr, band):
-    alg = tor.TorusAlgebra.make(d=2, N=32, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
     u = tor.random_element(alg, rng_for(11, "multi-torus", expr), band=band, decay=2.0)
     spec = DerivationSpec("torus")
     betas = [(1, 0), (2, 0), (1, 1), (2, 1)]
@@ -303,7 +303,7 @@ def test_chain_rule_non_real_symbol_raises():
 
 
 def test_chain_rule_torus_band_guard():
-    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
     u = tor.random_element(alg, rng_for(8, "guard"), band=6, decay=0.0)
     with pytest.raises(BandOverflow):
         chain_rule_residual(parse_symbol("x**5"), u, [(1, 0)], DerivationSpec("torus"))

@@ -172,11 +172,16 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
      "[allen-cahn]"),
     ("nonlinear-estimate", "ensemble = 1\n[algebra]\nn = 8\n[allen-cahn]\ndelta = 2\n",
      "[allen-cahn]"),
+    ("meyer", "band = -2\n", "[experiment] band"),
+    ("allen-cahn", "[allen-cahn]\ndelta = nan\n", "[allen-cahn] delta"),
+    ("allen-cahn", "[allen-cahn]\ndelta = -5\n", "[allen-cahn] delta"),
+    ("meyer", "[algebra]\nd = 0\n", "[algebra] d must be >= 1"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
         "t-max-inf", "deep-expr", "commutative-flat", "symbol-check", "meyer-besov",
         "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
-        "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn"])
+        "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn", "band-negative",
+        "delta-nan", "delta-negative", "d0"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,17 +17,17 @@ from opcalc.symbols import LPFilterFamily
 
 @pytest.fixture(scope="module")
 def alg():
-    return tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    return tor.TorusAlgebra(d=2, N=8, theta_num=1)
 
 
 @pytest.fixture(scope="module")
 def alg16():
-    return tor.TorusAlgebra.make(d=2, N=16, theta_num=1)
+    return tor.TorusAlgebra(d=2, N=16, theta_num=1)
 
 
 @pytest.mark.parametrize("theta_num", [1, 3, 5])
 def test_fast_transform_matches_dense_basis(theta_num):
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
     rng = rng_for(theta_num, "dense")
     x = tor.TorusElement(alg, rng.standard_normal(alg.shape) + 1j * rng.standard_normal(alg.shape))
     dense = np.tensordot(x.coeffs, alg.basis(), axes=([0, 1], [0, 1]))
@@ -42,7 +44,7 @@ def test_fast_transform_matches_dense_basis(theta_num):
 def test_boundary_mode_hermitian_sign(theta_num):
     # elements supported on the asymmetric boundary hyperplane k1 = -N/2:
     # the sign-aware flag must agree with Hermiticity of the realization
-    alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
     rng = rng_for(theta_num, "bnd")
     raw = np.zeros(alg.shape, dtype=complex)
     raw[4, 1] = 0.7 + 0.2j      # k = (-4, 1)
@@ -61,13 +63,27 @@ def test_boundary_mode_hermitian_sign(theta_num):
 
 def test_algebra_validation():
     with pytest.raises(ValueError):
-        tor.TorusAlgebra.make(d=2, N=7, theta_num=1)  # odd N
+        tor.TorusAlgebra(d=2, N=7, theta_num=1)  # odd N
     with pytest.raises(ValueError):
-        tor.TorusAlgebra.make(d=2, N=8, theta_num=2)  # gcd(2, 8) != 1
+        tor.TorusAlgebra(d=2, N=8, theta_num=2)  # gcd(2, 8) != 1
     with pytest.raises(BackendMismatch):
-        tor.TorusAlgebra.make(d=3, N=8, theta_num=1)  # clock/shift needs d = 2
-    with pytest.raises(ValueError):
-        tor.TorusAlgebra(d=2, N=8, theta=np.array([[0.0, 0.5], [0.5, 0.0]]))  # not antisym
+        tor.TorusAlgebra(d=3, N=8, theta_num=1)  # clock/shift needs d = 2
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            tor.TorusAlgebra(d=d, N=8, theta_num=0)
+
+
+def test_algebra_is_a_value():
+    # equal lattices are one dict/set key, and survive the pickling that
+    # parallel_map applies to elements
+    a, b = tor.TorusAlgebra(d=2, N=8, theta_num=1), tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(tor.random_element(a, rng_for(0, "pickle")))).algebra == a
+    others = [tor.TorusAlgebra(d=2, N=8, theta_num=3), tor.TorusAlgebra(d=2, N=8),
+              tor.TorusAlgebra(d=2, N=16, theta_num=1)]
+    assert all(o != a for o in others) and len({a, *others}) == 4
+    assert [f.name for f in dataclasses.fields(tor.TorusAlgebra)] == ["d", "N", "theta_num"]
 
 
 def test_unit_maps_to_identity(alg):
@@ -84,14 +100,14 @@ def test_single_mode_is_clock(alg):
 def test_clock_shift_commutation(alg):
     u1 = tor.to_matrix(tor.mode_element(alg, (1, 0)))
     u2 = tor.to_matrix(tor.mode_element(alg, (0, 1)))
-    phase = np.exp(2j * np.pi * alg.theta[0, 1])
+    phase = np.exp(2j * np.pi * (alg.theta_num / alg.N))
     assert np.allclose(u2 @ u1, phase * (u1 @ u2))
 
 
 def test_mode_product_phase(alg):
     lhs = tor.multiply(tor.mode_element(alg, (0, 1)), tor.mode_element(alg, (1, 0)))
     rhs = tor.multiply(tor.mode_element(alg, (1, 0)), tor.mode_element(alg, (0, 1)))
-    phase = np.exp(2j * np.pi * alg.theta[0, 1])
+    phase = np.exp(2j * np.pi * (alg.theta_num / alg.N))
     assert np.max(np.abs(lhs.coeffs - phase * rhs.coeffs)) <= 1e-12
 
 
@@ -151,7 +167,7 @@ def test_multiply_unit(alg):
 
 
 def test_commutative_backend_fft_oracle():
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     rng = rng_for(7, "fft")
     x = tor.random_element(alg0, rng, band=1)
     y = tor.random_element(alg0, rng, band=1)
@@ -175,9 +191,9 @@ def _algebras(draw):
     N = draw(st.sampled_from(range(4, 17, 2)))
     p = draw(st.sampled_from([0] + [q for q in range(1, N) if math.gcd(q, N) == 1]))
     if p:
-        return tor.TorusAlgebra.make(d=2, N=N, theta_num=p)
+        return tor.TorusAlgebra(d=2, N=N, theta_num=p)
     d = draw(st.sampled_from([d for d in (1, 2, 3) if N ** d <= 64]))
-    return tor.TorusAlgebra.make(d=d, N=N)
+    return tor.TorusAlgebra(d=d, N=N)
 
 
 @st.composite
@@ -373,7 +389,7 @@ def test_amplitude_refinement_stability(alg16):
 
 
 def test_amplitude_single_mode_closed_form():
-    alg1 = tor.TorusAlgebra.make(d=1, N=16, theta_num=0)
+    alg1 = tor.TorusAlgebra(d=1, N=16, theta_num=0)
     x = tor.mode_element(alg1, (3,))
     js = np.arange(-1, 4)
     got = _amplitudes(x, (-1, 3), sampling=tor.AmplitudeSampling(64, 32))
@@ -506,7 +522,7 @@ def test_backend_consistency_flat():
     # real coset blocks and as the dense L_u for a Hermitian element, as the
     # dense L_u for a non-Hermitian one
     for d, N in ((2, 8), (1, 16), (3, 4)):
-        alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
+        alg0 = tor.TorusAlgebra(d=d, N=N, theta_num=0)
         x = tor.random_element(alg0, rng_for(32, "bc", d), band=2)
         y = tor.random_element(alg0, rng_for(32, "bc-nh", d), band=2, hermitian=False)
         for z, regular in ((x, _block_diagonal(tor.regular_blocks(alg0, x.coeffs[None]))),
@@ -515,7 +531,7 @@ def test_backend_consistency_flat():
             assert regular.shape == (1, N ** d, N ** d)
             for p in (1, 2, math.inf):
                 assert tor.lp_norm(z, p) == pytest.approx(schatten_norm_batch(regular, p)[0], rel=1e-12)
-    alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+    alg1 = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     c1 = tor.random_element(alg1, rng_for(33, "bm"), band=2).coeffs[None]
     for realize in (tor.grid_values, tor.regular_blocks):
         with pytest.raises(BackendMismatch):
@@ -528,7 +544,7 @@ def test_coset_blocks_match_full_parity_realization(d, N):
     # basis, is block diagonal with the 2^d real symmetric blocks R_eps, whose
     # spectra together are that of L_u, and F(u) read from the blocks is
     # column 0 of F(L_u)
-    alg0 = tor.TorusAlgebra.make(d=d, N=N, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=d, N=N, theta_num=0)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "coset", d, N), band=3, decay=1.5).coeffs
                    for i in range(3)])
     M, side = N ** d, (N // 2) ** d
@@ -552,7 +568,7 @@ def test_coset_blocks_match_full_parity_realization(d, N):
 
 
 def test_coset_blocks_reject_non_hermitian_and_twisted():
-    alg0 = tor.TorusAlgebra.make(d=2, N=8, theta_num=0)
+    alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     F = parse_symbol("tanh(x)")
     x = tor.random_element(alg0, rng_for(36, "cbh"), band=3).coeffs
     bad = x.copy()
@@ -563,13 +579,13 @@ def test_coset_blocks_reject_non_hermitian_and_twisted():
             realize(alg0, np.stack([x, bad]))
         with pytest.raises(NonHermitianInput):
             realize(alg0, np.full((1,) + alg0.shape, np.nan))
-        alg1 = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+        alg1 = tor.TorusAlgebra(d=2, N=8, theta_num=1)
         with pytest.raises(BackendMismatch):
             realize(alg1, tor.random_element(alg1, rng_for(37, "cbt"), band=2).coeffs[None])
 
 
 def test_hermitian_deviation_batch_matches_elements():
-    for alg0 in (tor.TorusAlgebra.make(d=2, N=8, theta_num=1), tor.TorusAlgebra.make(d=3, N=4)):
+    for alg0 in (tor.TorusAlgebra(d=2, N=8, theta_num=1), tor.TorusAlgebra(d=3, N=4)):
         xs = [tor.random_element(alg0, rng_for(i, "hdb", alg0.d), band=1, hermitian=i % 2 == 0)
               for i in range(4)]
         got = tor.hermitian_deviation_batch(alg0, np.stack([x.coeffs for x in xs]))
@@ -587,7 +603,7 @@ def test_dimension_mismatch_ops(alg, alg16):
 
 @pytest.mark.parametrize("d,N,theta_num", [(1, 8, 0), (2, 8, 0), (2, 8, 1), (2, 16, 3)])
 def test_from_matrix_batch_matches_from_matrix(d, N, theta_num):
-    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=d, N=N, theta_num=theta_num)
     rng = rng_for(N + theta_num, "from-batch")
     dim = alg.matrix_dim
     stack = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
@@ -602,7 +618,7 @@ def test_from_matrix_batch_matches_from_matrix(d, N, theta_num):
 @pytest.mark.parametrize("theta_num,count", [(1, 130), (0, 3), (1, 0)])
 def test_realization_chunks_cover_the_stack(theta_num, count):
     # N = 16: 64 clock/shift matrices (16 x 16) per chunk, one flat 256 x 256
-    alg = tor.TorusAlgebra.make(d=2, N=16, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=theta_num)
     idx = np.arange(count)
     chunks = tor.realization_chunks(alg, count)
     assert np.array_equal(np.concatenate([idx[c] for c in chunks] + [idx[:0]]), idx)
@@ -661,7 +677,7 @@ def _axis1_from_matrix_batch(alg, stack):
 @pytest.mark.parametrize("N", [8, 16, 32])
 @pytest.mark.parametrize("theta_num", [1, 3])
 def test_contiguous_axis_realization_keeps_axis1_bits(N, theta_num):
-    alg = tor.TorusAlgebra.make(d=2, N=N, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=N, theta_num=theta_num)
     rng = rng_for(N * 10 + theta_num, "axis1")
     coeffs = np.stack([tor.random_element(alg, rng, hermitian=h).coeffs for h in (True, False) * 20])
     mats = tor.to_matrix_batch(alg, coeffs)
@@ -677,7 +693,7 @@ def test_contiguous_axis_realization_keeps_axis1_bits(N, theta_num):
                                            (2, 16, 1), (2, 16, 3), (2, 32, 1), (2, 32, 3),
                                            (2, 4, 0), (2, 8, 0), (2, 16, 0), (1, 32, 0)])
 def test_realization_matches_scatter_reference(d, N, theta_num):
-    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=d, N=N, theta_num=theta_num)
     rng = rng_for(N * 10 + theta_num, "gather")
     coeffs = np.stack([tor.random_element(alg, rng, hermitian=False).coeffs for _ in range(3)])
     mats = tor.to_matrix_batch(alg, coeffs)
@@ -702,7 +718,7 @@ def _exp_difference_stack(x, dirs, radii, m):
 def test_difference_stack_matches_exp_reference(d, N, theta_num, m):
     # both multipliers round the phase r <d, k>, whose size grows with r |k|,
     # so the entries agree to a phase-rounding bound scaled by |x_k|
-    alg = tor.TorusAlgebra.make(d=d, N=N, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=d, N=N, theta_num=theta_num)
     x = tor.random_element(alg, rng_for(N + d, "dstack"), decay=0.0)
     dirs = tor.sphere_directions(d, 8)
     radii = np.geomspace(1e-3, 8.0, 13)

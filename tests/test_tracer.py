@@ -73,7 +73,7 @@ def test_tracer_install_then_uninstall_restores_every_binding():
         assert len(patched) == len(tracer._patches)
         # a traced norm runs the tracer's hooks, which read TorusAlgebra.backend
         # and count the stacks and the realized matrices
-        alg = tor.TorusAlgebra.make(d=2, N=8, theta_num=1)
+        alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
         stack = np.stack([tor.random_element(alg, rng_for(i, "tracer"), band=2).coeffs for i in range(2)])
         tor.lp_norm_batch(alg, stack, 1)
         assert tracer.stats["torus.lp_norm_batch"][0] == 1
