@@ -71,7 +71,10 @@ def cmd_run(args) -> int:
     try:
         result = run_experiment(cfg, store, jobs=args.jobs)
     except MissingBaseline as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "" if args.seed is None else (
+            f"; --seed changes the config hash: copy the config with [experiment] seed = {args.seed}, then "
+            "run `opcalc baseline COPY --baseline PATH` and `opcalc run COPY --baseline PATH`")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     write_summary(os.path.join(outdir, "summary.txt"), cfg, result)
     report_rows = [{"name": a.name, "value": a.value, "bound": a.bound,
@@ -129,7 +132,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output root (default $OPCALC_OUT)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--jobs", type=positive_int, default=1, help="worker processes for ensembles")
+    p_run.add_argument("--jobs", type=positive_int, default=1,
+                       help="worker processes; parallelizes besov-equivalence ensembles only")
     p_run.add_argument("--baseline", default=None, help="baseline store path (default packaged)")
     p_run.set_defaults(fn=cmd_run)
 

@@ -1,6 +1,6 @@
-"""Tiny expression grammar for scalar symbols.
+"""Symbol expressions with symbolic derivatives.
 
-Grammar (used in experiment configs)::
+Grammar (used in experiment configs), with Python's precedence::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -8,31 +8,27 @@ Grammar (used in experiment configs)::
     atom   := number | 'x' | name '(' expr ')' | '(' expr ')'
 
 Names: exp, sin, cos, sinh, cosh, tanh, abs, relu, gauss (gauss(u) = exp(-u^2)).
-Division only by constants.  Derivatives are produced symbolically from the
-parse tree, so polynomial symbols keep exact coefficients.  An expression
-nested too deeply to parse and differentiate is a ConfigError.
+Division only by nonzero constants.  Python's ``ast`` parser reads the text,
+each run of whitespace made one space, and a whitelist turns its tree into
+Nodes; nothing is evaluated.  Numerals are decimal int/float literals read by
+float() (1e999 is inf).  Hex, octal, binary, underscores, complex, bool, '#',
+',', non-ASCII characters and nesting past 200 parentheses are errors.  Unlike
+the hand-written parser this replaced, ``x ** 2`` and ``x**(2)`` parse, while
+leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
+Derivatives are built from the tree, so polynomials keep exact coefficients.
+An expression nested too deeply to parse and differentiate is a ConfigError.
 """
 
 from __future__ import annotations
 
+import ast
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .symbols import SmoothSymbol
-
-_FUNCS = {
-    "exp": (np.exp, "exp"),
-    "sin": (np.sin, "sin"),
-    "cos": (np.cos, "cos"),
-    "sinh": (np.sinh, "sinh"),
-    "cosh": (np.cosh, "cosh"),
-    "tanh": (np.tanh, "tanh"),
-    "abs": (np.abs, "abs"),
-    "relu": (lambda x: np.maximum(x, 0.0), "relu"),
-    "gauss": (lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), "gauss"),
-}
 
 
 class Node:
@@ -110,28 +106,7 @@ class Call(Node):
         return _FUNCS[self.name][0](self.arg.ev(x))
 
     def d(self):
-        u, du = self.arg, self.arg.d()
-        if self.name == "exp":
-            outer = Call("exp", u)
-        elif self.name == "sin":
-            outer = Call("cos", u)
-        elif self.name == "cos":
-            outer = Mul(Num(-1.0), Call("sin", u))
-        elif self.name == "sinh":
-            outer = Call("cosh", u)
-        elif self.name == "cosh":
-            outer = Call("sinh", u)
-        elif self.name == "tanh":
-            outer = Add(Num(1.0), Mul(Num(-1.0), Pow(Call("tanh", u), 2)))
-        elif self.name == "abs":
-            outer = Sign(u)
-        elif self.name == "relu":
-            outer = Step(u)
-        elif self.name == "gauss":
-            outer = Mul(Mul(Num(-2.0), u), Call("gauss", u))
-        else:  # pragma: no cover
-            raise ConfigError(f"no derivative rule for {self.name}")
-        return Mul(outer, du)
+        return Mul(_FUNCS[self.name][1](self.arg), self.arg.d())
 
 
 @dataclass(frozen=True)
@@ -156,107 +131,69 @@ class Step(Node):
         return Num(0.0)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# name -> (numpy evaluator, derivative rule u -> F'(u) as a tree)
+_FUNCS = {
+    "exp": (np.exp, lambda u: Call("exp", u)),
+    "sin": (np.sin, lambda u: Call("cos", u)),
+    "cos": (np.cos, lambda u: Mul(Num(-1.0), Call("sin", u))),
+    "sinh": (np.sinh, lambda u: Call("cosh", u)),
+    "cosh": (np.cosh, lambda u: Call("sinh", u)),
+    "tanh": (np.tanh, lambda u: Add(Num(1.0), Mul(Num(-1.0), Pow(Call("tanh", u), 2)))),
+    "abs": (np.abs, Sign),
+    "relu": (lambda x: np.maximum(x, 0.0), Step),
+    "gauss": (lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
+              lambda u: Mul(Mul(Num(-2.0), u), Call("gauss", u))),
+}
 
-    def error(self, msg: str):
-        raise ConfigError(f"symbol expression error at position {self.pos}: {msg} in {self.text!r}")
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _tree(text: str) -> Node:
+    """The Node tree of an expression, read by Python's parser through a whitelist."""
+    src = " ".join(text.split())
 
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
+    def fail(what: str):
+        raise ConfigError(f"symbol expression error: {what} in {text!r}")
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.term()
-            node = Add(node, rhs if op == "+" else Mul(Num(-1.0), rhs))
-        return node
+    # Python would drop a comment, accept a call's trailing comma and fold
+    # non-ASCII names such as U+FF58 into ASCII ones
+    bad = [c for c in src if c in "#," or not c.isascii()]
+    if bad:
+        fail(f"unexpected {bad[0]!r}")
+    try:
+        with warnings.catch_warnings():  # '1if x' would print a SyntaxWarning, then fail below
+            warnings.simplefilter("error", SyntaxWarning)  # now a SyntaxError
+            body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        if exc.msg == "too many nested parentheses":  # the tokenizer stops at 200 levels
+            raise RecursionError from None  # parse_symbol: "nested too deeply"
+        fail(exc.msg)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            c = self.peek()
-            if c == "*" and not self.text.startswith("**", self.pos):
-                self.pos += 1
-                node = Mul(node, self.factor())
-            elif c == "/":
-                self.pos += 1
-                rhs = self.factor()
-                if not isinstance(rhs, Num) or rhs.value == 0.0:
-                    self.error("division only by nonzero constants")
-                node = Mul(node, Num(1.0 / rhs.value))
-            else:
-                return node
+    def walk(node) -> Node:
+        seg = src[node.col_offset:node.end_col_offset]  # one ASCII line: offsets are characters
+        kind, op = type(node), type(getattr(node, "op", None))
+        if kind is ast.Constant and type(node.value) in (int, float) and set(seg) <= set("0123456789.eE+-"):
+            return Num(float(seg))  # float() of the text: a 400-digit integer reads as inf
+        if kind is ast.Name and node.id == "x":
+            return Var()
+        if kind is ast.UnaryOp and op in (ast.UAdd, ast.USub):
+            return walk(node.operand) if op is ast.UAdd else Mul(Num(-1.0), walk(node.operand))
+        if kind is ast.BinOp and op is ast.Pow:
+            n = node.right
+            if type(n) is not ast.Constant or not src[n.col_offset:n.end_col_offset].isdigit():
+                fail(f"{seg!r} needs a nonnegative integer power")
+            return Pow(walk(node.left), int(n.value))
+        if kind is ast.BinOp and op in (ast.Add, ast.Sub, ast.Mult, ast.Div):
+            a, b = walk(node.left), walk(node.right)
+            if op is ast.Div:
+                if type(b) is not Num or b.value == 0.0:
+                    fail(f"{seg!r} divides by other than a nonzero constant")
+                return Mul(a, Num(1.0 / b.value))
+            return Mul(a, b) if op is ast.Mult else Add(a, b if op is ast.Add else Mul(Num(-1.0), b))
+        if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCS
+                and len(node.args) == 1 and not node.keywords):
+            return Call(node.func.id, walk(node.args[0]))
+        fail(f"{seg!r} is not in the grammar")
 
-    def factor(self) -> Node:
-        c = self.peek()
-        if c == "+":
-            self.pos += 1
-            return self.factor()
-        if c == "-":
-            self.pos += 1
-            return Mul(Num(-1.0), self.factor())
-        node = self.atom()
-        if self.text.startswith("**", self.pos):
-            self.pos += 2
-            if self.peek() == "-":
-                self.error("negative powers are not supported")
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("expected integer power")
-            node = Pow(node, int(self.text[start:self.pos]))
-        return node
-
-    def atom(self) -> Node:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if c.isdigit() or c == ".":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"
-                                                 or (self.text[self.pos] in "+-" and self.text[self.pos - 1] in "eE")):
-                self.pos += 1
-            try:
-                return Num(float(self.text[start:self.pos]))
-            except ValueError:
-                self.error(f"bad number {self.text[start:self.pos]!r}")
-        if c.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name == "x":
-                return Var()
-            if name in _FUNCS:
-                if self.peek() != "(":
-                    self.error(f"{name} needs an argument in parentheses")
-                self.pos += 1
-                arg = self.expr()
-                if self.peek() != ")":
-                    self.error("expected ')'")
-                self.pos += 1
-                return Call(name, arg)
-            self.error(f"unknown name {name!r}")
-        self.error("expected an atom")
+    return walk(body)
 
 
 def _poly_coeffs(node: Node):
@@ -331,7 +268,7 @@ def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
 
     try:
         # every step here, the sanity check's evaluations too, recurses per nesting level
-        tree = _Parser(text).parse()
+        tree = _tree(text)
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
         nodes = [tree]

@@ -176,12 +176,14 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("allen-cahn", "[allen-cahn]\ndelta = nan\n", "[allen-cahn] delta"),
     ("allen-cahn", "[allen-cahn]\ndelta = -5\n", "[allen-cahn] delta"),
     ("meyer", "[algebra]\nd = 0\n", "[algebra] d must be >= 1"),
+    # a symbol that is not finite on the sanity-check window
+    ("moi", "[symbol]\nexpr = 1e999*x\n", "not finite"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
         "t-max-inf", "deep-expr", "commutative-flat", "symbol-check", "meyer-besov",
         "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
         "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn", "band-negative",
-        "delta-nan", "delta-negative", "d0"])
+        "delta-nan", "delta-negative", "d0", "inf-literal"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)
@@ -224,6 +226,24 @@ def test_cli_missing_baseline(tmp_path, capsys):
     rc = main(["run", str(path), "--out", str(tmp_path / "o"), "--baseline", str(empty)])
     assert rc == 3
     assert "baseline" in capsys.readouterr().err
+
+
+def test_cli_seed_without_baseline_says_how_to_capture_one(tmp_path, capsys):
+    # the seed is part of the config hash, so --seed needs baselines of its own
+    text = ("[experiment]\nkind = besov-equivalence\nseed = 3\nensemble = 2\n"
+            "[algebra]\nn = 8\n[besov]\ns = 0.5\nn_der = 0\n")
+    path, copy, store = tmp_path / "b.ini", tmp_path / "copy.ini", tmp_path / "constants.json"
+    path.write_text(text)
+    assert main(["baseline", str(path), "--baseline", str(store)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--baseline", str(store),
+                 "--seed", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "--seed changes the config hash" in err and "[experiment] seed = 5" in err
+    # the advice works: capture for a copy at seed 5, then run the copy, or the config at --seed 5
+    copy.write_text(text.replace("seed = 3", "seed = 5"))
+    assert main(["baseline", str(copy), "--baseline", str(store)]) == 0
+    for args in ([str(copy)], [str(path), "--seed", "5"]):
+        assert main(["run", *args, "--out", str(tmp_path / "o"), "--baseline", str(store)]) == 0
 
 
 def test_cli_baseline_capture_and_refusal(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from opcalc.errors import ConfigError, OrderExceeded
-from opcalc.expr import parse_symbol
+from opcalc.expr import Add, Call, Mul, Num, Pow, Var, _tree, parse_symbol
 from opcalc.seeding import rng_for
 from opcalc.symbols import (BumpLocalizer, LPFilterFamily, SmoothSymbol, cb_norm, divided_diff,
                             divided_diff_tensor, homogeneous_sym, lipschitz_norm, localize)
@@ -265,3 +266,54 @@ def test_deep_expressions_are_config_errors():
     for deep in ["x" + " + x" * 1199, "tanh(" * 300 + "x" + ")" * 300]:
         with pytest.raises(ConfigError, match="nested too deeply"):
             parse_symbol(deep)
+
+
+# the trees the expression front end builds: Python's precedence and left
+# associativity; a - b is a + (-1)*b, -a is (-1)*a, +a is a, a / c is a * (1/c)
+_X = Var()
+GOLDEN_TREES = {
+    "x": _X,
+    "1 + 2*x**3": Add(Num(1.0), Mul(Num(2.0), Pow(_X, 3))),
+    "x - 1 - x": Add(Add(_X, Mul(Num(-1.0), Num(1.0))), Mul(Num(-1.0), _X)),
+    "x*2*3": Mul(Mul(_X, Num(2.0)), Num(3.0)),
+    "x/2/4": Mul(Mul(_X, Num(0.5)), Num(0.25)),
+    "x/+2": Mul(_X, Num(0.5)),
+    "-x**2": Mul(Num(-1.0), Pow(_X, 2)),
+    "+-+x": Mul(Num(-1.0), _X),
+    "2*-x": Mul(Num(2.0), Mul(Num(-1.0), _X)),
+    "tanh(x)**2": Pow(Call("tanh", _X), 2),
+    "(x + 1)**2": Pow(Add(_X, Num(1.0)), 2),
+    " exp (\t0.5 * x)\n": Call("exp", Mul(Num(0.5), _X)),
+    "gauss(x)*cos(3*x)": Mul(Call("gauss", _X), Call("cos", Mul(Num(3.0), _X))),
+    ".5e1 + 1e999*x": Add(Num(5.0), Mul(Num(math.inf), _X)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_TREES))
+def test_expression_trees(text):
+    assert _tree(text) == GOLDEN_TREES[text]
+
+
+def test_spaces_and_parentheses_around_powers():
+    assert _tree("x ** 2") == _tree("x**(2)") == _tree("x**2") == Pow(_X, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "x // 2", "x % 2", "x.real", "x[0]", "sin(x=1)", "sin(x, x)", "lambda: 1", "__import__('os')",
+    "0x10*x", "1_000*x", "1j*x", "True*x", "x # c", "x**2**2", "007*x", "x**2.0", "x**-1", "x < 1",
+    "exp(x,)", "ｘ"])
+def test_expressions_outside_the_grammar(text):
+    with pytest.raises(ConfigError, match=re.escape(repr(text))):
+        parse_symbol(text)
+
+
+def test_parentheses_past_python_limit_are_nested_too_deeply():
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        parse_symbol("(" * 201 + "x" + ")" * 201)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("text", ["exp(exp(exp(x)))", "1e999*x"])
+def test_symbols_not_finite_on_the_window(text):
+    with pytest.raises(ConfigError, match="not finite on the window"):
+        parse_symbol(text)

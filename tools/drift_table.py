@@ -7,18 +7,22 @@ the working tree.
 Every `configs/*.ini` runs through `opcalc run` at its own seed and at each
 `--seed`, once on an exported copy of the parent revision (`git archive`, as
 in tools/bench_pairs.py) and once on the working tree, each with the src/ and
-configs/ of its own checkout and with one BLAS thread.  Each `summary.txt`
-row that differs is printed as a row of a markdown table (parent value,
-working-tree value); every other output file that differs, or exists on one
-side only, is named below it, the exit status of each run among them.  A
-run at an extra seed whose baselines are not in the packaged store exits 3
-(missing baseline) before it computes anything, so only its exit status is
-compared.  Exit status 0 iff nothing differs.
+configs/ of its own checkout and with one BLAS thread.  The seed is part of
+the config hash, so at an extra seed each side first writes a copy of the
+config with `[experiment] seed = S` and runs `opcalc baseline <copy>
+--baseline <out>/constants.json`; a kind that has baselines (allen-cahn,
+besov-equivalence, nonlinear-estimate) then runs `opcalc run <copy>
+--baseline <same store>`, any other kind runs the config with `--seed S`.
+Each `summary.txt` row that differs is printed as a row of a markdown table
+(parent value, working-tree value); every other output file that differs, or
+exists on one side only, is named below it, the captured baseline store and
+the exit statuses of each run among them.  Exit status 0 iff nothing differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import subprocess
 import sys
@@ -30,14 +34,31 @@ from bench_pairs import ROOT, export_revision, git
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_config(checkout: Path, config: str, seed, out: Path) -> int:
-    """`opcalc run` of checkout/configs/<config> into out; its exit status."""
-    cmd = [sys.executable, "-m", "opcalc.cli", "run", str(checkout / "configs" / config),
-           "--out", str(out)]
-    if seed is not None:
-        cmd += ["--seed", str(seed)]
+def opcalc(checkout: Path, *args) -> int:
+    """The exit status of `opcalc <args>` run with checkout/src."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **ONE_THREAD)
-    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True).returncode
+    return subprocess.run([sys.executable, "-m", "opcalc.cli", *map(str, args)], cwd=checkout,
+                          env=env, capture_output=True).returncode
+
+
+def run_config(checkout: Path, config: str, seed, out: Path) -> str:
+    """Run checkout/configs/<config> into out, at seed if given; the exit statuses."""
+    path = checkout / "configs" / config
+    if seed is None:
+        return f"run {opcalc(checkout, 'run', path, '--out', out)}\n"
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    parser["experiment"]["seed"] = str(seed)
+    copy = out.with_suffix(".ini")  # beside out, so not compared itself
+    with open(copy, "w") as fh:
+        parser.write(fh)
+    store = out / "constants.json"
+    captured = opcalc(checkout, "baseline", copy, "--baseline", store)
+    if captured == 0:
+        ran = opcalc(checkout, "run", copy, "--out", out, "--baseline", store)
+    else:  # a kind without baselines, or a config error that the run reports too
+        ran = opcalc(checkout, "run", path, "--out", out, "--seed", seed)
+    return f"baseline {captured}\nrun {ran}\n"
 
 
 def summary_rows(path: Path) -> dict:
@@ -81,8 +102,8 @@ def main(argv=None) -> int:
                     outs[side] = Path(tmp) / "out" / side / tag
                     outs[side].mkdir(parents=True)
                     status = run_config(checkout, config, seed, outs[side])
-                    (outs[side] / "exit_status").write_text(f"{status}\n")
-                    print(f"{label} {side}: exit {status}", file=sys.stderr)
+                    (outs[side] / "exit_status").write_text(status)
+                    print(f"{label} {side}: " + status.replace("\n", " "), file=sys.stderr)
                 compare(label, outs["parent"], outs["change"], rows, files)
     print(f"Drift of `configs/*.ini` outputs, {args.parent} ({parent_rev[:7]}) -> working tree, "
           f"extra seeds {args.seed or 'none'}:\n")
