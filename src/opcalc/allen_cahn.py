@@ -8,10 +8,10 @@ sweep applies F to every time step in one ``besov.apply_symbol_batch`` call;
 the Duhamel recurrences then run in place on that F(u) stack, which becomes
 the next iterate, and the old iterate's stack takes the difference, so a
 sweep holds two stacks.  The Besov ball norms of a solve are one
-``besov.multiplier_norm_stack`` call.  Short-horizon contraction segments are
-concatenated up to the horizon or a detected norm escape; continuations from
-the same datum can hand ``evolve`` their common first segment
-(``first_segment``), so it is solved once.
+``besov.multiplier_norm_stack`` call.  ``evolve`` continues on the one grid of
+step dt: contraction segments of whole steps fill one coefficient stack up to
+t_max or a detected norm escape, and continuations from one datum can share
+their first segment (``first_segment``), so it is solved once.
 """
 
 from __future__ import annotations
@@ -69,18 +69,14 @@ class ACProblem:
 
 @dataclass
 class Trajectory:
-    """Time grid, states, per-time diagnostics and blow-up flags."""
+    """Time grid, (T,) + shape coefficient stack, Besov norms and blow-up flags."""
 
     times: np.ndarray
-    states: list
+    coeffs: np.ndarray
     besov_norms: np.ndarray
     blow_up: bool = False
     blow_up_time: Optional[float] = None
     reports: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> TorusElement:
-        return self.states[-1]
 
 
 def contraction_time(problem: ACProblem, c_bound: float, c_lip: float) -> float:
@@ -185,7 +181,6 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
             )
     else:
         raise NoContraction(f"no convergence in {max_iter} sweeps (last dist {distances[-1]:.3e})")
-    states = [TorusElement(alg, c) for c in coeffs]
     bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
     factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1)
                if distances[i] > 0]
@@ -198,83 +193,80 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
                              for chunk in tor.realization_chunks(alg, len(coeffs))),
         "sweeps": len(distances),
     }
-    traj = Trajectory(times=times, states=states, besov_norms=bnorms)
+    traj = Trajectory(times=times, coeffs=coeffs, besov_norms=bnorms)
     if not float(np.max(bnorms)) <= problem.blow_up_threshold:  # NaN escapes too
         raise BlowUpDetected(f"Besov norm {np.max(bnorms):.3e} above threshold")
     return traj, report
 
 
+def _steps(problem: ACProblem, segment_time: float) -> tuple:
+    """(steps of dt to the first grid point at or after t_max, whole steps of
+    dt in ``segment_time``), each at least one."""
+    return (max(1, math.ceil(problem.t_max / problem.dt - 1e-9)),
+            max(1, math.floor(segment_time / problem.dt + 1e-9)))
+
+
 def first_segment(problem: ACProblem, segment_time: float) -> Optional[tuple]:
     """The first Picard solve of ``evolve(problem, segment_time)``: the
-    (Trajectory, report) of [0, min(segment_time, t_max)], or None when it
+    (Trajectory, report) of its first whole-step segment, or None when it
     does not contract or blows up (``evolve`` then meets that itself)."""
     try:
-        return picard_solve(problem, horizon=min(segment_time, problem.t_max))
+        return picard_solve(problem, horizon=min(_steps(problem, segment_time)) * problem.dt)
     except (NoContraction, BlowUpDetected):
         return None
 
 
 def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = None) -> Trajectory:
-    """Continuation: restart Picard from u(T) until t_max or blow-up.
+    """Continuation on the grid of step dt: restart Picard from the last state
+    until the first grid point at or after t_max, or a blow-up.
 
-    Segments start at ``segment_time`` (the caller's contraction horizon,
-    e.g. ``contraction_time``).  On NoContraction the segment is halved; on
-    BlowUpDetected the trajectory is flagged with the norm-escape time
-    (limsup-style detector: threshold crossing with increasing log-norm
-    trend).  ``reports`` holds each accepted segment's horizon, Picard sweeps,
-    contraction factor and distances, and the number of segment halvings.
-
-    ``first``, when given, is ``first_segment`` of a problem with the same
-    u0, F, index, dt, delta and blow-up threshold whose first horizon is this
-    one's, so that continuations from one datum solve their shared first
-    segment once.
+    Segments are ``segment_time`` (the caller's contraction horizon, e.g.
+    ``contraction_time``) in whole steps, copied into one preallocated
+    coefficient stack.  On NoContraction the segment is halved (re-raised
+    below four steps); on BlowUpDetected the stack stops at the last accepted
+    state and the blow-up time is the grid time that ends the failed segment.
+    ``reports`` holds each accepted segment's horizon, sweeps, contraction
+    factor and distances, and the number of halvings.  ``first``, when given,
+    is ``first_segment`` of a problem with the same u0, F, index, dt, delta,
+    blow-up threshold and first horizon, so that continuations from one
+    datum solve their shared first segment once.
     """
-    t_accum = 0.0
-    all_times = [np.array([0.0])]
-    all_states = [[problem.u0]]
-    all_norms = [np.array([besov_multiplier_norm(problem.u0, problem.idx)])]
-    current = problem.u0
-    blow_up = False
-    blow_time = None
-    seg = segment_time
+    alg, dt = problem.u0.algebra, problem.dt
+    total, seg = _steps(problem, segment_time)
+    coeffs = np.empty((total + 1,) + alg.shape, dtype=np.complex128)
+    norms = np.empty(total + 1)
+    coeffs[0], norms[0] = problem.u0.coeffs, besov_multiplier_norm(problem.u0, problem.idx)
     reports = {"segments": [], "halvings": 0}
-    segments = 0
-    while t_accum < problem.t_max - 1e-12 and segments < 10000:
-        segments += 1
-        seg_here = min(seg, problem.t_max - t_accum)
-        sub = replace(problem, u0=current)
+    done, blow_time = 0, None
+    while done < total:
+        steps = min(seg, total - done)
         try:
-            if segments == 1 and first is not None:
-                traj, rep = first
-            else:
-                traj, rep = picard_solve(sub, horizon=seg_here)
+            traj, rep = first or picard_solve(replace(problem, u0=TorusElement(alg, coeffs[done])),
+                                              horizon=steps * dt)
         except NoContraction:
-            seg = seg_here / 2.0
+            seg = steps // 2
             reports["halvings"] += 1
-            if seg < 4 * problem.dt:
+            if seg < 4:
                 raise
             continue
         except BlowUpDetected:
-            blow_up = True
-            blow_time = t_accum + seg_here
+            blow_time = dt * (done + steps)
             break
         reports["segments"].append({"horizon": float(traj.times[-1]), "sweeps": rep["sweeps"],
                                     "contraction_factor": rep["contraction_factor"],
                                     "distances": rep["distances"]})
-        all_times.append(t_accum + traj.times[1:])
-        all_states.append(traj.states[1:])
-        all_norms.append(traj.besov_norms[1:])
-        current = traj.final
-        t_accum += traj.times[-1]
-    times = np.concatenate(all_times)
-    states = [s for chunk in all_states for s in chunk]
-    norms = np.concatenate(all_norms)
-    return Trajectory(times=times, states=states, besov_norms=norms,
-                      blow_up=blow_up, blow_up_time=blow_time, reports=reports)
+        coeffs[done + 1:done + steps + 1] = traj.coeffs[1:]
+        norms[done + 1:done + steps + 1] = traj.besov_norms[1:]
+        done += steps
+        first = None  # shared by the first segment only
+    return Trajectory(times=dt * np.arange(done + 1), coeffs=coeffs[:done + 1],
+                      besov_norms=norms[:done + 1], blow_up=blow_time is not None,
+                      blow_up_time=blow_time, reports=reports)
 
 
 def strong_residual(traj: Trajectory, problem: ACProblem):
-    """|| (u(t+h) - u(t-h))/2h - Laplacian u(t) - F(u(t)) ||_p per interior time.
+    """|| (u(t+h) - u(t-h))/2h - Laplacian u(t) - F(u(t)) ||_p per interior time
+    of a trajectory on a uniform grid (a single solve's, or ``evolve``'s grid of dt).
 
     Times closer than two steps to t = 0 are excluded (the solution is strong
     only on the open interval).
@@ -285,9 +277,9 @@ def strong_residual(traj: Trajectory, problem: ACProblem):
     first = 2
     if first >= len(traj.times) - 1:
         return np.zeros(0), np.zeros(0)
-    states = np.stack([s.coeffs for s in traj.states])
-    du = (states[first + 1:] - states[first - 1:-2]) / (2 * dt)
-    mid = states[first:-1]
+    u = traj.coeffs
+    du = (u[first + 1:] - u[first - 1:-2]) / (2 * dt)
+    mid = u[first:-1]
     rhs = lap * mid + problem.apply_F(mid)
     return traj.times[first:-1], _state_norms(alg, du - rhs, problem.idx.p)
 
@@ -302,7 +294,7 @@ def global_existence_check(problem: ACProblem, c_lip_baseline: float,
     envelope = base * np.exp(c_hat * traj.times)
     margin = traj.besov_norms / np.maximum(envelope, 1e-300)
     return {
-        "completed": bool(not traj.blow_up and traj.times[-1] >= problem.t_max - 1e-9),
+        "completed": not traj.blow_up,  # evolve ends at or after t_max unless it blows up
         "max_envelope_ratio": float(np.max(margin)),
         "envelope_rate": c_hat,
         "trajectory": traj,

@@ -93,15 +93,14 @@ def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
     return multiplier_form(block_norms(x, idx.p), idx.s, idx.q)
 
 
-def multiplier_norm_stack(algebra, coeff_stack, idx: BesovIndex) -> np.ndarray:
+def multiplier_norm_stack(algebra, coeff_stack: np.ndarray, idx: BesovIndex) -> np.ndarray:
     """``besov_multiplier_norm`` of each element of a (batch,) + algebra.shape
-    coefficient stack, or of a sequence of coefficient arrays, with the same
-    bits: ``block_norm_stack`` in chunks whose block stacks realize at most
-    REALIZATION_CHUNK_ENTRIES entries (a sequence is stacked chunk by chunk),
-    then the weighted l_q sum of every row at once."""
+    coefficient stack, with the same bits: ``block_norm_stack`` in chunks
+    whose block stacks realize at most REALIZATION_CHUNK_ENTRIES entries, then
+    the weighted l_q sum of every row at once."""
     count = len(algebra.lp_filters)
     chunks = tor.realization_chunks(algebra, len(coeff_stack), entries=count * algebra.matrix_dim ** 2)
-    norms = np.concatenate([block_norm_stack(algebra, np.asarray(coeff_stack[chunk]), idx.p)
+    norms = np.concatenate([block_norm_stack(algebra, coeff_stack[chunk], idx.p)
                             for chunk in chunks])
     return _lq_rows(2.0 ** (idx.s * np.arange(count)) * norms, idx.q)
 

@@ -16,7 +16,8 @@ float() (1e999 is inf).  Hex, octal, binary, underscores, complex, bool, '#',
 the hand-written parser this replaced, ``x ** 2`` and ``x**(2)`` parse, while
 leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
 Derivatives are built from the tree, so polynomials keep exact coefficients.
-An expression nested too deeply to parse and differentiate is a ConfigError.
+A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
+before it is expanded, as is one nested too deeply to parse and differentiate.
 """
 
 from __future__ import annotations
@@ -196,6 +197,11 @@ def _tree(text: str) -> Node:
     return walk(body)
 
 
+def _check_degree(degree: int):
+    if degree > 512:  # at the edge of the check window [-4, 4], 4**512 = 2**1024 overflows
+        raise ValueError(f"polynomial degree {degree} is above 512")
+
+
 def _poly_coeffs(node: Node):
     """Ascending polynomial coefficients, or None when not a polynomial."""
     if isinstance(node, Num):
@@ -216,6 +222,7 @@ def _poly_coeffs(node: Node):
         a, b = _poly_coeffs(node.a), _poly_coeffs(node.b)
         if a is None or b is None:
             return None
+        _check_degree(len(a) + len(b) - 2)
         out = [0.0] * (len(a) + len(b) - 1)
         for i, va in enumerate(a):
             for j, vb in enumerate(b):
@@ -225,6 +232,7 @@ def _poly_coeffs(node: Node):
         base = _poly_coeffs(node.base)
         if base is None:
             return None
+        _check_degree((len(base) - 1) * node.n)
         out = [1.0]
         for _ in range(node.n):
             new = [0.0] * (len(out) + len(base) - 1)
@@ -286,5 +294,5 @@ def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
         )
     except RecursionError:
         raise ConfigError(f"symbol expression is nested too deeply: {text[:60]!r}...") from None
-    except ValueError as exc:  # the derivative sanity check
+    except ValueError as exc:  # the degree bound or the derivative sanity check
         raise ConfigError(f"symbol expression {text[:60]!r}: {exc}") from None

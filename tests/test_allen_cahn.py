@@ -48,7 +48,7 @@ def test_heat_flow_single_sweep(u0, alg):
     traj, rep = picard_solve(prob)
     assert rep["sweeps"] == 1  # Duhamel term vanishes
     for i, t in enumerate(traj.times):
-        dev = np.max(np.abs(traj.states[i].coeffs - tor.heat(u0, t).coeffs))
+        dev = np.max(np.abs(traj.coeffs[i] - tor.heat(u0, t).coeffs))
         assert dev <= 1e-10
 
 
@@ -57,7 +57,7 @@ def test_zero_datum_stays_zero(alg):
     prob = ACProblem(u0=zero, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.05, dt=1e-3,
                      blow_up_threshold=10.0)
     traj, _ = picard_solve(prob)
-    assert max(np.max(np.abs(s.coeffs)) for s in traj.states) == 0.0
+    assert np.max(np.abs(traj.coeffs)) == 0.0
 
 
 def test_linear_symbol_closed_form(u0, alg):
@@ -67,7 +67,7 @@ def test_linear_symbol_closed_form(u0, alg):
     err = 0.0
     for i, t in enumerate(traj.times):
         exact = u0.coeffs * np.exp((-alg.abs_k ** 2 + c) * t)
-        err = max(err, tor.lp_norm(tor.TorusElement(alg, traj.states[i].coeffs - exact), 2))
+        err = max(err, tor.lp_norm(tor.TorusElement(alg, traj.coeffs[i] - exact), 2))
     assert err <= 1e-8
 
 
@@ -98,7 +98,8 @@ def test_picard_uniqueness_across_initial_iterates(u0):
     tol = 1e-10
     t1, _ = picard_solve(prob, horizon=0.1, tol=tol, initial="heat")
     t2, _ = picard_solve(prob, horizon=0.1, tol=tol, initial="constant")
-    dev = max(tor.lp_norm(a - b, 2) for a, b in zip(t1.states, t2.states))
+    dev = max(tor.lp_norm(tor.TorusElement(u0.algebra, a - b), 2)
+              for a, b in zip(t1.coeffs, t2.coeffs))
     assert dev <= 10 * tol * max(1.0, tor.lp_norm(u0, 2))
 
 
@@ -117,7 +118,7 @@ def test_evolve_runs_to_horizon(u0):
     assert not traj.blow_up
     assert traj.times[-1] == pytest.approx(0.3, abs=1e-9)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.states) == len(traj.times)
+    assert len(traj.coeffs) == len(traj.times)
 
 
 def test_evolve_heat_only(u0):
@@ -130,18 +131,22 @@ def test_evolve_heat_only(u0):
 
 def test_evolve_halving_recovers_from_large_segment(alg):
     # a strong linear drive fails to contract on the full horizon; the
-    # halving loop finds a workable segment and still reaches t_max
+    # halving loop finds a workable segment and still reaches t_max.  The
+    # 101 steps are odd, so a halved segment is floored to whole steps.
     u = tor.random_element(alg, rng_for(5, "halve"), band=2, decay=2.0)
-    prob = ACProblem(u0=u, F=parse_symbol("40*x"), idx=IDX, t_max=0.1, dt=1e-3,
+    prob = ACProblem(u0=u, F=parse_symbol("40*x"), idx=IDX, t_max=0.101, dt=1e-3,
                      blow_up_threshold=1e6)
     with pytest.raises(NoContraction):
-        picard_solve(prob, horizon=0.1)
-    traj = evolve(prob, segment_time=0.1)
+        picard_solve(prob, horizon=0.101)
+    traj = evolve(prob, segment_time=0.101)
     assert not traj.blow_up
-    assert traj.times[-1] == pytest.approx(0.1, abs=1e-9)
+    assert traj.times[-1] == pytest.approx(0.101, abs=1e-9)
+    assert np.array_equal(traj.times, prob.dt * np.arange(102))
     rep = traj.reports
     assert rep["halvings"] >= 1
-    assert sum(seg["horizon"] for seg in rep["segments"]) == pytest.approx(0.1, abs=1e-9)
+    assert sum(seg["horizon"] for seg in rep["segments"]) == pytest.approx(0.101, abs=1e-9)
+    steps = [round(seg["horizon"] / prob.dt) for seg in rep["segments"]]
+    assert steps[0] == 101 // 2 ** rep["halvings"] and sum(steps) == 101
     for seg in rep["segments"]:
         assert seg["sweeps"] == len(seg["distances"]) >= 1
         assert seg["contraction_factor"] < 1.0
@@ -191,12 +196,36 @@ def test_evolve_blow_up_riccati():
     assert np.all(np.diff(traj.besov_norms) >= -1e-9)  # escape is monotone here
 
 
-def test_strong_residual_refinement(u0):
-    prob_c = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.2, dt=2e-3)
-    prob_f = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.2, dt=1e-3)
-    _, rc = strong_residual(evolve(prob_c, segment_time=0.1), prob_c)
-    _, rf = strong_residual(evolve(prob_f, segment_time=0.1), prob_f)
+@pytest.mark.parametrize("segment_time", [0.1, 0.0143])
+@pytest.mark.parametrize("expr", ["tanh(x)", "x - x**3", "x - x*abs(x)"])
+def test_strong_residual_refinement(u0, expr, segment_time):
+    # second-order refinement of check (d), also for a segment that is not a
+    # multiple of either step: the continuation stays on one grid of dt
+    prob_c = ACProblem(u0=u0, F=parse_symbol(expr), idx=IDX, t_max=0.2, dt=2e-3)
+    prob_f = ACProblem(u0=u0, F=parse_symbol(expr), idx=IDX, t_max=0.2, dt=1e-3)
+    _, rc = strong_residual(evolve(prob_c, segment_time=segment_time), prob_c)
+    _, rf = strong_residual(evolve(prob_f, segment_time=segment_time), prob_f)
     assert np.max(rc) / np.max(rf) >= 3.0
+
+
+def test_evolve_stays_on_one_time_grid(u0):
+    # segments of 0.0143 are 14 whole steps of 1e-3: the times are the grid
+    # itself, bit for bit, and every solved horizon is a whole number of steps
+    prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.2, dt=1e-3)
+    traj = evolve(prob, segment_time=0.0143)
+    assert np.array_equal(traj.times, prob.dt * np.arange(len(traj.times)))
+    assert len(traj.times) == len(traj.coeffs) == len(traj.besov_norms) == 201
+    steps = [seg["horizon"] / prob.dt for seg in traj.reports["segments"]]
+    assert steps == pytest.approx([round(k) for k in steps], abs=1e-9)
+    assert [round(k) for k in steps] == [14] * 14 + [4]
+    # t_max = 0.1 is not on the grid of 3e-3: the run ends at the first grid
+    # point past it, 34 steps or t = 0.102
+    prob3 = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.1, dt=3e-3)
+    rep = global_existence_check(prob3, c_lip_baseline=1.0, segment_time=0.05)
+    traj3 = rep["trajectory"]
+    assert rep["completed"]
+    assert len(traj3.times) == 35 and traj3.times[-1] == pytest.approx(0.102, abs=1e-12)
+    assert np.array_equal(traj3.times, prob3.dt * np.arange(35))
 
 
 def test_strong_residual_heat_flow(alg):
@@ -215,9 +244,10 @@ def test_smoothing_report(u0):
     # its t = 0 value after a few steps
     prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.1, dt=2e-3)
     traj = evolve(prob, segment_time=0.1)
-    nb0 = block_norms(traj.states[0], 2.0)
+    states = [tor.TorusElement(u0.algebra, c) for c in traj.coeffs]
+    nb0 = block_norms(states[0], 2.0)
     top = int(np.max(np.nonzero(nb0 >= 0.01 * np.max(nb0))[0]))
-    late = [block_norms(s, 2.0)[top] for t, s in zip(traj.times, traj.states) if t >= 10 * prob.dt]
+    late = [block_norms(s, 2.0)[top] for t, s in zip(traj.times, states) if t >= 10 * prob.dt]
     assert late and max(late) < nb0[top]
 
 
@@ -245,7 +275,7 @@ def test_global_existence_linear_envelope(u0, alg):
     prob = ACProblem(u0=base, F=parse_symbol("0.4*x"), idx=IDX, t_max=1.0, dt=1e-3)
     traj = evolve(prob, segment_time=0.25)
     expect = np.exp(c * traj.times)
-    got = np.array([s.coeffs[0, 0].real for s in traj.states])
+    got = traj.coeffs[:, 0, 0].real
     assert np.max(np.abs(got - expect)) <= 1e-6
 
 
@@ -260,7 +290,7 @@ def _cross_check_problem():
     alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     u = tor.random_element(alg0, rng_for(2, "cc"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("x**3"), idx=IDX, t_max=0.05, dt=1e-3)
-    return alg0, prob, np.stack([s.coeffs for s in picard_solve(prob)[0].states])
+    return alg0, prob, picard_solve(prob)[0].coeffs
 
 
 def _cross_check_reference(alg0, prob, states):
@@ -346,19 +376,20 @@ def test_picard_matches_per_state_reference(theta_num, reference, initial, horiz
     u = tor.random_element(alg, rng_for(theta_num, "sweep"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3)
     traj, rep = picard_solve(prob, horizon=horizon, initial=initial)
-    assert len(tor.realization_chunks(alg, len(traj.states))) > 1 or theta_num == 0
+    assert len(tor.realization_chunks(alg, len(traj.coeffs))) > 1 or theta_num == 0
     for ref_route in sorted({reference, "matrix"}):
         ref, distances = _per_state_picard(prob, horizon, initial, ref_route)
         assert rep["distances"] == distances
-        assert len(traj.states) == len(ref)
-        for state, c in zip(traj.states, ref):
-            assert np.array_equal(state.coeffs, c)
+        assert len(traj.coeffs) == len(ref)
+        for state, c in zip(traj.coeffs, ref):
+            assert np.array_equal(state, c)
 
 
 def test_picard_ball_norms_match_per_state(u0):
     prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.05, dt=1e-3)
     traj, _ = picard_solve(prob)
-    assert traj.besov_norms.tolist() == [besov_multiplier_norm(s, IDX) for s in traj.states]
+    assert traj.besov_norms.tolist() == [besov_multiplier_norm(tor.TorusElement(u0.algebra, c), IDX)
+                                         for c in traj.coeffs]
 
 
 def test_evolve_reads_the_shared_first_segment(u0, monkeypatch):
@@ -373,7 +404,7 @@ def test_evolve_reads_the_shared_first_segment(u0, monkeypatch):
     assert shared.times.tolist() == plain.times.tolist()
     assert shared.besov_norms.tolist() == plain.besov_norms.tolist()
     assert shared.reports == plain.reports
-    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(shared.states, plain.states))
+    assert np.array_equal(shared.coeffs, plain.coeffs)
 
 
 def test_first_segment_is_none_when_the_solve_fails(u0):

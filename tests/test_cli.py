@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,18 @@ def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and section in err
+
+
+@pytest.mark.parametrize("expr,degree", [("x**1000000", 1000000), ("(x**60)**60", 3600)])
+def test_cli_polynomial_degree_above_512_exits_2_quickly(tmp_path, capsys, expr, degree):
+    # the degree is refused before the coefficients are expanded
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[experiment]\nkind = moi\n[symbol]\nexpr = {expr}\n")
+    start = time.perf_counter()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{expr!r}: polynomial degree {degree} is above 512" in err
 
 
 # The packaged baseline constants are keyed by these hashes.

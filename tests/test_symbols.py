@@ -312,8 +312,30 @@ def test_parentheses_past_python_limit_are_nested_too_deeply():
         parse_symbol("(" * 201 + "x" + ")" * 201)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("text", ["exp(exp(exp(x)))", "1e999*x"])
 def test_symbols_not_finite_on_the_window(text):
+    # RuntimeWarnings are errors in the suite: the check evaluates quietly
     with pytest.raises(ConfigError, match="not finite on the window"):
         parse_symbol(text)
+
+
+def test_overflowing_power_fails_the_check_quietly():
+    with pytest.raises(ValueError, match="derivative order 1 is not finite"):
+        SmoothSymbol(func=lambda x: np.asarray(x, dtype=float) ** 600,
+                     derivs=(lambda x: 600.0 * np.asarray(x, dtype=float) ** 599,),
+                     max_order=1, window=(-4.0, 4.0))
+
+
+@pytest.mark.parametrize("text,degree", [("x**513", 513), ("x**1000000", 1000000),
+                                         ("(x**60)**60", 3600), ("x**300*x**300", 600),
+                                         ("(x/8)**600", 600), ("abs(x**1000)", 1000)])
+def test_polynomial_degree_above_512_is_refused(text, degree):
+    with pytest.raises(ConfigError, match=re.escape(f"{text!r}: polynomial degree {degree} is above 512")):
+        parse_symbol(text)
+
+
+def test_degree_512_reaches_the_sanity_check():
+    for text in ("x**400", "x**512"):
+        with pytest.raises(ConfigError, match=re.escape(f"{text!r}: derivative order 1 disagrees")):
+            parse_symbol(text)
+    assert parse_symbol("x**96").poly_coeffs[-1] == 1.0
