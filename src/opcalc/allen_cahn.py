@@ -1,17 +1,19 @@
 """Mild-solution solver for du/dt = Laplacian u + F(u) on the fuzzy torus.
 
-Picard iteration of the Duhamel map on a uniform time grid: the heat factor
-is applied analytically per mode and the nonlinear samples are integrated by
-the subinterval trapezoid rule, so the stiff linear part never enters the
-quadrature error.  The iterate is one (T,) + shape coefficient stack, so a
-sweep applies F to every time step in one ``besov.apply_symbol_batch`` call;
-the Duhamel recurrences then run in place on that F(u) stack, which becomes
-the next iterate, and the old iterate's stack takes the difference, so a
-sweep holds two stacks.  The Besov ball norms of a solve are one
-``besov.multiplier_norm_stack`` call.  ``evolve`` continues on the one grid of
-step dt: contraction segments of whole steps fill one coefficient stack up to
-t_max or a detected norm escape, and continuations from one datum can share
-their first segment (``first_segment``), so it is solved once.
+Picard iteration of the Duhamel map on the uniform time grid of step dt, in a
+whole number of steps (by default to the first grid point at or after t_max):
+the heat factor is applied analytically per mode and the nonlinear samples
+are integrated by the subinterval trapezoid rule, so the stiff linear part
+never enters the quadrature error.  The iterate is one (T,) + shape
+coefficient stack, so a sweep applies F to every time step in one
+``besov.apply_symbol_batch`` call; the Duhamel recurrences then run in place
+on that F(u) stack, which becomes the next iterate, and the old iterate's
+stack takes the difference, so a sweep holds two stacks.  The Besov ball
+norms of a solve are one ``besov.multiplier_norm_stack`` call.  ``evolve``
+continues on the same grid: contraction segments of whole steps fill one
+coefficient stack up to t_max or a detected norm escape, and continuations
+from one datum can share their first segment (``first_segment``), so it is
+solved once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm, multiplier_norm_stack
 from .errors import (BlowUpDetected, HypothesisViolation, NoContraction, SymbolHypothesisError,
                      SymbolNotFinite)
-from .symbols import BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize
+from .symbols import (BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize,
+                      smoothness_order)
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm, lp_norm_batch
 
@@ -60,7 +63,7 @@ class ACProblem:
     @property
     def n_smooth(self) -> int:
         """Smallest smoothness order compatible with d/p < s <= n."""
-        return min(max(1, math.ceil(self.idx.s)), self.F.max_order)
+        return smoothness_order(self.F, self.idx.s)
 
     def apply_F(self, coeff_stack: np.ndarray) -> np.ndarray:
         """F(u) for every state of a (T,) + shape coefficient stack."""
@@ -69,14 +72,17 @@ class ACProblem:
 
 @dataclass
 class Trajectory:
-    """Time grid, (T,) + shape coefficient stack, Besov norms and blow-up flags."""
+    """Time grid, (T,) + shape coefficient stack, Besov norms and blow-up time."""
 
     times: np.ndarray
     coeffs: np.ndarray
     besov_norms: np.ndarray
-    blow_up: bool = False
     blow_up_time: Optional[float] = None
     reports: dict = field(default_factory=dict)
+
+    @property
+    def blow_up(self) -> bool:
+        return self.blow_up_time is not None
 
 
 def contraction_time(problem: ACProblem, c_bound: float, c_lip: float) -> float:
@@ -97,8 +103,7 @@ def _heat_factors(algebra, dt: float) -> np.ndarray:
     return np.exp(-dt * algebra.abs_k ** 2)
 
 
-def _duhamel_sweep(problem: ACProblem, u0_coeffs: np.ndarray, g_coeffs: np.ndarray,
-                   dt: float) -> np.ndarray:
+def _duhamel_sweep(problem: ACProblem, u0_coeffs: np.ndarray, g_coeffs: np.ndarray) -> np.ndarray:
     """Psi(u)(t_i) coefficients from the F samples ``g_coeffs`` (a (T,) + shape
     stack), written over them: analytic heat factors, trapezoid on the samples.
 
@@ -109,8 +114,8 @@ def _duhamel_sweep(problem: ACProblem, u0_coeffs: np.ndarray, g_coeffs: np.ndarr
     integral = decay (integral + dt/2 g_{i-1}) + dt/2 g_i and
     heat = decay heat operation by operation as written, so the states have
     the bits of a step-by-step evaluation of those formulas."""
-    decay = _heat_factors(problem.u0.algebra, dt)
-    g_coeffs *= 0.5 * dt
+    decay = _heat_factors(problem.u0.algebra, problem.dt)
+    g_coeffs *= 0.5 * problem.dt
     integral = np.zeros_like(u0_coeffs)
     heat_state = u0_coeffs.copy()
     g_prev = g_coeffs[0].copy()
@@ -131,56 +136,64 @@ def _state_norms(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
                            for chunk in tor.realization_chunks(algebra, len(coeff_stack))])
 
 
-def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
-                 max_iter: int = 40, tol: float = 1e-10,
-                 initial: str = "heat") -> tuple:
-    """Fixed point of the mild-solution map on [0, horizon].
+MAX_SWEEPS = 40     # a Picard solve not converged after this many sweeps fails
+PICARD_TOL = 1e-10  # converged: sup-L_p distance of two iterates <= PICARD_TOL ||u0||_p
+
+
+def _grid_steps(problem: ACProblem) -> int:
+    """Steps of dt to the first grid point at or after t_max, at least one."""
+    return max(1, math.ceil(problem.t_max / problem.dt - 1e-9))
+
+
+def _segment_steps(problem: ACProblem, segment_time: float) -> int:
+    """Whole steps of dt in ``segment_time``, at least one, at most ``_grid_steps``."""
+    return min(_grid_steps(problem), max(1, math.floor(segment_time / problem.dt + 1e-9)))
+
+
+def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
+    """Fixed point of the mild-solution map on ``steps`` steps of exactly
+    problem.dt (by default to the first grid point at or after t_max),
+    iterated from the heat flow of u0.
 
     Returns (Trajectory, report).  The report holds the per-sweep sup-L_p
     distances and the measured contraction factor; NoContraction is raised
-    when the distances fail to decrease geometrically (the caller halves the
-    horizon), BlowUpDetected when F is non-finite on the spectrum of a finite
-    iterate, when a sweep leaves a non-finite iterate (its distance would be
-    non-finite) or when the Besov ball escapes the threshold.
+    when the distances fail to decrease geometrically or to reach PICARD_TOL
+    in MAX_SWEEPS sweeps (``evolve`` then halves the segment), BlowUpDetected
+    when F is non-finite on the spectrum of a finite iterate, when a sweep
+    leaves a non-finite iterate (its distance would be non-finite) or when the
+    Besov ball escapes the threshold.
     """
     alg = problem.u0.algebra
-    horizon = problem.t_max if horizon is None else horizon
-    steps = max(1, int(round(horizon / problem.dt)))
-    dt = horizon / steps
-    times = dt * np.arange(steps + 1)
+    steps = _grid_steps(problem) if steps is None else steps
+    times = problem.dt * np.arange(steps + 1)
     u0c = problem.u0.coeffs
     coeffs = np.empty((steps + 1,) + alg.shape, dtype=np.complex128)
-    if initial == "heat":
-        decay = _heat_factors(alg, dt)
-        coeffs[0] = u0c
-        for i in range(1, steps + 1):
-            coeffs[i] = decay * coeffs[i - 1]
-    elif initial == "constant":
-        coeffs[:] = u0c
-    else:
-        raise ValueError("initial must be 'heat' or 'constant'")
+    decay = _heat_factors(alg, problem.dt)
+    coeffs[0] = u0c
+    for i in range(1, steps + 1):
+        coeffs[i] = decay * coeffs[i - 1]
     distances = []
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
-    for it in range(max_iter):
+    for it in range(MAX_SWEEPS):
         try:
             new = problem.apply_F(coeffs)
         except SymbolNotFinite as err:
             raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {it + 1}") from err
-        _duhamel_sweep(problem, u0c, new, dt)
+        _duhamel_sweep(problem, u0c, new)
         if not np.isfinite(new).all():
             raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
         # the old iterate's buffer takes the difference: a sweep holds two stacks
         dist = float(np.max(_state_norms(alg, np.subtract(new, coeffs, out=coeffs), problem.idx.p)))
         coeffs = new
         distances.append(dist)
-        if dist <= tol * scale:
+        if dist <= PICARD_TOL * scale:
             break
         if len(distances) >= 3 and distances[-1] > distances[-2] >= distances[-3]:
             raise NoContraction(
                 f"iterate distances non-decreasing: {distances[-3]:.3e} -> {distances[-1]:.3e}"
             )
     else:
-        raise NoContraction(f"no convergence in {max_iter} sweeps (last dist {distances[-1]:.3e})")
+        raise NoContraction(f"no convergence in {MAX_SWEEPS} sweeps (last dist {distances[-1]:.3e})")
     bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
     factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1)
                if distances[i] > 0]
@@ -199,19 +212,12 @@ def picard_solve(problem: ACProblem, horizon: Optional[float] = None,
     return traj, report
 
 
-def _steps(problem: ACProblem, segment_time: float) -> tuple:
-    """(steps of dt to the first grid point at or after t_max, whole steps of
-    dt in ``segment_time``), each at least one."""
-    return (max(1, math.ceil(problem.t_max / problem.dt - 1e-9)),
-            max(1, math.floor(segment_time / problem.dt + 1e-9)))
-
-
 def first_segment(problem: ACProblem, segment_time: float) -> Optional[tuple]:
-    """The first Picard solve of ``evolve(problem, segment_time)``: the
-    (Trajectory, report) of its first whole-step segment, or None when it
-    does not contract or blows up (``evolve`` then meets that itself)."""
+    """The first Picard solve of ``evolve(problem, segment_time)``, over its
+    first segment's whole steps: (Trajectory, report), or None when it does
+    not contract or blows up (``evolve`` then meets that itself)."""
     try:
-        return picard_solve(problem, horizon=min(_steps(problem, segment_time)) * problem.dt)
+        return picard_solve(problem, _segment_steps(problem, segment_time))
     except (NoContraction, BlowUpDetected):
         return None
 
@@ -228,11 +234,11 @@ def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = Non
     ``reports`` holds each accepted segment's horizon, sweeps, contraction
     factor and distances, and the number of halvings.  ``first``, when given,
     is ``first_segment`` of a problem with the same u0, F, index, dt, delta,
-    blow-up threshold and first horizon, so that continuations from one
+    blow-up threshold and first segment, so that continuations from one
     datum solve their shared first segment once.
     """
     alg, dt = problem.u0.algebra, problem.dt
-    total, seg = _steps(problem, segment_time)
+    total, seg = _grid_steps(problem), _segment_steps(problem, segment_time)
     coeffs = np.empty((total + 1,) + alg.shape, dtype=np.complex128)
     norms = np.empty(total + 1)
     coeffs[0], norms[0] = problem.u0.coeffs, besov_multiplier_norm(problem.u0, problem.idx)
@@ -242,7 +248,7 @@ def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = Non
         steps = min(seg, total - done)
         try:
             traj, rep = first or picard_solve(replace(problem, u0=TorusElement(alg, coeffs[done])),
-                                              horizon=steps * dt)
+                                              steps)
         except NoContraction:
             seg = steps // 2
             reports["halvings"] += 1
@@ -260,25 +266,23 @@ def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = Non
         done += steps
         first = None  # shared by the first segment only
     return Trajectory(times=dt * np.arange(done + 1), coeffs=coeffs[:done + 1],
-                      besov_norms=norms[:done + 1], blow_up=blow_time is not None,
-                      blow_up_time=blow_time, reports=reports)
+                      besov_norms=norms[:done + 1], blow_up_time=blow_time, reports=reports)
 
 
 def strong_residual(traj: Trajectory, problem: ACProblem):
     """|| (u(t+h) - u(t-h))/2h - Laplacian u(t) - F(u(t)) ||_p per interior time
-    of a trajectory on a uniform grid (a single solve's, or ``evolve``'s grid of dt).
+    of a trajectory on the grid of problem.dt (a single solve's, or ``evolve``'s).
 
     Times closer than two steps to t = 0 are excluded (the solution is strong
     only on the open interval).
     """
     alg = problem.u0.algebra
-    dt = traj.times[1] - traj.times[0]
     lap = -alg.abs_k ** 2
     first = 2
     if first >= len(traj.times) - 1:
         return np.zeros(0), np.zeros(0)
     u = traj.coeffs
-    du = (u[first + 1:] - u[first - 1:-2]) / (2 * dt)
+    du = (u[first + 1:] - u[first - 1:-2]) / (2 * problem.dt)
     mid = u[first:-1]
     rhs = lap * mid + problem.apply_F(mid)
     return traj.times[first:-1], _state_norms(alg, du - rhs, problem.idx.p)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BandOverflow, DimensionMismatch, OrderExceeded
+from .errors import BandOverflow, DimensionMismatch
 from .linalg import (HermitianOperator, SpectralDecomposition, decomposed_func_calc,
                      eig_hermitian, hilbert_schmidt_norm)
 from .moi import MOIOperands, moi_schur
@@ -177,8 +177,8 @@ def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecom
     term of that order in every expansion.
     """
     orders = {t.order for terms in expansions for t in terms}
-    if F.poly_coeffs is None and max(orders) > F.max_order:
-        raise OrderExceeded(f"expansion order {max(orders)} > symbol order {F.max_order}")
+    if F.poly_coeffs is None:
+        F.require_order(max(orders), "expansion")
     phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1)) for l in orders}
     out = []
     for terms in expansions:

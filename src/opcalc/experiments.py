@@ -42,8 +42,8 @@ class Assertion:
 class ExperimentResult:
     kind: str
     config_hash: str
-    assertions: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
+    assertions: list = field(default_factory=list, init=False)
+    tables: dict = field(default_factory=dict, init=False)
 
     def check(self, name: str, value: float, bound: float, mode: str = "le", note: str = ""):
         ok = value <= bound if mode == "le" else value >= bound
@@ -323,16 +323,17 @@ _EQ_QUADRATURE = bz.RadialQuadrature(n_rad=12, n_dir=6)
 # block-difference and paraproduct harnesses run on
 _EQ_HEAT_TS = (0.25, 0.5, 1.0, 2.0)
 _EQ_HARNESS_MEMBERS = 10
+_EQ_PSDO_THETA = 0.7  # the paraproduct harness splits e^{iu} = e^{i theta u} e^{i (1 - theta) u}
 
 _EQ_METRICS = ("ratio_md_min", "ratio_md_max", "ratio_mi_min", "ratio_mi_max",
                "ratio_di_min", "ratio_di_max", "heat_smoothing_max",
                "block_diff_ratio_max", "paraproduct_ratio_max")
 
 
-def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7):
-    """Unitary multiplier family e^{i theta xi S_{j-1} u} from the dyadic
-    decomposition of e^{i xi u}; the canonical elementary pseudodifferential
-    sequence for the paraproduct harness.
+def exp_psdo_sequence(u):
+    """Unitary multiplier family e^{i theta S_{j-1} u}, theta = _EQ_PSDO_THETA, from
+    the dyadic decomposition of e^{iu}; the canonical elementary
+    pseudodifferential sequence for the paraproduct harness.
 
     The partial sums S_0 u, ..., S_{J-2} u are realized in one call and
     diagonalized in one stacked call; S_0 u serves j = 0 and j = 1.
@@ -341,8 +342,8 @@ def exp_psdo_sequence(u, xi: float = 1.0, theta: float = 0.7):
     jb = tor.block_count(alg)
     sums = np.stack([bz.partial_sum(u, j).coeffs for j in range(max(jb - 1, 1))])
     dec = eig_hermitian(HermitianOperator(tor.to_matrix_batch(alg, sums)))
-    a = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * theta * xi * lam)))
-    b = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * (1 - theta) * xi * lam)))
+    a = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * _EQ_PSDO_THETA * lam)))
+    b = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * (1 - _EQ_PSDO_THETA) * lam)))
     members = [max(j - 1, 0) for j in range(jb)]
     return bz.PsdoSymbolSequence(tuple(tor.TorusElement(alg, a[i]) for i in members),
                                  tuple(tor.TorusElement(alg, b[i]) for i in members))
@@ -396,7 +397,7 @@ def measure_equivalence(cfg: ExperimentConfig, jobs: int = 1) -> EquivalenceMeas
             if not rep["skipped"]:
                 block_max = max(block_max, rep["ratio"])
         u_mod = tor.random_element(x.algebra, rng_for(cfg.seed, "psdo", i), band=cfg.band)
-        seq = exp_psdo_sequence(u_mod, xi=1.0, theta=0.7)
+        seq = exp_psdo_sequence(u_mod)
         paraproducts.append((seq, bz.block_norms(bz.paraproduct(seq, x), cfg.p)))
     return EquivalenceMeasurement(norms, heat, paraproducts, block_max)
 
@@ -517,9 +518,9 @@ def nonlinear_stats(cfg: ExperimentConfig):
     elements = ensemble_elements(cfg, tag="nl")
     ratios, lips = [], []
     m_sup = max(tor.lp_norm(x, math.inf) for x in elements) + 1.0
-    from .symbols import BumpLocalizer, localize
+    from .symbols import BumpLocalizer, localize, smoothness_order
     floc = localize(F, BumpLocalizer(m_sup))
-    cb_loc = cb_norm(floc, min(max(1, math.ceil(cfg.s)), F.max_order), (-2 * m_sup, 2 * m_sup))
+    cb_loc = cb_norm(floc, smoothness_order(F, cfg.s), (-2 * m_sup, 2 * m_sup))
     lip_loc = lipschitz_norm(F, (-m_sup, m_sup))
     clip = 0.0
     for i, x in enumerate(elements):
@@ -600,7 +601,7 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
 
     # (a) F = 0 reduces to the analytic heat flow
     p0 = ACProblem(u0=u0, F=parse_symbol("0*x"), idx=idx, t_max=min(cfg.t_max, 0.2), dt=cfg.dt)
-    traj0, rep0 = picard_solve(p0, horizon=p0.t_max)
+    traj0, rep0 = picard_solve(p0)
     dev = max(float(np.max(np.abs(traj0.coeffs[i] - tor.heat(u0, t).coeffs)))
               for i, t in enumerate(traj0.times))
     res.check("ac.heat_flow", dev, 1e-10)
@@ -609,17 +610,19 @@ def run_allen_cahn(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
     # (b) linear symbol matches the per-mode closed form
     c_lin = 0.5
     pl = ACProblem(u0=u0, F=parse_symbol("0.5*x"), idx=idx, t_max=0.2, dt=1e-3)
-    trajl, _ = picard_solve(pl, horizon=0.2)
+    trajl, _ = picard_solve(pl)
     exact = u0.coeffs * np.exp(np.multiply.outer(trajl.times, -alg.abs_k ** 2 + c_lin))
     err = float(np.max(tor.lp_norm_batch(alg, trajl.coeffs - exact, 2)))
     res.check("ac.linear_closed_form", err, 1e-8)
 
-    # (c) contraction at T = contraction_time
+    # (c) contraction on [0, T], T = min(t_c, t_max): off the grid, round(T / dt) steps ending on T
     c_bound = store.get(cfg.config_hash, "c_bound")
     c_lip = store.get(cfg.config_hash, "c_lip")
     prob = ACProblem(u0=u0, F=F, idx=idx, t_max=cfg.t_max, dt=cfg.dt, delta=cfg.delta)
     t_c = contraction_time(prob, c_bound, c_lip)
-    traj_c, rep_c = picard_solve(prob, horizon=min(t_c, cfg.t_max))
+    T = min(t_c, cfg.t_max)
+    k = max(1, round(T / cfg.dt))
+    traj_c, rep_c = picard_solve(replace(prob, dt=T / k), k)
     res.check("ac.contraction_factor", rep_c["contraction_factor"], 1.0 - 1e-9,
               note=f"T={t_c:.4g}")
     res.check("ac.ball", rep_c["ball_radius"], rep_c["ball_bound"] * (1 + 1e-9))

@@ -18,6 +18,7 @@ leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
 Derivatives are built from the tree, so polynomials keep exact coefficients.
 A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
 before it is expanded, as is one nested too deeply to parse and differentiate.
+A power of a constant is one ``**``, and its overflow is a ConfigError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .symbols import SmoothSymbol
+
+PARSED_ORDER = 6  # the symbolic derivatives of a parsed symbol: its max_order
 
 
 class Node:
@@ -232,6 +235,11 @@ def _poly_coeffs(node: Node):
         base = _poly_coeffs(node.base)
         if base is None:
             return None
+        if len(base) == 1:  # a constant: one power, not n products
+            try:
+                return [base[0] ** node.n]
+            except OverflowError:
+                raise ValueError(f"constant power {base[0]:g}**{node.n} overflows") from None
         _check_degree((len(base) - 1) * node.n)
         out = [1.0]
         for _ in range(node.n):
@@ -267,10 +275,10 @@ def _kinks(node: Node):
     return pts
 
 
-def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
-    """Build a SmoothSymbol with symbolic derivatives from an expression,
-    sanity-checked on the window [-4, 4]; an expression that fails the check
-    is a ConfigError."""
+def parse_symbol(text: str) -> SmoothSymbol:
+    """Build a SmoothSymbol with PARSED_ORDER symbolic derivatives from an
+    expression, sanity-checked on the window [-4, 4]; an expression that fails
+    the check is a ConfigError."""
     def make(nd):
         return lambda x: nd.ev(x)
 
@@ -280,12 +288,11 @@ def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
         nodes = [tree]
-        for _ in range(max_order):
+        for _ in range(PARSED_ORDER):
             nodes.append(nodes[-1].d())
         return SmoothSymbol(
             func=make(tree),
             derivs=tuple(make(nd) for nd in nodes[1:]),
-            max_order=max_order,
             window=(-4.0, 4.0),
             poly_coeffs=tuple(coeffs) if coeffs is not None else None,
             kinks=tuple(kinks) if kinks else (),
@@ -294,5 +301,5 @@ def parse_symbol(text: str, max_order: int = 6) -> SmoothSymbol:
         )
     except RecursionError:
         raise ConfigError(f"symbol expression is nested too deeply: {text[:60]!r}...") from None
-    except ValueError as exc:  # the degree bound or the derivative sanity check
+    except ValueError as exc:  # the degree bound, a constant overflow or the sanity check
         raise ConfigError(f"symbol expression {text[:60]!r}: {exc}") from None

@@ -35,7 +35,7 @@ def numeric_derivative(fn: Callable, scale: float = 1.0) -> Callable:
 class SmoothSymbol:
     """Scalar symbol with derivative evaluators up to ``max_order``.
 
-    ``derivs[k-1]`` evaluates F^(k), one for each k <= max_order.
+    ``derivs[k-1]`` evaluates F^(k), so ``max_order`` is ``len(derivs)``.
     ``poly_coeffs`` (ascending) is set when F is known to be a polynomial;
     divided differences then use the exact
     complete-homogeneous-symmetric-polynomial path.  ``kinks`` lists points
@@ -44,7 +44,6 @@ class SmoothSymbol:
 
     func: Callable
     derivs: tuple = ()
-    max_order: int = 0
     window: tuple = (-1.0, 1.0)
     poly_coeffs: Optional[tuple] = None
     kinks: tuple = ()
@@ -54,9 +53,6 @@ class SmoothSymbol:
     def __post_init__(self):
         if self.window[1] <= self.window[0]:
             raise ValueError("window must be a nondegenerate interval")
-        if len(self.derivs) < self.max_order:
-            raise ValueError(f"max_order {self.max_order} needs that many derivative "
-                             f"evaluators, got {len(self.derivs)}")
         if self.check:
             self._sanity_check()
 
@@ -89,15 +85,28 @@ class SmoothSymbol:
             if k >= 3:  # nested stencils degrade; orders 1-2 suffice as a check
                 break
 
+    @property
+    def max_order(self) -> int:
+        return len(self.derivs)
+
+    def require_order(self, n: int, what: str):
+        """The one order check: OrderExceeded when ``what`` needs n > max_order."""
+        if n > self.max_order:
+            raise OrderExceeded(f"{what} needs order {n} > max_order {self.max_order}")
+
     def __call__(self, x):
         return self.func(np.asarray(x))
 
     def deriv(self, k: int) -> Callable:
         if k == 0:
             return self.func
-        if k > self.max_order:
-            raise OrderExceeded(f"derivative order {k} > max_order {self.max_order}")
+        self.require_order(k, "derivative")
         return self.derivs[k - 1]
+
+
+def smoothness_order(F: SmoothSymbol, s: float) -> int:
+    """The C_b^n order n = min(max(1, ceil(s)), max_order) read at smoothness s."""
+    return min(max(1, math.ceil(s)), F.max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +166,7 @@ def divided_diff(F: SmoothSymbol, nodes) -> complex:
         raise ValueError("need at least one node")
     if F.poly_coeffs is not None:
         return _poly_divided_diff(F.poly_coeffs, nodes)
-    if n > F.max_order:
-        raise OrderExceeded(f"divided difference order {n} > max_order {F.max_order}")
+    F.require_order(n, "divided difference")
     z = _snap_clusters(nodes)
     # Hermite table over sorted, snapped nodes
     col = np.asarray(F(z), dtype=np.complex128)
@@ -194,8 +202,7 @@ def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.nd
     shape = tuple(len(s) for s in spectra)
     if F.poly_coeffs is not None:
         return _poly_tensor(F.poly_coeffs, spectra, shape)
-    if n > F.max_order:
-        raise OrderExceeded(f"divided difference order {n} > max_order {F.max_order}")
+    F.require_order(n, "divided difference")
     # nodes as ranks among the distinct node values: sorting and deduplicating
     # the tuples is then integer work on one key per tuple
     values, ranks = np.unique(np.concatenate(spectra), return_inverse=True)
@@ -297,8 +304,7 @@ def lipschitz_norm(F, window=None) -> float:
 
 def cb_norm(F: SmoothSymbol, n: int, window) -> float:
     """sup_{1<=k<=n} sup_window |F^(k)|."""
-    if n > F.max_order:
-        raise OrderExceeded(f"C_b^{n} norm needs {n} derivatives, have {F.max_order}")
+    F.require_order(n, f"C_b^{n} norm")
     if n < 1:
         raise ValueError("C_b^n norm requires n >= 1")
     xs = np.linspace(window[0], window[1], DEFAULT_GRID)
@@ -368,8 +374,7 @@ def localize(F: SmoothSymbol, loc: BumpLocalizer) -> SmoothSymbol:
     if window[1] <= window[0]:
         window = (-2 * loc.M, 2 * loc.M)
     return SmoothSymbol(func=prod, derivs=tuple(make_deriv(k) for k in range(1, F.max_order + 1)),
-                        max_order=F.max_order, window=window,
-                        kinks=F.kinks, name=f"{F.name}*phi_{loc.M:g}", check=False)
+                        window=window, kinks=F.kinks, name=f"{F.name}*phi_{loc.M:g}", check=False)
 
 
 class LPFilterFamily:

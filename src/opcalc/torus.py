@@ -243,10 +243,10 @@ def unit_element(algebra: TorusAlgebra) -> TorusElement:
     return mode_element(algebra, (0,) * algebra.d)
 
 
-def mode_element(algebra: TorusAlgebra, k: Sequence[int], amplitude: complex = 1.0) -> TorusElement:
+def mode_element(algebra: TorusAlgebra, k: Sequence[int]) -> TorusElement:
+    """The basis element of mode k (mod N): coefficient 1 there, 0 elsewhere."""
     c = np.zeros(algebra.shape, dtype=np.complex128)
-    idx = tuple(int(ki) % algebra.N for ki in k)
-    c[idx] = amplitude
+    c[tuple(int(ki) % algebra.N for ki in k)] = 1.0
     return TorusElement(algebra, c)
 
 

@@ -87,19 +87,22 @@ def test_contraction_time_formula(u0):
 def test_picard_contraction_and_ball(u0):
     prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=1.0, dt=2e-3)
     t_c = contraction_time(prob, 1.0, 1.0)
-    traj, rep = picard_solve(prob, horizon=min(t_c, 0.5))
+    traj, rep = picard_solve(prob, max(1, round(min(t_c, 0.5) / prob.dt)))
     assert rep["contraction_factor"] < 1.0
     assert rep["ball_radius"] <= rep["ball_bound"] * (1 + 1e-9)
     assert rep["hermitian_dev"] <= 1e-11
 
 
 def test_picard_uniqueness_across_initial_iterates(u0):
+    # the solver starts from the heat flow; the reference iterates from the
+    # constant path u0 and must reach the same fixed point
     prob = ACProblem(u0=u0, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.1, dt=1e-3)
-    tol = 1e-10
-    t1, _ = picard_solve(prob, horizon=0.1, tol=tol, initial="heat")
-    t2, _ = picard_solve(prob, horizon=0.1, tol=tol, initial="constant")
+    tol = ac.PICARD_TOL
+    t1, _ = picard_solve(prob)
+    t2, _ = _per_state_picard(prob, 0.1, "constant", "matrix")
+    assert len(t1.coeffs) == len(t2)
     dev = max(tor.lp_norm(tor.TorusElement(u0.algebra, a - b), 2)
-              for a, b in zip(t1.coeffs, t2.coeffs))
+              for a, b in zip(t1.coeffs, t2))
     assert dev <= 10 * tol * max(1.0, tor.lp_norm(u0, 2))
 
 
@@ -109,7 +112,7 @@ def test_no_contraction_at_large_horizon(alg):
     prob = ACProblem(u0=u, F=parse_symbol("8*x**3"), idx=IDX, t_max=8.0, dt=5e-3,
                      blow_up_threshold=1e6)
     with pytest.raises((NoContraction, BlowUpDetected)):
-        picard_solve(prob, horizon=8.0, max_iter=12)
+        picard_solve(prob)
 
 
 def test_evolve_runs_to_horizon(u0):
@@ -137,7 +140,7 @@ def test_evolve_halving_recovers_from_large_segment(alg):
     prob = ACProblem(u0=u, F=parse_symbol("40*x"), idx=IDX, t_max=0.101, dt=1e-3,
                      blow_up_threshold=1e6)
     with pytest.raises(NoContraction):
-        picard_solve(prob, horizon=0.101)
+        picard_solve(prob)
     traj = evolve(prob, segment_time=0.101)
     assert not traj.blow_up
     assert traj.times[-1] == pytest.approx(0.101, abs=1e-9)
@@ -175,8 +178,7 @@ def test_non_real_symbol_rejected_on_both_routes():
     # it through the one real-valuedness test instead of running on with
     # non-Hermitian states
     F = SmoothSymbol(func=lambda x: 0.1j * x,
-                     derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x),
-                     max_order=2, check=False)
+                     derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x), check=False)
     for theta_num in (0, 1):
         alg = tor.TorusAlgebra(d=2, N=4, theta_num=theta_num)
         prob = ACProblem(u0=0.5 * tor.unit_element(alg), F=F, idx=IDX, t_max=0.01, dt=1e-3)
@@ -206,6 +208,21 @@ def test_strong_residual_refinement(u0, expr, segment_time):
     _, rc = strong_residual(evolve(prob_c, segment_time=segment_time), prob_c)
     _, rf = strong_residual(evolve(prob_f, segment_time=segment_time), prob_f)
     assert np.max(rc) / np.max(rf) >= 3.0
+
+
+@pytest.mark.parametrize("expr", ["tanh(x)", "x - x**3"])
+def test_evolve_segment_runs_at_exactly_dt(u0, expr):
+    # 6 steps of 3e-3 are a horizon of 0.018000000000000002, and that over 6
+    # is not 3e-3: a segment kept as a step count runs at dt itself, so the
+    # first segment of evolve is the 6-step solve, bit for bit
+    prob = ACProblem(u0=u0, F=parse_symbol(expr), idx=IDX, t_max=0.036, dt=3e-3)
+    assert 6 * prob.dt / 6 != prob.dt
+    traj = evolve(prob, segment_time=0.018)
+    assert traj.reports["halvings"] == 0
+    ref, rep = picard_solve(prob, 6)
+    assert np.array_equal(traj.coeffs[:7], ref.coeffs)
+    assert np.array_equal(traj.besov_norms[:7], ref.besov_norms)
+    assert traj.reports["segments"][0]["distances"] == rep["distances"]
 
 
 def test_evolve_stays_on_one_time_grid(u0):
@@ -364,8 +381,7 @@ def _per_state_picard(problem, horizon, initial, reference, max_iter=40, tol=1e-
 
 
 @pytest.mark.parametrize("theta_num,reference,initial,horizon", [
-    (1, "matrix", "heat", 0.15), (1, "matrix", "constant", 0.15),
-    (0, "matrix", "heat", 0.03), (0, "grid", "heat", 0.03), (0, "grid", "constant", 0.03)])
+    (1, "matrix", "heat", 0.15), (0, "matrix", "heat", 0.03), (0, "grid", "heat", 0.03)])
 def test_picard_matches_per_state_reference(theta_num, reference, initial, horizon):
     # the batched sweep (stacked functional calculus over chunks of the time
     # grid; one stacked grid evaluation at theta = 0) gives the per-state
@@ -375,7 +391,7 @@ def test_picard_matches_per_state_reference(theta_num, reference, initial, horiz
     alg = tor.TorusAlgebra(d=2, N=16 if theta_num else 8, theta_num=theta_num)
     u = tor.random_element(alg, rng_for(theta_num, "sweep"), band=3, decay=2.0)
     prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=horizon, dt=1e-3)
-    traj, rep = picard_solve(prob, horizon=horizon, initial=initial)
+    traj, rep = picard_solve(prob)
     assert len(tor.realization_chunks(alg, len(traj.coeffs))) > 1 or theta_num == 0
     for ref_route in sorted({reference, "matrix"}):
         ref, distances = _per_state_picard(prob, horizon, initial, ref_route)

@@ -322,7 +322,7 @@ def test_paraproduct_exponential_family(alg):
     from opcalc.experiments import exp_psdo_sequence
     u = tor.random_element(alg, rng_for(6, "pp"), band=3)
     x = tor.random_element(alg, rng_for(7, "pp"), band=3)
-    seq = exp_psdo_sequence(u, xi=1.0, theta=0.6)
+    seq = exp_psdo_sequence(u)
     out, rep = bz.apply_paraproduct(seq, x, BesovIndex(1.5, 2, 2))
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0
     # the growth is computed at construction, and the report normalises by
@@ -368,7 +368,7 @@ def test_lipschitz_besov_small_perturbation_trend(alg):
     idx = BesovIndex(1.5, 2, 2)
     F = parse_symbol("tanh(x)")
     u = tor.random_element(alg, rng_for(10, "lbt"), band=3)
-    um = tor.hermitianize(tor.mode_element(alg, (1, 0), 1.0) + tor.mode_element(alg, (-1, 0), 1.0))
+    um = tor.hermitianize(tor.mode_element(alg, (1, 0)) + tor.mode_element(alg, (-1, 0)))
     vals = []
     for eps in (0.1, 0.01, 0.001):
         v = u + eps * um
@@ -603,7 +603,7 @@ def test_psdo_sequence_growth_and_paraproduct_keep_per_call_bits(N):
     alg = tor.TorusAlgebra(d=2, N=N, theta_num=1)
     u = tor.random_element(alg, rng_for(N, "psdo-bits"), band=3)
     x = tor.random_element(alg, rng_for(N, "psdo-x"), band=3, decay=2.0)
-    seq = exp_psdo_sequence(u, xi=1.0, theta=0.7)
+    seq = exp_psdo_sequence(u)
     a_ref, b_ref = per_block_psdo_sequence(u, 1.0, 0.7)
     assert all(np.array_equal(a.coeffs, r.coeffs) for a, r in zip(seq.a, a_ref))
     assert all(np.array_equal(b.coeffs, r.coeffs) for b, r in zip(seq.b, b_ref))

@@ -179,12 +179,14 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("meyer", "[algebra]\nd = 0\n", "[algebra] d must be >= 1"),
     # a symbol that is not finite on the sanity-check window
     ("moi", "[symbol]\nexpr = 1e999*x\n", "not finite"),
+    # a constant power is folded in one step, so its overflow is refused at once
+    ("moi", "[symbol]\nexpr = 2**1000000*x\n", "'2**1000000*x': constant power 2**1000000 overflows"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
         "t-max-inf", "deep-expr", "commutative-flat", "symbol-check", "meyer-besov",
         "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
         "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn", "band-negative",
-        "delta-nan", "delta-negative", "d0", "inf-literal"])
+        "delta-nan", "delta-negative", "d0", "inf-literal", "constant-power-overflow"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)

@@ -1,12 +1,15 @@
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
+from opcalc.chain import DerivationSpec, chain_rule_residual
 from opcalc.errors import ConfigError, OrderExceeded
 from opcalc.expr import Add, Call, Mul, Num, Pow, Var, _tree, parse_symbol
+from opcalc.linalg import random_hermitian
 from opcalc.seeding import rng_for
 from opcalc.symbols import (BumpLocalizer, LPFilterFamily, SmoothSymbol, cb_norm, divided_diff,
                             divided_diff_tensor, homogeneous_sym, lipschitz_norm, localize)
@@ -84,9 +87,29 @@ def test_divided_diff_mean_value_bound():
 
 
 def test_divided_diff_order_exceeded():
-    F = parse_symbol("tanh(x)", max_order=2)
+    tanh = parse_symbol("tanh(x)")
+    F = SmoothSymbol(func=tanh.func, derivs=tanh.derivs[:2])
+    assert F.max_order == 2
     with pytest.raises(OrderExceeded):
         divided_diff(F, [0.0, 0.1, 0.2, 0.3])
+
+
+def test_every_order_check_is_require_order():
+    # the order of a symbol is len(derivs), and each site that needs more
+    # derivatives than that raises through the one method
+    tanh = parse_symbol("tanh(x)")
+    F = SmoothSymbol(func=tanh.func, derivs=tanh.derivs[:2])
+    assert tanh.max_order == 6
+    h = random_hermitian(rng_for(3, "order"), 4)
+    nodes = np.array([0.0, 0.1, 0.2])
+    for what, needs_three in [
+            ("derivative", lambda: F.deriv(3)),
+            ("divided difference", lambda: divided_diff(F, [0.0, 0.1, 0.2, 0.3])),
+            ("divided difference", lambda: divided_diff_tensor(F, [nodes] * 4)),
+            ("C_b^3 norm", lambda: cb_norm(F, 3, (-1.0, 1.0))),
+            ("expansion", lambda: chain_rule_residual(F, h, [(3,)], DerivationSpec("inner", (h,))))]:
+        with pytest.raises(OrderExceeded, match=re.escape(f"{what} needs order 3 > max_order 2")):
+            needs_three()
 
 
 def test_tensor_first_order_single_nodes():
@@ -158,7 +181,7 @@ def test_tensor_poly_real_and_equal_to_complex_path():
     F = parse_symbol("x**5 - 2*x**3 + 0.5*x")
     t = divided_diff_tensor(F, spectra)
     assert t.dtype == np.float64
-    complex_coeffs = SmoothSymbol(func=F.func, derivs=F.derivs, max_order=F.max_order,
+    complex_coeffs = SmoothSymbol(func=F.func, derivs=F.derivs,
                                   poly_coeffs=tuple(complex(c) for c in F.poly_coeffs), check=False)
     tc = divided_diff_tensor(complex_coeffs, spectra)
     assert tc.dtype == np.complex128
@@ -234,14 +257,7 @@ def test_lp_support_annulus():
 
 def test_symbol_construction_check_catches_wrong_derivative():
     with pytest.raises(ValueError):
-        SmoothSymbol(func=np.sin, derivs=(np.sin,), max_order=1, window=(-1, 1))
-
-
-def test_symbol_requires_every_derivative_up_to_max_order():
-    # missing derivatives are an error, not filled in by finite differences
-    with pytest.raises(ValueError, match="max_order 2 needs that many derivative evaluators, got 1"):
-        SmoothSymbol(func=np.sin, derivs=(np.cos,), max_order=2, check=False)
-    assert SmoothSymbol(func=np.sin, derivs=(np.cos, lambda x: -np.sin(x)), max_order=2).max_order == 2
+        SmoothSymbol(func=np.sin, derivs=(np.sin,), window=(-1, 1))
 
 
 def test_expression_grammar_errors():
@@ -323,7 +339,7 @@ def test_overflowing_power_fails_the_check_quietly():
     with pytest.raises(ValueError, match="derivative order 1 is not finite"):
         SmoothSymbol(func=lambda x: np.asarray(x, dtype=float) ** 600,
                      derivs=(lambda x: 600.0 * np.asarray(x, dtype=float) ** 599,),
-                     max_order=1, window=(-4.0, 4.0))
+                     window=(-4.0, 4.0))
 
 
 @pytest.mark.parametrize("text,degree", [("x**513", 513), ("x**1000000", 1000000),
@@ -339,3 +355,14 @@ def test_degree_512_reaches_the_sanity_check():
         with pytest.raises(ConfigError, match=re.escape(f"{text!r}: derivative order 1 disagrees")):
             parse_symbol(text)
     assert parse_symbol("x**96").poly_coeffs[-1] == 1.0
+
+
+def test_constant_power_is_folded_in_one_power():
+    # a power of a constant base is one **, not n products: an overflow is
+    # refused at once, naming the expression
+    assert parse_symbol("2**10*x").poly_coeffs == (0.0, 1024.0)
+    assert parse_symbol("x - (1 + 1)**3*x**2").poly_coeffs == (0.0, 1.0, -8.0)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=re.escape("'2**1000000*x': constant power 2**1000000 overflows")):
+        parse_symbol("2**1000000*x")
+    assert time.perf_counter() - start < 0.1
