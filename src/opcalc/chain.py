@@ -171,15 +171,18 @@ def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecom
     term list of ``expansions``.
 
     u is the realized anchor, dec its eigendecomposition and ``derivatives``
-    maps each argument multi-index a to the matrix d^a u.  Every anchor is u,
-    so the symbol F^[l] over the spectrum of u depends on the order l alone:
-    each order's divided-difference tensor is built once and shared by every
-    term of that order in every expansion.
+    maps each argument multi-index a to the matrix d^a u.  A polynomial F
+    builds no tensor: ``moi_schur`` contracts its h_k recurrence on the
+    matrices.  For any other F every anchor is u, so the symbol F^[l] over
+    the spectrum of u depends on the order l alone: each order's
+    divided-difference tensor is built once and shared by every term of that
+    order in every expansion.
     """
-    orders = {t.order for terms in expansions for t in terms}
+    phi_of = {}
     if F.poly_coeffs is None:
+        orders = {t.order for terms in expansions for t in terms}
         F.require_order(max(orders), "expansion")
-    phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1)) for l in orders}
+        phi_of = {l: divided_diff_tensor(F, [dec.eigenvalues] * (l + 1)) for l in orders}
     out = []
     for terms in expansions:
         total = np.zeros_like(u.data)
@@ -187,7 +190,7 @@ def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecom
             ops = MOIOperands(anchors=(u,) * (t.order + 1),
                               arguments=tuple(derivatives[a] for a in t.args))
             total = total + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
-                                                phi=phi_of[t.order])
+                                                phi=phi_of.get(t.order))
         out.append(total)
     return out
 
@@ -198,12 +201,13 @@ def chain_rule_residual(F: SmoothSymbol, u, betas: Sequence[Sequence[int]],
     multi-index beta of ``betas``.
 
     u is realized and diagonalized once: the same decomposition gives F(u)
-    and every expansion, whose divided-difference tensors and derivatives
-    d^a u are built once for all betas.  Inner derivations iterate the
-    commutator on F(u); torus derivations apply the spectral multiplier to
-    F(u) and require the outer quarter band of F(u) to carry <= 1e-12 of its
-    energy (wrap risk).  The distance is the Hilbert-Schmidt norm of the
-    normalized trace, relative to 1 + ||lhs|| + ||rhs||.
+    and every expansion, whose derivatives d^a u (and divided-difference
+    tensors, for a non-polynomial F) are built once for all betas.  Inner
+    derivations iterate the commutator on F(u); torus derivations apply the
+    spectral multiplier to F(u) and require the outer quarter band of F(u) to
+    carry <= 1e-12 of its energy (wrap risk).  The distance is the
+    Hilbert-Schmidt norm of the normalized trace, relative to
+    1 + ||lhs|| + ||rhs||.
     """
     betas = [tuple(int(b) for b in beta) for beta in betas]
     expansions = [expand(beta) for beta in betas]

@@ -149,6 +149,12 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     w = haar_unitary(rng, 6)
     ops = mo.MOIOperands((X, Y, X), (a, b))
     res.check("moi.homomorphism", mo.homomorphism_commutation_residual(F3, w, ops), 1e-10)
+    # the h_k kernel against the dense contraction of the Hermite-table F^[2],
+    # as divdiff.homog_sym compares the two divided-difference paths
+    dx, dy = eig_hermitian(X), eig_hermitian(Y)
+    kernel = mo.moi_schur(F3, ops, decompositions=[dx, dy, dx])
+    dense = mo.moi_schur(replace(F3, poly_coeffs=None), ops, decompositions=[dx, dy, dx])
+    res.check("moi.poly_kernel", float(np.linalg.norm(kernel - dense) / np.linalg.norm(dense)), 1e-11)
 
     # torus identities
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)

@@ -18,6 +18,8 @@ leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
 Derivatives are built from the tree, so polynomials keep exact coefficients.
 A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
 before it is expanded, as is one nested too deeply to parse and differentiate.
+The degree is that of the coefficients without trailing zeros, so
+``(x - x + 1)**600*x`` is x.
 A power of a constant is one ``**``, and its overflow is a ConfigError.
 """
 
@@ -84,6 +86,12 @@ class Mul(Node):
         return self.a.ev(x) * self.b.ev(x)
 
     def d(self):
+        # a constant factor is not differentiated: the full product rule would
+        # copy the other factor into every higher derivative
+        if isinstance(self.a, Num):
+            return Mul(self.a, self.b.d())
+        if isinstance(self.b, Num):
+            return Mul(self.a.d(), self.b)
         return Add(Mul(self.a.d(), self.b), Mul(self.a, self.b.d()))
 
 
@@ -205,8 +213,16 @@ def _check_degree(degree: int):
         raise ValueError(f"polynomial degree {degree} is above 512")
 
 
+def _trimmed(coeffs: list) -> list:
+    """coeffs without trailing zeros, keeping at least the constant term."""
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_coeffs(node: Node):
-    """Ascending polynomial coefficients, or None when not a polynomial."""
+    """Ascending polynomial coefficients without trailing zeros, or None when
+    not a polynomial; the degree bound reads these trimmed degrees."""
     if isinstance(node, Num):
         return [node.value]
     if isinstance(node, Var):
@@ -220,7 +236,7 @@ def _poly_coeffs(node: Node):
             out[i] += v
         for i, v in enumerate(b):
             out[i] += v
-        return out
+        return _trimmed(out)
     if isinstance(node, Mul):
         a, b = _poly_coeffs(node.a), _poly_coeffs(node.b)
         if a is None or b is None:
@@ -230,7 +246,7 @@ def _poly_coeffs(node: Node):
         for i, va in enumerate(a):
             for j, vb in enumerate(b):
                 out[i + j] += va * vb
-        return out
+        return _trimmed(out)
     if isinstance(node, Pow):
         base = _poly_coeffs(node.base)
         if base is None:
@@ -248,7 +264,7 @@ def _poly_coeffs(node: Node):
                 for j, vb in enumerate(base):
                     new[i + j] += va * vb
             out = new
-        return out
+        return _trimmed(out)
     return None
 
 

@@ -17,7 +17,10 @@ from .linalg import (HermitianOperator, SpectralDecomposition, eig_hermitian,
                      func_calc, schatten_norm, spectral_product)
 from .symbols import SmoothSymbol, divided_diff_tensor
 
-DEFAULT_COST_CAP = 32 ** 5  # N^(n+2) flop proxy; admits n<=3 at N<=32
+# N^(n+2) flop proxy of the dense contraction; admits n<=3 at N<=32.  The
+# polynomial kernel costs less, but the guard is the dense proxy for both
+# kernels, so that which kernel runs never decides whether an input is refused.
+DEFAULT_COST_CAP = 32 ** 5
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def _check_cost(order: int, dim: int):
 
 
 def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices.
+    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices, n <= 3.
 
     Order 3 runs in two stages: W[j,k,l] = X~_2[j,k] X~_3[k,l] and the
     k-sum T[i,j,l] = sum_k phi[i,j,k,l] W[j,k,l], then the j-sum against
@@ -75,18 +78,44 @@ def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
         return phi * rotated[0]
     if n == 2:
         return np.einsum("ijk,ij,jk->ik", phi, rotated[0], rotated[1])
-    if n == 3:
-        w = rotated[1][:, :, None] * rotated[2][None, :, :]
-        if np.iscomplexobj(phi):
-            t = np.einsum("ijkl,jkl->ijl", phi, w)
-        else:
-            # a real phi meets the real and imaginary parts of W on its own:
-            # two real k-sums instead of one complex k-sum with phi upcast
-            t = np.empty(phi.shape[:2] + phi.shape[3:], dtype=np.complex128)
-            t.real = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.real))
-            t.imag = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.imag))
-        return np.einsum("ij,ijl->il", rotated[0], t)
-    raise ComplexityExceeded("MOI orders above 3 are not supported")
+    w = rotated[1][:, :, None] * rotated[2][None, :, :]
+    if np.iscomplexobj(phi):
+        t = np.einsum("ijkl,jkl->ijl", phi, w)
+    else:
+        # a real phi meets the real and imaginary parts of W on its own:
+        # two real k-sums instead of one complex k-sum with phi upcast
+        t = np.empty(phi.shape[:2] + phi.shape[3:], dtype=np.complex128)
+        t.real = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.real))
+        t.imag = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.imag))
+    return np.einsum("ij,ijl->il", rotated[0], t)
+
+
+def _poly_contract(coeffs, spectra: Sequence[np.ndarray],
+                   rotated: Sequence[np.ndarray]) -> np.ndarray:
+    """The contraction of the polynomial F^[n] = sum_m c_m h_{m-n}, on matrices:
+
+        sum_m c_m sum_{i_0+..+i_n = m-n} Lam_0^{i_0} X~_1 Lam_1^{i_1} ... X~_n Lam_n^{i_n}.
+
+    ``_poly_tensor``'s h_k recurrence carried slot by slot: after slot r,
+    q[k] = P_r[k] is the sum over i_0+..+i_r = k, and
+    P_r[k] = P_{r-1}[k] X~_r + P_r[k-1] Lam_r with P_0[k] = Lam_0^k.  That is
+    deg - n + 1 matrix products per slot and no division, so repeated
+    eigenvalues need no special case.  Degree below n gives an exact zero.
+    """
+    n = len(rotated)
+    kmax = len(coeffs) - 1 - n
+    if kmax < 0:
+        return np.zeros(rotated[0].shape, dtype=np.complex128)
+    q = np.empty((kmax + 1,) + rotated[0].shape, dtype=np.complex128)
+    q[0] = rotated[0]
+    for k in range(1, kmax + 1):
+        q[k] = spectra[0][:, None] * q[k - 1]       # Lam_0^k X~_1
+    for r in range(1, n + 1):
+        if r > 1:
+            q = q @ rotated[r - 1]
+        for k in range(1, kmax + 1):
+            q[k] += q[k - 1] * spectra[r]
+    return np.tensordot(np.asarray(coeffs[n:]), q, axes=1)
 
 
 def moi_schur(F, ops: MOIOperands,
@@ -96,30 +125,42 @@ def moi_schur(F, ops: MOIOperands,
 
     T(X_1..X_n) = sum F^[n](lam0_{i0},..,lamn_{in}) P0_{i0} X_1 P1_{i1} ... X_n Pn_{in}.
 
-    ``phi`` overrides the divided-difference tensor (expert path, used by the
-    binned form, by the chain-rule expansion to share one F^[n] among terms
-    with the same anchors, and by the constant-symbol tests).  A real phi
-    (float64, as ``divided_diff_tensor`` gives for a real polynomial) stays
-    real in the contraction; any other phi is taken as complex128.
-    ``decompositions`` supplies precomputed spectra, e.g. to test basis
-    independence under degeneracy.
+    Two kernels compute it.  For a polynomial F (``poly_coeffs`` set), order
+    n >= 1 and no ``phi``, the h_k recurrence runs on the rotated arguments
+    (``_poly_contract``) and no F^[n] tensor is built.  Otherwise the
+    divided-difference tensor phi = F^[n] over the spectra is contracted
+    densely, at O(N^(n+2)).  The cost guard and the order limit n <= 3 hold
+    for both kernels.
+
+    ``phi`` overrides the divided-difference tensor and selects the dense
+    kernel (expert path, used by the binned form, by the chain-rule expansion
+    to share one F^[n] among terms with the same anchors, and by the
+    constant-symbol tests).  A real phi (float64, as ``divided_diff_tensor``
+    gives for a real polynomial) stays real in the contraction; any other phi
+    is taken as complex128.  ``decompositions`` supplies precomputed spectra,
+    e.g. to test basis independence under degeneracy.
     """
     n = ops.order
     _check_cost(n, ops.dim)
+    if n > 3:
+        raise ComplexityExceeded("MOI orders above 3 are not supported")
     decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
     if len(decs) != n + 1:
         raise DimensionMismatch("need one spectral decomposition per anchor")
-    if phi is None:
-        phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
-    phi = np.asarray(phi)
-    phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
-    if phi.shape != tuple(len(d.eigenvalues) for d in decs):
-        raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
-    if n == 0:
-        return spectral_product(decs[0].eigenvectors, phi)
     rotated = [decs[j].eigenvectors.conj().T @ ops.arguments[j] @ decs[j + 1].eigenvectors
                for j in range(n)]
-    core = _contract(phi, rotated)
+    if n >= 1 and phi is None and F.poly_coeffs is not None:
+        core = _poly_contract(F.poly_coeffs, [d.eigenvalues for d in decs], rotated)
+    else:
+        if phi is None:
+            phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
+        phi = np.asarray(phi)
+        phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
+        if phi.shape != tuple(len(d.eigenvalues) for d in decs):
+            raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
+        if n == 0:
+            return spectral_product(decs[0].eigenvectors, phi)
+        core = _contract(phi, rotated)
     return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().T
 
 

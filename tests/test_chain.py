@@ -228,7 +228,8 @@ def test_shared_phi_keeps_bits(case):
 def per_beta_residual(F, u, beta, derivation):
     """The residual as computed one multi-index at a time: F(u) by func_calc or
     apply_symbol, and the expansion with its own eigendecomposition of u, its
-    own F^[l] per order and its own realization of each d^a u."""
+    own F^[l] per order (none for a polynomial, whose MOI contracts its h_k
+    recurrence, as in evaluate_expansion) and its own realization of each d^a u."""
     terms = expand(beta)
     if derivation.kind == "torus":
         lhs = tor.to_matrix(tor.derive_multi(apply_symbol(F, u), beta))
@@ -239,13 +240,15 @@ def per_beta_residual(F, u, beta, derivation):
         u_mat = u
         args_of = {a: _apply_derivation(u, a, derivation) for t in terms for a in t.args}
     dec = eig_hermitian(u_mat)
-    phi_of = {l: chain.divided_diff_tensor(F, [dec.eigenvalues] * (l + 1))
-              for l in {t.order for t in terms}}
+    phi_of = {}
+    if F.poly_coeffs is None:
+        phi_of = {l: chain.divided_diff_tensor(F, [dec.eigenvalues] * (l + 1))
+                  for l in {t.order for t in terms}}
     rhs = np.zeros_like(u_mat.data)
     for t in terms:
         ops = MOIOperands((u_mat,) * (t.order + 1), tuple(args_of[a] for a in t.args))
         rhs = rhs + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
-                                        phi=phi_of[t.order])
+                                        phi=phi_of.get(t.order))
     scale = 1.0 + hilbert_schmidt_norm(lhs) + hilbert_schmidt_norm(rhs)
     return hilbert_schmidt_norm(lhs - rhs) / scale
 
@@ -284,12 +287,15 @@ def test_one_decomposition_and_one_tensor_per_order(monkeypatch):
 
     monkeypatch.setattr(chain, "eig_hermitian", counted_eig)
     monkeypatch.setattr(chain, "divided_diff_tensor", counted_tensor)
-    rng = rng_for(12, "count")
-    u = random_hermitian(rng, 8)
-    chain_rule_residual(parse_symbol("x**4"), u, [(1,), (2,), (3,)],
-                        DerivationSpec("inner", (random_hermitian(rng, 8),)))
-    assert calls["eig"] == 1
-    assert sorted(calls["phi"]) == [1, 2, 3]
+    # a polynomial builds no tensor: its MOIs contract the h_k recurrence
+    for expr, orders in (("tanh(x)", [1, 2, 3]), ("x**4", [])):
+        calls["eig"], calls["phi"] = 0, []
+        rng = rng_for(12, "count")
+        u = random_hermitian(rng, 8)
+        chain_rule_residual(parse_symbol(expr), u, [(1,), (2,), (3,)],
+                            DerivationSpec("inner", (random_hermitian(rng, 8),)))
+        assert calls["eig"] == 1
+        assert sorted(calls["phi"]) == orders
 
 
 def test_chain_rule_non_real_symbol_raises():

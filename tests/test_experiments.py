@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import opcalc.chain as chain
+import opcalc.moi as moi
 from opcalc.baselines import BaselineStore
 from opcalc.config import ExperimentConfig
 from opcalc.errors import MissingBaseline
 from opcalc.experiments import (ExperimentResult, besov_equivalence_configs,
-                                capture_besov_equivalence, parallel_map, run_besov_equivalence, run_experiment,
-                                run_meyer, run_moi, run_verify_core)
+                                capture_besov_equivalence, parallel_map, run_besov_equivalence,
+                                run_chain_rule, run_experiment, run_meyer, run_moi, run_verify_core)
 
 
 def test_verify_core_battery():
@@ -31,6 +33,22 @@ def test_moi_experiment_slope_bounds():
     assert res.passed
     slope = res.tables["binned_slope"][0]["slope"]
     assert -1.3 <= slope <= -0.7
+
+
+def test_chain_rule_builds_no_polynomial_tensor(monkeypatch):
+    # every chain-rule symbol is a polynomial: its MOIs contract the h_k
+    # recurrence on matrices, and no F^[n] tensor is built on the way
+    tensor = chain.divided_diff_tensor
+
+    def refuse_polynomials(F, spectra):
+        assert F.poly_coeffs is None, f"F^[n] tensor built for {F.name}"
+        return tensor(F, spectra)
+
+    for module in (chain, moi):
+        monkeypatch.setattr(module, "divided_diff_tensor", refuse_polynomials)
+    res = run_chain_rule(ExperimentConfig(kind="chain-rule", seed=3, ensemble=4), BaselineStore())
+    assert res.passed
+    assert {row["kind"] for row in res.tables["residuals"]} == {"inner", "torus"}
 
 
 def test_meyer_experiment():

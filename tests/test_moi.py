@@ -11,7 +11,7 @@ from opcalc.moi import (MOIOperands, _contract, homomorphism_commutation_residua
                         lipschitz_ratio, loewner_residual, moi_binned, moi_schur,
                         perturbation_residual)
 from opcalc.seeding import rng_for
-from opcalc.symbols import divided_diff
+from opcalc.symbols import SmoothSymbol, divided_diff, divided_diff_tensor
 
 
 def random_args(rng, n, count):
@@ -143,6 +143,67 @@ def test_cost_guard():
         moi_schur(parse_symbol("x**4"), MOIOperands(anchors, args))
     with pytest.raises(ComplexityExceeded):
         moi_binned(parse_symbol("x**4"), MOIOperands(anchors, args))
+
+
+def _kernel_and_dense(F, anchors, args):
+    """moi_schur's polynomial kernel and its dense contraction of F^[n], on one
+    set of decompositions."""
+    ops = MOIOperands(anchors, args)
+    decs = [eig_hermitian(a) for a in ops.anchors]
+    phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
+    return (moi_schur(F, ops, decompositions=decs),
+            moi_schur(F, ops, decompositions=decs, phi=phi))
+
+
+def _projection(rng, n, rank):
+    v = haar_unitary(rng, n)[:, :rank]
+    return HermitianOperator(v @ v.conj().T)
+
+
+@pytest.mark.parametrize("expr", ["x**3", "x**5 - 2*x", "x**4 + x**2"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("anchors", ["equal", "distinct", "degenerate"])
+def test_poly_kernel_matches_dense_contraction(expr, order, anchors):
+    rng = rng_for(40, "poly-kernel", expr, order, anchors)
+    if anchors == "equal":
+        anc = (random_hermitian(rng, 6),) * (order + 1)
+    elif anchors == "distinct":
+        anc = tuple(random_hermitian(rng, 6) for _ in range(order + 1))
+    else:  # projections, and an anchor with a triple eigenvalue
+        lam = np.array([0.7, 0.7, 0.7, -1.2, 1.5, 0.1])
+        v = haar_unitary(rng, 6)
+        repeated = HermitianOperator((v * lam) @ v.conj().T)
+        anc = (repeated,) + tuple(_projection(rng, 6, 3) for _ in range(order))
+    kernel, dense = _kernel_and_dense(parse_symbol(expr), anc, random_args(rng, 6, order))
+    assert np.linalg.norm(kernel - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("expr,order", [("x**2", 3), ("x", 2), ("3 + 0*x", 1)])
+def test_poly_kernel_below_order_is_exact_zero(expr, order):
+    rng = rng_for(41, "poly-zero", expr)
+    anc = tuple(random_hermitian(rng, 5) for _ in range(order + 1))
+    kernel, dense = _kernel_and_dense(parse_symbol(expr), anc, random_args(rng, 5, order))
+    assert not np.any(kernel) and not np.any(dense)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_poly_kernel_complex_coefficients(order):
+    coeffs = (0.5j, -1.0, 2.0 - 1.0j, 0.0, 0.3j)
+    F = SmoothSymbol(func=lambda x: np.polyval(coeffs[::-1], x), poly_coeffs=coeffs, check=False)
+    rng = rng_for(42, "poly-complex", order)
+    anc = tuple(random_hermitian(rng, 6) for _ in range(order + 1))
+    kernel, dense = _kernel_and_dense(F, anc, random_args(rng, 6, order))
+    assert dense.dtype == np.complex128
+    assert np.linalg.norm(kernel - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_poly_kernel_keeps_the_order_limit():
+    # order 4 at dimension 4 passes the cost guard (4^6 < 32^5); the order
+    # limit still refuses it before either kernel runs
+    rng = rng_for(43, "poly-order4")
+    anchors = tuple(random_hermitian(rng, 4) for _ in range(5))
+    with pytest.raises(ComplexityExceeded, match="orders above 3"):
+        moi_schur(parse_symbol("x**6"), MOIOperands(anchors, random_args(rng, 4, 4)))
 
 
 def test_dimension_mismatch():

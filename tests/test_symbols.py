@@ -276,6 +276,35 @@ def test_expression_polynomial_detection():
     assert parse_symbol("sin(x)").poly_coeffs is None
 
 
+def _tree_size(node) -> int:
+    """Node count of a tree, a shared subtree counted at every use."""
+    children = [getattr(node, c) for c in ("a", "b", "arg", "base") if hasattr(node, c)]
+    return 1 + sum(_tree_size(c) for c in children)
+
+
+def test_constant_factors_are_not_differentiated():
+    # d(c*b) = c*b': the full product rule copied b into every higher
+    # derivative, so 300 leading minus signs never finished parsing and the
+    # order-6 tree of tanh(x) had 77,055 nodes
+    assert _tree("2*x*3").d() == Mul(Mul(Num(2.0), Num(1.0)), Num(3.0))
+    F = parse_symbol("- " * 300 + "x")
+    xs = np.array([-1.0, 0.5])
+    assert np.array_equal(F.derivs[0](xs), [1.0, 1.0])
+    assert not np.any(F.derivs[1](xs))
+    tree = _tree("tanh(x)")
+    for _ in range(6):
+        tree = tree.d()
+    assert _tree_size(tree) < 5000
+
+
+@pytest.mark.parametrize("text,coeffs", [("(x - x + 1)**600*x", (0.0, 1.0)),
+                                         ("(0*x + 2)**600*x", (0.0, 2.0 ** 600)),
+                                         ("0*x", (0.0,)), ("x**3 + x - x**3", (0.0, 1.0))])
+def test_trailing_zero_coefficients_are_trimmed(text, coeffs):
+    # the degree bound reads the trimmed degree: these are degree 1 or 0
+    assert parse_symbol(text).poly_coeffs == coeffs
+
+
 def test_deep_expressions_are_config_errors():
     assert parse_symbol("x" + " + x" * 299)(2.0) == 600.0
     assert parse_symbol("(" * 150 + "x" + ")" * 150)(2.0) == 2.0
