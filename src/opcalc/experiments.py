@@ -26,7 +26,7 @@ from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
                      random_hermitian, schatten_norm, schatten_norm_batch)
 from .seeding import rng_for
-from .symbols import LPFilterFamily, cb_norm, divided_diff, homogeneous_sym, lipschitz_norm
+from .symbols import LPFilterFamily, cb_norm, divided_diff, lipschitz_norm
 
 
 @dataclass
@@ -123,9 +123,10 @@ def run_verify_core(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRe
     perm = nodes[[2, 0, 3, 1]]
     res.check("divdiff.symmetry",
               abs(divided_diff(F3, nodes) - divided_diff(F3, perm)), 1e-12)
-    # x**5 without its coefficients takes the Hermite-table path, not h_2
-    x5 = replace(parse_symbol("x**5"), poly_coeffs=None)
-    res.check("divdiff.homog_sym", abs(divided_diff(x5, nodes) - homogeneous_sym(2, nodes)), 1e-10)
+    # x**5 without its coefficients takes the Hermite-table path; with them, h_2
+    F5 = parse_symbol("x**5")
+    res.check("divdiff.homog_sym",
+              abs(divided_diff(replace(F5, poly_coeffs=None), nodes) - divided_diff(F5, nodes)), 1e-10)
 
     # Littlewood-Paley partition
     lp = LPFilterFamily()

@@ -17,7 +17,8 @@ the hand-written parser this replaced, ``x ** 2`` and ``x**(2)`` parse, while
 leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
 Derivatives are built from the tree, so polynomials keep exact coefficients.
 A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
-before it is expanded, as is one nested too deeply to parse and differentiate.
+before it is expanded.  So is a tree, or any of its derivative trees, deeper
+than MAX_DEPTH levels: evaluation and differentiation recurse once per level.
 The degree is that of the coefficients without trailing zeros, so
 ``(x - x + 1)**600*x`` is x.
 A power of a constant is one ``**``, and its overflow is a ConfigError.
@@ -35,9 +36,14 @@ from .errors import ConfigError
 from .symbols import SmoothSymbol
 
 PARSED_ORDER = 6  # the symbolic derivatives of a parsed symbol: its max_order
+MAX_DEPTH = 400  # tree levels: ev takes one frame each, leaving 600 of Python's default 1000
 
 
 class Node:
+    # levels of the tree; a composite node, built after its children, sets
+    # one more than its deepest child's, so no depth count recurses
+    depth = 1
+
     def ev(self, x):
         raise NotImplementedError
 
@@ -70,6 +76,9 @@ class Add(Node):
     a: Node
     b: Node
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(self.a.depth, self.b.depth))
+
     def ev(self, x):
         return self.a.ev(x) + self.b.ev(x)
 
@@ -81,6 +90,9 @@ class Add(Node):
 class Mul(Node):
     a: Node
     b: Node
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(self.a.depth, self.b.depth))
 
     def ev(self, x):
         return self.a.ev(x) * self.b.ev(x)
@@ -100,6 +112,9 @@ class Pow(Node):
     base: Node
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.base.depth)
+
     def ev(self, x):
         return self.base.ev(x) ** self.n
 
@@ -114,6 +129,9 @@ class Call(Node):
     name: str
     arg: Node
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
+
     def ev(self, x):
         return _FUNCS[self.name][0](self.arg.ev(x))
 
@@ -125,6 +143,9 @@ class Call(Node):
 class Sign(Node):
     arg: Node
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
+
     def ev(self, x):
         return np.sign(self.arg.ev(x))
 
@@ -135,6 +156,9 @@ class Sign(Node):
 @dataclass(frozen=True)
 class Step(Node):
     arg: Node
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + self.arg.depth)
 
     def ev(self, x):
         return (self.arg.ev(x) > 0).astype(float)
@@ -299,13 +323,16 @@ def parse_symbol(text: str) -> SmoothSymbol:
         return lambda x: nd.ev(x)
 
     try:
-        # every step here, the sanity check's evaluations too, recurses per nesting level
-        tree = _tree(text)
+        # every step here, the sanity check's evaluations too, recurses per
+        # nesting level; after _tree, each tree it reaches is checked first
+        nodes = [_tree(text)]
+        while len(nodes) <= PARSED_ORDER and nodes[-1].depth <= MAX_DEPTH:
+            nodes.append(nodes[-1].d())
+        if nodes[-1].depth > MAX_DEPTH:
+            raise RecursionError
+        tree = nodes[0]
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
-        nodes = [tree]
-        for _ in range(PARSED_ORDER):
-            nodes.append(nodes[-1].d())
         return SmoothSymbol(
             func=make(tree),
             derivs=tuple(make(nd) for nd in nodes[1:]),

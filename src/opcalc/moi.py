@@ -68,10 +68,11 @@ def _check_cost(order: int, dim: int):
 def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
     """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices, n <= 3.
 
-    Order 3 runs in two stages: W[j,k,l] = X~_2[j,k] X~_3[k,l] and the
-    k-sum T[i,j,l] = sum_k phi[i,j,k,l] W[j,k,l], then the j-sum against
-    X~_1.  Only the k-sum touches all n^4 entries of phi; the other two
-    stages cost n^3 each.
+    phi is complex128, as ``moi_schur`` passes it.  Order 3 runs in two
+    stages: W[j,k,l] = X~_2[j,k] X~_3[k,l] and the k-sum
+    T[i,j,l] = sum_k phi[i,j,k,l] W[j,k,l], then the j-sum against X~_1.
+    Only the k-sum touches all n^4 entries of phi; the other two stages cost
+    n^3 each.
     """
     n = len(rotated)
     if n == 1:
@@ -79,15 +80,7 @@ def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
     if n == 2:
         return np.einsum("ijk,ij,jk->ik", phi, rotated[0], rotated[1])
     w = rotated[1][:, :, None] * rotated[2][None, :, :]
-    if np.iscomplexobj(phi):
-        t = np.einsum("ijkl,jkl->ijl", phi, w)
-    else:
-        # a real phi meets the real and imaginary parts of W on its own:
-        # two real k-sums instead of one complex k-sum with phi upcast
-        t = np.empty(phi.shape[:2] + phi.shape[3:], dtype=np.complex128)
-        t.real = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.real))
-        t.imag = np.einsum("ijkl,jkl->ijl", phi, np.ascontiguousarray(w.imag))
-    return np.einsum("ij,ijl->il", rotated[0], t)
+    return np.einsum("ij,ijl->il", rotated[0], np.einsum("ijkl,jkl->ijl", phi, w))
 
 
 def _poly_contract(coeffs, spectra: Sequence[np.ndarray],
@@ -135,10 +128,10 @@ def moi_schur(F, ops: MOIOperands,
     ``phi`` overrides the divided-difference tensor and selects the dense
     kernel (expert path, used by the binned form, by the chain-rule expansion
     to share one F^[n] among terms with the same anchors, and by the
-    constant-symbol tests).  A real phi (float64, as ``divided_diff_tensor``
-    gives for a real polynomial) stays real in the contraction; any other phi
-    is taken as complex128.  ``decompositions`` supplies precomputed spectra,
-    e.g. to test basis independence under degeneracy.
+    constant-symbol tests).  Any phi is taken as complex128, the dtype
+    ``divided_diff_tensor`` gives for every symbol.  ``decompositions``
+    supplies precomputed spectra, e.g. to test basis independence under
+    degeneracy.
     """
     n = ops.order
     _check_cost(n, ops.dim)
@@ -154,8 +147,7 @@ def moi_schur(F, ops: MOIOperands,
     else:
         if phi is None:
             phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
-        phi = np.asarray(phi)
-        phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
+        phi = np.asarray(phi, dtype=np.complex128)
         if phi.shape != tuple(len(d.eigenvalues) for d in decs):
             raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
         if n == 0:

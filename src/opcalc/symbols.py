@@ -37,9 +37,9 @@ class SmoothSymbol:
 
     ``derivs[k-1]`` evaluates F^(k), so ``max_order`` is ``len(derivs)``.
     ``poly_coeffs`` (ascending) is set when F is known to be a polynomial;
-    divided differences then use the exact
-    complete-homogeneous-symmetric-polynomial path.  ``kinks`` lists points
-    where F fails to be smooth (excluded from the construction check).
+    its divided differences then take the one h_k route, F^[n] =
+    sum_m c_m h_{m-n} (``_poly_tensor``).  ``kinks`` lists points where F
+    fails to be smooth (excluded from the construction check).
     """
 
     func: Callable
@@ -113,28 +113,6 @@ def smoothness_order(F: SmoothSymbol, s: float) -> int:
 # divided differences
 # ---------------------------------------------------------------------------
 
-def homogeneous_sym(k: int, nodes: np.ndarray) -> complex:
-    """Complete homogeneous symmetric polynomial h_k via the stable recurrence."""
-    if k < 0:
-        return 0.0
-    nodes = np.asarray(nodes)
-    h = np.zeros(k + 1, dtype=np.complex128)
-    h[0] = 1.0
-    for x in nodes:
-        for j in range(1, k + 1):
-            h[j] = h[j] + x * h[j - 1]
-    return complex(h[k])
-
-
-def _poly_divided_diff(coeffs, nodes: np.ndarray) -> complex:
-    n = len(nodes) - 1
-    total = 0.0 + 0.0j
-    for m, c in enumerate(coeffs):
-        if c != 0 and m >= n:
-            total += c * homogeneous_sym(m - n, nodes)
-    return complex(total)
-
-
 def _snap_clusters(nodes: np.ndarray) -> np.ndarray:
     z = np.sort(np.asarray(nodes, dtype=float))
     tol = CLUSTER_RTOL * (1.0 + (float(np.max(np.abs(z))) if z.size else 0.0))
@@ -155,17 +133,18 @@ def divided_diff(F: SmoothSymbol, nodes) -> complex:
 
     Recursive quotient with the derivative clause at coincident nodes;
     near-coincident clusters are snapped to their mean first (the plain
-    recursion is catastrophically cancellative there).  Exact for polynomial
-    symbols via the h_{m-n} path.  For other symbols the relative accuracy
-    floor sits at node gaps near CLUSTER_RTOL, where cancellation has already
-    consumed about half the mantissa whatever the clustering choice.
+    recursion is catastrophically cancellative there).  A polynomial symbol
+    reads ``_poly_tensor`` on one-node spectra, the h_{m-n} route with no
+    division.  For other symbols the relative accuracy floor sits at node
+    gaps near CLUSTER_RTOL, where cancellation has already consumed about
+    half the mantissa whatever the clustering choice.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     n = len(nodes) - 1
     if n < 0:
         raise ValueError("need at least one node")
     if F.poly_coeffs is not None:
-        return _poly_divided_diff(F.poly_coeffs, nodes)
+        return _poly_tensor(F.poly_coeffs, nodes[:, None]).item()
     F.require_order(n, "divided difference")
     z = _snap_clusters(nodes)
     # Hermite table over sorted, snapped nodes
@@ -190,18 +169,18 @@ def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.nd
     """Tensor of F^[n] over the grid of the n+1 spectra.
 
     Entry (i_0..i_n) = divided_diff(F, (spectra[0][i_0], ..., spectra[n][i_n])),
-    bit for bit.  Polynomial symbols with real coefficients give a float64
-    tensor (the exact h_k path); every other symbol gives complex128.
+    bit for bit, and complex128 for every symbol.  A polynomial symbol takes
+    the h_k route (``_poly_tensor``).
 
     F^[n] is symmetric, so the generic path evaluates it once per distinct
     sorted node tuple, all tuples at once: one Hermite table whose rows are
     the tuples.
     """
     spectra = [np.atleast_1d(np.asarray(s, dtype=float)) for s in spectra]
+    if F.poly_coeffs is not None:
+        return _poly_tensor(F.poly_coeffs, spectra)
     n = len(spectra) - 1
     shape = tuple(len(s) for s in spectra)
-    if F.poly_coeffs is not None:
-        return _poly_tensor(F.poly_coeffs, spectra, shape)
     F.require_order(n, "divided difference")
     # nodes as ranks among the distinct node values: sorting and deduplicating
     # the tuples is then integer work on one key per tuple
@@ -264,22 +243,21 @@ def _snap_cluster_rows(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_tensor(coeffs, spectra, shape) -> np.ndarray:
-    """Broadcast h_k recurrence: exact polynomial divided-difference tensor,
-    float64 for real coefficients."""
+def _poly_tensor(coeffs, spectra) -> np.ndarray:
+    """The polynomial F^[n] = sum_m c_m h_{m-n} over the grid of the n+1
+    spectra, complex128: the h_k recurrence broadcast over the grid."""
     n = len(spectra) - 1
-    deg = len(coeffs) - 1
-    kmax = deg - n
-    dtype = np.complex128 if np.iscomplexobj(np.asarray(coeffs)) else np.float64
+    shape = tuple(len(s) for s in spectra)
+    kmax = len(coeffs) - 1 - n
+    out = np.zeros(shape, dtype=np.complex128)
     if kmax < 0:
-        return np.zeros(shape, dtype=dtype)
+        return out
     # h[k] over growing node sets; spectrum j broadcast along axis j
     axes = [s.reshape((-1,) + (1,) * (n - j)) for j, s in enumerate(spectra)]
     hk: list = [np.ones((1,) * (n + 1))] + [np.zeros((1,) * (n + 1))] * kmax
     for xj in axes:
         for k in range(1, kmax + 1):
             hk[k] = hk[k] + xj * hk[k - 1]
-    out = np.zeros(shape, dtype=dtype)
     for m, c in enumerate(coeffs):
         if c != 0 and m >= n:
             out += c * np.broadcast_to(hk[m - n], shape)

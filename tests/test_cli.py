@@ -157,6 +157,8 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("allen-cahn", "[allen-cahn]\nt_max = 0\n", "[allen-cahn]"),
     ("allen-cahn", "[allen-cahn]\nt_max = inf\n", "[allen-cahn]"),
     ("moi", "[symbol]\nexpr = x" + " + x" * 1199 + "\n", "symbol expression"),
+    # parses, but evaluating it takes 900 frames: deeper than MAX_DEPTH levels
+    ("moi", "[symbol]\nexpr = x" + " + x" * 899 + "\n", "nested too deeply"),
     # backend admits one value; 'commutative' is no longer a choice
     ("meyer", "[algebra]\ntheta_num = 0\nbackend = commutative\n", "[algebra]"),
     # closed-form derivatives that fail the central-difference sanity check
@@ -183,7 +185,7 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("moi", "[symbol]\nexpr = 2**1000000*x\n", "'2**1000000*x': constant power 2**1000000 overflows"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
-        "t-max-inf", "deep-expr", "commutative-flat", "symbol-check", "meyer-besov",
+        "t-max-inf", "deep-expr", "deep-sum", "commutative-flat", "symbol-check", "meyer-besov",
         "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
         "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn", "band-negative",
         "delta-nan", "delta-negative", "d0", "inf-literal", "constant-power-overflow"])

@@ -2,17 +2,19 @@ import itertools
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opcalc.chain import DerivationSpec, chain_rule_residual
 from opcalc.errors import ConfigError, OrderExceeded
-from opcalc.expr import Add, Call, Mul, Num, Pow, Var, _tree, parse_symbol
+from opcalc.expr import MAX_DEPTH, PARSED_ORDER, Add, Call, Mul, Num, Pow, Var, _tree, parse_symbol
 from opcalc.linalg import random_hermitian
 from opcalc.seeding import rng_for
 from opcalc.symbols import (BumpLocalizer, LPFilterFamily, SmoothSymbol, cb_norm, divided_diff,
-                            divided_diff_tensor, homogeneous_sym, lipschitz_norm, localize)
+                            divided_diff_tensor, lipschitz_norm, localize)
 
 
 def brute_homogeneous(k, nodes):
@@ -29,7 +31,9 @@ def brute_homogeneous(k, nodes):
 @pytest.mark.parametrize("k,nodes", [(0, [2.0]), (1, [1.0, 2.0, 3.0]),
                                      (2, [1.0, 2.0, 3.0]), (3, [0.5, -1.5, 2.0, 0.25])])
 def test_homogeneous_sym_against_enumeration(k, nodes):
-    assert homogeneous_sym(k, np.array(nodes)) == pytest.approx(brute_homogeneous(k, nodes))
+    # the n-th divided difference of x**(k+n) is h_k of the n+1 nodes
+    F = parse_symbol(f"x**{k + len(nodes) - 1}")
+    assert divided_diff(F, np.array(nodes)) == pytest.approx(brute_homogeneous(k, nodes))
 
 
 def test_divided_diff_square_two_nodes():
@@ -175,18 +179,31 @@ def test_tensor_generic_bit_equal_to_per_entry(expr, order):
         assert np.array_equal(got, per_entry_tensor(F, spectra)), name
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9),
+       nodes=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5).filter(
+           lambda xs: len(xs) == 1 or np.min(np.diff(np.sort(xs))) >= 0.05))
+def test_poly_route_matches_hermite_table(coeffs, nodes):
+    # the h_k route of a polynomial against the Hermite table of the same function
+    P = np.polynomial.Polynomial(coeffs)
+    F = SmoothSymbol(func=P, derivs=tuple(P.deriv(k) for k in range(1, 5)),
+                     poly_coeffs=tuple(coeffs), check=False)
+    value = divided_diff(F, nodes)
+    assert abs(value - divided_diff(replace(F, poly_coeffs=None), nodes)) <= 1e-8 * (1 + abs(value))
+
+
 def test_tensor_poly_real_and_equal_to_complex_path():
+    # real and complex coefficients take the one h_k route to one complex128 tensor
     rng = rng_for(5, "poly-tensor")
     spectra = [np.sort(rng.standard_normal(6)) for _ in range(4)]
     F = parse_symbol("x**5 - 2*x**3 + 0.5*x")
     t = divided_diff_tensor(F, spectra)
-    assert t.dtype == np.float64
     complex_coeffs = SmoothSymbol(func=F.func, derivs=F.derivs,
                                   poly_coeffs=tuple(complex(c) for c in F.poly_coeffs), check=False)
     tc = divided_diff_tensor(complex_coeffs, spectra)
-    assert tc.dtype == np.complex128
-    assert np.array_equal(t, tc.real) and not np.any(tc.imag)
-    assert divided_diff_tensor(parse_symbol("x**2"), [spectra[0]] * 4).dtype == np.float64
+    assert t.dtype == tc.dtype == np.complex128
+    assert np.array_equal(t, tc) and not np.any(tc.imag)
+    assert divided_diff_tensor(parse_symbol("x**2"), [spectra[0]] * 4).dtype == np.complex128
 
 
 def test_lipschitz_norms():
@@ -303,6 +320,24 @@ def test_constant_factors_are_not_differentiated():
 def test_trailing_zero_coefficients_are_trimmed(text, coeffs):
     # the degree bound reads the trimmed degree: these are degree 1 or 0
     assert parse_symbol(text).poly_coeffs == coeffs
+
+
+def test_symbol_at_the_depth_bound_evaluates_from_a_deep_stack():
+    # MAX_DEPTH levels parse, one more is refused; F and its six derivatives
+    # at the bound evaluate 500 frames below the test
+    F = parse_symbol("x" + " + x" * (MAX_DEPTH - 1))
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        parse_symbol("x" + " + x" * MAX_DEPTH)
+    xs = np.array([0.5, -2.0])
+
+    def from_below(frames):
+        if frames:
+            return from_below(frames - 1)
+        return [F.deriv(k)(xs) for k in range(PARSED_ORDER + 1)]
+
+    values = from_below(500)
+    assert np.array_equal(values[0], MAX_DEPTH * xs) and np.all(values[1] == MAX_DEPTH)
+    assert not np.any(values[2:])
 
 
 def test_deep_expressions_are_config_errors():
