@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateInput, HypothesisViolation, SymbolHypothesisError
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
-                     eig_hermitian, func_calc, func_calc_first_column, schatten_norm)
+                     eig_hermitian, func_calc, func_calc_first_column, schatten_norm_batch)
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, block_count, difference, from_matrix,
@@ -416,7 +416,8 @@ def _unit_gauss_legendre(order: int) -> tuple:
 def meyer_residual(u: TorusElement, xis: Sequence[float],
                    quad_orders: Sequence[int]) -> np.ndarray:
     """Operator-norm residuals of the dyadic decomposition of e^{i xi u} - 1,
-    as an array over the grid of ``xis`` (rows) and ``quad_orders`` (columns).
+    as an array over the grid of ``xis`` (rows) and ``quad_orders`` (columns),
+    with the member axes of a stacked u in front.
 
     e^{i xi u} - 1 = G(S_0 u) S_0 u
                    + i xi sum_{j>=1} int_0^1 e^{i t xi S_j u} (Block_j u) e^{i (1-t) xi S_{j-1} u} dt
@@ -425,12 +426,14 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
     requires the left exponent anchor S_j and the i xi factor.
 
     No decomposition depends on xi or the quadrature order: u, S_0 u and the
-    partial sums S_j u are realized and diagonalized once, in one stacked
-    call, and each nonzero block is rotated into the eigenbases of S_j u
-    (eigenvalues lam) and S_{j-1} u (mu) once.  The block integral is then
-    the Schur product of the rotated block with L^T R, where
+    partial sums S_j u of every member are realized and diagonalized once, in
+    one stacked call, and each nonzero block is rotated into the eigenbases of
+    S_j u (eigenvalues lam) and S_{j-1} u (mu) once.  The block integral is
+    then the Schur product of the rotated block with L^T R, where
     L[t, a] = w_t e^{i t xi lam_a} and R[t, b] = e^{i (1-t) xi mu_b}: one
-    matrix product per block and grid point covers every quadrature node.
+    matrix product per block and grid point covers every quadrature node and
+    every member.  A block that is zero in some member but not in all adds an
+    exact zero to that member.  Each grid point's norms are one stacked SVD.
     """
     if not is_hermitian(u):
         raise SymbolHypothesisError("Meyer decomposition requires Hermitian u")
@@ -438,20 +441,20 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
     blocks = [j for j in range(1, block_count(alg))
               if float(np.max(np.abs(lp_block(u, j).coeffs))) >= 1e-300]
     sums = [u, partial_sum(u, 0)] + [partial_sum(u, j) for j in blocks]
-    mats = tor.to_matrix_batch(alg, np.stack([x.coeffs for x in sums]
-                                             + [lp_block(u, j).coeffs for j in blocks]))
+    mats = tor.to_matrix(TorusElement(alg, np.stack([x.coeffs for x in sums]
+                                                    + [lp_block(u, j).coeffs for j in blocks])))
     stacked = eig_hermitian(HermitianOperator(mats[:len(sums)]))
     decs = [SpectralDecomposition(w, v) for w, v in zip(stacked.eigenvalues, stacked.eigenvectors)]
     s0_mat = mats[1]
     # per nonzero block: the decompositions of S_j u and of the partial sum
     # before it, and the block rotated into their eigenbases
-    rotated = [(cur, prev, cur.eigenvectors.conj().T @ bmat @ prev.eigenvectors)
+    rotated = [(cur, prev, cur.eigenvectors.conj().swapaxes(-1, -2) @ bmat @ prev.eigenvectors)
                for cur, prev, bmat in zip(decs[2:], decs[1:], mats[len(sums):])]
-    out = np.empty((len(xis), len(quad_orders)))
+    out = np.empty(u.coeffs.shape[:u.coeffs.ndim - alg.d] + (len(xis), len(quad_orders)))
     for a, xi in enumerate(xis):
         lhs = decs[0].apply(lambda lam: np.exp(1j * xi * lam) - 1.0)
         if xi == 0.0:
-            out[a] = schatten_norm(lhs, math.inf)
+            out[..., a, :] = schatten_norm_batch(lhs, math.inf)[..., None]
             continue
 
         def g_fn(lam):
@@ -469,11 +472,11 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
             for cur, prev, bm in rotated:
                 vl, ll = cur.eigenvectors, cur.eigenvalues
                 vr, lr = prev.eigenvectors, prev.eigenvalues
-                left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[None, :])
-                right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[None, :])
-                acc = bm * (left.T @ right)
-                rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().T)
-            out[a, b] = schatten_norm(lhs - rhs, math.inf)
+                left = wq[:, None] * np.exp(1j * tq[:, None] * xi * ll[..., None, :])
+                right = np.exp(1j * (1.0 - tq)[:, None] * xi * lr[..., None, :])
+                acc = bm * (left.swapaxes(-1, -2) @ right)
+                rhs = rhs + 1j * xi * (vl @ acc @ vr.conj().swapaxes(-1, -2))
+            out[..., a, b] = schatten_norm_batch(lhs - rhs, math.inf)
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BandOverflow, DimensionMismatch
 from .linalg import (HermitianOperator, SpectralDecomposition, decomposed_func_calc,
-                     eig_hermitian, hilbert_schmidt_norm)
+                     eig_hermitian, hilbert_schmidt_norm_batch)
 from .moi import MOIOperands, moi_schur
 from .symbols import SmoothSymbol, divided_diff_tensor
 from . import torus as tor
@@ -47,6 +47,8 @@ class DerivationSpec:
 
     For multi-axis inner derivations the generators must commute for the
     multi-index notation to be order-free; single-axis use is unrestricted.
+    A generator may be a (..., n, n) stack: member i of a stacked u is then
+    derived by member i of each generator.
     """
 
     kind: str
@@ -145,7 +147,8 @@ def commutative_collapse(terms: Sequence[ExpansionTerm]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
-    """d^alpha u for inner derivations: iterated commutators, axes in order 0..d-1."""
+    """d^alpha u for inner derivations: iterated commutators, axes in order 0..d-1
+    (of each member of a stack)."""
     gens = derivation.generators
     if len(alpha) != len(gens):
         raise DimensionMismatch("alpha length must match the generator count")
@@ -158,10 +161,11 @@ def _apply_derivation(u, alpha: Sequence[int], derivation: DerivationSpec):
 
 
 def _derivative_matrices(x, alphas: Sequence[tuple], derivation: DerivationSpec) -> dict:
-    """{alpha: d^alpha x as a matrix}; torus derivatives are realized in one batch."""
+    """{alpha: d^alpha x as a matrix, or a stack of them}; torus derivatives of
+    every member are realized in one batch."""
     if derivation.kind == "torus":
         stack = np.stack([tor.derive_multi(x, a).coeffs for a in alphas])
-        return dict(zip(alphas, tor.to_matrix_batch(x.algebra, stack)))
+        return dict(zip(alphas, tor.to_matrix(tor.TorusElement(x.algebra, stack))))
     return {a: _apply_derivation(x, a, derivation) for a in alphas}
 
 
@@ -171,7 +175,9 @@ def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecom
     term list of ``expansions``.
 
     u is the realized anchor, dec its eigendecomposition and ``derivatives``
-    maps each argument multi-index a to the matrix d^a u.  A polynomial F
+    maps each argument multi-index a to the matrix d^a u; all three may be
+    stacks with one leading member axis, contracted in one ``moi_schur``
+    call per term.  A polynomial F
     builds no tensor: ``moi_schur`` contracts its h_k recurrence on the
     matrices.  For any other F every anchor is u, so the symbol F^[l] over
     the spectrum of u depends on the order l alone: each order's
@@ -198,16 +204,19 @@ def evaluate_expansion(F: SmoothSymbol, u: HermitianOperator, dec: SpectralDecom
 def chain_rule_residual(F: SmoothSymbol, u, betas: Sequence[Sequence[int]],
                         derivation: DerivationSpec) -> list:
     """Normalized L2 distance between d^beta F(u) and its expansion, one per
-    multi-index beta of ``betas``.
+    multi-index beta of ``betas``; for a stack u, one such list per member.
 
-    u is realized and diagonalized once: the same decomposition gives F(u)
-    and every expansion, whose derivatives d^a u (and divided-difference
-    tensors, for a non-polynomial F) are built once for all betas.  Inner
-    derivations iterate the commutator on F(u); torus derivations apply the
-    spectral multiplier to F(u) and require the outer quarter band of F(u) to
-    carry <= 1e-12 of its energy (wrap risk).  The distance is the
+    u is a matrix or a HermitianOperator for inner derivations and a
+    TorusElement for torus derivations; either may be a stack with one leading
+    member axis, run as one batch with the bits of one call per member.  u is
+    realized and diagonalized once: the same decomposition gives F(u) and
+    every expansion, whose derivatives d^a u (and divided-difference tensors,
+    for a non-polynomial F) are built once for all betas.  Inner derivations
+    iterate the commutator on F(u); torus derivations apply the spectral
+    multiplier to F(u) and require the outer quarter band of each member's
+    F(u) to carry <= 1e-12 of its energy (wrap risk).  The distance is the
     Hilbert-Schmidt norm of the normalized trace, relative to
-    1 + ||lhs|| + ||rhs||.
+    1 + ||lhs|| + ||rhs||, one matrix at a time.
     """
     betas = [tuple(int(b) for b in beta) for beta in betas]
     expansions = [expand(beta) for beta in betas]
@@ -219,23 +228,24 @@ def chain_rule_residual(F: SmoothSymbol, u, betas: Sequence[Sequence[int]],
     dec = eig_hermitian(u_op)
     fu = decomposed_func_calc(dec, F)
     if derivation.kind == "torus":
-        fu = tor.TorusElement(alg, tor.from_matrix_batch(alg, fu.data[None])[0])
+        fu = tor.from_matrix(alg, fu.data)
         guard_band = (3 * alg.N) // 8
-        kinf = np.max(np.stack([np.abs(g) for g in alg.k_grids]), axis=0)
-        mass_out = float(np.linalg.norm(fu.coeffs[kinf > guard_band]))
-        mass_all = float(np.linalg.norm(fu.coeffs))
-        if mass_all > 0 and mass_out > 1e-12 * mass_all:
-            raise BandOverflow(
-                f"F(u) has {mass_out / mass_all:.2e} of its L2 mass beyond |k|_inf = {guard_band}; "
-                "shrink the band or the polynomial degree"
-            )
+        outside = np.max(np.stack([np.abs(g) for g in alg.k_grids]), axis=0) > guard_band
+        for c in fu.coeffs.reshape((-1,) + alg.shape):
+            mass_out = float(np.linalg.norm(c[outside]))
+            mass_all = float(np.linalg.norm(c))
+            if mass_all > 0 and mass_out > 1e-12 * mass_all:
+                raise BandOverflow(
+                    f"F(u) has {mass_out / mass_all:.2e} of its L2 mass beyond |k|_inf = {guard_band}; "
+                    "shrink the band or the polynomial degree"
+                )
     lhs = _derivative_matrices(fu, list(dict.fromkeys(betas)), derivation)
     args = dict.fromkeys(a for terms in expansions for t in terms for a in t.args)
     rhs = evaluate_expansion(F, u_op, dec, _derivative_matrices(u, list(args), derivation),
                              expansions)
-    out = []
-    for beta, r in zip(betas, rhs):
+    out = np.empty(u_op.data.shape[:-2] + (len(betas),))
+    for b, (beta, r) in enumerate(zip(betas, rhs)):
         l = lhs[beta]
-        scale = 1.0 + hilbert_schmidt_norm(l) + hilbert_schmidt_norm(r)
-        out.append(hilbert_schmidt_norm(l - r) / scale)
-    return out
+        scale = 1.0 + hilbert_schmidt_norm_batch(l) + hilbert_schmidt_norm_batch(r)
+        out[..., b] = hilbert_schmidt_norm_batch(l - r) / scale
+    return out.tolist()

@@ -68,6 +68,11 @@ def ensemble_elements(cfg: ExperimentConfig, count=None, tag="element", decay=1.
             for i in range(count)]
 
 
+def _stack(members) -> HermitianOperator:
+    """One HermitianOperator stack of the ensemble members' operators."""
+    return HermitianOperator(np.stack([h.data for h in members]))
+
+
 def parallel_map(fn, items, jobs: int = 1):
     """Order-preserving map over ensemble members, optionally on a pool."""
     if jobs <= 1:
@@ -233,16 +238,22 @@ def run_moi(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     res = ExperimentResult("moi", cfg.config_hash)
     F = parse_symbol(cfg.expr) if cfg.expr else parse_symbol("exp(x)")
     ms = [10, 20, 40, 80, 160]
+    count = min(cfg.ensemble, 20)
+    members = []
+    for i in range(count):
+        rng = rng_for(cfg.seed, "binned", i)
+        members.append((random_hermitian(rng, 6), random_hermitian(rng, 6),
+                        rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))))
+    # the whole ensemble is one stack of operands
+    xs, ys, args = zip(*members)
+    ops = mo.MOIOperands((_stack(xs), _stack(ys)), (np.stack(args),))
+    decs = [eig_hermitian(a) for a in ops.anchors]  # shared by the exact form and every m
+    exact = mo.moi_schur(F, ops, decompositions=decs)
+    binned = [mo.moi_binned(F, ops, m=m, decompositions=decs) for m in ms]
     rows = []
     curves = []
-    for i in range(min(cfg.ensemble, 20)):
-        rng = rng_for(cfg.seed, "binned", i)
-        ops = mo.MOIOperands((random_hermitian(rng, 6), random_hermitian(rng, 6)),
-                             (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),))
-        decs = [eig_hermitian(a) for a in ops.anchors]  # shared by the exact form and every m
-        exact = mo.moi_schur(F, ops, decompositions=decs)
-        errs = [float(np.linalg.norm(mo.moi_binned(F, ops, m=m, decompositions=decs) - exact))
-                for m in ms]
+    for i in range(count):
+        errs = [float(np.linalg.norm(b[i] - exact[i])) for b in binned]
         curves.append(errs)
         for m, e in zip(ms, errs):
             rows.append({"seed": i, "m": m, "error": e})
@@ -261,13 +272,16 @@ def run_moi(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     res.check("moi.binned_monotone", float(len(curves) - mono_ok), 0.5)
 
     # Lipschitz ratios at p = 2 against the divided-difference sup bound
+    pairs = [(random_hermitian(rng, 8), random_hermitian(rng, 8))
+             for rng in (rng_for(cfg.seed, "lip", i) for i in range(count))]
+    X, Y = (_stack(side) for side in zip(*pairs))
+    decs = [eig_hermitian(X), eig_hermitian(Y)]
+    ratios = mo.lipschitz_ratio(F, X, Y, 2, decompositions=decs)
     worst = 0.0
-    for i in range(min(cfg.ensemble, 20)):
-        rng = rng_for(cfg.seed, "lip", i)
-        X, Y = random_hermitian(rng, 8), random_hermitian(rng, 8)
-        lam = np.concatenate([eig_hermitian(X).eigenvalues, eig_hermitian(Y).eigenvalues])
+    for i, ratio in enumerate(ratios):
+        lam = np.concatenate([decs[0].eigenvalues[i], decs[1].eigenvalues[i]])
         lipw = lipschitz_norm(F, (float(lam.min()) - 0.1, float(lam.max()) + 0.1))
-        worst = max(worst, mo.lipschitz_ratio(F, X, Y, 2) / lipw)
+        worst = max(worst, ratio / lipw)
     res.check("moi.lipschitz_p2", worst, 1 + 1e-8)
     return res
 
@@ -284,16 +298,23 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
         res.check(f"chain.weights.K{kk}", 0.0 if lhs == rhs else 1.0, 0.5,
                   note="integer identity")
     rows = []
+    # member i runs symbol i % len(polys) (below: case i % len(cases)); the
+    # members of one symbol or case are one stack
     polys = ["x**2", "x**3", "x**4 + x**2", "x**5"]
     symbol = {expr: parse_symbol(expr) for expr in polys}
-    worst_inner = 0.0
-    for i in range(min(cfg.ensemble, 50)):
-        rng = rng_for(cfg.seed, "inner", i)
-        u = random_hermitian(rng, 16)
-        dgen = random_hermitian(rng, 16)
-        F = symbol[polys[i % len(polys)]]
-        residuals = ch.chain_rule_residual(F, u, [(K,) for K in (1, 2, 3)],
+    inner = {}
+    for k, expr in enumerate(polys):
+        group = range(k, min(cfg.ensemble, 50), len(polys))
+        if not group:
+            continue
+        pairs = [(random_hermitian(rng, 16), random_hermitian(rng, 16))
+                 for rng in (rng_for(cfg.seed, "inner", i) for i in group)]
+        u, dgen = (_stack(side) for side in zip(*pairs))
+        residuals = ch.chain_rule_residual(symbol[expr], u, [(K,) for K in (1, 2, 3)],
                                            ch.DerivationSpec("inner", (dgen,)))
+        inner.update(zip(group, residuals))
+    worst_inner = 0.0
+    for i, residuals in sorted(inner.items()):
         for K, r in zip((1, 2, 3), residuals):
             worst_inner = max(worst_inner, r)
             rows.append({"seed": i, "kind": "inner", "beta": K, "poly": polys[i % len(polys)],
@@ -301,13 +322,20 @@ def run_chain_rule(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentRes
     res.check("chain.inner_residual", worst_inner, 1e-12)
     # torus derivations: degree a band chosen to keep F(u) inside the guard band
     alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
-    worst_torus = 0.0
     cases = [("x**3", 4), ("x**2", 4), ("x**5", 2)]
-    for i in range(min(cfg.ensemble, 10)):
-        expr, band = cases[i % len(cases)]
-        u = tor.random_element(alg, rng_for(cfg.seed, "torus", i), band=band, decay=2.0)
-        betas = ((1, 0), (2, 0), (1, 1), (2, 1))
-        residuals = ch.chain_rule_residual(symbol[expr], u, betas, ch.DerivationSpec("torus"))
+    betas = ((1, 0), (2, 0), (1, 1), (2, 1))
+    torus = {}
+    for k, (expr, band) in enumerate(cases):
+        group = range(k, min(cfg.ensemble, 10), len(cases))
+        if not group:
+            continue
+        u = tor.TorusElement(alg, np.stack([
+            tor.random_element(alg, rng_for(cfg.seed, "torus", i), band=band, decay=2.0).coeffs
+            for i in group]))
+        torus.update(zip(group, ch.chain_rule_residual(symbol[expr], u, betas, ch.DerivationSpec("torus"))))
+    worst_torus = 0.0
+    for i, residuals in sorted(torus.items()):
+        expr = cases[i % len(cases)][0]
         for beta, r in zip(betas, residuals):
             worst_torus = max(worst_torus, r)
             rows.append({"seed": i, "kind": "torus", "beta": str(beta), "poly": expr,
@@ -473,7 +501,7 @@ def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
     loose = ("heat_smoothing_max", "block_diff_ratio_max", "paraproduct_ratio_max")
     for metric in _EQ_METRICS:
         value = stats[metric]
-        baseline = store.get(cfg.config_hash, metric)
+        baseline = store.get(res.config_hash, metric)
         if metric.endswith("_min"):
             ok = res.check(f"besov.{metric}", value, baseline * (1 - 1e-9), mode="ge",
                            note=f"baseline {baseline:.6g}")
@@ -481,7 +509,7 @@ def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
             slack = 1.1 if metric in loose else 1 + 1e-9
             ok = res.check(f"besov.{metric}", value, baseline * slack,
                            note=f"baseline {baseline:.6g}")
-        table.append({"config-hash": cfg.config_hash, "metric": metric, "value": value,
+        table.append({"config-hash": res.config_hash, "metric": metric, "value": value,
                       "baseline": baseline, "pass": ok})
     csv_rows = []
     baselines = {"difference": ("ratio_md_min", "ratio_md_max"),
@@ -492,11 +520,11 @@ def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
                 ratio, base, ok = 1.0, 1.0, True
             else:
                 ratio = row["multiplier"] / row[form]
-                lo = store.get(cfg.config_hash, baselines[form][0])
-                hi = store.get(cfg.config_hash, baselines[form][1])
+                lo = store.get(res.config_hash, baselines[form][0])
+                hi = store.get(res.config_hash, baselines[form][1])
                 base = hi
                 ok = lo * (1 - 1e-9) <= ratio <= hi * (1 + 1e-9)
-            csv_rows.append({"config-hash": cfg.config_hash, "element-seed": row["element-seed"],
+            csv_rows.append({"config-hash": res.config_hash, "element-seed": row["element-seed"],
                              "norm-form": form, "value": row[form], "ratio": ratio,
                              "baseline": base, "pass": ok})
     res.tables["norms"] = csv_rows
@@ -506,8 +534,9 @@ def run_besov_equivalence(cfg: ExperimentConfig, store: BaselineStore,
 
 def store_stats(cfg: ExperimentConfig, store: BaselineStore, stats: dict, force: bool = False):
     """Record every value of stats as a baseline constant of cfg."""
+    key, label = cfg.config_hash, cfg.canonical()
     for metric, value in stats.items():
-        store.set(cfg.config_hash, metric, value, force=force, label=cfg.canonical())
+        store.set(key, metric, value, force=force, label=label)
     return stats
 
 
@@ -555,14 +584,14 @@ def run_nonlinear_estimate(cfg: ExperimentConfig, store: BaselineStore) -> Exper
     res = ExperimentResult("nonlinear-estimate", cfg.config_hash)
     stats, ratios, lips = nonlinear_stats(cfg)
     for metric in ("bound_ratio_max", "lip_ratio_max"):
-        baseline = store.get(cfg.config_hash, metric)
+        baseline = store.get(res.config_hash, metric)
         res.check(f"nonlinear.{metric}", stats[metric], baseline * (1 + 1e-9),
                   note=f"baseline {baseline:.6g}")
     # identity symbol must return exactly 1
     x0 = ensemble_elements(cfg, count=1, tag="nl")[0]
     rid = bz.boundedness_ratio(parse_symbol("x"), x0, besov_index(cfg))
     res.check("nonlinear.identity_ratio", abs(rid - 1.0), 1e-12)
-    res.tables["ratios"] = [{"config-hash": cfg.config_hash, "element-seed": i,
+    res.tables["ratios"] = [{"config-hash": res.config_hash, "element-seed": i,
                              "bound_ratio": r, "lip_ratio": l}
                             for i, (r, l) in enumerate(zip(ratios, lips))]
     return res
@@ -581,11 +610,14 @@ def run_meyer(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     rows = []
     worst32 = 0.0
     refine_fail = 0
-    n_seeds = min(cfg.ensemble, 20)
-    for i in range(n_seeds):
-        x = tor.random_element(cfg.algebra(), rng_for(cfg.seed, "meyer", i), band=cfg.band)
-        xis = (0.5, 1.0, 2.0)
-        for xi, (r4, r32) in zip(xis, bz.meyer_residual(x, xis, (4, 32)).tolist()):
+    alg = cfg.algebra()
+    # the whole ensemble is one stack of elements
+    x = tor.TorusElement(alg, np.stack([
+        tor.random_element(alg, rng_for(cfg.seed, "meyer", i), band=cfg.band).coeffs
+        for i in range(min(cfg.ensemble, 20))]))
+    xis = (0.5, 1.0, 2.0)
+    for i, grid in enumerate(bz.meyer_residual(x, xis, (4, 32)).tolist()):
+        for xi, (r4, r32) in zip(xis, grid):
             worst32 = max(worst32, r32)
             refine_fail += int(not r32 < r4)
             rows.append({"seed": i, "xi": xi, "K4": r4, "K32": r32})

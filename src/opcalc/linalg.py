@@ -9,7 +9,8 @@ functional calculus.  Real input stays real (float64), so a real symmetric
 matrix is diagonalized by LAPACK's real solver.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
 from an SVD.  ``hilbert_schmidt_norm`` is the p = 2 norm of one matrix read
-from its entries (the Frobenius norm over sqrt(n)), with no SVD.
+from its entries (the Frobenius norm over sqrt(n)), with no SVD;
+``hilbert_schmidt_norm_batch`` gives it for each matrix of a stack.
 ``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
 singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
@@ -199,13 +200,25 @@ def schatten_norm(A, p) -> float:
 def hilbert_schmidt_norm(A) -> float:
     """||A||_F / sqrt(n): the Schatten-2 norm of the normalized trace,
     (tr(A* A) / n)^(1/2), read from the entries without an SVD."""
-    a = _as_square(A)
+    return float(hilbert_schmidt_norm_batch(_as_square(A)))
+
+
+def hilbert_schmidt_norm_batch(stack: np.ndarray) -> np.ndarray:
+    """hilbert_schmidt_norm of each matrix of a (..., n, n) stack.
+
+    The entries are checked once for the stack; each Frobenius norm is one
+    ``np.linalg.norm`` of its own matrix, whose rounding a stacked reduction
+    would not keep.
+    """
+    a = _as_square(stack, stack=True)
     _checked_schatten_args(a, 2)
-    return float(_frobenius(a)) / math.sqrt(a.shape[-1])
+    n = a.shape[-1]
+    return np.reshape([np.linalg.norm(m) for m in a.reshape((-1, n, n))], a.shape[:-2]) / math.sqrt(n)
 
 
 def schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:
-    """schatten_norm over the leading axis of a (m, n, n) stack."""
+    """schatten_norm of each matrix of a (..., n, n) stack (of one matrix: a
+    0-d array), from one stacked SVD."""
     stack = _as_square(stack, stack=True)
     pv = _checked_schatten_args(stack, p)
     return _norm_from_sigma(np.linalg.svd(stack, compute_uv=False), pv)

@@ -3,6 +3,10 @@
 The exact eigenprojection (Schur) form, the binned discretization over
 intervals [l/m, (l+1)/m) (the Schur form with a bin-constant tensor), the
 Loewner identity and the anchor-perturbation formula.
+
+``moi_schur``, ``moi_binned`` and ``lipschitz_ratio`` take a leading member
+axis: anchors and arguments may be (..., n, n) stacks, and each member of the
+result is what a call on that member alone gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ComplexityExceeded, DegenerateInput, DimensionMismatch, NonUnitary
-from .linalg import (HermitianOperator, SpectralDecomposition, eig_hermitian,
-                     func_calc, schatten_norm, spectral_product)
+from .linalg import (HermitianOperator, SpectralDecomposition, decomposed_func_calc, eig_hermitian,
+                     func_calc, schatten_norm, schatten_norm_batch, spectral_product)
 from .symbols import SmoothSymbol, divided_diff_tensor
 
 # N^(n+2) flop proxy of the dense contraction; admits n<=3 at N<=32.  The
@@ -25,7 +29,9 @@ DEFAULT_COST_CAP = 32 ** 5
 
 @dataclass(frozen=True)
 class MOIOperands:
-    """Anchors A_0..A_n and arguments X_1..X_n of one MOI evaluation."""
+    """Anchors A_0..A_n and arguments X_1..X_n of one MOI evaluation, or of a
+    stack of them: each anchor and argument may carry the same leading member
+    axes."""
 
     anchors: tuple
     arguments: tuple
@@ -45,7 +51,7 @@ class MOIOperands:
             if a.n != n:
                 raise DimensionMismatch("anchors have different dimensions")
         for x in args:
-            if x.shape != (n, n):
+            if x.shape[-2:] != (n, n):
                 raise DimensionMismatch(f"argument shape {x.shape} != ({n}, {n})")
 
     @property
@@ -66,21 +72,23 @@ def _check_cost(order: int, dim: int):
 
 
 def _contract(phi: np.ndarray, rotated: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices, n <= 3.
+    """Sum phi(i_0..i_n) X~_1[i_0,i_1] ... X~_n[i_{n-1},i_n] over inner indices, n <= 3,
+    for each member of the stacks.
 
     phi is complex128, as ``moi_schur`` passes it.  Order 3 runs in two
     stages: W[j,k,l] = X~_2[j,k] X~_3[k,l] and the k-sum
     T[i,j,l] = sum_k phi[i,j,k,l] W[j,k,l], then the j-sum against X~_1.
     Only the k-sum touches all n^4 entries of phi; the other two stages cost
-    n^3 each.
+    n^3 each.  A stacked einsum gives each member the bits of its own call
+    (tests/test_moi.py checks it).
     """
     n = len(rotated)
     if n == 1:
         return phi * rotated[0]
     if n == 2:
-        return np.einsum("ijk,ij,jk->ik", phi, rotated[0], rotated[1])
-    w = rotated[1][:, :, None] * rotated[2][None, :, :]
-    return np.einsum("ij,ijl->il", rotated[0], np.einsum("ijkl,jkl->ijl", phi, w))
+        return np.einsum("...ijk,...ij,...jk->...ik", phi, rotated[0], rotated[1])
+    w = rotated[1][..., :, :, None] * rotated[2][..., None, :, :]
+    return np.einsum("...ij,...ijl->...il", rotated[0], np.einsum("...ijkl,...jkl->...ijl", phi, w))
 
 
 def _poly_contract(coeffs, spectra: Sequence[np.ndarray],
@@ -102,12 +110,12 @@ def _poly_contract(coeffs, spectra: Sequence[np.ndarray],
     q = np.empty((kmax + 1,) + rotated[0].shape, dtype=np.complex128)
     q[0] = rotated[0]
     for k in range(1, kmax + 1):
-        q[k] = spectra[0][:, None] * q[k - 1]       # Lam_0^k X~_1
+        q[k] = spectra[0][..., :, None] * q[k - 1]       # Lam_0^k X~_1
     for r in range(1, n + 1):
         if r > 1:
             q = q @ rotated[r - 1]
         for k in range(1, kmax + 1):
-            q[k] += q[k - 1] * spectra[r]
+            q[k] += q[k - 1] * spectra[r][..., None, :]
     return np.tensordot(np.asarray(coeffs[n:]), q, axes=1)
 
 
@@ -123,7 +131,9 @@ def moi_schur(F, ops: MOIOperands,
     (``_poly_contract``) and no F^[n] tensor is built.  Otherwise the
     divided-difference tensor phi = F^[n] over the spectra is contracted
     densely, at O(N^(n+2)).  The cost guard and the order limit n <= 3 hold
-    for both kernels.
+    for both kernels.  On stacks every member is contracted at once: each
+    matrix product is one batched call, and a stacked phi carries the member
+    axes before its n+1 spectral axes.
 
     ``phi`` overrides the divided-difference tensor and selects the dense
     kernel (expert path, used by the binned form, by the chain-rule expansion
@@ -140,7 +150,7 @@ def moi_schur(F, ops: MOIOperands,
     decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
     if len(decs) != n + 1:
         raise DimensionMismatch("need one spectral decomposition per anchor")
-    rotated = [decs[j].eigenvectors.conj().T @ ops.arguments[j] @ decs[j + 1].eigenvectors
+    rotated = [decs[j].eigenvectors.conj().swapaxes(-1, -2) @ ops.arguments[j] @ decs[j + 1].eigenvectors
                for j in range(n)]
     if n >= 1 and phi is None and F.poly_coeffs is not None:
         core = _poly_contract(F.poly_coeffs, [d.eigenvalues for d in decs], rotated)
@@ -148,12 +158,13 @@ def moi_schur(F, ops: MOIOperands,
         if phi is None:
             phi = divided_diff_tensor(F, [d.eigenvalues for d in decs])
         phi = np.asarray(phi, dtype=np.complex128)
-        if phi.shape != tuple(len(d.eigenvalues) for d in decs):
+        sizes = tuple(d.eigenvalues.shape[-1] for d in decs)
+        if phi.shape[-len(sizes):] != sizes:
             raise DimensionMismatch(f"phi tensor shape {phi.shape} mismatches spectra")
         if n == 0:
             return spectral_product(decs[0].eigenvectors, phi)
         core = _contract(phi, rotated)
-    return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().T
+    return decs[0].eigenvectors @ core @ decs[-1].eigenvectors.conj().swapaxes(-1, -2)
 
 
 def moi_binned(F, ops: MOIOperands, m: int = 32,
@@ -163,9 +174,12 @@ def moi_binned(F, ops: MOIOperands, m: int = 32,
     A bin projection is the sum of its eigenprojections, so S_{phi,m} is the
     Schur form with a bin-constant tensor: every eigenvalue in bin l takes the
     phi = F^[n] entry of the left endpoint l/m.  Eigenvalues on a bin boundary
-    belong to the left-closed bin.  ``decompositions`` supplies the anchors'
-    spectra, as in ``moi_schur``, so that the exact form and every resolution
-    m share one decomposition per anchor.
+    belong to the left-closed bin.  ``divided_diff_tensor`` reads each
+    eigenvalue's own endpoint, repeats included: an entry depends on its nodes
+    alone, so this is the tensor over the occupied bins, expanded.
+    ``decompositions`` supplies the anchors' spectra, as in ``moi_schur``, so
+    that the exact form and every resolution m share one decomposition per
+    anchor.  Stacks are binned member by member, in one call.
     """
     if m < 1:
         raise ValueError("bin resolution m must be >= 1")
@@ -173,19 +187,15 @@ def moi_binned(F, ops: MOIOperands, m: int = 32,
     decs = list(decompositions) if decompositions is not None else [eig_hermitian(a) for a in ops.anchors]
     if len(decs) != ops.order + 1:
         raise DimensionMismatch("need one spectral decomposition per anchor")
-    endpoints, members = [], []
+    endpoints = []
     for dec in decs:
         t = dec.eigenvalues * m
         r = np.round(t)
         # left-closed bins [l/m, (l+1)/m); values within fp noise of a
         # boundary are snapped onto it so they land in their own bin
         labels = np.where(np.abs(t - r) < 1e-9, r, np.floor(t)).astype(int)
-        uniq, inverse = np.unique(labels, return_inverse=True)
-        endpoints.append(uniq / m)
-        members.append(inverse)
-    # F^[n] once per occupied-bin tuple, repeated for every eigenvalue of the bin
-    phi = divided_diff_tensor(F, endpoints)[np.ix_(*members)]
-    return moi_schur(F, ops, decompositions=decs, phi=phi)
+        endpoints.append(labels / m)
+    return moi_schur(F, ops, decompositions=decs, phi=divided_diff_tensor(F, endpoints))
 
 
 def loewner_residual(F: SmoothSymbol, X: HermitianOperator, Y: HermitianOperator) -> float:
@@ -226,15 +236,20 @@ def perturbation_residual(F: SmoothSymbol, slot: int, A: HermitianOperator, B: H
     return schatten_norm(lhs - rhs, 2)
 
 
-def lipschitz_ratio(F, X: HermitianOperator, Y: HermitianOperator, p=2) -> float:
-    """|| F(X) - F(Y) ||_p / || X - Y ||_p."""
+def lipschitz_ratio(F, X: HermitianOperator, Y: HermitianOperator, p=2, *,
+                    decompositions: Sequence[SpectralDecomposition]) -> np.ndarray:
+    """|| F(X) - F(Y) ||_p / || X - Y ||_p, of each member of stacks X and Y.
+
+    ``decompositions`` are those of X and Y, so that a caller that needs
+    their spectra as well diagonalizes once.  Each norm is one stacked SVD.
+    """
     X = X if isinstance(X, HermitianOperator) else HermitianOperator(X)
     Y = Y if isinstance(Y, HermitianOperator) else HermitianOperator(Y)
-    denom = schatten_norm(X.data - Y.data, p)
-    if denom == 0.0:
+    denom = schatten_norm_batch(X.data - Y.data, p)
+    if np.any(denom == 0.0):
         raise DegenerateInput("X == Y")
-    num = schatten_norm(func_calc(X, F).data - func_calc(Y, F).data, p)
-    return num / denom
+    fx, fy = (decomposed_func_calc(d, F).data for d in decompositions)
+    return schatten_norm_batch(fx - fy, p) / denom
 
 
 def homomorphism_commutation_residual(F, W: np.ndarray, ops: MOIOperands) -> float:

@@ -172,21 +172,31 @@ def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.nd
     bit for bit, and complex128 for every symbol.  A polynomial symbol takes
     the h_k route (``_poly_tensor``).
 
+    Each spectrum is one node array (n_j,) or a (..., n_j) stack with a
+    leading member axis; the member axes broadcast, and the result is the
+    (...,) + (n_0, ..., n_n) stack of every member's tensor, each as its own
+    call gives it.  Nodes may repeat within a spectrum.
+
     F^[n] is symmetric, so the generic path evaluates it once per distinct
-    sorted node tuple, all tuples at once: one Hermite table whose rows are
-    the tuples.
+    sorted node tuple, over all members and all tuples at once: one Hermite
+    table whose rows are the tuples.  A row depends on its nodes alone, so
+    sharing rows among members keeps the bits.
     """
     spectra = [np.atleast_1d(np.asarray(s, dtype=float)) for s in spectra]
     if F.poly_coeffs is not None:
         return _poly_tensor(F.poly_coeffs, spectra)
     n = len(spectra) - 1
-    shape = tuple(len(s) for s in spectra)
+    lead = np.broadcast_shapes(*(s.shape[:-1] for s in spectra))
+    sizes = tuple(s.shape[-1] for s in spectra)
     F.require_order(n, "divided difference")
+    spectra = [np.broadcast_to(s, lead + s.shape[-1:]).reshape(-1, s.shape[-1]) for s in spectra]
     # nodes as ranks among the distinct node values: sorting and deduplicating
     # the tuples is then integer work on one key per tuple
-    values, ranks = np.unique(np.concatenate(spectra), return_inverse=True)
-    ranks = np.split(ranks.ravel(), np.cumsum(shape)[:-1])
-    tuples = np.stack(np.meshgrid(*ranks, indexing="ij"), axis=-1).reshape(-1, n + 1)
+    values, ranks = np.unique(np.concatenate([s.ravel() for s in spectra]), return_inverse=True)
+    ranks = np.split(ranks.ravel(), np.cumsum([s.size for s in spectra])[:-1])
+    axes = [r.reshape((-1,) + (1,) * j + (size,) + (1,) * (n - j))
+            for j, (r, size) in enumerate(zip(ranks, sizes))]
+    tuples = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, n + 1)
     tuples.sort(axis=1)
     if len(values) ** (n + 1) < 2 ** 62:
         keys = tuples[:, 0].astype(np.int64)
@@ -195,7 +205,7 @@ def divided_diff_tensor(F: SmoothSymbol, spectra: Sequence[np.ndarray]) -> np.nd
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     else:
         _, first, inverse = np.unique(tuples, axis=0, return_index=True, return_inverse=True)
-    return _hermite_rows(F, values[tuples[first]])[inverse.ravel()].reshape(shape)
+    return _hermite_rows(F, values[tuples[first]])[inverse.ravel()].reshape(lead + sizes)
 
 
 def _hermite_rows(F: SmoothSymbol, nodes: np.ndarray) -> np.ndarray:
@@ -245,15 +255,17 @@ def _snap_cluster_rows(nodes: np.ndarray) -> np.ndarray:
 
 def _poly_tensor(coeffs, spectra) -> np.ndarray:
     """The polynomial F^[n] = sum_m c_m h_{m-n} over the grid of the n+1
-    spectra, complex128: the h_k recurrence broadcast over the grid."""
+    spectra (member axes as in ``divided_diff_tensor``), complex128: the h_k
+    recurrence broadcast over the grid."""
     n = len(spectra) - 1
-    shape = tuple(len(s) for s in spectra)
+    shape = np.broadcast_shapes(*(s.shape[:-1] for s in spectra)) + tuple(s.shape[-1] for s in spectra)
     kmax = len(coeffs) - 1 - n
     out = np.zeros(shape, dtype=np.complex128)
     if kmax < 0:
         return out
-    # h[k] over growing node sets; spectrum j broadcast along axis j
-    axes = [s.reshape((-1,) + (1,) * (n - j)) for j, s in enumerate(spectra)]
+    # h[k] over growing node sets; spectrum j broadcast along tensor axis j
+    axes = [s.reshape(s.shape[:-1] + (1,) * j + s.shape[-1:] + (1,) * (n - j))
+            for j, s in enumerate(spectra)]
     hk: list = [np.ones((1,) * (n + 1))] + [np.zeros((1,) * (n + 1))] * kmax
     for xj in axes:
         for k in range(1, kmax + 1):

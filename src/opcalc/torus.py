@@ -52,7 +52,7 @@ class TorusAlgebra:
     d: int = 2
     N: int = 16
     theta_num: int = 0
-    backend = "matrix"  # not a field; read by the bench tracer (ROADMAP item 4)
+    backend = "matrix"  # not a field; read by the bench tracer (ROADMAP item 9)
 
     def __post_init__(self):
         if self.d < 1:
@@ -163,14 +163,21 @@ def _basis(N: int, d: int, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusElement:
-    """Band-limited element: coefficient array in fft layout plus its algebra."""
+    """Band-limited element: coefficient array in fft layout plus its algebra.
+
+    The coefficients may carry leading member axes, (...,) + algebra.shape:
+    a stack of elements, which ``to_matrix``, ``from_matrix``,
+    ``is_hermitian``, the multiplier operations and the stacked kernels
+    (``chain.chain_rule_residual``, ``besov.meyer_residual``) take.
+    """
 
     algebra: TorusAlgebra
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.algebra.shape:
+        d = self.algebra.d
+        if c.ndim < d or c.shape[c.ndim - d:] != self.algebra.shape:
             raise DimensionMismatch(f"coeffs shape {c.shape} != {self.algebra.shape}")
         object.__setattr__(self, "coeffs", c)
 
@@ -255,14 +262,11 @@ HERMITIAN_TOL = 1e-12
 
 
 def is_hermitian(x: TorusElement) -> bool:
-    """Hermitian flag: coeffs(-k) = conj(coeffs(k)) under wrap-aware negation
-    (the wrap across a boundary hyperplane carries the representation sign),
-    equivalent to Hermiticity of the matrix realization; HERMITIAN_TOL relative."""
-    return hermitian_deviation(x) <= HERMITIAN_TOL
-
-
-def hermitian_deviation(x: TorusElement) -> float:
-    return float(hermitian_deviation_batch(x.algebra, x.coeffs))
+    """Hermitian flag (of every member of a stack): coeffs(-k) = conj(coeffs(k))
+    under wrap-aware negation (the wrap across a boundary hyperplane carries
+    the representation sign), equivalent to Hermiticity of the matrix
+    realization; HERMITIAN_TOL relative."""
+    return bool(np.all(hermitian_deviation_batch(x.algebra, x.coeffs) <= HERMITIAN_TOL))
 
 
 def hermitian_deviation_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
@@ -312,8 +316,12 @@ def _weyl_table(N: int, p: int) -> np.ndarray:
 
 
 def to_matrix(x: TorusElement) -> np.ndarray:
-    """Realize x as a matrix: clock/shift for theta != 0, grid-diagonal at 0."""
-    return to_matrix_batch(x.algebra, x.coeffs[None, ...])[0]
+    """Realize x as a matrix, or each member of a stack in one batch:
+    clock/shift for theta != 0, grid-diagonal at 0."""
+    alg = x.algebra
+    lead = x.coeffs.shape[:x.coeffs.ndim - alg.d]
+    mats = to_matrix_batch(alg, x.coeffs.reshape((-1,) + alg.shape))
+    return mats.reshape(lead + mats.shape[1:])
 
 
 def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
@@ -367,12 +375,14 @@ def _recovery_index(N: int, p: int) -> tuple:
 
 
 def from_matrix(algebra: TorusAlgebra, A: np.ndarray) -> TorusElement:
-    """Coefficient recovery u(k) = trace(A (U^k)*) under the normalized trace."""
+    """Coefficient recovery u(k) = trace(A (U^k)*) under the normalized trace,
+    of a matrix or of each member of a (..., dim, dim) stack in one batch."""
     A = np.asarray(A, dtype=np.complex128)
     dim = algebra.matrix_dim
-    if A.shape != (dim, dim):
+    if A.shape[-2:] != (dim, dim):
         raise DimensionMismatch(f"matrix shape {A.shape} != ({dim}, {dim})")
-    return TorusElement(algebra, from_matrix_batch(algebra, A[None, ...])[0])
+    coeffs = from_matrix_batch(algebra, A.reshape((-1, dim, dim)))
+    return TorusElement(algebra, coeffs.reshape(A.shape[:-2] + algebra.shape))
 
 
 def from_matrix_batch(algebra: TorusAlgebra, stack: np.ndarray) -> np.ndarray:

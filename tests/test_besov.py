@@ -292,10 +292,26 @@ def test_meyer_grid_keeps_bits(n, band):
             assert grid[a, b] == per_call_meyer_residual(x, xi, K), (xi, K)
 
 
+def test_stacked_meyer_equals_single_calls():
+    # band 1 leaves the outer blocks zero in its member only: the stack runs
+    # every block, and a zero block adds an exact zero to that member
+    alg16 = tor.TorusAlgebra(d=2, N=16, theta_num=1)
+    members = [tor.random_element(alg16, rng_for(i, "mey-stack"), band=band)
+               for i, band in enumerate((4, 1, 3, 4))]
+    xis, orders = (0.0, 0.5, 2.0), (4, 32)
+    got = bz.meyer_residual(tor.TorusElement(alg16, np.stack([x.coeffs for x in members])), xis, orders)
+    assert got.shape == (len(members), len(xis), len(orders))
+    for g, x in zip(got, members):
+        assert np.array_equal(g, bz.meyer_residual(x, xis, orders))
+
+
 def test_meyer_requires_hermitian(alg):
     bad = tor.TorusElement(alg, 1j * tor.random_element(alg, rng_for(5, "mh"), band=2).coeffs)
     with pytest.raises(SymbolHypothesisError):
         bz.meyer_residual(bad, [1.0], [4])
+    good = tor.random_element(alg, rng_for(5, "mh"), band=2)
+    with pytest.raises(SymbolHypothesisError):
+        bz.meyer_residual(tor.TorusElement(alg, np.stack([good.coeffs, bad.coeffs])), [1.0], [4])
 
 
 # --- paraproduct -------------------------------------------------------------

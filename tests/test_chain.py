@@ -10,7 +10,7 @@ from opcalc.besov import apply_symbol
 from opcalc.chain import (DerivationSpec, ExpansionTerm, _apply_derivation,
                           chain_rule_residual, commutative_collapse, evaluate_expansion,
                           expand, faa_di_bruno_weights)
-from opcalc.errors import BandOverflow, SymbolDomainError
+from opcalc.errors import BandOverflow, NonHermitianInput, SymbolDomainError
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc, hilbert_schmidt_norm,
                            random_hermitian)
@@ -313,6 +313,51 @@ def test_chain_rule_torus_band_guard():
     u = tor.random_element(alg, rng_for(8, "guard"), band=6, decay=0.0)
     with pytest.raises(BandOverflow):
         chain_rule_residual(parse_symbol("x**5"), u, [(1, 0)], DerivationSpec("torus"))
+
+
+@pytest.mark.parametrize("expr", ["x**4 + x**2", "tanh(x)"])
+def test_stacked_inner_residual_equals_single_calls(expr):
+    # one stack of members, each with its own generator, gives each member
+    # the bits of its own call
+    F = parse_symbol(expr)
+    rng = rng_for(14, "stack-inner", expr)
+    pairs = [(random_hermitian(rng, 12), random_hermitian(rng, 12)) for _ in range(4)]
+    u, dgen = (HermitianOperator(np.stack([h.data for h in side])) for side in zip(*pairs))
+    betas = [(1,), (2,), (3,)]
+    got = chain_rule_residual(F, u, betas, DerivationSpec("inner", (dgen,)))
+    assert got == [chain_rule_residual(F, x, betas, DerivationSpec("inner", (d,))) for x, d in pairs]
+
+
+def test_stacked_torus_residual_equals_single_calls():
+    alg = tor.TorusAlgebra(d=2, N=32, theta_num=1)
+    members = [tor.random_element(alg, rng_for(i, "stack-torus"), band=4, decay=2.0) for i in range(3)]
+    u = tor.TorusElement(alg, np.stack([x.coeffs for x in members]))
+    betas = [(1, 0), (2, 0), (1, 1), (2, 1)]
+    F, spec = parse_symbol("x**3"), DerivationSpec("torus")
+    assert chain_rule_residual(F, u, betas, spec) == [chain_rule_residual(F, x, betas, spec) for x in members]
+
+
+def test_stacked_errors_carry_the_single_call_message():
+    # a stack fails as its failing member's own call does
+    rng = rng_for(15, "stack-bad")
+    good = [random_hermitian(rng, 6).data for _ in range(2)]
+    bad = good[0] + 1e-6 * rng.standard_normal((6, 6))
+    spec = DerivationSpec("inner", (random_hermitian(rng, 6),))
+    with pytest.raises(NonHermitianInput) as single:
+        chain_rule_residual(parse_symbol("x**3"), bad, [(1,)], spec)
+    with pytest.raises(NonHermitianInput) as stacked:
+        chain_rule_residual(parse_symbol("x**3"), np.stack([good[1], bad, good[0]]), [(1,)], spec)
+    assert str(stacked.value) == str(single.value)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
+    inside = tor.random_element(alg, rng_for(8, "guard-ok"), band=1, decay=2.0)
+    leaks = tor.random_element(alg, rng_for(8, "guard"), band=6, decay=0.0)
+    F, spec = parse_symbol("x**5"), DerivationSpec("torus")
+    assert chain_rule_residual(F, inside, [(1, 0)], spec)[0] <= 1e-9
+    with pytest.raises(BandOverflow) as single:
+        chain_rule_residual(F, leaks, [(1, 0)], spec)
+    with pytest.raises(BandOverflow) as stacked:
+        chain_rule_residual(F, tor.TorusElement(alg, np.stack([inside.coeffs, leaks.coeffs])), [(1, 0)], spec)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_expansion_term_validation():

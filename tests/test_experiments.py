@@ -58,6 +58,41 @@ def test_meyer_experiment():
     assert all(row["K32"] <= 1e-8 for row in res.tables["residuals"])
 
 
+KERNELS = {"linalg": ("eig_hermitian", "schatten_norm", "schatten_norm_batch"),
+           "symbols": ("divided_diff_tensor",)}
+
+
+@pytest.mark.parametrize("kind", ["chain-rule", "meyer", "moi"])
+def test_kernel_calls_do_not_grow_with_the_ensemble(kind, monkeypatch):
+    # each harness stage hands every ensemble member to one stacked kernel
+    # call, so a per-member loop shows as counts that grow with the ensemble
+    import sys
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, names in KERNELS.items():
+        for name in names:
+            original = getattr(sys.modules[f"opcalc.{owner}"], name)
+            wrapper = counted(name, original)
+            for module in [m for key, m in sys.modules.items() if key.startswith("opcalc")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+    runner = {"chain-rule": run_chain_rule, "meyer": run_meyer, "moi": run_moi}[kind]
+    seen = []
+    for ensemble in (5, 20):
+        counts.clear()
+        cfg = ExperimentConfig(kind=kind, seed=3, ensemble=ensemble, band=4, n_modes=16, theta_num=1)
+        assert runner(cfg, BaselineStore()).passed
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0].get("eig_hermitian", 0) > 0
+
+
 def test_besov_equivalence_against_committed_baseline():
     # smallest committed configuration; reruns must land inside the bands
     cfg = next(c for c in besov_equivalence_configs()

@@ -10,7 +10,7 @@ from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainErro
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
                            haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
-                           hilbert_schmidt_norm,
+                           hilbert_schmidt_norm, hilbert_schmidt_norm_batch,
                            random_hermitian, schatten_norm,
                            schatten_norm_batch)
 from opcalc.seeding import rng_for
@@ -99,6 +99,17 @@ def test_schatten_batches_reject_non_square():
     for norm in (schatten_norm_batch, hermitian_schatten_norm_batch):
         with pytest.raises(DimensionMismatch):
             norm(np.ones((2, 3, 4), complex), 2)
+
+
+def test_hilbert_schmidt_norm_batch_equals_single_calls():
+    rng = rng_for(10, "hs-batch")
+    stack = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+    got = hilbert_schmidt_norm_batch(stack)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[hilbert_schmidt_norm(a) for a in row] for row in stack]
+    stack[1, 2, 0, 0] = np.inf
+    with pytest.raises(ValueError):
+        hilbert_schmidt_norm_batch(stack)
 
 
 def test_hilbert_schmidt_norm_is_schatten_2():

@@ -67,7 +67,8 @@ def test_order_three_matches_eigenprojection_sum():
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_real_phi_order_three_keeps_bits(n):
-    # a real phi is contracted against the real and imaginary parts of W apart
+    # moi_schur takes any phi as complex128: a real phi gives the bits of its
+    # complex128 cast, in _contract and in the whole MOI
     rng = rng_for(n, "real-phi")
     phi = rng.standard_normal((n,) * 4)
     rotated = random_args(rng, n, 3)
@@ -322,6 +323,54 @@ def test_binned_reads_supplied_decompositions():
         moi_binned(F, ops, m=4, decompositions=decs[:1])
 
 
+def _members(seed, count, n, order):
+    """count single-member operand sets of one order, and their stack."""
+    rng = rng_for(seed, "stack", n, order)
+    singles = [MOIOperands(tuple(random_hermitian(rng, n) for _ in range(order + 1)),
+                           random_args(rng, n, order)) for _ in range(count)]
+    stacked = MOIOperands(
+        tuple(HermitianOperator(np.stack([ops.anchors[j].data for ops in singles])) for j in range(order + 1)),
+        tuple(np.stack([ops.arguments[j] for ops in singles]) for j in range(order)))
+    return singles, stacked
+
+
+@pytest.mark.parametrize("expr", ["exp(x)", "x**4 + x**2"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_stacked_moi_equals_single_calls(expr, order):
+    # a stack of members gives each member the bits of its own call, for the
+    # exact form (dense or h_k kernel) and the binned form at every resolution
+    F = parse_symbol(expr)
+    singles, stacked = _members(15, 4, 5, order)
+    decs = [eig_hermitian(a) for a in stacked.anchors]
+    got = moi_schur(F, stacked, decompositions=decs)
+    assert got.shape == (4, 5, 5)
+    assert all(np.array_equal(g, moi_schur(F, ops)) for g, ops in zip(got, singles))
+    for m in (10, 20, 40, 80, 160):
+        got = moi_binned(F, stacked, m=m, decompositions=decs)
+        assert all(np.array_equal(g, moi_binned(F, ops, m=m)) for g, ops in zip(got, singles)), m
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_contract_stack_keeps_bits(order):
+    # the stacked einsum of the dense kernel rounds as one einsum per member
+    rng = rng_for(16, "contract", order)
+    phi = rng.standard_normal((6,) + (5,) * (order + 1)) + 1j * rng.standard_normal((6,) + (5,) * (order + 1))
+    rotated = [np.stack(random_args(rng, 5, 6)) for _ in range(order)]
+    got = _contract(phi, rotated)
+    assert all(np.array_equal(got[i], _contract(phi[i], [x[i] for x in rotated])) for i in range(6))
+
+
+def test_stacked_lipschitz_ratio_equals_single_calls():
+    F = parse_symbol("exp(x)")
+    rng = rng_for(17, "lip-stack")
+    pairs = [(random_hermitian(rng, 8), random_hermitian(rng, 8)) for _ in range(5)]
+    X, Y = (HermitianOperator(np.stack([h.data for h in side])) for side in zip(*pairs))
+    for p in (1, 2, math.inf):
+        got = lipschitz_ratio(F, X, Y, p, decompositions=[eig_hermitian(X), eig_hermitian(Y)])
+        assert got.tolist() == [lipschitz_ratio(F, x, y, p, decompositions=[eig_hermitian(x), eig_hermitian(y)])
+                                for x, y in pairs]
+
+
 def test_run_moi_decomposes_each_anchor_once(monkeypatch):
     import opcalc.experiments as ex
     import opcalc.linalg as la
@@ -337,9 +386,10 @@ def test_run_moi_decomposes_each_anchor_once(monkeypatch):
     for module in (la, mo, ex):
         monkeypatch.setattr(module, "eig_hermitian", counted)
     ex.run_moi(ExperimentConfig(kind="moi", seed=3, ensemble=3), BaselineStore())
-    # per element: its two anchors once for the exact form and the five m;
-    # then the Lipschitz part's two spectra and two functional calculi
-    assert len(calls) == 3 * 2 + 3 * 4
+    # the ensemble's two anchor stacks once for the exact form and the five m;
+    # then the Lipschitz part's two stacks, whose decompositions give both
+    # the spectral window and the functional calculi
+    assert len(calls) == 2 + 2
 
 
 # --- Loewner / perturbation ----------------------------------------------
@@ -403,14 +453,15 @@ def test_perturbation_second_order():
 def test_lipschitz_ratio_identity():
     rng = rng_for(20, "lr")
     X, Y = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    decs = [eig_hermitian(X), eig_hermitian(Y)]
     for p in (1, 2, math.inf):
-        assert lipschitz_ratio(parse_symbol("x"), X, Y, p) == pytest.approx(1.0, rel=1e-10)
+        assert lipschitz_ratio(parse_symbol("x"), X, Y, p, decompositions=decs) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_lipschitz_ratio_commuting_abs():
     X = HermitianOperator(np.diag([0.5, -1.5, 2.0]))
     Y = HermitianOperator(np.diag([-0.25, 1.0, 0.5]))
-    r = lipschitz_ratio(parse_symbol("abs(x)"), X, Y, 1)
+    r = lipschitz_ratio(parse_symbol("abs(x)"), X, Y, 1, decompositions=[eig_hermitian(X), eig_hermitian(Y)])
     assert r <= 1.0 + 1e-10
 
 
@@ -420,13 +471,14 @@ def test_lipschitz_ratio_p2_bound():
     lam = np.concatenate([np.linalg.eigvalsh(X.data), np.linalg.eigvalsh(Y.data)])
     window = (lam.min() - 0.1, lam.max() + 0.1)
     sup = 2 * max(abs(window[0]), abs(window[1]))  # sup |2x| for F = x^2
-    assert lipschitz_ratio(parse_symbol("x**2"), X, Y, 2) <= sup * (1 + 1e-8)
+    decs = [eig_hermitian(X), eig_hermitian(Y)]
+    assert lipschitz_ratio(parse_symbol("x**2"), X, Y, 2, decompositions=decs) <= sup * (1 + 1e-8)
 
 
 def test_lipschitz_ratio_degenerate():
     h = random_hermitian(rng_for(22, "lrd"), 3)
     with pytest.raises(DegenerateInput):
-        lipschitz_ratio(parse_symbol("x"), h, h)
+        lipschitz_ratio(parse_symbol("x"), h, h, decompositions=[eig_hermitian(h)] * 2)
 
 
 # --- homomorphism commutation ----------------------------------------------

@@ -28,12 +28,16 @@ def brute_homogeneous(k, nodes):
     return total
 
 
+RANDOM_NODES = list(rng_for(0, "dd").uniform(-2, 2, size=4))
+
+
 @pytest.mark.parametrize("k,nodes", [(0, [2.0]), (1, [1.0, 2.0, 3.0]),
-                                     (2, [1.0, 2.0, 3.0]), (3, [0.5, -1.5, 2.0, 0.25])])
+                                     (2, [1.0, 2.0, 3.0]), (3, [0.5, -1.5, 2.0, 0.25]),
+                                     (0, RANDOM_NODES), (1, RANDOM_NODES), (3, RANDOM_NODES)])
 def test_homogeneous_sym_against_enumeration(k, nodes):
     # the n-th divided difference of x**(k+n) is h_k of the n+1 nodes
     F = parse_symbol(f"x**{k + len(nodes) - 1}")
-    assert divided_diff(F, np.array(nodes)) == pytest.approx(brute_homogeneous(k, nodes))
+    assert divided_diff(F, np.array(nodes)) == pytest.approx(brute_homogeneous(k, nodes), rel=1e-10)
 
 
 def test_divided_diff_square_two_nodes():
@@ -54,15 +58,6 @@ def test_divided_diff_low_degree_vanishes():
     # order n > polynomial degree m gives zero (m + 2 nodes)
     F = parse_symbol("x**2")
     assert divided_diff(F, [0.1, 0.7, 1.3, 2.9]) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_divided_diff_polynomial_is_homogeneous_sym():
-    rng = rng_for(0, "dd")
-    nodes = rng.uniform(-2, 2, size=4)
-    for m in (3, 4, 6):
-        F = parse_symbol(f"x**{m}")
-        expect = brute_homogeneous(m - 3, list(nodes))
-        assert divided_diff(F, nodes) == pytest.approx(expect, rel=1e-10)
 
 
 def test_divided_diff_symmetry():
@@ -177,6 +172,36 @@ def test_tensor_generic_bit_equal_to_per_entry(expr, order):
         got = divided_diff_tensor(F, spectra)
         assert got.dtype == np.complex128
         assert np.array_equal(got, per_entry_tensor(F, spectra)), name
+
+
+@pytest.mark.parametrize("expr", ["exp(x)", "tanh(x)", "x**5 - 2*x**3"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_tensor_member_axis_equals_single_calls(expr, order):
+    # (members, n_j) spectra give each member its own call's tensor; the
+    # last spectrum has no member axis and broadcasts; member 0 repeats nodes
+    F = parse_symbol(expr)
+    rng = rng_for(order, "tensor-members", expr)
+    members = [[np.sort(rng.standard_normal(4)) for _ in range(order)] for _ in range(5)]
+    members[0] = [np.array([0.3, 0.3, -0.2, 0.3])] * order
+    shared = np.sort(rng.standard_normal(3))
+    spectra = [np.stack([m[j] for m in members]) for j in range(order)] + [shared]
+    got = divided_diff_tensor(F, spectra)
+    assert got.shape == (5,) + (4,) * order + (3,)
+    for g, m in zip(got, members):
+        assert np.array_equal(g, divided_diff_tensor(F, m + [shared]))
+
+
+@pytest.mark.parametrize("expr", ["exp(x)", "x**4 + x**2"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_tensor_repeated_nodes_equal_ix_expansion(expr, order):
+    # nodes with repeats, as bin endpoints give them, read the tensor over the
+    # distinct nodes expanded with np.ix_, bit for bit
+    F = parse_symbol(expr)
+    rng = rng_for(order, "tensor-repeats", expr)
+    labels = [rng.integers(-4, 5, size=7) for _ in range(order + 1)]
+    distinct = [np.unique(lab, return_inverse=True) for lab in labels]
+    expect = divided_diff_tensor(F, [u / 8 for u, _ in distinct])[np.ix_(*(i for _, i in distinct))]
+    assert np.array_equal(divided_diff_tensor(F, [lab / 8 for lab in labels]), expect)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
