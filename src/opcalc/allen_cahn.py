@@ -4,16 +4,17 @@ Picard iteration of the Duhamel map on the uniform time grid of step dt, in a
 whole number of steps (by default to the first grid point at or after t_max):
 the heat factor is applied analytically per mode and the nonlinear samples
 are integrated by the subinterval trapezoid rule, so the stiff linear part
-never enters the quadrature error.  The iterate is one (T,) + shape
-coefficient stack, so a sweep applies F to every time step in one
-``besov.apply_symbol_batch`` call; the Duhamel recurrences then run in place
-on that F(u) stack, which becomes the next iterate, and the old iterate's
-stack takes the difference, so a sweep holds two stacks.  The Besov ball
-norms of a solve are one ``besov.multiplier_norm_stack`` call.  ``evolve``
-continues on the same grid: contraction segments of whole steps fill one
-coefficient stack up to t_max or a detected norm escape, and continuations
-from one datum can share their first segment (``first_segment``), so it is
-solved once.
+never enters the quadrature error.  The iterate is one (T + 1,) + shape
+coefficient stack, which each sweep writes over chunk by chunk (``_sweep``):
+one ``besov.apply_symbol_batch`` call per chunk of at most
+REALIZATION_CHUNK_ENTRIES coefficients, the Duhamel recurrences carried from
+chunk to chunk, the distance of each new state to its old one, and the new
+states in the old ones' place, so a solve holds one stack and a chunk's
+work.  The Besov ball norms of a solve are one
+``besov.multiplier_norm_stack`` call.  ``evolve`` continues on the same grid:
+contraction segments of whole steps fill one coefficient stack up to t_max or
+a detected norm escape, and continuations from one datum can share their
+first segment (``first_segment``), so it is solved once.
 """
 
 from __future__ import annotations
@@ -103,37 +104,71 @@ def _heat_factors(algebra, dt: float) -> np.ndarray:
     return np.exp(-dt * algebra.abs_k ** 2)
 
 
-def _duhamel_sweep(problem: ACProblem, u0_coeffs: np.ndarray, g_coeffs: np.ndarray) -> np.ndarray:
-    """Psi(u)(t_i) coefficients from the F samples ``g_coeffs`` (a (T,) + shape
-    stack), written over them: analytic heat factors, trapezoid on the samples.
-
-    The samples are scaled by dt/2 in place, and the integral and heat
-    recurrences run in state-sized buffers; step i copies sample i aside
-    before overwriting it with Psi(u)(t_i), for step i + 1 to read, so the
-    sweep allocates no stack.  Each step evaluates
-    integral = decay (integral + dt/2 g_{i-1}) + dt/2 g_i and
-    heat = decay heat operation by operation as written, so the states have
-    the bits of a step-by-step evaluation of those formulas."""
-    decay = _heat_factors(problem.u0.algebra, problem.dt)
-    g_coeffs *= 0.5 * problem.dt
-    integral = np.zeros_like(u0_coeffs)
-    heat_state = u0_coeffs.copy()
-    g_prev = g_coeffs[0].copy()
-    g_coeffs[0] = u0_coeffs
-    for state in g_coeffs[1:]:
-        integral += g_prev
-        integral *= decay
-        integral += state
-        g_prev[...] = state
-        heat_state *= decay
-        np.add(heat_state, integral, out=state)
-    return g_coeffs
+def _chunks(algebra, count: int) -> list:
+    """Chunks of a count-state coefficient stack of at most
+    REALIZATION_CHUNK_ENTRIES coefficients: as many entries as the
+    realization at theta != 0, and as the grid values at theta = 0, where
+    ``realization_chunks``' default of N^d x N^d matrix entries would give one
+    state per chunk."""
+    return tor.realization_chunks(algebra, count, entries=math.prod(algebra.shape))
 
 
 def _state_norms(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
-    """lp_norm of every state of a coefficient stack, realized chunk by chunk."""
+    """lp_norm of every state of a coefficient stack, chunk by chunk."""
     return np.concatenate([lp_norm_batch(algebra, coeff_stack[chunk], p)
-                           for chunk in tor.realization_chunks(algebra, len(coeff_stack))])
+                           for chunk in _chunks(algebra, len(coeff_stack))])
+
+
+def _sweep(problem: ACProblem, coeffs: np.ndarray, chunks: list, sweep: int) -> float:
+    """One Picard sweep, written over the iterate ``coeffs`` (a (T + 1,) +
+    shape stack) chunk by chunk; returns the sup-L_p distance of the new
+    iterate to the old.
+
+    Per chunk: F of the old states, the Duhamel recurrence (analytic heat
+    factors, trapezoid on the samples) with the integral, the heat state and
+    the previous sample carried over from the chunk before, the distance of
+    each new state to its old one, then the new states over the old.  Each
+    step evaluates integral = decay (integral + dt/2 g_{i-1}) + dt/2 g_i and
+    heat = decay heat operation by operation as written, so the states have
+    the bits of a step-by-step evaluation of those formulas.  After a
+    non-finite new state the remaining chunks only apply F, so that an F
+    error still raises first; BlowUpDetected follows once F has run on every
+    chunk."""
+    alg, u0c = problem.u0.algebra, problem.u0.coeffs
+    decay = _heat_factors(alg, problem.dt)
+    integral = np.zeros_like(u0c)
+    heat_state = u0c.copy()
+    g_prev = np.empty_like(u0c)
+    dists = np.empty(len(coeffs))
+    finite = True
+    for chunk in chunks:
+        try:
+            g = problem.apply_F(coeffs[chunk])
+        except SymbolNotFinite as err:
+            raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {sweep}") from err
+        if not finite:
+            continue
+        g *= 0.5 * problem.dt
+        first = 0
+        if chunk.start == 0:  # state 0 is u0, and its sample starts the recurrence
+            g_prev[...] = g[0]
+            g[0] = u0c
+            first = 1
+        for state in g[first:]:
+            integral += g_prev
+            integral *= decay
+            integral += state
+            g_prev[...] = state
+            heat_state *= decay
+            np.add(heat_state, integral, out=state)
+        finite = bool(np.isfinite(g).all())
+        if finite:
+            old = coeffs[chunk]
+            dists[chunk] = lp_norm_batch(alg, np.subtract(g, old, out=old), problem.idx.p)
+            old[...] = g
+    if not finite:
+        raise BlowUpDetected(f"non-finite Picard iterate in sweep {sweep}")
+    return float(np.max(dists))
 
 
 MAX_SWEEPS = 40     # a Picard solve not converged after this many sweeps fails
@@ -153,7 +188,8 @@ def _segment_steps(problem: ACProblem, segment_time: float) -> int:
 def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
     """Fixed point of the mild-solution map on ``steps`` steps of exactly
     problem.dt (by default to the first grid point at or after t_max),
-    iterated from the heat flow of u0.
+    iterated from the heat flow of u0.  The iterate is one (steps + 1)-state
+    stack that every sweep writes over (``_sweep``); the Trajectory holds it.
 
     Returns (Trajectory, report).  The report holds the per-sweep sup-L_p
     distances and the measured contraction factor; NoContraction is raised
@@ -172,19 +208,11 @@ def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
     coeffs[0] = u0c
     for i in range(1, steps + 1):
         coeffs[i] = decay * coeffs[i - 1]
+    chunks = _chunks(alg, steps + 1)
     distances = []
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
     for it in range(MAX_SWEEPS):
-        try:
-            new = problem.apply_F(coeffs)
-        except SymbolNotFinite as err:
-            raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {it + 1}") from err
-        _duhamel_sweep(problem, u0c, new)
-        if not np.isfinite(new).all():
-            raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
-        # the old iterate's buffer takes the difference: a sweep holds two stacks
-        dist = float(np.max(_state_norms(alg, np.subtract(new, coeffs, out=coeffs), problem.idx.p)))
-        coeffs = new
+        dist = _sweep(problem, coeffs, chunks, it + 1)
         distances.append(dist)
         if dist <= PICARD_TOL * scale:
             break
@@ -203,7 +231,7 @@ def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
         "ball_radius": float(np.max(bnorms)),
         "ball_bound": besov_multiplier_norm(problem.u0, problem.idx) + problem.delta,
         "hermitian_dev": max(float(np.max(tor.hermitian_deviation_batch(alg, coeffs[chunk])))
-                             for chunk in tor.realization_chunks(alg, len(coeffs))),
+                             for chunk in chunks),
         "sweeps": len(distances),
     }
     traj = Trajectory(times=times, coeffs=coeffs, besov_norms=bnorms)

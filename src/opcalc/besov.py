@@ -586,8 +586,9 @@ def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
         return tor.from_grid_values(algebra, diagonal_func_calc(tor.grid_values(algebra, coeff_stack), F))
     out = np.empty(coeff_stack.shape, dtype=np.complex128)
     for chunk in tor.realization_chunks(algebra, len(coeff_stack)):
-        mats = tor.to_matrix_batch(algebra, coeff_stack[chunk])
-        out[chunk] = tor.from_matrix_batch(algebra, func_calc(HermitianOperator(mats), F).data)
+        # no name holds the realization, so it is freed once validated
+        out[chunk] = tor.from_matrix_batch(algebra, func_calc(
+            HermitianOperator(tor.to_matrix_batch(algebra, coeff_stack[chunk])), F).data)
     return out
 
 

@@ -278,9 +278,11 @@ def diagonal_func_calc(spectra: np.ndarray, F) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> HermitianOperator:
-    """Seeded GUE-style Hermitian matrix with operator norm about 1."""
+    """Seeded GUE-style Hermitian matrix with operator norm about 1.  It is
+    Hermitian in floating point too: entry (j, i) of g + g* is the conjugate
+    of entry (i, j), and the real scale keeps that, so no deviation test."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianOperator((g + g.conj().T) / (2.0 * math.sqrt(n)))
+    return HermitianOperator._symmetrized((g + g.conj().T) / (2.0 * math.sqrt(n)))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

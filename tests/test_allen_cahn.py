@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import opcalc.linalg as la
 from opcalc.allen_cahn import (ACProblem, contraction_time, evolve, first_segment,
                                global_existence_check, picard_solve, strong_residual)
 from opcalc.baselines import BaselineStore
-from opcalc.besov import BesovIndex, besov_multiplier_norm, block_norms, regular_apply_symbol
+from opcalc.besov import (BesovIndex, besov_multiplier_norm, block_norms, multiplier_norm_stack,
+                          regular_apply_symbol)
 from opcalc.config import ExperimentConfig
 from opcalc.errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
                            SymbolDomainError, SymbolHypothesisError, SymbolNotFinite)
@@ -448,3 +450,166 @@ def test_run_allen_cahn_eigensolves(monkeypatch):
     assert res.passed
     # 2404 clock/shift states of side 8; check (f): 11 states x 4 blocks of side 16
     assert seen == {8: 2404, 16: 44}
+
+
+def _two_stack_picard(problem, steps):
+    """Reference: the Picard solve as it ran before its sweep was streamed.
+    F runs on the whole iterate, the Duhamel recurrences run in place on that
+    F(u) stack, which becomes the next iterate, and the old iterate's stack
+    takes the difference, so a sweep holds two stacks.  Returns
+    (coefficients, Besov norms, report) or raises as ``picard_solve`` does."""
+    alg, dt, u0c = problem.u0.algebra, problem.dt, problem.u0.coeffs
+    decay = np.exp(-dt * alg.abs_k ** 2)
+    coeffs = np.empty((steps + 1,) + alg.shape, dtype=np.complex128)
+    coeffs[0] = u0c
+    for i in range(1, steps + 1):
+        coeffs[i] = decay * coeffs[i - 1]
+    distances = []
+    scale = max(tor.lp_norm(problem.u0, problem.idx.p), 1e-12)
+    for it in range(ac.MAX_SWEEPS):
+        try:
+            new = problem.apply_F(coeffs)
+        except SymbolNotFinite as err:
+            raise BlowUpDetected(f"F non-finite on the Picard iterate in sweep {it + 1}") from err
+        new *= 0.5 * dt
+        integral, heat_state, g_prev = np.zeros_like(u0c), u0c.copy(), new[0].copy()
+        new[0] = u0c
+        for state in new[1:]:
+            integral += g_prev
+            integral *= decay
+            integral += state
+            g_prev[...] = state
+            heat_state *= decay
+            np.add(heat_state, integral, out=state)
+        if not np.isfinite(new).all():
+            raise BlowUpDetected(f"non-finite Picard iterate in sweep {it + 1}")
+        diff = np.subtract(new, coeffs, out=coeffs)
+        distances.append(float(np.max(np.concatenate(
+            [tor.lp_norm_batch(alg, diff[chunk], problem.idx.p)
+             for chunk in tor.realization_chunks(alg, len(diff))]))))
+        coeffs = new
+        if distances[-1] <= ac.PICARD_TOL * scale:
+            break
+        if len(distances) >= 3 and distances[-1] > distances[-2] >= distances[-3]:
+            raise NoContraction(
+                f"iterate distances non-decreasing: {distances[-3]:.3e} -> {distances[-1]:.3e}")
+    else:
+        raise NoContraction(f"no convergence in {ac.MAX_SWEEPS} sweeps (last dist {distances[-1]:.3e})")
+    bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
+    factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1) if distances[i] > 0]
+    report = {
+        "distances": distances,
+        "contraction_factor": float(np.median(factors)) if factors else 0.0,
+        "ball_radius": float(np.max(bnorms)),
+        "ball_bound": besov_multiplier_norm(problem.u0, problem.idx) + problem.delta,
+        "hermitian_dev": float(np.max(tor.hermitian_deviation_batch(alg, coeffs))),
+        "sweeps": len(distances),
+    }
+    if not float(np.max(bnorms)) <= problem.blow_up_threshold:
+        raise BlowUpDetected(f"Besov norm {np.max(bnorms):.3e} above threshold")
+    return coeffs, bnorms, report
+
+
+@pytest.mark.parametrize("expr", ["tanh(x)", "x - x**3"])
+@pytest.mark.parametrize("theta_num,steps", [(1, 150), (0, 300)])
+def test_streamed_sweep_matches_two_stack_sweep(expr, theta_num, steps):
+    # 151 states at N = 16, theta = 1 are chunks of 64, 64 and 23; 301 states
+    # at N = 8, theta = 0 are chunks of 256 and 45 grid evaluations
+    alg = tor.TorusAlgebra(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    u = tor.random_element(alg, rng_for(theta_num, "stream"), band=3, decay=2.0)
+    prob = ACProblem(u0=u, F=parse_symbol(expr), idx=IDX, t_max=steps * 1e-3, dt=1e-3)
+    sizes = [len(range(steps + 1)[c])
+             for c in tor.realization_chunks(alg, steps + 1, entries=u.coeffs.size)]
+    assert len(sizes) > 1 and sizes[-1] < sizes[0]
+    coeffs, bnorms, report = _two_stack_picard(prob, steps)
+    calls = []
+    apply_F = ACProblem.apply_F
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ACProblem, "apply_F", lambda self, c: calls.append(len(c)) or apply_F(self, c))
+        traj, rep = picard_solve(prob, steps)
+    assert np.array_equal(traj.coeffs, coeffs)
+    assert np.array_equal(traj.besov_norms, bnorms)
+    assert rep == report
+    assert calls == sizes * rep["sweeps"]
+
+
+def test_streamed_sweep_no_contraction_matches_two_stack_sweep(alg):
+    u = tor.random_element(alg, rng_for(5, "halve"), band=2, decay=2.0)
+    prob = ACProblem(u0=u, F=parse_symbol("40*x"), idx=IDX, t_max=0.101, dt=1e-3,
+                     blow_up_threshold=1e6)
+    with pytest.raises(NoContraction) as ref:
+        _two_stack_picard(prob, 101)
+    with pytest.raises(NoContraction) as got:
+        picard_solve(prob, 101)
+    assert str(got.value) == str(ref.value)
+
+
+def _banded_symbol(band):
+    """F = K x with K = 4e307, and F = inf on ``band`` (an open interval) if
+    given.  K x overflows in the realization's inverse FFT, so the Picard
+    iterate from a datum of order one is non-finite from its first step."""
+    big = 4e307
+    lo, hi = band or (0.0, 0.0)
+    return SmoothSymbol(func=lambda x: np.where((x > lo) & (x < hi), np.inf, big * x),
+                        derivs=(lambda x: big * np.ones_like(x), lambda x: 0 * x), check=False)
+
+
+def _cosine_datum(alg):
+    """1 + cos: the clock eigenvalue 1 + exp(-t) of its heat flow reaches
+    1 + exp(-8) only at t = 8, in the second chunk of 64 steps of 0.1."""
+    return tor.TorusElement(alg, tor.unit_element(alg).coeffs + 0.5 * (
+        tor.mode_element(alg, (1, 0)).coeffs + tor.mode_element(alg, (-1, 0)).coeffs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+@pytest.mark.parametrize("case,message,cause", [
+    ("square", "F non-finite on the Picard iterate in sweep 3", SymbolNotFinite),
+    ("band", "F non-finite on the Picard iterate in sweep 1", SymbolNotFinite),
+    ("linear", "non-finite Picard iterate in sweep 1", type(None))])
+def test_streamed_sweep_blow_up_matches_two_stack_sweep(alg, case, message, cause):
+    # 301 states at N = 16: five chunks.  "square": u' = u^2 from 1e50
+    # overflows F in the third sweep.  "band": the first chunk's new states
+    # are non-finite, and F is infinite only on the heat flow's second chunk,
+    # so its error must still come first.  "linear": every chunk's F is
+    # finite and the iterate is not.
+    if case == "square":
+        prob = ACProblem(u0=1e50 * tor.unit_element(alg), F=parse_symbol("x**2"), idx=IDX,
+                         t_max=0.3, dt=1e-3, blow_up_threshold=1e300)
+    else:
+        band = (1 + math.exp(-8.1), 1 + math.exp(-7.9)) if case == "band" else None
+        prob = ACProblem(u0=_cosine_datum(alg), F=_banded_symbol(band), idx=IDX, t_max=30.0,
+                         dt=0.1, blow_up_threshold=1e300)
+    steps = round(prob.t_max / prob.dt)
+    assert len(tor.realization_chunks(alg, steps + 1)) == 5
+    with pytest.raises(BlowUpDetected) as ref:
+        _two_stack_picard(prob, steps)
+    calls = []
+    apply_F = ACProblem.apply_F
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ACProblem, "apply_F", lambda self, c: calls.append(len(c)) or apply_F(self, c))
+        with pytest.raises(BlowUpDetected) as got:
+            picard_solve(prob, steps)
+    assert str(got.value) == str(ref.value) == message
+    assert type(got.value.__cause__) is type(ref.value.__cause__) is cause
+    if case == "band":
+        assert calls == [64, 64]
+    if case == "linear":
+        assert calls == [64, 64, 64, 64, 45]
+
+
+def test_picard_solve_holds_one_stack(alg):
+    # 2001 states of 16 x 16 coefficients: 32 realization chunks.  The solve's
+    # peak is its one iterate stack and a few chunks' work, not two stacks.
+    u = tor.random_element(alg, rng_for(0, "ac"), band=3, decay=2.0)
+    prob = ACProblem(u0=u, F=parse_symbol("tanh(x)"), idx=IDX, t_max=0.2, dt=1e-4)
+    assert len(tor.realization_chunks(alg, 2001)) >= 8
+    picard_solve(prob, 8)  # the cached tables of the route, built outside the trace
+    tracemalloc.start()
+    try:
+        traj, rep = picard_solve(prob, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = traj.coeffs.nbytes
+    assert rep["sweeps"] >= 2
+    assert peak < 1.5 * stack

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import opcalc.linalg as la
 from opcalc.errors import DimensionMismatch, NonHermitianInput, SymbolDomainError, SymbolNotFinite
+from opcalc.experiments import _stack
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
                            haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
@@ -304,3 +306,23 @@ def test_spectral_kernels_are_called_only_from_linalg():
     probe = "np.linalg.eigvalsh(a)\nfrom numpy.linalg import svd\nnp.linalg.norm(a, 2)\nnorm(a, ord=-2)\nnorm(a)\n"
     assert [what for _line, what in _spectral_uses(ast.parse(probe))] == [
         "eigvalsh", "svd", "norm(., 2)", "norm(., -2)"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 16])
+def test_random_hermitian_and_ensemble_stacks_equal_the_validating_constructor(n, monkeypatch):
+    # (g + g*) / (2 sqrt n) is Hermitian in floating point, and so is every
+    # stored operator, so skipping the deviation test changes no bit
+    expect, members = [], []
+    for seed in range(5):
+        rng = rng_for(seed, "exact-hermitian")
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expect.append(HermitianOperator((g + g.conj().T) / (2.0 * math.sqrt(n))).data)
+    stacked = HermitianOperator(np.stack(expect)).data
+
+    def no_test(a, adj):
+        raise AssertionError("deviation test run")
+    monkeypatch.setattr(la, "_require_hermitian", no_test)
+    for seed in range(5):
+        members.append(random_hermitian(rng_for(seed, "exact-hermitian"), n))
+        assert np.array_equal(members[-1].data, expect[seed])
+    assert np.array_equal(_stack(members).data, stacked)
