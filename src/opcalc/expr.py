@@ -1,4 +1,4 @@
-"""Symbol expressions with symbolic derivatives.
+"""Symbol expressions and their derivatives by jet recurrences.
 
 Grammar (used in experiment configs), with Python's precedence::
 
@@ -15,10 +15,15 @@ float() (1e999 is inf).  Hex, octal, binary, underscores, complex, bool, '#',
 ',', non-ASCII characters and nesting past 200 parentheses are errors.  Unlike
 the hand-written parser this replaced, ``x ** 2`` and ``x**(2)`` parse, while
 leading-zero integers (``007``, ``x**02``) and non-ASCII digits do not.
-Derivatives are built from the tree, so polynomials keep exact coefficients.
+Each node evaluates the truncated jet [F, F', ..., F^(k)] of its subtree
+(Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13): sums add
+entries, products take Leibniz's rule, and a power or a call y = F(u) takes
+y^(i) = (u' F'(u))^(i-1), with the jet of F'(u) grown beside y's.  So a
+subtree is evaluated once per jet however often the derivatives use it.
+Polynomials also keep exact coefficients.
 A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
-before it is expanded.  So is a tree, or any of its derivative trees, deeper
-than MAX_DEPTH levels: evaluation and differentiation recurse once per level.
+before it is expanded.  So is a tree deeper than MAX_DEPTH levels: a jet
+recurses once per level.
 The degree is that of the coefficients without trailing zeros, so
 ``(x - x + 1)**600*x`` is x.
 A power of a constant is one ``**``, and its overflow is a ConfigError.
@@ -29,14 +34,17 @@ from __future__ import annotations
 import ast
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from math import comb
+from operator import add
 
 import numpy as np
 
 from .errors import ConfigError
 from .symbols import SmoothSymbol
 
-PARSED_ORDER = 6  # the symbolic derivatives of a parsed symbol: its max_order
-MAX_DEPTH = 400  # tree levels: ev takes one frame each, leaving 600 of Python's default 1000
+PARSED_ORDER = 6  # the derivatives of a parsed symbol: its max_order
+MAX_DEPTH = 400  # tree levels: jet takes one frame each, leaving 600 of Python's default 1000
 
 
 class Node:
@@ -44,31 +52,32 @@ class Node:
     # one more than its deepest child's, so no depth count recurses
     depth = 1
 
-    def ev(self, x):
+    def jet(self, x, k: int) -> list:
+        """[F, F', ..., F^(k)] at x, truncated: entries past its end are zero.
+        Order 0 is the plain evaluation, and k = 0 builds no derivative."""
         raise NotImplementedError
 
-    def d(self) -> "Node":
-        raise NotImplementedError
+
+def _leibniz(a: list, b: list, i: int):
+    """(ab)^(i) = sum_l C(i, l) a^(l) b^(i-l) over the entries that the
+    truncated jets a and b hold."""
+    ls = range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1)
+    return reduce(add, (comb(i, l) * a[l] * b[i - l] for l in ls))
 
 
 @dataclass(frozen=True)
 class Num(Node):
     value: float
 
-    def ev(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value, dtype=float)
-
-    def d(self):
-        return Num(0.0)
+    def jet(self, x, k):
+        return [np.full_like(np.asarray(x, dtype=float), self.value, dtype=float)]
 
 
 @dataclass(frozen=True)
 class Var(Node):
-    def ev(self, x):
-        return np.asarray(x, dtype=float)
-
-    def d(self):
-        return Num(1.0)
+    def jet(self, x, k):
+        x = np.asarray(x, dtype=float)
+        return [x, np.ones_like(x)] if k else [x]
 
 
 @dataclass(frozen=True)
@@ -79,11 +88,10 @@ class Add(Node):
     def __post_init__(self):
         object.__setattr__(self, "depth", 1 + max(self.a.depth, self.b.depth))
 
-    def ev(self, x):
-        return self.a.ev(x) + self.b.ev(x)
-
-    def d(self):
-        return Add(self.a.d(), self.b.d())
+    def jet(self, x, k):
+        a, b = self.a.jet(x, k), self.b.jet(x, k)
+        n = min(len(a), len(b))
+        return [a[i] + b[i] for i in range(n)] + a[n:] + b[n:]
 
 
 @dataclass(frozen=True)
@@ -94,17 +102,10 @@ class Mul(Node):
     def __post_init__(self):
         object.__setattr__(self, "depth", 1 + max(self.a.depth, self.b.depth))
 
-    def ev(self, x):
-        return self.a.ev(x) * self.b.ev(x)
-
-    def d(self):
-        # a constant factor is not differentiated: the full product rule would
-        # copy the other factor into every higher derivative
-        if isinstance(self.a, Num):
-            return Mul(self.a, self.b.d())
-        if isinstance(self.b, Num):
-            return Mul(self.a.d(), self.b)
-        return Add(Mul(self.a.d(), self.b), Mul(self.a, self.b.d()))
+    def jet(self, x, k):
+        # a constant factor's jet has one entry, so c*b takes one product per order
+        a, b = self.a.jet(x, k), self.b.jet(x, k)
+        return [a[0] * b[0]] + [_leibniz(a, b, i) for i in range(1, min(k, len(a) + len(b) - 2) + 1)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,17 @@ class Pow(Node):
     def __post_init__(self):
         object.__setattr__(self, "depth", 1 + self.base.depth)
 
-    def ev(self, x):
-        return self.base.ev(x) ** self.n
-
-    def d(self):
-        if self.n == 0:
-            return Num(0.0)
-        return Mul(Mul(Num(float(self.n)), Pow(self.base, self.n - 1)), self.base.d())
+    def jet(self, x, k):
+        # (u**m)' = u' g with g = m u**(m-1), so (u**m)^(i) = (u' g)^(i-1) reads
+        # u**(m-1) to one order fewer: m walks up from n - k on the one jet of u
+        u = self.base.jet(x, k)
+        du, low = u[1:], max(self.n - k, 0)
+        y = [u[0] ** low]
+        for m in range(low + 1, self.n + 1):
+            g = [m * t for t in y]
+            y = [u[0] ** m] + [_leibniz(du, g, i - 1)
+                               for i in range(1, min(k - self.n + m, len(u) + len(g) - 2) + 1)]
+        return y
 
 
 @dataclass(frozen=True)
@@ -132,54 +137,40 @@ class Call(Node):
     def __post_init__(self):
         object.__setattr__(self, "depth", 1 + self.arg.depth)
 
-    def ev(self, x):
-        return _FUNCS[self.name][0](self.arg.ev(x))
-
-    def d(self):
-        return Mul(_FUNCS[self.name][1](self.arg), self.arg.d())
-
-
-@dataclass(frozen=True)
-class Sign(Node):
-    arg: Node
-
-    def __post_init__(self):
-        object.__setattr__(self, "depth", 1 + self.arg.depth)
-
-    def ev(self, x):
-        return np.sign(self.arg.ev(x))
-
-    def d(self):
-        return Num(0.0)  # a.e. derivative; kink recorded separately
-
-
-@dataclass(frozen=True)
-class Step(Node):
-    arg: Node
-
-    def __post_init__(self):
-        object.__setattr__(self, "depth", 1 + self.arg.depth)
-
-    def ev(self, x):
-        return (self.arg.ev(x) > 0).astype(float)
-
-    def d(self):
-        return Num(0.0)
+    def jet(self, x, k):
+        u = self.arg.jet(x, k)
+        f, y = self.name, [_FUNCS[self.name](u[0])]
+        if len(u) == 1:  # order 0, or a constant argument
+            return y
+        if f in ("abs", "relu"):  # the a.e. derivative F'(u0) u^(i); kinks are recorded separately
+            w = np.sign(u[0]) if f == "abs" else (u[0] > 0).astype(float)
+            return y + [w * t for t in u[1:]]
+        # y' = u' g with g = F'(u), so y^(i) = (u' g)^(i-1): g's jet grows with y's
+        du = u[1:]
+        if f == "gauss":  # exp(v), v = -u**2
+            du = [-_leibniz(u, u, i) for i in range(1, min(k, 2 * len(u) - 2) + 1)]
+        if f in _PAIRS:
+            g0, s = _PAIRS[f]
+            g = [g0(u[0])]
+        else:
+            g = [1 - y[0] ** 2] if f == "tanh" else y  # exp, gauss: g = y
+        for i in range(1, k + 1):
+            y.append(_leibniz(du, g, i - 1))
+            if f in _PAIRS:  # g' = s y u'
+                g.append(s * _leibniz(du, y, i - 1))
+            elif f == "tanh":  # g = 1 - y**2
+                g.append(-_leibniz(y, y, i))
+        return y
 
 
-# name -> (numpy evaluator, derivative rule u -> F'(u) as a tree)
+# name -> numpy evaluator; Call.jet holds the derivative rules
 _FUNCS = {
-    "exp": (np.exp, lambda u: Call("exp", u)),
-    "sin": (np.sin, lambda u: Call("cos", u)),
-    "cos": (np.cos, lambda u: Mul(Num(-1.0), Call("sin", u))),
-    "sinh": (np.sinh, lambda u: Call("cosh", u)),
-    "cosh": (np.cosh, lambda u: Call("sinh", u)),
-    "tanh": (np.tanh, lambda u: Add(Num(1.0), Mul(Num(-1.0), Pow(Call("tanh", u), 2)))),
-    "abs": (np.abs, Sign),
-    "relu": (lambda x: np.maximum(x, 0.0), Step),
-    "gauss": (lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
-              lambda u: Mul(Mul(Num(-2.0), u), Call("gauss", u))),
+    "exp": np.exp, "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "abs": np.abs, "relu": lambda x: np.maximum(x, 0.0),
+    "gauss": lambda x: np.exp(-np.asarray(x, dtype=float) ** 2),
 }
+# F' of sin, cos, sinh, cosh, and the sign s of F'' = s F
+_PAIRS = {"sin": (np.cos, -1), "cos": (lambda u: -np.sin(u), -1), "sinh": (np.cosh, 1), "cosh": (np.sinh, 1)}
 
 
 def _tree(text: str) -> Node:
@@ -316,26 +307,26 @@ def _kinks(node: Node):
 
 
 def parse_symbol(text: str) -> SmoothSymbol:
-    """Build a SmoothSymbol with PARSED_ORDER symbolic derivatives from an
-    expression, sanity-checked on the window [-4, 4]; an expression that fails
-    the check is a ConfigError."""
-    def make(nd):
-        return lambda x: nd.ev(x)
+    """Build a SmoothSymbol with PARSED_ORDER derivatives, each read from the
+    jet of the expression's tree, sanity-checked on the window [-4, 4]; an
+    expression that fails the check is a ConfigError."""
+    def order(k):
+        def evaluate(x):
+            j = tree.jet(x, k)
+            return j[k] if k < len(j) else np.zeros_like(j[0])
+        return evaluate
 
     try:
         # every step here, the sanity check's evaluations too, recurses per
-        # nesting level; after _tree, each tree it reaches is checked first
-        nodes = [_tree(text)]
-        while len(nodes) <= PARSED_ORDER and nodes[-1].depth <= MAX_DEPTH:
-            nodes.append(nodes[-1].d())
-        if nodes[-1].depth > MAX_DEPTH:
+        # nesting level; after _tree, the tree's depth is checked first
+        tree = _tree(text)
+        if tree.depth > MAX_DEPTH:
             raise RecursionError
-        tree = nodes[0]
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
         return SmoothSymbol(
-            func=make(tree),
-            derivs=tuple(make(nd) for nd in nodes[1:]),
+            func=order(0),
+            derivs=tuple(order(k) for k in range(1, PARSED_ORDER + 1)),
             window=(-4.0, 4.0),
             poly_coeffs=tuple(coeffs) if coeffs is not None else None,
             kinks=tuple(kinks) if kinks else (),

@@ -183,12 +183,16 @@ def test_cli_rejects_outdir_key(tmp_path, capsys):
     ("moi", "[symbol]\nexpr = 1e999*x\n", "not finite"),
     # a constant power is folded in one step, so its overflow is refused at once
     ("moi", "[symbol]\nexpr = 2**1000000*x\n", "'2**1000000*x': constant power 2**1000000 overflows"),
+    # 199 nested calls are within the bounds, and the sanity check refuses them
+    ("moi", "[symbol]\nexpr = " + "tanh(" * 199 + "x" + ")" * 199 + "\n",
+     "derivative order 3 disagrees with central differences"),
 ], ids=["odd-n", "backend", "theta-gcd", "ensemble", "seed", "d3-theta", "commutative-theta",
         "d1-theta", "verify-core-odd-n", "dt-zero", "dt-negative", "dt-nan", "t-max-zero",
         "t-max-inf", "deep-expr", "deep-sum", "commutative-flat", "symbol-check", "meyer-besov",
         "verify-core-besov", "moi-besov", "chain-rule-besov", "chain-rule-symbol", "meyer-symbol",
         "moi-allen-cahn", "besov-equivalence-allen-cahn", "nonlinear-allen-cahn", "band-negative",
-        "delta-nan", "delta-negative", "d0", "inf-literal", "constant-power-overflow"])
+        "delta-nan", "delta-negative", "d0", "inf-literal", "constant-power-overflow",
+        "deep-tanh-check"])
 def test_cli_bad_values_exit_2(tmp_path, capsys, kind, text, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[experiment]\nkind = {kind}\n" + text)

@@ -3,6 +3,7 @@ import math
 import re
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -318,25 +319,110 @@ def test_expression_polynomial_detection():
     assert parse_symbol("sin(x)").poly_coeffs is None
 
 
-def _tree_size(node) -> int:
-    """Node count of a tree, a shared subtree counted at every use."""
-    children = [getattr(node, c) for c in ("a", "b", "arg", "base") if hasattr(node, c)]
-    return 1 + sum(_tree_size(c) for c in children)
-
-
 def test_constant_factors_are_not_differentiated():
     # d(c*b) = c*b': the full product rule copied b into every higher
-    # derivative, so 300 leading minus signs never finished parsing and the
-    # order-6 tree of tanh(x) had 77,055 nodes
-    assert _tree("2*x*3").d() == Mul(Mul(Num(2.0), Num(1.0)), Num(3.0))
+    # derivative, so 300 leading minus signs never finished parsing
     F = parse_symbol("- " * 300 + "x")
     xs = np.array([-1.0, 0.5])
     assert np.array_equal(F.derivs[0](xs), [1.0, 1.0])
     assert not np.any(F.derivs[1](xs))
-    tree = _tree("tanh(x)")
-    for _ in range(6):
-        tree = tree.d()
-    assert _tree_size(tree) < 5000
+
+
+def _tanh_chain(levels: int) -> str:
+    text = "x"
+    for _ in range(levels):
+        text = f"tanh({text})**2"
+    return text
+
+
+@pytest.mark.parametrize("text", ["tanh(" * 12 + "x" + ")" * 12, _tanh_chain(40)],
+                         ids=["tanh-nested-12", "tanh-squared-chain-40"])
+def test_nested_symbols_parse_in_linear_time(text):
+    # a jet evaluates each subtree once per order: derivative trees grew
+    # 2-4x per tanh level, and a power that jets its base twice doubles
+    # its work per level of the chain
+    start = time.perf_counter()
+    F = parse_symbol(text)
+    assert time.perf_counter() - start < 0.5
+    assert np.all(np.isfinite(F.deriv(PARSED_ORDER)(np.linspace(-4.0, 4.0, 9))))
+
+
+def _closed_forms(name, u, n):
+    """F^(m)(u) for m = 0..n from closed forms: shifted sin/cos, the
+    polynomials in t = tanh(u) with P' = dP/dt (1 - t^2), Hermite
+    polynomials for gauss."""
+    if name == "exp":
+        return [np.exp(u)] * (n + 1)
+    if name in ("sin", "cos"):
+        f = np.sin if name == "sin" else np.cos
+        return [f(u + m * np.pi / 2) for m in range(n + 1)]
+    if name in ("sinh", "cosh"):
+        pair = (np.sinh, np.cosh) if name == "sinh" else (np.cosh, np.sinh)
+        return [pair[m % 2](u) for m in range(n + 1)]
+    if name == "tanh":
+        P, out = np.polynomial.Polynomial([0.0, 1.0]), []
+        for _ in range(n + 1):
+            out.append(P(np.tanh(u)))
+            P = P.deriv() * np.polynomial.Polynomial([1.0, 0.0, -1.0])
+        return out
+    if name == "gauss":
+        return [(-1) ** m * np.polynomial.Hermite.basis(m)(u) * np.exp(-u ** 2) for m in range(n + 1)]
+    step = np.sign(u) if name == "abs" else (u > 0).astype(float)
+    return [np.abs(u) if name == "abs" else np.maximum(u, 0.0), step] + [0 * u] * (n - 1)
+
+
+def _compose(outer, inner):
+    """Derivatives of F(u(x)) by truncated Taylor series in h: u(x + h) - u(x)
+    = sum_k u^(k) h^k / k!, raised to each power m and weighted F^(m)/m!."""
+    n = len(inner) - 1
+    du = [0 * inner[0]] + [inner[k] / math.factorial(k) for k in range(1, n + 1)]
+    power = [np.ones_like(inner[0])] + [0 * inner[0]] * n
+    total = [0 * inner[0]] * (n + 1)
+    for m in range(n + 1):
+        total = [t + outer[m] / math.factorial(m) * p for t, p in zip(total, power)]
+        power = [sum(power[i] * du[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return [math.factorial(k) * t for k, t in enumerate(total)]
+
+
+_ARGS = {"x": lambda xs: [xs, np.ones_like(xs)] + [0 * xs] * 5,
+         "0.5*x + 0.25": lambda xs: [0.5 * xs + 0.25, 0.5 + 0 * xs] + [0 * xs] * 5,
+         "sin(x)": lambda xs: [np.sin(xs + k * np.pi / 2) for k in range(7)]}
+
+
+@pytest.mark.parametrize("arg", sorted(_ARGS))
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "sinh", "cosh", "tanh", "abs", "relu", "gauss"])
+def test_derivatives_to_order_six_match_closed_forms(name, arg):
+    # every function of the grammar on x, on an affine and on a nested
+    # argument, at points away from the kinks of abs and relu
+    xs = np.linspace(-3.0, 3.0, 41) + 0.0123
+    F = parse_symbol(f"{name}({arg})")
+    inner = _ARGS[arg](xs)
+    want = _compose(_closed_forms(name, inner[0], PARSED_ORDER), inner)
+    for k in range(PARSED_ORDER + 1):
+        got = F.deriv(k)(xs)
+        assert np.max(np.abs(got - want[k])) <= 1e-12 * max(1.0, np.max(np.abs(want[k]))), k
+
+
+def test_derivatives_that_are_exact():
+    xs = np.linspace(-3.0, 3.0, 2001)
+    tanh = parse_symbol("tanh(x)")
+    assert np.array_equal(tanh(xs), np.tanh(xs))
+    assert np.array_equal(tanh.deriv(1)(xs), 1 - np.tanh(xs) ** 2)
+    exp = parse_symbol("exp(x)")
+    assert all(np.array_equal(exp.deriv(k)(xs), np.exp(xs)) for k in range(PARSED_ORDER + 1))
+    # at dyadic points every product of a polynomial's derivatives is exact
+    dyadic = np.arange(-16, 17) / 8.0
+    for text, coeffs in [("0.5*x - 2*x**3 + x**5", [0, 0.5, 0, -2, 0, 1]),
+                         ("(0.5*x + 0.25)**3", [1 / 64, 3 / 32, 3 / 16, 1 / 8]), ("x*x*x*x", [0, 0, 0, 0, 1])]:
+        F = parse_symbol(text)
+        for k in range(PARSED_ORDER + 1):
+            want = [float(sum(Fraction(c) * math.perm(m, k) * Fraction(v) ** (m - k)
+                              for m, c in enumerate(coeffs) if m >= k)) for v in dyadic]
+            assert np.array_equal(F.deriv(k)(dyadic), want), (text, k)
+    # the a.e. derivative of abs and relu at the kink is 0 from order 1 on
+    for text, kink in [("abs(x)", 0.0), ("relu(x)", 0.0), ("abs(0.5*x + 0.25)", -0.5), ("relu(2*x - 1)", 0.5)]:
+        F = parse_symbol(text)
+        assert all(F.deriv(k)(np.array([kink]))[0] == 0.0 for k in range(1, PARSED_ORDER + 1))
 
 
 @pytest.mark.parametrize("text,coeffs", [("(x - x + 1)**600*x", (0.0, 1.0)),
@@ -363,6 +449,14 @@ def test_symbol_at_the_depth_bound_evaluates_from_a_deep_stack():
     values = from_below(500)
     assert np.array_equal(values[0], MAX_DEPTH * xs) and np.all(values[1] == MAX_DEPTH)
     assert not np.any(values[2:])
+
+
+def test_nesting_within_the_bounds_reaches_the_sanity_check():
+    # 199 tanh levels parse, and the check's order-3 central differences
+    # refuse them: an error naming the order, not "nested too deeply"
+    text = "tanh(" * 199 + "x" + ")" * 199
+    with pytest.raises(ConfigError, match=re.escape("derivative order 3 disagrees with central differences")):
+        parse_symbol(text)
 
 
 def test_deep_expressions_are_config_errors():
