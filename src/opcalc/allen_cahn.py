@@ -6,15 +6,15 @@ the heat factor is applied analytically per mode and the nonlinear samples
 are integrated by the subinterval trapezoid rule, so the stiff linear part
 never enters the quadrature error.  The iterate is one (T + 1,) + shape
 coefficient stack, which each sweep writes over chunk by chunk (``_sweep``):
-one ``besov.apply_symbol_batch`` call per chunk of at most
-REALIZATION_CHUNK_ENTRIES coefficients, the Duhamel recurrences carried from
-chunk to chunk, the distance of each new state to its old one, and the new
-states in the old ones' place, so a solve holds one stack and a chunk's
-work.  The Besov ball norms of a solve are one
-``besov.multiplier_norm_stack`` call.  ``evolve`` continues on the same grid:
-contraction segments of whole steps fill one coefficient stack up to t_max or
-a detected norm escape, and continuations from one datum can share their
-first segment (``first_segment``), so it is solved once.
+one ``besov.apply_symbol`` call per chunk of at most
+REALIZATION_CHUNK_ENTRIES coefficients (``torus.coefficient_chunks``), the
+Duhamel recurrences carried from chunk to chunk, the distance of each new
+state to its old one, and the new states in the old ones' place, so a solve
+holds one stack and a chunk's work.  The Besov ball norms of a solve are one
+``besov.besov_multiplier_norm`` call on the stack.  ``evolve`` continues on
+the same grid: contraction segments of whole steps fill one coefficient stack
+up to t_max or a detected norm escape, and continuations from one datum can
+share their first segment (``first_segment``), so it is solved once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import BesovIndex, apply_symbol_batch, besov_multiplier_norm, multiplier_norm_stack
+from .besov import BesovIndex, apply_symbol, besov_multiplier_norm
 from .errors import (BlowUpDetected, HypothesisViolation, NoContraction, SymbolHypothesisError,
                      SymbolNotFinite)
 from .symbols import (BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize,
@@ -68,7 +68,7 @@ class ACProblem:
 
     def apply_F(self, coeff_stack: np.ndarray) -> np.ndarray:
         """F(u) for every state of a (T,) + shape coefficient stack."""
-        return apply_symbol_batch(self.F, self.u0.algebra, coeff_stack)
+        return apply_symbol(self.F, TorusElement(self.u0.algebra, coeff_stack)).coeffs
 
 
 @dataclass
@@ -102,21 +102,6 @@ def contraction_time(problem: ACProblem, c_bound: float, c_lip: float) -> float:
 
 def _heat_factors(algebra, dt: float) -> np.ndarray:
     return np.exp(-dt * algebra.abs_k ** 2)
-
-
-def _chunks(algebra, count: int) -> list:
-    """Chunks of a count-state coefficient stack of at most
-    REALIZATION_CHUNK_ENTRIES coefficients: as many entries as the
-    realization at theta != 0, and as the grid values at theta = 0, where
-    ``realization_chunks``' default of N^d x N^d matrix entries would give one
-    state per chunk."""
-    return tor.realization_chunks(algebra, count, entries=math.prod(algebra.shape))
-
-
-def _state_norms(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
-    """lp_norm of every state of a coefficient stack, chunk by chunk."""
-    return np.concatenate([lp_norm_batch(algebra, coeff_stack[chunk], p)
-                           for chunk in _chunks(algebra, len(coeff_stack))])
 
 
 def _sweep(problem: ACProblem, coeffs: np.ndarray, chunks: list, sweep: int) -> float:
@@ -208,7 +193,7 @@ def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
     coeffs[0] = u0c
     for i in range(1, steps + 1):
         coeffs[i] = decay * coeffs[i - 1]
-    chunks = _chunks(alg, steps + 1)
+    chunks = tor.coefficient_chunks(alg, steps + 1)
     distances = []
     scale = max(lp_norm(problem.u0, problem.idx.p), 1e-12)
     for it in range(MAX_SWEEPS):
@@ -222,7 +207,7 @@ def picard_solve(problem: ACProblem, steps: Optional[int] = None) -> tuple:
             )
     else:
         raise NoContraction(f"no convergence in {MAX_SWEEPS} sweeps (last dist {distances[-1]:.3e})")
-    bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
+    bnorms = besov_multiplier_norm(TorusElement(alg, coeffs), problem.idx)
     factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1)
                if distances[i] > 0]
     report = {
@@ -313,7 +298,7 @@ def strong_residual(traj: Trajectory, problem: ACProblem):
     du = (u[first + 1:] - u[first - 1:-2]) / (2 * problem.dt)
     mid = u[first:-1]
     rhs = lap * mid + problem.apply_F(mid)
-    return traj.times[first:-1], _state_norms(alg, du - rhs, problem.idx.p)
+    return traj.times[first:-1], lp_norm(TorusElement(alg, du - rhs), problem.idx.p)
 
 
 def global_existence_check(problem: ACProblem, c_lip_baseline: float,

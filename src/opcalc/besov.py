@@ -75,34 +75,23 @@ def _lq_rows(terms: np.ndarray, q: float) -> np.ndarray:
 
 
 def block_norms(x: TorusElement, p) -> np.ndarray:
-    """||Delta_j x||_p for the finitely many nonzero blocks."""
-    return block_norm_stack(x.algebra, x.coeffs[None], p)[0]
+    """||Delta_j x||_p for the finitely many nonzero blocks: a (..., blocks)
+    array with the member axes of a stacked x in front.  The members are
+    taken in chunks whose blocks hold at most REALIZATION_CHUNK_ENTRIES
+    coefficients, and each chunk's blocks are one ``lp_norm`` call."""
+    alg, bank = x.algebra, x.algebra.lp_filters
+    stack = x.members()
+    out = np.empty((len(stack), len(bank)))
+    for chunk in tor.realization_chunks(alg, len(stack), entries=bank.size):
+        out[chunk] = lp_norm(TorusElement(alg, bank * stack[chunk, None]), p)
+    return x.per_member(out)
 
 
-def block_norm_stack(algebra, coeff_stack: np.ndarray, p) -> np.ndarray:
-    """``block_norms`` of each element of a (batch,) + algebra.shape
-    coefficient stack, as a (batch, blocks) array from one ``lp_norm_batch``
-    call."""
-    bank = algebra.lp_filters
-    blocks = (bank * coeff_stack[:, None]).reshape((-1,) + algebra.shape)
-    return lp_norm_batch(algebra, blocks, p).reshape(len(coeff_stack), len(bank))
-
-
-def besov_multiplier_norm(x: TorusElement, idx: BesovIndex) -> float:
-    """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf."""
-    return multiplier_form(block_norms(x, idx.p), idx.s, idx.q)
-
-
-def multiplier_norm_stack(algebra, coeff_stack: np.ndarray, idx: BesovIndex) -> np.ndarray:
-    """``besov_multiplier_norm`` of each element of a (batch,) + algebra.shape
-    coefficient stack, with the same bits: ``block_norm_stack`` in chunks
-    whose block stacks realize at most REALIZATION_CHUNK_ENTRIES entries, then
-    the weighted l_q sum of every row at once."""
-    count = len(algebra.lp_filters)
-    chunks = tor.realization_chunks(algebra, len(coeff_stack), entries=count * algebra.matrix_dim ** 2)
-    norms = np.concatenate([block_norm_stack(algebra, coeff_stack[chunk], idx.p)
-                            for chunk in chunks])
-    return _lq_rows(2.0 ** (idx.s * np.arange(count)) * norms, idx.q)
+def besov_multiplier_norm(x: TorusElement, idx: BesovIndex):
+    """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf.  A
+    float for one element, an array over the member axes for a stack."""
+    norms = block_norms(x, idx.p).reshape(-1, len(x.algebra.lp_filters))
+    return x.per_member(_lq_rows(2.0 ** (idx.s * np.arange(norms.shape[1])) * norms, idx.q))
 
 
 def multiplier_form(norms: np.ndarray, s: float, q: float) -> float:
@@ -255,20 +244,12 @@ def _difference_norms(algebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.n
                            for chunk in chunks])
 
 
-def difference_form(meas: DifferenceMeasure, s: float, q: float, return_report: bool = False):
+def difference_form(meas: DifferenceMeasure, s: float, q: float) -> float:
     """The sampled difference form from a measurement:
     ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the kept j."""
     total = meas.base
-    per_axis = []
     for keep, prof in zip(meas.keep, meas.profiles):
-        terms = (2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep]
-        val = _lq_sum(terms, q)
-        per_axis.append(val)
-        total += val
-    if return_report:
-        saturated = [(i, int(j)) for i, keep in enumerate(meas.keep) for j in meas.js[~keep]]
-        return total, {"j_range": (int(meas.js[0]), int(meas.js[-1])), "saturated_excluded": saturated,
-                       "n_der": meas.n_der, "m": meas.m, "per_axis": per_axis, "lp_term": meas.base}
+        total += _lq_sum((2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep], q)
     return total
 
 
@@ -290,20 +271,19 @@ def integral_form(meas: DifferenceMeasure, s: float, q: float) -> float:
 def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
                           n_der: Optional[int] = None,
                           j_range: Optional[tuple] = None,
-                          sampling: AmplitudeSampling = AmplitudeSampling(16, 8),
-                          return_report: bool = False):
+                          sampling: AmplitudeSampling = AmplitudeSampling(16, 8)) -> float:
     """Sampled difference form of the Besov norm.
 
     ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the
     dyadic range j in [-J1, J2].  Amplitudes are sampled lower bounds of the
     true sup; translations are 2 pi periodic, so saturated large-t terms are
-    excluded from the sum and flagged in the report.
+    excluded from the sum.
     """
     if n_der is None:
         n_der = default_n_der(idx.s)
     check_difference_hypotheses(idx, m, n_der)
     meas = DifferenceGeometry(x.algebra, m, n_der, sampling=sampling).measure(x, idx.p, j_range)
-    return difference_form(meas, idx.s, idx.q, return_report)
+    return difference_form(meas, idx.s, idx.q)
 
 
 def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
@@ -376,8 +356,9 @@ def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
 
 def heat_block_norms(x: TorusElement, p, ts: Sequence[float]) -> np.ndarray:
     """Block norms of x (row 0) and of e^{t Delta} x for each t of ts, from one
-    ``lp_norm_batch`` call: the q-free part of ``heat_smoothing_check``."""
-    return block_norm_stack(x.algebra, np.stack([x.coeffs] + [heat(x, t).coeffs for t in ts]), p)
+    ``block_norms`` call: the q-free part of ``heat_smoothing_check``."""
+    stack = np.stack([x.coeffs] + [heat(x, t).coeffs for t in ts])
+    return block_norms(TorusElement(x.algebra, stack), p)
 
 
 def heat_smoothing_ratios(norms: np.ndarray, s: float, r: float, q, ts: Sequence[float]) -> dict:
@@ -535,7 +516,7 @@ class PsdoSymbolSequence:
 def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex):
     """T_{a,b}(u) = sum_j a_j (Block_j u) b_j and its normalized Besov ratio."""
     out = paraproduct(seq, u)
-    norms = block_norm_stack(u.algebra, np.stack([u.coeffs, out.coeffs]), idx.p)
+    norms = block_norms(TorusElement(u.algebra, np.stack([u.coeffs, out.coeffs])), idx.p)
     return out, paraproduct_report(seq, norms[0], norms[1], idx.s, idx.q)
 
 
@@ -571,46 +552,44 @@ def paraproduct_report(seq: PsdoSymbolSequence, norms_in: np.ndarray, norms_out:
 # ---------------------------------------------------------------------------
 
 def apply_symbol(F, u: TorusElement) -> TorusElement:
-    """F(u) through the functional calculus of u's realization."""
-    return TorusElement(u.algebra, apply_symbol_batch(F, u.algebra, u.coeffs[None, ...])[0])
-
-
-def apply_symbol_batch(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
-    """F(u) for every state of a (batch,) + algebra.shape coefficient stack.
+    """F(u) through the functional calculus of u's realization, of u or of
+    each member of a stack.
 
     theta = 0: ``diagonal_func_calc`` on the grid values, the spectrum of the
     diagonal realization.  theta != 0: ``to_matrix_batch``, ``func_calc`` on
     the stack, ``from_matrix_batch``, taken in ``realization_chunks``.
     """
-    if algebra.is_flat:
-        return tor.from_grid_values(algebra, diagonal_func_calc(tor.grid_values(algebra, coeff_stack), F))
-    out = np.empty(coeff_stack.shape, dtype=np.complex128)
-    for chunk in tor.realization_chunks(algebra, len(coeff_stack)):
-        # no name holds the realization, so it is freed once validated
-        out[chunk] = tor.from_matrix_batch(algebra, func_calc(
-            HermitianOperator(tor.to_matrix_batch(algebra, coeff_stack[chunk])), F).data)
-    return out
+    alg, stack = u.algebra, u.members()
+    if alg.is_flat:
+        out = tor.from_grid_values(alg, diagonal_func_calc(tor.grid_values(alg, stack), F))
+    else:
+        out = np.empty(stack.shape, dtype=np.complex128)
+        for chunk in tor.realization_chunks(alg, len(stack)):
+            # no name holds the realization, so it is freed once validated
+            out[chunk] = tor.from_matrix_batch(alg, func_calc(
+                HermitianOperator(tor.to_matrix_batch(alg, stack[chunk])), F).data)
+    return TorusElement(alg, out.reshape(u.coeffs.shape))
 
 
-def regular_apply_symbol(F, algebra, coeff_stack: np.ndarray) -> np.ndarray:
-    """(batch, N^d) coefficients of F(u) for each Hermitian state of a theta = 0
-    stack, from the left-regular realization and with no FFT.  L_u splits into
-    the 2^d real symmetric blocks R_eps of ``regular_blocks``; since
-    L_{F(u)} = F(L_u) and e_0 = 2^{-d/2} sum_eps f_0 of block eps, F(u) is
-    2^{-d/2} U times the column 0 of each F(R_eps) (U = ``coset_basis``).  Only
-    that column is built, one realization chunk at a time."""
-    u = tor.coset_basis(algebra)
-    weight = 2.0 ** (-0.5 * algebra.d)
-    chunks = tor.realization_chunks(algebra, len(coeff_stack), entries=u.size >> algebra.d)
-    return np.concatenate([
-        func_calc_first_column(HermitianOperator(tor.regular_blocks(algebra, coeff_stack[chunk])), F)
-        .reshape(-1, u.shape[1]) @ u.T * weight
-        for chunk in chunks])
+def regular_apply_symbol(F, u: TorusElement) -> TorusElement:
+    """F(u) for Hermitian u at theta = 0 (of each member of a stack), from the
+    left-regular realization and with no FFT.  L_u splits into the 2^d real
+    symmetric blocks R_eps of ``regular_blocks``; since L_{F(u)} = F(L_u) and
+    e_0 = 2^{-d/2} sum_eps f_0 of block eps, F(u) is 2^{-d/2} U times the
+    column 0 of each F(R_eps) (U = ``coset_basis``).  Only that column is
+    built, one realization chunk at a time."""
+    alg, stack = u.algebra, u.members()
+    basis = tor.coset_basis(alg)
+    out = np.empty((len(stack), basis.shape[0]), dtype=np.complex128)
+    for chunk in tor.realization_chunks(alg, len(stack), entries=basis.size >> alg.d):
+        column = func_calc_first_column(HermitianOperator(tor.regular_blocks(alg, stack[chunk])), F)
+        out[chunk] = column.reshape(-1, basis.shape[1]) @ basis.T * 2.0 ** (-0.5 * alg.d)
+    return TorusElement(alg, out.reshape(u.coeffs.shape))
 
 
-def _checked_besov_norm(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
-    """||u||_B once the boundedness hypotheses hold: Hermitian u != 0,
-    F(0) = 0 and F in C^ceil(s)."""
+def _checked_besov_norm(F: SmoothSymbol, u: TorusElement, idx: BesovIndex):
+    """||u||_B once the boundedness hypotheses hold, for every member of a
+    stacked u: Hermitian u != 0, F(0) = 0 and F in C^ceil(s)."""
     if not is_hermitian(u):
         raise SymbolHypothesisError("boundedness harness requires Hermitian u")
     f0 = complex(np.asarray(F(np.array([0.0])))[0])
@@ -619,26 +598,28 @@ def _checked_besov_norm(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> fl
     if F.max_order < math.ceil(idx.s):
         raise HypothesisViolation(f"need F in C^{math.ceil(idx.s)}")
     nu = besov_multiplier_norm(u, idx)
-    if nu == 0.0:
+    if np.any(nu == 0.0):
         raise DegenerateInput("u = 0")
     return nu
 
 
-def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex) -> float:
-    """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0."""
+def boundedness_ratio(F: SmoothSymbol, u: TorusElement, idx: BesovIndex):
+    """||F(u)||_B / ||u||_B for Hermitian u and F(0) = 0 (per member of a
+    stacked u)."""
     nu = _checked_besov_norm(F, u, idx)
     return besov_multiplier_norm(apply_symbol(F, u), idx) / nu
 
 
 def symbol_ratios(F: SmoothSymbol, u: TorusElement, v: TorusElement, idx: BesovIndex) -> tuple:
     """(boundedness_ratio(F, u, idx), ||F(u) - F(v)||_B / ||u - v||_B, F(u))
-    for Hermitian u != v, computing F(u) once."""
+    for Hermitian u != v, computing F(u) once; per member when u and v are
+    stacks of one shape."""
     nu = _checked_besov_norm(F, u, idx)
     fu = apply_symbol(F, u)
     ratio = besov_multiplier_norm(fu, idx) / nu
     if not is_hermitian(v):
         raise SymbolHypothesisError("Lipschitz harness requires Hermitian inputs")
     diff_norm = besov_multiplier_norm(u - v, idx)
-    if diff_norm == 0.0:
+    if np.any(diff_norm == 0.0):
         raise DegenerateInput("u == v")
     return ratio, besov_multiplier_norm(fu - apply_symbol(F, v), idx) / diff_norm, fu

@@ -8,9 +8,9 @@ matrix or a (..., n, n) stack, so a whole Picard sweep is one batched
 functional calculus.  Real input stays real (float64), so a real symmetric
 matrix is diagonalized by LAPACK's real solver.  ``schatten_norm`` takes one
 matrix; ``schatten_norm_batch`` takes a stack.  Both read the singular values
-from an SVD.  ``hilbert_schmidt_norm`` is the p = 2 norm of one matrix read
-from its entries (the Frobenius norm over sqrt(n)), with no SVD;
-``hilbert_schmidt_norm_batch`` gives it for each matrix of a stack.
+from an SVD.  ``hilbert_schmidt_norm_batch`` is the p = 2 norm of each
+matrix of a stack read from its entries (the Frobenius norm over sqrt(n)),
+with no SVD.  ``schatten_exponent`` is the one check that p >= 1.
 ``hermitian_schatten_norm_batch`` takes a stack whose members
 pass the Hermitian deviation test (``hermitian_members``) and reads the
 singular values as the absolute eigenvalues (``eigvalsh``), which is cheaper.
@@ -146,7 +146,8 @@ def _symbol_values(F, spectra) -> np.ndarray:
     return vals
 
 
-def _p_value(p) -> float:
+def schatten_exponent(p) -> float:
+    """p as a float; ValueError unless p >= 1."""
     p = float(p)
     if not p >= 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
@@ -167,7 +168,7 @@ def eig_hermitian(H: HermitianOperator) -> SpectralDecomposition:
 def _checked_schatten_args(a: np.ndarray, p) -> float:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return _p_value(p)
+    return schatten_exponent(p)
 
 
 def _norm_from_sigma(sigma: np.ndarray, pv: float) -> np.ndarray:
@@ -197,14 +198,10 @@ def schatten_norm(A, p) -> float:
     return float(_norm_from_sigma(np.linalg.svd(a, compute_uv=False), pv))
 
 
-def hilbert_schmidt_norm(A) -> float:
-    """||A||_F / sqrt(n): the Schatten-2 norm of the normalized trace,
-    (tr(A* A) / n)^(1/2), read from the entries without an SVD."""
-    return float(hilbert_schmidt_norm_batch(_as_square(A)))
-
-
 def hilbert_schmidt_norm_batch(stack: np.ndarray) -> np.ndarray:
-    """hilbert_schmidt_norm of each matrix of a (..., n, n) stack.
+    """||A||_F / sqrt(n), the Schatten-2 norm of the normalized trace
+    (tr(A* A) / n)^(1/2) read from the entries without an SVD, of each matrix
+    A of a (..., n, n) stack (of one matrix: a 0-d array).
 
     The entries are checked once for the stack; each Frobenius norm is one
     ``np.linalg.norm`` of its own matrix, whose rounding a stacked reduction

@@ -38,7 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
-from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_norm_batch
+from .linalg import (hermitian_members, hermitian_schatten_norm_batch, schatten_exponent,
+                     schatten_norm_batch)
 from .symbols import LPFilterFamily
 
 
@@ -166,9 +167,13 @@ class TorusElement:
     """Band-limited element: coefficient array in fft layout plus its algebra.
 
     The coefficients may carry leading member axes, (...,) + algebra.shape:
-    a stack of elements, which ``to_matrix``, ``from_matrix``,
-    ``is_hermitian``, the multiplier operations and the stacked kernels
-    (``chain.chain_rule_residual``, ``besov.meyer_residual``) take.
+    a stack of elements.  ``to_matrix``, ``from_matrix``, ``is_hermitian``,
+    ``lp_norm``, the multiplier operations, ``besov.block_norms``,
+    ``besov.besov_multiplier_norm``, ``besov.apply_symbol``, the nonlinear
+    ratios and the stacked kernels (``chain.chain_rule_residual``,
+    ``besov.meyer_residual``) act on each member, with the bits of its own
+    call.  The products, the difference forms and the inequality harnesses
+    take one element.
     """
 
     algebra: TorusAlgebra
@@ -201,8 +206,17 @@ class TorusElement:
     def trace(self) -> complex:
         return complex(self.coeffs[(0,) * self.algebra.d])
 
-    def adjoint(self) -> "TorusElement":
-        return TorusElement(self.algebra, _adjoint_coeffs(self.algebra, self.coeffs))
+    def members(self) -> np.ndarray:
+        """The (count,) + algebra.shape stack of the members (of one element: count 1)."""
+        return self.coeffs.reshape((-1,) + self.algebra.shape)
+
+    def per_member(self, values: np.ndarray):
+        """A (count, ...) array of values of ``members`` over the member axes;
+        of one element, a float when each value is a scalar."""
+        lead = self.coeffs.shape[:self.coeffs.ndim - self.algebra.d]
+        if not lead and values.ndim == 1:
+            return float(values[0])
+        return values.reshape(lead + values.shape[1:])
 
 
 def _same_algebra(x: TorusElement, y: TorusElement):
@@ -244,10 +258,6 @@ def _adjoint_coeffs(algebra: TorusAlgebra, c: np.ndarray) -> np.ndarray:
     """Coefficients of x*: conj(c(k)) transported to rep(-k) with wrap sign
     (of one element, or of each element of a stack)."""
     return _negate_coeffs(np.conj(c) * _boundary_sign(algebra), algebra.d)
-
-
-def unit_element(algebra: TorusAlgebra) -> TorusElement:
-    return mode_element(algebra, (0,) * algebra.d)
 
 
 def mode_element(algebra: TorusAlgebra, k: Sequence[int]) -> TorusElement:
@@ -318,10 +328,7 @@ def _weyl_table(N: int, p: int) -> np.ndarray:
 def to_matrix(x: TorusElement) -> np.ndarray:
     """Realize x as a matrix, or each member of a stack in one batch:
     clock/shift for theta != 0, grid-diagonal at 0."""
-    alg = x.algebra
-    lead = x.coeffs.shape[:x.coeffs.ndim - alg.d]
-    mats = to_matrix_batch(alg, x.coeffs.reshape((-1,) + alg.shape))
-    return mats.reshape(lead + mats.shape[1:])
+    return x.per_member(to_matrix_batch(x.algebra, x.members()))
 
 
 def to_matrix_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
@@ -420,6 +427,15 @@ def realization_chunks(algebra: TorusAlgebra, count: int, entries: Optional[int]
     entries = algebra.matrix_dim ** 2 if entries is None else entries
     step = max(1, REALIZATION_CHUNK_ENTRIES // entries)
     return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def coefficient_chunks(algebra: TorusAlgebra, count: int) -> list:
+    """Chunks of a count-member coefficient stack of at most
+    REALIZATION_CHUNK_ENTRIES coefficients: as many entries as a member's
+    realization at theta != 0, and as its grid values at theta = 0, where
+    ``realization_chunks``' default of N^d x N^d matrix entries would give one
+    member per chunk."""
+    return realization_chunks(algebra, count, entries=math.prod(algebra.shape))
 
 
 def grid_values(algebra: TorusAlgebra, coeff_stack: np.ndarray) -> np.ndarray:
@@ -703,19 +719,27 @@ def block_count(algebra: TorusAlgebra) -> int:
 # norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(x: TorusElement, p) -> float:
-    """Schatten-p norm under the normalized trace.
+def lp_norm(x: TorusElement, p):
+    """Schatten-p norm under the normalized trace: a float for one element,
+    an array over the member axes for a stack.
 
     At theta = 0: the discrete-grid p-mean of |u|; at theta != 0: the
-    singular values of the realization.
+    singular values of the realization.  A stack is normed in
+    ``coefficient_chunks``, so no more than one chunk is realized at once,
+    and each member keeps the bits of its own call.
     """
-    return float(lp_norm_batch(x.algebra, x.coeffs[None, ...], p)[0])
+    stack = x.members()
+    out = np.empty(len(stack))
+    for chunk in coefficient_chunks(x.algebra, len(stack)):
+        out[chunk] = lp_norm_batch(x.algebra, stack[chunk], p)
+    return x.per_member(out)
 
 
 def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarray:
     """lp_norm of every element of a (batch,) + algebra.shape coefficient stack.
 
-    p = 2 reads the coefficients (Parseval) and theta = 0 the grid values.
+    p must be >= 1 (ValueError otherwise).  p = 2 reads the coefficients
+    (Parseval) and theta = 0 the grid values.
     Otherwise the stack is realized and routed member by member: a realized
     matrix that passes the Hermitian deviation test gets its norm from
     ``hermitian_schatten_norm_batch`` (absolute eigenvalues), any other from
@@ -723,7 +747,7 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     matrix at a time, so a member's norm has the same bits in any stack,
     alone included.
     """
-    pv = float(p)
+    pv = schatten_exponent(p)
     if pv == 2.0:
         # Parseval: the modes are orthonormal in L2 of the normalized trace
         return np.linalg.norm(coeff_stack.reshape(coeff_stack.shape[0], -1), axis=1)

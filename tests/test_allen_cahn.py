@@ -10,8 +10,7 @@ import opcalc.linalg as la
 from opcalc.allen_cahn import (ACProblem, contraction_time, evolve, first_segment,
                                global_existence_check, picard_solve, strong_residual)
 from opcalc.baselines import BaselineStore
-from opcalc.besov import (BesovIndex, besov_multiplier_norm, block_norms, multiplier_norm_stack,
-                          regular_apply_symbol)
+from opcalc.besov import BesovIndex, besov_multiplier_norm, block_norms, regular_apply_symbol
 from opcalc.config import ExperimentConfig
 from opcalc.errors import (BackendMismatch, BlowUpDetected, HypothesisViolation, NoContraction,
                            SymbolDomainError, SymbolHypothesisError, SymbolNotFinite)
@@ -163,7 +162,7 @@ def test_non_finite_iterate_is_a_blow_up():
     # spectrum (the grid values at theta = 0) may not pass for a converged
     # fixed point
     alg0 = tor.TorusAlgebra(d=2, N=4, theta_num=0)
-    prob = ACProblem(u0=1e100 * tor.unit_element(alg0), F=parse_symbol("x**4"), idx=IDX,
+    prob = ACProblem(u0=1e100 * tor.mode_element(alg0, (0, 0)), F=parse_symbol("x**4"), idx=IDX,
                      t_max=0.01, dt=1e-3)
     with pytest.raises(BlowUpDetected, match="in sweep 1") as err:
         picard_solve(prob)
@@ -183,7 +182,7 @@ def test_non_real_symbol_rejected_on_both_routes():
                      derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x), check=False)
     for theta_num in (0, 1):
         alg = tor.TorusAlgebra(d=2, N=4, theta_num=theta_num)
-        prob = ACProblem(u0=0.5 * tor.unit_element(alg), F=F, idx=IDX, t_max=0.01, dt=1e-3)
+        prob = ACProblem(u0=0.5 * tor.mode_element(alg, (0, 0)), F=F, idx=IDX, t_max=0.01, dt=1e-3)
         with pytest.raises(SymbolDomainError, match="not real-valued"):
             picard_solve(prob)
 
@@ -191,7 +190,7 @@ def test_non_real_symbol_rejected_on_both_routes():
 def test_evolve_blow_up_riccati():
     # zero-mode Riccati: du/dt = u^2 from u(0) = 2 escapes at t = 1/2
     alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
-    u = 2.0 * tor.unit_element(alg0)
+    u = 2.0 * tor.mode_element(alg0, (0,) * alg0.d)
     prob = ACProblem(u0=u, F=parse_symbol("x**2"), idx=IDX, t_max=2.0, dt=1e-3,
                      blow_up_threshold=50.0)
     traj = evolve(prob, segment_time=0.05)
@@ -290,7 +289,7 @@ def test_global_existence_tanh(u0):
 def test_global_existence_linear_envelope(u0, alg):
     # F = cx: the zero mode grows exactly like e^{ct}
     c = 0.4
-    base = tor.unit_element(alg) * 1.0
+    base = tor.mode_element(alg, (0,) * alg.d) * 1.0
     prob = ACProblem(u0=base, F=parse_symbol("0.4*x"), idx=IDX, t_max=1.0, dt=1e-3)
     traj = evolve(prob, segment_time=0.25)
     expect = np.exp(c * traj.times)
@@ -315,7 +314,7 @@ def _cross_check_problem():
 def _cross_check_reference(alg0, prob, states):
     """Check (f)'s reference: F on the real coset blocks of the left-regular
     realization, read from column 0 of each block."""
-    return regular_apply_symbol(prob.F, alg0, states)
+    return regular_apply_symbol(prob.F, tor.TorusElement(alg0, states)).coeffs
 
 
 def test_commutative_cross_check_small(alg):
@@ -323,8 +322,8 @@ def test_commutative_cross_check_small(alg):
     # F on the left-regular (convolution) realization
     alg0, prob, states = _cross_check_problem()
     ref = _cross_check_reference(alg0, prob, states)
-    got = prob.apply_F(states).reshape(len(states), -1)
-    assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-8
+    got = prob.apply_F(states)
+    assert np.max(tor.lp_norm(tor.TorusElement(alg0, got - ref), 2)) <= 1e-8
     with pytest.raises(BackendMismatch):  # the convolution realization is flat only
         tor.regular_blocks(alg, states[:1])
 
@@ -495,7 +494,7 @@ def _two_stack_picard(problem, steps):
                 f"iterate distances non-decreasing: {distances[-3]:.3e} -> {distances[-1]:.3e}")
     else:
         raise NoContraction(f"no convergence in {ac.MAX_SWEEPS} sweeps (last dist {distances[-1]:.3e})")
-    bnorms = multiplier_norm_stack(alg, coeffs, problem.idx)
+    bnorms = besov_multiplier_norm(tor.TorusElement(alg, coeffs), problem.idx)
     factors = [distances[i + 1] / distances[i] for i in range(len(distances) - 1) if distances[i] > 0]
     report = {
         "distances": distances,
@@ -557,7 +556,7 @@ def _banded_symbol(band):
 def _cosine_datum(alg):
     """1 + cos: the clock eigenvalue 1 + exp(-t) of its heat flow reaches
     1 + exp(-8) only at t = 8, in the second chunk of 64 steps of 0.1."""
-    return tor.TorusElement(alg, tor.unit_element(alg).coeffs + 0.5 * (
+    return tor.TorusElement(alg, tor.mode_element(alg, (0,) * alg.d).coeffs + 0.5 * (
         tor.mode_element(alg, (1, 0)).coeffs + tor.mode_element(alg, (-1, 0)).coeffs))
 
 
@@ -573,7 +572,7 @@ def test_streamed_sweep_blow_up_matches_two_stack_sweep(alg, case, message, caus
     # so its error must still come first.  "linear": every chunk's F is
     # finite and the iterate is not.
     if case == "square":
-        prob = ACProblem(u0=1e50 * tor.unit_element(alg), F=parse_symbol("x**2"), idx=IDX,
+        prob = ACProblem(u0=1e50 * tor.mode_element(alg, (0, 0)), F=parse_symbol("x**2"), idx=IDX,
                          t_max=0.3, dt=1e-3, blow_up_threshold=1e300)
     else:
         band = (1 + math.exp(-8.1), 1 + math.exp(-7.9)) if case == "band" else None

@@ -79,7 +79,7 @@ def test_lq_monotonicity(alg, x16):
 
 def test_difference_norm_constant_element(alg):
     idx = BesovIndex(0.5, 2, 2)
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     val = bz.besov_difference_norm(one, idx, m=1, n_der=0)
     assert val == pytest.approx(tor.lp_norm(one, 2), rel=1e-10)  # differences vanish
 
@@ -103,7 +103,7 @@ def test_difference_norm_truncation_stable(alg, x16):
 
 
 def test_integral_norm_constant(alg):
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     val = bz.besov_integral_norm(one, BesovIndex(0.5, 2, 2), m=1, n_der=0)
     assert val == pytest.approx(1.0, rel=1e-10)
 
@@ -318,7 +318,7 @@ def test_meyer_requires_hermitian(alg):
 
 def test_paraproduct_identity_sequences(alg, x16):
     jb = tor.block_count(alg)
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     seq = bz.PsdoSymbolSequence(tuple([one] * jb), tuple([one] * jb))
     out, rep = bz.apply_paraproduct(seq, x16, BesovIndex(1.5, 2, 2))
     assert np.max(np.abs(out.coeffs - x16.coeffs)) <= 1e-11
@@ -328,7 +328,7 @@ def test_paraproduct_identity_sequences(alg, x16):
 
 def test_paraproduct_zero_input(alg):
     jb = tor.block_count(alg)
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     seq = bz.PsdoSymbolSequence(tuple([one] * jb), tuple([one] * jb))
     out, rep = bz.apply_paraproduct(seq, zero_element(alg), BesovIndex(1.5, 2, 2))
     assert np.max(np.abs(out.coeffs)) == 0.0
@@ -413,7 +413,7 @@ def test_apply_symbol_matches_twisted_regular_realization(theta_num, expr):
     F = parse_symbol(expr)
     xs = np.stack([tor.random_element(alg, rng_for(i, "twreg", theta_num), band=3).coeffs
                    for i in range(3)])
-    got = bz.apply_symbol_batch(F, alg, xs)
+    got = bz.apply_symbol(F, tor.TorusElement(alg, xs)).coeffs
     for c, g in zip(xs, got):
         ref = func_calc(HermitianOperator(_twisted_regular(alg, c)), F).data[:, 0]
         assert np.max(np.abs(g.ravel() - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -426,8 +426,8 @@ def test_flat_apply_symbol_matches_regular_realization(expr):
     alg0 = tor.TorusAlgebra(d=2, N=8, theta_num=0)
     F = parse_symbol(expr)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "flreg"), band=3).coeffs for i in range(3)])
-    ref = bz.regular_apply_symbol(F, alg0, xs)
-    got = bz.apply_symbol_batch(F, alg0, xs).reshape(len(xs), -1)
+    ref = bz.regular_apply_symbol(F, tor.TorusElement(alg0, xs)).coeffs
+    got = bz.apply_symbol(F, tor.TorusElement(alg0, xs)).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -437,11 +437,11 @@ def test_flat_apply_symbol_keeps_diagonal_calculus_bits(N):
     # diagonal realization, zero and constant states included
     alg0 = tor.TorusAlgebra(d=2, N=N, theta_num=0)
     xs = np.stack([tor.random_element(alg0, rng_for(i, "flbits", N), band=N // 2 - 1).coeffs
-                   for i in range(3)] + [np.zeros(alg0.shape), 0.7 * tor.unit_element(alg0).coeffs])
+                   for i in range(3)] + [np.zeros(alg0.shape), 0.7 * tor.mode_element(alg0, (0, 0)).coeffs])
     for expr in ("tanh(x)", "x**3", "exp(x)", "abs(x)", "x*abs(x)"):
         F = parse_symbol(expr)
         ref = tor.from_matrix_batch(alg0, func_calc(HermitianOperator(tor.to_matrix_batch(alg0, xs)), F).data)
-        assert np.array_equal(bz.apply_symbol_batch(F, alg0, xs), ref)
+        assert np.array_equal(bz.apply_symbol(F, tor.TorusElement(alg0, xs)).coeffs, ref)
 
 
 def test_flat_apply_symbol_rejects_non_hermitian():
@@ -450,11 +450,11 @@ def test_flat_apply_symbol_rejects_non_hermitian():
     xs = np.stack([tor.random_element(alg0, rng_for(0, "flnh"), band=2).coeffs,
                    tor.random_element(alg0, rng_for(1, "flnh"), band=2, hermitian=False).coeffs])
     with pytest.raises(NonHermitianInput) as err:
-        bz.apply_symbol_batch(parse_symbol("tanh(x)"), alg0, xs)
+        bz.apply_symbol(parse_symbol("tanh(x)"), tor.TorusElement(alg0, xs))
     with pytest.raises(NonHermitianInput) as ref:
         HermitianOperator(tor.to_matrix_batch(alg0, xs))
     assert str(err.value) == str(ref.value)
-    bz.apply_symbol_batch(parse_symbol("tanh(x)"), alg0, xs[:1])  # the Hermitian one passes
+    bz.apply_symbol(parse_symbol("tanh(x)"), tor.TorusElement(alg0, xs[:1]))  # the Hermitian one passes
 
 
 # --- measure/reduce: bits of the old per-call routes --------------------------
@@ -570,16 +570,15 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
 def test_multiplier_norm_stack_matches_per_state(theta_num):
     # the stacked ball norms of the Picard solver and the trajectory table
     # keep the bits of besov_multiplier_norm state by state, across chunks
-    alg = tor.TorusAlgebra(d=2, N=16 if theta_num else 8, theta_num=theta_num)
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=theta_num)
     xs = np.stack([tor.random_element(alg, rng_for(i, "mstack", theta_num), band=1 + i % 4).coeffs
                    * 10.0 ** (i % 5 - 2) for i in range(40)] + [np.zeros(alg.shape, complex)])
-    count = len(alg.lp_filters)
-    assert len(tor.realization_chunks(alg, len(xs), entries=count * alg.matrix_dim ** 2)) > 1
+    assert len(tor.realization_chunks(alg, len(xs), entries=alg.lp_filters.size)) > 1
     for p in (1.0, 2.0, math.inf):
         for q in (1.0, 1.5, 2.0, math.inf):
             for s in (0.5, 2.5):
                 idx = BesovIndex(s, p, q)
-                got = bz.multiplier_norm_stack(alg, xs, idx)
+                got = bz.besov_multiplier_norm(tor.TorusElement(alg, xs), idx)
                 assert got.tolist() == [bz.besov_multiplier_norm(tor.TorusElement(alg, c), idx)
                                         for c in xs]
 
@@ -682,3 +681,70 @@ def test_meyer_operator_norms_go_through_schatten_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(np.shape(a)) or svd(a, *args, **kw))
     assert np.array_equal(bz.meyer_residual(x, [0.0, 1.0], [4, 8]), expect)
     assert len(seen) == 3  # one norm at xi = 0, two at xi = 1
+
+
+def _stack(alg, tag, count):
+    return tor.TorusElement(alg, np.stack([
+        tor.random_element(alg, rng_for(i, tag, alg.theta_num), band=1 + i % 5).coeffs
+        * 10.0 ** (i % 3 - 1) for i in range(count)]))
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+def test_block_and_multiplier_norms_of_a_stack_are_per_member(theta_num):
+    # six members at N = 16, as many as the Littlewood-Paley blocks
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=theta_num)
+    xs = _stack(alg, "bnstack", 6)
+    assert tor.block_count(alg) == 6
+    members = [tor.TorusElement(alg, c) for c in xs.coeffs]
+    for p in (1, 2, math.inf):
+        got = bz.block_norms(xs, p)
+        assert got.shape == (6, 6)
+        for row, x in zip(got, members):
+            assert np.array_equal(row, bz.block_norms(x, p))
+        for idx in (BesovIndex(1.5, p, 2), BesovIndex(0.5, p, math.inf)):
+            single = [bz.besov_multiplier_norm(x, idx) for x in members]
+            assert all(type(v) is float for v in single)
+            norms = bz.besov_multiplier_norm(xs, idx)
+            assert norms.shape == (6,) and norms.tolist() == single
+    grid = tor.TorusElement(alg, xs.coeffs.reshape((2, 3) + alg.shape))
+    assert np.array_equal(bz.block_norms(grid, 2).reshape(6, -1), bz.block_norms(xs, 2))
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+def test_apply_symbol_of_a_stack_is_per_member(theta_num):
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=theta_num)
+    xs = _stack(alg, "asstack", 5)
+    F = parse_symbol("tanh(x)")
+    got = bz.apply_symbol(F, xs)
+    assert got.coeffs.shape == xs.coeffs.shape
+    for g, c in zip(got.coeffs, xs.coeffs):
+        assert np.array_equal(g, bz.apply_symbol(F, tor.TorusElement(alg, c)).coeffs)
+    if theta_num == 0:
+        ref = bz.regular_apply_symbol(F, xs)
+        assert ref.coeffs.shape == xs.coeffs.shape
+        for r, c in zip(ref.coeffs, xs.coeffs):
+            assert np.array_equal(r, bz.regular_apply_symbol(F, tor.TorusElement(alg, c)).coeffs)
+
+
+def test_symbol_ratios_of_stacks_are_per_member(alg):
+    F, idx = parse_symbol("tanh(x)"), BesovIndex(1.5, 2, 2)
+    us, vs = _stack(alg, "sru", 4), _stack(alg, "srv", 4)
+    ratios, lips, fu = bz.symbol_ratios(F, us, vs, idx)
+    for i, (u, v) in enumerate(zip(us.coeffs, vs.coeffs)):
+        ratio, lip, f = bz.symbol_ratios(F, tor.TorusElement(alg, u), tor.TorusElement(alg, v), idx)
+        assert (ratios[i], lips[i]) == (ratio, lip)
+        assert np.array_equal(fu.coeffs[i], f.coeffs)
+    assert bz.boundedness_ratio(F, us, idx).tolist() == ratios.tolist()
+    # the hypotheses hold for every member, with the messages of one element
+    bad = us.coeffs.copy()
+    bad[2] = tor.random_element(alg, rng_for(2, "srbad"), band=3, hermitian=False).coeffs
+    zero = us.coeffs.copy()
+    zero[1] = 0.0
+    for u, v, error, message in [
+            (bad, vs.coeffs, SymbolHypothesisError, "boundedness harness requires Hermitian u"),
+            (us.coeffs, bad, SymbolHypothesisError, "Lipschitz harness requires Hermitian inputs"),
+            (zero, vs.coeffs, DegenerateInput, "u = 0"),
+            (us.coeffs, np.where(np.arange(4)[:, None, None] == 3, us.coeffs, vs.coeffs),
+             DegenerateInput, "u == v")]:
+        with pytest.raises(error, match=f"^{message}$"):
+            bz.symbol_ratios(F, tor.TorusElement(alg, u), tor.TorusElement(alg, v), idx)

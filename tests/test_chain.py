@@ -12,8 +12,8 @@ from opcalc.chain import (DerivationSpec, ExpansionTerm, _apply_derivation,
                           expand, faa_di_bruno_weights)
 from opcalc.errors import BandOverflow, NonHermitianInput, SymbolDomainError
 from opcalc.expr import parse_symbol
-from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc, hilbert_schmidt_norm,
-                           random_hermitian)
+from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
+                           hilbert_schmidt_norm_batch, random_hermitian)
 from opcalc.moi import MOIOperands, moi_schur
 from opcalc.seeding import rng_for
 from opcalc.symbols import SmoothSymbol
@@ -249,8 +249,8 @@ def per_beta_residual(F, u, beta, derivation):
         ops = MOIOperands((u_mat,) * (t.order + 1), tuple(args_of[a] for a in t.args))
         rhs = rhs + t.coeff * moi_schur(F, ops, decompositions=[dec] * (t.order + 1),
                                         phi=phi_of.get(t.order))
-    scale = 1.0 + hilbert_schmidt_norm(lhs) + hilbert_schmidt_norm(rhs)
-    return hilbert_schmidt_norm(lhs - rhs) / scale
+    scale = 1.0 + float(hilbert_schmidt_norm_batch(lhs)) + float(hilbert_schmidt_norm_batch(rhs))
+    return float(hilbert_schmidt_norm_batch(lhs - rhs)) / scale
 
 
 @pytest.mark.parametrize("expr", ["x**3", "x**5", "x**4 + x**2", "tanh(x)"])

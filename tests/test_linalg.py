@@ -12,7 +12,7 @@ from opcalc.experiments import _stack
 from opcalc.expr import parse_symbol
 from opcalc.linalg import (HermitianOperator, eig_hermitian, func_calc,
                            haar_unitary, hermitian_members, hermitian_schatten_norm_batch,
-                           hilbert_schmidt_norm, hilbert_schmidt_norm_batch,
+                           hilbert_schmidt_norm_batch,
                            random_hermitian, schatten_norm,
                            schatten_norm_batch)
 from opcalc.seeding import rng_for
@@ -108,7 +108,7 @@ def test_hilbert_schmidt_norm_batch_equals_single_calls():
     stack = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
     got = hilbert_schmidt_norm_batch(stack)
     assert got.shape == (2, 3)
-    assert got.tolist() == [[hilbert_schmidt_norm(a) for a in row] for row in stack]
+    assert got.tolist() == [[np.linalg.norm(a) / math.sqrt(6) for a in row] for row in stack]
     stack[1, 2, 0, 0] = np.inf
     with pytest.raises(ValueError):
         hilbert_schmidt_norm_batch(stack)
@@ -118,13 +118,13 @@ def test_hilbert_schmidt_norm_is_schatten_2():
     rng = rng_for(9, "hs")
     for n in (1, 5, 16):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert hilbert_schmidt_norm(a) == pytest.approx(schatten_norm(a, 2), rel=1e-14)
-    assert hilbert_schmidt_norm(np.eye(4)) == 1.0
-    assert hilbert_schmidt_norm(np.zeros((3, 3))) == 0.0
+        assert float(hilbert_schmidt_norm_batch(a)) == pytest.approx(schatten_norm(a, 2), rel=1e-14)
+    assert float(hilbert_schmidt_norm_batch(np.eye(4))) == 1.0
+    assert float(hilbert_schmidt_norm_batch(np.zeros((3, 3)))) == 0.0
     with pytest.raises(ValueError):
-        hilbert_schmidt_norm(np.full((2, 2), np.nan))
+        hilbert_schmidt_norm_batch(np.full((2, 2), np.nan))
     with pytest.raises(DimensionMismatch):
-        hilbert_schmidt_norm(np.ones((2, 2, 2)))
+        hilbert_schmidt_norm_batch(np.ones((2, 3)))
 
 
 def test_schatten_index_validation():

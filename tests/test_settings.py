@@ -12,8 +12,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "opcalc"
 
 # "module.function[.parameter]" or "module.Class.field" -> why it stays settable
 ALLOWED = {
-    "besov.besov_difference_norm": "public norm; bench/tracer.py pins it by name with its options",
-    "besov.besov_integral_norm": "public norm; bench/tracer.py pins it by name with its options",
+    "besov.besov_difference_norm": "public norm, wrapped by name in bench/tracer.py; tests pass its "
+                                   "m, n_der, j_range and sampling",
+    "besov.besov_integral_norm": "public norm, wrapped by name in bench/tracer.py; tests pass its "
+                                 "m, n_der and quadrature",
     "torus.random_element.hermitian": "tests build non-Hermitian inputs with it",
     "allen_cahn.ACProblem.blow_up_threshold": "derived from u0 unless set; tests set it to force or forbid a blow-up",
     "cli.main.argv": "tests and the console entry point pass the argument list",

@@ -15,6 +15,11 @@ from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
 
+def adjoint(x):
+    """x*: the coefficients conj(x(k)) moved to rep(-k) with the wrap sign."""
+    return tor.TorusElement(x.algebra, tor._adjoint_coeffs(x.algebra, x.coeffs))
+
+
 @pytest.fixture(scope="module")
 def alg():
     return tor.TorusAlgebra(d=2, N=8, theta_num=1)
@@ -87,7 +92,7 @@ def test_algebra_is_a_value():
 
 
 def test_unit_maps_to_identity(alg):
-    assert np.allclose(tor.to_matrix(tor.unit_element(alg)), np.eye(8))
+    assert np.allclose(tor.to_matrix(tor.mode_element(alg, (0,) * alg.d)), np.eye(8))
 
 
 def test_single_mode_is_clock(alg):
@@ -123,7 +128,7 @@ def test_round_trip(alg):
     x = tor.TorusElement(alg, rng.standard_normal(alg.shape) + 1j * rng.standard_normal(alg.shape))
     back = tor.from_matrix(alg, tor.to_matrix(x))
     assert np.max(np.abs(back.coeffs - x.coeffs)) <= 1e-12
-    assert np.allclose(tor.from_matrix(alg, np.eye(8)).coeffs, tor.unit_element(alg).coeffs, atol=1e-13)
+    assert np.allclose(tor.from_matrix(alg, np.eye(8)).coeffs, tor.mode_element(alg, (0,) * alg.d).coeffs, atol=1e-13)
 
 
 def test_hermitian_flag_matches_matrix(alg):
@@ -138,7 +143,7 @@ def test_hermitian_flag_matches_matrix(alg):
 def test_adjoint_matches_matrix_star(alg):
     rng = rng_for(3, "adj")
     x = tor.TorusElement(alg, rng.standard_normal(alg.shape) + 1j * rng.standard_normal(alg.shape))
-    lhs = x.adjoint().coeffs
+    lhs = adjoint(x).coeffs
     rhs = tor.from_matrix(alg, tor.to_matrix(x).conj().T).coeffs
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -162,7 +167,7 @@ def test_multiply_associative(alg):
 
 def test_multiply_unit(alg):
     x = tor.random_element(alg, rng_for(6, "unit"), band=3)
-    z = tor.multiply(x, tor.unit_element(alg))
+    z = tor.multiply(x, tor.mode_element(alg, (0,) * alg.d))
     assert np.max(np.abs(z.coeffs - x.coeffs)) <= 1e-14
 
 
@@ -230,12 +235,12 @@ def test_product_properties(data):
     lhs = tor.multiply(tor.multiply(x, y), z)
     rhs = tor.multiply(x, tor.multiply(y, z))
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13 * _l1(x, y, z)
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     for prod in (tor.multiply(x, one), tor.multiply(one, x)):
         assert np.max(np.abs(prod.coeffs - x.coeffs)) <= 1e-13 * _l1(x)
     assert abs(tor.multiply(x, y).trace - tor.multiply(y, x).trace) <= tol
-    star = tor.multiply(x, y).adjoint()
-    assert np.max(np.abs(star.coeffs - tor.multiply(y.adjoint(), x.adjoint()).coeffs)) <= tol
+    star = adjoint(tor.multiply(x, y))
+    assert np.max(np.abs(star.coeffs - tor.multiply(adjoint(y), adjoint(x)).coeffs)) <= tol
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -301,7 +306,7 @@ def test_translate_multiplicative(alg):
 
 
 def test_derive_basics(alg):
-    assert np.max(np.abs(tor.derive(tor.unit_element(alg), 0).coeffs)) == 0.0
+    assert np.max(np.abs(tor.derive(tor.mode_element(alg, (0,) * alg.d), 0).coeffs)) == 0.0
     um = tor.mode_element(alg, (2, -3))
     assert tor.derive(um, 0).coeffs[2, -3 % 8] == pytest.approx(2j)
     assert tor.derive(um, 1).coeffs[2, -3 % 8] == pytest.approx(-3j)
@@ -356,8 +361,8 @@ def test_difference_adjoint_identity(alg):
     # difference operators do too
     x = tor.random_element(alg, rng_for(21, "da"), band=3, hermitian=False)
     h = np.array([0.4, -0.2])
-    lhs = tor.difference(x, h, 2).adjoint()
-    rhs = tor.difference(x.adjoint(), h, 2)
+    lhs = adjoint(tor.difference(x, h, 2))
+    rhs = tor.difference(adjoint(x), h, 2)
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
 
 
@@ -422,7 +427,7 @@ def test_lp_block_mode_localization(alg16):
     active = [j for j in range(tor.block_count(alg16))
               if tor.lp_norm(tor.lp_block(um, j), 2) > 1e-14]
     assert set(active) <= {1, 2, 3}
-    const = tor.unit_element(alg16)
+    const = tor.mode_element(alg16, (0,) * alg16.d)
     for j in range(1, tor.block_count(alg16)):
         assert tor.lp_norm(tor.lp_block(const, j), 2) == 0.0
 
@@ -483,7 +488,7 @@ def test_hermitian_preserved_by_real_even_multipliers(alg16):
 
 
 def test_norms_unit_and_mode(alg):
-    one = tor.unit_element(alg)
+    one = tor.mode_element(alg, (0,) * alg.d)
     um = tor.mode_element(alg, (2, 1))
     for p in (1, 2, 4, math.inf):
         assert tor.lp_norm(one, p) == pytest.approx(1.0, rel=1e-12)
@@ -564,7 +569,8 @@ def test_coset_blocks_match_full_parity_realization(d, N):
     assert np.max(np.abs(spectra - np.linalg.eigvalsh(lu))) <= 1e-13 * scale
     F = parse_symbol("tanh(x)")
     ref = func_calc(lu, F).data[..., 0]
-    assert np.max(np.abs(bz.regular_apply_symbol(F, alg0, xs) - ref)) <= 1e-13
+    got = bz.regular_apply_symbol(F, tor.TorusElement(alg0, xs)).coeffs
+    assert np.max(np.abs(got.reshape(len(xs), -1) - ref)) <= 1e-13
 
 
 def test_coset_blocks_reject_non_hermitian_and_twisted():
@@ -574,7 +580,7 @@ def test_coset_blocks_reject_non_hermitian_and_twisted():
     bad = x.copy()
     bad[1, 2] += 1e-9
     tor.regular_blocks(alg0, np.stack([x, x + 1e-14 * bad]))  # within tolerance
-    for realize in (tor.regular_blocks, lambda a, c: bz.regular_apply_symbol(F, a, c)):
+    for realize in (tor.regular_blocks, lambda a, c: bz.regular_apply_symbol(F, tor.TorusElement(a, c))):
         with pytest.raises(NonHermitianInput):
             realize(alg0, np.stack([x, bad]))
         with pytest.raises(NonHermitianInput):
@@ -754,3 +760,34 @@ def test_lp_norm_batch_routes_hermitian_stacks_to_eigenvalues(alg16, p, monkeypa
     assert got == pytest.approx(svd, rel=1e-13)
     with pytest.raises(ValueError, match="finite"):
         tor.lp_norm_batch(alg16, np.where(np.arange(4)[:, None, None] == 1, np.nan, xs), p)
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_lp_norm_of_a_stack_is_one_norm_per_member(theta_num, p):
+    # 70 members cross a chunk boundary (64 members of 16 x 16 coefficients);
+    # every third one is not Hermitian, so at theta != 0 both spectral routes run
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=theta_num)
+    xs = np.stack([tor.random_element(alg, rng_for(i, "lpstack", theta_num), band=1 + i % 7,
+                                      hermitian=i % 3 != 0).coeffs * 10.0 ** (i % 5 - 2)
+                   for i in range(70)])
+    assert len(tor.coefficient_chunks(alg, len(xs))) > 1
+    single = [tor.lp_norm(tor.TorusElement(alg, c), p) for c in xs]
+    assert all(type(v) is float for v in single)
+    got = tor.lp_norm(tor.TorusElement(alg, xs), p)
+    assert isinstance(got, np.ndarray) and got.shape == (70,)
+    assert got.tolist() == single
+    grid = tor.lp_norm(tor.TorusElement(alg, xs[:6].reshape((2, 3) + alg.shape)), p)
+    assert grid.shape == (2, 3) and grid.ravel().tolist() == single[:6]
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("p", [0.5, 0, -1])
+def test_lp_norm_batch_rejects_p_below_one_on_every_route(theta_num, p):
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    x = tor.random_element(alg, rng_for(0, "lpp"), band=2)
+    for stack in (x.coeffs[None], np.stack([x.coeffs, tor.hermitianize(x * 1j).coeffs])):
+        with pytest.raises(ValueError, match=f"Schatten exponent must satisfy p >= 1, got {float(p)}"):
+            tor.lp_norm_batch(alg, stack, p)
+    with pytest.raises(ValueError, match="Schatten exponent"):
+        tor.lp_norm(x, p)
