@@ -28,8 +28,7 @@ import numpy as np
 from .besov import BesovIndex, apply_symbol, besov_multiplier_norm
 from .errors import (BlowUpDetected, HypothesisViolation, NoContraction, SymbolHypothesisError,
                      SymbolNotFinite)
-from .symbols import (BumpLocalizer, SmoothSymbol, cb_norm, lipschitz_norm, localize,
-                      smoothness_order)
+from .symbols import SmoothSymbol, cb_norm, lipschitz_norm, smoothness_order
 from . import torus as tor
 from .torus import TorusElement, is_hermitian, lp_norm, lp_norm_batch
 
@@ -87,14 +86,13 @@ class Trajectory:
 
 
 def contraction_time(problem: ACProblem, c_bound: float, c_lip: float) -> float:
-    """T = 1 / (max(C, 2 C_p) * ||F||_{C_b^n} localized at ||u0||_inf + delta).
+    """T = 1 / (max(C, 2 C_p) * ||F phi_M||_{C_b^n}), M = ||u0||_inf + delta (``cb_norm``).
 
     The empirical constants C (Besov boundedness) and C_p (L_p Lipschitz)
     come from the committed baseline for the configuration.
     """
     m_window = lp_norm(problem.u0, math.inf) + problem.delta
-    floc = localize(problem.F, BumpLocalizer(m_window))
-    norm_loc = cb_norm(floc, problem.n_smooth, window=(-2 * m_window, 2 * m_window))
+    norm_loc = cb_norm(problem.F, problem.n_smooth, m_window)
     if norm_loc == 0.0:
         return problem.t_max
     return 1.0 / (max(c_bound, 2.0 * c_lip) * norm_loc)
@@ -276,6 +274,7 @@ def evolve(problem: ACProblem, segment_time: float, first: Optional[tuple] = Non
                                     "distances": rep["distances"]})
         coeffs[done + 1:done + steps + 1] = traj.coeffs[1:]
         norms[done + 1:done + steps + 1] = traj.besov_norms[1:]
+        del traj  # copied: the next solve runs without this segment's stack
         done += steps
         first = None  # shared by the first segment only
     return Trajectory(times=dt * np.arange(done + 1), coeffs=coeffs[:done + 1],

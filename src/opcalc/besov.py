@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, HypothesisViolation, SymbolHypothesisError
+from .errors import DegenerateInput, DimensionMismatch, HypothesisViolation, SymbolHypothesisError
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
                      eig_hermitian, func_calc, func_calc_first_column, schatten_norm_batch)
 from .symbols import SmoothSymbol
@@ -55,10 +55,6 @@ class BesovIndex:
                 raise ValueError(f"Besov integrability indices must be >= 1, got {v}")
 
 
-def _lq_sum(terms: np.ndarray, q: float) -> float:
-    return float(_lq_rows(np.asarray(terms, dtype=float)[None], q)[0])
-
-
 def _lq_rows(terms: np.ndarray, q: float) -> np.ndarray:
     """The l_q norm of each row of a (batch, n) array, scaled by its largest
     term; every row has the bits it has alone."""
@@ -72,6 +68,14 @@ def _lq_rows(terms: np.ndarray, q: float) -> np.ndarray:
     sums = np.sum((terms[live] / top[live, None]) ** q, axis=1)
     out[live] = top[live] * np.array([float(v) ** (1.0 / q) for v in sums])
     return out
+
+
+def _one_element(x: TorusElement, what: str):
+    """The guard of the forms and harnesses that take one element:
+    DimensionMismatch when x is a stack."""
+    lead = x.coeffs.shape[:x.coeffs.ndim - x.algebra.d]
+    if lead:
+        raise DimensionMismatch(f"{what} takes one element, not a stack of shape {lead}")
 
 
 def block_norms(x: TorusElement, p) -> np.ndarray:
@@ -90,14 +94,15 @@ def block_norms(x: TorusElement, p) -> np.ndarray:
 def besov_multiplier_norm(x: TorusElement, idx: BesovIndex):
     """(sum_j 2^{jsq} ||Delta_j x||_p^q)^{1/q}; sup over j when q = inf.  A
     float for one element, an array over the member axes for a stack."""
-    norms = block_norms(x, idx.p).reshape(-1, len(x.algebra.lp_filters))
-    return x.per_member(_lq_rows(2.0 ** (idx.s * np.arange(norms.shape[1])) * norms, idx.q))
+    return multiplier_form(block_norms(x, idx.p), idx.s, idx.q)
 
 
-def multiplier_form(norms: np.ndarray, s: float, q: float) -> float:
-    """The multiplier norm from the block norms ||Delta_j x||_p."""
-    weights = 2.0 ** (s * np.arange(len(norms)))
-    return _lq_sum(weights * norms, q)
+def multiplier_form(norms: np.ndarray, s: float, q: float):
+    """The multiplier norm of each (..., blocks) row of block norms
+    ||Delta_j x||_p: a float for one row, an array over the leading axes."""
+    rows = norms.reshape(-1, norms.shape[-1])
+    out = _lq_rows(2.0 ** (s * np.arange(rows.shape[1])) * rows, q).reshape(norms.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def default_n_der(s: float) -> int:
@@ -201,6 +206,7 @@ class DifferenceGeometry:
     def measure(self, x: TorusElement, p, j_range: Optional[tuple] = None) -> DifferenceMeasure:
         """The measurement of x: the profile if the geometry has a sampling,
         the radial norms if it has a quadrature."""
+        _one_element(x, "a difference measurement")
         alg = x.algebra
         # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
         rows = self.derivatives[:1] if self.n_der == 0 else self.derivatives
@@ -249,7 +255,8 @@ def difference_form(meas: DifferenceMeasure, s: float, q: float) -> float:
     ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the kept j."""
     total = meas.base
     for keep, prof in zip(meas.keep, meas.profiles):
-        total += _lq_sum((2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep], q)
+        terms = (2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep]
+        total += float(_lq_rows(terms[None], q)[0])
     return total
 
 
@@ -315,6 +322,7 @@ def doubling_check(x: TorusElement, h, m: int, p) -> dict:
     steps with h/2 in 2 pi Z^d / N, i.e. h in 2 (2 pi / N) Z^d; other steps
     can fail it by the finite model's isometry defect.
     """
+    _one_element(x, "doubling_check")
     h = np.asarray(h, dtype=float)
     lhs = lp_norm(difference(x, h, m), p)
     rhs = (2.0 ** m) * lp_norm(difference(x, h / 2.0, m), p)
@@ -331,6 +339,7 @@ def block_difference_check(x: TorusElement, h, m: int, k: int, p) -> dict:
 def block_difference_checks(x: TorusElement, steps: Sequence[tuple], m: int, p) -> list:
     """``block_difference_check`` for each (h, k) of steps; every norm comes
     from one ``lp_norm_batch`` call."""
+    _one_element(x, "block_difference_checks")
     hs = [np.asarray(h, dtype=float) for h, _k in steps]
     ks = [k for _h, k in steps]
     blocks = [lp_block(x, k) for k in ks]
@@ -357,6 +366,7 @@ def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
 def heat_block_norms(x: TorusElement, p, ts: Sequence[float]) -> np.ndarray:
     """Block norms of x (row 0) and of e^{t Delta} x for each t of ts, from one
     ``block_norms`` call: the q-free part of ``heat_smoothing_check``."""
+    _one_element(x, "heat_block_norms")
     stack = np.stack([x.coeffs] + [heat(x, t).coeffs for t in ts])
     return block_norms(TorusElement(x.algebra, stack), p)
 
@@ -523,6 +533,7 @@ def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex)
 def paraproduct(seq: PsdoSymbolSequence, u: TorusElement) -> TorusElement:
     """T_{a,b}(u) = sum_j a_j (Block_j u) b_j over the nonzero blocks; every
     factor is realized in one ``to_matrix_batch`` call."""
+    _one_element(u, "paraproduct")
     alg = u.algebra
     blocks = [(j, lp_block(u, j)) for j in range(min(len(seq.a), block_count(alg)))]
     factors = [c for j, bj in blocks if not float(np.max(np.abs(bj.coeffs))) < 1e-300

@@ -26,7 +26,7 @@ from .expr import parse_symbol
 from .linalg import (HermitianOperator, eig_hermitian, func_calc, haar_unitary,
                      random_hermitian, schatten_norm, schatten_norm_batch)
 from .seeding import rng_for
-from .symbols import LPFilterFamily, cb_norm, divided_diff, lipschitz_norm
+from .symbols import LPFilterFamily, cb_norm, divided_diff, lipschitz_norm, smoothness_order
 
 
 @dataclass
@@ -556,9 +556,7 @@ def nonlinear_stats(cfg: ExperimentConfig):
     alg = cfg.algebra()
     xs = ensemble_elements(cfg, tag="nl")
     m_sup = max(tor.lp_norm(x, math.inf) for x in xs) + 1.0
-    from .symbols import BumpLocalizer, localize, smoothness_order
-    floc = localize(F, BumpLocalizer(m_sup))
-    cb_loc = cb_norm(floc, smoothness_order(F, cfg.s), (-2 * m_sup, 2 * m_sup))
+    cb_loc = cb_norm(F, smoothness_order(F, cfg.s), m_sup)
     lip_loc = lipschitz_norm(F, (-m_sup, m_sup))
 
     def partners(tag, members):

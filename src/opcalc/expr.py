@@ -20,6 +20,8 @@ Each node evaluates the truncated jet [F, F', ..., F^(k)] of its subtree
 entries, products take Leibniz's rule, and a power or a call y = F(u) takes
 y^(i) = (u' F'(u))^(i-1), with the jet of F'(u) grown beside y's.  So a
 subtree is evaluated once per jet however often the derivatives use it.
+The tree's jet, padded with zeros to k + 1 entries, is the parsed
+``SmoothSymbol.jet``: every derivative a reader takes comes from it.
 Polynomials also keep exact coefficients.
 A product or power of degree above 512 (``(x/8)**600`` too) is a ConfigError
 before it is expanded.  So is a tree deeper than MAX_DEPTH levels: a jet
@@ -307,14 +309,12 @@ def _kinks(node: Node):
 
 
 def parse_symbol(text: str) -> SmoothSymbol:
-    """Build a SmoothSymbol with PARSED_ORDER derivatives, each read from the
-    jet of the expression's tree, sanity-checked on the window [-4, 4]; an
-    expression that fails the check is a ConfigError."""
-    def order(k):
-        def evaluate(x):
-            j = tree.jet(x, k)
-            return j[k] if k < len(j) else np.zeros_like(j[0])
-        return evaluate
+    """Build a SmoothSymbol of max_order PARSED_ORDER whose jet is the
+    expression tree's, padded with zeros past its end, sanity-checked on the
+    window [-4, 4]; an expression that fails the check is a ConfigError."""
+    def jet(x, k):
+        j = tree.jet(x, k)
+        return j + [np.zeros_like(j[0])] * (k + 1 - len(j))
 
     try:
         # every step here, the sanity check's evaluations too, recurses per
@@ -325,12 +325,11 @@ def parse_symbol(text: str) -> SmoothSymbol:
         coeffs = _poly_coeffs(tree)
         kinks = _kinks(tree)
         return SmoothSymbol(
-            func=order(0),
-            derivs=tuple(order(k) for k in range(1, PARSED_ORDER + 1)),
+            jet=jet,
+            max_order=PARSED_ORDER,
             window=(-4.0, 4.0),
             poly_coeffs=tuple(coeffs) if coeffs is not None else None,
             kinks=tuple(kinks) if kinks else (),
-            name=text,
             check=kinks is not None,
         )
     except RecursionError:

@@ -1,7 +1,9 @@
 """Scalar symbols F: R -> C and their calculus.
 
-Divided differences F^[n] (with the confluent derivative clause), the
-Lipschitz and C_b^n symbol norms, bump localization and dyadic
+A symbol is its jet: ``SmoothSymbol.jet(x, k)`` gives [F, F', ..., F^(k)]
+at x, and every reader takes its derivatives from there: the construction
+check, the confluent clause of divided differences F^[n] and the C_b^n norm
+of F cut off by a bump.  Also the Lipschitz symbol norm and dyadic
 Littlewood-Paley filter families.
 """
 
@@ -33,21 +35,22 @@ def numeric_derivative(fn: Callable, scale: float = 1.0) -> Callable:
 
 @dataclass(frozen=True)
 class SmoothSymbol:
-    """Scalar symbol with derivative evaluators up to ``max_order``.
+    """Scalar symbol given by its jet, with derivatives up to ``max_order``.
 
-    ``derivs[k-1]`` evaluates F^(k), so ``max_order`` is ``len(derivs)``.
-    ``poly_coeffs`` (ascending) is set when F is known to be a polynomial;
-    its divided differences then take the one h_k route, F^[n] =
-    sum_m c_m h_{m-n} (``_poly_tensor``).  ``kinks`` lists points where F
-    fails to be smooth (excluded from the construction check).
+    ``jet(x, k)`` returns the k + 1 arrays [F, F', ..., F^(k)] at x for
+    0 <= k <= max_order; an entry does not depend on k, bit for bit, so one
+    jet serves every order a reader needs.  ``poly_coeffs`` (ascending) is
+    set when F is known to be a polynomial; its divided differences then
+    take the one h_k route, F^[n] = sum_m c_m h_{m-n} (``_poly_tensor``).
+    ``kinks`` lists points where F fails to be smooth (excluded from the
+    construction check).
     """
 
-    func: Callable
-    derivs: tuple = ()
+    jet: Callable
+    max_order: int
     window: tuple = (-1.0, 1.0)
     poly_coeffs: Optional[tuple] = None
     kinks: tuple = ()
-    name: str = ""
     check: bool = True
 
     def __post_init__(self):
@@ -57,8 +60,9 @@ class SmoothSymbol:
             self._sanity_check()
 
     def _sanity_check(self):
-        # closed-form derivatives must agree with central differences away
-        # from declared kinks (32-point sample, 1e-6 relative)
+        # the jet must agree with central differences of its lower orders
+        # away from declared kinks (32-point sample, 1e-6 relative), to order
+        # 3: nested stencils degrade, and orders 1-2 suffice as a check
         a, b = self.window
         xs = np.linspace(a, b, 34)[1:-1] + (b - a) * 1.2345e-4
         scale = max(abs(a), abs(b), 1.0)
@@ -68,11 +72,13 @@ class SmoothSymbol:
             for kx in self.kinks:
                 keep &= np.abs(xs - kx) > 16 * h
             xs = xs[keep]
-        prev = self.func
-        for k in range(1, self.max_order + 1):
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite test below raises
-                fd = numeric_derivative(prev, scale)(xs)
-                cf = np.asarray(self.derivs[k - 1](xs))
+        top = min(self.max_order, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite test below raises
+            jet = self.jet(xs, top)
+            fds = [numeric_derivative(lambda x: self.jet(x, k - 1)[k - 1], scale)(xs)
+                   for k in range(1, top + 1)]
+        for k, fd in enumerate(fds, 1):
+            cf = np.asarray(jet[k])
             if not (np.all(np.isfinite(cf)) and np.all(np.isfinite(fd))):  # NaN fails no comparison
                 raise ValueError(f"derivative order {k} is not finite on the window [{a:g}, {b:g}]")
             tol = 1e-6 * max(1.0, float(np.max(np.abs(cf))))
@@ -81,13 +87,6 @@ class SmoothSymbol:
                     f"derivative order {k} disagrees with central differences "
                     f"(max dev {np.max(np.abs(cf - fd)):.2e} > {tol:.2e})"
                 )
-            prev = self.derivs[k - 1]
-            if k >= 3:  # nested stencils degrade; orders 1-2 suffice as a check
-                break
-
-    @property
-    def max_order(self) -> int:
-        return len(self.derivs)
 
     def require_order(self, n: int, what: str):
         """The one order check: OrderExceeded when ``what`` needs n > max_order."""
@@ -95,13 +94,7 @@ class SmoothSymbol:
             raise OrderExceeded(f"{what} needs order {n} > max_order {self.max_order}")
 
     def __call__(self, x):
-        return self.func(np.asarray(x))
-
-    def deriv(self, k: int) -> Callable:
-        if k == 0:
-            return self.func
-        self.require_order(k, "derivative")
-        return self.derivs[k - 1]
+        return self.jet(np.asarray(x), 0)[0]
 
 
 def smoothness_order(F: SmoothSymbol, s: float) -> int:
@@ -153,12 +146,9 @@ def divided_diff(F: SmoothSymbol, nodes) -> complex:
     for j in range(1, n + 1):
         fact *= j
         new = np.empty(n + 1 - j, dtype=np.complex128)
-        dj = None
         for i in range(n + 1 - j):
             if z[i + j] == z[i]:
-                if dj is None:
-                    dj = F.deriv(j)
-                new[i] = complex(np.asarray(dj(z[i]))) / fact
+                new[i] = complex(np.asarray(F.jet(z[i], j)[j])) / fact
             else:
                 new[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
         col = new
@@ -225,9 +215,8 @@ def _hermite_rows(F: SmoothSymbol, nodes: np.ndarray) -> np.ndarray:
             # F^(j) / j! once per distinct confluent node, on a scalar and with
             # Python's complex quotient, as divided_diff computes it: numpy's
             # vectorized evaluation and complex quotient can differ in the last bit
-            dj = F.deriv(j)
             at, which = np.unique(lo[confluent], return_inverse=True)
-            new[confluent] = np.array([complex(np.asarray(dj(x))) / fact for x in at],
+            new[confluent] = np.array([complex(np.asarray(F.jet(x, j)[j])) / fact for x in at],
                                       dtype=np.complex128)[which.ravel()]
         col = new
     return col[:, 0]
@@ -292,13 +281,32 @@ def lipschitz_norm(F, window=None) -> float:
     return float(np.max(quot))
 
 
-def cb_norm(F: SmoothSymbol, n: int, window) -> float:
-    """sup_{1<=k<=n} sup_window |F^(k)|."""
+def cb_norm(F: SmoothSymbol, n: int, M: float) -> float:
+    """The C_b^n norm sup_{1<=k<=n} sup |(F phi_M)^(k)| over [-2M, 2M] of F
+    cut off by the bump phi_M(x) = bump_chi(x / M), which is 1 on the range
+    [-M, M] and 0 outside [-2M, 2M].
+
+    One jet of F gives its derivatives, n nested central differences give
+    phi_M's, and Leibniz's rule sums their products.
+    """
     F.require_order(n, f"C_b^{n} norm")
     if n < 1:
         raise ValueError("C_b^n norm requires n >= 1")
-    xs = np.linspace(window[0], window[1], DEFAULT_GRID)
-    return max(float(np.max(np.abs(np.asarray(F.deriv(k)(xs))))) for k in range(1, n + 1))
+    if not 0 < M < math.inf:
+        raise ValueError(f"bump scale M must be positive and finite, got {M}")
+    xs = np.linspace(-2 * M, 2 * M, DEFAULT_GRID)
+    jet = F.jet(xs, n)
+    phi = [lambda x: bump_chi(x / M)]
+    for _ in range(n):
+        phi.append(numeric_derivative(phi[-1], M))
+    bump = [d(xs) for d in phi]
+    sups = []
+    for k in range(1, n + 1):
+        total = np.zeros_like(xs, dtype=np.complex128)
+        for i in range(k + 1):
+            total += math.comb(k, i) * np.asarray(jet[i]) * bump[k - i]
+        sups.append(float(np.max(np.abs(total))))
+    return max(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -320,51 +328,6 @@ def smooth_step(t):
 def bump_chi(r):
     """Smooth radial bump: 1 on |r|<=1, 0 on |r|>=2, in [0,1] between."""
     return 1.0 - smooth_step(np.abs(np.asarray(r, dtype=float)) - 1.0)
-
-
-@dataclass(frozen=True)
-class BumpLocalizer:
-    """phi_M = 1 on [-M, M], 0 outside [-2M, 2M]; M = inf is the identity."""
-
-    M: float
-
-    def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("localizer scale M must be positive")
-
-    def __call__(self, x):
-        if math.isinf(self.M):
-            return np.ones_like(np.asarray(x, dtype=float))
-        return bump_chi(np.asarray(x, dtype=float) / self.M)
-
-
-def localize(F: SmoothSymbol, loc: BumpLocalizer) -> SmoothSymbol:
-    """F * phi_M; the M = inf convention returns F unchanged."""
-    if math.isinf(loc.M):
-        return F
-
-    def prod(x):
-        return np.asarray(F(x)) * loc(x)
-
-    # Leibniz derivatives with numerically differentiated bump factors
-    bump_ders = [loc.__call__]
-    for _ in range(F.max_order):
-        bump_ders.append(numeric_derivative(bump_ders[-1], loc.M))
-
-    def make_deriv(k):
-        def dk(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros_like(x, dtype=np.complex128)
-            for i in range(k + 1):
-                total += math.comb(k, i) * np.asarray(F.deriv(i)(x)) * bump_ders[k - i](x)
-            return total
-        return dk
-
-    window = (max(F.window[0], -2 * loc.M), min(F.window[1], 2 * loc.M))
-    if window[1] <= window[0]:
-        window = (-2 * loc.M, 2 * loc.M)
-    return SmoothSymbol(func=prod, derivs=tuple(make_deriv(k) for k in range(1, F.max_order + 1)),
-                        window=window, kinks=F.kinks, name=f"{F.name}*phi_{loc.M:g}", check=False)
 
 
 class LPFilterFamily:

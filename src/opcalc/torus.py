@@ -173,7 +173,7 @@ class TorusElement:
     ratios and the stacked kernels (``chain.chain_rule_residual``,
     ``besov.meyer_residual``) act on each member, with the bits of its own
     call.  The products, the difference forms and the inequality harnesses
-    take one element.
+    take one element; the last two raise DimensionMismatch on a stack.
     """
 
     algebra: TorusAlgebra

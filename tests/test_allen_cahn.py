@@ -178,8 +178,8 @@ def test_non_real_symbol_rejected_on_both_routes():
     # evaluation (theta = 0) and the functional calculus (theta != 0) reject
     # it through the one real-valuedness test instead of running on with
     # non-Hermitian states
-    F = SmoothSymbol(func=lambda x: 0.1j * x,
-                     derivs=(lambda x: 0.1j * np.ones_like(x), lambda x: 0j * x), check=False)
+    F = SmoothSymbol(jet=lambda x, k: [0.1j * x, 0.1j * np.ones_like(x), 0j * x][:k + 1],
+                     max_order=2, check=False)
     for theta_num in (0, 1):
         alg = tor.TorusAlgebra(d=2, N=4, theta_num=theta_num)
         prob = ACProblem(u0=0.5 * tor.mode_element(alg, (0, 0)), F=F, idx=IDX, t_max=0.01, dt=1e-3)
@@ -549,8 +549,9 @@ def _banded_symbol(band):
     iterate from a datum of order one is non-finite from its first step."""
     big = 4e307
     lo, hi = band or (0.0, 0.0)
-    return SmoothSymbol(func=lambda x: np.where((x > lo) & (x < hi), np.inf, big * x),
-                        derivs=(lambda x: big * np.ones_like(x), lambda x: 0 * x), check=False)
+    return SmoothSymbol(jet=lambda x, k: [np.where((x > lo) & (x < hi), np.inf, big * x),
+                                          big * np.ones_like(x), 0 * x][:k + 1],
+                        max_order=2, check=False)
 
 
 def _cosine_datum(alg):

@@ -6,7 +6,7 @@ import pytest
 import opcalc.besov as bz
 import opcalc.torus as tor
 from opcalc.besov import BesovIndex
-from opcalc.errors import (DegenerateInput, HypothesisViolation, NonHermitianInput,
+from opcalc.errors import (DegenerateInput, DimensionMismatch, HypothesisViolation, NonHermitianInput,
                            SymbolHypothesisError)
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc
@@ -502,7 +502,8 @@ def per_call_difference_norm(x, idx, m, n_der, sampling):
         for pos, j in enumerate(js):
             if j < 0 and cap > 0 and prof[pos] > (1 - 1e-6) * cap:
                 keep[pos] = False
-        total += bz._lq_sum((2.0 ** (js[keep] * (idx.s - n_der))) * prof[keep], idx.q)
+        terms = (2.0 ** (js[keep] * (idx.s - n_der))) * prof[keep]
+        total += float(bz._lq_rows(terms[None], idx.q)[0])
     return total
 
 
@@ -708,6 +709,32 @@ def test_block_and_multiplier_norms_of_a_stack_are_per_member(theta_num):
             assert norms.shape == (6,) and norms.tolist() == single
     grid = tor.TorusElement(alg, xs.coeffs.reshape((2, 3) + alg.shape))
     assert np.array_equal(bz.block_norms(grid, 2).reshape(6, -1), bz.block_norms(xs, 2))
+
+
+def test_multiplier_form_reads_rows():
+    # (..., blocks) rows: each row has the bits of its own call, one row is a float
+    rows = bz.block_norms(_stack(tor.TorusAlgebra(d=2, N=16, theta_num=1), "mfrows", 6), 2)
+    for q in (1.0, 2.0, math.inf):
+        single = [bz.multiplier_form(row, 1.5, q) for row in rows]
+        assert all(type(v) is float for v in single)
+        assert bz.multiplier_form(rows.reshape(2, 3, -1), 1.5, q).tolist() == [single[:3], single[3:]]
+
+
+def test_one_element_harnesses_reject_stacks(alg):
+    # a stack used to mix its members into one ratio or fail inside numpy
+    xs = _stack(alg, "onestack", 5)
+    idx = BesovIndex(1.5, 2, 2)
+    seq = bz.PsdoSymbolSequence((tor.TorusElement(alg, xs.coeffs[0]),), (tor.TorusElement(alg, xs.coeffs[1]),))
+    for name, call in [
+            ("block_difference_checks", lambda: bz.block_difference_checks(xs, [((0.3, 0.1), 1)], 1, 2)),
+            ("block_difference_checks", lambda: bz.block_difference_check(xs, (0.3, 0.1), 1, 1, 2)),
+            ("doubling_check", lambda: bz.doubling_check(xs, (0.3, 0.1), 1, 2)),
+            ("a difference measurement", lambda: bz.besov_difference_norm(xs, idx)),
+            ("a difference measurement", lambda: bz.besov_integral_norm(xs, idx)),
+            ("heat_block_norms", lambda: bz.heat_smoothing_check(xs, 1.5, 2.5, 2, 2, [0.5])),
+            ("paraproduct", lambda: bz.apply_paraproduct(seq, xs, idx))]:
+        with pytest.raises(DimensionMismatch, match=f"{name} takes one element, not a stack of shape \\(5,\\)"):
+            call()
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

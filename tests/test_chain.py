@@ -302,7 +302,7 @@ def test_chain_rule_non_real_symbol_raises():
     # F(u) comes from the shared decomposition, which keeps func_calc's real-value test
     rng = rng_for(13, "complex")
     u = random_hermitian(rng, 6)
-    F = SmoothSymbol(func=lambda x: np.exp(1j * x), derivs=(lambda x: 1j * np.exp(1j * x),),
+    F = SmoothSymbol(jet=lambda x, k: [np.exp(1j * x), 1j * np.exp(1j * x)][:k + 1], max_order=1,
                      check=False)
     with pytest.raises(SymbolDomainError):
         chain_rule_residual(F, u, [(1,)], DerivationSpec("inner", (random_hermitian(rng, 6),)))

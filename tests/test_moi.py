@@ -190,7 +190,8 @@ def test_poly_kernel_below_order_is_exact_zero(expr, order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_poly_kernel_complex_coefficients(order):
     coeffs = (0.5j, -1.0, 2.0 - 1.0j, 0.0, 0.3j)
-    F = SmoothSymbol(func=lambda x: np.polyval(coeffs[::-1], x), poly_coeffs=coeffs, check=False)
+    F = SmoothSymbol(jet=lambda x, k: [np.polyval(coeffs[::-1], x)], max_order=0, poly_coeffs=coeffs,
+                     check=False)
     rng = rng_for(42, "poly-complex", order)
     anc = tuple(random_hermitian(rng, 6) for _ in range(order + 1))
     kernel, dense = _kernel_and_dense(F, anc, random_args(rng, 6, order))

@@ -14,8 +14,8 @@ from opcalc.errors import ConfigError, OrderExceeded
 from opcalc.expr import MAX_DEPTH, PARSED_ORDER, Add, Call, Mul, Num, Pow, Var, _tree, parse_symbol
 from opcalc.linalg import random_hermitian
 from opcalc.seeding import rng_for
-from opcalc.symbols import (BumpLocalizer, LPFilterFamily, SmoothSymbol, cb_norm, divided_diff,
-                            divided_diff_tensor, lipschitz_norm, localize)
+from opcalc.symbols import (LPFilterFamily, SmoothSymbol, bump_chi, cb_norm, divided_diff,
+                            divided_diff_tensor, lipschitz_norm)
 
 
 def brute_homogeneous(k, nodes):
@@ -87,26 +87,23 @@ def test_divided_diff_mean_value_bound():
 
 
 def test_divided_diff_order_exceeded():
-    tanh = parse_symbol("tanh(x)")
-    F = SmoothSymbol(func=tanh.func, derivs=tanh.derivs[:2])
-    assert F.max_order == 2
+    F = SmoothSymbol(jet=parse_symbol("tanh(x)").jet, max_order=2)
     with pytest.raises(OrderExceeded):
         divided_diff(F, [0.0, 0.1, 0.2, 0.3])
 
 
 def test_every_order_check_is_require_order():
-    # the order of a symbol is len(derivs), and each site that needs more
-    # derivatives than that raises through the one method
+    # each site that needs more derivatives than a symbol's max_order raises
+    # through the one method
     tanh = parse_symbol("tanh(x)")
-    F = SmoothSymbol(func=tanh.func, derivs=tanh.derivs[:2])
+    F = SmoothSymbol(jet=tanh.jet, max_order=2)
     assert tanh.max_order == 6
     h = random_hermitian(rng_for(3, "order"), 4)
     nodes = np.array([0.0, 0.1, 0.2])
     for what, needs_three in [
-            ("derivative", lambda: F.deriv(3)),
             ("divided difference", lambda: divided_diff(F, [0.0, 0.1, 0.2, 0.3])),
             ("divided difference", lambda: divided_diff_tensor(F, [nodes] * 4)),
-            ("C_b^3 norm", lambda: cb_norm(F, 3, (-1.0, 1.0))),
+            ("C_b^3 norm", lambda: cb_norm(F, 3, 1.0)),
             ("expansion", lambda: chain_rule_residual(F, h, [(3,)], DerivationSpec("inner", (h,))))]:
         with pytest.raises(OrderExceeded, match=re.escape(f"{what} needs order 3 > max_order 2")):
             needs_three()
@@ -212,7 +209,7 @@ def test_tensor_repeated_nodes_equal_ix_expansion(expr, order):
 def test_poly_route_matches_hermite_table(coeffs, nodes):
     # the h_k route of a polynomial against the Hermite table of the same function
     P = np.polynomial.Polynomial(coeffs)
-    F = SmoothSymbol(func=P, derivs=tuple(P.deriv(k) for k in range(1, 5)),
+    F = SmoothSymbol(jet=lambda x, k: [P.deriv(i)(x) for i in range(k + 1)], max_order=4,
                      poly_coeffs=tuple(coeffs), check=False)
     value = divided_diff(F, nodes)
     assert abs(value - divided_diff(replace(F, poly_coeffs=None), nodes)) <= 1e-8 * (1 + abs(value))
@@ -224,8 +221,7 @@ def test_tensor_poly_real_and_equal_to_complex_path():
     spectra = [np.sort(rng.standard_normal(6)) for _ in range(4)]
     F = parse_symbol("x**5 - 2*x**3 + 0.5*x")
     t = divided_diff_tensor(F, spectra)
-    complex_coeffs = SmoothSymbol(func=F.func, derivs=F.derivs,
-                                  poly_coeffs=tuple(complex(c) for c in F.poly_coeffs), check=False)
+    complex_coeffs = replace(F, poly_coeffs=tuple(complex(c) for c in F.poly_coeffs), check=False)
     tc = divided_diff_tensor(complex_coeffs, spectra)
     assert t.dtype == tc.dtype == np.complex128
     assert np.array_equal(t, tc) and not np.any(tc.imag)
@@ -238,39 +234,53 @@ def test_lipschitz_norms():
     assert lipschitz_norm(parse_symbol("sin(x)"), (-math.pi, math.pi)) == pytest.approx(1.0, abs=1e-3)
 
 
+# cb_norm(F, n, M) for M = 0.7 and 2.5 at n = 1, 2, 3, as the composed route
+# of a localized symbol's derivatives (F phi_M)^(k) gave it bit for bit
+CB_NORMS = {
+    "tanh(x)": (("0x1.0dc9a9169835bp+1", "0x1.069e3b9e318afp+4", "0x1.0f1c16e0ca07ap+8"),
+                ("0x1.ffffcdf9c2ac2p-1", "0x1.971f6f6f9ffcap+0", "0x1.c4b85b06733fcp+2")),
+    "x - x**3": (("0x1.a0072c8b0b696p+0", "0x1.79ae8df2ff106p+3", "0x1.c92ec55c24b82p+7"),
+                 ("0x1.24cb88fe7f74cp+5", "0x1.a8a5afc1ecf48p+6", "0x1.1c5135f89bc97p+9")),
+    "x*abs(x)": (("0x1.6d49939b552edp+1", "0x1.ad190f8e8d9b1p+4", "0x1.e53f4ef0306e3p+8"),
+                 ("0x1.462643cab1392p+3", "0x1.ad190f8e5b8f1p+4", "0x1.0fbd0d8208b61p+7")),
+}
+
+
 def test_cb_norms():
-    assert cb_norm(parse_symbol("x"), 1, (-5, 5)) == pytest.approx(1.0)
-    assert cb_norm(parse_symbol("sin(x)"), 2, (0, 2 * math.pi)) == pytest.approx(1.0, abs=1e-3)
-    assert cb_norm(parse_symbol("x**2"), 1, (-2, 2)) == pytest.approx(4.0, abs=1e-3)
+    for text, rows in CB_NORMS.items():
+        F = parse_symbol(text)
+        for M, row in zip((0.7, 2.5), rows):
+            assert [cb_norm(F, n, M) for n in (1, 2, 3)] == [float.fromhex(v) for v in row], (text, M)
+    # phi_M = 1 on [-M, M]: the norm is at least sup |F^(k)| there
+    assert cb_norm(parse_symbol("x**2"), 1, 2.0) >= 4.0
+
+
+@pytest.mark.parametrize("M", [0.0, -1.0, math.inf, math.nan])
+def test_cb_norm_needs_a_finite_positive_scale(M):
+    with pytest.raises(ValueError, match="positive and finite"):
+        cb_norm(parse_symbol("x"), 1, M)
 
 
 def test_norm_homogeneity():
     F = parse_symbol("sin(x)")
     G = parse_symbol("3.5*sin(x)")
     assert lipschitz_norm(G, (-2, 2)) == pytest.approx(3.5 * lipschitz_norm(F, (-2, 2)), rel=1e-10)
-    assert cb_norm(G, 2, (-2, 2)) == pytest.approx(3.5 * cb_norm(F, 2, (-2, 2)), rel=1e-10)
+    assert cb_norm(G, 2, 2.0) == pytest.approx(3.5 * cb_norm(F, 2, 2.0), rel=1e-10)
 
 
-def test_localize_infinite_is_identity():
-    F = parse_symbol("exp(x)")
-    assert localize(F, BumpLocalizer(math.inf)) is F
+def test_bump_chi_support():
+    # phi_M(x) = bump_chi(x / M) keeps F on [-M, M] and is zero outside [-2M, 2M]
+    assert np.all(bump_chi(np.array([-1.0, -0.75, 0.0, 0.95, 1.0])) == 1.0)
+    assert np.all(bump_chi(np.array([2.0, -2.25, 3.0, -6.0])) == 0.0)
 
 
-def test_localize_support():
-    F = parse_symbol("exp(x)")
-    loc = localize(F, BumpLocalizer(2.0))
-    xs = np.array([-1.5, 0.0, 1.9])
-    assert np.allclose(loc(xs), F(xs))  # unchanged inside [-M, M]
-    assert np.all(loc(np.array([4.5, -6.0])) == 0.0)  # zero outside [-2M, 2M]
-
-
-def test_bump_localizer_range():
-    loc = BumpLocalizer(1.0)
+def test_bump_chi_range():
     xs = np.linspace(-3, 3, 301)
-    vals = loc(xs)
+    vals = bump_chi(xs)
     assert np.all((vals >= 0) & (vals <= 1))
     assert np.all(vals[np.abs(xs) <= 1.0] == 1.0)
     assert np.all(vals[np.abs(xs) >= 2.0] == 0.0)
+    assert np.all(np.diff(vals[xs >= 0]) <= 0.0)  # nonincreasing in |x|
 
 
 def test_lp_partition_homogeneous():
@@ -300,7 +310,7 @@ def test_lp_support_annulus():
 
 def test_symbol_construction_check_catches_wrong_derivative():
     with pytest.raises(ValueError):
-        SmoothSymbol(func=np.sin, derivs=(np.sin,), window=(-1, 1))
+        SmoothSymbol(jet=lambda x, k: [np.sin(x)] * (k + 1), max_order=1, window=(-1, 1))
 
 
 def test_expression_grammar_errors():
@@ -324,8 +334,9 @@ def test_constant_factors_are_not_differentiated():
     # derivative, so 300 leading minus signs never finished parsing
     F = parse_symbol("- " * 300 + "x")
     xs = np.array([-1.0, 0.5])
-    assert np.array_equal(F.derivs[0](xs), [1.0, 1.0])
-    assert not np.any(F.derivs[1](xs))
+    jet = F.jet(xs, 2)
+    assert np.array_equal(jet[1], [1.0, 1.0])
+    assert not np.any(jet[2])
 
 
 def _tanh_chain(levels: int) -> str:
@@ -344,7 +355,7 @@ def test_nested_symbols_parse_in_linear_time(text):
     start = time.perf_counter()
     F = parse_symbol(text)
     assert time.perf_counter() - start < 0.5
-    assert np.all(np.isfinite(F.deriv(PARSED_ORDER)(np.linspace(-4.0, 4.0, 9))))
+    assert np.all(np.isfinite(F.jet(np.linspace(-4.0, 4.0, 9), PARSED_ORDER)))
 
 
 def _closed_forms(name, u, n):
@@ -398,31 +409,51 @@ def test_derivatives_to_order_six_match_closed_forms(name, arg):
     F = parse_symbol(f"{name}({arg})")
     inner = _ARGS[arg](xs)
     want = _compose(_closed_forms(name, inner[0], PARSED_ORDER), inner)
-    for k in range(PARSED_ORDER + 1):
-        got = F.deriv(k)(xs)
+    for k, got in enumerate(F.jet(xs, PARSED_ORDER)):
         assert np.max(np.abs(got - want[k])) <= 1e-12 * max(1.0, np.max(np.abs(want[k]))), k
+
+
+# the symbols the shipped configs and runners parse
+SHIPPED_SYMBOLS = ["tanh(x)", "exp(x)", "sin(x)", "x", "0*x", "0.5*x", "x**2", "x**3", "x**4",
+                   "x**5", "x**4 + x**2"]
+GRAMMAR_SYMBOLS = [f"{name}({arg})" for name in ("exp", "sin", "cos", "sinh", "cosh", "tanh", "abs",
+                                                 "relu", "gauss") for arg in sorted(_ARGS)]
+
+
+@pytest.mark.parametrize("text", GRAMMAR_SYMBOLS + SHIPPED_SYMBOLS)
+def test_jet_entries_do_not_depend_on_the_order(text):
+    # one jet serves every reader: entry i of jet(x, k) has the bits of
+    # jet(x, i)[i] for every k >= i, the zero padding too
+    F = parse_symbol(text)
+    xs = np.linspace(-4.0, 4.0, 2001)
+    alone = [F.jet(xs, i)[i] for i in range(PARSED_ORDER + 1)]
+    for k in range(PARSED_ORDER + 1):
+        jet = F.jet(xs, k)
+        assert len(jet) == k + 1
+        for i, entry in enumerate(jet):
+            assert entry.dtype == alone[i].dtype and entry.tobytes() == alone[i].tobytes(), (k, i)
 
 
 def test_derivatives_that_are_exact():
     xs = np.linspace(-3.0, 3.0, 2001)
     tanh = parse_symbol("tanh(x)")
     assert np.array_equal(tanh(xs), np.tanh(xs))
-    assert np.array_equal(tanh.deriv(1)(xs), 1 - np.tanh(xs) ** 2)
+    assert np.array_equal(tanh.jet(xs, 1)[1], 1 - np.tanh(xs) ** 2)
     exp = parse_symbol("exp(x)")
-    assert all(np.array_equal(exp.deriv(k)(xs), np.exp(xs)) for k in range(PARSED_ORDER + 1))
+    assert all(np.array_equal(d, np.exp(xs)) for d in exp.jet(xs, PARSED_ORDER))
     # at dyadic points every product of a polynomial's derivatives is exact
     dyadic = np.arange(-16, 17) / 8.0
     for text, coeffs in [("0.5*x - 2*x**3 + x**5", [0, 0.5, 0, -2, 0, 1]),
                          ("(0.5*x + 0.25)**3", [1 / 64, 3 / 32, 3 / 16, 1 / 8]), ("x*x*x*x", [0, 0, 0, 0, 1])]:
         F = parse_symbol(text)
-        for k in range(PARSED_ORDER + 1):
+        for k, got in enumerate(F.jet(dyadic, PARSED_ORDER)):
             want = [float(sum(Fraction(c) * math.perm(m, k) * Fraction(v) ** (m - k)
                               for m, c in enumerate(coeffs) if m >= k)) for v in dyadic]
-            assert np.array_equal(F.deriv(k)(dyadic), want), (text, k)
+            assert np.array_equal(got, want), (text, k)
     # the a.e. derivative of abs and relu at the kink is 0 from order 1 on
     for text, kink in [("abs(x)", 0.0), ("relu(x)", 0.0), ("abs(0.5*x + 0.25)", -0.5), ("relu(2*x - 1)", 0.5)]:
         F = parse_symbol(text)
-        assert all(F.deriv(k)(np.array([kink]))[0] == 0.0 for k in range(1, PARSED_ORDER + 1))
+        assert not np.any(F.jet(np.array([kink]), PARSED_ORDER)[1:])
 
 
 @pytest.mark.parametrize("text,coeffs", [("(x - x + 1)**600*x", (0.0, 1.0)),
@@ -444,7 +475,7 @@ def test_symbol_at_the_depth_bound_evaluates_from_a_deep_stack():
     def from_below(frames):
         if frames:
             return from_below(frames - 1)
-        return [F.deriv(k)(xs) for k in range(PARSED_ORDER + 1)]
+        return F.jet(xs, PARSED_ORDER)
 
     values = from_below(500)
     assert np.array_equal(values[0], MAX_DEPTH * xs) and np.all(values[1] == MAX_DEPTH)
@@ -520,9 +551,9 @@ def test_symbols_not_finite_on_the_window(text):
 
 def test_overflowing_power_fails_the_check_quietly():
     with pytest.raises(ValueError, match="derivative order 1 is not finite"):
-        SmoothSymbol(func=lambda x: np.asarray(x, dtype=float) ** 600,
-                     derivs=(lambda x: 600.0 * np.asarray(x, dtype=float) ** 599,),
-                     window=(-4.0, 4.0))
+        SmoothSymbol(jet=lambda x, k: [np.asarray(x, dtype=float) ** 600,
+                                       600.0 * np.asarray(x, dtype=float) ** 599][:k + 1],
+                     max_order=1, window=(-4.0, 4.0))
 
 
 @pytest.mark.parametrize("text,degree", [("x**513", 513), ("x**1000000", 1000000),

@@ -7,12 +7,16 @@ the working tree.
 Every `configs/*.ini` runs through `opcalc run` at its own seed and at each
 `--seed`, once on an exported copy of the parent revision (`git archive`, as
 in tools/bench_pairs.py) and once on the working tree, each with the src/ and
-configs/ of its own checkout and with one BLAS thread.  The seed is part of
-the config hash, so at an extra seed each side first writes a copy of the
-config with `[experiment] seed = S` and runs `opcalc baseline <copy>
---baseline <out>/constants.json`; a kind that has baselines (allen-cahn,
-besov-equivalence, nonlinear-estimate) then runs `opcalc run <copy>
---baseline <same store>`, any other kind runs the config with `--seed S`.
+configs/ of its own checkout and with one BLAS thread.  At its own seed each
+side runs the config against the committed baselines, and also captures it
+with `opcalc baseline <config> --baseline <out>/constants.json`, so that the
+constants only a capture computes (`c_bound`, `c_lip`, the ratio bands) are
+compared at the shipped seed too.  The seed is part of the config hash, so at
+an extra seed each side first writes a copy of the config with
+`[experiment] seed = S` and captures that copy into the same kind of store; a
+kind that has baselines (allen-cahn, besov-equivalence, nonlinear-estimate)
+then runs `opcalc run <copy> --baseline <same store>`, any other kind runs
+the config with `--seed S`.
 Each `summary.txt` row that differs is printed as a row of a markdown table
 (parent value, working-tree value); every other output file that differs, or
 exists on one side only, is named below it, the captured baseline store and
@@ -42,17 +46,19 @@ def opcalc(checkout: Path, *args) -> int:
 
 
 def run_config(checkout: Path, config: str, seed, out: Path) -> str:
-    """Run checkout/configs/<config> into out, at seed if given; the exit statuses."""
+    """Capture checkout/configs/<config> into out/constants.json and run it
+    into out, at seed if given; the exit statuses."""
     path = checkout / "configs" / config
+    store = out / "constants.json"
     if seed is None:
-        return f"run {opcalc(checkout, 'run', path, '--out', out)}\n"
+        captured = opcalc(checkout, "baseline", path, "--baseline", store)
+        return f"baseline {captured}\nrun {opcalc(checkout, 'run', path, '--out', out)}\n"
     parser = configparser.ConfigParser()
     parser.read(path)
     parser["experiment"]["seed"] = str(seed)
     copy = out.with_suffix(".ini")  # beside out, so not compared itself
     with open(copy, "w") as fh:
         parser.write(fh)
-    store = out / "constants.json"
     captured = opcalc(checkout, "baseline", copy, "--baseline", store)
     if captured == 0:
         ran = opcalc(checkout, "run", copy, "--out", out, "--baseline", store)
