@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,17 +65,21 @@ def _lq_rows(terms: np.ndarray, q: float) -> np.ndarray:
         return top
     out = np.zeros(len(terms))
     live = top != 0.0
-    sums = np.sum((terms[live] / top[live, None]) ** q, axis=1)
-    out[live] = top[live] * np.array([float(v) ** (1.0 / q) for v in sums])
+    out[live] = top[live] * _root(np.sum((terms[live] / top[live, None]) ** q, axis=1), q)
     return out
 
 
-def _one_element(x: TorusElement, what: str):
-    """The guard of the forms and harnesses that take one element:
-    DimensionMismatch when x is a stack."""
-    lead = x.coeffs.shape[:x.coeffs.ndim - x.algebra.d]
-    if lead:
-        raise DimensionMismatch(f"{what} takes one element, not a stack of shape {lead}")
+def _root(values: np.ndarray, q: float) -> np.ndarray:
+    """values ** (1/q) by Python's float power, one entry at a time: numpy's
+    power does not always give its bits."""
+    return np.array([v ** (1.0 / q) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _ratio(num, den):
+    """num / den where den > 0 and 0 elsewhere: a float of floats, an array of arrays."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
+    out = np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 def block_norms(x: TorusElement, p) -> np.ndarray:
@@ -145,34 +149,47 @@ class RadialQuadrature:
 
 @dataclass(frozen=True)
 class DifferenceMeasure:
-    """What both difference forms read of one element x, for every s and q.
+    """What both difference forms read of x, for every s and q; of a stack,
+    base, profiles, keep and radial carry its member axes in front.
 
     base is ||x||_p.  Per axis i (rows) of d_i^N x: ``profiles`` holds the
-    sampled amplitudes omega_p^m(2^-j, d_i^N x) over the dyadic range ``js``,
-    ``keep`` marks the j that are not saturated (j < 0 with an amplitude
-    within 1e-6 of the cap 2^m ||d_i^N x||_p, excluded since translations are
-    2 pi periodic), and ``radial`` holds ||Delta_rho^m d_i^N x||_p over the
-    quadrature's (direction, radius) grid.  A form that was not measured is
-    None.
+    sampled amplitudes omega_p^m(2^-j, d_i^N x) over the measurement's
+    dyadic range ``js``, ``keep`` marks the j that the difference form sums:
+    those of x's own range that are not saturated (j < 0 with an amplitude
+    within 1e-6 of the cap 2^m ||d_i^N x||_p, excluded since translations
+    are 2 pi periodic), and ``radial`` holds ||Delta_rho^m d_i^N x||_p over
+    the quadrature's (direction, radius) grid.  A form not measured is None.
     """
 
     m: int
     n_der: int
-    base: float
+    base: object
     js: Optional[np.ndarray] = None
     profiles: Optional[np.ndarray] = None
     keep: Optional[np.ndarray] = None
     radial: Optional[np.ndarray] = None
     quadrature: Optional[RadialQuadrature] = None
 
+    @staticmethod
+    def concatenate(parts: Sequence["DifferenceMeasure"]) -> "DifferenceMeasure":
+        """The measurement of a stack from those of its contiguous member
+        slices, taken by one geometry."""
+        return replace(parts[0], **{key: np.concatenate([getattr(part, key) for part in parts])
+                                    for key in ("base", "profiles", "keep", "radial")
+                                    if getattr(parts[0], key) is not None})
+
+
+def _dyadic_top(kmax: float) -> int:
+    """The last j of the amplitude profile of a band that reaches |k| = kmax."""
+    return int(math.ceil(math.log2(max(kmax, 1.0)))) + 4
+
 
 class DifferenceGeometry:
-    """The tables that every element of one measurement shares: the
-    derivative multipliers of d_i^N, the difference table of the quadrature
-    and one difference table per dyadic range of the amplitude profile.
-
-    A measure call builds one and drops it on return; nothing here is cached
-    beyond the instance, so no table outlives the call that built it.
+    """The tables that every member of one measurement shares: the
+    derivative multipliers of d_i^N (``rows``) and the difference table of
+    the quadrature.  ``measure`` builds the difference table of each dyadic
+    range of the amplitude profile and drops it on return, so no table
+    outlives the call that built it.
     """
 
     def __init__(self, algebra, m: int, n_der: int,
@@ -180,106 +197,118 @@ class DifferenceGeometry:
                  quadrature: Optional[RadialQuadrature] = None):
         d = algebra.d
         self.algebra, self.m, self.n_der = algebra, m, n_der
-        self.derivatives = [tor.derivative_multiplier(algebra, tuple(n_der if ax == i else 0
-                                                                     for ax in range(d)))
-                            for i in range(d)]
+        # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
+        self.rows = np.stack([tor.derivative_multiplier(algebra, tuple(n_der if ax == i else 0
+                                                                       for ax in range(d)))
+                              for i in range(1 if n_der == 0 else d)])
         self.sampling, self.quadrature = sampling, quadrature
         if quadrature is not None:
-            radii, _w = quadrature.rule()
             self._radial = tor.difference_table(algebra, tor.sphere_directions(d, quadrature.n_dir),
-                                                radii, m)
-        self._profiles: dict = {}
-
-    def _profile(self, j_range: tuple) -> tuple:
-        """(js, ascending ts, radii, j order of the ascending ts, table) of a dyadic range."""
-        if j_range not in self._profiles:
-            js = np.arange(j_range[0], j_range[1] + 1)
-            ts = 2.0 ** (-js.astype(float))
-            ascending = np.asarray(sorted(ts), dtype=float)
-            radii = tor.amplitude_radii(ascending, self.sampling.n_rad)
-            table = tor.difference_table(self.algebra, tor.sphere_directions(self.algebra.d,
-                                                                             self.sampling.n_dir),
-                                         radii, self.m)
-            self._profiles[j_range] = (js, ascending, radii, np.argsort(ts), table)
-        return self._profiles[j_range]
+                                                quadrature.rule()[0], m)
 
     def measure(self, x: TorusElement, p, j_range: Optional[tuple] = None) -> DifferenceMeasure:
-        """The measurement of x: the profile if the geometry has a sampling,
-        the radial norms if it has a quadrature."""
-        _one_element(x, "a difference measurement")
-        alg = x.algebra
-        # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
-        rows = self.derivatives[:1] if self.n_der == 0 else self.derivatives
-        dxs = [x.coeffs * mult for mult in rows]
-        head = lp_norm_batch(alg, np.stack([x.coeffs] + dxs), p)
-        out = {"base": float(head[0])}
+        """The measurement of x, or of each member of a stack: the profile
+        if the geometry has a sampling, the radial norms if it has a
+        quadrature.  Without a j_range each member's profile runs over its
+        own dyadic range, which ends past its occupied band (the members of
+        one range share its table), and js end past the lattice's band, so
+        every measurement on one lattice has one shape."""
+        alg, stack, rows = x.algebra, x.members(), self.rows
+        out = {"base": lp_norm(TorusElement(alg, stack), p)}
         if self.sampling is not None:
+            caps = (2.0 ** self.m) * np.stack([lp_norm(TorusElement(alg, stack * row), p)
+                                               for row in rows], axis=1)[..., None]
             if j_range is None:
                 # truncate past the occupied band, not the lattice edge, so the
                 # value is stable under lattice refinement of the same element
-                nz = np.abs(x.coeffs) > 0
-                kmax = float(np.max(alg.abs_k[nz])) if np.any(nz) else 1.0
-                j_range = (-3, int(math.ceil(math.log2(max(kmax, 1.0)))) + 4)
-            js, ts, radii, order, table = self._profile(tuple(j_range))
-            profiles = np.empty((len(dxs), len(js)))
-            for i, dx in enumerate(dxs):
-                norms = _difference_norms(alg, dx, table, p)
-                profiles[i, order] = tor.amplitude_from_norms(
-                    norms.reshape(-1, len(radii)), radii, ts)
-            caps = (2.0 ** self.m) * head[1:]
-            keep = ~((js < 0) & (caps[:, None] > 0) & (profiles > (1 - 1e-6) * caps[:, None]))
-            out.update(js=js, profiles=profiles, keep=keep)
+                kmax = np.max(np.where(np.abs(stack) > 0, alg.abs_k, 0.0), axis=tuple(range(1, alg.d + 1)))
+                tops = np.array([_dyadic_top(k) for k in kmax.tolist()])
+                j_range = (-3, _dyadic_top(float(np.max(alg.abs_k))))
+            else:
+                tops = np.full(len(stack), j_range[1])
+            js = np.arange(j_range[0], j_range[1] + 1)
+            profiles = np.zeros((len(stack), len(rows), len(js)))
+            directions = tor.sphere_directions(alg.d, self.sampling.n_dir)
+            for top in np.unique(tops):
+                group, ts = np.flatnonzero(tops == top), 2.0 ** -np.arange(top, js[0] - 1.0, -1.0)
+                radii = tor.amplitude_radii(ts, self.sampling.n_rad)  # ts ascend as j descends
+                norms = _difference_norms(alg, stack, group, rows,
+                                          tor.difference_table(alg, directions, radii, self.m), p)
+                profiles[np.ix_(group, range(len(rows)), range(top - js[0], -1, -1))] = \
+                    tor.amplitude_from_norms(norms.reshape(norms.shape[:2] + (-1, len(radii))), radii, ts)
+            saturated = (js < 0) & (caps > 0) & (profiles > (1 - 1e-6) * caps)
+            out.update(profiles=profiles, keep=(js <= tops[:, None, None]) & ~saturated)
         if self.quadrature is not None:
-            qd = self.quadrature
-            out.update(quadrature=qd, radial=np.stack([
-                _difference_norms(alg, dx, self._radial, p).reshape(-1, qd.n_rad) for dx in dxs]))
-        if len(dxs) < alg.d:  # the one row measured stands for every axis
-            for key in ("profiles", "keep", "radial"):
-                if key in out:
-                    out[key] = np.repeat(out[key], alg.d, axis=0)
-        return DifferenceMeasure(self.m, self.n_der, **out)
+            norms = _difference_norms(alg, stack, np.arange(len(stack)), rows, self._radial, p)
+            out["radial"] = norms.reshape(norms.shape[:2] + (-1, self.quadrature.n_rad))
+        for key in ("profiles", "keep", "radial"):
+            if key in out:  # at N = 0 the one row measured stands for every axis
+                out[key] = np.repeat(out[key], alg.d // len(rows), axis=1)
+        return DifferenceMeasure(self.m, self.n_der, quadrature=self.quadrature,
+                                 js=js if self.sampling is not None else None,
+                                 **{key: x.per_member(value) for key, value in out.items()})
 
 
-def _difference_norms(algebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
-    """||Delta x||_p for every multiplier of a difference table, built and
-    normed in chunks of at most REALIZATION_CHUNK_ENTRIES coefficients: each
-    chunk's difference stack and realization are still in cache when the
-    next step reads them."""
-    chunks = tor.realization_chunks(algebra, len(table), entries=coeffs.size)
-    return np.concatenate([lp_norm_batch(algebra, tor._difference_stack(coeffs, table[chunk]), p)
-                           for chunk in chunks])
+def _difference_norms(algebra, coeffs: np.ndarray, members: np.ndarray, mults: np.ndarray,
+                      table: np.ndarray, p) -> np.ndarray:
+    """||Delta (mult x)||_p for every x of coeffs[members], mult of mults and
+    multiplier Delta of a difference table: a (members, mults, table) array.
+    The (x, mult) rows are taken in chunks whose differences hold at most
+    REALIZATION_CHUNK_ENTRIES coefficients (a row with more, in chunks of the
+    table), so each chunk's difference stack and realization are still in
+    cache when the next step reads them."""
+    count = len(members) * len(mults)
+    out = np.empty((count, len(table)))
+    for rows in tor.realization_chunks(algebra, count, entries=table.size):
+        pair = np.arange(count)[rows]
+        dxs = coeffs[members[pair // len(mults)]] * mults[pair % len(mults)]
+        for part in tor.realization_chunks(algebra, len(table), entries=dxs.size):
+            out[rows, part] = lp_norm_batch(algebra, tor._difference_stack(dxs, table[part]),
+                                            p).reshape(len(dxs), -1)
+    return out.reshape(len(members), len(mults), len(table))
 
 
-def difference_form(meas: DifferenceMeasure, s: float, q: float) -> float:
+def _axis_total(base, per_axis: np.ndarray):
+    """base plus the terms on the last axis of per_axis, added one axis after
+    the other: a float for one element, an array over the member axes."""
+    total = functools.reduce(np.add, np.moveaxis(per_axis, -1, 0), base)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def difference_form(meas: DifferenceMeasure, s: float, q: float):
     """The sampled difference form from a measurement:
-    ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the kept j."""
-    total = meas.base
-    for keep, prof in zip(meas.keep, meas.profiles):
-        terms = (2.0 ** (meas.js[keep] * (s - meas.n_der))) * prof[keep]
-        total += float(_lq_rows(terms[None], q)[0])
-    return total
+    ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the
+    kept j; a float for one element, an array over the member axes."""
+    terms = (2.0 ** (meas.js * (s - meas.n_der))) * meas.profiles
+    rows, keep = terms.reshape(-1, terms.shape[-1]), meas.keep.reshape(-1, terms.shape[-1])
+    # each row's kept terms packed in front in their order; rows with as
+    # many kept terms are one _lq_rows call
+    packed = np.take_along_axis(rows, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    counts = np.sum(keep, axis=1)
+    sums = np.empty(len(rows))
+    for count in np.unique(counts):
+        sums[counts == count] = _lq_rows(packed[counts == count, :count], q)
+    return _axis_total(meas.base, sums.reshape(terms.shape[:-1]))
 
 
-def integral_form(meas: DifferenceMeasure, s: float, q: float) -> float:
+def integral_form(meas: DifferenceMeasure, s: float, q: float):
     """The radial-integral form from a measurement: ||x||_p plus, per axis,
-    the quadrature of (|rho|^{-s+N} ||Delta_rho^m d_i^N x||_p)^q drho/|rho|^d."""
+    the quadrature of (|rho|^{-s+N} ||Delta_rho^m d_i^N x||_p)^q drho/|rho|^d;
+    a float for one element, an array over the member axes."""
     radii, w = meas.quadrature.rule()
-    total = meas.base
-    for norms in meas.radial:
-        vals = radii ** (meas.n_der - s) * norms
-        if math.isinf(q):
-            total += float(np.max(vals))
-        else:
-            integrand = np.mean(vals ** q, axis=0)  # normalized sphere measure
-            total += float(np.sum(integrand * w)) ** (1.0 / q)
-    return total
+    vals = radii ** (meas.n_der - s) * meas.radial
+    if math.isinf(q):
+        return _axis_total(meas.base, np.max(vals, axis=(-2, -1)))
+    integrand = np.mean(vals ** q, axis=-2)  # normalized sphere measure
+    return _axis_total(meas.base, _root(np.sum(integrand * w, axis=-1), q))
 
 
 def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
                           n_der: Optional[int] = None,
                           j_range: Optional[tuple] = None,
-                          sampling: AmplitudeSampling = AmplitudeSampling(16, 8)) -> float:
-    """Sampled difference form of the Besov norm.
+                          sampling: AmplitudeSampling = AmplitudeSampling(16, 8)):
+    """Sampled difference form of the Besov norm: a float for one element,
+    an array over the member axes for a stack.
 
     ||x||_p + sum_i lq_j( 2^{j(s-N)} omega_p^m(2^{-j}, d_i^N x) ) over the
     dyadic range j in [-J1, J2].  Amplitudes are sampled lower bounds of the
@@ -295,8 +324,9 @@ def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
 
 def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
                         n_der: Optional[int] = None,
-                        quadrature: RadialQuadrature = RadialQuadrature()) -> float:
-    """Radial-integral difference form (normalized sphere measure).
+                        quadrature: RadialQuadrature = RadialQuadrature()):
+    """Radial-integral difference form (normalized sphere measure): a float
+    for one element, an array over the member axes for a stack.
 
     ||x||_p + sum_i ( int (|rho|^{-s+N} ||Delta_rho^m d_i^N x||_p)^q drho/|rho|^d )^{1/q}
     over |rho| <= 2 pi, by log-radial trapezoid times uniform directions.
@@ -309,7 +339,8 @@ def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# inequality harnesses
+# inequality harnesses: of a stack, every value of a report is an array over
+# its member axes
 # ---------------------------------------------------------------------------
 
 def doubling_check(x: TorusElement, h, m: int, p) -> dict:
@@ -322,39 +353,43 @@ def doubling_check(x: TorusElement, h, m: int, p) -> dict:
     steps with h/2 in 2 pi Z^d / N, i.e. h in 2 (2 pi / N) Z^d; other steps
     can fail it by the finite model's isometry defect.
     """
-    _one_element(x, "doubling_check")
     h = np.asarray(h, dtype=float)
-    lhs = lp_norm(difference(x, h, m), p)
-    rhs = (2.0 ** m) * lp_norm(difference(x, h / 2.0, m), p)
-    passed = lhs <= rhs * (1.0 + 1e-10) + 1e-300
-    return {"lhs": lhs, "rhs": rhs, "passed": bool(passed),
-            "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)}
+    stack = TorusElement(x.algebra, x.members())
+    lhs = lp_norm(difference(stack, h, m), p)
+    rhs = (2.0 ** m) * lp_norm(difference(stack, h / 2.0, m), p)
+    ratio = np.where(rhs > 0, _ratio(lhs, rhs), np.where(lhs == 0, 0.0, math.inf))
+    return {"lhs": x.per_member(lhs), "rhs": x.per_member(rhs),
+            "passed": x.per_member(lhs <= rhs * (1.0 + 1e-10) + 1e-300),
+            "ratio": x.per_member(ratio)}
 
 
 def block_difference_check(x: TorusElement, h, m: int, k: int, p) -> dict:
-    """Ratio of ||Delta_h^m Block_k x||_p to min(1, |h|^m 2^{km}) ||Block_k x||_p."""
-    return block_difference_checks(x, [(h, k)], m, p)[0]
+    """Ratio of ||Delta_h^m Block_k x||_p to min(1, |h|^m 2^{km}) ||Block_k x||_p
+    (of every member of a stack, at the one step h)."""
+    return block_difference_checks(x, [[(h, k)]] * len(x.members()) if x.lead else [(h, k)], m, p)[0]
 
 
-def block_difference_checks(x: TorusElement, steps: Sequence[tuple], m: int, p) -> list:
-    """``block_difference_check`` for each (h, k) of steps; every norm comes
-    from one ``lp_norm_batch`` call."""
-    _one_element(x, "block_difference_checks")
-    hs = [np.asarray(h, dtype=float) for h, _k in steps]
-    ks = [k for _h, k in steps]
-    blocks = [lp_block(x, k) for k in ks]
-    norms = lp_norm_batch(x.algebra, np.stack([b.coeffs for b in blocks]
-                                              + [difference(b, h, m).coeffs
-                                                 for b, h in zip(blocks, hs)]), p)
-    out = []
-    for h, k, denom_norm, lhs in zip(hs, ks, norms[:len(ks)], norms[len(ks):]):
-        if denom_norm == 0.0:
-            out.append({"skipped": True, "ratio": 0.0, "lhs": 0.0, "bound": 0.0})
-            continue
-        lhs = float(lhs)
-        bound = min(1.0, float(np.linalg.norm(h)) ** m * 2.0 ** (k * m)) * float(denom_norm)
-        out.append({"skipped": False, "lhs": lhs, "bound": bound, "ratio": lhs / bound})
-    return out
+def block_difference_checks(x: TorusElement, steps: Sequence, m: int, p) -> list:
+    """``block_difference_check`` for each (h, k) of steps: one report per
+    step.  Of a stack, steps holds one list of (h, k) per member, in the
+    order of ``members`` and all of one length.  Every norm comes from one
+    ``lp_norm`` call."""
+    alg, stack = x.algebra, x.members()
+    plans = list(steps) if x.lead else [steps]
+    if len(plans) != len(stack):
+        raise DimensionMismatch(f"need one step list per member: {len(plans)} for {len(stack)} members")
+    hs, ks = (np.array([[step[i] for step in plan] for plan in plans]) for i in (0, 1))
+    # a block index past the bank selects the zero filter
+    bank = np.concatenate([alg.lp_filters, np.zeros((1,) + alg.shape)])
+    blocks = stack[:, None] * bank[np.where((ks >= 0) & (ks < block_count(alg)), ks, -1)]
+    diffs = blocks * tor.difference_multiplier(alg, hs, m)
+    denom, lhs = np.split(lp_norm(TorusElement(alg, np.concatenate([blocks, diffs], axis=1)), p), 2, axis=1)
+    scale = np.array([min(1.0, float(np.linalg.norm(h)) ** m * 2.0 ** (k * m))
+                      for plan in plans for h, k in plan]).reshape(ks.shape)
+    skipped = denom == 0.0
+    lhs, bound = np.where(skipped, 0.0, lhs), np.where(skipped, 0.0, scale * denom)
+    values = {"skipped": skipped, "lhs": lhs, "bound": bound, "ratio": _ratio(lhs, bound)}
+    return [{key: x.per_member(value[:, i]) for key, value in values.items()} for i in range(ks.shape[1])]
 
 
 def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
@@ -365,21 +400,25 @@ def heat_smoothing_check(x: TorusElement, s: float, r: float, p, q,
 
 def heat_block_norms(x: TorusElement, p, ts: Sequence[float]) -> np.ndarray:
     """Block norms of x (row 0) and of e^{t Delta} x for each t of ts, from one
-    ``block_norms`` call: the q-free part of ``heat_smoothing_check``."""
-    _one_element(x, "heat_block_norms")
-    stack = np.stack([x.coeffs] + [heat(x, t).coeffs for t in ts])
-    return block_norms(TorusElement(x.algebra, stack), p)
+    ``block_norms`` call: the q-free part of ``heat_smoothing_check``, with
+    the member axes of a stack in front."""
+    stack = TorusElement(x.algebra, x.members()[:, None])
+    flows = np.concatenate([stack.coeffs] + [heat(stack, t).coeffs for t in ts], axis=1)
+    return x.per_member(block_norms(TorusElement(x.algebra, flows), p))
 
 
 def heat_smoothing_ratios(norms: np.ndarray, s: float, r: float, q, ts: Sequence[float]) -> dict:
     """``heat_smoothing_check`` from the ``heat_block_norms`` of x."""
-    denom_base = multiplier_form(norms[0], s, q)
-    ratios = []
-    for t, heat_norms in zip(ts, norms[1:]):
-        num = multiplier_form(heat_norms, r, q)
-        factor = 1.0 + (t ** ((s - r) / 2.0) if t > 0 else (1.0 if s == r else math.inf))
-        ratios.append(num / (factor * denom_base) if denom_base > 0 else 0.0)
-    return {"sup_ratio": float(np.max(ratios)), "ratios": ratios, "ts": list(ts)}
+    factors = np.array([1.0 + (t ** ((s - r) / 2.0) if t > 0 else (1.0 if s == r else math.inf))
+                        for t in ts])
+    denom = np.asarray(multiplier_form(norms[..., 0, :], s, q))[..., None]
+    # scaled only where ||x||_B > 0: a zero x has ratio 0 at every t, even t = 0 with r != s
+    scaled = np.multiply(factors, denom, out=np.zeros(np.broadcast_shapes(factors.shape, denom.shape)),
+                         where=denom > 0)
+    ratios = np.asarray(_ratio(multiplier_form(norms[..., 1:, :], r, q), scaled))
+    if ratios.ndim == 1:  # of one element
+        return {"sup_ratio": float(np.max(ratios)), "ratios": ratios.tolist(), "ts": list(ts)}
+    return {"sup_ratio": np.max(ratios, axis=-1), "ratios": ratios, "ts": list(ts)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +515,23 @@ def meyer_residual(u: TorusElement, xis: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def derivative_growth(seq: Sequence[TorusElement], k_max: int) -> list:
-    """M_k = sup_{|alpha|<=k, j} 2^{-j|alpha|} ||d^alpha a_j||_inf for k <= k_max.
+    """M_k = sup_{|alpha|<=k, j} 2^{-j|alpha|} ||d^alpha a_j||_inf for k <= k_max:
+    a list of floats, or, for a sequence of stacks of the same members, of
+    arrays over their member axes.
 
-    Every sup norm comes from one ``lp_norm_batch`` call over the sequence.
+    The sup norms of each a_j come from one ``lp_norm`` call.
     """
     alg = seq[0].algebra
     alphas = [(total, alpha) for total in range(k_max + 1) for alpha in _multiindices(alg.d, total)]
-    mults = [tor.derivative_multiplier(alg, alpha) for _total, alpha in alphas]
-    norms = lp_norm_batch(alg, np.stack([a.coeffs * mult for a in seq for mult in mults]),
-                          math.inf).reshape(len(seq), len(alphas))
-    sups: dict = {}
-    for j, row in enumerate(norms):
-        for (total, _alpha), norm in zip(alphas, row):
-            val = float(norm) * 2.0 ** (-j * total)
-            sups[total] = max(sups.get(total, 0.0), val)
-    return [max(sups.get(t, 0.0) for t in range(k + 1)) for k in range(k_max + 1)]
+    totals = np.array([total for total, _alpha in alphas])
+    mults = np.stack([tor.derivative_multiplier(alg, alpha) for _total, alpha in alphas])
+    norms = np.stack([lp_norm(TorusElement(alg, np.expand_dims(a.coeffs, -alg.d - 1) * mults), math.inf)
+                      for a in seq], axis=-2)
+    vals = norms * 2.0 ** (-np.arange(len(seq))[:, None] * totals)
+    sups = np.stack([np.max(vals[..., totals == total], axis=(-2, -1))
+                     for total in range(k_max + 1)], axis=-1)
+    growth = np.maximum.accumulate(np.maximum(sups, 0.0), axis=-1)
+    return [g.item() if g.ndim == 0 else g for g in np.moveaxis(growth, -1, 0)]
 
 
 def _multiindices(d: int, total: int):
@@ -508,7 +549,8 @@ class PsdoSymbolSequence:
 
     growth_a[k] = sup_{j, |alpha|<=k} 2^{-j|alpha|} ||d^alpha a_j||_inf for
     k <= 1 (``derivative_growth``), computed on construction; likewise
-    growth_b.
+    growth_b.  When the a_j and b_j are stacks of the same members, the
+    sequence is one per member and so is its growth.
     """
 
     a: tuple
@@ -531,19 +573,24 @@ def apply_paraproduct(seq: PsdoSymbolSequence, u: TorusElement, idx: BesovIndex)
 
 
 def paraproduct(seq: PsdoSymbolSequence, u: TorusElement) -> TorusElement:
-    """T_{a,b}(u) = sum_j a_j (Block_j u) b_j over the nonzero blocks; every
-    factor is realized in one ``to_matrix_batch`` call."""
-    _one_element(u, "paraproduct")
-    alg = u.algebra
-    blocks = [(j, lp_block(u, j)) for j in range(min(len(seq.a), block_count(alg)))]
-    factors = [c for j, bj in blocks if not float(np.max(np.abs(bj.coeffs))) < 1e-300
-               for c in (seq.a[j].coeffs, bj.coeffs, seq.b[j].coeffs)]
-    total = np.zeros((alg.matrix_dim, alg.matrix_dim), dtype=np.complex128)
-    if factors:
-        mats = tor.to_matrix_batch(alg, np.stack(factors))
-        for i in range(0, len(mats), 3):
-            total += mats[i] @ mats[i + 1] @ mats[i + 2]
-    return from_matrix(alg, total)
+    """T_{a,b}(u) = sum_j a_j (Block_j u) b_j over the nonzero blocks: of u,
+    or of each member of a stacked u with its own sequence (a sequence of
+    stacks of the same members) or with one sequence for every member.  A
+    block that is zero in some member but not in all adds an exact zero to
+    that member.  Each block's factors are realized in one
+    ``to_matrix_batch`` call."""
+    alg, stack = u.algebra, u.members()
+    total = np.zeros((len(stack), alg.matrix_dim, alg.matrix_dim), dtype=np.complex128)
+    for j in range(min(len(seq.a), block_count(alg))):
+        block = stack * alg.lp_filters[j]
+        zero = np.max(np.abs(block), axis=tuple(range(1, alg.d + 1))) < 1e-300
+        if zero.all():
+            continue
+        block[zero] = 0.0
+        a, b = seq.a[j].members(), seq.b[j].members()
+        mats = tor.to_matrix_batch(alg, np.concatenate([a, block, b]))
+        total += mats[:len(a)] @ mats[len(a):len(a) + len(block)] @ mats[len(a) + len(block):]
+    return from_matrix(alg, total.reshape(u.lead + total.shape[1:]))
 
 
 def paraproduct_report(seq: PsdoSymbolSequence, norms_in: np.ndarray, norms_out: np.ndarray,
@@ -554,8 +601,8 @@ def paraproduct_report(seq: PsdoSymbolSequence, norms_in: np.ndarray, norms_out:
     m_a, m_b = seq.growth_a[1], seq.growth_b[1]
     nu = multiplier_form(norms_in, s, q)
     nout = multiplier_form(norms_out, s, q)
-    ratio = nout / (m_a * m_b * nu) if m_a * m_b * nu > 0 else 0.0
-    return {"ratio": ratio, "m_a": m_a, "m_b": m_b, "norm_in": nu, "norm_out": nout}
+    return {"ratio": _ratio(nout, m_a * m_b * nu), "m_a": m_a, "m_b": m_b,
+            "norm_in": nu, "norm_out": nout}
 
 
 # ---------------------------------------------------------------------------

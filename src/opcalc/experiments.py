@@ -8,6 +8,7 @@ member is reproducible in isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -61,11 +62,13 @@ def besov_index(cfg: ExperimentConfig) -> BesovIndex:
     return BesovIndex(cfg.s, cfg.p, cfg.q)
 
 
-def ensemble_elements(cfg: ExperimentConfig, count=None, tag="element", decay=1.5):
+def ensemble_elements(cfg: ExperimentConfig, members=None, tag="element", decay=1.5) -> tor.TorusElement:
+    """The ensemble members (all by default) as one stacked element: member i
+    is drawn from rng_for(seed, tag, i)."""
     alg = cfg.algebra()
-    count = cfg.ensemble if count is None else count
-    return [tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay)
-            for i in range(count)]
+    return tor.TorusElement(alg, np.stack([
+        tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay).coeffs
+        for i in (range(cfg.ensemble) if members is None else members)]))
 
 
 def _stack(members) -> HermitianOperator:
@@ -75,7 +78,8 @@ def _stack(members) -> HermitianOperator:
 
 
 def parallel_map(fn, items, jobs: int = 1):
-    """Order-preserving map over ensemble members, optionally on a pool."""
+    """Order-preserving map, optionally on a process pool: over the
+    contiguous member slices of an ensemble, one per job."""
     if jobs <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
@@ -369,40 +373,40 @@ _EQ_METRICS = ("ratio_md_min", "ratio_md_max", "ratio_mi_min", "ratio_mi_max",
 def exp_psdo_sequence(u):
     """Unitary multiplier family e^{i theta S_{j-1} u}, theta = _EQ_PSDO_THETA, from
     the dyadic decomposition of e^{iu}; the canonical elementary
-    pseudodifferential sequence for the paraproduct harness.
+    pseudodifferential sequence for the paraproduct harness.  Of a stacked
+    u, a sequence of stacks: one sequence per member.
 
-    The partial sums S_0 u, ..., S_{J-2} u are realized in one call and
-    diagonalized in one stacked call; S_0 u serves j = 0 and j = 1.
+    The partial sums S_0 u, ..., S_{J-2} u of every member are realized and
+    diagonalized in ``realization_chunks``; S_0 u serves j = 0 and j = 1.
     """
     alg = u.algebra
     jb = tor.block_count(alg)
-    sums = np.stack([bz.partial_sum(u, j).coeffs for j in range(max(jb - 1, 1))])
-    dec = eig_hermitian(HermitianOperator(tor.to_matrix_batch(alg, sums)))
-    a = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * _EQ_PSDO_THETA * lam)))
-    b = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * (1 - _EQ_PSDO_THETA) * lam)))
-    members = [max(j - 1, 0) for j in range(jb)]
-    return bz.PsdoSymbolSequence(tuple(tor.TorusElement(alg, a[i]) for i in members),
-                                 tuple(tor.TorusElement(alg, b[i]) for i in members))
-
-
-def _measure_norms(args):
-    """Block norms and difference measurements of a contiguous chunk of the
-    ensemble, from one difference geometry."""
-    elements, p, m, n_der = args
-    geometry = bz.DifferenceGeometry(elements[0].algebra, m, n_der, _EQ_SAMPLING, _EQ_QUADRATURE)
-    return [(bz.block_norms(x, p), geometry.measure(x, p)) for x in elements]
+    sums = np.stack([bz.partial_sum(u, j).members() for j in range(max(jb - 1, 1))], axis=1)
+    a, b = np.empty_like(sums), np.empty_like(sums)
+    flat = (-1,) + alg.shape
+    for chunk in tor.realization_chunks(alg, sums.shape[0] * sums.shape[1]):
+        dec = eig_hermitian(HermitianOperator(tor.to_matrix_batch(alg, sums.reshape(flat)[chunk])))
+        for out, theta in ((a, _EQ_PSDO_THETA), (b, 1 - _EQ_PSDO_THETA)):
+            out.reshape(flat)[chunk] = tor.from_matrix_batch(alg, dec.apply(lambda lam: np.exp(1j * theta * lam)))
+    del sums, dec  # freed before the growth of the sequences is computed
+    j_sums = [max(j - 1, 0) for j in range(jb)]
+    return bz.PsdoSymbolSequence(*(tuple(tor.TorusElement(alg, out[:, i].reshape(u.coeffs.shape)) for i in j_sums)
+                                   for out in (a, b)))
 
 
 @dataclass(frozen=True)
 class EquivalenceMeasurement:
-    """The q-free part of ``besov_equivalence_stats``: per ensemble member its
-    block norms and ``DifferenceMeasure``; per harness member the heat block
-    norms and the paraproduct's sequence and output block norms; and the
-    block-difference maximum, which has no q."""
+    """The q-free part of ``besov_equivalence_stats``, with the member axis
+    in front: the ensemble's block norms and ``DifferenceMeasure``; of the
+    harness members, the first _EQ_HARNESS_MEMBERS of the ensemble, the heat
+    block norms, the paraproduct's sequence (one per member) and output
+    block norms; and the block-difference maximum, which has no q."""
 
-    norms: list
-    heat: list
-    paraproducts: list
+    blocks: np.ndarray
+    differences: bz.DifferenceMeasure
+    heat: np.ndarray
+    sequence: bz.PsdoSymbolSequence
+    paraproduct_blocks: np.ndarray
     block_max: float
 
 
@@ -413,58 +417,56 @@ def _measure_key(cfg: ExperimentConfig) -> tuple:
 
 def measure_equivalence(cfg: ExperimentConfig, jobs: int = 1) -> EquivalenceMeasurement:
     """Measure stage of ``besov_equivalence_stats``: every value that does not
-    depend on q.  With jobs > 1 the ensemble is cut into that many contiguous
-    chunks, each measured from one geometry."""
+    depend on q, each stage one stacked call over the ensemble or the
+    harness members.  With jobs > 1 the difference measurement runs on that
+    many contiguous member slices of the ensemble, on a process pool, from
+    one geometry."""
     bz.check_difference_hypotheses(besov_index(cfg), cfg.m, cfg.n_der)
     # decay 2.0: smooth enough that the ratio extremes are stable order
     # statistics across lattice doublings
     elements = ensemble_elements(cfg, tag="besov", decay=2.0)
-    chunks = [c for c in np.array_split(np.arange(len(elements)), max(jobs, 1)) if len(c)]
-    measured = parallel_map(_measure_norms, [([elements[i] for i in c], cfg.p, cfg.m, cfg.n_der)
-                                             for c in chunks], jobs)
-    norms = [member for chunk in measured for member in chunk]
-    heat, paraproducts = [], []
-    block_max = 0.0
-    for i, x in enumerate(elements[:_EQ_HARNESS_MEMBERS]):
-        heat.append(bz.heat_block_norms(x, cfg.p, _EQ_HEAT_TS))
-        rng = rng_for(cfg.seed, "bdc", i)
-        steps = [(rng.uniform(-1, 1, size=cfg.d), k) for k in range(1, 4)]
-        for rep in bz.block_difference_checks(x, steps, cfg.m, cfg.p):
-            if not rep["skipped"]:
-                block_max = max(block_max, rep["ratio"])
-        u_mod = tor.random_element(x.algebra, rng_for(cfg.seed, "psdo", i), band=cfg.band)
-        seq = exp_psdo_sequence(u_mod)
-        paraproducts.append((seq, bz.block_norms(bz.paraproduct(seq, x), cfg.p)))
-    return EquivalenceMeasurement(norms, heat, paraproducts, block_max)
+    alg = elements.algebra
+    slices = [tor.TorusElement(alg, part)
+              for part in np.array_split(elements.coeffs, max(jobs, 1)) if len(part)]
+    # no name holds the geometry, so its tables are freed once the ensemble is measured
+    differences = bz.DifferenceMeasure.concatenate(parallel_map(functools.partial(
+        bz.DifferenceGeometry(alg, cfg.m, cfg.n_der, _EQ_SAMPLING, _EQ_QUADRATURE).measure, p=cfg.p),
+        slices, jobs))
+    harness = tor.TorusElement(alg, elements.coeffs[:_EQ_HARNESS_MEMBERS])
+    count = len(harness.coeffs)
+    steps = [[(rng.uniform(-1, 1, size=cfg.d), k) for k in range(1, 4)]
+             for rng in (rng_for(cfg.seed, "bdc", i) for i in range(count))]
+    # a skipped check reports ratio 0, which no ratio is below
+    block_max = max([0.0] + [float(np.max(rep["ratio"]))
+                             for rep in bz.block_difference_checks(harness, steps, cfg.m, cfg.p)])
+    sequence = exp_psdo_sequence(ensemble_elements(cfg, range(count), tag="psdo", decay=1.0))
+    return EquivalenceMeasurement(
+        blocks=bz.block_norms(elements, cfg.p), differences=differences,
+        heat=bz.heat_block_norms(harness, cfg.p, _EQ_HEAT_TS), sequence=sequence,
+        paraproduct_blocks=bz.block_norms(bz.paraproduct(sequence, harness), cfg.p),
+        block_max=block_max)
 
 
 def reduce_equivalence(cfg: ExperimentConfig, meas: EquivalenceMeasurement):
     """Reduce stage of ``besov_equivalence_stats``: the weights and l_q sums
-    of cfg's s and q over a measurement of cfg."""
+    of cfg's s and q over the member rows of a measurement of cfg."""
     s, q = cfg.s, cfg.q
-    rows = []
-    r_md, r_mi, r_di = [], [], []
-    for i, (blocks, dm) in enumerate(meas.norms):
-        nm = bz.multiplier_form(blocks, s, q)
-        nd = bz.difference_form(dm, s, q)
-        ni = bz.integral_form(dm, s, q)
-        r_md.append(nm / nd)
-        r_mi.append(nm / ni)
-        r_di.append(nd / ni)
-        rows.append({"element-seed": i, "multiplier": nm, "difference": nd, "integral": ni})
-    smooth_max, para_max = 0.0, 0.0
-    for heat, (seq, out_blocks), (blocks, _dm) in zip(meas.heat, meas.paraproducts, meas.norms):
-        rep = bz.heat_smoothing_ratios(heat, s, s + 1.0, q, _EQ_HEAT_TS)
-        smooth_max = max(smooth_max, rep["sup_ratio"])
-        prep = bz.paraproduct_report(seq, blocks, out_blocks, s, q)
-        para_max = max(para_max, prep["ratio"])
+    nm = bz.multiplier_form(meas.blocks, s, q)
+    nd = bz.difference_form(meas.differences, s, q)
+    ni = bz.integral_form(meas.differences, s, q)
+    r_md, r_mi, r_di = nm / nd, nm / ni, nd / ni
+    rows = [{"element-seed": i, "multiplier": vm, "difference": vd, "integral": vi}
+            for i, (vm, vd, vi) in enumerate(zip(nm.tolist(), nd.tolist(), ni.tolist()))]
+    smooth = bz.heat_smoothing_ratios(meas.heat, s, s + 1.0, q, _EQ_HEAT_TS)["sup_ratio"]
+    para = bz.paraproduct_report(meas.sequence, meas.blocks[:len(meas.heat)],
+                                 meas.paraproduct_blocks, s, q)["ratio"]
     stats = {
         "ratio_md_min": float(np.min(r_md)), "ratio_md_max": float(np.max(r_md)),
         "ratio_mi_min": float(np.min(r_mi)), "ratio_mi_max": float(np.max(r_mi)),
         "ratio_di_min": float(np.min(r_di)), "ratio_di_max": float(np.max(r_di)),
-        "heat_smoothing_max": smooth_max,
+        "heat_smoothing_max": max(0.0, float(np.max(smooth))),
         "block_diff_ratio_max": meas.block_max,
-        "paraproduct_ratio_max": para_max,
+        "paraproduct_ratio_max": max(0.0, float(np.max(para))),
     }
     return stats, rows
 
@@ -555,27 +557,23 @@ def nonlinear_stats(cfg: ExperimentConfig):
     F = parse_symbol(cfg.expr)
     alg = cfg.algebra()
     xs = ensemble_elements(cfg, tag="nl")
-    m_sup = max(tor.lp_norm(x, math.inf) for x in xs) + 1.0
+    m_sup = float(np.max(tor.lp_norm(xs, math.inf))) + 1.0
     cb_loc = cb_norm(F, smoothness_order(F, cfg.s), m_sup)
     lip_loc = lipschitz_norm(F, (-m_sup, m_sup))
-
-    def partners(tag, members):
-        return tor.TorusElement(alg, np.stack([tor.random_element(
-            alg, rng_for(cfg.seed, tag, i), band=cfg.band).coeffs for i in members]))
 
     ratios, lips, clips = [], [], []
     # chunks of members whose Littlewood-Paley blocks realize at most
     # REALIZATION_CHUNK_ENTRIES entries, as in besov.block_norms
     for chunk in tor.realization_chunks(alg, cfg.ensemble, entries=alg.lp_filters.size):
         members = range(cfg.ensemble)[chunk]
-        u = tor.TorusElement(alg, np.stack([x.coeffs for x in xs[chunk]]))
-        ratio, lip, fu = bz.symbol_ratios(F, u, partners("nl2", members), idx)
+        u = tor.TorusElement(alg, xs.coeffs[chunk])
+        ratio, lip, fu = bz.symbol_ratios(F, u, ensemble_elements(cfg, members, "nl2", decay=1.0), idx)
         ratios += ratio.tolist()
         lips += lip.tolist()
         # L_p Lipschitz constant (contraction-time input) over the first 20 members
         head = len(range(20)[chunk])
         if head and lip_loc > 0:
-            z = partners("nl3", members[:head])
+            z = ensemble_elements(cfg, members[:head], "nl3", decay=1.0)
             nf = tor.lp_norm(tor.TorusElement(alg, fu.coeffs[:head]) - bz.apply_symbol(F, z), cfg.p)
             nd = tor.lp_norm(tor.TorusElement(alg, u.coeffs[:head]) - z, cfg.p)
             clips += (nf[nd > 0] / (nd[nd > 0] * lip_loc)).tolist()
@@ -596,9 +594,8 @@ def run_nonlinear_estimate(cfg: ExperimentConfig, store: BaselineStore) -> Exper
         res.check(f"nonlinear.{metric}", stats[metric], baseline * (1 + 1e-9),
                   note=f"baseline {baseline:.6g}")
     # identity symbol must return exactly 1
-    x0 = ensemble_elements(cfg, count=1, tag="nl")[0]
-    rid = bz.boundedness_ratio(parse_symbol("x"), x0, besov_index(cfg))
-    res.check("nonlinear.identity_ratio", abs(rid - 1.0), 1e-12)
+    rid = bz.boundedness_ratio(parse_symbol("x"), ensemble_elements(cfg, range(1), "nl"), besov_index(cfg))
+    res.check("nonlinear.identity_ratio", abs(rid[0] - 1.0), 1e-12)
     res.tables["ratios"] = [{"config-hash": res.config_hash, "element-seed": i,
                              "bound_ratio": r, "lip_ratio": l}
                             for i, (r, l) in enumerate(zip(ratios, lips))]
@@ -618,11 +615,8 @@ def run_meyer(cfg: ExperimentConfig, store: BaselineStore) -> ExperimentResult:
     rows = []
     worst32 = 0.0
     refine_fail = 0
-    alg = cfg.algebra()
     # the whole ensemble is one stack of elements
-    x = tor.TorusElement(alg, np.stack([
-        tor.random_element(alg, rng_for(cfg.seed, "meyer", i), band=cfg.band).coeffs
-        for i in range(min(cfg.ensemble, 20))]))
+    x = ensemble_elements(cfg, range(min(cfg.ensemble, 20)), "meyer", decay=1.0)
     xis = (0.5, 1.0, 2.0)
     for i, grid in enumerate(bz.meyer_residual(x, xis, (4, 32)).tolist()):
         for xi, (r4, r32) in zip(xis, grid):

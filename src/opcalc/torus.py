@@ -167,13 +167,17 @@ class TorusElement:
     """Band-limited element: coefficient array in fft layout plus its algebra.
 
     The coefficients may carry leading member axes, (...,) + algebra.shape:
-    a stack of elements.  ``to_matrix``, ``from_matrix``, ``is_hermitian``,
-    ``lp_norm``, the multiplier operations, ``besov.block_norms``,
-    ``besov.besov_multiplier_norm``, ``besov.apply_symbol``, the nonlinear
-    ratios and the stacked kernels (``chain.chain_rule_residual``,
-    ``besov.meyer_residual``) act on each member, with the bits of its own
-    call.  The products, the difference forms and the inequality harnesses
-    take one element; the last two raise DimensionMismatch on a stack.
+    a stack of elements.  Every operation on elements acts on each member
+    with the bits of its own call, its values carrying the member axes in
+    front: ``trace``, ``multiply`` (stack and element either way round, or
+    two stacks), ``to_matrix``, ``from_matrix``, ``is_hermitian`` (one flag
+    for all), ``lp_norm``, the multipliers; in ``besov`` ``block_norms``,
+    ``besov_multiplier_norm``, ``DifferenceGeometry.measure`` and the two
+    difference forms, ``doubling_check``, ``block_difference_checks`` (one
+    step list per member), ``heat_smoothing_check``, ``derivative_growth``
+    and ``apply_paraproduct`` (sequences of stacks: one per member),
+    ``apply_symbol``, the nonlinear ratios, ``meyer_residual``; and
+    ``chain.chain_rule_residual``.
     """
 
     algebra: TorusAlgebra
@@ -203,8 +207,10 @@ class TorusElement:
         return TorusElement(self.algebra, -self.coeffs)
 
     @property
-    def trace(self) -> complex:
-        return complex(self.coeffs[(0,) * self.algebra.d])
+    def trace(self):
+        """The zero mode: a complex for one element, an array over the member axes for a stack."""
+        zero = self.coeffs[(Ellipsis,) + (0,) * self.algebra.d]
+        return complex(zero) if zero.ndim == 0 else zero
 
     def members(self) -> np.ndarray:
         """The (count,) + algebra.shape stack of the members (of one element: count 1)."""
@@ -212,11 +218,16 @@ class TorusElement:
 
     def per_member(self, values: np.ndarray):
         """A (count, ...) array of values of ``members`` over the member axes;
-        of one element, a float when each value is a scalar."""
-        lead = self.coeffs.shape[:self.coeffs.ndim - self.algebra.d]
+        of one element, a Python scalar when each value is a scalar."""
+        lead = self.lead
         if not lead and values.ndim == 1:
-            return float(values[0])
+            return values[0].item()
         return values.reshape(lead + values.shape[1:])
+
+    @property
+    def lead(self) -> tuple:
+        """The member axes: () for one element."""
+        return self.coeffs.shape[:self.coeffs.ndim - self.algebra.d]
 
 
 def _same_algebra(x: TorusElement, y: TorusElement):
@@ -573,12 +584,14 @@ def _parity_tables(N: int, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def multiply(x: TorusElement, y: TorusElement, mode: str = "wrap") -> TorusElement:
-    """Product in the algebra, computed in its faithful realization.
+    """Product in the algebra, computed in its faithful realization; of
+    stacks, member by member, their member axes broadcast.
 
     theta != 0: ``from_matrix`` of the clock/shift matrix product, which
     carries the phase e^{-i pi <k, theta l>} and the wrap signs.  theta = 0:
     the pointwise product of grid values (circular convolution).
-    ``checked`` first raises BandOverflow when any product mode leaves the band.
+    ``checked`` first raises BandOverflow when any product mode of a member
+    pair leaves the band.
     """
     _same_algebra(x, y)
     alg = x.algebra
@@ -587,30 +600,34 @@ def multiply(x: TorusElement, y: TorusElement, mode: str = "wrap") -> TorusEleme
     if mode == "checked":
         _check_band(x, y)
     if alg.is_flat:
-        gx, gy = grid_values(alg, np.stack([x.coeffs, y.coeffs]))
-        return TorusElement(alg, from_grid_values(alg, (gx * gy)[None])[0])
+        lead = np.broadcast_shapes(x.lead, y.lead)
+        values = grid_values(alg, x.members()) * grid_values(alg, y.members())
+        return TorusElement(alg, from_grid_values(alg, values).reshape(lead + alg.shape))
     return from_matrix(alg, to_matrix(x) @ to_matrix(y))
 
 
 def _check_band(x: TorusElement, y: TorusElement) -> None:
-    """BandOverflow if a pair (k, l) with |x_k||y_l| > 1e-14 max|x| max|y| has
-    k + l outside [-N/2, N/2)^d.
+    """BandOverflow if, in some member pair of x and y, a pair (k, l) with
+    |x_k||y_l| > 1e-14 max|x| max|y| has k + l outside [-N/2, N/2)^d.
 
     k + l wraps when some component k_j + l_j does, and the largest product over
     pairs with given (k_j, l_j) is the product of the per-component maxima
-    (rounding is monotone), so one N x N test per axis decides every pair.
+    (rounding is monotone), so one N x N test per axis and member pair
+    decides every pair.
     """
     alg = x.algebra
     half = alg.N // 2
-    absx, absy = np.abs(x.coeffs), np.abs(y.coeffs)
-    threshold = 1e-14 * max(float(np.max(absx) * np.max(absy)), 1e-300)
+    absx, absy = np.abs(x.members()), np.abs(y.members())
+    modes = tuple(range(1, alg.d + 1))
+    top = np.max(absx, axis=modes) * np.max(absy, axis=modes)
+    threshold = 1e-14 * np.maximum(top, 1e-300)[:, None, None]
     sums = np.add.outer(alg.k_axis, alg.k_axis)
     wraps = (sums < -half) | (sums >= half)
-    for j in range(alg.d):
-        others = tuple(i for i in range(alg.d) if i != j)
-        peak = np.multiply.outer(np.max(absx, axis=others), np.max(absy, axis=others))
+    for j in modes:
+        others = tuple(i for i in modes if i != j)
+        peak = np.max(absx, axis=others)[:, :, None] * np.max(absy, axis=others)[:, None, :]
         if np.any(wraps & (peak > threshold)):
-            raise BandOverflow(f"product mode leaves the band [-{half}, {half}) along axis {j}")
+            raise BandOverflow(f"product mode leaves the band [-{half}, {half}) along axis {j - 1}")
 
 
 def basis_product(x: TorusElement, y: TorusElement) -> TorusElement:
@@ -685,8 +702,9 @@ def derivative_multiplier(algebra: TorusAlgebra, alpha: Sequence[int]) -> np.nda
 
 
 def difference_multiplier(algebra: TorusAlgebra, h, m: int) -> np.ndarray:
+    """(e^{i<h,k>} - 1)^m over the mode grid, of a step h or of each of a (..., d) array."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    if h.shape != (algebra.d,):
+    if h.shape[-1:] != (algebra.d,):
         raise DimensionMismatch(f"step must have {algebra.d} components")
     return (_shift_phase(algebra, h) - 1.0) ** int(m)
 
@@ -802,12 +820,12 @@ def amplitude_radii(ts: np.ndarray, n_rad: int) -> np.ndarray:
 
 def amplitude_from_norms(norms: np.ndarray, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below,
-    at ascending ts from the (direction, radius) norms of the sampled
+    at ascending ts from the (..., direction, radius) norms of the sampled
     differences: the running maximum over radii <= t of the maximum over
-    directions."""
-    run_max = np.maximum.accumulate(np.max(norms, axis=0))
+    directions, with the leading axes of norms in front."""
+    run_max = np.maximum.accumulate(np.max(norms, axis=-2), axis=-1)
     j = np.searchsorted(radii, ts + 1e-15, side="right") - 1
-    return np.where(j >= 0, run_max[np.maximum(j, 0)], 0.0)
+    return np.where(j >= 0, run_max[..., np.maximum(j, 0)], 0.0)
 
 
 def difference_table(algebra: TorusAlgebra, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
@@ -821,5 +839,6 @@ def difference_table(algebra: TorusAlgebra, dirs: np.ndarray, radii: np.ndarray,
 
 def _difference_stack(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Coefficients of Delta_{r d}^m x for every multiplier of a
-    ``difference_table``, from the coefficients of x."""
-    return table * coeffs
+    ``difference_table``, from the coefficients of x, or for every x of a
+    stack of them: a (members * len(table),) + algebra.shape stack, x by x."""
+    return (table * np.expand_dims(coeffs, -table.ndim)).reshape((-1,) + table.shape[1:])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import opcalc.besov as bz
+import opcalc.chain as ch
 import opcalc.torus as tor
 from opcalc.besov import BesovIndex
 from opcalc.errors import (DegenerateInput, DimensionMismatch, HypothesisViolation, NonHermitianInput,
                            SymbolHypothesisError)
+from opcalc.experiments import exp_psdo_sequence
 from opcalc.expr import parse_symbol
 from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc
 from opcalc.seeding import rng_for
@@ -168,6 +170,14 @@ def test_heat_smoothing_shapes(alg, x16):
     # decay for r < s at large t
     rep_lo = bz.heat_smoothing_check(x16, 1.5, 0.5, 2, 2, [4.0])
     assert rep_lo["sup_ratio"] < 1.0
+
+
+def test_heat_smoothing_of_zero_is_zero(alg, x16):
+    # t = 0 with r != s has factor inf; a zero member's ratios are 0, with no inf * 0
+    xs = tor.TorusElement(alg, np.stack([x16.coeffs, np.zeros(alg.shape, complex)]))
+    rep = bz.heat_smoothing_check(xs, 1.5, 2.5, 2, 2, [0.0, 0.5])
+    assert rep["ratios"][1].tolist() == [0.0, 0.0] and rep["ratios"][0][0] == 0.0
+    assert bz.heat_smoothing_check(zero_element(alg), 1.5, 2.5, 2, 2, [0.0, 0.5])["ratios"] == [0.0, 0.0]
 
 
 def test_heat_smoothing_single_mode(alg):
@@ -335,7 +345,6 @@ def test_paraproduct_zero_input(alg):
 
 
 def test_paraproduct_exponential_family(alg):
-    from opcalc.experiments import exp_psdo_sequence
     u = tor.random_element(alg, rng_for(6, "pp"), band=3)
     x = tor.random_element(alg, rng_for(7, "pp"), band=3)
     seq = exp_psdo_sequence(u)
@@ -548,6 +557,39 @@ def test_difference_forms_keep_per_call_bits(theta_num, p):
                 assert bz.besov_integral_norm(x, idx, m=1, n_der=n_der, quadrature=qd) == ni
 
 
+def profile_table_size(d, top, sampling):
+    """The differences of one row's amplitude profile over j = -3, ..., top."""
+    return (len(tor.sphere_directions(d, sampling.n_dir))
+            * len(tor.amplitude_radii(2.0 ** -np.arange(top, -4.0, -1.0), sampling.n_rad)))
+
+
+def count_differences(monkeypatch) -> list:
+    """The number of differences of each ``_difference_stack`` call from now on."""
+    built = []
+    stack = tor._difference_stack
+
+    def counted(coeffs, table):
+        out = stack(coeffs, table)
+        built.append(len(out))
+        return out
+    monkeypatch.setattr(tor, "_difference_stack", counted)
+    return built
+
+
+def test_stack_profiles_run_over_each_members_own_range(monkeypatch):
+    # members whose bands reach three dyadic ranges: each member's profile
+    # runs over its own range, with its own table, so the stack builds the
+    # differences of the members' own calls and no more
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = tor.TorusElement(alg, np.stack([tor.random_element(alg, rng_for(i, "ranges"), band=1 + i).coeffs
+                                         for i in range(3)]))
+    built = count_differences(monkeypatch)
+    meas = bz.DifferenceGeometry(alg, 1, 1, tor.AmplitudeSampling(16, 8)).measure(xs, 2.0)
+    assert sum(built) == alg.d * sum(profile_table_size(2, top, tor.AmplitudeSampling(16, 8)) for top in (5, 6, 7))
+    assert meas.js.tolist() == list(range(-3, 8))
+    assert [np.flatnonzero(np.any(keep, axis=0))[-1] for keep in meas.keep] == [8, 9, 10]
+
+
 @pytest.mark.parametrize("d,n_der", [(1, 0), (2, 0), (3, 0), (2, 1)])
 def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_der):
     # d_i^0 x = x on every axis: at N = 0 one row is measured and read for
@@ -555,11 +597,10 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
     alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
     geometry = bz.DifferenceGeometry(alg, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
-    built = []
-    stack = tor._difference_stack
-    monkeypatch.setattr(tor, "_difference_stack", lambda c, t: built.append(len(t)) or stack(c, t))
+    built = count_differences(monkeypatch)
     meas = geometry.measure(x, 1.0)
-    per_row = len(geometry._radial) + sum(len(entry[-1]) for entry in geometry._profiles.values())
+    top = bz._dyadic_top(float(np.max(alg.abs_k[np.abs(x.coeffs) > 0])))
+    per_row = len(geometry._radial) + profile_table_size(d, top, tor.AmplitudeSampling(8, 4))
     assert sum(built) == per_row * (1 if n_der == 0 else d)
     assert meas.profiles.shape[0] == meas.keep.shape[0] == meas.radial.shape[0] == d
     if n_der == 0:
@@ -615,7 +656,6 @@ def per_block_paraproduct(seq, u):
 
 @pytest.mark.parametrize("N", [8, 16])
 def test_psdo_sequence_growth_and_paraproduct_keep_per_call_bits(N):
-    from opcalc.experiments import exp_psdo_sequence
     alg = tor.TorusAlgebra(d=2, N=N, theta_num=1)
     u = tor.random_element(alg, rng_for(N, "psdo-bits"), band=3)
     x = tor.random_element(alg, rng_for(N, "psdo-x"), band=3, decay=2.0)
@@ -720,21 +760,102 @@ def test_multiplier_form_reads_rows():
         assert bz.multiplier_form(rows.reshape(2, 3, -1), 1.5, q).tolist() == [single[:3], single[3:]]
 
 
-def test_one_element_harnesses_reject_stacks(alg):
-    # a stack used to mix its members into one ratio or fail inside numpy
-    xs = _stack(alg, "onestack", 5)
-    idx = BesovIndex(1.5, 2, 2)
-    seq = bz.PsdoSymbolSequence((tor.TorusElement(alg, xs.coeffs[0]),), (tor.TorusElement(alg, xs.coeffs[1]),))
-    for name, call in [
-            ("block_difference_checks", lambda: bz.block_difference_checks(xs, [((0.3, 0.1), 1)], 1, 2)),
-            ("block_difference_checks", lambda: bz.block_difference_check(xs, (0.3, 0.1), 1, 1, 2)),
-            ("doubling_check", lambda: bz.doubling_check(xs, (0.3, 0.1), 1, 2)),
-            ("a difference measurement", lambda: bz.besov_difference_norm(xs, idx)),
-            ("a difference measurement", lambda: bz.besov_integral_norm(xs, idx)),
-            ("heat_block_norms", lambda: bz.heat_smoothing_check(xs, 1.5, 2.5, 2, 2, [0.5])),
-            ("paraproduct", lambda: bz.apply_paraproduct(seq, xs, idx))]:
-        with pytest.raises(DimensionMismatch, match=f"{name} takes one element, not a stack of shape \\(5,\\)"):
-            call()
+# The operations that the TorusElement docstring names, each as the list of
+# its values for x (one element or a stack) with its partner u and steps, a
+# stack's or one member's.
+STACK_OPERATIONS = {
+    "trace": lambda x, u, steps: [x.trace],
+    "multiply": lambda x, u, steps: [tor.multiply(x, u).coeffs, tor.multiply(u, u, mode="checked").coeffs],
+    "to_matrix": lambda x, u, steps: [tor.to_matrix(x)],
+    "from_matrix": lambda x, u, steps: [tor.from_matrix(x.algebra, tor.to_matrix(x) @ tor.to_matrix(u)).coeffs],
+    "lp_norm": lambda x, u, steps: [tor.lp_norm(x, p) for p in (1, 2, math.inf)],
+    "multipliers": lambda x, u, steps: [tor.heat(x, 0.5).coeffs, tor.difference(x, (0.3, -0.2), 2).coeffs,
+                                        tor.lp_block(x, 1).coeffs, tor.derive(x, 1).coeffs,
+                                        tor.translate(x, (0.2, 0.4)).coeffs],
+    "block_norms": lambda x, u, steps: [bz.block_norms(x, p) for p in (1, 2, math.inf)],
+    "besov_multiplier_norm": lambda x, u, steps: [bz.besov_multiplier_norm(x, BesovIndex(1.5, p, q))
+                                                  for p in (1, math.inf) for q in (2, math.inf)],
+    "DifferenceGeometry.measure": lambda x, u, steps: [
+        getattr(meas, key) for meas in [bz.DifferenceGeometry(x.algebra, 1, 1, tor.AmplitudeSampling(8, 4),
+                                                              bz.RadialQuadrature(12, 6)).measure(x, 1)]
+        for key in ("base", "profiles", "keep", "radial")],
+    "besov_difference_norm": lambda x, u, steps: [bz.besov_difference_norm(x, BesovIndex(s, p, q))
+                                                  for s in (0.5, 1.5) for p in (1, 2) for q in (1, math.inf)],
+    "besov_integral_norm": lambda x, u, steps: [bz.besov_integral_norm(x, BesovIndex(s, p, q))
+                                                for s in (0.5, 1.5) for p in (2, math.inf) for q in (1.5, math.inf)],
+    "doubling_check": lambda x, u, steps: list(bz.doubling_check(x, (0.3, -1.1), 2, math.inf).values()),
+    "block_difference_checks": lambda x, u, steps: [
+        value for rep in bz.block_difference_checks(x, steps, 2, 1) for value in rep.values()],
+    "block_difference_check": lambda x, u, steps: list(bz.block_difference_check(x, (0.2, 0.5), 1, 2, 2).values()),
+    "heat_smoothing_check": lambda x, u, steps: [
+        bz.heat_smoothing_check(x, 1.5, 2.5, 1, 2, (0.25, 1.0))[key] for key in ("sup_ratio", "ratios")],
+    "derivative_growth": lambda x, u, steps: [
+        v for seq in [exp_psdo_sequence(u)] for v in [a.coeffs for a in seq.a + seq.b]
+        + list(seq.growth_a + seq.growth_b) + bz.derivative_growth(seq.a, 2)],
+    "apply_paraproduct": lambda x, u, steps: [
+        v for out, rep in [bz.apply_paraproduct(exp_psdo_sequence(u), x, BesovIndex(1.5, 1, 2))]
+        for v in [out.coeffs] + list(rep.values())],
+    "paraproduct_of_one_sequence": lambda x, u, steps: [bz.paraproduct(exp_psdo_sequence(
+        tor.random_element(x.algebra, rng_for(0, "conv-seq"), band=2)), x).coeffs],
+    "apply_symbol": lambda x, u, steps: [bz.apply_symbol(parse_symbol("tanh(x)"), x).coeffs],
+    "symbol_ratios": lambda x, u, steps: [
+        v.coeffs if isinstance(v, tor.TorusElement) else v
+        for v in bz.symbol_ratios(parse_symbol("x - x**3"), x, u, BesovIndex(1.5, 2, 2))],
+    "meyer_residual": lambda x, u, steps: [bz.meyer_residual(x, [0.0, 1.0], [4])],
+    "chain_rule_residual": lambda x, u, steps: [ch.chain_rule_residual(
+        parse_symbol("x**2"), tor.lp_block(x, 0), [(1, 0), (1, 1)], ch.DerivationSpec("torus"))],
+}
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("name", sorted(STACK_OPERATIONS))
+def test_stack_convention(name, theta_num):
+    # every value of a 3-member stack's call is, member by member, the value
+    # of that member's own call, bit for bit; the members' bands reach three
+    # dyadic ranges
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    xs = tor.TorusElement(alg, np.stack([tor.random_element(alg, rng_for(i, "conv-x"), band=1 + i).coeffs
+                                         for i in range(3)]))
+    us = tor.TorusElement(alg, np.stack([tor.random_element(alg, rng_for(i, "conv-u"), band=1).coeffs
+                                         for i in range(3)]))
+    rngs = [rng_for(i, "conv-steps") for i in range(3)]
+    steps = [[(rng.uniform(-1, 1, size=2), k) for k in (1, 3, 9)] for rng in rngs]
+    stacked = STACK_OPERATIONS[name](xs, us, steps)
+    for i in range(3):
+        alone = STACK_OPERATIONS[name](tor.TorusElement(alg, xs.coeffs[i]),
+                                       tor.TorusElement(alg, us.coeffs[i]), steps[i])
+        assert len(alone) == len(stacked)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(np.asarray(got)[i], want)
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+def test_hermitian_flag_of_a_stack_is_every_members(theta_num):
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    xs = [tor.random_element(alg, rng_for(i, "conv-h"), band=2, hermitian=i != 1) for i in range(3)]
+    for members in (xs, xs[::2]):
+        flags = [tor.is_hermitian(x) for x in members]
+        assert tor.is_hermitian(tor.TorusElement(alg, np.stack([x.coeffs for x in members]))) == all(flags)
+
+
+def test_block_difference_checks_take_one_step_list_per_member(alg):
+    xs = _stack(alg, "steplists", 3)
+    with pytest.raises(DimensionMismatch, match="need one step list per member: 1 for 3 members"):
+        bz.block_difference_checks(xs, [[((0.3, 0.1), 1)]], 1, 2)
+
+
+def test_keep_counts_a_step_just_below_the_cap():
+    # x = U^k + U^-k has ||Delta_h x||_2 = |e^{i<h,k>} - 1| ||x||_2, so its
+    # sampled amplitude at t >= 2 comes within 1.03e-5 of the cap 2 ||x||_2
+    # without reaching it: those j < 0 are not saturated, and the
+    # difference form sums them
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    x = tor.hermitianize(tor.mode_element(alg, (1, 2)) * 2.0)
+    meas = bz.DifferenceGeometry(alg, 1, 0, sampling=tor.AmplitudeSampling(8, 4)).measure(x, 2.0)
+    gap = 1.0 - meas.profiles / (2.0 * tor.lp_norm(x, 2))
+    near = (meas.js < 0) & np.all(gap < 1e-3, axis=0)
+    assert meas.js[near].tolist() == [-3, -2, -1]
+    assert np.all(gap[:, near] > 1e-6) and np.all(meas.keep[:, near])
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

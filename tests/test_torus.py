@@ -189,6 +189,42 @@ def test_checked_multiply_band_overflow(alg):
         tor.multiply(x, x, mode="checked")
 
 
+def _members(x):
+    return [tor.TorusElement(x.algebra, c) for c in x.coeffs]
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("mode", ["wrap", "checked"])
+def test_products_of_stacks_are_per_member(theta_num, mode):
+    # theta = 0 and theta = 1/8: a stack times an element, an element times a
+    # stack and two stacks member by member, each with its members' bits
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    xs, ys = (tor.TorusElement(alg, np.stack([tor.random_element(alg, rng_for(i, tag), band=band).coeffs
+                                              for i, band in enumerate(bands)]))
+              for tag, bands in (("stack-x", (1, 2, 1)), ("stack-y", (1, 1, 1))))
+    one = tor.random_element(alg, rng_for(0, "stack-1"), band=1)
+    for got, pairs in [(tor.multiply(xs, one, mode), [(x, one) for x in _members(xs)]),
+                       (tor.multiply(one, ys, mode), [(one, y) for y in _members(ys)]),
+                       (tor.multiply(xs, ys, mode), list(zip(_members(xs), _members(ys))))]:
+        assert got.coeffs.shape == xs.coeffs.shape
+        for g, (x, y) in zip(got.coeffs, pairs):
+            assert np.array_equal(g, tor.multiply(x, y, mode).coeffs)
+    assert np.array_equal(xs.trace, [x.trace for x in _members(xs)])
+    assert type(one.trace) is complex
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+def test_checked_product_tests_each_member_pair(theta_num):
+    # x0 y0 and x1 y1 stay in the band; x0 with y1 would leave it
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    xs, ys = (tor.TorusElement(alg, np.stack([tor.mode_element(alg, k).coeffs for k in ks]))
+              for ks in (((3, 0), (0, 0)), ((0, 0), (3, 0))))
+    got = tor.multiply(xs, ys, mode="checked")
+    assert np.array_equal(got.coeffs, tor.multiply(xs, ys).coeffs)
+    with pytest.raises(BandOverflow, match="along axis 0"):
+        tor.multiply(xs, tor.TorusElement(alg, ys.coeffs[::-1]), mode="checked")
+
+
 @st.composite
 def _algebras(draw):
     """Even N in [4, 16] with a coprime theta numerator, or theta = 0 with
