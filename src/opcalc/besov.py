@@ -16,7 +16,9 @@ derivative order N, and a reduce stage that applies the weights and the l_q
 sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from a
 ``DifferenceGeometry`` and ``difference_form`` / ``integral_form``.  The heat
 smoothing and paraproduct harnesses split the same way, so one measurement
-serves every q.
+serves every q.  The amplitude profile is a running maximum, so at
+theta != 0, p != 2 the measure stage diagonalizes only the differences whose
+bound could raise it, and the profile keeps the bits of every norm.
 
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
@@ -33,8 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolation, SymbolHypothesisError
-from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc,
-                     eig_hermitian, func_calc, func_calc_first_column, schatten_norm_batch)
+from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc, eig_hermitian,
+                     func_calc, func_calc_first_column, schatten_exponent, schatten_norm_batch)
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, block_count, difference, from_matrix,
@@ -159,6 +161,9 @@ class DifferenceMeasure:
     within 1e-6 of the cap 2^m ||d_i^N x||_p, excluded since translations
     are 2 pi periodic), and ``radial`` holds ||Delta_rho^m d_i^N x||_p over
     the quadrature's (direction, radius) grid.  A form not measured is None.
+    The profiles have the bits of every sampled norm, though at theta != 0,
+    p != 2 only the norms that can raise them are taken; every radial norm
+    is taken.
     """
 
     m: int
@@ -212,7 +217,9 @@ class DifferenceGeometry:
         quadrature.  Without a j_range each member's profile runs over its
         own dyadic range, which ends past its occupied band (the members of
         one range share its table), and js end past the lattice's band, so
-        every measurement on one lattice has one shape."""
+        every measurement on one lattice has one shape.  At theta != 0,
+        p != 2 a profile diagonalizes only the differences whose bound can
+        raise it (``_profile_norms``)."""
         alg, stack, rows = x.algebra, x.members(), self.rows
         out = {"base": lp_norm(TorusElement(alg, stack), p)}
         if self.sampling is not None:
@@ -232,8 +239,8 @@ class DifferenceGeometry:
             for top in np.unique(tops):
                 group, ts = np.flatnonzero(tops == top), 2.0 ** -np.arange(top, js[0] - 1.0, -1.0)
                 radii = tor.amplitude_radii(ts, self.sampling.n_rad)  # ts ascend as j descends
-                norms = _difference_norms(alg, stack, group, rows,
-                                          tor.difference_table(alg, directions, radii, self.m), p)
+                norms = _profile_norms(alg, stack, group, rows,
+                                       tor.difference_table(alg, directions, radii, self.m), len(radii), p)
                 profiles[np.ix_(group, range(len(rows)), range(top - js[0], -1, -1))] = \
                     tor.amplitude_from_norms(norms.reshape(norms.shape[:2] + (-1, len(radii))), radii, ts)
             saturated = (js < 0) & (caps > 0) & (profiles > (1 - 1e-6) * caps)
@@ -266,6 +273,46 @@ def _difference_norms(algebra, coeffs: np.ndarray, members: np.ndarray, mults: n
             out[rows, part] = lp_norm_batch(algebra, tor._difference_stack(dxs, table[part]),
                                             p).reshape(len(dxs), -1)
     return out.reshape(len(members), len(mults), len(table))
+
+
+def _profile_norms(algebra, coeffs: np.ndarray, members: np.ndarray, mults: np.ndarray,
+                   table: np.ndarray, n_rad: int, p) -> np.ndarray:
+    """The norms of ``_difference_norms`` over a direction-major table of
+    n_rad radii that can raise the amplitude profile, -inf for the others.
+
+    The profile reads the norms only through the running maximum over radii
+    of the maximum over directions.  Where ``lp_norm_batch`` would make a
+    spectral call (theta != 0, p != 2), each (x, mult) row bounds every norm
+    (``difference_norm_bounds``), takes at each radius the norm of the
+    direction with the largest bound, whose running maximum ``lower`` is at
+    most the profile's, and then every norm whose bound, with a margin for
+    rounding, is not at most ``lower`` at its radius.  A skipped norm cannot
+    exceed the running maximum, so the profile keeps its bits; a NaN bound
+    is never skipped.
+    """
+    if algebra.is_flat or schatten_exponent(p) == 2.0:
+        return _difference_norms(algebra, coeffs, members, mults, table, p)
+    out = np.full((len(members), len(mults), len(table)), -np.inf)
+    for i, j in np.ndindex(len(members), len(mults)):
+        norms, dx = out[i, j], coeffs[members[i]] * mults[j]
+        bounds = tor.difference_norm_bounds(algebra, dx, table, p).reshape(-1, n_rad)
+        first = np.argmax(bounds, axis=0) * n_rad + np.arange(n_rad)
+        norms[first] = _entry_norms(algebra, dx, table, first, p)
+        lower = np.maximum.accumulate(norms[first])
+        needed = ~(bounds * (1.0 + 1e-10) <= lower).ravel()
+        needed[first] = False
+        rest = np.flatnonzero(needed)
+        norms[rest] = _entry_norms(algebra, dx, table, rest, p)
+    return out
+
+
+def _entry_norms(algebra, dx: np.ndarray, table: np.ndarray, entries: np.ndarray, p) -> np.ndarray:
+    """||Delta dx||_p for the multipliers Delta of table[entries], the
+    table indexed a ``realization_chunks`` chunk at a time."""
+    out = np.empty(len(entries))
+    for part in tor.realization_chunks(algebra, len(entries), entries=dx.size):
+        out[part] = lp_norm_batch(algebra, tor._difference_stack(dx, table[entries[part]]), p)
+    return out
 
 
 def _axis_total(base, per_axis: np.ndarray):

@@ -64,11 +64,13 @@ def besov_index(cfg: ExperimentConfig) -> BesovIndex:
 
 def ensemble_elements(cfg: ExperimentConfig, members=None, tag="element", decay=1.5) -> tor.TorusElement:
     """The ensemble members (all by default) as one stacked element: member i
-    is drawn from rng_for(seed, tag, i)."""
+    is drawn from rng_for(seed, tag, i), straight into its row of the stack."""
     alg = cfg.algebra()
-    return tor.TorusElement(alg, np.stack([
-        tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay).coeffs
-        for i in (range(cfg.ensemble) if members is None else members)]))
+    members = range(cfg.ensemble) if members is None else members
+    stack = np.empty((len(members),) + alg.shape, dtype=np.complex128)
+    for row, i in zip(stack, members):
+        row[...] = tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay).coeffs
+    return tor.TorusElement(alg, stack)
 
 
 def _stack(members) -> HermitianOperator:

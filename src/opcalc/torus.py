@@ -38,8 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
-from .linalg import (hermitian_members, hermitian_schatten_norm_batch, schatten_exponent,
-                     schatten_norm_batch)
+from .linalg import (hermitian_members, hermitian_schatten_norm_batch, operator_norm_bound_batch,
+                     schatten_exponent, schatten_norm_batch)
 from .symbols import LPFilterFamily
 
 
@@ -822,7 +822,9 @@ def amplitude_from_norms(norms: np.ndarray, radii: np.ndarray, ts: np.ndarray) -
     """omega_p^m(t, x) = sup_{|h|<=t} ||Delta_h^m x||_p, sampled from below,
     at ascending ts from the (..., direction, radius) norms of the sampled
     differences: the running maximum over radii <= t of the maximum over
-    directions, with the leading axes of norms in front."""
+    directions, with the leading axes of norms in front.  A sample that
+    cannot raise that maximum may read -inf (a pruned norm); every radius
+    needs one finite sample."""
     run_max = np.maximum.accumulate(np.max(norms, axis=-2), axis=-1)
     j = np.searchsorted(radii, ts + 1e-15, side="right") - 1
     return np.where(j >= 0, run_max[..., np.maximum(j, 0)], 0.0)
@@ -842,3 +844,28 @@ def _difference_stack(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``difference_table``, from the coefficients of x, or for every x of a
     stack of them: a (members * len(table),) + algebra.shape stack, x by x."""
     return (table * np.expand_dims(coeffs, -table.ndim)).reshape((-1,) + table.shape[1:])
+
+
+def difference_norm_bounds(algebra: TorusAlgebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
+    """Upper bounds, up to rounding, of the ``lp_norm_batch`` of every
+    difference ``_difference_stack(coeffs, table)`` of one element, without a
+    spectral call; NaN for every difference if coeffs are not finite.
+
+    p <= 2: ||X||_p <= ||X||_2, the Parseval norm sqrt(sum_k |T(k)|^2 |x(k)|^2)
+    read on the element's nonzero modes, so no difference is built.  p > 2:
+    ||X||_p <= ||X||_inf, bounded by ``operator_norm_bound_batch`` of the
+    realized differences, a chunk of ``realization_chunks`` at a time.
+    """
+    pv = schatten_exponent(p)
+    scale = float(np.max(np.abs(coeffs)))
+    if not math.isfinite(scale) or scale == 0.0:
+        return np.full(len(table), 0.0 if scale == 0.0 else math.nan)
+    x = coeffs / scale  # no square under- or overflows
+    if pv <= 2.0:
+        modes = np.flatnonzero(x)
+        weights = np.abs(table.reshape(len(table), -1)[:, modes]) ** 2
+        return scale * np.sqrt(weights @ np.abs(x.ravel()[modes]) ** 2)
+    out = np.empty(len(table))
+    for part in realization_chunks(algebra, len(table), entries=x.size):
+        out[part] = operator_norm_bound_batch(to_matrix_batch(algebra, _difference_stack(x, table[part])))
+    return scale * out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -593,19 +594,101 @@ def test_stack_profiles_run_over_each_members_own_range(monkeypatch):
 @pytest.mark.parametrize("d,n_der", [(1, 0), (2, 0), (3, 0), (2, 1)])
 def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_der):
     # d_i^0 x = x on every axis: at N = 0 one row is measured and read for
-    # all d axes; at N >= 1 each axis has its own row
+    # all d axes; at N >= 1 each axis has its own row.  No difference of a
+    # row is normed twice; at theta = 0 nothing is pruned, so every one is
+    # normed once, and at theta != 0, p = 1 the bounds build no difference
     alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
     geometry = bz.DifferenceGeometry(alg, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
-    built = count_differences(monkeypatch)
+    rows, normed = set(), []
+    stack, norms = tor._difference_stack, bz.lp_norm_batch
+
+    def recorded_stack(coeffs, table):
+        rows.update(row.tobytes() for row in coeffs.reshape((-1,) + table.shape[1:]))
+        return stack(coeffs, table)
+
+    def recorded_norms(algebra, coeff_stack, p):
+        normed.extend(member.tobytes() for member in coeff_stack)
+        return norms(algebra, coeff_stack, p)
+    monkeypatch.setattr(tor, "_difference_stack", recorded_stack)
+    monkeypatch.setattr(bz, "lp_norm_batch", recorded_norms)
     meas = geometry.measure(x, 1.0)
+    assert len(rows) == (1 if n_der == 0 else d)
+    assert len(set(normed)) == len(normed)
     top = bz._dyadic_top(float(np.max(alg.abs_k[np.abs(x.coeffs) > 0])))
     per_row = len(geometry._radial) + profile_table_size(d, top, tor.AmplitudeSampling(8, 4))
-    assert sum(built) == per_row * (1 if n_der == 0 else d)
+    if alg.is_flat:
+        assert len(normed) == per_row * len(rows)
+    else:
+        assert len(geometry._radial) * len(rows) < len(normed) < per_row * len(rows)
     assert meas.profiles.shape[0] == meas.keep.shape[0] == meas.radial.shape[0] == d
     if n_der == 0:
         for rows in (meas.profiles, meas.keep, meas.radial):
             assert all(np.array_equal(row, rows[0]) for row in rows)
+
+
+def pruning_stack(alg):
+    """A band-1 member, one that fills the lattice (boundary modes included),
+    a non-Hermitian one (the SVD route) and zero."""
+    return tor.TorusElement(alg, np.stack([
+        tor.random_element(alg, rng_for(1, "prune"), band=1).coeffs,
+        tor.random_element(alg, rng_for(2, "prune"), band=alg.N // 2 - 1).coeffs,
+        tor.random_element(alg, rng_for(3, "prune"), band=2, hermitian=False).coeffs,
+        np.zeros(alg.shape, complex)]))
+
+
+@pytest.mark.parametrize("N,theta_num", [(8, 1), (16, 3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_der", [0, 1])
+def test_pruned_profiles_equal_those_of_every_norm(monkeypatch, N, theta_num, p, m, n_der):
+    # the profile and keep of the pruned measurement have the bits of the
+    # amplitudes read from every norm of the table; away from p = 2 some
+    # norms are skipped
+    alg = tor.TorusAlgebra(d=2, N=N, theta_num=theta_num)
+    xs = pruning_stack(alg)
+    geometry = bz.DifferenceGeometry(alg, m, n_der, tor.AmplitudeSampling(8, 4))
+    pruned = geometry.measure(xs, p)
+    top = bz._dyadic_top(float(np.max(alg.abs_k)))
+    radii = tor.amplitude_radii(2.0 ** -np.arange(top, -4.0, -1.0), 4)
+    table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, m)
+    norms = bz._profile_norms(alg, xs.coeffs, np.arange(4), geometry.rows, table, len(radii), p)
+    assert np.isinf(norms[:-1]).any() == (p != 2.0)  # the nonzero members skip some norms
+    monkeypatch.setattr(bz, "_profile_norms", lambda alg, coeffs, members, mults, table, n_rad, p:
+                        bz._difference_norms(alg, coeffs, members, mults, table, p))
+    every = geometry.measure(xs, p)
+    assert np.array_equal(pruned.profiles, every.profiles)
+    assert np.array_equal(pruned.keep, every.keep)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_non_finite_members_still_raise_under_pruning(bad, p):
+    # a non-finite member raises the norms' ValueError, from the measurement
+    # and from the pruned profile norms, with the warnings of every norm
+    # taken (the row product and the realization's FFT of an infinite
+    # coefficient) and none from the bounds, whose rows are NaN
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = pruning_stack(alg).coeffs
+    xs[1, 1, 2] = bad
+    geometry = bz.DifferenceGeometry(alg, 1, 1, tor.AmplitudeSampling(8, 4))
+    radii = tor.amplitude_radii(2.0 ** -np.arange(7, -4.0, -1.0), 4)
+    table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, 1)
+
+    def warned(measure):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                measure()
+        return {str(w.message) for w in caught}
+    assert warned(lambda: geometry.measure(tor.TorusElement(alg, xs), p)) == (
+        {"invalid value encountered in fft"} if math.isinf(bad) else set())
+    members = np.arange(len(xs))
+    assert (warned(lambda: bz._profile_norms(alg, xs, members, geometry.rows, table, len(radii), p))
+            == warned(lambda: bz._difference_norms(alg, xs, members, geometry.rows, table, p)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(tor.difference_norm_bounds(alg, xs[1], table, p)).all()
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

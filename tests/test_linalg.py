@@ -85,6 +85,21 @@ def test_schatten_batch_matches_single():
         assert got == pytest.approx([schatten_norm(a, p) for a in stack], rel=1e-13)
 
 
+@pytest.mark.parametrize("scale", [1e-120, 1.0, 1e120])
+def test_operator_norm_bound_is_an_upper_bound(scale):
+    # (max row sum of (A* A)^2)^(1/4) is at least the largest singular value
+    # at any scale, is within n^(1/4) of it, and is sharp for a multiple of a
+    # unitary; a zero matrix has bound 0
+    rng = rng_for(5, "gershgorin")
+    stack = scale * (rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)))
+    stack[1] = scale * haar_unitary(rng, 6)
+    stack[2] = 0.0
+    top = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    got = la.operator_norm_bound_batch(stack)
+    assert np.all(top <= got * (1.0 + 1e-12)) and np.all(got <= top * 6 ** 0.25 * (1.0 + 1e-12))
+    assert got[1] == pytest.approx(scale, rel=1e-13) and got[2] == 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_schatten_batch_rejects_non_finite(bad):
     stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)

@@ -773,6 +773,32 @@ def test_difference_stack_matches_exp_reference(d, N, theta_num, m):
     assert np.all(np.abs(got - ref) <= bound)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_difference_norm_bounds_bound_every_norm(data):
+    # every norm that the amplitude profile may skip is at most its bound,
+    # within the pruning's rounding margin, Hermitian or not; an element of
+    # one or two modes has (nearly) equal singular values, where the bounds
+    # are (nearly) sharp
+    alg = data.draw(_algebras())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        c = np.zeros(alg.shape, complex)
+        c.flat[rng.choice(c.size, data.draw(st.integers(1, 2)), replace=False)] = rng.standard_normal(2) @ [1, 1j]
+        x = tor.TorusElement(alg, c)
+    else:
+        x = data.draw(_elements(alg, 1))[0]
+    if data.draw(st.booleans()):
+        x = tor.hermitianize(x)
+    scale = data.draw(st.sampled_from([1.0, 1e-120, 1e120]))
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+    table = tor.difference_table(alg, tor.sphere_directions(alg.d, 4), rng.uniform(0.0, 2 * math.pi, 3),
+                                 data.draw(st.integers(1, 2)))
+    coeffs = scale * x.coeffs
+    norms = tor.lp_norm_batch(alg, tor._difference_stack(coeffs, table), p)
+    assert np.all(norms <= tor.difference_norm_bounds(alg, coeffs, table, p) * (1.0 + 1e-10))
+
+
 @pytest.mark.parametrize("p", [1, 3, math.inf])
 def test_lp_norm_batch_routes_hermitian_stacks_to_eigenvalues(alg16, p, monkeypatch):
     rng = rng_for(40, "route")
