@@ -13,12 +13,14 @@ read the non-homogeneous filter bank that the lattice owns
 
 Each form has a measure stage that does not depend on (s, q) beyond the
 derivative order N, and a reduce stage that applies the weights and the l_q
-sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from a
-``DifferenceGeometry`` and ``difference_form`` / ``integral_form``.  The heat
-smoothing and paraproduct harnesses split the same way, so one measurement
-serves every q.  The amplitude profile is a running maximum, so at
-theta != 0, p != 2 the measure stage diagonalizes only the differences whose
-bound could raise it, and the profile keeps the bits of every norm.
+sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from
+``measure_differences`` and ``difference_form`` / ``integral_form``.  The
+heat smoothing and paraproduct harnesses split the same way, so one
+measurement serves every q.  Every difference norm is taken one (member,
+axis row) at a time by one route, ``_difference_norms``.  The amplitude
+profile is a running maximum, so at theta != 0, p != 2 that route
+diagonalizes only the differences whose bound could raise it, and the
+profile keeps the bits of every norm.
 
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -134,6 +137,13 @@ class RadialQuadrature:
     n_rad: int = 24
     n_dir: int = 8
 
+    def __post_init__(self):
+        for name, least in (("n_rad", 2), ("n_dir", 1)):  # the trapezoid rule needs two radii
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise HypothesisViolation(f"RadialQuadrature.{name} must be an integer >= {least}, "
+                                          f"got {value!r}")
+
     def rule(self) -> tuple:
         """(radii, log-radial trapezoid weights)."""
         radii = np.geomspace(1e-3, 2 * math.pi, self.n_rad)
@@ -151,8 +161,9 @@ class RadialQuadrature:
 
 @dataclass(frozen=True)
 class DifferenceMeasure:
-    """What both difference forms read of x, for every s and q; of a stack,
-    base, profiles, keep and radial carry its member axes in front.
+    """What both difference forms read of x, for every s and q, as
+    ``measure_differences`` takes it; of a stack, base, profiles, keep and
+    radial carry its member axes in front.
 
     base is ||x||_p.  Per axis i (rows) of d_i^N x: ``profiles`` holds the
     sampled amplitudes omega_p^m(2^-j, d_i^N x) over the measurement's
@@ -178,7 +189,8 @@ class DifferenceMeasure:
     @staticmethod
     def concatenate(parts: Sequence["DifferenceMeasure"]) -> "DifferenceMeasure":
         """The measurement of a stack from those of its contiguous member
-        slices, taken by one geometry."""
+        slices, each taken by ``measure_differences`` with the same p, m, N,
+        sampling and quadrature."""
         return replace(parts[0], **{key: np.concatenate([getattr(part, key) for part in parts])
                                     for key in ("base", "profiles", "keep", "radial")
                                     if getattr(parts[0], key) is not None})
@@ -189,121 +201,95 @@ def _dyadic_top(kmax: float) -> int:
     return int(math.ceil(math.log2(max(kmax, 1.0)))) + 4
 
 
-class DifferenceGeometry:
-    """The tables that every member of one measurement shares: the
-    derivative multipliers of d_i^N (``rows``) and the difference table of
-    the quadrature.  ``measure`` builds the difference table of each dyadic
-    range of the amplitude profile and drops it on return, so no table
-    outlives the call that built it.
+def measure_differences(x: TorusElement, p, m: int, n_der: int,
+                        sampling: Optional[AmplitudeSampling] = None,
+                        quadrature: Optional[RadialQuadrature] = None,
+                        j_range: Optional[tuple] = None) -> DifferenceMeasure:
+    """The measurement of x, or of each member of a stack: the profile if
+    given a sampling, the radial norms if given a quadrature.
+
+    Every difference norm is one ``_difference_norms`` call per (member,
+    axis row of d_i^N).  Without a j_range each member's profile runs over
+    its own dyadic range, which ends past its occupied band (the members of
+    one range share its table), and js end past the lattice's band, so every
+    measurement on one lattice has one shape.
     """
+    if j_range is not None and not (np.shape(j_range) == (2,) and j_range[0] <= j_range[1]
+                                    and all(isinstance(j, numbers.Integral) for j in j_range)):
+        raise HypothesisViolation(f"j_range must be two integers lo <= hi, got {j_range!r}")
+    alg, stack = x.algebra, x.members()
+    # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
+    rows = np.stack([tor.derivative_multiplier(alg, tuple(n_der if ax == i else 0 for ax in range(alg.d)))
+                     for i in range(1 if n_der == 0 else alg.d)])
+    out = {"base": lp_norm(TorusElement(alg, stack), p)}
 
-    def __init__(self, algebra, m: int, n_der: int,
-                 sampling: Optional[AmplitudeSampling] = None,
-                 quadrature: Optional[RadialQuadrature] = None):
-        d = algebra.d
-        self.algebra, self.m, self.n_der = algebra, m, n_der
-        # d_i^0 x = x on every axis: at N = 0 one row is measured for all d
-        self.rows = np.stack([tor.derivative_multiplier(algebra, tuple(n_der if ax == i else 0
-                                                                       for ax in range(d)))
-                              for i in range(1 if n_der == 0 else d)])
-        self.sampling, self.quadrature = sampling, quadrature
-        if quadrature is not None:
-            self._radial = tor.difference_table(algebra, tor.sphere_directions(d, quadrature.n_dir),
-                                                quadrature.rule()[0], m)
-
-    def measure(self, x: TorusElement, p, j_range: Optional[tuple] = None) -> DifferenceMeasure:
-        """The measurement of x, or of each member of a stack: the profile
-        if the geometry has a sampling, the radial norms if it has a
-        quadrature.  Without a j_range each member's profile runs over its
-        own dyadic range, which ends past its occupied band (the members of
-        one range share its table), and js end past the lattice's band, so
-        every measurement on one lattice has one shape.  At theta != 0,
-        p != 2 a profile diagonalizes only the differences whose bound can
-        raise it (``_profile_norms``)."""
-        alg, stack, rows = x.algebra, x.members(), self.rows
-        out = {"base": lp_norm(TorusElement(alg, stack), p)}
-        if self.sampling is not None:
-            caps = (2.0 ** self.m) * np.stack([lp_norm(TorusElement(alg, stack * row), p)
-                                               for row in rows], axis=1)[..., None]
-            if j_range is None:
-                # truncate past the occupied band, not the lattice edge, so the
-                # value is stable under lattice refinement of the same element
-                kmax = np.max(np.where(np.abs(stack) > 0, alg.abs_k, 0.0), axis=tuple(range(1, alg.d + 1)))
-                tops = np.array([_dyadic_top(k) for k in kmax.tolist()])
-                j_range = (-3, _dyadic_top(float(np.max(alg.abs_k))))
-            else:
-                tops = np.full(len(stack), j_range[1])
-            js = np.arange(j_range[0], j_range[1] + 1)
-            profiles = np.zeros((len(stack), len(rows), len(js)))
-            directions = tor.sphere_directions(alg.d, self.sampling.n_dir)
-            for top in np.unique(tops):
-                group, ts = np.flatnonzero(tops == top), 2.0 ** -np.arange(top, js[0] - 1.0, -1.0)
-                radii = tor.amplitude_radii(ts, self.sampling.n_rad)  # ts ascend as j descends
-                norms = _profile_norms(alg, stack, group, rows,
-                                       tor.difference_table(alg, directions, radii, self.m), len(radii), p)
-                profiles[np.ix_(group, range(len(rows)), range(top - js[0], -1, -1))] = \
-                    tor.amplitude_from_norms(norms.reshape(norms.shape[:2] + (-1, len(radii))), radii, ts)
-            saturated = (js < 0) & (caps > 0) & (profiles > (1 - 1e-6) * caps)
-            out.update(profiles=profiles, keep=(js <= tops[:, None, None]) & ~saturated)
-        if self.quadrature is not None:
-            norms = _difference_norms(alg, stack, np.arange(len(stack)), rows, self._radial, p)
-            out["radial"] = norms.reshape(norms.shape[:2] + (-1, self.quadrature.n_rad))
-        for key in ("profiles", "keep", "radial"):
-            if key in out:  # at N = 0 the one row measured stands for every axis
-                out[key] = np.repeat(out[key], alg.d // len(rows), axis=1)
-        return DifferenceMeasure(self.m, self.n_der, quadrature=self.quadrature,
-                                 js=js if self.sampling is not None else None,
-                                 **{key: x.per_member(value) for key, value in out.items()})
+    def pair_norms(members, table, n_rad=None):
+        # the table is freed on return, before the next one is built
+        norms = np.empty((len(members), len(rows), len(table)))
+        for i, r in np.ndindex(norms.shape[:2]):
+            norms[i, r] = _difference_norms(alg, stack[members[i]] * rows[r], table, p, n_rad)
+        return norms
+    if sampling is not None:
+        caps = (2.0 ** m) * np.stack([lp_norm(TorusElement(alg, stack * row), p)
+                                      for row in rows], axis=1)[..., None]
+        if j_range is None:
+            # truncate past the occupied band, not the lattice edge, so the
+            # value is stable under lattice refinement of the same element
+            kmax = np.max(np.where(np.abs(stack) > 0, alg.abs_k, 0.0), axis=tuple(range(1, alg.d + 1)))
+            tops = np.array([_dyadic_top(k) for k in kmax.tolist()])
+            j_range = (-3, _dyadic_top(float(np.max(alg.abs_k))))
+        else:
+            tops = np.full(len(stack), j_range[1])
+        js = np.arange(j_range[0], j_range[1] + 1)
+        profiles = np.zeros((len(stack), len(rows), len(js)))
+        directions = tor.sphere_directions(alg.d, sampling.n_dir)
+        for top in np.unique(tops):
+            group, ts = np.flatnonzero(tops == top), 2.0 ** -np.arange(top, js[0] - 1.0, -1.0)
+            radii = tor.amplitude_radii(ts, sampling.n_rad)  # ts ascend as j descends
+            norms = pair_norms(group, tor.difference_table(alg, directions, radii, m), len(radii))
+            profiles[np.ix_(group, range(len(rows)), range(top - js[0], -1, -1))] = \
+                tor.amplitude_from_norms(norms.reshape(norms.shape[:2] + (-1, len(radii))), radii, ts)
+        saturated = (js < 0) & (caps > 0) & (profiles > (1 - 1e-6) * caps)
+        out.update(profiles=profiles, keep=(js <= tops[:, None, None]) & ~saturated)
+    if quadrature is not None:
+        norms = pair_norms(range(len(stack)), tor.difference_table(
+            alg, tor.sphere_directions(alg.d, quadrature.n_dir), quadrature.rule()[0], m))
+        out["radial"] = norms.reshape(norms.shape[:2] + (-1, quadrature.n_rad))
+    for key in ("profiles", "keep", "radial"):
+        if key in out:  # at N = 0 the one row measured stands for every axis
+            out[key] = np.repeat(out[key], alg.d // len(rows), axis=1)
+    return DifferenceMeasure(m, n_der, quadrature=quadrature, js=js if sampling is not None else None,
+                             **{key: x.per_member(value) for key, value in out.items()})
 
 
-def _difference_norms(algebra, coeffs: np.ndarray, members: np.ndarray, mults: np.ndarray,
-                      table: np.ndarray, p) -> np.ndarray:
-    """||Delta (mult x)||_p for every x of coeffs[members], mult of mults and
-    multiplier Delta of a difference table: a (members, mults, table) array.
-    The (x, mult) rows are taken in chunks whose differences hold at most
-    REALIZATION_CHUNK_ENTRIES coefficients (a row with more, in chunks of the
-    table), so each chunk's difference stack and realization are still in
-    cache when the next step reads them."""
-    count = len(members) * len(mults)
-    out = np.empty((count, len(table)))
-    for rows in tor.realization_chunks(algebra, count, entries=table.size):
-        pair = np.arange(count)[rows]
-        dxs = coeffs[members[pair // len(mults)]] * mults[pair % len(mults)]
-        for part in tor.realization_chunks(algebra, len(table), entries=dxs.size):
-            out[rows, part] = lp_norm_batch(algebra, tor._difference_stack(dxs, table[part]),
-                                            p).reshape(len(dxs), -1)
-    return out.reshape(len(members), len(mults), len(table))
+def _difference_norms(algebra, dx: np.ndarray, table: np.ndarray, p,
+                      n_rad: Optional[int] = None) -> np.ndarray:
+    """||Delta dx||_p for every multiplier Delta of a difference table.
 
-
-def _profile_norms(algebra, coeffs: np.ndarray, members: np.ndarray, mults: np.ndarray,
-                   table: np.ndarray, n_rad: int, p) -> np.ndarray:
-    """The norms of ``_difference_norms`` over a direction-major table of
-    n_rad radii that can raise the amplitude profile, -inf for the others.
-
+    Given the n_rad radii of a direction-major profile table, only the norms
+    that can raise the amplitude profile are taken, -inf for the others.
     The profile reads the norms only through the running maximum over radii
     of the maximum over directions.  Where ``lp_norm_batch`` would make a
-    spectral call (theta != 0, p != 2), each (x, mult) row bounds every norm
-    (``difference_norm_bounds``), takes at each radius the norm of the
-    direction with the largest bound, whose running maximum ``lower`` is at
+    spectral call (theta != 0, p != 2), every norm is bounded
+    (``difference_norm_bounds``), the norm of the direction with the largest
+    bound is taken at each radius, whose running maximum ``lower`` is at
     most the profile's, and then every norm whose bound, with a margin for
     rounding, is not at most ``lower`` at its radius.  A skipped norm cannot
     exceed the running maximum, so the profile keeps its bits; a NaN bound
     is never skipped.
     """
-    if algebra.is_flat or schatten_exponent(p) == 2.0:
-        return _difference_norms(algebra, coeffs, members, mults, table, p)
-    out = np.full((len(members), len(mults), len(table)), -np.inf)
-    for i, j in np.ndindex(len(members), len(mults)):
-        norms, dx = out[i, j], coeffs[members[i]] * mults[j]
-        bounds = tor.difference_norm_bounds(algebra, dx, table, p).reshape(-1, n_rad)
-        first = np.argmax(bounds, axis=0) * n_rad + np.arange(n_rad)
-        norms[first] = _entry_norms(algebra, dx, table, first, p)
-        lower = np.maximum.accumulate(norms[first])
-        needed = ~(bounds * (1.0 + 1e-10) <= lower).ravel()
-        needed[first] = False
-        rest = np.flatnonzero(needed)
-        norms[rest] = _entry_norms(algebra, dx, table, rest, p)
-    return out
+    if n_rad is None or algebra.is_flat or schatten_exponent(p) == 2.0:
+        return _entry_norms(algebra, dx, table, np.arange(len(table)), p)
+    norms = np.full(len(table), -np.inf)
+    bounds = tor.difference_norm_bounds(algebra, dx, table, p).reshape(-1, n_rad)
+    first = np.argmax(bounds, axis=0) * n_rad + np.arange(n_rad)
+    norms[first] = _entry_norms(algebra, dx, table, first, p)
+    lower = np.maximum.accumulate(norms[first])
+    needed = ~(bounds * (1.0 + 1e-10) <= lower).ravel()
+    needed[first] = False
+    rest = np.flatnonzero(needed)
+    norms[rest] = _entry_norms(algebra, dx, table, rest, p)
+    return norms
 
 
 def _entry_norms(algebra, dx: np.ndarray, table: np.ndarray, entries: np.ndarray, p) -> np.ndarray:
@@ -365,7 +351,7 @@ def besov_difference_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     if n_der is None:
         n_der = default_n_der(idx.s)
     check_difference_hypotheses(idx, m, n_der)
-    meas = DifferenceGeometry(x.algebra, m, n_der, sampling=sampling).measure(x, idx.p, j_range)
+    meas = measure_differences(x, idx.p, m, n_der, sampling=sampling, j_range=j_range)
     return difference_form(meas, idx.s, idx.q)
 
 
@@ -381,7 +367,7 @@ def besov_integral_norm(x: TorusElement, idx: BesovIndex, m: int = 1,
     if n_der is None:
         n_der = default_n_der(idx.s)
     check_difference_hypotheses(idx, m, n_der)
-    meas = DifferenceGeometry(x.algebra, m, n_der, quadrature=quadrature).measure(x, idx.p)
+    meas = measure_differences(x, idx.p, m, n_der, quadrature=quadrature)
     return integral_form(meas, idx.s, idx.q)
 
 

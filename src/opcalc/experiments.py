@@ -421,8 +421,8 @@ def measure_equivalence(cfg: ExperimentConfig, jobs: int = 1) -> EquivalenceMeas
     """Measure stage of ``besov_equivalence_stats``: every value that does not
     depend on q, each stage one stacked call over the ensemble or the
     harness members.  With jobs > 1 the difference measurement runs on that
-    many contiguous member slices of the ensemble, on a process pool, from
-    one geometry."""
+    many contiguous member slices of the ensemble, on a process pool, each
+    with the same settings."""
     bz.check_difference_hypotheses(besov_index(cfg), cfg.m, cfg.n_der)
     # decay 2.0: smooth enough that the ratio extremes are stable order
     # statistics across lattice doublings
@@ -430,10 +430,9 @@ def measure_equivalence(cfg: ExperimentConfig, jobs: int = 1) -> EquivalenceMeas
     alg = elements.algebra
     slices = [tor.TorusElement(alg, part)
               for part in np.array_split(elements.coeffs, max(jobs, 1)) if len(part)]
-    # no name holds the geometry, so its tables are freed once the ensemble is measured
     differences = bz.DifferenceMeasure.concatenate(parallel_map(functools.partial(
-        bz.DifferenceGeometry(alg, cfg.m, cfg.n_der, _EQ_SAMPLING, _EQ_QUADRATURE).measure, p=cfg.p),
-        slices, jobs))
+        bz.measure_differences, p=cfg.p, m=cfg.m, n_der=cfg.n_der,
+        sampling=_EQ_SAMPLING, quadrature=_EQ_QUADRATURE), slices, jobs))
     harness = tor.TorusElement(alg, elements.coeffs[:_EQ_HARNESS_MEMBERS])
     count = len(harness.coeffs)
     steps = [[(rng.uniform(-1, 1, size=cfg.d), k) for k in range(1, 4)]

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BackendMismatch, BandOverflow, DimensionMismatch, NonHermitianInput
+from .errors import BackendMismatch, BandOverflow, DimensionMismatch, HypothesisViolation, NonHermitianInput
 from .linalg import (hermitian_members, hermitian_schatten_norm_batch, operator_norm_bound_batch,
                      schatten_exponent, schatten_norm_batch)
 from .symbols import LPFilterFamily
@@ -172,7 +173,7 @@ class TorusElement:
     front: ``trace``, ``multiply`` (stack and element either way round, or
     two stacks), ``to_matrix``, ``from_matrix``, ``is_hermitian`` (one flag
     for all), ``lp_norm``, the multipliers; in ``besov`` ``block_norms``,
-    ``besov_multiplier_norm``, ``DifferenceGeometry.measure`` and the two
+    ``besov_multiplier_norm``, ``measure_differences`` and the two
     difference forms, ``doubling_check``, ``block_difference_checks`` (one
     step list per member), ``heat_smoothing_check``, ``derivative_growth``
     and ``apply_paraproduct`` (sequences of stacks: one per member),
@@ -706,7 +707,9 @@ def difference_multiplier(algebra: TorusAlgebra, h, m: int) -> np.ndarray:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape[-1:] != (algebra.d,):
         raise DimensionMismatch(f"step must have {algebra.d} components")
-    return (_shift_phase(algebra, h) - 1.0) ** int(m)
+    mult = _shift_phase(algebra, h) - 1.0
+    mult **= int(m)  # in place, so a table of steps is not held twice
+    return mult
 
 
 def difference(x: TorusElement, h, m: int = 1) -> TorusElement:
@@ -810,6 +813,12 @@ class AmplitudeSampling:
     n_dir: int
     n_rad: int
 
+    def __post_init__(self):
+        for name in ("n_dir", "n_rad"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise HypothesisViolation(f"AmplitudeSampling.{name} must be an integer >= 1, got {value!r}")
+
 
 def amplitude_radii(ts: np.ndarray, n_rad: int) -> np.ndarray:
     """Sorted radius samples of the amplitude profile: the union over the
@@ -833,10 +842,7 @@ def amplitude_from_norms(norms: np.ndarray, radii: np.ndarray, ts: np.ndarray) -
 def difference_table(algebra: TorusAlgebra, dirs: np.ndarray, radii: np.ndarray, m: int) -> np.ndarray:
     """Multipliers (e^{i r <d, k>} - 1)^m of Delta_{r d}^m for every
     (direction d, radius r) pair, stacked direction-major."""
-    mult = _shift_phase(algebra, dirs[:, None, :] * radii[:, None]) - 1.0
-    if m != 1:
-        mult = mult ** m
-    return mult.reshape((-1,) + algebra.shape)
+    return difference_multiplier(algebra, dirs[:, None, :] * radii[:, None], m).reshape((-1,) + algebra.shape)
 
 
 def _difference_stack(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:

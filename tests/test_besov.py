@@ -545,9 +545,8 @@ def test_difference_forms_keep_per_call_bits(theta_num, p):
     xs = [tor.random_element(alg, rng_for(i, "dforms"), band=3, decay=2.0) for i in range(2)]
     xs.append(tor.random_element(alg, rng_for(9, "dforms"), band=1))  # another dyadic range
     for s, n_der in ((0.5, 0), (1.5, 1)):
-        geometry = bz.DifferenceGeometry(alg, 1, n_der, sampling, qd)
         for x in xs:
-            meas = geometry.measure(x, p)
+            meas = bz.measure_differences(x, p, 1, n_der, sampling, qd)
             for q in (1.0, 2.0, math.inf):
                 idx = BesovIndex(s, p, q)
                 nd = per_call_difference_norm(x, idx, 1, n_der, sampling)
@@ -585,7 +584,7 @@ def test_stack_profiles_run_over_each_members_own_range(monkeypatch):
     xs = tor.TorusElement(alg, np.stack([tor.random_element(alg, rng_for(i, "ranges"), band=1 + i).coeffs
                                          for i in range(3)]))
     built = count_differences(monkeypatch)
-    meas = bz.DifferenceGeometry(alg, 1, 1, tor.AmplitudeSampling(16, 8)).measure(xs, 2.0)
+    meas = bz.measure_differences(xs, 2.0, 1, 1, tor.AmplitudeSampling(16, 8))
     assert sum(built) == alg.d * sum(profile_table_size(2, top, tor.AmplitudeSampling(16, 8)) for top in (5, 6, 7))
     assert meas.js.tolist() == list(range(-3, 8))
     assert [np.flatnonzero(np.any(keep, axis=0))[-1] for keep in meas.keep] == [8, 9, 10]
@@ -599,7 +598,6 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
     # normed once, and at theta != 0, p = 1 the bounds build no difference
     alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
-    geometry = bz.DifferenceGeometry(alg, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
     rows, normed = set(), []
     stack, norms = tor._difference_stack, bz.lp_norm_batch
 
@@ -612,19 +610,48 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
         return norms(algebra, coeff_stack, p)
     monkeypatch.setattr(tor, "_difference_stack", recorded_stack)
     monkeypatch.setattr(bz, "lp_norm_batch", recorded_norms)
-    meas = geometry.measure(x, 1.0)
+    meas = bz.measure_differences(x, 1.0, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
     assert len(rows) == (1 if n_der == 0 else d)
     assert len(set(normed)) == len(normed)
     top = bz._dyadic_top(float(np.max(alg.abs_k[np.abs(x.coeffs) > 0])))
-    per_row = len(geometry._radial) + profile_table_size(d, top, tor.AmplitudeSampling(8, 4))
+    radial = len(tor.sphere_directions(d, 6)) * 12
+    per_row = radial + profile_table_size(d, top, tor.AmplitudeSampling(8, 4))
     if alg.is_flat:
         assert len(normed) == per_row * len(rows)
     else:
-        assert len(geometry._radial) * len(rows) < len(normed) < per_row * len(rows)
+        assert radial * len(rows) < len(normed) < per_row * len(rows)
     assert meas.profiles.shape[0] == meas.keep.shape[0] == meas.radial.shape[0] == d
     if n_der == 0:
         for rows in (meas.profiles, meas.keep, meas.radial):
             assert all(np.array_equal(row, rows[0]) for row in rows)
+
+
+DEGENERATE_SAMPLINGS = {
+    "j_range-descending": lambda x, idx: bz.besov_difference_norm(x, idx, j_range=(5, 2)),
+    "j_range-fractional": lambda x, idx: bz.besov_difference_norm(x, idx, j_range=(2.5, 4)),
+    "quadrature-one-radius": lambda x, idx: bz.besov_integral_norm(x, idx, quadrature=bz.RadialQuadrature(1, 6)),
+    "quadrature-no-radius": lambda x, idx: bz.besov_integral_norm(x, idx, quadrature=bz.RadialQuadrature(0, 6)),
+    "quadrature-no-direction": lambda x, idx: bz.besov_integral_norm(x, idx, quadrature=bz.RadialQuadrature(12, 0)),
+    "sampling-no-direction": lambda x, idx: bz.besov_difference_norm(x, idx, sampling=tor.AmplitudeSampling(0, 4)),
+    "sampling-no-radius": lambda x, idx: bz.besov_difference_norm(x, idx, sampling=tor.AmplitudeSampling(8, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SAMPLINGS))
+def test_degenerate_sampling_raises_typed_error(name):
+    # each is refused by a typed error before an array is built, not by an
+    # IndexError, TypeError or ZeroDivisionError from inside numpy
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    x = tor.random_element(alg, rng_for(1, "degenerate"), band=2)
+    with pytest.raises(HypothesisViolation):
+        DEGENERATE_SAMPLINGS[name](x, BesovIndex(1.5, 1.0, 2.0))
+
+
+def axis_rows(alg, n_der):
+    """The multipliers of d_i^N that a difference measurement takes: one
+    row at N = 0, one per axis at N >= 1."""
+    return [tor.derivative_multiplier(alg, tuple(n_der if ax == i else 0 for ax in range(alg.d)))
+            for i in range(1 if n_der == 0 else alg.d)]
 
 
 def pruning_stack(alg):
@@ -647,16 +674,16 @@ def test_pruned_profiles_equal_those_of_every_norm(monkeypatch, N, theta_num, p,
     # norms are skipped
     alg = tor.TorusAlgebra(d=2, N=N, theta_num=theta_num)
     xs = pruning_stack(alg)
-    geometry = bz.DifferenceGeometry(alg, m, n_der, tor.AmplitudeSampling(8, 4))
-    pruned = geometry.measure(xs, p)
+    pruned = bz.measure_differences(xs, p, m, n_der, tor.AmplitudeSampling(8, 4))
     top = bz._dyadic_top(float(np.max(alg.abs_k)))
     radii = tor.amplitude_radii(2.0 ** -np.arange(top, -4.0, -1.0), 4)
     table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, m)
-    norms = bz._profile_norms(alg, xs.coeffs, np.arange(4), geometry.rows, table, len(radii), p)
-    assert np.isinf(norms[:-1]).any() == (p != 2.0)  # the nonzero members skip some norms
-    monkeypatch.setattr(bz, "_profile_norms", lambda alg, coeffs, members, mults, table, n_rad, p:
-                        bz._difference_norms(alg, coeffs, members, mults, table, p))
-    every = geometry.measure(xs, p)
+    norms = [bz._difference_norms(alg, x * row, table, p, len(radii)) for x in xs.coeffs[:-1]
+             for row in axis_rows(alg, n_der)]
+    assert np.isinf(norms).any() == (p != 2.0)  # the nonzero members skip some norms
+    route = bz._difference_norms
+    monkeypatch.setattr(bz, "_difference_norms", lambda alg, dx, table, p, n_rad=None: route(alg, dx, table, p))
+    every = bz.measure_differences(xs, p, m, n_der, tor.AmplitudeSampling(8, 4))
     assert np.array_equal(pruned.profiles, every.profiles)
     assert np.array_equal(pruned.keep, every.keep)
 
@@ -665,13 +692,13 @@ def test_pruned_profiles_equal_those_of_every_norm(monkeypatch, N, theta_num, p,
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_non_finite_members_still_raise_under_pruning(bad, p):
     # a non-finite member raises the norms' ValueError, from the measurement
-    # and from the pruned profile norms, with the warnings of every norm
-    # taken (the row product and the realization's FFT of an infinite
-    # coefficient) and none from the bounds, whose rows are NaN
+    # and from the pruned norms of each of its (member, row) pairs, with the
+    # warnings of every norm taken (the row product and the realization's
+    # FFT of an infinite coefficient) and none from the bounds, whose rows
+    # are NaN
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     xs = pruning_stack(alg).coeffs
     xs[1, 1, 2] = bad
-    geometry = bz.DifferenceGeometry(alg, 1, 1, tor.AmplitudeSampling(8, 4))
     radii = tor.amplitude_radii(2.0 ** -np.arange(7, -4.0, -1.0), 4)
     table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, 1)
 
@@ -681,11 +708,11 @@ def test_non_finite_members_still_raise_under_pruning(bad, p):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 measure()
         return {str(w.message) for w in caught}
-    assert warned(lambda: geometry.measure(tor.TorusElement(alg, xs), p)) == (
-        {"invalid value encountered in fft"} if math.isinf(bad) else set())
-    members = np.arange(len(xs))
-    assert (warned(lambda: bz._profile_norms(alg, xs, members, geometry.rows, table, len(radii), p))
-            == warned(lambda: bz._difference_norms(alg, xs, members, geometry.rows, table, p)))
+    assert warned(lambda: bz.measure_differences(tor.TorusElement(alg, xs), p, 1, 1, tor.AmplitudeSampling(8, 4))) \
+        == ({"invalid value encountered in fft"} if math.isinf(bad) else set())
+    for row in axis_rows(alg, 1):
+        assert (warned(lambda: bz._difference_norms(alg, xs[1] * row, table, p, len(radii)))
+                == warned(lambda: bz._difference_norms(alg, xs[1] * row, table, p)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(tor.difference_norm_bounds(alg, xs[1], table, p)).all()
@@ -858,9 +885,9 @@ STACK_OPERATIONS = {
     "block_norms": lambda x, u, steps: [bz.block_norms(x, p) for p in (1, 2, math.inf)],
     "besov_multiplier_norm": lambda x, u, steps: [bz.besov_multiplier_norm(x, BesovIndex(1.5, p, q))
                                                   for p in (1, math.inf) for q in (2, math.inf)],
-    "DifferenceGeometry.measure": lambda x, u, steps: [
-        getattr(meas, key) for meas in [bz.DifferenceGeometry(x.algebra, 1, 1, tor.AmplitudeSampling(8, 4),
-                                                              bz.RadialQuadrature(12, 6)).measure(x, 1)]
+    "measure_differences": lambda x, u, steps: [
+        getattr(meas, key) for meas in [bz.measure_differences(x, 1, 1, 1, tor.AmplitudeSampling(8, 4),
+                                                               bz.RadialQuadrature(12, 6))]
         for key in ("base", "profiles", "keep", "radial")],
     "besov_difference_norm": lambda x, u, steps: [bz.besov_difference_norm(x, BesovIndex(s, p, q))
                                                   for s in (0.5, 1.5) for p in (1, 2) for q in (1, math.inf)],
@@ -934,7 +961,7 @@ def test_keep_counts_a_step_just_below_the_cap():
     # difference form sums them
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     x = tor.hermitianize(tor.mode_element(alg, (1, 2)) * 2.0)
-    meas = bz.DifferenceGeometry(alg, 1, 0, sampling=tor.AmplitudeSampling(8, 4)).measure(x, 2.0)
+    meas = bz.measure_differences(x, 2.0, 1, 0, sampling=tor.AmplitudeSampling(8, 4))
     gap = 1.0 - meas.profiles / (2.0 * tor.lp_norm(x, 2))
     near = (meas.js < 0) & np.all(gap < 1e-3, axis=0)
     assert meas.js[near].tolist() == [-3, -2, -1]

@@ -405,7 +405,7 @@ def test_difference_adjoint_identity(alg):
 def _amplitudes(x, j_range, m=1, sampling=tor.AmplitudeSampling(16, 8)):
     """omega_2^m(2^-j, x) for j = j_range[0], ..., j_range[1], as the Besov
     difference measurement samples it (N = 0, so every axis row is x itself)."""
-    return bz.DifferenceGeometry(x.algebra, m, 0, sampling=sampling).measure(x, 2, j_range).profiles[0]
+    return bz.measure_differences(x, 2, m, 0, sampling=sampling, j_range=j_range).profiles[0]
 
 
 def test_amplitude_zero_time(alg):
