@@ -279,25 +279,28 @@ def _difference_norms(algebra, dx: np.ndarray, table: np.ndarray, p,
     is never skipped.
     """
     if n_rad is None or algebra.is_flat or schatten_exponent(p) == 2.0:
-        return _entry_norms(algebra, dx, table, np.arange(len(table)), p)
+        return _entry_norms(algebra, dx, table, p)
     norms = np.full(len(table), -np.inf)
     bounds = tor.difference_norm_bounds(algebra, dx, table, p).reshape(-1, n_rad)
     first = np.argmax(bounds, axis=0) * n_rad + np.arange(n_rad)
-    norms[first] = _entry_norms(algebra, dx, table, first, p)
+    norms[first] = _entry_norms(algebra, dx, table, p, first)
     lower = np.maximum.accumulate(norms[first])
     needed = ~(bounds * (1.0 + 1e-10) <= lower).ravel()
     needed[first] = False
     rest = np.flatnonzero(needed)
-    norms[rest] = _entry_norms(algebra, dx, table, rest, p)
+    norms[rest] = _entry_norms(algebra, dx, table, p, rest)
     return norms
 
 
-def _entry_norms(algebra, dx: np.ndarray, table: np.ndarray, entries: np.ndarray, p) -> np.ndarray:
-    """||Delta dx||_p for the multipliers Delta of table[entries], the
-    table indexed a ``realization_chunks`` chunk at a time."""
-    out = np.empty(len(entries))
-    for part in tor.realization_chunks(algebra, len(entries), entries=dx.size):
-        out[part] = lp_norm_batch(algebra, tor._difference_stack(dx, table[entries[part]]), p)
+def _entry_norms(algebra, dx: np.ndarray, table: np.ndarray, p,
+                 entries: Optional[np.ndarray] = None) -> np.ndarray:
+    """||Delta dx||_p for the multipliers Delta of table[entries], of the
+    whole table if entries is None, the table read a ``realization_chunks``
+    chunk at a time (sliced, not copied, when it is whole)."""
+    out = np.empty(len(table) if entries is None else len(entries))
+    for part in tor.realization_chunks(algebra, len(out), entries=dx.size):
+        out[part] = lp_norm_batch(algebra, tor._difference_stack(
+            dx, table[part] if entries is None else table[entries[part]]), p)
     return out
 
 
