@@ -640,7 +640,7 @@ DEGENERATE_SAMPLINGS = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE_SAMPLINGS))
 def test_degenerate_sampling_raises_typed_error(name):
     # each is refused by a typed error before an array is built, not by an
-    # IndexError, TypeError or ZeroDivisionError from inside numpy
+    # IndexError, TypeError, ValueError or ZeroDivisionError from numpy
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     x = tor.random_element(alg, rng_for(1, "degenerate"), band=2)
     with pytest.raises(HypothesisViolation):
