@@ -16,11 +16,13 @@ derivative order N, and a reduce stage that applies the weights and the l_q
 sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from
 ``measure_differences`` and ``difference_form`` / ``integral_form``.  The
 heat smoothing and paraproduct harnesses split the same way, so one
-measurement serves every q.  Every difference norm is taken one (member,
-axis row) at a time by one route, ``_difference_norms``.  The amplitude
-profile is a running maximum, so at theta != 0, p != 2 that route
-diagonalizes only the differences whose bound could raise it, and the
-profile keeps the bits of every norm.
+measurement serves every q.  Every difference norm is taken by one route,
+``_difference_norms``, which norms all (member, axis row) pairs of a
+difference table in one stacked pass.  A row whose coefficients equal their
+adjoint bit for bit is certified once, and its differences skip the
+per-matrix Hermitian test.  The amplitude profile is a running maximum, so
+at theta != 0, p != 2 the route diagonalizes only the differences whose
+bound could raise it, and the profile keeps the bits of every norm.
 
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
@@ -39,7 +41,8 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolation, SymbolHypothesisError
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc, eig_hermitian,
-                     func_calc, func_calc_first_column, schatten_exponent, schatten_norm_batch)
+                     func_calc, func_calc_first_column, hermitian_schatten_norm_batch, schatten_exponent,
+                     schatten_norm_batch)
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, block_count, difference, from_matrix,
@@ -208,11 +211,13 @@ def measure_differences(x: TorusElement, p, m: int, n_der: int,
     """The measurement of x, or of each member of a stack: the profile if
     given a sampling, the radial norms if given a quadrature.
 
-    Every difference norm is one ``_difference_norms`` call per (member,
-    axis row of d_i^N).  Without a j_range each member's profile runs over
-    its own dyadic range, which ends past its occupied band (the members of
-    one range share its table), and js end past the lattice's band, so every
-    measurement on one lattice has one shape.
+    The norms of each difference table are one ``_difference_norms`` call
+    over every (member, axis row of d_i^N) pair that reads the table: one
+    per dyadic range of the profiles, one for the quadrature.  Without a
+    j_range each member's profile runs over its own dyadic range, which
+    ends past its occupied band (the members of one range share its table),
+    and js end past the lattice's band, so every measurement on one lattice
+    has one shape.
     """
     if j_range is not None and not (np.shape(j_range) == (2,) and j_range[0] <= j_range[1]
                                     and all(isinstance(j, numbers.Integral) for j in j_range)):
@@ -222,13 +227,6 @@ def measure_differences(x: TorusElement, p, m: int, n_der: int,
     rows = np.stack([tor.derivative_multiplier(alg, tuple(n_der if ax == i else 0 for ax in range(alg.d)))
                      for i in range(1 if n_der == 0 else alg.d)])
     out = {"base": lp_norm(TorusElement(alg, stack), p)}
-
-    def pair_norms(members, table, n_rad=None):
-        # the table is freed on return, before the next one is built
-        norms = np.empty((len(members), len(rows), len(table)))
-        for i, r in np.ndindex(norms.shape[:2]):
-            norms[i, r] = _difference_norms(alg, stack[members[i]] * rows[r], table, p, n_rad)
-        return norms
     if sampling is not None:
         caps = (2.0 ** m) * np.stack([lp_norm(TorusElement(alg, stack * row), p)
                                       for row in rows], axis=1)[..., None]
@@ -246,14 +244,16 @@ def measure_differences(x: TorusElement, p, m: int, n_der: int,
         for top in np.unique(tops):
             group, ts = np.flatnonzero(tops == top), 2.0 ** -np.arange(top, js[0] - 1.0, -1.0)
             radii = tor.amplitude_radii(ts, sampling.n_rad)  # ts ascend as j descends
-            norms = pair_norms(group, tor.difference_table(alg, directions, radii, m), len(radii))
+            # the table is freed on return, before the next one is built
+            norms = _difference_norms(alg, stack, group, rows, tor.difference_table(alg, directions, radii, m),
+                                      p, len(radii))
             profiles[np.ix_(group, range(len(rows)), range(top - js[0], -1, -1))] = \
                 tor.amplitude_from_norms(norms.reshape(norms.shape[:2] + (-1, len(radii))), radii, ts)
         saturated = (js < 0) & (caps > 0) & (profiles > (1 - 1e-6) * caps)
         out.update(profiles=profiles, keep=(js <= tops[:, None, None]) & ~saturated)
     if quadrature is not None:
-        norms = pair_norms(range(len(stack)), tor.difference_table(
-            alg, tor.sphere_directions(alg.d, quadrature.n_dir), quadrature.rule()[0], m))
+        norms = _difference_norms(alg, stack, range(len(stack)), rows, tor.difference_table(
+            alg, tor.sphere_directions(alg.d, quadrature.n_dir), quadrature.rule()[0], m), p)
         out["radial"] = norms.reshape(norms.shape[:2] + (-1, quadrature.n_rad))
     for key in ("profiles", "keep", "radial"):
         if key in out:  # at N = 0 the one row measured stands for every axis
@@ -262,45 +262,104 @@ def measure_differences(x: TorusElement, p, m: int, n_der: int,
                              **{key: x.per_member(value) for key, value in out.items()})
 
 
-def _difference_norms(algebra, dx: np.ndarray, table: np.ndarray, p,
-                      n_rad: Optional[int] = None) -> np.ndarray:
-    """||Delta dx||_p for every multiplier Delta of a difference table.
+def _difference_norms(algebra, stack: np.ndarray, members: Sequence[int], rows: np.ndarray,
+                      table: np.ndarray, p, n_rad: Optional[int] = None) -> np.ndarray:
+    """||Delta (row x)||_p for every pair of a member x = stack[i], i of
+    members, and a row of rows (the multipliers of d_i^N), and for every
+    multiplier Delta of a difference table: a (members, rows, len(table))
+    array.  Each pass over the pairs' norms is one ``_take_norms`` call.
 
     Given the n_rad radii of a direction-major profile table, only the norms
     that can raise the amplitude profile are taken, -inf for the others.
     The profile reads the norms only through the running maximum over radii
     of the maximum over directions.  Where ``lp_norm_batch`` would make a
     spectral call (theta != 0, p != 2), every norm is bounded
-    (``difference_norm_bounds``), the norm of the direction with the largest
-    bound is taken at each radius, whose running maximum ``lower`` is at
-    most the profile's, and then every norm whose bound, with a margin for
-    rounding, is not at most ``lower`` at its radius.  A skipped norm cannot
-    exceed the running maximum, so the profile keeps its bits; a NaN bound
-    is never skipped.
+    (``difference_norm_bounds``, pair by pair), the norm of the direction
+    with the largest bound is taken at each radius of every pair, whose
+    running maximum ``lower`` is at most the profile's, and then every norm
+    whose bound, with a margin for rounding, is not at most ``lower`` at its
+    radius.  A skipped norm cannot exceed the running maximum, so the
+    profile keeps its bits; a NaN bound is never skipped.
     """
-    if n_rad is None or algebra.is_flat or schatten_exponent(p) == 2.0:
-        return _entry_norms(algebra, dx, table, p)
-    norms = np.full(len(table), -np.inf)
-    bounds = tor.difference_norm_bounds(algebra, dx, table, p).reshape(-1, n_rad)
-    first = np.argmax(bounds, axis=0) * n_rad + np.arange(n_rad)
-    norms[first] = _entry_norms(algebra, dx, table, p, first)
-    lower = np.maximum.accumulate(norms[first])
-    needed = ~(bounds * (1.0 + 1e-10) <= lower).ravel()
-    needed[first] = False
-    rest = np.flatnonzero(needed)
-    norms[rest] = _entry_norms(algebra, dx, table, p, rest)
-    return norms
+    def dx(pair: int) -> np.ndarray:
+        return stack[members[pair // len(rows)]] * rows[pair % len(rows)]
+    count = len(members) * len(rows)
+    norms = np.full((count, len(table)), -np.inf)
+    spectral = not algebra.is_flat and schatten_exponent(p) != 2.0
+    certified = np.array([spectral and _hermitian_coeffs(algebra, dx(k)) for k in range(count)], dtype=bool)
+    if n_rad is None or not spectral:
+        _take_norms(algebra, dx, table, p, certified, np.ones(norms.shape, dtype=bool), norms)
+        return norms.reshape(len(members), len(rows), -1)
+    bounds = np.empty(norms.shape)
+    for k in range(count):
+        bounds[k] = tor.difference_norm_bounds(algebra, dx(k), table, p)
+    bounds = bounds.reshape(count, -1, n_rad)
+    first = np.argmax(bounds, axis=1) * n_rad + np.arange(n_rad)  # (pair, radius)
+    take = np.zeros(norms.shape, dtype=bool)
+    np.put_along_axis(take, first, True, axis=1)
+    _take_norms(algebra, dx, table, p, certified, take, norms)
+    lower = np.maximum.accumulate(np.take_along_axis(norms, first, axis=1), axis=1)
+    bounds *= 1.0 + 1e-10
+    take = ~(bounds <= lower[:, None, :]).reshape(count, -1)
+    del bounds  # before the second pass realizes its chunks
+    np.put_along_axis(take, first, False, axis=1)
+    _take_norms(algebra, dx, table, p, certified, take, norms)
+    return norms.reshape(len(members), len(rows), -1)
 
 
-def _entry_norms(algebra, dx: np.ndarray, table: np.ndarray, p,
-                 entries: Optional[np.ndarray] = None) -> np.ndarray:
-    """||Delta dx||_p for the multipliers Delta of table[entries], of the
-    whole table if entries is None, the table read a ``realization_chunks``
-    chunk at a time (sliced, not copied, when it is whole)."""
-    out = np.empty(len(table) if entries is None else len(entries))
-    for part in tor.realization_chunks(algebra, len(out), entries=dx.size):
-        out[part] = lp_norm_batch(algebra, tor._difference_stack(
-            dx, table[part] if entries is None else table[entries[part]]), p)
+def _hermitian_coeffs(algebra, coeffs: np.ndarray) -> bool:
+    """Whether finite coefficients equal those of their adjoint bit for bit.
+
+    conj(T(-k)) = T(k) holds bitwise for the derivative and difference
+    multipliers, so every difference of such a row is Hermitian in
+    coefficients too, and its realization passes the deviation test of
+    ``hermitian_members`` (a property test checks this over the radii of
+    the profiles and the quadrature).
+    """
+    return bool(np.isfinite(coeffs).all()) and np.array_equal(tor._adjoint_coeffs(algebra, coeffs), coeffs)
+
+
+def _take_norms(algebra, dx, table: np.ndarray, p, certified: np.ndarray, take: np.ndarray,
+                out: np.ndarray) -> None:
+    """out[pair, entry] = ||table[entry] dx(pair)||_p wherever take is set.
+
+    The (pair, entry) slots of the certified pairs, and then those of the
+    others, are taken pair-major in ``realization_chunks`` chunks, every
+    chunk's differences built in one buffer (``_differences``).  A certified
+    chunk goes to ``hermitian_schatten_norm_batch`` with no deviation test;
+    any other to ``lp_norm_batch``, which tests and routes it matrix by
+    matrix.  Both read each matrix alone, so every norm has the bits of its
+    own ``lp_norm_batch`` call.
+    """
+    flat = out.reshape(-1)
+    for hermitian in (True, False):
+        mask = take & (certified[:, None] == hermitian)
+        # a whole table's slots as a range: an index array of them raised the peak RSS
+        slots = range(mask.size) if mask.all() else np.flatnonzero(mask)
+        chunks = tor.realization_chunks(algebra, len(slots), entries=table[0].size)
+        buf = np.empty((len(slots[chunks[0]]) if chunks else 0,) + table.shape[1:], table.dtype)
+        for part in chunks:
+            pairs, entries = np.divmod(slots[part], len(table))
+            diffs = _differences(table, entries, pairs, dx, buf[:len(pairs)])
+            flat[slots[part]] = (hermitian_schatten_norm_batch(tor.to_matrix_batch(algebra, diffs), p)
+                                 if hermitian else lp_norm_batch(algebra, diffs, p))
+
+
+def _differences(table: np.ndarray, entries: np.ndarray, pairs: np.ndarray, dx, out: np.ndarray) -> np.ndarray:
+    """out[i] = table[entries[i]] * dx(pairs[i]) for ascending pairs and,
+    within a pair, ascending entries: one product per run of a pair, read
+    from a slice of the table where the run's entries are consecutive, else
+    gathered into out and multiplied in place.  The table stays the left
+    operand, as in ``_difference_stack``: numpy's complex multiply is not
+    bitwise commutative."""
+    starts = [0] + (np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()
+    for a, b in zip(starts, starts[1:] + [len(pairs)]):
+        lo, hi = int(entries[a]), int(entries[b - 1]) + 1
+        if hi - lo == b - a:
+            np.multiply(table[lo:hi], dx(pairs[a]), out=out[a:b])
+        else:
+            np.take(table, entries[a:b], axis=0, out=out[a:b])
+            out[a:b] *= dx(pairs[a])
     return out
 
 

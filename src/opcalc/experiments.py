@@ -64,12 +64,17 @@ def besov_index(cfg: ExperimentConfig) -> BesovIndex:
 
 def ensemble_elements(cfg: ExperimentConfig, members=None, tag="element", decay=1.5) -> tor.TorusElement:
     """The ensemble members (all by default) as one stacked element: member i
-    is drawn from rng_for(seed, tag, i), straight into its row of the stack."""
+    is drawn from rng_for(seed, tag, i), straight into its row of the stack,
+    and the stack is made Hermitian one ``coefficient_chunks`` chunk per
+    ``hermitianize`` call, whose temporaries are no larger than a chunk."""
     alg = cfg.algebra()
     members = range(cfg.ensemble) if members is None else members
     stack = np.empty((len(members),) + alg.shape, dtype=np.complex128)
     for row, i in zip(stack, members):
-        row[...] = tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay).coeffs
+        row[...] = tor.random_element(alg, rng_for(cfg.seed, tag, i), band=cfg.band, decay=decay,
+                                      hermitian=False).coeffs
+    for chunk in tor.coefficient_chunks(alg, len(stack)):
+        stack[chunk] = tor.hermitianize(tor.TorusElement(alg, stack[chunk])).coeffs
     return tor.TorusElement(alg, stack)
 
 

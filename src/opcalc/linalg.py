@@ -226,12 +226,16 @@ def operator_norm_bound_batch(stack: np.ndarray) -> np.ndarray:
     matrix A of a finite (..., n, n) stack, and so of each of its
     normalized-trace Schatten norms: (max absolute row sum of (A* A)^2)^(1/4),
     Gershgorin on the positive semidefinite (A* A)^2, within a factor n^(1/4)
-    of it.  Two matmuls and no spectral call; each matrix is scaled by its
-    largest entry first, so its fourth power neither overflows nor underflows.
+    of it.  Two matmuls and no spectral call; each matrix is scaled first by
+    the reciprocal of its largest real or imaginary part in absolute value,
+    read as the max and -min of a float64 view with no complex abs or
+    temporary, so its entries are at most sqrt 2 in modulus and its fourth
+    power neither overflows nor underflows.
     """
     a = _as_square(stack, stack=True)
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    a = a / np.where(scale > 0, scale, 1.0)[..., None, None]
+    parts = np.ascontiguousarray(a).view(np.float64)
+    scale = np.maximum(np.max(parts, axis=(-2, -1)), -np.min(parts, axis=(-2, -1)))
+    a = a * (1.0 / np.maximum(scale, np.finfo(np.float64).tiny))[..., None, None]
     gram = a.swapaxes(-1, -2).conj() @ a
     return scale * np.max(np.sum(np.abs(gram @ gram), axis=-1), axis=-1) ** 0.25
 

@@ -249,20 +249,25 @@ def _boundary_sign(algebra: TorusAlgebra) -> np.ndarray:
     """Wrap sign attached to mode negation: -k wraps when k_j = -N/2.
 
     (U^k)* = sign(k) U^{rep(-k)}; the sign is +1 except on the boundary
-    hyperplanes of a deformed (p != 0, d = 2) algebra.
+    hyperplanes of a deformed (p != 0, d = 2) algebra.  The table is cached
+    per lattice and read-only.
     """
-    N, p = algebra.N, algebra.theta_num
-    sign = np.ones(algebra.shape)
-    if p == 0:
-        return sign
-    k1, k2 = algebra.k_grids
-    b1 = k1 == -N // 2
-    b2 = k2 == -N // 2
-    only1 = b1 & ~b2
-    only2 = b2 & ~b1
-    sign[only1] = np.where((p * k2[only1]) % 2 == 0, 1.0, -1.0)
-    sign[only2] = np.where((p * k1[only2]) % 2 == 0, 1.0, -1.0)
-    # both components on the boundary: sign (-1)^{p(-N)} = +1 for even N
+    return _boundary_table(algebra.N, algebra.d, algebra.theta_num)
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_table(N: int, d: int, p: int) -> np.ndarray:
+    sign = np.ones((N,) * d)
+    if p != 0:
+        k1, k2 = _k_grids(N, 2)
+        b1 = k1 == -N // 2
+        b2 = k2 == -N // 2
+        only1 = b1 & ~b2
+        only2 = b2 & ~b1
+        sign[only1] = np.where((p * k2[only1]) % 2 == 0, 1.0, -1.0)
+        sign[only2] = np.where((p * k1[only2]) % 2 == 0, 1.0, -1.0)
+        # both components on the boundary: sign (-1)^{p(-N)} = +1 for even N
+    sign.flags.writeable = False
     return sign
 
 
@@ -310,14 +315,23 @@ def random_element(algebra: TorusAlgebra, rng: np.random.Generator, band: Option
     band = band_cap if band is None else min(band, band_cap)
     c = np.zeros(algebra.shape, dtype=np.complex128)
     g = rng.standard_normal((2 * band + 1,) * algebra.d) + 1j * rng.standard_normal((2 * band + 1,) * algebra.d)
-    ks = np.arange(-band, band + 1)
-    grids = np.meshgrid(*([ks] * algebra.d), indexing="ij")
-    absk = np.sqrt(sum(gr.astype(float) ** 2 for gr in grids))
-    g = g / (1.0 + absk) ** decay
-    idx = np.ix_(*([ks % algebra.N] * algebra.d))
-    c[idx] = g
+    weights, idx = _band_weights(algebra.N, algebra.d, band, decay)
+    c[idx] = g / weights
     x = TorusElement(algebra, c)
     return hermitianize(x) if hermitian else x
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _band_weights(N: int, d: int, band: int, decay: float) -> tuple:
+    """(1 + |k|)^decay over the modes |k_j| <= band, laid out -band..band per
+    axis, and the index of those modes in the mode grid (read-only)."""
+    ks = np.arange(-band, band + 1)
+    grids = np.meshgrid(*([ks] * d), indexing="ij")
+    weights = (1.0 + np.sqrt(sum(gr.astype(float) ** 2 for gr in grids))) ** decay
+    idx = np.ix_(*([ks % N] * d))
+    for table in (weights,) + idx:
+        table.flags.writeable = False
+    return weights, idx
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +780,10 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     ``hermitian_schatten_norm_batch`` (absolute eigenvalues), any other from
     ``schatten_norm_batch`` (SVD).  Each spectral call runs LAPACK on one
     matrix at a time, so a member's norm has the same bits in any stack,
-    alone included.
+    alone included.  ``besov._difference_norms`` skips the test for the
+    differences of a row whose coefficients equal their adjoint bit for
+    bit: it realizes them and calls ``hermitian_schatten_norm_batch``
+    itself, which gives the bits this routing gives them.
     """
     pv = schatten_exponent(p)
     if pv == 2.0:

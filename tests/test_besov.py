@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opcalc.besov as bz
 import opcalc.chain as ch
@@ -12,7 +13,7 @@ from opcalc.errors import (DegenerateInput, DimensionMismatch, HypothesisViolati
                            SymbolHypothesisError)
 from opcalc.experiments import exp_psdo_sequence
 from opcalc.expr import parse_symbol
-from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc
+from opcalc.linalg import HermitianOperator, eig_hermitian, func_calc, hermitian_members
 from opcalc.seeding import rng_for
 from opcalc.symbols import LPFilterFamily
 
@@ -564,15 +565,15 @@ def profile_table_size(d, top, sampling):
 
 
 def count_differences(monkeypatch) -> list:
-    """The number of differences of each ``_difference_stack`` call from now on."""
+    """The number of differences of each ``_differences`` call from now on."""
     built = []
-    stack = tor._difference_stack
+    route = bz._differences
 
-    def counted(coeffs, table):
-        out = stack(coeffs, table)
+    def counted(table, entries, pairs, dx, out):
+        out = route(table, entries, pairs, dx, out)
         built.append(len(out))
         return out
-    monkeypatch.setattr(tor, "_difference_stack", counted)
+    monkeypatch.setattr(bz, "_differences", counted)
     return built
 
 
@@ -599,17 +600,22 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
     alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
     rows, normed = set(), []
-    stack, norms = tor._difference_stack, bz.lp_norm_batch
+    route, norms, hermitian_norms = bz._differences, bz.lp_norm_batch, bz.hermitian_schatten_norm_batch
 
-    def recorded_stack(coeffs, table):
-        rows.update(row.tobytes() for row in coeffs.reshape((-1,) + table.shape[1:]))
-        return stack(coeffs, table)
+    def recorded_differences(table, entries, pairs, dx, out):
+        rows.update(dx(pair).tobytes() for pair in set(pairs.tolist()))
+        return route(table, entries, pairs, dx, out)
 
     def recorded_norms(algebra, coeff_stack, p):
         normed.extend(member.tobytes() for member in coeff_stack)
         return norms(algebra, coeff_stack, p)
-    monkeypatch.setattr(tor, "_difference_stack", recorded_stack)
+
+    def recorded_hermitian_norms(mats, p):  # a certified row's realized differences
+        normed.extend(member.tobytes() for member in mats)
+        return hermitian_norms(mats, p)
+    monkeypatch.setattr(bz, "_differences", recorded_differences)
     monkeypatch.setattr(bz, "lp_norm_batch", recorded_norms)
+    monkeypatch.setattr(bz, "hermitian_schatten_norm_batch", recorded_hermitian_norms)
     meas = bz.measure_differences(x, 1.0, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
     assert len(rows) == (1 if n_der == 0 else d)
     assert len(set(normed)) == len(normed)
@@ -678,11 +684,11 @@ def test_pruned_profiles_equal_those_of_every_norm(monkeypatch, N, theta_num, p,
     top = bz._dyadic_top(float(np.max(alg.abs_k)))
     radii = tor.amplitude_radii(2.0 ** -np.arange(top, -4.0, -1.0), 4)
     table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, m)
-    norms = [bz._difference_norms(alg, x * row, table, p, len(radii)) for x in xs.coeffs[:-1]
-             for row in axis_rows(alg, n_der)]
+    norms = bz._difference_norms(alg, xs.coeffs, range(3), np.stack(axis_rows(alg, n_der)), table, p, len(radii))
     assert np.isinf(norms).any() == (p != 2.0)  # the nonzero members skip some norms
     route = bz._difference_norms
-    monkeypatch.setattr(bz, "_difference_norms", lambda alg, dx, table, p, n_rad=None: route(alg, dx, table, p))
+    monkeypatch.setattr(bz, "_difference_norms", lambda alg, stack, members, rows, table, p, n_rad=None:
+                        route(alg, stack, members, rows, table, p))
     every = bz.measure_differences(xs, p, m, n_der, tor.AmplitudeSampling(8, 4))
     assert np.array_equal(pruned.profiles, every.profiles)
     assert np.array_equal(pruned.keep, every.keep)
@@ -692,10 +698,10 @@ def test_pruned_profiles_equal_those_of_every_norm(monkeypatch, N, theta_num, p,
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_non_finite_members_still_raise_under_pruning(bad, p):
     # a non-finite member raises the norms' ValueError, from the measurement
-    # and from the pruned norms of each of its (member, row) pairs, with the
-    # warnings of every norm taken (the row product and the realization's
-    # FFT of an infinite coefficient) and none from the bounds, whose rows
-    # are NaN
+    # and from the pruned norms of each of its (member, row) pairs and of
+    # the whole stack, with the warnings of every norm taken (the row
+    # product and the realization's FFT of an infinite coefficient: those
+    # of the per-pair route) and none from the bounds, whose rows are NaN
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     xs = pruning_stack(alg).coeffs
     xs[1, 1, 2] = bad
@@ -710,12 +716,131 @@ def test_non_finite_members_still_raise_under_pruning(bad, p):
         return {str(w.message) for w in caught}
     assert warned(lambda: bz.measure_differences(tor.TorusElement(alg, xs), p, 1, 1, tor.AmplitudeSampling(8, 4))) \
         == ({"invalid value encountered in fft"} if math.isinf(bad) else set())
-    for row in axis_rows(alg, 1):
-        assert (warned(lambda: bz._difference_norms(alg, xs[1] * row, table, p, len(radii)))
-                == warned(lambda: bz._difference_norms(alg, xs[1] * row, table, p)))
+    product = {"invalid value encountered in multiply"} if math.isinf(bad) else set()
+    rows = np.stack(axis_rows(alg, 1))
+    for members, pair_rows in [([1], row[None]) for row in rows] + [(range(len(xs)), rows)]:
+        assert (warned(lambda: bz._difference_norms(alg, xs, members, pair_rows, table, p, len(radii)))
+                == warned(lambda: bz._difference_norms(alg, xs, members, pair_rows, table, p)) == product)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(tor.difference_norm_bounds(alg, xs[1], table, p)).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_certified_rows_have_hermitian_differences(data):
+    # a row d_i^N x whose coefficients equal their adjoint bit for bit is
+    # normed without the deviation test: every realized difference of it
+    # passes that test, at any radius of the profiles and the quadrature
+    N, theta_num = data.draw(st.sampled_from([(8, 1), (16, 3)]))
+    alg = tor.TorusAlgebra(d=2, N=N, theta_num=theta_num)
+    x = tor.random_element(alg, rng_for(data.draw(st.integers(0, 2 ** 16)), "certified"),
+                           band=data.draw(st.integers(0, N // 2 - 1)), decay=data.draw(st.sampled_from([0.0, 1.0, 2.0])))
+    n_der, m = data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2))
+    radii = np.sort(data.draw(st.lists(st.floats(1e-3, 2 * math.pi), min_size=1, max_size=6)))
+    table = tor.difference_table(alg, tor.sphere_directions(2, data.draw(st.integers(1, 8))), radii, m)
+    for row in axis_rows(alg, n_der):
+        dx = x.coeffs * row
+        assert bz._hermitian_coeffs(alg, dx)
+        assert hermitian_members(tor.to_matrix_batch(alg, tor._difference_stack(dx, table))).all()
+
+
+def test_route_differences_keep_the_bits_of_the_difference_stack():
+    # the product of a table slot and its pair's row, gathered and multiplied
+    # in place or read from a slice of consecutive entries, has the bits of
+    # _difference_stack, the table on the left, in any buffer
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = pruning_stack(alg).coeffs
+    table = tor.difference_table(alg, tor.sphere_directions(2, 8), np.geomspace(1e-3, 2 * math.pi, 12), 2)
+    rng = rng_for(0, "slots")
+    slots = np.union1d(rng.integers(0, len(xs) * len(table), 200), np.arange(len(table), 2 * len(table)))
+    pairs, entries = np.divmod(slots, len(table))  # member 1 has every entry, the others some
+    out = rng.standard_normal((len(slots),) + alg.shape) + 1j  # stale values are overwritten
+    got = bz._differences(table, entries, pairs, lambda pair: xs[pair], out)
+    assert got is out
+    for i in range(len(xs)):
+        assert np.array_equal(got[pairs == i], tor._difference_stack(xs[i], table)[entries[pairs == i]])
+
+
+def per_pair_measure(xs, p, m, n_der, sampling, qd):
+    """profiles, keep and radial of a stack, every (member, axis) pair
+    measured alone by the per-call references, every norm taken."""
+    alg = xs.algebra
+    top = bz._dyadic_top(float(np.max(alg.abs_k)))
+    js = np.arange(-3, top + 1)
+    dirs = tor.sphere_directions(alg.d, qd.n_dir)
+    profiles, keep, radial = [], [], []
+    for c in xs.coeffs:
+        x = tor.TorusElement(alg, c)
+        nz = np.abs(c) > 0
+        own = bz._dyadic_top(float(np.max(alg.abs_k[nz])) if nz.any() else 1.0)
+        for i in range(alg.d):
+            dx = tor.derive_multi(x, tuple(n_der if ax == i else 0 for ax in range(alg.d)))
+            ts = 2.0 ** -np.arange(own, -4.0, -1.0)
+            prof = np.zeros(len(js))
+            prof[own + 3::-1] = per_call_profile(dx, list(ts), m, p, sampling)
+            cap = (2.0 ** m) * tor.lp_norm(dx, p)
+            profiles.append(prof)
+            keep.append((js <= own) & ~((js < 0) & (cap > 0) & (prof > (1 - 1e-6) * cap)))
+            radial.append(per_call_norms(alg, per_call_differences(dx, dirs, qd.rule()[0], m), p)
+                          .reshape(len(dirs), qd.n_rad))
+    shape = (len(xs.coeffs), alg.d)
+    return (np.reshape(profiles, shape + (-1,)), np.reshape(keep, shape + (-1,)),
+            np.reshape(radial, shape + (len(dirs), qd.n_rad)))
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+@pytest.mark.parametrize("n_der", [0, 1])
+def test_mixed_stack_measurement_equals_the_per_pair_route(p, n_der):
+    # a Hermitian member (certified), a non-Hermitian one (the SVD route),
+    # one Hermitian but for an anti-Hermitian mode-0 part (at N = 0 its row
+    # is not certified, yet its differences are Hermitian) and zero: the
+    # stacked pass has the bits of every pair measured alone
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = pruning_stack(alg).coeffs[[0, 2, 1, 3]]
+    xs[2, 0, 0] += 0.7j
+    assert not bz._hermitian_coeffs(alg, xs[2])
+    xs = tor.TorusElement(alg, xs)
+    sampling, qd = tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6)
+    meas = bz.measure_differences(xs, p, 1, n_der, sampling, qd)
+    profiles, keep, radial = per_pair_measure(xs, p, 1, n_der, sampling, qd)
+    assert np.array_equal(meas.profiles, profiles)
+    assert np.array_equal(meas.keep, keep)
+    assert np.array_equal(meas.radial, radial)
+
+
+def test_certified_measurement_makes_no_deviation_test_on_differences(monkeypatch):
+    # the differences of certified rows skip the per-matrix deviation test
+    # (only the base and the caps, one matrix per member and row, take it)
+    # and each pass over a table makes one spectral call per full chunk of
+    # its slots; a non-certified member's differences are still tested
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
+    chunk = tor.REALIZATION_CHUNK_ENTRIES // alg.N ** 2
+    hermitian = np.stack([tor.random_element(alg, rng_for(i, "count"), band=3, decay=2.0).coeffs
+                          for i in range(3)])
+    skew = tor.random_element(alg, rng_for(3, "count"), band=3, hermitian=False).coeffs
+    tested, spectral, routed = [], [], []
+    members, hermitian_norms, route, take = (tor.hermitian_members, bz.hermitian_schatten_norm_batch,
+                                             bz.lp_norm_batch, bz._take_norms)
+    monkeypatch.setattr(tor, "hermitian_members", lambda mats: tested.append(len(mats)) or members(mats))
+    monkeypatch.setattr(bz, "hermitian_schatten_norm_batch",
+                        lambda mats, p: spectral.append(len(mats)) or hermitian_norms(mats, p))
+    monkeypatch.setattr(bz, "lp_norm_batch", lambda alg, stack, p: routed.append(len(stack)) or route(alg, stack, p))
+
+    def counted_pass(algebra, dx, table, p, certified, slots, out):
+        calls = len(spectral)
+        take(algebra, dx, table, p, certified, slots, out)
+        assert len(spectral) - calls == math.ceil(np.sum(slots & certified[:, None]) / chunk)
+    monkeypatch.setattr(bz, "_take_norms", counted_pass)
+    for stack, certified in ((hermitian, True), (np.concatenate([hermitian, skew[None]]), False)):
+        tested.clear(), routed.clear()
+        bz.measure_differences(tor.TorusElement(alg, stack), 1.0, 1, 1, tor.AmplitudeSampling(8, 4),
+                               bz.RadialQuadrature(12, 6))
+        base_and_caps = len(stack) * (1 + alg.d)
+        if certified:
+            assert sum(tested) == base_and_caps and routed == []
+        else:
+            assert sum(tested) > base_and_caps and sum(routed) == sum(tested) - base_and_caps > 0
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 
 import opcalc.chain as chain
 import opcalc.moi as moi
+import opcalc.torus as tor
 from opcalc.baselines import BaselineStore
 from opcalc.config import ExperimentConfig
 from opcalc.errors import MissingBaseline
 from opcalc.experiments import (ExperimentResult, besov_equivalence_configs,
-                                capture_besov_equivalence, parallel_map, run_besov_equivalence,
-                                run_chain_rule, run_experiment, run_meyer, run_moi, run_verify_core)
+                                capture_besov_equivalence, ensemble_elements, parallel_map,
+                                run_besov_equivalence, run_chain_rule, run_experiment, run_meyer, run_moi,
+                                run_verify_core)
+from opcalc.seeding import rng_for
 
 
 def test_verify_core_battery():
@@ -162,3 +166,20 @@ def test_besov_grid_matches_per_config_stats(monkeypatch):
     for cfg, (stats, rows) in zip(configs, grid):
         ref_stats, ref_rows = ex.besov_equivalence_stats(cfg)
         assert stats == ref_stats and rows == ref_rows
+
+
+def test_ensemble_elements_keep_their_bytes():
+    # members drawn unsymmetrized and made Hermitian in one stacked call, with
+    # cached mode weights, have the bytes of Hermitian draws one at a time
+    # (the sha256 of the per-member construction that the stacked one replaced)
+    digest = hashlib.sha256()
+    for n_modes, theta_num, band in ((8, 1, 3), (16, 3, 5), (32, 1, 3), (16, 0, 7)):
+        cfg = ExperimentConfig(kind="besov-equivalence", seed=2026, ensemble=6, n_modes=n_modes,
+                               theta_num=theta_num, band=band)
+        for tag, decay in (("besov", 2.0), ("nl", 1.5), ("meyer", 1.0), ("psdo", 1)):
+            x = ensemble_elements(cfg, tag=tag, decay=decay)
+            for i, member in enumerate(x.coeffs):
+                one = tor.random_element(cfg.algebra(), rng_for(cfg.seed, tag, i), band=band, decay=decay)
+                assert np.array_equal(member, one.coeffs)
+            digest.update(x.coeffs.tobytes())
+    assert digest.hexdigest() == "93e4da83ebe5f1f94abaaf44a35087f93567cc3c7e94303a546155d0b702a8b9"

@@ -16,7 +16,6 @@ ALLOWED = {
                                    "m, n_der, j_range and sampling",
     "besov.besov_integral_norm": "public norm, wrapped by name in bench/tracer.py; tests pass its "
                                  "m, n_der and quadrature",
-    "torus.random_element.hermitian": "tests build non-Hermitian inputs with it",
     "allen_cahn.ACProblem.blow_up_threshold": "derived from u0 unless set; tests set it to force or forbid a blow-up",
     "cli.main.argv": "tests and the console entry point pass the argument list",
     "experiments.capture_besov_equivalence.force": "passed by the CAPTURES dispatch in cli.py",
