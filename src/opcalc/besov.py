@@ -17,12 +17,15 @@ sum: block norms and ``multiplier_form``; a ``DifferenceMeasure`` from
 ``measure_differences`` and ``difference_form`` / ``integral_form``.  The
 heat smoothing and paraproduct harnesses split the same way, so one
 measurement serves every q.  Every difference norm is taken by one route,
-``_difference_norms``, which norms all (member, axis row) pairs of a
-difference table in one stacked pass.  A row whose coefficients equal their
-adjoint bit for bit is certified once, and its differences skip the
-per-matrix Hermitian test.  The amplitude profile is a running maximum, so
-at theta != 0, p != 2 the route diagonalizes only the differences whose
-bound could raise it, and the profile keeps the bits of every norm.
+``_difference_norms``: one chunked loop over the (member, axis row, table
+entry) slots of a difference table, whose differences
+``torus._difference_stack`` builds, runs every pass with its own per-chunk
+kernel.  When every row's coefficients equal their adjoint bit for bit, the
+stack is certified once and its differences skip the per-matrix Hermitian
+test.  The amplitude profile is a running maximum, so at theta != 0, p != 2
+the route bounds every difference (Parseval at p <= 2, Gershgorin in the
+loop at p > 2) and diagonalizes only those whose bound could raise it; the
+profile keeps the bits of every norm.
 
 All inequality checks are tolerance- or baseline-banded: the underlying
 estimates carry implicit constants, so harnesses record empirical ratios and
@@ -41,8 +44,8 @@ import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, HypothesisViolation, SymbolHypothesisError
 from .linalg import (HermitianOperator, SpectralDecomposition, diagonal_func_calc, eig_hermitian,
-                     func_calc, func_calc_first_column, hermitian_schatten_norm_batch, schatten_exponent,
-                     schatten_norm_batch)
+                     func_calc, func_calc_first_column, hermitian_schatten_norm_batch, operator_norm_bound_batch,
+                     schatten_exponent, schatten_norm_batch)
 from .symbols import SmoothSymbol
 from . import torus as tor
 from .torus import (AmplitudeSampling, TorusElement, block_count, difference, from_matrix,
@@ -267,100 +270,95 @@ def _difference_norms(algebra, stack: np.ndarray, members: Sequence[int], rows: 
     """||Delta (row x)||_p for every pair of a member x = stack[i], i of
     members, and a row of rows (the multipliers of d_i^N), and for every
     multiplier Delta of a difference table: a (members, rows, len(table))
-    array.  Each pass over the pairs' norms is one ``_take_norms`` call.
+    array.  Each pass over the (pair, entry) slots is one ``_slot_pass``.
 
-    Given the n_rad radii of a direction-major profile table, only the norms
-    that can raise the amplitude profile are taken, -inf for the others.
-    The profile reads the norms only through the running maximum over radii
-    of the maximum over directions.  Where ``lp_norm_batch`` would make a
-    spectral call (theta != 0, p != 2), every norm is bounded
-    (``difference_norm_bounds``, pair by pair), the norm of the direction
-    with the largest bound is taken at each radius of every pair, whose
-    running maximum ``lower`` is at most the profile's, and then every norm
-    whose bound, with a margin for rounding, is not at most ``lower`` at its
-    radius.  A skipped norm cannot exceed the running maximum, so the
-    profile keeps its bits; a NaN bound is never skipped.
+    At theta != 0, p != 2 the stack is certified once: if every row d_i^N x
+    equals its adjoint's coefficients bit for bit (``_hermitian_coeffs``),
+    every chunk goes to ``hermitian_schatten_norm_batch`` with no deviation
+    test, else to ``lp_norm_batch``, whose per-matrix routing gives the
+    Hermitian differences the same bits.  Given the n_rad radii of a
+    direction-major profile table, only the norms that can raise the
+    amplitude profile (the running maximum over radii of the maximum over
+    directions) are then taken, -inf for the others: every norm is bounded
+    (``_norm_bounds``), the norm of the direction with the largest bound is
+    taken at each radius of every pair, whose running maximum ``lower`` is
+    at most the profile's, and then every norm whose bound, with a margin
+    for rounding, is not at most ``lower`` at its radius.  A skipped norm
+    cannot exceed the running maximum, so the profile keeps its bits; a NaN
+    bound is never skipped.
     """
     def dx(pair: int) -> np.ndarray:
         return stack[members[pair // len(rows)]] * rows[pair % len(rows)]
     count = len(members) * len(rows)
     norms = np.full((count, len(table)), -np.inf)
     spectral = not algebra.is_flat and schatten_exponent(p) != 2.0
-    certified = np.array([spectral and _hermitian_coeffs(algebra, dx(k)) for k in range(count)], dtype=bool)
+    kernel = ((lambda diffs: hermitian_schatten_norm_batch(tor.to_matrix_batch(algebra, diffs), p))
+              if spectral and all(_hermitian_coeffs(algebra, dx(k)) for k in range(count))
+              else (lambda diffs: lp_norm_batch(algebra, diffs, p)))
     if n_rad is None or not spectral:
-        _take_norms(algebra, dx, table, p, certified, np.ones(norms.shape, dtype=bool), norms)
+        _slot_pass(algebra, dx, table, np.ones(norms.shape, dtype=bool), kernel, norms)
         return norms.reshape(len(members), len(rows), -1)
-    bounds = np.empty(norms.shape)
-    for k in range(count):
-        bounds[k] = tor.difference_norm_bounds(algebra, dx(k), table, p)
-    bounds = bounds.reshape(count, -1, n_rad)
+    bounds = _norm_bounds(algebra, dx, count, table, p).reshape(count, -1, n_rad)
     first = np.argmax(bounds, axis=1) * n_rad + np.arange(n_rad)  # (pair, radius)
     take = np.zeros(norms.shape, dtype=bool)
     np.put_along_axis(take, first, True, axis=1)
-    _take_norms(algebra, dx, table, p, certified, take, norms)
+    _slot_pass(algebra, dx, table, take, kernel, norms)
     lower = np.maximum.accumulate(np.take_along_axis(norms, first, axis=1), axis=1)
     bounds *= 1.0 + 1e-10
     take = ~(bounds <= lower[:, None, :]).reshape(count, -1)
     del bounds  # before the second pass realizes its chunks
     np.put_along_axis(take, first, False, axis=1)
-    _take_norms(algebra, dx, table, p, certified, take, norms)
+    _slot_pass(algebra, dx, table, take, kernel, norms)
     return norms.reshape(len(members), len(rows), -1)
+
+
+def _norm_bounds(algebra, dx, count: int, table: np.ndarray, p) -> np.ndarray:
+    """Upper bounds, up to rounding and without a spectral call, of the
+    ``lp_norm_batch`` of every difference table[entry] * dx(pair), pair <
+    count: NaN for each entry of a pair whose coefficients are not finite,
+    which builds no difference.  p <= 2: ||X||_p <= ||X||_2, the Parseval
+    norm sqrt(sum_k |T(k)|^2 |x(k)|^2), pair by pair on its nonzero modes
+    scaled by its largest (no square under- or overflows).  p > 2:
+    ||X||_p <= ||X||_inf, bounded by ``operator_norm_bound_batch`` of the
+    realized differences in one ``_slot_pass``."""
+    bounds = np.full((count, len(table)), math.nan)
+    finite = np.array([np.isfinite(dx(k)).all() for k in range(count)], dtype=bool)
+    if schatten_exponent(p) > 2.0:
+        _slot_pass(algebra, dx, table, np.repeat(finite[:, None], len(table), axis=1),
+                   lambda diffs: operator_norm_bound_batch(tor.to_matrix_batch(algebra, diffs)), bounds)
+        return bounds
+    for k in np.flatnonzero(finite):
+        x = dx(k).ravel()
+        scale = float(np.max(np.abs(x)))
+        modes = np.flatnonzero(x)  # none of a zero pair, whose bounds are 0
+        weights = np.abs(table.reshape(len(table), -1)[:, modes]) ** 2
+        bounds[k] = scale * np.sqrt(weights @ np.abs(x[modes] / scale) ** 2)
+    return bounds
 
 
 def _hermitian_coeffs(algebra, coeffs: np.ndarray) -> bool:
     """Whether finite coefficients equal those of their adjoint bit for bit.
-
     conj(T(-k)) = T(k) holds bitwise for the derivative and difference
-    multipliers, so every difference of such a row is Hermitian in
-    coefficients too, and its realization passes the deviation test of
-    ``hermitian_members`` (a property test checks this over the radii of
-    the profiles and the quadrature).
-    """
+    multipliers, so every difference of such a row is Hermitian too, and its
+    realization passes the deviation test of ``hermitian_members`` (a
+    property test checks this over the radii of the profiles and quadrature)."""
     return bool(np.isfinite(coeffs).all()) and np.array_equal(tor._adjoint_coeffs(algebra, coeffs), coeffs)
 
 
-def _take_norms(algebra, dx, table: np.ndarray, p, certified: np.ndarray, take: np.ndarray,
-                out: np.ndarray) -> None:
-    """out[pair, entry] = ||table[entry] dx(pair)||_p wherever take is set.
-
-    The (pair, entry) slots of the certified pairs, and then those of the
-    others, are taken pair-major in ``realization_chunks`` chunks, every
-    chunk's differences built in one buffer (``_differences``).  A certified
-    chunk goes to ``hermitian_schatten_norm_batch`` with no deviation test;
-    any other to ``lp_norm_batch``, which tests and routes it matrix by
-    matrix.  Both read each matrix alone, so every norm has the bits of its
-    own ``lp_norm_batch`` call.
-    """
+def _slot_pass(algebra, dx, table: np.ndarray, take: np.ndarray, kernel, out: np.ndarray) -> None:
+    """out[pair, entry] = kernel's value of the difference table[entry] *
+    dx(pair) wherever take is set: the slots are taken pair-major in
+    ``realization_chunks`` chunks, every chunk's differences built in one
+    buffer by ``torus._difference_stack``.  The norm kernels read each matrix
+    alone, so every norm has the bits of its own ``lp_norm_batch`` call."""
     flat = out.reshape(-1)
-    for hermitian in (True, False):
-        mask = take & (certified[:, None] == hermitian)
-        # a whole table's slots as a range: an index array of them raised the peak RSS
-        slots = range(mask.size) if mask.all() else np.flatnonzero(mask)
-        chunks = tor.realization_chunks(algebra, len(slots), entries=table[0].size)
-        buf = np.empty((len(slots[chunks[0]]) if chunks else 0,) + table.shape[1:], table.dtype)
-        for part in chunks:
-            pairs, entries = np.divmod(slots[part], len(table))
-            diffs = _differences(table, entries, pairs, dx, buf[:len(pairs)])
-            flat[slots[part]] = (hermitian_schatten_norm_batch(tor.to_matrix_batch(algebra, diffs), p)
-                                 if hermitian else lp_norm_batch(algebra, diffs, p))
-
-
-def _differences(table: np.ndarray, entries: np.ndarray, pairs: np.ndarray, dx, out: np.ndarray) -> np.ndarray:
-    """out[i] = table[entries[i]] * dx(pairs[i]) for ascending pairs and,
-    within a pair, ascending entries: one product per run of a pair, read
-    from a slice of the table where the run's entries are consecutive, else
-    gathered into out and multiplied in place.  The table stays the left
-    operand, as in ``_difference_stack``: numpy's complex multiply is not
-    bitwise commutative."""
-    starts = [0] + (np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()
-    for a, b in zip(starts, starts[1:] + [len(pairs)]):
-        lo, hi = int(entries[a]), int(entries[b - 1]) + 1
-        if hi - lo == b - a:
-            np.multiply(table[lo:hi], dx(pairs[a]), out=out[a:b])
-        else:
-            np.take(table, entries[a:b], axis=0, out=out[a:b])
-            out[a:b] *= dx(pairs[a])
-    return out
+    # a whole table's slots as a range: an index array of them raised the peak RSS
+    slots = range(take.size) if take.all() else np.flatnonzero(take)
+    chunks = tor.realization_chunks(algebra, len(slots), entries=table[0].size)
+    buf = np.empty((len(slots[chunks[0]]) if chunks else 0,) + table.shape[1:], table.dtype)
+    for part in chunks:
+        pairs, entries = np.divmod(slots[part], len(table))
+        flat[slots[part]] = kernel(tor._difference_stack(table, entries, pairs, dx, buf[:len(pairs)]))
 
 
 def _axis_total(base, per_axis: np.ndarray):

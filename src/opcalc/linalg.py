@@ -224,20 +224,25 @@ def schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:
 def operator_norm_bound_batch(stack: np.ndarray) -> np.ndarray:
     """An upper bound, up to rounding, of the largest singular value of each
     matrix A of a finite (..., n, n) stack, and so of each of its
-    normalized-trace Schatten norms: (max absolute row sum of (A* A)^2)^(1/4),
-    Gershgorin on the positive semidefinite (A* A)^2, within a factor n^(1/4)
-    of it.  Two matmuls and no spectral call; each matrix is scaled first by
-    the reciprocal of its largest real or imaginary part in absolute value,
-    read as the max and -min of a float64 view with no complex abs or
-    temporary, so its entries are at most sqrt 2 in modulus and its fourth
-    power neither overflows nor underflows.
+    normalized-trace Schatten norms: (max absolute row sum of G^2)^(1/4),
+    Gershgorin on the positive semidefinite G^2, G = (A/s)* (A/s), within a
+    factor n^(1/4) of it.  Two matmuls and no spectral call.  s is the
+    largest real or imaginary part of A in absolute value, read as the max
+    and -min of a float64 view with no complex abs or temporary, so the
+    entries of A/s are at most sqrt 2 in modulus and G^2 neither overflows
+    nor underflows.  Besides A, at most two stack-sized arrays live at once.
     """
     a = _as_square(stack, stack=True)
     parts = np.ascontiguousarray(a).view(np.float64)
     scale = np.maximum(np.max(parts, axis=(-2, -1)), -np.min(parts, axis=(-2, -1)))
-    a = a * (1.0 / np.maximum(scale, np.finfo(np.float64).tiny))[..., None, None]
-    gram = a.swapaxes(-1, -2).conj() @ a
-    return scale * np.max(np.sum(np.abs(gram @ gram), axis=-1), axis=-1) ** 0.25
+    factor = (1.0 / np.maximum(scale, np.finfo(np.float64).tiny))[..., None, None]
+    adjoint = a.swapaxes(-1, -2).conj()
+    adjoint *= factor  # in place, as gram below: a new product would add a casting buffer
+    gram = adjoint @ a
+    del adjoint
+    gram *= factor
+    gram = gram @ gram
+    return scale * np.max(np.sum(np.abs(gram), axis=-1), axis=-1) ** 0.25
 
 
 def hermitian_schatten_norm_batch(stack: np.ndarray, p) -> np.ndarray:

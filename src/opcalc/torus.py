@@ -39,8 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BackendMismatch, BandOverflow, DimensionMismatch, HypothesisViolation, NonHermitianInput
-from .linalg import (hermitian_members, hermitian_schatten_norm_batch, operator_norm_bound_batch,
-                     schatten_exponent, schatten_norm_batch)
+from .linalg import hermitian_members, hermitian_schatten_norm_batch, schatten_exponent, schatten_norm_batch
 from .symbols import LPFilterFamily
 
 
@@ -774,16 +773,18 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
     """lp_norm of every element of a (batch,) + algebra.shape coefficient stack.
 
     p must be >= 1 (ValueError otherwise).  p = 2 reads the coefficients
-    (Parseval) and theta = 0 the grid values.
+    (Parseval) and theta = 0 the grid values a, whose p-mean is taken of
+    a / max|a| times max|a| where a power of max|a| would leave the float
+    range, as the spectral route scales its singular values.
     Otherwise the stack is realized and routed member by member: a realized
     matrix that passes the Hermitian deviation test gets its norm from
     ``hermitian_schatten_norm_batch`` (absolute eigenvalues), any other from
     ``schatten_norm_batch`` (SVD).  Each spectral call runs LAPACK on one
     matrix at a time, so a member's norm has the same bits in any stack,
     alone included.  ``besov._difference_norms`` skips the test for the
-    differences of a row whose coefficients equal their adjoint bit for
-    bit: it realizes them and calls ``hermitian_schatten_norm_batch``
-    itself, which gives the bits this routing gives them.
+    differences of a stack whose rows all equal their adjoint bit for bit:
+    it realizes them and calls ``hermitian_schatten_norm_batch`` itself,
+    which gives the bits this routing gives them.
     """
     pv = schatten_exponent(p)
     if pv == 2.0:
@@ -791,9 +792,15 @@ def lp_norm_batch(algebra: TorusAlgebra, coeff_stack: np.ndarray, p) -> np.ndarr
         return np.linalg.norm(coeff_stack.reshape(coeff_stack.shape[0], -1), axis=1)
     if algebra.is_flat:
         a = np.abs(grid_values(algebra, coeff_stack))
+        top = np.max(a, axis=1)
         if math.isinf(pv):
-            return np.max(a, axis=1)
-        return (np.mean(a ** pv, axis=1)) ** (1.0 / pv)
+            return top
+        with np.errstate(over="ignore"):
+            out, powers = np.mean(a ** pv, axis=1) ** (1.0 / pv), top ** pv
+            wide = np.isfinite(top) & (top > 0) & ~((powers >= np.finfo(float).tiny)
+                                                    & np.isfinite(powers * a.shape[1]))
+        out[wide] = top[wide] * np.mean((a[wide] / top[wide, None]) ** pv, axis=1) ** (1.0 / pv)
+        return out
     mats = to_matrix_batch(algebra, coeff_stack)
     hermitian = hermitian_members(mats)
     if hermitian.all():
@@ -862,33 +869,21 @@ def difference_table(algebra: TorusAlgebra, dirs: np.ndarray, radii: np.ndarray,
     return difference_multiplier(algebra, dirs[:, None, :] * radii[:, None], m).reshape((-1,) + algebra.shape)
 
 
-def _difference_stack(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Coefficients of Delta_{r d}^m x for every multiplier of a
-    ``difference_table``, from the coefficients of x, or for every x of a
-    stack of them: a (members * len(table),) + algebra.shape stack, x by x."""
-    return (table * np.expand_dims(coeffs, -table.ndim)).reshape((-1,) + table.shape[1:])
-
-
-def difference_norm_bounds(algebra: TorusAlgebra, coeffs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
-    """Upper bounds, up to rounding, of the ``lp_norm_batch`` of every
-    difference ``_difference_stack(coeffs, table)`` of one element, without a
-    spectral call; NaN for every difference if coeffs are not finite.
-
-    p <= 2: ||X||_p <= ||X||_2, the Parseval norm sqrt(sum_k |T(k)|^2 |x(k)|^2)
-    read on the element's nonzero modes, so no difference is built.  p > 2:
-    ||X||_p <= ||X||_inf, bounded by ``operator_norm_bound_batch`` of the
-    realized differences, a chunk of ``realization_chunks`` at a time.
-    """
-    pv = schatten_exponent(p)
-    scale = float(np.max(np.abs(coeffs)))
-    if not math.isfinite(scale) or scale == 0.0:
-        return np.full(len(table), 0.0 if scale == 0.0 else math.nan)
-    x = coeffs / scale  # no square under- or overflows
-    if pv <= 2.0:
-        modes = np.flatnonzero(x)
-        weights = np.abs(table.reshape(len(table), -1)[:, modes]) ** 2
-        return scale * np.sqrt(weights @ np.abs(x.ravel()[modes]) ** 2)
-    out = np.empty(len(table))
-    for part in realization_chunks(algebra, len(table), entries=x.size):
-        out[part] = operator_norm_bound_batch(to_matrix_batch(algebra, _difference_stack(x, table[part])))
-    return scale * out
+def _difference_stack(table: np.ndarray, entries: np.ndarray, pairs: np.ndarray, dx,
+                      out: np.ndarray) -> np.ndarray:
+    """out[i] = table[entries[i]] * dx(pairs[i]), the coefficients of the
+    differences of a ``difference_table``, for ascending pairs and, within a
+    pair, ascending entries; dx(pair) gives a pair's coefficients.  One
+    product per run of a pair, read from a slice of the table where the
+    run's entries are consecutive, else gathered into out and multiplied in
+    place.  The table stays the left operand: numpy's complex multiply is
+    not bitwise commutative."""
+    starts = [0] + (np.flatnonzero(pairs[1:] != pairs[:-1]) + 1).tolist()
+    for a, b in zip(starts, starts[1:] + [len(pairs)]):
+        lo, hi = int(entries[a]), int(entries[b - 1]) + 1
+        if hi - lo == b - a:
+            np.multiply(table[lo:hi], dx(pairs[a]), out=out[a:b])
+        else:
+            np.take(table, entries[a:b], axis=0, out=out[a:b])
+            out[a:b] *= dx(pairs[a])
+    return out

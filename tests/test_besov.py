@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -565,15 +566,15 @@ def profile_table_size(d, top, sampling):
 
 
 def count_differences(monkeypatch) -> list:
-    """The number of differences of each ``_differences`` call from now on."""
+    """The number of differences of each ``_difference_stack`` call from now on."""
     built = []
-    route = bz._differences
+    route = tor._difference_stack
 
     def counted(table, entries, pairs, dx, out):
         out = route(table, entries, pairs, dx, out)
         built.append(len(out))
         return out
-    monkeypatch.setattr(bz, "_differences", counted)
+    monkeypatch.setattr(tor, "_difference_stack", counted)
     return built
 
 
@@ -600,7 +601,7 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
     alg = tor.TorusAlgebra(d=d, N=4 if d == 3 else 8, theta_num=1 if d == 2 else 0)
     x = tor.random_element(alg, rng_for(d, "rows", n_der), band=1)
     rows, normed = set(), []
-    route, norms, hermitian_norms = bz._differences, bz.lp_norm_batch, bz.hermitian_schatten_norm_batch
+    route, norms, hermitian_norms = tor._difference_stack, bz.lp_norm_batch, bz.hermitian_schatten_norm_batch
 
     def recorded_differences(table, entries, pairs, dx, out):
         rows.update(dx(pair).tobytes() for pair in set(pairs.tolist()))
@@ -613,7 +614,7 @@ def test_difference_measure_measures_each_distinct_row_once(monkeypatch, d, n_de
     def recorded_hermitian_norms(mats, p):  # a certified row's realized differences
         normed.extend(member.tobytes() for member in mats)
         return hermitian_norms(mats, p)
-    monkeypatch.setattr(bz, "_differences", recorded_differences)
+    monkeypatch.setattr(tor, "_difference_stack", recorded_differences)
     monkeypatch.setattr(bz, "lp_norm_batch", recorded_norms)
     monkeypatch.setattr(bz, "hermitian_schatten_norm_batch", recorded_hermitian_norms)
     meas = bz.measure_differences(x, 1.0, 1, n_der, tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
@@ -723,7 +724,7 @@ def test_non_finite_members_still_raise_under_pruning(bad, p):
                 == warned(lambda: bz._difference_norms(alg, xs, members, pair_rows, table, p)) == product)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(tor.difference_norm_bounds(alg, xs[1], table, p)).all()
+        assert np.isnan(bz._norm_bounds(alg, lambda pair: xs[1], 1, table, p)).all()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -742,13 +743,13 @@ def test_certified_rows_have_hermitian_differences(data):
     for row in axis_rows(alg, n_der):
         dx = x.coeffs * row
         assert bz._hermitian_coeffs(alg, dx)
-        assert hermitian_members(tor.to_matrix_batch(alg, tor._difference_stack(dx, table))).all()
+        assert hermitian_members(tor.to_matrix_batch(alg, table * dx)).all()  # the table on the left
 
 
 def test_route_differences_keep_the_bits_of_the_difference_stack():
     # the product of a table slot and its pair's row, gathered and multiplied
     # in place or read from a slice of consecutive entries, has the bits of
-    # _difference_stack, the table on the left, in any buffer
+    # the whole table's product, the table on the left, in any buffer
     alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
     xs = pruning_stack(alg).coeffs
     table = tor.difference_table(alg, tor.sphere_directions(2, 8), np.geomspace(1e-3, 2 * math.pi, 12), 2)
@@ -756,10 +757,10 @@ def test_route_differences_keep_the_bits_of_the_difference_stack():
     slots = np.union1d(rng.integers(0, len(xs) * len(table), 200), np.arange(len(table), 2 * len(table)))
     pairs, entries = np.divmod(slots, len(table))  # member 1 has every entry, the others some
     out = rng.standard_normal((len(slots),) + alg.shape) + 1j  # stale values are overwritten
-    got = bz._differences(table, entries, pairs, lambda pair: xs[pair], out)
+    got = tor._difference_stack(table, entries, pairs, lambda pair: xs[pair], out)
     assert got is out
     for i in range(len(xs)):
-        assert np.array_equal(got[pairs == i], tor._difference_stack(xs[i], table)[entries[pairs == i]])
+        assert np.array_equal(got[pairs == i], (table * xs[i])[entries[pairs == i]])
 
 
 def per_pair_measure(xs, p, m, n_der, sampling, qd):
@@ -809,29 +810,72 @@ def test_mixed_stack_measurement_equals_the_per_pair_route(p, n_der):
     assert np.array_equal(meas.radial, radial)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_pruned_profiles_keep_their_bits_where_bounds_tie_norms(p):
+    # single modes, whose bounds equal their norms up to rounding, along
+    # directions one ulp apart: bounds and norms order the near-equal
+    # differences each its own way, and only the rounding margin keeps a
+    # skipped norm from exceeding the running maximum
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = np.stack([tor.mode_element(alg, k).coeffs * (0.3 - 0.7j)
+                   for k in ((1, 0), (0, 1), (1, 1), (2, -1), (3, 2), (-2, 3), (1, -3), (2, 2))])
+    phi = 0.4 + np.spacing(0.4) * np.arange(16)
+    ts = 2.0 ** -np.arange(3, -4.0, -1.0)
+    radii = tor.amplitude_radii(ts, 4)
+    table = tor.difference_table(alg, np.stack([np.cos(phi), np.sin(phi)], axis=1), radii, 1)
+    rows = np.ones((1,) + alg.shape, complex)
+    pruned, every = (bz._difference_norms(alg, xs, range(len(xs)), rows, table, p, n_rad)
+                     for n_rad in (len(radii), None))
+    assert np.isinf(pruned).any()
+    assert np.array_equal(*(tor.amplitude_from_norms(norms.reshape(len(xs), 1, -1, len(radii)), radii, ts)
+                            for norms in (pruned, every)))
+
+
+@pytest.mark.parametrize("p", [3.0, math.inf])
+@pytest.mark.parametrize("members", [[0, 1, 3], [0, 1, 2, 3]])
+def test_bound_pass_makes_no_spectral_call(monkeypatch, p, members):
+    # at p > 2 the bounds realize the differences but diagonalize none: every
+    # matrix that reaches an eigenvalue or singular-value kernel is a norm
+    # the pruned route takes, of a certified stack and of a mixed one
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    xs = pruning_stack(alg).coeffs[members]
+    radii = tor.amplitude_radii(2.0 ** -np.arange(7, -4.0, -1.0), 4)
+    table = tor.difference_table(alg, tor.sphere_directions(2, 8), radii, 1)
+    spectral = []
+    for module, name in ((bz, "hermitian_schatten_norm_batch"), (tor, "hermitian_schatten_norm_batch"),
+                         (tor, "schatten_norm_batch")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda mats, p, kernel=kernel: spectral.append(len(mats)) or kernel(mats, p))
+    norms = bz._difference_norms(alg, xs, range(len(xs)), np.stack(axis_rows(alg, 1)), table, p, len(radii))
+    assert np.isinf(norms).any()
+    assert sum(spectral) == np.sum(np.isfinite(norms))
+
+
 def test_certified_measurement_makes_no_deviation_test_on_differences(monkeypatch):
-    # the differences of certified rows skip the per-matrix deviation test
-    # (only the base and the caps, one matrix per member and row, take it)
-    # and each pass over a table makes one spectral call per full chunk of
-    # its slots; a non-certified member's differences are still tested
+    # the differences of a stack whose rows are all certified skip the
+    # per-matrix deviation test (only the base and the caps, one matrix per
+    # member and row, take it) and each pass over a table makes one spectral
+    # call per full chunk of its slots; once a member is not certified, the
+    # differences of every member are tested
     alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
     chunk = tor.REALIZATION_CHUNK_ENTRIES // alg.N ** 2
     hermitian = np.stack([tor.random_element(alg, rng_for(i, "count"), band=3, decay=2.0).coeffs
                           for i in range(3)])
     skew = tor.random_element(alg, rng_for(3, "count"), band=3, hermitian=False).coeffs
     tested, spectral, routed = [], [], []
-    members, hermitian_norms, route, take = (tor.hermitian_members, bz.hermitian_schatten_norm_batch,
-                                             bz.lp_norm_batch, bz._take_norms)
+    members, hermitian_norms, route, slot_pass = (tor.hermitian_members, bz.hermitian_schatten_norm_batch,
+                                                  bz.lp_norm_batch, bz._slot_pass)
     monkeypatch.setattr(tor, "hermitian_members", lambda mats: tested.append(len(mats)) or members(mats))
     monkeypatch.setattr(bz, "hermitian_schatten_norm_batch",
                         lambda mats, p: spectral.append(len(mats)) or hermitian_norms(mats, p))
     monkeypatch.setattr(bz, "lp_norm_batch", lambda alg, stack, p: routed.append(len(stack)) or route(alg, stack, p))
 
-    def counted_pass(algebra, dx, table, p, certified, slots, out):
+    def counted_pass(algebra, dx, table, take, kernel, out):
         calls = len(spectral)
-        take(algebra, dx, table, p, certified, slots, out)
-        assert len(spectral) - calls == math.ceil(np.sum(slots & certified[:, None]) / chunk)
-    monkeypatch.setattr(bz, "_take_norms", counted_pass)
+        slot_pass(algebra, dx, table, take, kernel, out)
+        assert len(spectral) - calls == (math.ceil(np.sum(take) / chunk) if certified else 0)
+    monkeypatch.setattr(bz, "_slot_pass", counted_pass)
     for stack, certified in ((hermitian, True), (np.concatenate([hermitian, skew[None]]), False)):
         tested.clear(), routed.clear()
         bz.measure_differences(tor.TorusElement(alg, stack), 1.0, 1, 1, tor.AmplitudeSampling(8, 4),
@@ -841,6 +885,25 @@ def test_certified_measurement_makes_no_deviation_test_on_differences(monkeypatc
             assert sum(tested) == base_and_caps and routed == []
         else:
             assert sum(tested) > base_and_caps and sum(routed) == sum(tested) - base_and_caps > 0
+
+
+@pytest.mark.parametrize("p,parent_mib", [(1.0, 1.93), (2.0, 1.50), (math.inf, 2.24)])
+def test_difference_measurement_peak_memory(p, parent_mib):
+    # a 50-member N = 16 measurement, as one besov-grid op takes it, peaks no
+    # higher under tracemalloc than the per-pair bound route it replaced
+    # (parent_mib: that route's peak, after the same one-member warm-up);
+    # no all-pairs stack of the rows d_i^N x is held
+    alg = tor.TorusAlgebra(d=2, N=16, theta_num=1)
+    xs = np.stack([tor.random_element(alg, rng_for(i, "memory"), band=3, decay=2.0).coeffs for i in range(50)])
+    sampling, qd = tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6)
+    bz.measure_differences(tor.TorusElement(alg, xs[:1]), p, 1, 1, sampling, qd)  # the cached tables
+    tracemalloc.start()
+    try:
+        bz.measure_differences(tor.TorusElement(alg, xs), p, 1, 1, sampling, qd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

@@ -413,7 +413,7 @@ def test_amplitude_zero_time(alg):
     ts = np.array([0.5, 1.0])
     radii = tor.amplitude_radii(ts, 8)
     dirs = tor.sphere_directions(alg.d, 16)
-    norms = tor.lp_norm_batch(alg, tor._difference_stack(x.coeffs, tor.difference_table(alg, dirs, radii, 1)), 2)
+    norms = tor.lp_norm_batch(alg, tor.difference_table(alg, dirs, radii, 1) * x.coeffs, 2)
     norms = norms.reshape(-1, len(radii))
     assert list(tor.amplitude_from_norms(norms, radii, np.array([0.0]))) == [0.0]
     assert list(tor.amplitude_from_norms(norms, radii, np.array([]))) == []
@@ -764,7 +764,10 @@ def test_difference_stack_matches_exp_reference(d, N, theta_num, m):
     x = tor.random_element(alg, rng_for(N + d, "dstack"), decay=0.0)
     dirs = tor.sphere_directions(d, 8)
     radii = np.geomspace(1e-3, 8.0, 13)
-    got = tor._difference_stack(x.coeffs, tor.difference_table(alg, dirs, radii, m))
+    table = tor.difference_table(alg, dirs, radii, m)
+    entries = np.arange(len(table))
+    got = tor._difference_stack(table, entries, np.zeros_like(entries), lambda pair: x.coeffs,
+                                np.empty(table.shape, complex))
     ref = _exp_difference_stack(x, dirs, radii, m)
     assert got.shape == ref.shape == (len(dirs) * len(radii),) + alg.shape
     k1 = sum(np.abs(g) for g in alg.k_grids)
@@ -795,8 +798,8 @@ def test_difference_norm_bounds_bound_every_norm(data):
     table = tor.difference_table(alg, tor.sphere_directions(alg.d, 4), rng.uniform(0.0, 2 * math.pi, 3),
                                  data.draw(st.integers(1, 2)))
     coeffs = scale * x.coeffs
-    norms = tor.lp_norm_batch(alg, tor._difference_stack(coeffs, table), p)
-    assert np.all(norms <= tor.difference_norm_bounds(alg, coeffs, table, p) * (1.0 + 1e-10))
+    norms = tor.lp_norm_batch(alg, table * coeffs, p)  # the table on the left, as the route multiplies
+    assert np.all(norms <= bz._norm_bounds(alg, lambda pair: coeffs, 1, table, p)[0] * (1.0 + 1e-10))
 
 
 @pytest.mark.parametrize("p", [1, 3, math.inf])
@@ -841,6 +844,20 @@ def test_lp_norm_of_a_stack_is_one_norm_per_member(theta_num, p):
     assert got.tolist() == single
     grid = tor.lp_norm(tor.TorusElement(alg, xs[:6].reshape((2, 3) + alg.shape)), p)
     assert grid.shape == (2, 3) and grid.ravel().tolist() == single[:6]
+
+
+@pytest.mark.parametrize("theta_num", [0, 1])
+@pytest.mark.parametrize("p", [1, 1.5, 3, 40])
+def test_lp_norm_scales_with_the_element_at_extreme_scales(theta_num, p):
+    # ||c x||_p = c ||x||_p on both routes where |x|^p leaves the float range:
+    # at theta = 0 the p-mean of the grid values is then taken of them
+    # scaled by their largest, as the spectral route scales its singular values
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=theta_num)
+    x = tor.random_element(alg, rng_for(0, "lpscale"), band=3).coeffs
+    for scale in (1e-120, 1e120):
+        got = tor.lp_norm_batch(alg, np.stack([scale * x, x]), p)
+        assert got[0] == pytest.approx(scale * got[1], rel=1e-12)
+        assert got[1] == tor.lp_norm_batch(alg, x[None], p)[0]
 
 
 @pytest.mark.parametrize("theta_num", [0, 1])

@@ -83,3 +83,23 @@ def test_tracer_install_then_uninstall_restores_every_binding():
         tracer.uninstall()
     assert _changed(before) == []
     assert bz.besov_difference_norm.__module__ == "opcalc.besov"
+
+
+def test_traced_difference_measurement_counts_every_difference_it_builds():
+    # at p = 1 the bounds read the coefficients (Parseval), so every matrix a
+    # measurement realizes is its base, a cap (one per member and axis row)
+    # or a difference it built and norms; the tracer's difference_stack layer
+    # counts each difference once, of a certified stack and of a mixed one
+    alg = tor.TorusAlgebra(d=2, N=8, theta_num=1)
+    hermitian = [tor.random_element(alg, rng_for(i, "traced"), band=1 + i).coeffs for i in range(3)]
+    skew = tor.random_element(alg, rng_for(3, "traced"), band=2, hermitian=False).coeffs
+    for members in (hermitian, hermitian + [skew]):
+        tracer = _load_tracer().Tracer()
+        try:
+            tracer.install(layers={"torus.difference_stack", "torus.to_matrix_batch"})
+            bz.measure_differences(tor.TorusElement(alg, np.stack(members)), 1.0, 1, 1,
+                                   tor.AmplitudeSampling(8, 4), bz.RadialQuadrature(12, 6))
+        finally:
+            tracer.uninstall()
+        built = tracer.counts.get("torus.difference_stack.elements", 0)
+        assert built == tracer.counts["torus.to_matrix_batch.matrices"] - len(members) * (1 + alg.d) > 0
